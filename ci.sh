@@ -3,20 +3,25 @@
 # cargo registry (the workspace has no external dependencies by design —
 # see README "Offline builds"). Run locally with ./ci.sh.
 #
-# The pipeline is split into four groups so the GitHub workflow can run
+# The pipeline is split into five groups so the GitHub workflow can run
 # them as parallel jobs; with no argument every group runs in order:
 #
 #   ./ci.sh lint        # fmt, clippy, netcrafter-lint (+ fixture corpus)
-#   ./ci.sh build-test  # release build, bench check, workspace tests
-#   ./ci.sh figures     # figure/trace/scheduler/checkpoint equivalence,
-#                       # scheduler microbench, perf-regression gate
-#   ./ci.sh topology    # scale-out fabrics: fat-tree-8/torus-8 smoke
-#                       # sweeps, three-way scheduler + checkpoint
-#                       # equivalence, PDES scaling, topology perf gate
+#   ./ci.sh build-test  # release build, bench check, workspace tests,
+#                       # the frozen benchmark/ consumer's build + tests
+#   ./ci.sh figures     # figure/trace determinism, checkpoint CLI
+#                       # plumbing, scheduler microbench, perf gate
+#   ./ci.sh topology    # scale-out fabrics: topology figure, fat-tree
+#                       # checkpoint CLI plumbing, PDES scaling, perf gate
 #   ./ci.sh sweep       # prefix-sharing sweeps: cold vs shared byte
-#                       # diff under all three schedulers, sweep perf
-#                       # gate (hit ratio), wall-clock speedup floor
+#                       # diff, sweep perf gate (hit ratio), speedup floor
 #   ./ci.sh all         # everything (default)
+#
+# Scheduler equivalence (EventDriven vs Legacy vs PDES, uninterrupted vs
+# checkpoint vs fork, mesh/fat-tree/torus) is one Rust table test,
+# crates/multigpu/tests/scheduler_equivalence.rs, run by build-test; the
+# shell legs below only cover what needs a process boundary: CLI flags,
+# files on disk, --jobs, --cache-dir, and one --threads 4 pass each.
 #
 # Artifacts (fig14 trace + time series, checkpoint snapshot, fresh bench
 # report) are left in $CI_ARTIFACT_DIR (default: ./ci-artifacts) for the
@@ -64,6 +69,49 @@ run_step() {
     local dt=$((SECONDS - t0))
     if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
         echo "| $name | $dt |" >>"$GITHUB_STEP_SUMMARY"
+    fi
+}
+
+figures() {
+    cargo run --release --offline -q -p netcrafter-bench --bin figures -- "$@"
+}
+
+simulate() {
+    cargo run --release --offline -q -p netcrafter-bench --bin simulate -- "$@"
+}
+
+bench_gate() {
+    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- "$@"
+}
+
+# capture_figures VAR ERRFILE ARGS…: stores the stdout of `figures ARGS…`
+# in VAR and its stderr in ERRFILE; a failing run dumps the stderr.
+capture_figures() {
+    local var="$1" err="$2" out
+    shift 2
+    if ! out=$(figures "$@" 2>"$err"); then
+        echo "FAIL: figures $* failed:" >&2
+        cat "$err" >&2
+        exit 1
+    fi
+    printf -v "$var" '%s' "$out"
+}
+
+# same_text WHAT A B: fails the step unless the two strings are equal.
+same_text() {
+    if [[ "$2" != "$3" ]]; then
+        echo "FAIL: $1" >&2
+        diff <(echo "$2") <(echo "$3") >&2 || true
+        exit 1
+    fi
+}
+
+# same_file WHAT A B: fails the step unless the two files are identical.
+same_file() {
+    if ! cmp -s "$2" "$3"; then
+        echo "FAIL: $1" >&2
+        cmp "$2" "$3" >&2 || true
+        exit 1
     fi
 }
 
@@ -135,39 +183,27 @@ step_test_workspace() {
     cargo test -q --workspace --offline
 }
 
+# benchmark/ is a frozen consumer of the public sim/multigpu/bench APIs
+# outside the workspace: build it and run its unit tests here, so an API
+# change that breaks it fails in CI rather than in the merge pipeline.
+step_test_benchmark_consumer() {
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+}
+
 step_figures_smoke() {
-    if ! seq_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 2>"$seq_err"); then
-        echo "FAIL: sequential figures run failed:" >&2
-        cat "$seq_err" >&2
-        exit 1
-    fi
-    if ! par_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --jobs 4 2>"$par_err"); then
-        echo "FAIL: parallel figures run failed:" >&2
-        cat "$par_err" >&2
-        exit 1
-    fi
-    if [[ "$seq_out" != "$par_out" ]]; then
-        echo "FAIL: parallel figure output differs from sequential" >&2
-        diff <(echo "$seq_out") <(echo "$par_out") >&2 || true
-        echo "--- sequential stderr ---" >&2
-        cat "$seq_err" >&2
-        echo "--- parallel stderr ---" >&2
-        cat "$par_err" >&2
-        exit 1
-    fi
+    local seq_out par_out
+    capture_figures seq_out "$seq_err" --quick fig14
+    capture_figures par_out "$par_err" --quick fig14 --jobs 4
+    same_text "parallel (--jobs 4) figure output differs from sequential" "$seq_out" "$par_out"
 }
 
 # The warm run adds --threads 4: thread count is excluded from the cache
 # key (parallel results are bit-identical), so a cache filled by a
 # sequential run must fully satisfy a parallel one.
 step_figures_cache() {
-    cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --jobs 4 --cache-dir "$cache_dir" >/dev/null 2>&1
+    figures --quick fig14 --jobs 4 --cache-dir "$cache_dir" >/dev/null 2>&1
     local warm_stderr
-    warm_stderr=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --jobs 4 --threads 4 --cache-dir "$cache_dir" 2>&1 >/dev/null)
+    warm_stderr=$(figures --quick fig14 --jobs 4 --threads 4 --cache-dir "$cache_dir" 2>&1 >/dev/null)
     if ! grep -q "0 simulated" <<<"$warm_stderr"; then
         echo "FAIL: warm cache re-simulated configurations:" >&2
         echo "$warm_stderr" >&2
@@ -175,105 +211,67 @@ step_figures_cache() {
     fi
 }
 
+# Two identical traced runs must write identical files, and so must a
+# --threads 4 run: the one CLI pass of the parallel scheduler's --trace /
+# --timeseries plumbing (the table test compares the same bytes in
+# process).
 step_trace_determinism() {
-    cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-        --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-        --trace "$artifact_dir/trace-a.json" \
-        --timeseries "$artifact_dir/timeseries-a.jsonl" >/dev/null
-    cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-        --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-        --trace "$artifact_dir/trace-b.json" \
-        --timeseries "$artifact_dir/timeseries-b.jsonl" >/dev/null
-    if ! cmp -s "$artifact_dir/trace-a.json" "$artifact_dir/trace-b.json"; then
-        echo "FAIL: event traces of identical runs differ" >&2
-        cmp "$artifact_dir/trace-a.json" "$artifact_dir/trace-b.json" >&2 || true
-        exit 1
-    fi
-    if ! cmp -s "$artifact_dir/timeseries-a.jsonl" "$artifact_dir/timeseries-b.jsonl"; then
-        echo "FAIL: time series of identical runs differ" >&2
-        cmp "$artifact_dir/timeseries-a.jsonl" "$artifact_dir/timeseries-b.jsonl" >&2 || true
-        exit 1
-    fi
+    local base=(--workload GUPS --variant netcrafter --cus 2 --scale tiny) tag extra
+    for tag in a b par; do
+        extra=()
+        [[ "$tag" == par ]] && extra=(--threads 4)
+        simulate "${base[@]}" "${extra[@]}" \
+            --trace "$artifact_dir/trace-$tag.json" \
+            --timeseries "$artifact_dir/timeseries-$tag.jsonl" >/dev/null
+    done
+    for tag in b par; do
+        same_file "event trace of run $tag differs from run a" \
+            "$artifact_dir/trace-a.json" "$artifact_dir/trace-$tag.json"
+        same_file "time series of run $tag differs from run a" \
+            "$artifact_dir/timeseries-a.jsonl" "$artifact_dir/timeseries-$tag.jsonl"
+        rm -f "$artifact_dir/trace-$tag.json" "$artifact_dir/timeseries-$tag.jsonl"
+    done
     mv "$artifact_dir/trace-a.json" "$artifact_dir/fig14-trace.json"
     mv "$artifact_dir/timeseries-a.jsonl" "$artifact_dir/fig14-timeseries.jsonl"
-    rm -f "$artifact_dir/trace-b.json" "$artifact_dir/timeseries-b.jsonl"
 }
 
-# The event-driven and conservative-parallel schedulers are pure
-# host-speed optimisations: the fig14 matrix and the event trace must be
-# bit-identical under all three.
-step_scheduler_equivalence() {
-    local legacy_out thr_out
-    if ! legacy_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --legacy-scheduler 2>"$seq_err"); then
-        echo "FAIL: legacy-scheduler figures run failed:" >&2
-        cat "$seq_err" >&2
+# restored_run_matches TAG SNAP MID SIMULATE-ARGS…: resumes from SNAP and
+# requires the metrics dump, event trace and time series of the cold run
+# in $ckpt_dir.
+restored_run_matches() {
+    local tag="$1" snap="$2" mid="$3"
+    shift 3
+    simulate "$@" --restore-from "$snap" \
+        --trace "$ckpt_dir/warm-trace.json" \
+        --timeseries "$ckpt_dir/warm-ts.jsonl" \
+        --dump-metrics >"$ckpt_dir/warm.txt" 2>"$ckpt_dir/warm.err"
+    if ! grep -q "simulated from cycle $mid" "$ckpt_dir/warm.err"; then
+        echo "FAIL ($tag): restored run did not resume from cycle $mid:" >&2
+        cat "$ckpt_dir/warm.err" >&2
         exit 1
     fi
-    if [[ "$seq_out" != "$legacy_out" ]]; then
-        echo "FAIL: legacy-scheduler figure output differs from event-driven" >&2
-        diff <(echo "$seq_out") <(echo "$legacy_out") >&2 || true
-        exit 1
-    fi
-    cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-        --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-        --legacy-scheduler \
-        --trace "$artifact_dir/trace-legacy.json" \
-        --timeseries "$artifact_dir/timeseries-legacy.jsonl" >/dev/null
-    if ! cmp -s "$artifact_dir/fig14-trace.json" "$artifact_dir/trace-legacy.json"; then
-        echo "FAIL: legacy-scheduler event trace differs from event-driven" >&2
-        cmp "$artifact_dir/fig14-trace.json" "$artifact_dir/trace-legacy.json" >&2 || true
-        exit 1
-    fi
-    if ! cmp -s "$artifact_dir/fig14-timeseries.jsonl" "$artifact_dir/timeseries-legacy.jsonl"; then
-        echo "FAIL: legacy-scheduler time series differs from event-driven" >&2
-        cmp "$artifact_dir/fig14-timeseries.jsonl" "$artifact_dir/timeseries-legacy.jsonl" >&2 || true
-        exit 1
-    fi
-    rm -f "$artifact_dir/trace-legacy.json" "$artifact_dir/timeseries-legacy.jsonl"
-    if ! thr_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --threads 4 2>"$seq_err"); then
-        echo "FAIL: --threads 4 figures run failed:" >&2
-        cat "$seq_err" >&2
-        exit 1
-    fi
-    if [[ "$seq_out" != "$thr_out" ]]; then
-        echo "FAIL: --threads 4 figure output differs from sequential" >&2
-        diff <(echo "$seq_out") <(echo "$thr_out") >&2 || true
-        exit 1
-    fi
-    cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-        --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-        --threads 4 \
-        --trace "$artifact_dir/trace-par.json" \
-        --timeseries "$artifact_dir/timeseries-par.jsonl" >/dev/null
-    if ! cmp -s "$artifact_dir/fig14-trace.json" "$artifact_dir/trace-par.json"; then
-        echo "FAIL: --threads 4 event trace differs from event-driven" >&2
-        cmp "$artifact_dir/fig14-trace.json" "$artifact_dir/trace-par.json" >&2 || true
-        exit 1
-    fi
-    if ! cmp -s "$artifact_dir/fig14-timeseries.jsonl" "$artifact_dir/timeseries-par.jsonl"; then
-        echo "FAIL: --threads 4 time series differs from event-driven" >&2
-        cmp "$artifact_dir/fig14-timeseries.jsonl" "$artifact_dir/timeseries-par.jsonl" >&2 || true
-        exit 1
-    fi
-    rm -f "$artifact_dir/trace-par.json" "$artifact_dir/timeseries-par.jsonl"
+    same_file "($tag) restored metrics differ from the uninterrupted run" \
+        "$ckpt_dir/cold.txt" "$ckpt_dir/warm.txt"
+    same_file "($tag) restored event trace differs from the uninterrupted run" \
+        "$ckpt_dir/cold-trace.json" "$ckpt_dir/warm-trace.json"
+    same_file "($tag) restored time series differs from the uninterrupted run" \
+        "$ckpt_dir/cold-ts.jsonl" "$ckpt_dir/warm-ts.jsonl"
 }
 
-# Checkpoint → restore → continue must be byte-identical to the
-# uninterrupted run: metrics dump, event trace and time series alike,
-# with the snapshot taken at the cold run's midpoint and the restored
-# half replayed under all three schedulers (a snapshot is scheduler-
-# portable by design). The snapshot itself is kept as a CI artifact
-# under the name given as $1; any further arguments (e.g. --topology)
-# are appended to every simulate invocation.
+# The --checkpoint-at / --checkpoint-dir / --restore-from plumbing:
+# checkpoint → restore → continue through files on disk must be
+# byte-identical to the uninterrupted run — metrics dump, event trace and
+# time series alike — with the snapshot taken at the cold run's midpoint
+# and the restored half replayed once sequentially and once on 4 threads.
+# The snapshot itself is kept as a CI artifact under the name given as
+# $1; any further arguments (e.g. --topology) are appended to every
+# simulate invocation.
 step_checkpoint_equivalence() {
     local artifact_name="$1"
     shift
     rm -rf "$ckpt_dir/snaps"
     local base=(--workload GUPS --variant netcrafter --cus 2 --scale tiny "$@")
-    local sim=(cargo run --release --offline -q -p netcrafter-bench --bin simulate --)
-    "${sim[@]}" "${base[@]}" \
+    simulate "${base[@]}" \
         --trace "$ckpt_dir/cold-trace.json" \
         --timeseries "$ckpt_dir/cold-ts.jsonl" \
         --dump-metrics >"$ckpt_dir/cold.txt"
@@ -284,17 +282,17 @@ step_checkpoint_equivalence() {
         exit 1
     fi
     mid=$((cycles / 2))
-    "${sim[@]}" "${base[@]}" \
+    simulate "${base[@]}" \
         --checkpoint-at "$mid" --checkpoint-dir "$ckpt_dir/snaps" \
         --trace "$ckpt_dir/mid-trace.json" \
         --timeseries "$ckpt_dir/mid-ts.jsonl" \
         --dump-metrics >"$ckpt_dir/mid.txt"
-    if ! diff "$ckpt_dir/cold.txt" "$ckpt_dir/mid.txt" >&2 ||
-        ! cmp -s "$ckpt_dir/cold-trace.json" "$ckpt_dir/mid-trace.json" ||
-        ! cmp -s "$ckpt_dir/cold-ts.jsonl" "$ckpt_dir/mid-ts.jsonl"; then
-        echo "FAIL: pausing at cycle $mid to checkpoint perturbed the run" >&2
-        exit 1
-    fi
+    same_file "pausing at cycle $mid to checkpoint perturbed the metrics" \
+        "$ckpt_dir/cold.txt" "$ckpt_dir/mid.txt"
+    same_file "pausing at cycle $mid to checkpoint perturbed the event trace" \
+        "$ckpt_dir/cold-trace.json" "$ckpt_dir/mid-trace.json"
+    same_file "pausing at cycle $mid to checkpoint perturbed the time series" \
+        "$ckpt_dir/cold-ts.jsonl" "$ckpt_dir/mid-ts.jsonl"
     local snap
     snap=$(echo "$ckpt_dir"/snaps/ckpt-*.bin)
     if [[ ! -f "$snap" ]]; then
@@ -302,36 +300,8 @@ step_checkpoint_equivalence() {
         exit 1
     fi
     cp "$snap" "$artifact_dir/$artifact_name"
-    local sched
-    for sched in "" "--legacy-scheduler" "--threads 4"; do
-        local tag="event"
-        [[ -n "$sched" ]] && tag="${sched#--}"
-        # shellcheck disable=SC2086  # $sched is intentionally word-split
-        "${sim[@]}" "${base[@]}" $sched \
-            --restore-from "$snap" \
-            --trace "$ckpt_dir/warm-trace.json" \
-            --timeseries "$ckpt_dir/warm-ts.jsonl" \
-            --dump-metrics >"$ckpt_dir/warm.txt" 2>"$ckpt_dir/warm.err"
-        if ! grep -q "simulated from cycle $mid" "$ckpt_dir/warm.err"; then
-            echo "FAIL ($tag): restored run did not resume from cycle $mid:" >&2
-            cat "$ckpt_dir/warm.err" >&2
-            exit 1
-        fi
-        if ! diff "$ckpt_dir/cold.txt" "$ckpt_dir/warm.txt" >&2; then
-            echo "FAIL ($tag): restored metrics differ from the uninterrupted run" >&2
-            exit 1
-        fi
-        if ! cmp -s "$ckpt_dir/cold-trace.json" "$ckpt_dir/warm-trace.json"; then
-            echo "FAIL ($tag): restored event trace differs from the uninterrupted run" >&2
-            cmp "$ckpt_dir/cold-trace.json" "$ckpt_dir/warm-trace.json" >&2 || true
-            exit 1
-        fi
-        if ! cmp -s "$ckpt_dir/cold-ts.jsonl" "$ckpt_dir/warm-ts.jsonl"; then
-            echo "FAIL ($tag): restored time series differs from the uninterrupted run" >&2
-            cmp "$ckpt_dir/cold-ts.jsonl" "$ckpt_dir/warm-ts.jsonl" >&2 || true
-            exit 1
-        fi
-    done
+    restored_run_matches event "$snap" "$mid" "${base[@]}"
+    restored_run_matches "threads 4" "$snap" "$mid" "${base[@]}" --threads 4
 }
 
 # Informational (never gated — CI hosts have arbitrary core counts): the
@@ -343,83 +313,20 @@ step_scheduler_microbench() {
 }
 
 step_perf_gate() {
-    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- \
-        emit "$artifact_dir/BENCH_fig14.json" --jobs 4
-    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- \
-        check ci/BENCH_fig14.baseline.json "$artifact_dir/BENCH_fig14.json"
+    bench_gate emit "$artifact_dir/BENCH_fig14.json" --jobs 4
+    bench_gate check ci/BENCH_fig14.baseline.json "$artifact_dir/BENCH_fig14.json"
 }
 
 # The topology sweep figure (mesh / fat-tree-8 / fat-tree-16 / torus-8 ×
 # baseline/NetCrafter) must render identically sequential and on 4
 # workers; the rendered table is kept as a CI artifact.
 step_topology_figure() {
-    if ! topo_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick topology 2>"$seq_err"); then
-        echo "FAIL: topology figure run failed:" >&2
-        cat "$seq_err" >&2
-        exit 1
-    fi
-    local par_out
-    if ! par_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick topology --jobs 4 2>"$par_err"); then
-        echo "FAIL: parallel topology figure run failed:" >&2
-        cat "$par_err" >&2
-        exit 1
-    fi
-    if [[ "$topo_out" != "$par_out" ]]; then
-        echo "FAIL: parallel topology figure output differs from sequential" >&2
-        diff <(echo "$topo_out") <(echo "$par_out") >&2 || true
-        exit 1
-    fi
+    local topo_out par_out
+    capture_figures topo_out "$seq_err" --quick topology
+    capture_figures par_out "$par_err" --quick topology --jobs 4
+    same_text "parallel (--jobs 4) topology figure output differs from sequential" \
+        "$topo_out" "$par_out"
     printf '%s\n' "$topo_out" >"$artifact_dir/topology-figure.txt"
-}
-
-# Multi-hop routing is deterministic: the topology figure and a traced
-# fat-tree-8/torus-8 simulate run must be byte-identical under the
-# event-driven, legacy, and 4-thread conservative-parallel schedulers.
-step_topology_scheduler_equivalence() {
-    local sched out
-    for sched in "--legacy-scheduler" "--threads 4"; do
-        # shellcheck disable=SC2086  # $sched is intentionally word-split
-        if ! out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-            --quick topology $sched 2>"$seq_err"); then
-            echo "FAIL ($sched): topology figure run failed:" >&2
-            cat "$seq_err" >&2
-            exit 1
-        fi
-        if [[ "$topo_out" != "$out" ]]; then
-            echo "FAIL ($sched): topology figure output differs from event-driven" >&2
-            diff <(echo "$topo_out") <(echo "$out") >&2 || true
-            exit 1
-        fi
-    done
-    local spec fabric
-    for spec in fat-tree:k=4 torus:2x2x2; do
-        fabric=${spec%%:*}
-        local ref_trace="$artifact_dir/topology-$fabric-trace.json"
-        local ref_ts="$artifact_dir/topology-$fabric-timeseries.jsonl"
-        cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-            --topology "$spec" --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-            --trace "$ref_trace" --timeseries "$ref_ts" >/dev/null
-        for sched in "--legacy-scheduler" "--threads 4"; do
-            # shellcheck disable=SC2086  # $sched is intentionally word-split
-            cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-                --topology "$spec" --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-                $sched \
-                --trace "$ckpt_dir/alt-trace.json" \
-                --timeseries "$ckpt_dir/alt-ts.jsonl" >/dev/null
-            if ! cmp -s "$ref_trace" "$ckpt_dir/alt-trace.json"; then
-                echo "FAIL ($spec $sched): event trace differs from event-driven" >&2
-                cmp "$ref_trace" "$ckpt_dir/alt-trace.json" >&2 || true
-                exit 1
-            fi
-            if ! cmp -s "$ref_ts" "$ckpt_dir/alt-ts.jsonl"; then
-                echo "FAIL ($spec $sched): time series differs from event-driven" >&2
-                cmp "$ref_ts" "$ckpt_dir/alt-ts.jsonl" >&2 || true
-                exit 1
-            fi
-        done
-    done
 }
 
 # Times `reps` back-to-back fat-tree-8 paper-scale simulate runs at the
@@ -482,36 +389,19 @@ step_topology_scaling() {
 }
 
 # Prefix sharing is a pure host-speed optimisation: a warmup-window
-# fig14 sweep resolved through in-memory snapshot forks must render
-# byte-identically to the cold (--no-prefix-share) sweep, under the
-# event-driven, legacy, and 4-thread conservative-parallel schedulers.
+# fig14 sweep resolved through in-memory snapshot forks on 4 workers
+# must render byte-identically to the cold (--no-prefix-share) sweep,
+# once with sequential simulations and once with --threads 4.
 step_sweep_equivalence() {
-    local warmup=2800 cold_out shared_out sched
-    if ! cold_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --warmup "$warmup" --no-prefix-share 2>"$seq_err"); then
-        echo "FAIL: cold warmup-window figures run failed:" >&2
-        cat "$seq_err" >&2
-        exit 1
-    fi
-    for sched in "" "--legacy-scheduler" "--threads 4"; do
-        local tag="event"
-        [[ -n "$sched" ]] && tag="${sched#--}"
-        # shellcheck disable=SC2086  # $sched is intentionally word-split
-        if ! shared_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-            --quick fig14 --warmup "$warmup" --jobs 4 $sched 2>"$par_err"); then
-            echo "FAIL ($tag): prefix-shared figures run failed:" >&2
-            cat "$par_err" >&2
-            exit 1
-        fi
-        if [[ "$cold_out" != "$shared_out" ]]; then
-            echo "FAIL ($tag): prefix-shared figure output differs from cold" >&2
-            diff <(echo "$cold_out") <(echo "$shared_out") >&2 || true
-            echo "--- prefix-shared stderr ---" >&2
-            cat "$par_err" >&2
-            exit 1
-        fi
+    local warmup=2800 cold_out shared_out threads
+    capture_figures cold_out "$seq_err" --quick fig14 --warmup "$warmup" --no-prefix-share
+    for threads in 1 4; do
+        capture_figures shared_out "$par_err" --quick fig14 --warmup "$warmup" --jobs 4 \
+            --threads "$threads"
+        same_text "(--threads $threads) prefix-shared figure output differs from cold" \
+            "$cold_out" "$shared_out"
         if ! grep -q "prefix-hit ratio" "$par_err"; then
-            echo "FAIL ($tag): prefix-shared sweep reported no prefix stats:" >&2
+            echo "FAIL (--threads $threads): prefix-shared sweep reported no prefix stats:" >&2
             cat "$par_err" >&2
             exit 1
         fi
@@ -522,10 +412,8 @@ step_sweep_equivalence() {
 # are hard-gated against the committed baseline; the measured hit ratio
 # also lands in the step summary.
 step_sweep_perf_gate() {
-    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- \
-        emit "$artifact_dir/BENCH_sweep.json" --matrix sweep --jobs 4
-    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- \
-        check ci/BENCH_sweep.baseline.json "$artifact_dir/BENCH_sweep.json"
+    bench_gate emit "$artifact_dir/BENCH_sweep.json" --matrix sweep --jobs 4
+    bench_gate check ci/BENCH_sweep.baseline.json "$artifact_dir/BENCH_sweep.json"
     if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
         local ratio
         ratio=$(grep -o '"prefix_hit_ratio": [0-9.]*' "$artifact_dir/BENCH_sweep.json" | awk '{print $2}')
@@ -562,10 +450,8 @@ step_sweep_speedup() {
 }
 
 step_topology_perf_gate() {
-    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- \
-        emit "$artifact_dir/BENCH_topology.json" --matrix topology --jobs 4
-    cargo run --release --offline -q -p netcrafter-bench --bin bench_gate -- \
-        check ci/BENCH_topology.baseline.json "$artifact_dir/BENCH_topology.json"
+    bench_gate emit "$artifact_dir/BENCH_topology.json" --matrix topology --jobs 4
+    bench_gate check ci/BENCH_topology.baseline.json "$artifact_dir/BENCH_topology.json"
 }
 
 if [[ "$mode" == lint || "$mode" == all ]]; then
@@ -578,13 +464,13 @@ if [[ "$mode" == build-test || "$mode" == all ]]; then
     run_step "cargo build --release --offline" step_build_release
     run_step "cargo check benches (criterion-bench feature)" step_check_benches
     run_step "cargo test -q --workspace" step_test_workspace
+    run_step "benchmark/ consumer: build + unit tests against the current APIs" step_test_benchmark_consumer
 fi
 
 if [[ "$mode" == figures || "$mode" == all ]]; then
     run_step "figures smoke run: --quick fig14, sequential vs 4 workers" step_figures_smoke
     run_step "figures cache smoke run: warm cache must re-simulate nothing" step_figures_cache
-    run_step "trace determinism: two identical --trace runs must be byte-identical" step_trace_determinism
-    run_step "scheduler equivalence: event-driven vs --legacy-scheduler vs --threads 4" step_scheduler_equivalence
+    run_step "trace determinism: identical --trace runs (and --threads 4) must be byte-identical" step_trace_determinism
     run_step "checkpoint equivalence: uninterrupted vs midpoint checkpoint + restore" step_checkpoint_equivalence fig14-checkpoint.bin
     run_step "scheduler microbench: speedup numbers kept as a CI artifact" step_scheduler_microbench
     run_step "perf-regression gate: fig14 headline numbers vs committed baseline" step_perf_gate
@@ -592,14 +478,13 @@ fi
 
 if [[ "$mode" == topology || "$mode" == all ]]; then
     run_step "topology figure: --quick topology, sequential vs 4 workers" step_topology_figure
-    run_step "topology scheduler equivalence: fat-tree-8 & torus-8 under all three schedulers" step_topology_scheduler_equivalence
     run_step "topology checkpoint equivalence: fat-tree-8 midpoint checkpoint + restore" step_checkpoint_equivalence topology-checkpoint.bin --topology fat-tree:k=4
     run_step "PDES scaling: per-core efficiency on fat-tree-8" step_topology_scaling
     run_step "perf-regression gate: topology matrix vs committed baseline" step_topology_perf_gate
 fi
 
 if [[ "$mode" == sweep || "$mode" == all ]]; then
-    run_step "sweep equivalence: cold vs prefix-shared fig14 under all three schedulers" step_sweep_equivalence
+    run_step "sweep equivalence: cold vs prefix-shared fig14, sequential and --threads 4" step_sweep_equivalence
     run_step "perf-regression gate: sweep matrix + prefix-hit ratio vs committed baseline" step_sweep_perf_gate
     run_step "sweep speedup: prefix-sharing wall-clock floor" step_sweep_speedup
 fi

@@ -36,10 +36,8 @@
 //! Independently of the regression gate, both `emit` and `check` print
 //! the distance to the committed aspirational `target_cycles_per_sec`
 //! (never gated — it tracks the host-speed goal, not the floor).
-//! `--legacy-scheduler` runs the matrix under the legacy
-//! tick-everything engine scheduler (the numbers must not change);
-//! `--threads N` runs each simulation on N domain worker threads
-//! (ditto).
+//! `--threads N` runs each simulation on N domain worker threads (the
+//! numbers must not change).
 //!
 //! An intentional model change therefore requires re-committing the
 //! baseline: `cargo run --release -p netcrafter-bench --bin bench_gate --
@@ -77,7 +75,7 @@ const VARIANTS: [SystemVariant; 4] = [
 fn usage() -> ! {
     eprintln!(
         "usage: bench_gate emit OUT.json [--matrix fig14|topology|sweep] [--jobs N] \
-         [--threads N] [--reps N] [--no-prefix-share] [--legacy-scheduler]\n\
+         [--threads N] [--reps N] [--no-prefix-share]\n\
          \u{20}      bench_gate check BASELINE.json CURRENT.json [--tolerance PCT] \
          [--no-throughput-gate]"
     );
@@ -192,9 +190,6 @@ fn sweep_cells(r: &Runner) -> Vec<Cell> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--legacy-scheduler") {
-        netcrafter_sim::set_default_scheduler(netcrafter_sim::SchedulerMode::Legacy);
-    }
     match args.first().map(String::as_str) {
         Some("emit") => emit(&args[1..]),
         Some("check") => check(&args[1..]),

@@ -4,7 +4,7 @@
 //! figures [--quick] [--big] [--verbose] [--jobs N] [--threads N]
 //!         [--cache-dir DIR] [--checkpoint-at CYCLE] [--checkpoint-dir DIR]
 //!         [--restore-from FILE] [--trace FILE] [--timeseries FILE]
-//!         [--trace-filter SPEC] [--sample-window N] [--legacy-scheduler]
+//!         [--trace-filter SPEC] [--sample-window N]
 //!         [--warmup CYCLES] [--no-prefix-share]
 //!         <id>... | all
 //! ```
@@ -53,11 +53,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Must run before any simulation; the printed tables are identical
-    // under both schedulers (CI diffs them), only host speed changes.
-    if args.iter().any(|a| a == "--legacy-scheduler") {
-        netcrafter_sim::set_default_scheduler(netcrafter_sim::SchedulerMode::Legacy);
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let big = args.iter().any(|a| a == "--big");
     let verbose = args.iter().any(|a| a == "--verbose");

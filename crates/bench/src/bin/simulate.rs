@@ -14,7 +14,6 @@
 //!          [--dump-metrics] [--csv FILE]
 //!          [--trace FILE] [--timeseries FILE]
 //!          [--trace-filter SPEC] [--sample-window N]
-//!          [--legacy-scheduler]
 //! ```
 //!
 //! `--variant all` sweeps every variant of the workload (in parallel
@@ -72,12 +71,6 @@ const ALL_VARIANTS: [SystemVariant; 8] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Scheduler selection must precede any engine construction; the
-    // metrics are identical either way (CI enforces it), so this only
-    // trades host speed for a simpler tick loop.
-    if args.iter().any(|a| a == "--legacy-scheduler") {
-        netcrafter_sim::set_default_scheduler(netcrafter_sim::SchedulerMode::Legacy);
-    }
     let get = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -93,8 +86,7 @@ fn main() {
              [--trim-granularity N] [--jobs N] [--threads N] [--cache-dir DIR] \
              [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
              [--dump-metrics] \
-             [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
-             [--legacy-scheduler]\n\
+             [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N]\n\
              workloads: {:?}\n\
              variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all",
             Workload::ALL.map(Workload::abbrev)

@@ -3,7 +3,7 @@
 
 use netcrafter_proto::{Metrics, NetCrafterConfig, SectorFillPolicy, SystemConfig};
 use netcrafter_sim::snapshot::{ForkSnapshot, SnapshotError};
-use netcrafter_sim::{Trace, TraceConfig};
+use netcrafter_sim::{SchedulerMode, Trace, TraceConfig};
 use netcrafter_workloads::{Scale, Workload};
 
 use crate::system::{LinkSeries, System};
@@ -272,11 +272,10 @@ pub struct Experiment {
     /// sequentially. Results are bit-identical either way, so this is
     /// host-side tuning, not a simulation input.
     pub threads: usize,
-    /// Drive woken components through `tick_burst` (the default). `false`
-    /// forces the scalar tick + busy + next_wake dispatch; results are
-    /// bit-identical either way (the burst-vs-scalar equivalence suite
-    /// pins this), so like `threads` it is host-side tuning only.
-    pub burst: bool,
+    /// Scheduler a single-threaded run uses. Results are bit-identical
+    /// under every mode; tests select [`SchedulerMode::Legacy`] here to
+    /// compare against the tick-everything reference.
+    pub scheduler: SchedulerMode,
 }
 
 impl Experiment {
@@ -290,7 +289,7 @@ impl Experiment {
             seed: 0xC0FFEE,
             max_cycles: 80_000_000,
             threads: 1,
-            burst: true,
+            scheduler: SchedulerMode::EventDriven,
         }
     }
 
@@ -305,7 +304,7 @@ impl Experiment {
             seed: 0xC0FFEE,
             max_cycles: 20_000_000,
             threads: 1,
-            burst: true,
+            scheduler: SchedulerMode::EventDriven,
         }
     }
 
@@ -333,10 +332,9 @@ impl Experiment {
         self
     }
 
-    /// Toggles burst dispatch (`true` is the default; `false` selects the
-    /// scalar tick/busy/next_wake reference path).
-    pub fn with_burst_dispatch(mut self, on: bool) -> Self {
-        self.burst = on;
+    /// Replaces the scheduler of a single-threaded run.
+    pub fn with_scheduler(mut self, mode: SchedulerMode) -> Self {
+        self.scheduler = mode;
         self
     }
 
@@ -412,8 +410,8 @@ impl Experiment {
             .workload
             .generate(&self.scale, cfg.total_gpus(), self.seed);
         let mut sys = System::build(cfg, &kernel);
+        sys.engine.set_scheduler(self.scheduler);
         sys.set_threads(self.threads);
-        sys.engine.set_burst_dispatch(self.burst);
         sys.run_until(until);
         Ok(sys.fork_snapshot())
     }
@@ -436,8 +434,8 @@ impl Experiment {
                 sys.enable_link_sampling(window);
             }
         }
+        sys.engine.set_scheduler(self.scheduler);
         sys.set_threads(self.threads);
-        sys.engine.set_burst_dispatch(self.burst);
         if let Some(fork) = &plan.fork {
             // In-memory fork takes precedence over the persistent tier:
             // it is already resident and always at least as deep into the
@@ -669,7 +667,7 @@ impl JobSpec {
             seed: self.seed,
             max_cycles: self.max_cycles,
             threads: self.threads,
-            burst: true,
+            scheduler: SchedulerMode::EventDriven,
         }
     }
 

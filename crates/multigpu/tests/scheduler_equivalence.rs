@@ -1,0 +1,317 @@
+//! The scheduler equivalence table: every way of executing a simulation
+//! must reproduce the uninterrupted event-driven run byte for byte.
+//!
+//! Rows are {EventDriven, Legacy, PDES on 4 threads} × {uninterrupted,
+//! checkpoint at the midpoint then restore, in-memory fork at the
+//! midpoint then restore}; columns are a slice of the fig14 matrix on
+//! the 2×2 mesh plus the fat-tree-8 and torus fabrics. Each cell compares
+//! `exec_cycles`, `Metrics::to_kv`, the chrome-trace JSON and the
+//! per-link time-series JSONL against the EventDriven/uninterrupted
+//! cell of its column. A checkpoint row restores both the snapshot it
+//! took itself and the one the event-driven row took: snapshots exclude
+//! scheduler-derived state, so they are portable across schedulers.
+//!
+//! Legacy dispatches the scalar `tick`/`busy` pair, so its rows are also
+//! the referee for every native `tick_burst` (Switch, Rdma, Dram and the
+//! EgressPort/ClusterQueue machinery they drive).
+
+use netcrafter_multigpu::{
+    CheckpointPlan, CheckpointedRun, Experiment, System, SystemVariant, TraceData, TraceOptions,
+};
+use netcrafter_proto::{SystemConfig, TopologyConfig};
+use netcrafter_sim::snapshot::SnapshotError;
+use netcrafter_sim::{SchedulerMode, TraceConfig};
+use netcrafter_workloads::{Scale, Workload};
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sched {
+    EventDriven,
+    Legacy,
+    Pdes4,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Interrupt {
+    None,
+    Checkpoint,
+    Fork,
+}
+
+const SCHEDS: [Sched; 3] = [Sched::EventDriven, Sched::Legacy, Sched::Pdes4];
+const INTERRUPTS: [Interrupt; 3] = [Interrupt::None, Interrupt::Checkpoint, Interrupt::Fork];
+
+fn under(exp: &Experiment, sched: Sched) -> Experiment {
+    match sched {
+        Sched::EventDriven => exp.clone(),
+        Sched::Legacy => exp.clone().with_scheduler(SchedulerMode::Legacy),
+        Sched::Pdes4 => exp.clone().with_threads(4),
+    }
+}
+
+fn trace_opts() -> TraceOptions {
+    TraceOptions {
+        config: Some(TraceConfig::default()),
+        sample_window: Some(256),
+    }
+}
+
+/// Everything a cell is compared on.
+struct Observed {
+    exec_cycles: u64,
+    metrics: String,
+    chrome_json: String,
+    links_jsonl: String,
+}
+
+impl Observed {
+    fn of(run: &CheckpointedRun, data: &TraceData) -> Observed {
+        Observed {
+            exec_cycles: run.result.exec_cycles,
+            metrics: run.result.metrics.to_kv(),
+            chrome_json: data.trace.to_chrome_json(),
+            links_jsonl: data.links_to_jsonl(),
+        }
+    }
+
+    fn assert_matches(&self, reference: &Observed, cell: &str) {
+        assert_eq!(
+            self.exec_cycles, reference.exec_cycles,
+            "{cell}: cycle counts diverge"
+        );
+        assert_eq!(self.metrics, reference.metrics, "{cell}: metrics diverge");
+        assert!(
+            self.chrome_json == reference.chrome_json,
+            "{cell}: chrome-trace JSON diverges"
+        );
+        assert!(
+            self.links_jsonl == reference.links_jsonl,
+            "{cell}: per-link time series diverge"
+        );
+    }
+}
+
+fn traced(exp: &Experiment, plan: &CheckpointPlan) -> (CheckpointedRun, Observed) {
+    let (run, data) = exp
+        .run_traced_checkpointed(&trace_opts(), plan)
+        .expect("snapshot restores");
+    let seen = Observed::of(&run, &data);
+    (run, seen)
+}
+
+/// Walks every row of one column.
+fn check_column(column: &str, exp: &Experiment) {
+    let (_, reference) = traced(exp, &CheckpointPlan::default());
+    let mid = reference.exec_cycles / 2;
+    assert!(mid > 0, "{column}: run too short to have a midpoint");
+    let mut event_driven_snapshot: Option<Vec<u8>> = None;
+
+    for sched in SCHEDS {
+        let exp = under(exp, sched);
+        for interrupt in INTERRUPTS {
+            let cell = format!("{column} / {sched:?} / {interrupt:?}");
+            let restore = match interrupt {
+                Interrupt::None => CheckpointPlan::default(),
+                Interrupt::Checkpoint => {
+                    let plan = CheckpointPlan {
+                        checkpoint_at: Some(mid),
+                        ..CheckpointPlan::default()
+                    };
+                    // Pausing to checkpoint must not perturb the run that
+                    // continues.
+                    let (paused, seen) = traced(&exp, &plan);
+                    seen.assert_matches(&reference, &format!("{cell} (pausing run)"));
+                    let (cycle, bytes) = paused.snapshot.expect("checkpoint requested");
+                    assert_eq!(cycle, mid, "{cell}: paused at the requested barrier");
+                    let foreign = event_driven_snapshot.get_or_insert_with(|| bytes.clone());
+                    if sched != Sched::EventDriven {
+                        let plan = CheckpointPlan {
+                            restore_from: Some(foreign.clone()),
+                            ..CheckpointPlan::default()
+                        };
+                        let (run, seen) = traced(&exp, &plan);
+                        assert_eq!(run.resumed_at, mid, "{cell}: resumed from the pause point");
+                        seen.assert_matches(&reference, &format!("{cell} (event-driven snapshot)"));
+                    }
+                    CheckpointPlan {
+                        restore_from: Some(bytes),
+                        ..CheckpointPlan::default()
+                    }
+                }
+                Interrupt::Fork => {
+                    let plan = CheckpointPlan {
+                        fork_at: Some(mid),
+                        ..CheckpointPlan::default()
+                    };
+                    let (paused, seen) = traced(&exp, &plan);
+                    seen.assert_matches(&reference, &format!("{cell} (forking run)"));
+                    let fork = paused.fork.expect("fork requested");
+                    assert_eq!(fork.cycle(), mid, "{cell}: forked at the requested barrier");
+                    CheckpointPlan {
+                        fork: Some(fork),
+                        ..CheckpointPlan::default()
+                    }
+                }
+            };
+            let (run, seen) = traced(&exp, &restore);
+            if interrupt != Interrupt::None {
+                assert_eq!(run.resumed_at, mid, "{cell}: resumed from the pause point");
+            }
+            seen.assert_matches(&reference, &cell);
+        }
+    }
+}
+
+/// Quick-scale compute on a scale-out fabric: 2 CUs per GPU, the launch
+/// widened by `Scale::for_gpus` so per-GPU load carries over.
+fn scale_out(mut cfg: SystemConfig, variant: SystemVariant) -> Experiment {
+    cfg.cus_per_gpu = 2;
+    let scale = Scale::tiny().for_gpus(cfg.total_gpus());
+    Experiment::quick(Workload::Gups, variant)
+        .with_base_cfg(cfg)
+        .with_scale(scale)
+}
+
+#[test]
+fn mesh_fig14_slice() {
+    // Every NetCrafter mechanism (stitching, pooling, sequencing,
+    // trimming) runs under every row.
+    for variant in [
+        SystemVariant::Baseline,
+        SystemVariant::NetCrafter,
+        SystemVariant::StitchOnly,
+    ] {
+        for workload in [Workload::Gups, Workload::Atax] {
+            check_column(
+                &format!("mesh/{workload:?}/{variant:?}"),
+                &Experiment::quick(workload, variant),
+            );
+        }
+    }
+    check_column(
+        "mesh/Mt/NetCrafter",
+        &Experiment::quick(Workload::Mt, SystemVariant::NetCrafter),
+    );
+}
+
+#[test]
+fn fat_tree_8() {
+    // Multi-hop traffic through six switches, one PDES domain per switch.
+    for variant in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
+        let exp = scale_out(SystemConfig::fat_tree_8(), variant);
+        check_column(&format!("fat-tree-8/{variant:?}"), &exp);
+    }
+}
+
+#[test]
+fn torus_8_and_dateline_ring() {
+    // The 3-ring makes the dateline virtual channels (only present on
+    // rings of length >= 3) forward real traffic.
+    let mut torus3 = SystemConfig::paper_baseline();
+    torus3.topology = TopologyConfig::parse_spec("torus:3x1x1:g=2").expect("valid spec");
+    for (name, cfg) in [
+        ("torus-8", SystemConfig::torus_8()),
+        ("torus-3x1x1", torus3),
+    ] {
+        for variant in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
+            check_column(&format!("{name}/{variant:?}"), &scale_out(cfg, variant));
+        }
+    }
+}
+
+#[test]
+fn thread_counts_beyond_the_domain_count_are_harmless() {
+    let exp = Experiment::quick(Workload::Mt, SystemVariant::NetCrafter);
+    let seq = exp.run();
+    let par = exp.with_threads(64).run();
+    assert_eq!(seq.exec_cycles, par.exec_cycles);
+    assert_eq!(seq.metrics.to_kv(), par.metrics.to_kv());
+}
+
+// ---- the snapshot layer under the table ----
+
+/// Builds the system a quick GUPS/NetCrafter run simulates, without
+/// running it.
+fn build_system() -> System {
+    let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
+    let cfg = exp.variant.apply(exp.base_cfg);
+    let kernel = exp
+        .workload
+        .generate(&exp.scale, cfg.total_gpus(), exp.seed);
+    System::build(cfg, &kernel)
+}
+
+#[test]
+fn state_hash_is_a_fixed_point_across_save_and_load() {
+    let mut sys = build_system();
+    sys.run_until(2_000);
+    let hash = sys.state_hash();
+    let snapshot = sys.save_snapshot();
+
+    // Loading into a freshly built system reproduces the hash, and
+    // re-saving reproduces the snapshot bytes exactly (the encoding is
+    // canonical, so save ∘ load is the identity).
+    let mut copy = build_system();
+    assert_ne!(copy.state_hash(), hash, "cycle-0 state must differ");
+    copy.restore(&snapshot).expect("snapshot restores");
+    assert_eq!(copy.state_hash(), hash, "state hash survives a round trip");
+    assert_eq!(copy.save_snapshot(), snapshot, "re-encoding is identical");
+
+    // Both replicas must also agree after simulating further.
+    assert_eq!(sys.run(1_000_000), copy.run(1_000_000));
+    assert_eq!(sys.state_hash(), copy.state_hash());
+}
+
+#[test]
+fn corrupted_and_foreign_snapshots_fail_loudly() {
+    let mut sys = build_system();
+    sys.run_until(1_000);
+    let good = sys.save_snapshot();
+
+    // Truncation anywhere must be detected, never silently zero-filled.
+    let mut sys = build_system();
+    let err = sys
+        .restore(&good[..good.len() - 3])
+        .expect_err("truncated snapshot must not restore");
+    assert!(
+        matches!(err, SnapshotError::Truncated { .. }),
+        "unexpected error for truncation: {err}"
+    );
+
+    // A foreign file fails on the magic number before any state loads.
+    let mut sys = build_system();
+    let err = sys
+        .restore(b"definitely not a snapshot")
+        .expect_err("foreign bytes must not restore");
+    assert!(
+        matches!(err, SnapshotError::BadMagic(_)),
+        "unexpected error for foreign bytes: {err}"
+    );
+
+    // An old-format snapshot fails with the version pair, not by
+    // misinterpreting the body: the version is the u32 after the magic.
+    let mut old = good.clone();
+    old[4..8].copy_from_slice(&0u32.to_le_bytes());
+    let mut sys = build_system();
+    let err = sys
+        .restore(&old)
+        .expect_err("version-0 snapshot must not restore");
+    match err {
+        SnapshotError::VersionMismatch { found, expected } => {
+            assert_eq!(found, 0);
+            assert!(expected >= 1);
+        }
+        other => panic!("unexpected error for old version: {other}"),
+    }
+
+    // Trailing garbage after a complete state is rejected too.
+    let mut padded = good;
+    padded.push(0);
+    let mut sys = build_system();
+    let err = sys
+        .restore(&padded)
+        .expect_err("trailing bytes must not restore");
+    assert!(
+        matches!(err, SnapshotError::Corrupt(_)),
+        "unexpected error for trailing bytes: {err}"
+    );
+}

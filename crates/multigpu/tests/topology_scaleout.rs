@@ -1,7 +1,8 @@
 //! Scale-out fabrics end to end: the fat-tree and torus presets must
 //! run real workloads to completion across multi-hop paths, conserve
-//! flits at every switch, stay bit-identical across schedulers, and
-//! round-trip their per-switch controller state through a snapshot.
+//! flits at every switch, and round-trip their per-switch controller
+//! state through a snapshot. (Bit-identity across schedulers is a column
+//! of `scheduler_equivalence.rs`.)
 
 use netcrafter_multigpu::{Experiment, RunResult, System, SystemVariant};
 use netcrafter_proto::{SystemConfig, TopologyConfig};
@@ -62,31 +63,6 @@ fn scale_out_fabrics_complete_and_conserve_flits() {
             arrived, egressed,
             "{name}: flits arriving at switches must equal flits egressed"
         );
-    }
-}
-
-/// Deterministic multi-hop routing: the conservative parallel scheduler
-/// (one domain per cluster *and* per switch) must reproduce the
-/// sequential run bit for bit on every fabric, including with the
-/// per-switch NetCrafter controllers enabled.
-#[test]
-fn scale_out_runs_are_bit_identical_across_schedulers() {
-    for (name, cfg) in fabrics() {
-        for variant in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
-            let seq = scale_out(cfg, Workload::Gups, variant).run();
-            let par = scale_out(cfg, Workload::Gups, variant)
-                .with_threads(4)
-                .run();
-            assert_eq!(
-                seq.exec_cycles, par.exec_cycles,
-                "{name}/{variant:?}: cycle counts diverge"
-            );
-            assert_eq!(
-                seq.metrics.to_kv(),
-                par.metrics.to_kv(),
-                "{name}/{variant:?}: metrics diverge"
-            );
-        }
     }
 }
 

@@ -269,6 +269,9 @@ impl TopologyConfig {
                     t.clusters = parse_u16(d[0], "cluster count")?;
                     t.gpus_per_cluster = parse_u16(d[1], "GPUs per cluster")?;
                 }
+                if let Some(o) = opts.get(1) {
+                    return Err(format!("--topology: unknown option {o:?} in {spec:?}"));
+                }
                 Ok(t)
             }
             "fat-tree" => {
@@ -310,8 +313,14 @@ impl TopologyConfig {
                         return Err(format!("--topology: unknown option {o:?} in {spec:?}"));
                     }
                 }
+                let clusters = x
+                    .checked_mul(y)
+                    .and_then(|xy| xy.checked_mul(z))
+                    .ok_or_else(|| {
+                        format!("--topology: {dims:?} exceeds 65535 switches in {spec:?}")
+                    })?;
                 Ok(TopologyConfig {
-                    clusters: x * y * z,
+                    clusters,
                     gpus_per_cluster: g,
                     fabric: FabricConfig::Torus { x, y, z },
                     fabric_link_cycles: 4,
@@ -1108,10 +1117,19 @@ mod tests {
             "torus",
             "torus:2x2",
             "torus:2x2x2:k=3",
+            "torus:300x300x1",
+            "torus:256x256x1",
             "mesh:3",
+            "mesh:2x2:junk",
         ] {
-            assert!(TopologyConfig::parse_spec(bad).is_err(), "{bad}");
+            let err = TopologyConfig::parse_spec(bad).expect_err(bad);
+            assert!(
+                err.starts_with("--topology:") && !err.contains('\n'),
+                "{bad}: {err}"
+            );
         }
+        let t = TopologyConfig::parse_spec("torus:255x257x1").unwrap();
+        assert_eq!(t.clusters, u16::MAX, "the largest product that fits");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //!   fast-forwards the clock across dead cycles, producing bit-identical
 //!   results to the tick-everything [`SchedulerMode::Legacy`] reference.
 //!
+//! One scheduler core (`sched.rs`) executes every mode: the sequential
+//! [`Engine`] is the core over all components, and each domain of the
+//! conservative parallel scheduler ([`parallel`]) is the same core over
+//! its slice, with delivery keys and cross-domain routing selected at
+//! compile time.
+//!
 //! The crate also provides the small timing utilities every hardware model
 //! needs: [`DelayQueue`] (fixed-latency pipelines), [`RateLimiter`]
 //! (bandwidth modelling with fractional bytes/cycle), and [`Ticker`]
@@ -26,14 +32,14 @@
 pub mod arena;
 pub mod engine;
 pub mod parallel;
+mod sched;
 pub mod snapshot;
 pub mod timing;
 pub mod trace;
 
 pub use arena::{Arena, Handle};
 pub use engine::{
-    default_scheduler, set_default_scheduler, BurstOutcome, Component, ComponentId, Ctx, Engine,
-    EngineBuilder, SchedulerMode, TraceEvent, Wake,
+    BurstOutcome, Component, ComponentId, Ctx, Engine, EngineBuilder, SchedulerMode, Wake,
 };
 pub use parallel::Partition;
 pub use snapshot::{

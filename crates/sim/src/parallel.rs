@@ -25,12 +25,11 @@
 //! id — within a cycle, and the overflow refill is order-preserving), so
 //! sorting each slot by key before delivery reproduces the sequential
 //! delivery order no matter how the barrier interleaved cross-domain
-//! transfers. Tracer shards and delivery-ring logs are merged in
-//! `(cycle, track)` / `(cycle, key)` order behind a *watermark*: with
-//! asymmetric horizons a fast domain may emit events for cycles a slow
-//! domain has not reached yet, so merged events are held back until
-//! every domain has fully executed past their cycle (the minimum
-//! per-domain completed cycle). See DESIGN.md §3.3 for the full
+//! transfers. Tracer shards are merged in `(cycle, track)` order behind
+//! a *watermark*: with asymmetric horizons a fast domain may emit events
+//! for cycles a slow domain has not reached yet, so merged events are
+//! held back until every domain has fully executed past their cycle (the
+//! minimum per-domain completed cycle). See DESIGN.md §3.3 for the full
 //! determinism argument.
 //!
 //! **Quiescence.** Sampling components tick every cycle until *global*
@@ -44,15 +43,15 @@
 //! sequential stop cycle because the sequential run's last step always
 //! delivers a message or retires the last busy component.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc;
 
 use netcrafter_proto::Message;
 
 use crate::arena::{Arena, Handle};
-use crate::engine::{Component, ComponentId, Ctx, Engine, TraceEvent, NEVER, WHEEL_SLOTS};
-use crate::trace::{Event, Tracer};
+use crate::engine::{Component, ComponentId, Engine};
+use crate::sched::{Core, Route, NEVER};
+use crate::trace::Event;
 use crate::Cycle;
 
 /// Canonical delivery key: `(send cycle, src component id, per-src
@@ -201,143 +200,95 @@ pub struct ParallelConfig {
     pub(crate) threads: usize,
 }
 
-/// One domain's slice of the engine: components, mailboxes, a keyed delay
-/// wheel, and a private event-driven scheduler mirroring `Engine::step`.
-struct DomainState {
+/// [`Route`] of one domain: its slice of the id space, the canonical
+/// delivery keys, and the staging area for sends that leave the domain.
+struct Shard {
     /// This domain's index.
     dom: usize,
     /// Global component ids owned here, ascending (so ascending local
     /// index equals ascending global id — the sequential tick order).
     ids: Vec<usize>,
-    comps: Vec<Box<dyn Component>>,
-    inboxes: Vec<VecDeque<Handle>>,
-    /// Backing store for this domain's message payloads (wheel slots and
-    /// mailboxes move 8-byte handles, mirroring the sequential engine).
-    arena: Arena<Message>,
     /// Global id -> local index (valid only for this domain's members).
     local_of: Vec<usize>,
     /// Global id -> owning domain (shared table, cloned per domain).
     domain_of: Vec<usize>,
-    /// Keyed delay wheel: `(key, local dst, message)` per slot, sorted by
-    /// key at delivery time.
-    wheel: Vec<Vec<(Key, usize, Handle)>>,
-    overflow: Vec<(Cycle, Key, usize, Handle)>,
-    overflow_scratch: Vec<(Cycle, Key, usize, Handle)>,
-    overflow_min: Cycle,
-    slot_scratch: Vec<(Key, usize, Handle)>,
-    cycle: Cycle,
-    in_flight: usize,
-    delivered: u64,
-    outbox: Vec<(Cycle, ComponentId, Handle)>,
-    armed: Vec<Cycle>,
-    wake_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
-    active: Vec<usize>,
-    every: Vec<bool>,
-    every_count: usize,
-    woken: Vec<usize>,
-    busy_flags: Vec<bool>,
-    busy_count: usize,
     /// Per-local-component send sequence counter (third key field).
     send_seq: Vec<u32>,
-    /// Structured-event tracer shard (global track table).
-    tracer: Tracer,
-    /// Delivery-ring logging on (`Engine::enable_trace`)?
-    ring_on: bool,
-    ring_log: Vec<(Key, TraceEvent)>,
     /// Cross-domain sends staged during the current epoch.
     cross_out: Vec<CrossMsg>,
-    lookahead: u64,
-    /// This domain's row of the pair-lookahead matrix (destination-domain
-    /// indexed minimum send delays); empty = uniform `lookahead`.
-    pair_row: Vec<u64>,
+    /// Minimum send delay proven towards each destination domain (this
+    /// domain's row of [`Partition::pair_lookahead`]).
+    bounds: Vec<u64>,
     /// Last executed cycle that delivered a message or saw a busy
     /// component — the domain's contribution to the global stop cycle.
     last_driving: Cycle,
-    /// Burst dispatch flag, copied from the engine at decomposition.
-    burst: bool,
 }
 
-impl DomainState {
-    fn new(dom: usize, n_global: usize, start: Cycle, lookahead: u64) -> DomainState {
-        DomainState {
-            dom,
-            ids: Vec::new(),
-            comps: Vec::new(),
-            inboxes: Vec::new(),
-            arena: Arena::new(),
-            local_of: vec![usize::MAX; n_global],
-            domain_of: Vec::new(),
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            overflow_scratch: Vec::new(),
-            overflow_min: NEVER,
-            slot_scratch: Vec::new(),
-            cycle: start,
-            in_flight: 0,
-            delivered: 0,
-            outbox: Vec::new(),
-            armed: Vec::new(),
-            wake_heap: BinaryHeap::new(),
-            active: Vec::new(),
-            every: Vec::new(),
-            every_count: 0,
-            woken: Vec::new(),
-            busy_flags: Vec::new(),
-            busy_count: 0,
-            send_seq: Vec::new(),
-            tracer: Tracer::off(),
-            ring_on: false,
-            ring_log: Vec::new(),
-            cross_out: Vec::new(),
-            lookahead,
-            pair_row: Vec::new(),
-            last_driving: start,
-            burst: true,
-        }
+impl Route for Shard {
+    type Key = Key;
+
+    #[inline]
+    fn global(&self, l: usize) -> usize {
+        self.ids[l]
     }
 
-    fn push_component(&mut self, global: usize, comp: Box<dyn Component>, inbox: VecDeque<Handle>) {
-        let busy = comp.busy();
-        self.local_of[global] = self.ids.len();
-        self.ids.push(global);
-        self.comps.push(comp);
-        self.inboxes.push(inbox);
-        self.armed.push(NEVER);
-        self.every.push(false);
-        self.busy_flags.push(busy);
-        self.busy_count += busy as usize;
-        self.send_seq.push(0);
+    /// Keys are unique, so the unstable sort is deterministic.
+    #[inline]
+    fn order(due: &mut [(Key, usize, Handle)]) {
+        due.sort_unstable_by_key(|&(key, _, _)| key);
+    }
+
+    fn place(
+        &mut self,
+        src: usize,
+        now: Cycle,
+        when: Cycle,
+        dst: ComponentId,
+        h: Handle,
+        arena: &mut Arena<Message>,
+    ) -> Option<(Key, usize)> {
+        let key = (now, self.ids[src] as u32, self.send_seq[src]);
+        self.send_seq[src] += 1;
+        let dd = self.domain_of[dst.0];
+        if dd == self.dom {
+            return Some((key, self.local_of[dst.0]));
+        }
+        let bound = self.bounds[dd];
+        assert!(
+            when - now >= bound,
+            "cross-domain send comp{} -> {dst} with delay {} \
+             below the partition lookahead {bound} \
+             (domain {} -> {dd})",
+            self.ids[src],
+            when - now,
+            self.dom
+        );
+        // Cross-domain messages travel by value: the payload leaves this
+        // domain's arena here and is re-interned by the receiving domain.
+        let msg = arena.take(h);
+        self.cross_out.push(CrossMsg {
+            when,
+            key,
+            dst,
+            msg,
+        });
+        None
+    }
+}
+
+/// One domain: the scheduler core over its slice of the engine.
+type Domain = Core<Shard>;
+
+impl Domain {
+    fn adopt(&mut self, global: usize, comp: Box<dyn Component>, inbox: VecDeque<Handle>) {
+        self.route.local_of[global] = self.route.ids.len();
+        self.route.ids.push(global);
+        self.route.send_seq.push(0);
+        self.push(comp, inbox);
     }
 
     fn locally_quiescent(&self) -> bool {
         self.busy_count == 0 && self.in_flight == 0
-    }
-
-    #[inline]
-    fn arm(&mut self, l: usize, when: Cycle) {
-        if when < self.armed[l] {
-            self.armed[l] = when;
-            self.wake_heap.push(Reverse((when, l)));
-        }
-    }
-
-    #[inline]
-    fn unevery(&mut self, l: usize) {
-        if self.every[l] {
-            self.every[l] = false;
-            self.every_count -= 1;
-        }
-    }
-
-    fn schedule_local(&mut self, when: Cycle, key: Key, l: usize, h: Handle) {
-        debug_assert!(when > self.cycle);
-        self.in_flight += 1;
-        if (when - self.cycle) < WHEEL_SLOTS as u64 {
-            self.wheel[(when % WHEEL_SLOTS as u64) as usize].push((key, l, h));
-        } else {
-            self.overflow_min = self.overflow_min.min(when);
-            self.overflow.push((when, key, l, h));
-        }
     }
 
     /// Applies a cross-domain message received at an epoch barrier. Its
@@ -348,235 +299,34 @@ impl DomainState {
             m.when > self.cycle,
             "cross-domain message for executed cycle {} (domain {} at {})",
             m.when,
-            self.dom,
+            self.route.dom,
             self.cycle
         );
-        let l = self.local_of[m.dst.0];
+        let l = self.route.local_of[m.dst.0];
         let h = self.arena.alloc(m.msg);
-        self.schedule_local(m.when, m.key, l, h);
+        self.schedule(m.when, m.key, l, h);
     }
 
-    /// Mirror of `Engine::next_event_cycle` over this domain's state.
-    fn next_event_cycle(&mut self) -> Cycle {
-        if self.every_count > 0 {
-            return self.cycle + 1;
-        }
-        let mut wake = NEVER;
-        while let Some(&Reverse((when, l))) = self.wake_heap.peek() {
-            if self.armed[l] == when {
-                wake = when;
-                break;
-            }
-            self.wake_heap.pop();
-        }
-        if wake <= self.cycle + 1 {
-            return wake;
-        }
-        let mut next = wake.min(self.overflow_min);
-        let in_wheel = self.in_flight - self.overflow.len();
-        if in_wheel > 0 {
-            for d in 1..=WHEEL_SLOTS as u64 {
-                let c = self.cycle + d;
-                if c >= next {
-                    break;
-                }
-                if !self.wheel[(c % WHEEL_SLOTS as u64) as usize].is_empty() {
-                    next = c;
-                    break;
-                }
-            }
-        }
-        next
-    }
-
-    /// Executes cycle `c` for this domain: delivers due messages in
-    /// canonical key order, ticks woken components in ascending id order,
-    /// and commits their sends (locally, or to `cross_out`).
-    fn step_at(&mut self, c: Cycle) {
-        debug_assert!(c > self.cycle);
-        self.cycle = c;
-        self.tracer.set_now(c);
+    /// Executes cycle `c` and records whether it was a driving one.
+    fn step_driving(&mut self, c: Cycle) {
         let was_busy = self.busy_count > 0;
-
-        // Order-preserving overflow refill into the wheel.
-        let horizon = c + WHEEL_SLOTS as u64;
-        if self.overflow_min < horizon {
-            let mut pending = std::mem::replace(
-                &mut self.overflow,
-                std::mem::take(&mut self.overflow_scratch),
-            );
-            let mut min_left = NEVER;
-            for (when, key, l, h) in pending.drain(..) {
-                if when < horizon {
-                    self.wheel[(when % WHEEL_SLOTS as u64) as usize].push((key, l, h));
-                } else {
-                    min_left = min_left.min(when);
-                    self.overflow.push((when, key, l, h));
-                }
-            }
-            self.overflow_min = min_left;
-            self.overflow_scratch = pending;
-        }
-
-        // Deliver slot `c` in canonical order. Keys are unique, so the
-        // unstable sort is deterministic.
-        let slot = (c % WHEEL_SLOTS as u64) as usize;
-        let mut due = std::mem::replace(
-            &mut self.wheel[slot],
-            std::mem::take(&mut self.slot_scratch),
-        );
-        due.sort_unstable_by_key(|&(key, _, _)| key);
-        let delivered_now = due.len();
-        self.in_flight -= delivered_now;
-        self.delivered += delivered_now as u64;
-        for (key, l, h) in due.drain(..) {
-            if self.ring_on {
-                let kind = self.arena.get(h).label();
-                self.ring_log.push((
-                    key,
-                    TraceEvent {
-                        cycle: c,
-                        dst: ComponentId(self.ids[l]),
-                        kind,
-                    },
-                ));
-            }
-            self.arm(l, c);
-            self.inboxes[l].push_back(h);
-        }
-        self.slot_scratch = due;
-
-        // Wake collection, mirroring `Engine::step`.
-        let mut woken = std::mem::take(&mut self.woken);
-        woken.clear();
-        while let Some(&Reverse((when, l))) = self.wake_heap.peek() {
-            if when > c {
-                break;
-            }
-            self.wake_heap.pop();
-            if self.armed[l] <= c {
-                self.armed[l] = NEVER;
-                woken.push(l);
-            }
-        }
-        let heap_woken = woken.len();
-        if !self.active.is_empty() {
-            let mut keep = 0;
-            for k in 0..self.active.len() {
-                let l = self.active[k];
-                if self.every[l] {
-                    self.active[keep] = l;
-                    keep += 1;
-                    woken.push(l);
-                }
-            }
-            self.active.truncate(keep);
-        }
-        if heap_woken > 0 {
-            woken.sort_unstable();
-            woken.dedup();
-        }
-
-        for &l in &woken {
-            let global = self.ids[l];
-            self.tracer.focus(global as u32);
-            let mut ctx = Ctx {
-                cycle: c,
-                inbox: &mut self.inboxes[l],
-                outbox: &mut self.outbox,
-                arena: &mut self.arena,
-                self_id: ComponentId(global),
-                tracer: &mut self.tracer,
-            };
-            let (busy, wake) = if self.burst {
-                let out = self.comps[l].tick_burst(&mut ctx);
-                (out.busy, out.wake)
-            } else {
-                self.comps[l].tick(&mut ctx);
-                (self.comps[l].busy(), self.comps[l].next_wake(c))
-            };
-            if busy != self.busy_flags[l] {
-                self.busy_flags[l] = busy;
-                if busy {
-                    self.busy_count += 1;
-                } else {
-                    self.busy_count -= 1;
-                }
-            }
-            // Commit this component's sends now (per tick, in tick order:
-            // the same final order as the sequential end-of-step commit)
-            // so each message gets its canonical key as it is staged.
-            if !self.outbox.is_empty() {
-                let src = global as u32;
-                let mut staged = std::mem::take(&mut self.outbox);
-                for (when, dst, h) in staged.drain(..) {
-                    let key = (c, src, self.send_seq[l]);
-                    self.send_seq[l] += 1;
-                    let dd = self.domain_of[dst.0];
-                    if dd == self.dom {
-                        self.schedule_local(when, key, self.local_of[dst.0], h);
-                    } else {
-                        let bound = if self.pair_row.is_empty() {
-                            self.lookahead
-                        } else {
-                            self.pair_row[dd]
-                        };
-                        assert!(
-                            when - c >= bound,
-                            "cross-domain send comp{src} -> {dst} with delay {} \
-                             below the partition lookahead {bound} \
-                             (domain {} -> {dd})",
-                            when - c,
-                            self.dom
-                        );
-                        // Cross-domain messages travel by value: the
-                        // payload leaves this domain's arena here and is
-                        // re-interned by the receiving domain.
-                        let msg = self.arena.take(h);
-                        self.cross_out.push(CrossMsg {
-                            when,
-                            key,
-                            dst,
-                            msg,
-                        });
-                    }
-                }
-                self.outbox = staged;
-            }
-            match wake {
-                crate::Wake::EveryCycle => {
-                    if !self.every[l] {
-                        self.every[l] = true;
-                        self.every_count += 1;
-                        let pos = self.active.partition_point(|&x| x < l);
-                        self.active.insert(pos, l);
-                    }
-                }
-                crate::Wake::At(t) => {
-                    self.unevery(l);
-                    self.arm(l, t.max(c + 1));
-                }
-                crate::Wake::OnMessage => self.unevery(l),
-            }
-        }
-        self.woken = woken;
-
+        let delivered_now = self.step_at(c, false);
         if delivered_now > 0 || was_busy || self.busy_count > 0 {
-            self.last_driving = c;
+            self.route.last_driving = c;
         }
     }
 
     /// Runs this domain's events up to (and including) `end`, pausing as
     /// soon as it is locally quiescent: any wakes left are pure
-    /// observation ticks, deferred to [`DomainState::catch_up`] so the
-    /// domain cannot free-run past the (unknown) global stop cycle.
+    /// observation ticks, deferred to [`Domain::catch_up`] so the domain
+    /// cannot free-run past the (unknown) global stop cycle.
     fn run_epoch(&mut self, end: Cycle) {
         while !self.locally_quiescent() {
             let next = self.next_event_cycle();
             if next > end {
                 break;
             }
-            self.step_at(next);
+            self.step_driving(next);
         }
     }
 
@@ -589,12 +339,12 @@ impl DomainState {
             if next > through {
                 break;
             }
-            self.step_at(next);
+            self.step_driving(next);
             assert!(
-                self.locally_quiescent() && self.cross_out.is_empty(),
+                self.locally_quiescent() && self.route.cross_out.is_empty(),
                 "a deferred observation tick changed simulation state \
                  (next_wake contract violation in domain {})",
-                self.dom
+                self.route.dom
             );
         }
         self.cycle = self.cycle.max(through);
@@ -602,9 +352,8 @@ impl DomainState {
 
     /// Names of busy components, as `(global id, name)` pairs.
     fn busy_names(&self) -> Vec<(usize, String)> {
-        self.ids
-            .iter()
-            .zip(&self.comps)
+        let ids = self.route.ids.iter();
+        ids.zip(&self.comps)
             .filter(|(_, c)| c.busy())
             .map(|(&g, c)| (g, c.name().to_string()))
             .collect()
@@ -631,118 +380,99 @@ enum Cmd {
 
 /// Per-domain epoch report.
 struct EpochReport {
-    busy_count: usize,
-    in_flight: usize,
+    quiescent: bool,
     last_driving: Cycle,
     cross: Vec<CrossMsg>,
     events: Vec<Event>,
-    ring: Vec<(Key, TraceEvent)>,
 }
 
 enum Reply {
     Epoch(Vec<EpochReport>),
+    /// The earliest next event over the worker's domains, and the events
+    /// their observation ticks emitted.
     CatchUp {
-        next_events: Vec<Cycle>,
-        events: Vec<Vec<Event>>,
+        next_event: Cycle,
+        events: Vec<Event>,
     },
     Names(Vec<(usize, String)>),
-    Finished(Vec<DomainState>),
+    Finished(Vec<Domain>),
 }
 
 /// The parallel body of `Engine::run_to_quiescence`: decomposes the
 /// engine into domains, runs the epoch-barrier loop on `cfg.threads`
 /// workers, and reassembles the engine bit-identically to what the
 /// sequential event-driven scheduler would have produced.
-pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles: Cycle) -> Cycle {
+pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles: Cycle) {
     if engine.quiescent() {
-        return engine.cycle;
+        return;
     }
     engine.flush_dirty();
     let part = &cfg.partition;
     let n_domains = part.domains;
     let threads = cfg.threads.min(n_domains);
-    let lookahead = part.lookahead;
-    let start = engine.cycle;
+    let start = engine.core.cycle;
     let limit = start + max_cycles;
 
     // ---- decompose ----
-    let n = engine.components.len();
-    let ring_on = engine.trace.is_some();
-    let mut domains: Vec<DomainState> = (0..n_domains)
-        .map(|d| DomainState::new(d, n, start, lookahead))
+    let n = engine.core.comps.len();
+    let mut domains: Vec<Domain> = (0..n_domains)
+        .map(|dom| {
+            let shard = Shard {
+                dom,
+                ids: Vec::new(),
+                local_of: vec![usize::MAX; n],
+                domain_of: part.domain_of.clone(),
+                send_seq: Vec::new(),
+                cross_out: Vec::new(),
+                bounds: (0..n_domains)
+                    .map(|to| part.pair_lookahead(dom, to))
+                    .collect(),
+                last_driving: start,
+            };
+            Core::new(shard, start, engine.core.tracer.shard())
+        })
         .collect();
-    let components = std::mem::take(&mut engine.components);
-    let inboxes = std::mem::take(&mut engine.inboxes);
-    let mut msgs = std::mem::take(&mut engine.msgs);
+    let components = std::mem::take(&mut engine.core.comps);
+    let inboxes = std::mem::take(&mut engine.core.inboxes);
+    // In-flight deliveries all predate the run, so they share an external
+    // key prefix; per-slot order is preserved through ascending sequence
+    // numbers.
+    let pending: Vec<(Cycle, usize, Handle)> = engine.core.in_flight().collect();
+    engine.core.clear_in_flight();
+    let msgs = &mut engine.core.arena;
     for (g, (comp, inbox)) in components.into_iter().zip(inboxes).enumerate() {
         let dom = &mut domains[part.domain_of[g]];
-        let mut q = VecDeque::with_capacity(inbox.len());
-        for h in inbox {
-            q.push_back(dom.arena.alloc(msgs.take(h)));
-        }
-        dom.push_component(g, comp, q);
+        let q = inbox
+            .into_iter()
+            .map(|h| dom.arena.alloc(msgs.take(h)))
+            .collect();
+        dom.adopt(g, comp, q);
     }
-    for d in &mut domains {
-        d.domain_of = part.domain_of.clone();
-        if let Some(m) = &part.pair_lookahead {
-            d.pair_row = m[d.dom * n_domains..(d.dom + 1) * n_domains].to_vec();
-        }
-        d.tracer = engine.tracer.shard();
-        d.ring_on = ring_on;
-        d.burst = engine.burst;
-        // Every component gets a fresh tick at start+1 and re-arms itself
-        // from there — always bit-exact (ticking an idle component is
-        // observable-effect-free by the next_wake contract).
-        for l in 0..d.ids.len() {
-            d.arm(l, start + 1);
-        }
-    }
-    // Transfer in-flight deliveries. All predate the run, so they keep a
-    // shared external key prefix; per-slot vec order is preserved through
-    // ascending sequence numbers.
-    let mut ext_seq = 0u32;
-    for s in 0..WHEEL_SLOTS {
-        // Wheel slot s holds deliveries for the unique matching cycle in
-        // (start, start + WHEEL_SLOTS].
-        let when = start
-            + 1
-            + ((s as u64 + WHEEL_SLOTS as u64 - ((start + 1) % WHEEL_SLOTS as u64))
-                % WHEEL_SLOTS as u64);
-        for (dst, h) in engine.wheel[s].drain(..) {
-            let key = (start, SRC_EXTERNAL, ext_seq);
-            ext_seq += 1;
-            let dom = &mut domains[part.domain_of[dst.0]];
-            let l = dom.local_of[dst.0];
-            let dh = dom.arena.alloc(msgs.take(h));
-            dom.schedule_local(when, key, l, dh);
-        }
-    }
-    for (when, dst, h) in engine.overflow.drain(..) {
-        let key = (start, SRC_EXTERNAL, ext_seq);
-        ext_seq += 1;
-        let dom = &mut domains[part.domain_of[dst.0]];
-        let l = dom.local_of[dst.0];
+    for (seq, (when, dst, h)) in pending.into_iter().enumerate() {
+        let dom = &mut domains[part.domain_of[dst]];
         let dh = dom.arena.alloc(msgs.take(h));
-        dom.overflow_min = dom.overflow_min.min(when);
-        dom.overflow.push((when, key, l, dh));
-        dom.in_flight += 1;
+        let l = dom.route.local_of[dst];
+        dom.schedule(when, (start, SRC_EXTERNAL, seq as u32), l, dh);
     }
-    // Every payload has moved to a domain arena; hand the (empty) arena
-    // back so its slot capacity is reused after reassembly.
+    // Every payload has moved to a domain arena; the (empty) engine arena
+    // keeps its slot capacity for after reassembly.
     debug_assert!(msgs.is_empty());
-    engine.msgs = msgs;
-    engine.overflow_min = NEVER;
-    engine.in_flight = 0;
+    // Every component gets a fresh tick at start+1 and re-arms itself
+    // from there — always bit-exact (ticking an idle component is
+    // observable-effect-free by the next_wake contract).
+    for d in &mut domains {
+        d.rearm_all_at(start + 1);
+    }
 
     // ---- worker assignment: worker w owns domains w, w+threads, … ----
-    let mut worker_domains: Vec<Vec<DomainState>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut worker_domains: Vec<Vec<Domain>> = (0..threads).map(|_| Vec::new()).collect();
     let mut owned: Vec<Vec<usize>> = (0..threads).map(|_| Vec::new()).collect();
     for (d, state) in domains.into_iter().enumerate() {
         owned[d % threads].push(d);
         worker_domains[d % threads].push(state);
     }
 
-    let mut final_state: Vec<Option<DomainState>> = (0..n_domains).map(|_| None).collect();
+    let mut finished: Vec<Domain> = Vec::with_capacity(n_domains);
     let mut end_cycle = start;
 
     std::thread::scope(|scope| {
@@ -766,35 +496,26 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
                                 }
                                 d.run_epoch(end);
                                 reports.push(EpochReport {
-                                    busy_count: d.busy_count,
-                                    in_flight: d.in_flight,
-                                    last_driving: d.last_driving,
-                                    cross: std::mem::take(&mut d.cross_out),
+                                    quiescent: d.locally_quiescent(),
+                                    last_driving: d.route.last_driving,
+                                    cross: std::mem::take(&mut d.route.cross_out),
                                     events: d.tracer.drain_events(),
-                                    ring: std::mem::take(&mut d.ring_log),
                                 });
                             }
                             Reply::Epoch(reports)
                         }
                         Cmd::CatchUp { throughs } => {
-                            let mut next_events = Vec::with_capacity(doms.len());
-                            let mut events = Vec::with_capacity(doms.len());
+                            let mut next_event = NEVER;
+                            let mut events = Vec::new();
                             for (d, through) in doms.iter_mut().zip(throughs) {
                                 d.catch_up(through);
-                                next_events.push(d.next_event_cycle());
-                                events.push(d.tracer.drain_events());
+                                next_event = next_event.min(d.next_event_cycle());
+                                events.extend(d.tracer.drain_events());
                             }
-                            Reply::CatchUp {
-                                next_events,
-                                events,
-                            }
+                            Reply::CatchUp { next_event, events }
                         }
                         Cmd::Names => {
-                            let mut names = Vec::new();
-                            for d in &doms {
-                                names.extend(d.busy_names());
-                            }
-                            Reply::Names(names)
+                            Reply::Names(doms.iter().flat_map(Domain::busy_names).collect())
                         }
                         Cmd::Finish => {
                             let _ = reply_tx.send(Reply::Finished(doms));
@@ -827,16 +548,10 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
                     .unwrap_or(NEVER)
             })
             .collect();
+        // (`g >= 1`, so a `NEVER` bound saturates and leaves only `limit`.)
         let horizon_for = |g: Cycle| -> Vec<Cycle> {
-            lin.iter()
-                .map(|&l| {
-                    if l == NEVER {
-                        limit
-                    } else {
-                        limit.min(g.saturating_add(l - 1))
-                    }
-                })
-                .collect()
+            let end = |&l: &u64| limit.min(g.saturating_add(l - 1));
+            lin.iter().map(end).collect()
         };
         // Everything is armed at start+1, so domain `d`'s first window is
         // exactly `Lin(d)` long.
@@ -846,9 +561,8 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
         // watermark is the minimum over domains: an event at or below it
         // can never be preceded by anything a later round produces.
         let mut completed: Vec<Cycle> = vec![start; n_domains];
-        // Events/ring entries held back until the watermark passes them.
+        // Events held back until the watermark passes them.
         let mut pending_events: Vec<Event> = Vec::new();
-        let mut pending_ring: Vec<(Key, TraceEvent)> = Vec::new();
         // Per-domain local-quiescence after the last epoch (observation
         // catch-up cannot change it, so the epoch report stays valid).
         let mut lq: Vec<bool> = vec![false; n_domains];
@@ -862,47 +576,40 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
         // events) would freeze `last_driving` below a quiescent domain's
         // deferred observation wake, and the rounds would spin forever.
         let mut floor = start;
+        // Sends every worker `w` the command `make(w)`; false if any is gone.
+        let send_all = |make: &mut dyn FnMut(usize) -> Cmd| {
+            let sends = cmd_txs.iter().enumerate();
+            sends.fold(true, |ok, (w, tx)| tx.send(make(w)).is_ok() && ok)
+        };
         'run: loop {
-            for (w, tx) in cmd_txs.iter().enumerate() {
-                let incoming = owned[w]
+            let sent = send_all(&mut |w| Cmd::Epoch {
+                ends: owned[w].iter().map(|&d| ends[d]).collect(),
+                incoming: owned[w]
                     .iter()
                     .map(|&d| std::mem::take(&mut routed[d]))
-                    .collect();
-                let worker_ends = owned[w].iter().map(|&d| ends[d]).collect();
-                if tx
-                    .send(Cmd::Epoch {
-                        ends: worker_ends,
-                        incoming,
-                    })
-                    .is_err()
-                {
-                    break 'run;
-                }
+                    .collect(),
+            });
+            if !sent {
+                break 'run;
             }
-            let mut any_busy = false;
-            let mut any_flight = false;
+            let mut active = false;
             let mut last_driving = start;
-            let mut round_events: Vec<Event> = Vec::new();
-            let mut round_ring: Vec<(Key, TraceEvent)> = Vec::new();
             for (w, rx) in reply_rxs.iter().enumerate() {
                 let Ok(Reply::Epoch(reports)) = rx.recv() else {
                     break 'run;
                 };
                 for (i, rep) in reports.into_iter().enumerate() {
                     let d = owned[w][i];
-                    lq[d] = rep.busy_count == 0 && rep.in_flight == 0;
-                    any_busy |= rep.busy_count > 0;
-                    any_flight |= rep.in_flight > 0;
+                    lq[d] = rep.quiescent;
+                    active |= !rep.quiescent;
                     last_driving = last_driving.max(rep.last_driving);
                     for m in rep.cross {
                         routed[part.domain_of[m.dst.0]].push(m);
                     }
-                    round_events.extend(rep.events);
-                    round_ring.extend(rep.ring);
+                    pending_events.extend(rep.events);
                 }
             }
-            let any_routed = routed.iter().any(|v| !v.is_empty());
-            let active = any_busy || any_flight || any_routed;
+            active |= routed.iter().any(|v| !v.is_empty());
             // Deferred observation ticks: on the final barrier every
             // domain replays through the global stop cycle
             // `X = last_driving`. While still active, a locally quiescent
@@ -919,37 +626,24 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
             } else {
                 vec![last_driving; n_domains]
             };
-            for (w, tx) in cmd_txs.iter().enumerate() {
-                let worker_throughs = owned[w].iter().map(|&d| throughs[d]).collect();
-                if tx
-                    .send(Cmd::CatchUp {
-                        throughs: worker_throughs,
-                    })
-                    .is_err()
-                {
-                    break 'run;
-                }
+            let sent = send_all(&mut |w| Cmd::CatchUp {
+                throughs: owned[w].iter().map(|&d| throughs[d]).collect(),
+            });
+            if !sent {
+                break 'run;
             }
             let mut global_next = NEVER;
             for rx in &reply_rxs {
-                let Ok(Reply::CatchUp {
-                    next_events,
-                    events,
-                }) = rx.recv()
-                else {
+                let Ok(Reply::CatchUp { next_event, events }) = rx.recv() else {
                     break 'run;
                 };
-                for ne in next_events {
-                    global_next = global_next.min(ne);
-                }
-                for ev in events {
-                    round_events.extend(ev);
-                }
+                global_next = global_next.min(next_event);
+                pending_events.extend(events);
             }
-            // Merge this round's observability shards in canonical
-            // `(cycle, track)` / `(cycle, key)` order behind the
-            // watermark. An active (non-locally-quiescent) domain has
-            // executed everything through its horizon; a locally
+            // Merge this round's tracer shards in canonical
+            // `(cycle, track)` order behind the watermark. An active
+            // (non-locally-quiescent) domain has executed everything
+            // through its horizon; a locally
             // quiescent one only through its catch-up bound. Nothing at
             // or below the minimum of those can be emitted later, so the
             // prefix up to the watermark is final; the rest waits.
@@ -962,23 +656,10 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
             } else {
                 NEVER
             };
-            pending_events.extend(round_events);
             pending_events.sort_by_key(|e| (e.cycle, e.track));
             let cut = pending_events.partition_point(|e| e.cycle <= watermark);
-            engine.tracer.absorb_events(pending_events.drain(..cut));
-            pending_ring.extend(round_ring);
-            pending_ring.sort_unstable_by_key(|&(key, ref ev)| (ev.cycle, key));
-            let cut = pending_ring.partition_point(|(_, ev)| ev.cycle <= watermark);
-            if let Some((buf, cap)) = engine.trace.as_mut() {
-                for (_, ev) in pending_ring.drain(..cut) {
-                    if buf.len() == *cap {
-                        buf.pop_front();
-                    }
-                    buf.push_back(ev);
-                }
-            } else {
-                pending_ring.clear();
-            }
+            let released = pending_events.drain(..cut);
+            engine.core.tracer.absorb_events(released);
             if !active {
                 end_cycle = last_driving;
                 break 'run;
@@ -993,9 +674,7 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
                 // The sequential scheduler would hit its cycle limit with
                 // work remaining: reproduce its panic, byte for byte.
                 let mut busy: Vec<(usize, String)> = Vec::new();
-                for tx in &cmd_txs {
-                    let _ = tx.send(Cmd::Names);
-                }
+                send_all(&mut |_| Cmd::Names);
                 for rx in &reply_rxs {
                     if let Ok(Reply::Names(names)) = rx.recv() {
                         busy.extend(names);
@@ -1014,15 +693,10 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
             ends = horizon_for(global_next);
         }
 
-        for tx in &cmd_txs {
-            let _ = tx.send(Cmd::Finish);
-        }
+        send_all(&mut |_| Cmd::Finish);
         for rx in &reply_rxs {
             if let Ok(Reply::Finished(doms)) = rx.recv() {
-                for d in doms {
-                    let idx = d.dom;
-                    final_state[idx] = Some(d);
-                }
+                finished.extend(doms);
             }
         }
         drop(cmd_txs);
@@ -1037,67 +711,59 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
     });
 
     // ---- reassemble ----
-    type Slot = (Box<dyn Component>, VecDeque<Message>);
-    let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
-    let mut delivered = 0u64;
-    for state in final_state {
-        let Some(state) = state else {
-            // A worker died before returning its domains; its panic has
-            // already propagated out of `thread::scope` above, so this is
-            // unreachable — but avoid masking anything if it ever isn't.
-            panic!("parallel run lost a domain's components");
-        };
+    // A worker that died has already re-raised its panic above, so every
+    // domain is back. Mailbox payloads are re-interned from the domain
+    // arenas into the engine's; with `in_flight == 0` the wheels hold
+    // nothing, so that must leave each domain arena empty.
+    let core = &mut engine.core;
+    let mut parts: Vec<(usize, Box<dyn Component>, VecDeque<Handle>)> = Vec::with_capacity(n);
+    for mut dom in finished {
         assert!(
-            state.in_flight == 0 && state.cross_out.is_empty(),
+            dom.in_flight == 0 && dom.route.cross_out.is_empty(),
             "domain {} finished with undelivered messages",
-            state.dom
+            dom.route.dom
         );
-        delivered += state.delivered;
-        // Resolve each mailbox's handles through the domain arena; the
-        // payloads are re-interned into the engine arena below. With
-        // `in_flight == 0` the wheel/overflow hold nothing, so draining
-        // the inboxes must leave the domain arena empty.
-        let mut arena = state.arena;
-        for ((g, comp), inbox) in state.ids.into_iter().zip(state.comps).zip(state.inboxes) {
-            let msgs: VecDeque<Message> = inbox.into_iter().map(|h| arena.take(h)).collect();
-            slots[g] = Some((comp, msgs));
+        core.delivered += dom.delivered;
+        let ids = std::mem::take(&mut dom.route.ids);
+        for ((g, comp), inbox) in ids.into_iter().zip(dom.comps).zip(dom.inboxes) {
+            let moved = inbox.into_iter().map(|h| dom.arena.take(h));
+            parts.push((g, comp, moved.map(|m| core.arena.alloc(m)).collect()));
         }
-        debug_assert!(
-            arena.is_empty(),
-            "domain arena retained payloads after reassembly"
-        );
+        debug_assert!(dom.arena.is_empty(), "domain arena retained payloads");
     }
-    for slot in slots {
-        let (comp, inbox) = slot.expect("partition covered every component");
-        engine.components.push(comp);
-        engine
-            .inboxes
-            .push(inbox.into_iter().map(|m| engine.msgs.alloc(m)).collect());
+    assert_eq!(parts.len(), n, "parallel run lost a domain's components");
+    parts.sort_unstable_by_key(|&(g, _, _)| g);
+    for (_, comp, inbox) in parts {
+        core.comps.push(comp);
+        core.inboxes.push(inbox);
     }
-    engine.delivered += delivered;
-    engine.cycle = end_cycle;
-    engine.tracer.set_now(end_cycle);
+    core.cycle = end_cycle;
+    core.tracer.set_now(end_cycle);
     // Re-arm everything and refresh the busy cache, exactly like a
     // scheduler switch (conservative and bit-exact).
     engine.set_scheduler(crate::SchedulerMode::ParallelEventDriven);
-    end_cycle
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineBuilder;
+    use crate::engine::{Ctx, EngineBuilder};
     use crate::Wake;
 
-    /// Forwards each message onward after `delay`, up to `hops_left`.
+    /// Logs every receipt, then forwards the message onward after
+    /// `delay`, up to `hops_left` times.
     struct Relay {
         peer: ComponentId,
         delay: u64,
         hops_left: u64,
+        got: Vec<(Cycle, u32)>,
     }
     impl Component for Relay {
         fn tick(&mut self, ctx: &mut Ctx<'_>) {
             while let Some(msg) = ctx.recv() {
+                if let Message::Credit { count, .. } = msg {
+                    self.got.push((ctx.cycle(), count));
+                }
                 if self.hops_left > 0 {
                     self.hops_left -= 1;
                     ctx.send(self.peer, msg, self.delay);
@@ -1133,6 +799,7 @@ mod tests {
                     peer: ids[(i + 1) % n],
                     delay,
                     hops_left: hops,
+                    got: Vec::new(),
                 }),
             );
         }
@@ -1140,9 +807,10 @@ mod tests {
     }
 
     /// 3-domain relay ring: the parallel scheduler must reproduce the
-    /// sequential end cycle, delivery count, and the exact recorded
-    /// delivery sequence (cycle, dst, kind) — the unit-level version of
-    /// the fig14 byte-equivalence test in `multigpu`.
+    /// sequential end cycle, delivery count, and every component's exact
+    /// `(cycle, payload)` receipt log — the unit-level version of the
+    /// byte-equivalence table in `multigpu`. Two tokens start on the same
+    /// component, so same-cycle receipts must keep their send order.
     #[test]
     fn three_domain_ring_matches_sequential_delivery_order() {
         let run = |threads: usize| {
@@ -1152,20 +820,20 @@ mod tests {
                 // (1→2, 3→4, 5→0) has delay 37 = the lookahead.
                 e.set_parallel(Partition::new(vec![0, 0, 1, 1, 2, 2], 37), threads);
             }
-            e.enable_trace(1024);
-            // Several same-cycle injections across domains exercise the
-            // canonical merge order.
             e.inject(ids[0], credit(1), 1);
-            e.inject(ids[2], credit(2), 1);
-            e.inject(ids[4], credit(3), 1);
+            e.inject(ids[0], credit(2), 1);
+            e.inject(ids[2], credit(3), 1);
+            e.inject(ids[4], credit(4), 1);
             let end = e.run_to_quiescence(100_000);
-            let seq: Vec<(Cycle, ComponentId, &str)> =
-                e.trace().map(|t| (t.cycle, t.dst, t.kind)).collect();
-            (end, e.messages_delivered(), seq)
+            let logs: Vec<Vec<(Cycle, u32)>> = ids
+                .iter()
+                .map(|&id| e.get::<Relay>(id).expect("relay").got.clone())
+                .collect();
+            (end, e.messages_delivered(), logs)
         };
         let sequential = run(1);
         assert_eq!(sequential, run(3), "parallel must match sequential");
-        assert_eq!(sequential.1, 57, "3 injections + 6x9 forwarded hops");
+        assert_eq!(sequential.1, 58, "4 injections + 6x9 forwarded hops");
     }
 
     #[test]

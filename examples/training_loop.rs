@@ -4,8 +4,8 @@
 //! and the per-step gradient exchange keeps the inter-cluster links busy,
 //! so NetCrafter's benefit persists across steps.
 //!
-//! Also demonstrates the engine's message tracer: the last deliveries of
-//! the run are dumped at the end.
+//! Also demonstrates the hang diagnostic: the components still reporting
+//! work and the tail of the structured event trace, dumped at the end.
 //!
 //! ```text
 //! cargo run --release --example training_loop
@@ -13,6 +13,7 @@
 
 use netcrafter::multigpu::{System, SystemVariant};
 use netcrafter::proto::SystemConfig;
+use netcrafter::sim::TraceConfig;
 use netcrafter::workloads::{Scale, Workload};
 
 const STEPS: usize = 4;
@@ -30,14 +31,19 @@ fn run(variant: SystemVariant, trace: bool) -> (u64, Vec<(String, u64)>, Vec<Str
         .collect();
     let mut sys = System::build_multi(cfg, &kernels);
     if trace {
-        sys.engine.enable_trace(12);
+        let switch_flits = TraceConfig::parse("comp=switch;class=flit").expect("valid filter");
+        sys.enable_tracing(switch_flits);
     }
     let total = sys.run_all(50_000_000);
-    let dump = if trace {
-        sys.engine.dump_trace()
-    } else {
-        Vec::new()
-    };
+    // What one prints when a run hangs: who still has work, and the last
+    // things that happened. After a clean run the first list is empty.
+    let mut dump = vec![format!("busy: {:?}", sys.engine.busy_components())];
+    let recorded = sys.take_trace();
+    let tail = recorded.events.len().saturating_sub(12);
+    for e in &recorded.events[tail..] {
+        let who = &recorded.tracks[e.track as usize];
+        dump.push(format!("cycle {:>8}: {:<10} @ {who}", e.cycle, e.name));
+    }
     (total, sys.kernel_cycles.clone(), dump)
 }
 
@@ -61,10 +67,7 @@ fn main() {
         base_total as f64 / nc_total as f64
     );
 
-    println!(
-        "\nlast {} message deliveries of the NetCrafter run:",
-        trace.len()
-    );
+    println!("\nbusy components and last switch flit events of the NetCrafter run:");
     for line in trace {
         println!("  {line}");
     }
