@@ -122,6 +122,11 @@ fn main() {
     if let Some(v) = get("--gpus-per-cluster") {
         cfg.topology.gpus_per_cluster = v.parse().unwrap_or_else(|_| usage());
     }
+    // --clusters/--gpus-per-cluster can outgrow the node-id space too.
+    if let Err(e) = cfg.topology.check_size() {
+        eprintln!("--topology: {e}");
+        std::process::exit(2);
+    }
     if let Some(v) = get("--intra") {
         cfg.topology.intra_gbps = v.parse().unwrap_or_else(|_| usage());
     }

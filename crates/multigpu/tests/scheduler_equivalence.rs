@@ -4,7 +4,9 @@
 //! Rows are {EventDriven, Legacy, PDES on 4 threads} × {uninterrupted,
 //! checkpoint at the midpoint then restore, in-memory fork at the
 //! midpoint then restore}; columns are a slice of the fig14 matrix on
-//! the 2×2 mesh plus the fat-tree-8 and torus fabrics. Each cell compares
+//! the 2×2 mesh plus the fat-tree-8 and torus fabrics, and one column
+//! paused while translation requests are parked behind full L2-TLB MSHRs
+//! (their replay misses only partly settled). Each cell compares
 //! `exec_cycles`, `Metrics::to_kv`, the chrome-trace JSON and the
 //! per-link time-series JSONL against the EventDriven/uninterrupted
 //! cell of its column. A checkpoint row restores both the snapshot it
@@ -21,6 +23,7 @@ use netcrafter_multigpu::{
 use netcrafter_proto::{SystemConfig, TopologyConfig};
 use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{SchedulerMode, TraceConfig};
+use netcrafter_vm::TranslationUnit;
 use netcrafter_workloads::{Scale, Workload};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,11 +101,20 @@ fn traced(exp: &Experiment, plan: &CheckpointPlan) -> (CheckpointedRun, Observed
     (run, seen)
 }
 
-/// Walks every row of one column.
+/// Walks every row of one column, pausing at the midpoint of the run.
 fn check_column(column: &str, exp: &Experiment) {
+    check_column_pausing(column, exp, |exec_cycles| exec_cycles / 2);
+}
+
+/// Walks every row of one column; `pause_at` picks the checkpoint/fork
+/// cycle from the uninterrupted run's length.
+fn check_column_pausing(column: &str, exp: &Experiment, pause_at: impl Fn(u64) -> u64) {
     let (_, reference) = traced(exp, &CheckpointPlan::default());
-    let mid = reference.exec_cycles / 2;
-    assert!(mid > 0, "{column}: run too short to have a midpoint");
+    let mid = pause_at(reference.exec_cycles);
+    assert!(
+        mid > 0 && mid < reference.exec_cycles,
+        "{column}: no room to pause at {mid}"
+    );
     let mut event_driven_snapshot: Option<Vec<u8>> = None;
 
     for sched in SCHEDS {
@@ -218,6 +230,100 @@ fn torus_8_and_dateline_ring() {
     }
 }
 
+/// GUPS on the 2×2 mesh with two L2-TLB MSHRs per GPU, so translation
+/// requests park behind full MSHRs.
+fn mshr_starved() -> Experiment {
+    let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
+    exp.base_cfg.l2_tlb.mshr_entries = 2;
+    exp
+}
+
+/// Builds the system `exp` simulates, without running it.
+fn build(exp: &Experiment) -> System {
+    let cfg = exp.variant.apply(exp.base_cfg);
+    let kernel = exp
+        .workload
+        .generate(&exp.scale, cfg.total_gpus(), exp.seed);
+    System::build(cfg, &kernel)
+}
+
+/// Requests parked behind full L2-TLB MSHRs, summed over the GPUs.
+fn parked_requests(sys: &System) -> usize {
+    sys.ids
+        .gmmus
+        .iter()
+        .map(|&id| {
+            let tu: &TranslationUnit = sys.engine.get(id).expect("gmmu installed");
+            tu.parked_requests()
+        })
+        .sum()
+}
+
+/// A cycle of the `mshr_starved` run, a few cycles into a stretch in
+/// which some GPU has parked requests and their replay misses are only
+/// partly settled.
+fn cycle_with_parked_requests() -> u64 {
+    let mut sys = build(&mshr_starved());
+    while parked_requests(&sys) == 0 {
+        assert!(
+            !sys.engine.quiescent(),
+            "two MSHRs must overflow on quick GUPS"
+        );
+        sys.engine.step();
+    }
+    let pause = sys.engine.cycle() + 5;
+    sys.run_until(pause);
+    assert!(parked_requests(&sys) > 0, "still parked at cycle {pause}");
+    pause
+}
+
+#[test]
+fn pausing_while_tlb_requests_are_parked() {
+    let exp = mshr_starved();
+    let pause = cycle_with_parked_requests();
+    check_column_pausing("mesh/Gups/NetCrafter/2-mshr", &exp, |_| pause);
+
+    // The same at the state level: a replica restored mid-park encodes to
+    // the bytes it was restored from and ends in the state its scheduler
+    // reaches uninterrupted (Legacy leaves later last-tick anchors in the
+    // CUs than the event-driven schedulers, so each is its own reference).
+    let mut reference = build(&exp);
+    let exec_cycles = reference.run(exp.max_cycles);
+    let metrics = reference.harvest().to_kv();
+    for sched in SCHEDS {
+        let configured = || {
+            let mut sys = build(&exp);
+            match sched {
+                Sched::EventDriven => {}
+                Sched::Legacy => sys.engine.set_scheduler(SchedulerMode::Legacy),
+                Sched::Pdes4 => sys.set_threads(4),
+            }
+            sys
+        };
+        let mut straight = configured();
+        assert_eq!(straight.run(exp.max_cycles), exec_cycles, "{sched:?}");
+        let mut paused = configured();
+        paused.run_until(pause);
+        assert!(parked_requests(&paused) > 0, "{sched:?}: parked at {pause}");
+        let snapshot = paused.save_snapshot();
+        let mut replica = configured();
+        replica.restore(&snapshot).expect("snapshot restores");
+        assert_eq!(
+            replica.state_hash(),
+            paused.state_hash(),
+            "{sched:?}: restored state"
+        );
+        assert_eq!(replica.save_snapshot(), snapshot, "{sched:?}: re-encoding");
+        assert_eq!(replica.run(exp.max_cycles), exec_cycles, "{sched:?}");
+        assert_eq!(
+            replica.state_hash(),
+            straight.state_hash(),
+            "{sched:?}: final state"
+        );
+        assert_eq!(replica.harvest().to_kv(), metrics, "{sched:?}: metrics");
+    }
+}
+
 #[test]
 fn thread_counts_beyond_the_domain_count_are_harmless() {
     let exp = Experiment::quick(Workload::Mt, SystemVariant::NetCrafter);
@@ -232,12 +338,10 @@ fn thread_counts_beyond_the_domain_count_are_harmless() {
 /// Builds the system a quick GUPS/NetCrafter run simulates, without
 /// running it.
 fn build_system() -> System {
-    let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-    let cfg = exp.variant.apply(exp.base_cfg);
-    let kernel = exp
-        .workload
-        .generate(&exp.scale, cfg.total_gpus(), exp.seed);
-    System::build(cfg, &kernel)
+    build(&Experiment::quick(
+        Workload::Gups,
+        SystemVariant::NetCrafter,
+    ))
 }
 
 #[test]

@@ -194,6 +194,25 @@ impl TopologyConfig {
         }
     }
 
+    /// Checks that the fabric's nodes — every GPU, then every switch —
+    /// fit the `u16` node-id space. Each count is a `u16` of its own, so
+    /// a shape like `mesh:300x300` is representable while its node count
+    /// is not.
+    pub fn check_size(&self) -> Result<(), String> {
+        let cores = match self.fabric {
+            FabricConfig::Mesh | FabricConfig::Torus { .. } => 0,
+            FabricConfig::FatTree { cores } => u32::from(cores),
+        };
+        let gpus = u32::from(self.clusters) * u32::from(self.gpus_per_cluster);
+        let switches = u32::from(self.clusters) + cores;
+        if gpus + switches > u32::from(u16::MAX) {
+            return Err(format!(
+                "{gpus} GPUs and {switches} switches exceed the 65535 nodes a fabric can address"
+            ));
+        }
+        Ok(())
+    }
+
     /// Distinct fabric neighbors of one edge switch (physical links, not
     /// virtual channels). Used for oversubscription and capacity math.
     pub fn fabric_links_per_edge(&self) -> u16 {
@@ -258,7 +277,7 @@ impl TopologyConfig {
                 parse_u16(d[2], "dimension")?,
             ))
         };
-        match kind {
+        let parsed = match kind {
             "mesh" => {
                 let mut t = baseline;
                 if let Some(shape) = opts.first() {
@@ -272,7 +291,7 @@ impl TopologyConfig {
                 if let Some(o) = opts.get(1) {
                     return Err(format!("--topology: unknown option {o:?} in {spec:?}"));
                 }
-                Ok(t)
+                t
             }
             "fat-tree" => {
                 let mut k = None;
@@ -290,7 +309,7 @@ impl TopologyConfig {
                     }
                 }
                 let k = k.ok_or_else(|| format!("--topology: fat-tree needs k=K in {spec:?}"))?;
-                Ok(TopologyConfig {
+                TopologyConfig {
                     clusters: k,
                     gpus_per_cluster: g,
                     fabric: FabricConfig::FatTree {
@@ -298,7 +317,7 @@ impl TopologyConfig {
                     },
                     fabric_link_cycles: 4,
                     ..baseline
-                })
+                }
             }
             "torus" => {
                 let dims = opts
@@ -319,18 +338,24 @@ impl TopologyConfig {
                     .ok_or_else(|| {
                         format!("--topology: {dims:?} exceeds 65535 switches in {spec:?}")
                     })?;
-                Ok(TopologyConfig {
+                TopologyConfig {
                     clusters,
                     gpus_per_cluster: g,
                     fabric: FabricConfig::Torus { x, y, z },
                     fabric_link_cycles: 4,
                     ..baseline
-                })
+                }
             }
-            _ => Err(format!(
-                "--topology: unknown fabric {kind:?} (mesh | fat-tree | torus) in {spec:?}"
-            )),
-        }
+            _ => {
+                return Err(format!(
+                    "--topology: unknown fabric {kind:?} (mesh | fat-tree | torus) in {spec:?}"
+                ))
+            }
+        };
+        parsed
+            .check_size()
+            .map_err(|e| format!("--topology: {e} in {spec:?}"))?;
+        Ok(parsed)
     }
 }
 
@@ -787,6 +812,7 @@ impl SystemConfig {
         if self.topology.clusters == 0 || self.topology.gpus_per_cluster == 0 {
             return Err("topology must contain at least one GPU".into());
         }
+        self.topology.check_size()?;
         if self.topology.fabric_link_cycles == 0 {
             return Err("fabric link latency must be at least one cycle".into());
         }
@@ -1119,6 +1145,11 @@ mod tests {
             "torus:2x2x2:k=3",
             "torus:300x300x1",
             "torus:256x256x1",
+            // Each count fits a u16, GPUs plus switches do not.
+            "torus:255x257x1",
+            "mesh:300x300",
+            "mesh:256x255",
+            "fat-tree:k=21845:g=2:cores=1",
             "mesh:3",
             "mesh:2x2:junk",
         ] {
@@ -1128,8 +1159,9 @@ mod tests {
                 "{bad}: {err}"
             );
         }
-        let t = TopologyConfig::parse_spec("torus:255x257x1").unwrap();
-        assert_eq!(t.clusters, u16::MAX, "the largest product that fits");
+        // 21845 x (1 switch + 2 GPUs) = 65535 nodes: the largest that fit.
+        let t = TopologyConfig::parse_spec("mesh:21845x2").unwrap();
+        assert_eq!((t.clusters, t.gpus_per_cluster), (21845, 2));
     }
 
     #[test]
@@ -1145,6 +1177,14 @@ mod tests {
         let mut c = SystemConfig::paper_baseline();
         c.topology.fabric_link_cycles = 0;
         assert!(c.validate().is_err());
+
+        // Node ids are u16: 300 x 300 GPUs do not fit, whichever way the
+        // counts were set.
+        let mut c = SystemConfig::paper_baseline();
+        c.topology.clusters = 300;
+        c.topology.gpus_per_cluster = 300;
+        let err = c.validate().expect_err("90000 GPUs");
+        assert!(err.contains("90000 GPUs"), "{err}");
     }
 
     #[test]

@@ -18,9 +18,7 @@ use netcrafter_proto::{
     TransReq, TransRsp,
 };
 use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{
-    BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake,
-};
+use netcrafter_sim::{Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake};
 
 use crate::pagetable::PageTable;
 use crate::tlb::Tlb;
@@ -105,7 +103,6 @@ impl GmmuStats {
 
 #[derive(Debug)]
 struct Walk {
-    #[allow(dead_code)]
     vpn: u64,
     reads: Vec<(GpuId, netcrafter_proto::LineAddr)>,
     next_read: usize,
@@ -163,7 +160,17 @@ pub struct TranslationUnit {
 
     tlb_pipe: DelayQueue<TransReq>,
     pwc_pipe: DelayQueue<u64>,
+    /// Requests parked because every L2-TLB MSHR was taken, in arrival
+    /// order. The modelled hardware replays each of them every cycle;
+    /// nothing such a replay can observe changes until a walk completes,
+    /// so only [`Self::replay_retries`] executes lookups and the
+    /// guaranteed misses in between are counted arithmetically.
     retry: VecDeque<TransReq>,
+    /// Last cycle whose replay misses are already in `l2_tlb.stats` for
+    /// everything in `retry`; 0 while `retry` is empty. It moves only
+    /// when `retry` does, never on a tick that leaves the queue alone,
+    /// so the saved state is the same under every scheduler.
+    retry_settled: Cycle,
     waiters: BTreeMap<u64, Vec<TransReq>>,
     // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     waiter_cap: usize,
@@ -185,6 +192,10 @@ impl TranslationUnit {
         page_table: Arc<PageTable>,
         wiring: TranslationWiring,
     ) -> Self {
+        assert!(
+            l2_tlb_cfg.mshr_entries > 0,
+            "{gpu}.gmmu: the L2 TLB needs at least one MSHR"
+        );
         Self {
             gpu,
             name: format!("{gpu}.gmmu"),
@@ -201,6 +212,7 @@ impl TranslationUnit {
             tlb_pipe: DelayQueue::new(),
             pwc_pipe: DelayQueue::new(),
             retry: VecDeque::new(),
+            retry_settled: 0,
             waiters: BTreeMap::new(),
             waiter_cap: l2_tlb_cfg.mshr_entries as usize,
             active: BTreeMap::new(),
@@ -209,6 +221,11 @@ impl TranslationUnit {
             read_ids: IdAlloc::new(),
             stats: GmmuStats::default(),
         }
+    }
+
+    /// Requests currently parked behind a full set of L2-TLB MSHRs.
+    pub fn parked_requests(&self) -> usize {
+        self.retry.len()
     }
 
     #[inline]
@@ -300,7 +317,7 @@ impl TranslationUnit {
     fn complete_walk(&mut self, ctx: &mut Ctx<'_>, vpn: u64, now: Cycle) {
         let walk = self.active.remove(&vpn).expect("walk active");
         self.stats.walk_latency.record(now - walk.started);
-        ctx.tracer().end(EventClass::Ptw, "ptw.walk", vpn);
+        ctx.tracer().end(EventClass::Ptw, "ptw.walk", walk.vpn);
         let pfn = self
             .page_table
             .translate(vpn)
@@ -326,17 +343,73 @@ impl TranslationUnit {
             return;
         }
         if self.waiters.len() >= self.waiter_cap {
-            self.retry.push_back(req); // TLB MSHR full: retry next cycle
+            // TLB MSHR full: replayed every cycle from the next one on.
+            // Whatever is parked already was replayed (and missed) on
+            // every cycle up to this one, ahead of this lookup.
+            self.settle_retries(now);
+            self.retry.push_back(req);
             return;
         }
         self.waiters.insert(req.vpn, vec![req]);
         self.pwc_pipe.push(now + self.pwc_cycles as Cycle, req.vpn);
+    }
+
+    /// Counts one replay miss per parked request for every cycle after
+    /// `retry_settled` up to and including `through`.
+    fn settle_retries(&mut self, through: Cycle) {
+        self.l2_tlb.stats.misses += self.retry.len() as u64 * (through - self.retry_settled);
+        self.retry_settled = through;
+    }
+
+    /// Replays the parked requests in arrival order at `now`, the cycle a
+    /// walk completed: the freed MSHRs go to the oldest requests, later
+    /// ones for the same page join them, the rest park again.
+    fn replay_retries(&mut self, ctx: &mut Ctx<'_>, now: Cycle) {
+        // The skipped cycles were misses; this cycle's lookups run below
+        // and count themselves.
+        self.settle_retries(now - 1);
+        self.retry_settled = now;
+        for _ in 0..self.retry.len() {
+            let req = self.retry.pop_front().expect("len checked");
+            self.handle_lookup(ctx, req, now);
+        }
+        if self.retry.is_empty() {
+            self.retry_settled = 0;
+        }
+    }
+
+    /// Debug-build referee for every tick that skips the replay: each
+    /// parked request would miss again and find no MSHR, and a walk is
+    /// underway whose completion will bring the next replay.
+    fn debug_assert_parked_blocked(&self) {
+        if !cfg!(debug_assertions) || self.retry.is_empty() {
+            return;
+        }
+        assert!(
+            self.waiters.len() >= self.waiter_cap,
+            "{}: requests parked beside a free MSHR",
+            self.name
+        );
+        for req in &self.retry {
+            assert!(
+                self.l2_tlb.probe(req.vpn).is_none() && !self.waiters.contains_key(&req.vpn),
+                "{}: parked vpn {:#x} would no longer miss",
+                self.name,
+                req.vpn
+            );
+        }
+        assert!(
+            !self.active.is_empty() || !self.pending_walks.is_empty() || !self.pwc_pipe.is_empty(),
+            "{}: requests parked with no walk left to free an MSHR",
+            self.name
+        );
     }
 }
 
 impl Component for TranslationUnit {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
+        let mut walk_completed = false;
         while let Some(msg) = ctx.recv() {
             match msg {
                 Message::TransReq(req) => {
@@ -355,16 +428,19 @@ impl Component for TranslationUnit {
                         self.issue_read(ctx, vpn);
                     } else {
                         self.complete_walk(ctx, vpn, now);
+                        walk_completed = true;
                     }
                 }
                 other => panic!("{}: unexpected {}", self.name, other.label()),
             }
         }
 
-        // Retries (TLB-MSHR-full) get first claim on this cycle.
-        for _ in 0..self.retry.len() {
-            let req = self.retry.pop_front().expect("len checked");
-            self.handle_lookup(ctx, req, now);
+        // Retries (TLB-MSHR-full) get first claim on this cycle. Only a
+        // completed walk changes what they can find.
+        if walk_completed && !self.retry.is_empty() {
+            self.replay_retries(ctx, now);
+        } else {
+            self.debug_assert_parked_blocked();
         }
         while let Some(req) = self.tlb_pipe.pop_ready(now) {
             self.handle_lookup(ctx, req, now);
@@ -395,12 +471,9 @@ impl Component for TranslationUnit {
     }
 
     fn next_wake(&self, _now: Cycle) -> Wake {
-        // Retries get re-attempted every cycle; otherwise the next thing
-        // to happen locally is a pipeline completion. Active walks and
-        // queued walkers advance on PT-read response messages.
-        if !self.retry.is_empty() {
-            return Wake::EveryCycle;
-        }
+        // The next thing to happen locally is a pipeline completion.
+        // Active walks and queued walkers advance on PT-read response
+        // messages, and parked retries wait for those walks.
         let mut wake = Wake::OnMessage;
         if let Some(t) = self.tlb_pipe.next_ready() {
             wake = wake.earliest(Wake::At(t));
@@ -411,37 +484,13 @@ impl Component for TranslationUnit {
         wake
     }
 
-    fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
-        self.tick(ctx);
-        // One pass over the queue/pipe fields instead of the separate
-        // `busy` + `next_wake` traversals.
-        let busy = !self.tlb_pipe.is_empty()
-            || !self.pwc_pipe.is_empty()
-            || !self.retry.is_empty()
-            || !self.active.is_empty()
-            || !self.pending_walks.is_empty()
-            || !self.waiters.is_empty();
-        let wake = if !self.retry.is_empty() {
-            Wake::EveryCycle
-        } else {
-            let mut wake = Wake::OnMessage;
-            if let Some(t) = self.tlb_pipe.next_ready() {
-                wake = wake.earliest(Wake::At(t));
-            }
-            if let Some(t) = self.pwc_pipe.next_ready() {
-                wake = wake.earliest(Wake::At(t));
-            }
-            wake
-        };
-        BurstOutcome { busy, wake }
-    }
-
     fn save_state(&self, w: &mut SnapshotWriter) {
         self.l2_tlb.save(w);
         self.pwc.save(w);
         self.tlb_pipe.save(w);
         self.pwc_pipe.save(w);
         self.retry.save(w);
+        self.retry_settled.save(w);
         self.waiters.save(w);
         self.active.save(w);
         self.pending_walks.save(w);
@@ -456,6 +505,7 @@ impl Component for TranslationUnit {
         self.tlb_pipe = Snap::load(r)?;
         self.pwc_pipe = Snap::load(r)?;
         self.retry = Snap::load(r)?;
+        self.retry_settled = Snap::load(r)?;
         self.waiters = Snap::load(r)?;
         self.active = Snap::load(r)?;
         self.pending_walks = Snap::load(r)?;
@@ -470,7 +520,7 @@ impl Component for TranslationUnit {
 mod tests {
     use super::*;
     use netcrafter_proto::MemRsp;
-    use netcrafter_sim::EngineBuilder;
+    use netcrafter_sim::{EngineBuilder, SchedulerMode};
     use std::sync::Mutex;
 
     /// Stub CU: records TransRsp arrivals.
@@ -689,21 +739,154 @@ mod tests {
     #[test]
     fn tlb_mshr_cap_retries_instead_of_dropping() {
         // waiter_cap is 4 (mshr_entries in the harness config); issue 6
-        // distinct vpns at once — all must still complete.
+        // distinct vpns at once — all must still complete, the two that
+        // found no MSHR right after the walks that free one.
+        let vpn = |i: u64| 0x100 + i * (1 << 12);
         let mut pt = PageTable::new(1 << 24);
-        for i in 0..6u64 {
-            pt.map(0x100 + i * (1 << 12), 0x10 + i, GpuId(0));
+        for i in 0..6 {
+            pt.map(vpn(i), 0x10 + i, GpuId(0));
         }
         let mut h = harness(pt, 16);
-        for i in 0..6u64 {
-            h.engine.inject(h.tu, treq(0x100 + i * (1 << 12)), 1);
+        for i in 0..6 {
+            h.engine.inject(h.tu, treq(vpn(i)), 1);
         }
         h.engine.run_to_quiescence(50_000);
-        assert_eq!(
-            h.rsp.lock().unwrap().len(),
-            6,
-            "capped MSHR retries, never drops"
+        // All six leave the TLB pipe at cycle 11. Four take an MSHR, pass
+        // the PWC (10) and walk four local levels (2 + 50 each): done at
+        // 229, answered over the 2-cycle hop at 231. The two parked
+        // requests claim the freed MSHRs at 229 in arrival order; their
+        // walks find levels 1-2 in the PWC and read two levels: 239 + 104
+        // + 2 = 345.
+        let log: Vec<(Cycle, u64, u64)> = h
+            .rsp
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(t, r)| (*t, r.vpn, r.pfn))
+            .collect();
+        let expected: Vec<(Cycle, u64, u64)> = (0..6)
+            .map(|i| (if i < 4 { 231 } else { 345 }, vpn(i), 0x10 + i))
+            .collect();
+        assert_eq!(log, expected, "capped MSHR retries, never drops");
+        // Six first lookups, then both parked requests replayed on each
+        // of the cycles 12..=229.
+        let tu: &TranslationUnit = h.engine.get(h.tu).expect("tu");
+        assert_eq!(tu.l2_tlb.stats.misses, 6 + 2 * 218);
+        assert_eq!(tu.l2_tlb.stats.hits, 0);
+        assert_eq!(tu.stats.walk_reads_hist, [0, 0, 2, 0, 4]);
+    }
+
+    /// The MSHR-overflow scenario, loaded and ready to run: 40 requests
+    /// for distinct, PWC-disjoint pages whose tables live on another GPU
+    /// arrive 7 cycles apart, far faster than 4 MSHRs turn over, and two
+    /// latecomers ask for pages that are still parked.
+    fn overflow_harness() -> H {
+        let mut pt = PageTable::new(1 << 24);
+        for (vpn, _) in overflow_requests() {
+            pt.map(vpn, vpn >> 20, GpuId(2));
+        }
+        let mut h = harness(pt, 16);
+        for (vpn, delay) in overflow_requests() {
+            h.engine.inject(h.tu, treq(vpn), delay);
+        }
+        h
+    }
+
+    /// Runs the overflow scenario under `mode`; returns the response log
+    /// and the L2-TLB counters.
+    fn run_mshr_overflow(mode: SchedulerMode) -> (Vec<(Cycle, TransRsp)>, crate::tlb::TlbStats) {
+        let mut h = overflow_harness();
+        h.engine.set_scheduler(mode);
+        h.engine.run_to_quiescence(100_000);
+        let tu: &TranslationUnit = h.engine.get(h.tu).expect("tu");
+        assert_eq!(tu.retry_settled, 0, "nothing parked, nothing to settle");
+        let log = h.rsp.lock().unwrap().clone();
+        (log, tu.l2_tlb.stats)
+    }
+
+    /// `(vpn, injection delay)` of the overflow scenario, in arrival
+    /// order. Page `i` is `(i + 1) << 27`: no two share a page-table node
+    /// below the root, so every walk reads four levels.
+    fn overflow_requests() -> Vec<(u64, u64)> {
+        let mut reqs: Vec<(u64, u64)> = (0..40).map(|i| ((i + 1) << 27, 1 + 7 * i)).collect();
+        reqs.push((13 << 27, 1 + 7 * 40)); // page 12, parked until cycle 4'886
+        reqs.push((34 << 27, 1 + 7 * 41)); // page 33
+        reqs
+    }
+
+    #[test]
+    fn mshr_overflow_is_identical_under_every_scheduler_and_counts_each_replay() {
+        // Legacy ticks the unit on every cycle, the event-driven scheduler
+        // only at pipe deadlines and PT-read responses.
+        let (legacy_log, legacy_stats) = run_mshr_overflow(SchedulerMode::Legacy);
+        let (log, stats) = run_mshr_overflow(SchedulerMode::EventDriven);
+        assert_eq!(log, legacy_log);
+        assert_eq!(stats, legacy_stats);
+
+        // The reference the numbers must equal, from first principles. A
+        // request leaves the TLB pipe 10 cycles after it arrives; an MSHR
+        // is held for the PWC lookup (10) plus four remote reads (2 + 400
+        // each); a freed MSHR goes to the oldest parked request in the
+        // cycle its walk completes; the answer takes the 2-cycle hop.
+        const HELD: u64 = 10 + 4 * 402;
+        let reqs = overflow_requests();
+        let looked_up: Vec<u64> = reqs.iter().map(|&(_, delay)| delay + 10).collect();
+        let mut claimed: Vec<u64> = Vec::new();
+        for i in 0..40 {
+            claimed.push(if i < 4 {
+                looked_up[i]
+            } else {
+                claimed[i - 4] + HELD
+            });
+        }
+        // The latecomers join their page's first request when it claims.
+        claimed.push(claimed[12]);
+        claimed.push(claimed[33]);
+
+        let mut expected: Vec<(Cycle, u64)> = Vec::new();
+        for i in 0..40 {
+            expected.push((claimed[i] + HELD + 2, reqs[i].0));
+            if i == 12 || i == 33 {
+                expected.push((claimed[i] + HELD + 2, reqs[i].0));
+            }
+        }
+        let seen: Vec<(Cycle, u64)> = log.iter().map(|(t, r)| (*t, r.vpn)).collect();
+        assert_eq!(seen, expected, "MSHRs are claimed in arrival order");
+
+        // One miss per first lookup, plus one per parked request per
+        // cycle: the queue length summed over every cycle of the run.
+        let last = *claimed.iter().max().expect("non-empty");
+        let queue_cycles: u64 = (1..=last)
+            .map(|c| {
+                (0..reqs.len())
+                    .filter(|&i| looked_up[i] < c && c <= claimed[i])
+                    .count() as u64
+            })
+            .sum();
+        assert!(
+            queue_cycles > 100_000,
+            "the scenario must park for a long time"
         );
+        assert_eq!(stats.misses, reqs.len() as u64 + queue_cycles);
+        assert_eq!(stats.hits, 0);
+    }
+
+    #[test]
+    fn parked_retries_never_ask_for_a_tick_every_cycle() {
+        let mut h = overflow_harness();
+        let mut parked_cycles = 0;
+        while !h.engine.quiescent() {
+            h.engine.step();
+            let tu: &TranslationUnit = h.engine.get(h.tu).expect("tu");
+            // `tick_burst` is the trait default: it reports `next_wake`.
+            let wake = tu.next_wake(h.engine.cycle());
+            assert_ne!(wake, Wake::EveryCycle, "at cycle {}", h.engine.cycle());
+            if tu.parked_requests() > 0 {
+                parked_cycles += 1;
+                assert!(tu.busy(), "parked requests keep the run alive");
+            }
+        }
+        assert!(parked_cycles > 10_000, "parked for {parked_cycles} cycles");
     }
 
     #[test]

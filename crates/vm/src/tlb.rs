@@ -9,7 +9,7 @@ use netcrafter_proto::Metrics;
 use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// TLB hit/miss counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups that found a translation.
     pub hits: u64,
