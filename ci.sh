@@ -135,36 +135,19 @@ step_clippy() {
 }
 
 # The in-tree linter must pass the workspace with zero unwaived findings;
-# the JSON report and the regenerated field inventory are kept as CI
-# artifacts. The workspace pass runs against the committed field-inventory
-# baseline (activating snapshot-version-bump), and the freshly emitted
-# inventory must be byte-identical to the committed one — a stale baseline
-# fails here even if no rule fired. Each known-bad fixture must keep
-# failing (nonzero exit) so a linter regression cannot silently turn the
-# workspace pass into a no-op; fixtures with a `.baseline.json` companion
-# are run against it.
+# the JSON report is kept as a CI artifact. Each known-bad fixture must
+# keep failing (nonzero exit) so a linter regression cannot silently turn
+# the workspace pass into a no-op.
 step_netcrafter_lint() {
     local t0=$SECONDS
     cargo run --offline -q -p netcrafter-lint -- --jobs 4 \
-        --baseline ci/lint-field-inventory.json \
-        --report "$artifact_dir/lint-report.json" \
-        --emit-inventory "$artifact_dir/lint-field-inventory.json"
-    if ! cmp -s ci/lint-field-inventory.json "$artifact_dir/lint-field-inventory.json"; then
-        echo "FAIL: ci/lint-field-inventory.json is stale — regenerate with" >&2
-        echo "  cargo run -p netcrafter-lint -- --jobs 4 --emit-inventory ci/lint-field-inventory.json" >&2
-        exit 1
-    fi
+        --report "$artifact_dir/lint-report.json"
     if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
         echo "| netcrafter-lint workspace pass (--jobs 4) | $((SECONDS - t0)) |" >>"$GITHUB_STEP_SUMMARY"
     fi
-    local bad baseline_args
+    local bad
     for bad in crates/lint/tests/fixtures/bad_*.rs; do
-        baseline_args=()
-        if [[ -f "${bad%.rs}.baseline.json" ]]; then
-            baseline_args=(--baseline "${bad%.rs}.baseline.json")
-        fi
-        if cargo run --offline -q -p netcrafter-lint -- --as-crate net \
-            "${baseline_args[@]}" "$bad" >/dev/null; then
+        if cargo run --offline -q -p netcrafter-lint -- --as-crate net "$bad" >/dev/null; then
             echo "FAIL: netcrafter-lint passed known-bad fixture $bad" >&2
             exit 1
         fi

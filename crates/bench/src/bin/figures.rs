@@ -41,83 +41,52 @@
 use std::time::Instant;
 
 use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
-use netcrafter_bench::{figures, stats_report, Runner, TraceArgs};
+use netcrafter_bench::{figures, stats_report, Cli, Runner, TraceArgs};
 use netcrafter_multigpu::CheckpointPlan;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--threads N] \
+     [--cache-dir DIR] [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
+     [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
+     [--warmup CYCLES] [--no-prefix-share] <id>... | all";
+
+const VALUE_FLAGS: [&str; 7] = [
+    "--jobs",
+    "--threads",
+    "--cache-dir",
+    "--checkpoint-at",
+    "--checkpoint-dir",
+    "--restore-from",
+    "--warmup",
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let big = args.iter().any(|a| a == "--big");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let jobs: usize = flag_value(&args, "--jobs").map_or(1, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a positive integer, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let threads: usize = flag_value(&args, "--threads").map_or(1, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--threads expects a positive integer, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let cache_dir = flag_value(&args, "--cache-dir");
-    let checkpoint_at: Option<u64> = flag_value(&args, "--checkpoint-at").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--checkpoint-at expects a cycle count, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let checkpoint_dir = flag_value(&args, "--checkpoint-dir");
-    let restore_path = flag_value(&args, "--restore-from");
-    let warmup: Option<u64> = flag_value(&args, "--warmup").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--warmup expects a cycle count, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let no_prefix_share = args.iter().any(|a| a == "--no-prefix-share");
+    let mut value_flags = VALUE_FLAGS.to_vec();
+    value_flags.extend(TRACE_VALUE_FLAGS);
+    let cli = Cli::from_env(
+        USAGE,
+        &value_flags,
+        &["--quick", "--big", "--verbose", "--no-prefix-share"],
+    );
+    let quick = cli.has("--quick");
+    let big = cli.has("--big");
+    let jobs: usize = cli.parsed("--jobs").unwrap_or(1);
+    let threads: usize = cli.parsed("--threads").unwrap_or(1);
+    let checkpoint_at: Option<u64> = cli.parsed("--checkpoint-at");
+    let restore_path = cli.value("--restore-from");
+    let warmup: Option<u64> = cli.parsed("--warmup");
+    let trace_args = TraceArgs::parse(&cli);
 
     // Everything that is not a flag (or a flag's value) is a figure id.
-    let mut ids: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for arg in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if arg == "--jobs"
-            || arg == "--threads"
-            || arg == "--cache-dir"
-            || arg == "--checkpoint-at"
-            || arg == "--checkpoint-dir"
-            || arg == "--restore-from"
-            || arg == "--warmup"
-            || TRACE_VALUE_FLAGS.contains(&arg.as_str())
-        {
-            skip_next = true;
-        } else if !arg.starts_with("--") {
-            ids.push(arg.clone());
-        }
-    }
-    let trace_args = TraceArgs::parse(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let mut ids: Vec<String> = cli.positionals().to_vec();
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = figures::all_ids().iter().map(ToString::to_string).collect();
     }
     for id in &ids {
         if !figures::all_ids().contains(&id.as_str()) {
-            eprintln!("unknown figure id {id:?}; known: {:?}", figures::all_ids());
-            std::process::exit(2);
+            cli.fail(&format!(
+                "unknown figure id {id:?}; known: {:?}",
+                figures::all_ids()
+            ));
         }
     }
 
@@ -133,15 +102,15 @@ fn main() {
         runner.scale.ctas *= 2;
         runner.scale.mem_ops_per_wave *= 2;
     }
-    runner.verbose = verbose;
+    runner.verbose = cli.has("--verbose");
     runner = runner
         .with_jobs(jobs)
         .with_threads(threads)
-        .with_prefix_share(!no_prefix_share);
+        .with_prefix_share(!cli.has("--no-prefix-share"));
     if let Some(w) = warmup {
         runner.base_cfg.netcrafter.warmup_cycles = w;
     }
-    if let Some(dir) = &cache_dir {
+    if let Some(dir) = cli.value("--cache-dir") {
         runner = runner.with_cache_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open cache dir {dir}: {e}");
             std::process::exit(1);
@@ -150,7 +119,7 @@ fn main() {
     if let Some(at) = checkpoint_at {
         runner = runner.with_checkpoint_at(at);
     }
-    if let Some(dir) = &checkpoint_dir {
+    if let Some(dir) = cli.value("--checkpoint-dir") {
         runner = runner.with_checkpoint_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open checkpoint dir {dir}: {e}");
             std::process::exit(1);
@@ -214,7 +183,7 @@ fn main() {
         eprintln!("[tracing {} …]", job.memo_key());
         let plan = CheckpointPlan {
             checkpoint_at,
-            restore_from: restore_path.as_ref().map(|path| {
+            restore_from: restore_path.map(|path| {
                 std::fs::read(path).unwrap_or_else(|e| {
                     eprintln!("cannot read snapshot {path}: {e}");
                     std::process::exit(1);

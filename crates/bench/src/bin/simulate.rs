@@ -38,7 +38,8 @@
 //! Checkpoint → restore → continue is byte-identical to an
 //! uninterrupted run — metrics, traces and time series alike.
 
-use netcrafter_bench::{f2, pct, stats_report, Runner, Table, TraceArgs};
+use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
+use netcrafter_bench::{f2, pct, stats_report, Cli, Runner, Table, TraceArgs};
 use netcrafter_multigpu::{CheckpointPlan, SystemVariant};
 use netcrafter_proto::{SystemConfig, TopologyConfig};
 use netcrafter_workloads::{Scale, Workload};
@@ -69,107 +70,126 @@ const ALL_VARIANTS: [SystemVariant; 8] = [
     SystemVariant::SectorCache,
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let usage = || -> ! {
-        eprintln!(
-            "usage: simulate [--workload NAME] [--variant V|all] [--cus N] \
-             [--topology mesh:CxG|fat-tree:k=K[:g=G][:cores=N]|torus:XxYxZ[:g=G]] [--clusters N] \
-             [--gpus-per-cluster N] [--intra GBPS] [--inter GBPS] [--flit BYTES] \
-             [--scale tiny|small|paper] [--seed N] [--pool-window N] \
-             [--trim-granularity N] [--jobs N] [--threads N] [--cache-dir DIR] \
-             [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
-             [--dump-metrics] \
-             [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N]\n\
-             workloads: {:?}\n\
-             variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all",
-            Workload::ALL.map(Workload::abbrev)
-        );
-        std::process::exit(2);
-    };
+const USAGE: &str = "usage: simulate [--workload NAME] [--variant V|all] [--cus N] \
+     [--topology mesh:CxG|fat-tree:k=K[:g=G][:cores=N]|torus:XxYxZ[:g=G]] [--clusters N] \
+     [--gpus-per-cluster N] [--intra GBPS] [--inter GBPS] [--flit BYTES] \
+     [--scale tiny|small|paper] [--seed N] [--pool-window N] \
+     [--trim-granularity N] [--jobs N] [--threads N] [--cache-dir DIR] \
+     [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
+     [--dump-metrics] [--csv FILE] \
+     [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N]\n\
+     variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all";
 
-    let workload_name = get("--workload").unwrap_or_else(|| "GUPS".into());
+const VALUE_FLAGS: [&str; 20] = [
+    "--workload",
+    "--variant",
+    "--cus",
+    "--topology",
+    "--clusters",
+    "--gpus-per-cluster",
+    "--intra",
+    "--inter",
+    "--flit",
+    "--scale",
+    "--seed",
+    "--pool-window",
+    "--trim-granularity",
+    "--jobs",
+    "--threads",
+    "--cache-dir",
+    "--checkpoint-at",
+    "--checkpoint-dir",
+    "--restore-from",
+    "--csv",
+];
+
+fn main() {
+    let mut value_flags = VALUE_FLAGS.to_vec();
+    value_flags.extend(TRACE_VALUE_FLAGS);
+    let cli = Cli::from_env(USAGE, &value_flags, &["--dump-metrics"]);
+    if let Some(stray) = cli.positionals().first() {
+        cli.fail(&format!("unexpected argument {stray:?}"));
+    }
+
+    let workload_name = cli.value("--workload").unwrap_or("GUPS");
     let workload = Workload::ALL
         .into_iter()
-        .find(|w| w.abbrev().eq_ignore_ascii_case(&workload_name))
-        .unwrap_or_else(|| usage());
-    let variant_name = get("--variant").unwrap_or_else(|| "baseline".into());
+        .find(|w| w.abbrev().eq_ignore_ascii_case(workload_name))
+        .unwrap_or_else(|| {
+            cli.fail(&format!(
+                "unknown workload {workload_name:?}; known: {:?}",
+                Workload::ALL.map(Workload::abbrev)
+            ))
+        });
+    let variant_name = cli.value("--variant").unwrap_or("baseline");
     let sweep_all = variant_name.eq_ignore_ascii_case("all");
     let variant = if sweep_all {
         SystemVariant::Baseline
     } else {
-        parse_variant(&variant_name).unwrap_or_else(|| usage())
+        parse_variant(variant_name)
+            .unwrap_or_else(|| cli.fail(&format!("unknown variant {variant_name:?}")))
     };
 
-    let mut cfg = SystemConfig::small(get("--cus").and_then(|v| v.parse().ok()).unwrap_or(8));
+    let mut cfg = SystemConfig::small(cli.parsed("--cus").unwrap_or(8));
     // --topology replaces the whole fabric shape first; the individual
     // knobs below still override its fields afterwards.
-    if let Some(spec) = get("--topology") {
-        cfg.topology = TopologyConfig::parse_spec(&spec).unwrap_or_else(|e| {
+    if let Some(spec) = cli.value("--topology") {
+        cfg.topology = TopologyConfig::parse_spec(spec).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });
     }
-    if let Some(v) = get("--clusters") {
-        cfg.topology.clusters = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--clusters") {
+        cfg.topology.clusters = v;
     }
-    if let Some(v) = get("--gpus-per-cluster") {
-        cfg.topology.gpus_per_cluster = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--gpus-per-cluster") {
+        cfg.topology.gpus_per_cluster = v;
     }
     // --clusters/--gpus-per-cluster can outgrow the node-id space too.
     if let Err(e) = cfg.topology.check_size() {
         eprintln!("--topology: {e}");
         std::process::exit(2);
     }
-    if let Some(v) = get("--intra") {
-        cfg.topology.intra_gbps = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--intra") {
+        cfg.topology.intra_gbps = v;
     }
-    if let Some(v) = get("--inter") {
-        cfg.topology.inter_gbps = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--inter") {
+        cfg.topology.inter_gbps = v;
     }
-    if let Some(v) = get("--flit") {
-        cfg.flit_bytes = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--flit") {
+        cfg.flit_bytes = v;
     }
-    if let Some(v) = get("--pool-window") {
-        cfg.netcrafter.pooling_window = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--pool-window") {
+        cfg.netcrafter.pooling_window = v;
     }
-    if let Some(v) = get("--trim-granularity") {
-        cfg.trim_granularity = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = cli.parsed("--trim-granularity") {
+        cfg.trim_granularity = v;
     }
-    let scale = match get("--scale").as_deref() {
+    let scale = match cli.value("--scale") {
         None | Some("small") => Scale::small(),
         Some("tiny") => Scale::tiny(),
         Some("paper") => Scale::paper(),
-        Some(_) => usage(),
+        Some(other) => cli.fail(&format!("unknown scale {other:?}")),
     };
 
     let mut runner = Runner::with_base(cfg, scale);
-    runner.seed = get("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xC0FFEE);
+    runner.seed = cli.parsed("--seed").unwrap_or(0xC0FFEE);
     runner.max_cycles = 1_000_000_000;
-    runner = runner.with_jobs(get("--jobs").and_then(|v| v.parse().ok()).unwrap_or(1));
-    runner = runner.with_threads(get("--threads").and_then(|v| v.parse().ok()).unwrap_or(1));
-    if let Some(dir) = get("--cache-dir") {
-        runner = runner.with_cache_dir(&dir).unwrap_or_else(|e| {
+    runner = runner.with_jobs(cli.parsed("--jobs").unwrap_or(1));
+    runner = runner.with_threads(cli.parsed("--threads").unwrap_or(1));
+    if let Some(dir) = cli.value("--cache-dir") {
+        runner = runner.with_cache_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open cache dir {dir}: {e}");
             std::process::exit(1);
         });
     }
-    let checkpoint_at: Option<u64> =
-        get("--checkpoint-at").map(|v| v.parse().unwrap_or_else(|_| usage()));
-    let restore_path = get("--restore-from");
+    let checkpoint_at: Option<u64> = cli.parsed("--checkpoint-at");
+    let restore_path = cli.value("--restore-from");
     if let Some(at) = checkpoint_at {
         runner = runner.with_checkpoint_at(at);
     }
-    if let Some(dir) = get("--checkpoint-dir") {
-        runner = runner.with_checkpoint_dir(&dir).unwrap_or_else(|e| {
+    if let Some(dir) = cli.value("--checkpoint-dir") {
+        runner = runner.with_checkpoint_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open checkpoint dir {dir}: {e}");
             std::process::exit(1);
         });
@@ -218,10 +238,7 @@ fn main() {
         return;
     }
 
-    let trace_args = TraceArgs::parse(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let trace_args = TraceArgs::parse(&cli);
 
     eprintln!(
         "simulating {workload} / {} on {} clusters x {} GPUs x {} CUs …",
@@ -235,7 +252,7 @@ fn main() {
         // both must actually simulate, not replay the result cache.
         let plan = CheckpointPlan {
             checkpoint_at,
-            restore_from: restore_path.as_ref().map(|path| {
+            restore_from: restore_path.map(|path| {
                 std::fs::read(path).unwrap_or_else(|e| {
                     eprintln!("cannot read snapshot {path}: {e}");
                     std::process::exit(1);
@@ -341,11 +358,11 @@ fn main() {
     );
     eprint!("{}", stats_report(&runner.job_stats()));
 
-    if args.iter().any(|a| a == "--dump-metrics") {
+    if cli.has("--dump-metrics") {
         println!("\n--- all metrics ---\n{}", r.metrics);
     }
-    if let Some(path) = get("--csv") {
-        std::fs::write(&path, r.metrics.to_csv()).unwrap_or_else(|e| {
+    if let Some(path) = cli.value("--csv") {
+        std::fs::write(path, r.metrics.to_csv()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod figures;
 pub mod microbench;
 pub mod traceio;
@@ -36,6 +37,7 @@ use netcrafter_sim::ForkSnapshot;
 use netcrafter_workloads::{Scale, Workload};
 
 pub use cache::{CheckpointStore, DiskCache};
+pub use cli::Cli;
 pub use traceio::TraceArgs;
 
 /// Geometric mean of strictly positive values (0.0 for an empty slice).
@@ -299,13 +301,17 @@ impl PrefixStats {
 
 /// Memoizing experiment executor shared by all figure generators.
 ///
-/// Results are resolved through three layers:
+/// A result comes from the first of five sources that has it:
 ///
-/// 1. an in-process memo (thread-safe; keyed by `workload|variant|tag`),
+/// 1. the in-process memo (thread-safe; keyed by `workload|variant|tag`),
 /// 2. an optional persistent [`DiskCache`] keyed by the *physical* job
 ///    identity ([`JobSpec::cache_key`]), so re-running `figures` only
 ///    simulates configurations it has never seen,
-/// 3. a fresh simulation.
+/// 3. a simulation resumed from an in-memory prefix fork shared with the
+///    other jobs of its [`JobSpec::prefix_key`] group (`prefix_share`),
+/// 4. a simulation warm-started from the longest prefix snapshot in an
+///    optional persistent [`CheckpointStore`],
+/// 5. a fresh simulation from cycle 0.
 ///
 /// [`Runner::sweep`] resolves a batch of jobs on `jobs` worker threads.
 /// Because every simulation is deterministic in its spec and results are

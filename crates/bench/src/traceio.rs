@@ -9,6 +9,8 @@
 use netcrafter_multigpu::{TraceData, TraceOptions};
 use netcrafter_sim::TraceConfig;
 
+use crate::cli::Cli;
+
 /// Default time-series bucket width when `--sample-window` is absent.
 pub const DEFAULT_SAMPLE_WINDOW: u64 = 1000;
 
@@ -25,7 +27,8 @@ pub struct TraceArgs {
     pub sample_window: Option<u64>,
 }
 
-/// The flags that take a value (so argument scanners can skip it).
+/// The flags that take a value (a binary adds them to its own when it
+/// builds its [`Cli`]).
 pub const TRACE_VALUE_FLAGS: [&str; 4] = [
     "--trace",
     "--timeseries",
@@ -34,35 +37,20 @@ pub const TRACE_VALUE_FLAGS: [&str; 4] = [
 ];
 
 impl TraceArgs {
-    /// Extracts the observability flags from a raw argument list.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message when a flag's value is missing or
-    /// unparsable.
-    pub fn parse(args: &[String]) -> Result<TraceArgs, String> {
-        let get = |flag: &str| -> Result<Option<String>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) => args
-                    .get(i + 1)
-                    .cloned()
-                    .map(Some)
-                    .ok_or_else(|| format!("{flag} expects a value")),
-            }
-        };
-        let sample_window = match get("--sample-window")? {
-            None => None,
-            Some(v) => Some(v.parse::<u64>().ok().filter(|w| *w > 0).ok_or_else(|| {
-                format!("--sample-window expects a positive cycle count, got {v:?}")
-            })?),
-        };
-        Ok(TraceArgs {
-            trace_path: get("--trace")?,
-            timeseries_path: get("--timeseries")?,
-            filter: get("--trace-filter")?,
+    /// Extracts the observability flags from a parsed command line
+    /// (whose value flags must include [`TRACE_VALUE_FLAGS`]).
+    pub fn parse(cli: &Cli) -> TraceArgs {
+        let sample_window = cli.parsed::<u64>("--sample-window");
+        if sample_window == Some(0) {
+            cli.fail("--sample-window expects a positive cycle count");
+        }
+        let get = |flag: &str| cli.value(flag).map(str::to_owned);
+        TraceArgs {
+            trace_path: get("--trace"),
+            timeseries_path: get("--timeseries"),
+            filter: get("--trace-filter"),
             sample_window,
-        })
+        }
     }
 
     /// True if any output was requested, i.e. a traced run is needed.
@@ -123,13 +111,15 @@ impl TraceArgs {
 mod tests {
     use super::*;
 
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(ToString::to_string).collect()
+    fn parse(s: &[&str]) -> TraceArgs {
+        let args: Vec<String> = s.iter().map(ToString::to_string).collect();
+        let cli = Cli::parse(&args, "usage", &TRACE_VALUE_FLAGS, &["--quick"]).expect("valid");
+        TraceArgs::parse(&cli)
     }
 
     #[test]
     fn parses_all_flags() {
-        let a = TraceArgs::parse(&argv(&[
+        let a = parse(&[
             "fig14",
             "--trace",
             "t.json",
@@ -139,8 +129,7 @@ mod tests {
             "class=flit",
             "--sample-window",
             "500",
-        ]))
-        .unwrap();
+        ]);
         assert!(a.active());
         assert_eq!(a.trace_path.as_deref(), Some("t.json"));
         assert_eq!(a.timeseries_path.as_deref(), Some("ts.jsonl"));
@@ -152,7 +141,7 @@ mod tests {
 
     #[test]
     fn absent_flags_mean_inactive() {
-        let a = TraceArgs::parse(&argv(&["--quick", "fig14"])).unwrap();
+        let a = parse(&["--quick", "fig14"]);
         assert!(!a.active());
         let opts = a.options().unwrap();
         assert!(opts.config.is_none());
@@ -161,28 +150,15 @@ mod tests {
 
     #[test]
     fn timeseries_without_window_uses_default() {
-        let a = TraceArgs::parse(&argv(&["--timeseries", "ts.jsonl"])).unwrap();
+        let a = parse(&["--timeseries", "ts.jsonl"]);
         let opts = a.options().unwrap();
         assert_eq!(opts.sample_window, Some(DEFAULT_SAMPLE_WINDOW));
         assert!(opts.config.is_none(), "no --trace, no event tracing");
     }
 
     #[test]
-    fn rejects_missing_value_and_bad_window() {
-        assert!(TraceArgs::parse(&argv(&["--trace"])).is_err());
-        assert!(TraceArgs::parse(&argv(&["--sample-window", "0"])).is_err());
-        assert!(TraceArgs::parse(&argv(&["--sample-window", "x"])).is_err());
-    }
-
-    #[test]
     fn bad_filter_surfaces_parse_error() {
-        let a = TraceArgs::parse(&argv(&[
-            "--trace",
-            "t.json",
-            "--trace-filter",
-            "class=nope",
-        ]))
-        .unwrap();
+        let a = parse(&["--trace", "t.json", "--trace-filter", "class=nope"]);
         assert!(a.options().is_err());
     }
 }

@@ -1,0 +1,96 @@
+//! `simulate` and `figures` refuse what they do not understand: an
+//! unknown flag, a flag without its value or an unparsable number ends
+//! with the usage line and exit code 2 before anything is simulated,
+//! and `--help` prints the usage and exits 0.
+
+use std::process::Command;
+
+const SIMULATE: &str = env!("CARGO_BIN_EXE_simulate");
+const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
+
+/// `(binary, arguments, expected exit code, text that must appear)` —
+/// on stderr for exit 2, on stdout for exit 0.
+type Case = (&'static str, &'static [&'static str], i32, &'static str);
+
+#[rustfmt::skip]
+const CASES: &[Case] = &[
+    // A misspelt flag used to run the Baseline and exit 0.
+    (SIMULATE, &["--varient", "netcrafter"], 2, "unknown flag --varient"),
+    (SIMULATE, &["--help"], 0, "usage: simulate"),
+    (SIMULATE, &["--workload", "GUPS", "-h"], 0, "usage: simulate"),
+    // Unparsable numbers used to fall back to the defaults.
+    (SIMULATE, &["--seed", "x"], 2, "--seed: cannot parse \"x\""),
+    (SIMULATE, &["--cus", "x"], 2, "--cus: cannot parse \"x\""),
+    (SIMULATE, &["--jobs", "x"], 2, "--jobs: cannot parse \"x\""),
+    (SIMULATE, &["--threads", "x"], 2, "--threads: cannot parse \"x\""),
+    (SIMULATE, &["--flit", "-3"], 2, "--flit: cannot parse \"-3\""),
+    // A value flag at the end of the line used to run GUPS.
+    (SIMULATE, &["--workload"], 2, "--workload expects a value"),
+    (SIMULATE, &["--workload", "--variant", "netcrafter"], 2, "--workload expects a value"),
+    (SIMULATE, &["--workload", "NOPE"], 2, "unknown workload \"NOPE\""),
+    (SIMULATE, &["--variant", "fastest"], 2, "unknown variant \"fastest\""),
+    (SIMULATE, &["--scale", "huge"], 2, "unknown scale \"huge\""),
+    (SIMULATE, &["gups"], 2, "unexpected argument \"gups\""),
+    (SIMULATE, &["--sample-window", "0"], 2, "--sample-window expects a positive cycle count"),
+    // `figures --help` used to start a paper-scale `all` pass.
+    (FIGURES, &["--help"], 0, "usage: figures"),
+    (FIGURES, &["--quick", "fig14", "-h"], 0, "usage: figures"),
+    (FIGURES, &["--quik", "fig14"], 2, "unknown flag --quik"),
+    (FIGURES, &["--quick", "fig14", "--jobs"], 2, "--jobs expects a value"),
+    (FIGURES, &["--quick", "fig14", "--jobs", "many"], 2, "--jobs: cannot parse \"many\""),
+    (FIGURES, &["--quick", "--warmup", "soon", "fig14"], 2, "--warmup: cannot parse \"soon\""),
+    (FIGURES, &["--quick", "fig99"], 2, "unknown figure id \"fig99\""),
+    (FIGURES, &["--quick", "fig14", "--trace"], 2, "--trace expects a value"),
+];
+
+#[test]
+fn misunderstood_command_lines_exit_with_the_usage_line() {
+    for &(bin, args, code, says) in CASES {
+        let line = format!("{bin} {}", args.join(" "));
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("{line}: {e}"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "{line}\nstdout: {stdout}\nstderr: {stderr}"
+        );
+        if code == 0 {
+            assert!(stdout.contains(says), "{line}\nstdout: {stdout}");
+            assert!(stderr.is_empty(), "{line}\nstderr: {stderr}");
+        } else {
+            assert!(stderr.contains(says), "{line}\nstderr: {stderr}");
+            assert!(stderr.contains("usage: "), "{line}\nstderr: {stderr}");
+            // Nothing ran: no result line, no table.
+            assert!(stdout.is_empty(), "{line}\nstdout: {stdout}");
+        }
+    }
+}
+
+#[test]
+fn a_well_formed_command_line_still_runs() {
+    let out = Command::new(SIMULATE)
+        .args([
+            "--workload",
+            "GUPS",
+            "--variant",
+            "netcrafter",
+            "--cus",
+            "2",
+            "--scale",
+            "tiny",
+            "--seed",
+            "7",
+        ])
+        .output()
+        .expect("simulate runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("variant              : NetCrafter"),
+        "{stdout}"
+    );
+}

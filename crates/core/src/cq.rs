@@ -25,8 +25,8 @@ use std::collections::VecDeque;
 
 use netcrafter_net::EgressQueue;
 use netcrafter_proto::{Flit, Metrics, NetCrafterConfig, NodeId, PacketKind, ALL_PACKET_KINDS};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{Cycle, EventClass, Tracer};
+use netcrafter_sim::snapshot::SnapshotError;
+use netcrafter_sim::{snap_fields, Cycle, EventClass, Tracer};
 
 /// Smallest parent free space worth pooling for: a 4-byte write response
 /// (whole packet, no metadata) is the smallest useful candidate, so
@@ -58,28 +58,10 @@ pub struct ClusterQueueStats {
     pub peak_occupancy: u64,
 }
 
-impl Snap for ClusterQueueStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.pushed.save(w);
-        self.popped.save(w);
-        self.stitched_parents.save(w);
-        self.absorbed_candidates.save(w);
-        self.pool_events.save(w);
-        self.pool_expired_unstitched.save(w);
-        self.ptw_priority_pops.save(w);
-        self.peak_occupancy.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ClusterQueueStats {
-            pushed: Snap::load(r)?,
-            popped: Snap::load(r)?,
-            stitched_parents: Snap::load(r)?,
-            absorbed_candidates: Snap::load(r)?,
-            pool_events: Snap::load(r)?,
-            pool_expired_unstitched: Snap::load(r)?,
-            ptw_priority_pops: Snap::load(r)?,
-            peak_occupancy: Snap::load(r)?,
-        })
+snap_fields! {
+    impl Snap for ClusterQueueStats {
+        pushed, popped, stitched_parents, absorbed_candidates, pool_events,
+        pool_expired_unstitched, ptw_priority_pops, peak_occupancy,
     }
 }
 
@@ -159,11 +141,9 @@ impl ClusterQueueStats {
 /// ```
 #[derive(Debug)]
 pub struct ClusterQueue {
-    // lint:allow(snapshot-field-parity) construction-time config; the restore target is built from the same config
     cfg: NetCrafterConfig,
     /// Node of the cluster switch on the far end of this port's link;
     /// stitched flits are addressed to it for un-stitching.
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     remote_switch: NodeId,
     queues: [VecDeque<Flit>; 6],
     /// Per-partition pooling side slot: a parent waiting (until the given
@@ -171,7 +151,6 @@ pub struct ClusterQueue {
     /// flowing — only the pooled flit pays the window.
     pooled: [Option<(Flit, Cycle)>; 6],
     rr: usize,
-    // lint:allow(snapshot-field-parity) derived occupancy; load_state recomputes it from the restored queues
     len: usize,
     /// Statistics.
     pub stats: ClusterQueueStats,
@@ -468,24 +447,28 @@ impl EgressQueue for ClusterQueue {
         self.stats.report(metrics, prefix);
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.queues.save(w);
-        self.pooled.save(w);
-        self.rr.save(w);
-        self.stats.save(w);
+    snap_fields! {
+        fn save + load_into {
+            cfg: skipped(config),
+            remote_switch: skipped(wiring),
+            queues,
+            pooled,
+            rr,
+            len: skipped(derived),
+            stats,
+        }
+        validate Self::finish_restore
     }
+}
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.queues = Snap::load(r)?;
-        self.pooled = Snap::load(r)?;
-        let rr: usize = Snap::load(r)?;
-        if rr >= 6 {
+impl ClusterQueue {
+    fn finish_restore(&mut self) -> Result<(), SnapshotError> {
+        if self.rr >= self.queues.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "cluster queue round-robin cursor {rr} out of range"
+                "cluster queue round-robin cursor {} out of range",
+                self.rr
             )));
         }
-        self.rr = rr;
-        self.stats = Snap::load(r)?;
         // Occupancy is derived, not stored: recomputing it keeps the
         // counter consistent with the restored queues by construction.
         self.len = self.queues.iter().map(VecDeque::len).sum::<usize>()

@@ -7,7 +7,7 @@
 //! part of the experiment-reproducibility contract (EXPERIMENTS.md
 //! records figures generated from these streams).
 
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snap_fields;
 
 /// SplitMix64: Sebastiano Vigna's 64-bit mixer-based generator.
 ///
@@ -19,16 +19,7 @@ pub struct SplitMix64 {
     state: u64,
 }
 
-impl Snap for SplitMix64 {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.state.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SplitMix64 {
-            state: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for SplitMix64 { state } }
 
 impl SplitMix64 {
     /// Creates a generator from a 64-bit seed.

@@ -16,7 +16,7 @@
 //! same on the lower-bandwidth network — see DESIGN.md §1).
 
 use netcrafter_proto::{MemReq, Metrics, TrimInfo};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snap_fields;
 
 /// Trim statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,20 +29,7 @@ pub struct TrimStats {
     pub bytes_saved: u64,
 }
 
-impl Snap for TrimStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.considered.save(w);
-        self.trimmed.save(w);
-        self.bytes_saved.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TrimStats {
-            considered: Snap::load(r)?,
-            trimmed: Snap::load(r)?,
-            bytes_saved: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for TrimStats { considered, trimmed, bytes_saved } }
 
 impl TrimStats {
     /// Dumps counters under `prefix`.
@@ -71,6 +58,14 @@ impl TrimEngine {
             enabled,
             granularity,
             stats: TrimStats::default(),
+        }
+    }
+
+    snap_fields! {
+        pub fn save + load_into {
+            enabled: skipped(config),
+            granularity: skipped(config),
+            stats,
         }
     }
 

@@ -20,7 +20,9 @@ use netcrafter_proto::{
     TransReq, PAGE_BYTES,
 };
 use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Wake};
+use netcrafter_sim::{
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Wake,
+};
 use netcrafter_vm::Tlb;
 
 /// Where the CU's outgoing traffic goes.
@@ -58,30 +60,10 @@ pub struct CuStats {
     pub waves_done: u64,
 }
 
-impl Snap for CuStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.instructions.save(w);
-        self.mem_ops.save(w);
-        self.remote_reads.save(w);
-        self.inter_cluster_reads.save(w);
-        self.fig7.save(w);
-        self.inter_cluster_read_latency.save(w);
-        self.read_latency.save(w);
-        self.idle_cycles.save(w);
-        self.waves_done.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CuStats {
-            instructions: Snap::load(r)?,
-            mem_ops: Snap::load(r)?,
-            remote_reads: Snap::load(r)?,
-            inter_cluster_reads: Snap::load(r)?,
-            fig7: Snap::load(r)?,
-            inter_cluster_read_latency: Snap::load(r)?,
-            read_latency: Snap::load(r)?,
-            idle_cycles: Snap::load(r)?,
-            waves_done: Snap::load(r)?,
-        })
+snap_fields! {
+    impl Snap for CuStats {
+        instructions, mem_ops, remote_reads, inter_cluster_reads, fig7,
+        inter_cluster_read_latency, read_latency, idle_cycles, waves_done,
     }
 }
 
@@ -173,68 +155,48 @@ struct Wavefront {
     loads_in_flight: u16,
 }
 
-impl Snap for Wavefront {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.trace.save(w);
-        self.pc.save(w);
-        self.state.save(w);
-        self.loads_in_flight.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let trace: WavefrontTrace = Snap::load(r)?;
-        let pc: usize = Snap::load(r)?;
-        if pc > trace.ops.len() {
+snap_fields! {
+    impl Snap for Wavefront { trace, pc, state, loads_in_flight }
+    validate Self::check_restored
+}
+
+impl Wavefront {
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.pc > self.trace.ops.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "wavefront pc {pc} past {} trace ops",
-                trace.ops.len()
+                "wavefront pc {} past {} trace ops",
+                self.pc,
+                self.trace.ops.len()
             )));
         }
-        Ok(Wavefront {
-            trace,
-            pc,
-            state: Snap::load(r)?,
-            loads_in_flight: Snap::load(r)?,
-        })
+        Ok(())
     }
 }
 
 /// A compute unit component.
 pub struct Cu {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     gpu: GpuId,
     #[allow(dead_code)]
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     cu: CuId,
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     cu_raw: u16,
-    // lint:allow(snapshot-field-parity) construction-time identity; load_state only names it in decode error messages
     name: String,
     /// The CU's private L1 vector cache.
     pub l1: L1Cache,
     /// The CU's private L1 TLB.
     pub l1_tlb: Tlb,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     wiring: CuWiring,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     gpus_per_cluster: u16,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     frames_per_gpu: u64,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     hop_cycles: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     max_waves: usize,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     max_outstanding: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     max_loads_per_wave: u16,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     full_sector_mask: u16,
 
     resident: Vec<Wavefront>,
     pending: VecDeque<WavefrontTrace>,
     rr: usize,
     ids: IdAlloc<AccessId>,
-    // lint:allow(snapshot-field-parity) construction-time id-space base, derived from wiring
     id_base: u64,
     trans_waiters: BTreeMap<AccessId, usize>,
     read_waiters: BTreeMap<AccessId, usize>,
@@ -664,40 +626,46 @@ impl Component for Cu {
         }
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.l1.save_state(w);
-        self.l1_tlb.save(w);
-        self.resident.save(w);
-        self.pending.save(w);
-        self.rr.save(w);
-        self.ids.save(w);
-        self.trans_waiters.save(w);
-        self.read_waiters.save(w);
-        self.issue_times.save(w);
-        self.outstanding.save(w);
-        // The idle-accounting anchor is part of the dynamic state: an
-        // event-driven snapshot may be taken mid-sleep, with the skipped
-        // cycles' idle credit still pending — the restored run finishes
-        // the catch-up from the same anchor under any scheduler.
-        self.last_tick.save(w);
-        self.was_busy.save(w);
-        self.stats.save(w);
+    snap_fields! {
+        fn save_state + load_state {
+            gpu: skipped(wiring),
+            cu: skipped(wiring),
+            cu_raw: skipped(wiring),
+            name: skipped(wiring),
+            wiring: skipped(wiring),
+            gpus_per_cluster: skipped(config),
+            frames_per_gpu: skipped(config),
+            hop_cycles: skipped(config),
+            max_waves: skipped(config),
+            max_outstanding: skipped(config),
+            max_loads_per_wave: skipped(config),
+            full_sector_mask: skipped(config),
+            id_base: skipped(wiring),
+            l1,
+            l1_tlb,
+            resident,
+            pending,
+            rr,
+            ids,
+            trans_waiters,
+            read_waiters,
+            issue_times,
+            outstanding,
+            // The idle-accounting anchor is part of the dynamic state: an
+            // event-driven snapshot may be taken mid-sleep, with the skipped
+            // cycles' idle credit still pending — the restored run finishes
+            // the catch-up from the same anchor under any scheduler.
+            last_tick,
+            was_busy,
+            stats,
+        }
+        validate Self::check_waiters
     }
+}
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.l1.load_state(r)?;
-        self.l1_tlb.load_into(r)?;
-        self.resident = Snap::load(r)?;
-        self.pending = Snap::load(r)?;
-        self.rr = Snap::load(r)?;
-        self.ids = Snap::load(r)?;
-        self.trans_waiters = Snap::load(r)?;
-        self.read_waiters = Snap::load(r)?;
-        self.issue_times = Snap::load(r)?;
-        self.outstanding = Snap::load(r)?;
-        self.last_tick = Snap::load(r)?;
-        self.was_busy = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
+impl Cu {
+    /// Every parked access must point at a resident wavefront.
+    fn check_waiters(&self) -> Result<(), SnapshotError> {
         let waves = self.resident.len();
         for (which, waiters) in [
             ("translation", &self.trans_waiters),
@@ -705,8 +673,7 @@ impl Component for Cu {
         ] {
             if let Some((id, wf_ix)) = waiters.iter().find(|&(_, &wf_ix)| wf_ix >= waves) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "{}: {which} waiter {id} points at wavefront {wf_ix} of {waves}",
-                    self.name
+                    "{which} waiter {id} points at wavefront {wf_ix} of {waves}"
                 )));
             }
         }

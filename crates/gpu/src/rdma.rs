@@ -18,8 +18,9 @@ use netcrafter_proto::{
     Flit, GpuId, MemRsp, Message, Metrics, NodeId, Packet, PacketId, PacketKind, PacketPayload,
     TrafficClass, TrimInfo,
 };
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Tracer, Wake};
+use netcrafter_sim::{
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Tracer, Wake,
+};
 
 /// Where the RDMA engine's traffic goes.
 #[derive(Debug, Clone)]
@@ -54,21 +55,8 @@ pub struct RdmaStats {
     pub wire_bytes_out: u64,
 }
 
-impl Snap for RdmaStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.packets_out.save(w);
-        self.packets_in.save(w);
-        self.requests_served.save(w);
-        self.wire_bytes_out.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RdmaStats {
-            packets_out: Snap::load(r)?,
-            packets_in: Snap::load(r)?,
-            requests_served: Snap::load(r)?,
-            wire_bytes_out: Snap::load(r)?,
-        })
-    }
+snap_fields! {
+    impl Snap for RdmaStats { packets_out, packets_in, requests_served, wire_bytes_out }
 }
 
 impl RdmaStats {
@@ -86,23 +74,14 @@ impl RdmaStats {
 
 /// The RDMA engine component of one GPU.
 pub struct Rdma {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     gpu: GpuId,
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     node: NodeId,
-    // lint:allow(snapshot-field-parity) construction-time identity label; never serialized
     name: String,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     wiring: RdmaWiring,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     gpus_per_cluster: u16,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     hop_cycles: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     granularity: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     full_sector_mask: u16,
-    // lint:allow(snapshot-field-parity) stateless segmenter; holds only the configured flit size
     seg: Segmenter,
     reasm: Reassembler,
     /// The Trim Engine (stats live here; the decision uses the request's
@@ -344,23 +323,24 @@ impl Component for Rdma {
         self.egress.next_wake(now)
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.reasm.save(w);
-        self.trim.stats.save(w);
-        self.egress.save_state(w);
-        self.staging.save(w);
-        self.next_packet.save(w);
-        self.stats.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.reasm = Snap::load(r)?;
-        self.trim.stats = Snap::load(r)?;
-        self.egress.load_state(r)?;
-        self.staging = Snap::load(r)?;
-        self.next_packet = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+    snap_fields! {
+        fn save_state + load_state {
+            gpu: skipped(wiring),
+            node: skipped(wiring),
+            name: skipped(wiring),
+            wiring: skipped(wiring),
+            gpus_per_cluster: skipped(config),
+            hop_cycles: skipped(config),
+            granularity: skipped(config),
+            full_sector_mask: skipped(config),
+            seg: skipped(config),
+            reasm,
+            trim,
+            egress,
+            staging,
+            next_packet,
+            stats,
+        }
     }
 }
 

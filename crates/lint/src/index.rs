@@ -1,42 +1,18 @@
 //! The item index: a structural view of one lexed file.
 //!
-//! The flat token walker that powered the first eight rules cannot
-//! answer questions like "is every field of this struct referenced in
-//! its `save_state`?" or "does this helper's caller thread a Tracer?".
+//! A flat token walker cannot answer questions like "does this impl
+//! define `next_wake`?" or "does this helper's caller thread a Tracer?".
 //! This module extracts just enough structure from the token stream —
-//! structs with ordered field lists, `impl` blocks with per-method body
-//! ranges, free functions — for the field-sensitive and interprocedural
-//! rules to work on, while staying a linear scan over the existing
-//! lexer's output (still no `syn`; the workspace is offline).
+//! `impl` blocks with per-method body ranges, free functions — for the
+//! trait-contract and interprocedural rules to work on, while staying a
+//! linear scan over the existing lexer's output (still no `syn`; the
+//! workspace is offline).
 //!
 //! The extraction is deliberately forgiving: anything it cannot parse
 //! (exotic generics, macro bodies) is skipped rather than guessed at,
 //! so a parse gap degrades to a missed finding, never a false one.
 
 use crate::lexer::{lex, Allow, SpannedTok, Tok};
-
-/// One named field of a struct, in declaration order.
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the field declaration.
-    pub line: u32,
-}
-
-/// A `struct` item.
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    /// Type name.
-    pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-    /// True for brace-bodied structs with named fields; unit and tuple
-    /// structs have `named == false` and an empty field list.
-    pub named: bool,
-    /// Named fields in declaration order.
-    pub fields: Vec<FieldDef>,
-}
 
 /// A function item (free or method) with its token extents.
 #[derive(Debug, Clone)]
@@ -63,7 +39,9 @@ pub struct ImplDef {
     pub trait_name: Option<String>,
     /// 1-based line of the `impl` keyword.
     pub line: u32,
-    /// Methods defined at the top level of the block.
+    /// Methods defined at the top level of the block, including the
+    /// pair a `snap_fields! { fn A + B { .. } }` invocation generates
+    /// (bodiless: the body is the macro's).
     pub fns: Vec<FnDef>,
 }
 
@@ -81,15 +59,10 @@ pub struct FileIndex {
     pub allows: Vec<Allow>,
     /// Lines containing only whitespace/comments, sorted ascending.
     pub comment_only_lines: Vec<u32>,
-    /// Structs in source order.
-    pub structs: Vec<StructDef>,
     /// Impl blocks in source order.
     pub impls: Vec<ImplDef>,
     /// Free functions in source order.
     pub free_fns: Vec<FnDef>,
-    /// Value of `const SNAPSHOT_VERSION: u32 = N;` if the file declares
-    /// it (parsed from raw text; the lexer drops literal payloads).
-    pub snapshot_version: Option<u32>,
 }
 
 impl FileIndex {
@@ -120,29 +93,16 @@ impl FileIndex {
 pub fn index_file(path: &str, src: &str, crate_name: Option<&str>) -> FileIndex {
     let lexed = lex(src);
     let tokens = strip_test_modules(&lexed.tokens);
-    let (structs, impls, free_fns) = extract_items(&tokens);
+    let (impls, free_fns) = extract_items(&tokens);
     FileIndex {
         path: path.to_string(),
         crate_name: crate_name.map(str::to_string),
         tokens,
         allows: lexed.allows,
         comment_only_lines: lexed.comment_only_lines,
-        structs,
         impls,
         free_fns,
-        snapshot_version: parse_snapshot_version(src),
     }
-}
-
-/// Reads the `SNAPSHOT_VERSION` constant's value out of raw source
-/// text. The declaration is a stable, rustfmt-normalized one-liner in
-/// `crates/sim/src/snapshot.rs`, so a string match is reliable here.
-fn parse_snapshot_version(src: &str) -> Option<u32> {
-    const NEEDLE: &str = "const SNAPSHOT_VERSION: u32 =";
-    let pos = src.find(NEEDLE)?;
-    let tail = src[pos + NEEDLE.len()..].trim_start();
-    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 /// Removes the token ranges of `#[cfg(test)] mod … { … }` blocks: the
@@ -287,10 +247,10 @@ fn skip_angles(tokens: &[SpannedTok], i: usize) -> usize {
 }
 
 /// One linear pass over the (test-stripped) token stream, collecting
-/// structs, impl blocks and free functions. Enums, unions, traits and
-/// `macro_rules!` bodies are skipped whole.
-fn extract_items(tokens: &[SpannedTok]) -> (Vec<StructDef>, Vec<ImplDef>, Vec<FnDef>) {
-    let mut structs = Vec::new();
+/// impl blocks and free functions. Structs, enums, unions, traits,
+/// `macro_rules!` bodies and item-level macro invocations are skipped
+/// whole.
+fn extract_items(tokens: &[SpannedTok]) -> (Vec<ImplDef>, Vec<FnDef>) {
     let mut impls = Vec::new();
     let mut free_fns = Vec::new();
     let mut i = 0;
@@ -299,14 +259,12 @@ fn extract_items(tokens: &[SpannedTok]) -> (Vec<StructDef>, Vec<ImplDef>, Vec<Fn
             Some("macro_rules") if punct_at(tokens, i + 1, '!') => {
                 i = skip_item_block(tokens, i + 2);
             }
-            Some("struct") => {
-                let (sd, next) = parse_struct(tokens, i);
-                if let Some(sd) = sd {
-                    structs.push(sd);
-                }
-                i = next;
+            // An item-level `name! { .. }` invocation: its tokens are the
+            // macro's input language, not items.
+            Some(_) if punct_at(tokens, i + 1, '!') && punct_at(tokens, i + 2, '{') => {
+                i = matching_brace(tokens, i + 2) + 1;
             }
-            Some("enum" | "union" | "trait") => {
+            Some("struct" | "enum" | "union" | "trait") => {
                 i = skip_item_block(tokens, i + 1);
             }
             Some("impl") => {
@@ -326,7 +284,7 @@ fn extract_items(tokens: &[SpannedTok]) -> (Vec<StructDef>, Vec<ImplDef>, Vec<Fn
             _ => i += 1,
         }
     }
-    (structs, impls, free_fns)
+    (impls, free_fns)
 }
 
 /// Advances past the current item: to just after the first balanced
@@ -342,122 +300,6 @@ fn skip_item_block(tokens: &[SpannedTok], mut j: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Parses a struct item; `i` points at the `struct` keyword.
-fn parse_struct(tokens: &[SpannedTok], i: usize) -> (Option<StructDef>, usize) {
-    let line = tokens[i].line;
-    let Some(name) = ident_at(tokens, i + 1).map(str::to_string) else {
-        return (None, i + 1);
-    };
-    let mut j = i + 2;
-    if punct_at(tokens, j, '<') {
-        j = skip_angles(tokens, j);
-    }
-    // Unit / tuple / where-clause tokens precede the body (or `;`).
-    loop {
-        if j >= tokens.len() {
-            return (None, j);
-        }
-        if punct_at(tokens, j, ';') {
-            // Unit struct.
-            return (
-                (Some(StructDef {
-                    name,
-                    line,
-                    named: false,
-                    fields: Vec::new(),
-                })),
-                j + 1,
-            );
-        }
-        if punct_at(tokens, j, '(') {
-            // Tuple struct: skip fields, then the trailing `;`.
-            let mut k = matching_paren(tokens, j) + 1;
-            while k < tokens.len() && !punct_at(tokens, k, ';') {
-                k += 1;
-            }
-            return (
-                Some(StructDef {
-                    name,
-                    line,
-                    named: false,
-                    fields: Vec::new(),
-                }),
-                k + 1,
-            );
-        }
-        if punct_at(tokens, j, '{') {
-            break;
-        }
-        j += 1; // where-clause token
-    }
-    let open = j;
-    let close = matching_brace(tokens, open);
-    let mut fields = Vec::new();
-    let mut k = open + 1;
-    while k < close {
-        while punct_at(tokens, k, '#') {
-            k = skip_attr(tokens, k);
-        }
-        if k >= close {
-            break;
-        }
-        if ident_at(tokens, k) == Some("pub") {
-            k += 1;
-            if punct_at(tokens, k, '(') {
-                k = matching_paren(tokens, k) + 1;
-            }
-        }
-        let Some(fname) = ident_at(tokens, k).map(str::to_string) else {
-            k += 1;
-            continue;
-        };
-        // `name :` (single colon) introduces a field; `name ::` is a
-        // path inside a type and cannot appear in field-name position.
-        if !punct_at(tokens, k + 1, ':') || punct_at(tokens, k + 2, ':') {
-            k += 1;
-            continue;
-        }
-        fields.push(FieldDef {
-            name: fname,
-            line: tokens[k].line,
-        });
-        // Skip the type up to the next top-level `,`.
-        k += 2;
-        let mut paren = 0i32;
-        let mut angle = 0i32;
-        let mut brack = 0i32;
-        while k < close {
-            if punct_at(tokens, k, '-') && punct_at(tokens, k + 1, '>') {
-                k += 2;
-                continue;
-            }
-            match tokens[k].tok {
-                Tok::Punct('(') => paren += 1,
-                Tok::Punct(')') => paren -= 1,
-                Tok::Punct('[') => brack += 1,
-                Tok::Punct(']') => brack -= 1,
-                Tok::Punct('<') => angle += 1,
-                Tok::Punct('>') => angle -= 1,
-                Tok::Punct(',') if paren == 0 && angle == 0 && brack == 0 => {
-                    k += 1;
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    (
-        Some(StructDef {
-            name,
-            line,
-            named: true,
-            fields,
-        }),
-        close + 1,
-    )
 }
 
 /// Collects the last segment of a type/trait path (skipping `&`,
@@ -537,8 +379,12 @@ fn parse_impl(tokens: &[SpannedTok], i: usize) -> (Option<ImplDef>, usize) {
             k = next;
             continue;
         }
+        if ident_at(tokens, k) == Some("snap_fields") && punct_at(tokens, k + 1, '!') {
+            fns.extend(snap_fields_pair(tokens, k + 2));
+        }
         if punct_at(tokens, k, '{') {
-            // Associated-const initializer etc.: stay at method depth.
+            // Associated-const initializer, macro body etc.: stay at
+            // method depth.
             k = matching_brace(tokens, k) + 1;
             continue;
         }
@@ -553,6 +399,33 @@ fn parse_impl(tokens: &[SpannedTok], i: usize) -> (Option<ImplDef>, usize) {
         }),
         close + 1,
     )
+}
+
+/// The two methods a `snap_fields! { [pub] fn A + B { .. } }` invocation
+/// expands to; `open` points at the invocation's opening brace. Anything
+/// else (the item-level `impl Snap for T` form) yields nothing.
+fn snap_fields_pair(tokens: &[SpannedTok], open: usize) -> Vec<FnDef> {
+    let mut k = open + 1;
+    if ident_at(tokens, k) == Some("pub") {
+        k += 1;
+        if punct_at(tokens, k, '(') {
+            k = matching_paren(tokens, k) + 1;
+        }
+    }
+    if ident_at(tokens, k) != Some("fn") || !punct_at(tokens, k + 2, '+') {
+        return Vec::new();
+    }
+    [k + 1, k + 3]
+        .into_iter()
+        .filter_map(|at| {
+            Some(FnDef {
+                name: ident_at(tokens, at)?.to_string(),
+                line: tokens[at].line,
+                sig: (at, at),
+                body: None,
+            })
+        })
+        .collect()
 }
 
 /// Parses one `fn`; `k` points at the keyword, `limit` bounds the scan
@@ -619,35 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn extracts_struct_fields_in_order() {
-        let ix = index(
-            "pub struct Port { pub peer: Option<NodeId>, in_pipe: VecDeque<(u64, Flit)>, \
-             stalled: bool }\nstruct Unit;\nstruct Pair(u32, u32);",
-        );
-        assert_eq!(ix.structs.len(), 3);
-        let port = &ix.structs[0];
-        assert!(port.named);
-        let names: Vec<&str> = port.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["peer", "in_pipe", "stalled"]);
-        assert!(!ix.structs[1].named);
-        assert!(!ix.structs[2].named);
-    }
-
-    #[test]
-    fn skips_field_attrs_and_generic_commas() {
-        let ix = index(
-            "struct S<T: Clone> where T: Default {\n  #[allow(dead_code)]\n  a: BTreeMap<u32, \
-             Vec<T>>,\n  b: fn(u32, u32) -> bool,\n  c: [u8; 4],\n}",
-        );
-        let names: Vec<&str> = ix.structs[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, ["a", "b", "c"]);
-    }
-
-    #[test]
     fn extracts_impls_and_methods() {
         let ix = index(
             "impl Component for Switch { fn tick(&mut self) { self.a += 1; } fn save_state(&self, \
@@ -670,11 +514,11 @@ mod tests {
     fn free_fns_and_test_mods() {
         let ix = index(
             "fn helper(x: u32) -> u32 { x + 1 }\n#[cfg(test)]\nmod tests { fn hidden() {} \
-             struct Ghost { g: u32 } }",
+             impl Ghost { fn g(&self) {} } }",
         );
         assert_eq!(ix.free_fns.len(), 1);
         assert_eq!(ix.free_fns[0].name, "helper");
-        assert!(ix.structs.is_empty());
+        assert!(ix.impls.is_empty());
     }
 
     #[test]
@@ -685,20 +529,29 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_version_parses_from_raw_text() {
-        let ix = index("pub const SNAPSHOT_VERSION: u32 = 3;\n");
-        assert_eq!(ix.snapshot_version, Some(3));
-        assert_eq!(index("fn f() {}").snapshot_version, None);
+    fn structs_enums_traits_and_macros_are_skipped() {
+        let ix = index(
+            "enum E { A { x: u32 }, B }\ntrait T { fn save_state(&self); }\nmacro_rules! m { () \
+             => { fn fake() {} }; }\nstruct S { cb: fn(u32) -> bool }\nstruct P(u32);\nfn real() {}",
+        );
+        assert!(ix.impls.is_empty());
+        let names: Vec<&str> = ix.free_fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["real"]);
     }
 
     #[test]
-    fn enums_traits_and_macros_are_skipped() {
+    fn snap_fields_in_an_impl_contributes_its_method_pair() {
         let ix = index(
-            "enum E { A { x: u32 }, B }\ntrait T { fn save_state(&self); }\nmacro_rules! m { () \
-             => { struct Fake { f: u32 } }; }\nstruct Real { r: u32 }",
+            "impl Component for Dram { fn tick(&mut self) {} snap_fields! { fn save_state + \
+             load_state { l2: skipped(wiring), queue } } }\nimpl L1 { snap_fields! { pub fn save \
+             + load_into { tags } } }\nsnap_fields! { impl Snap for Stats { reads } }",
         );
-        assert_eq!(ix.structs.len(), 1);
-        assert_eq!(ix.structs[0].name, "Real");
-        assert!(ix.free_fns.is_empty());
+        let names =
+            |im: &ImplDef| -> Vec<String> { im.fns.iter().map(|f| f.name.clone()).collect() };
+        assert_eq!(names(&ix.impls[0]), ["tick", "save_state", "load_state"]);
+        assert!(ix.impls[0].fns[1].body.is_none());
+        assert_eq!(names(&ix.impls[1]), ["save", "load_into"]);
+        // The item-level form is a macro invocation, not an impl block.
+        assert_eq!(ix.impls.len(), 2);
     }
 }

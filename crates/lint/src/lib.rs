@@ -7,12 +7,11 @@
 //! identical flit streams. This crate makes the determinism rules
 //! machine-checked instead of tribal knowledge: a small Rust lexer (no
 //! `syn`; the workspace stays offline and dependency-free) feeds an
-//! item index (structs, impls, call graph) and a rule engine with
-//! per-site `// lint:allow(<rule>) reason` waivers and a machine-
-//! readable findings report. Local rules see one file; semantic rules
-//! (snapshot field parity, interprocedural hot-path allocation,
-//! caller-aware tracer threading, version-bump baseline diff) see the
-//! whole workspace.
+//! item index (impls, call graph) and a rule engine with per-site
+//! `// lint:allow(<rule>) reason` waivers and a machine-readable
+//! findings report. Local rules see one file; semantic rules
+//! (interprocedural hot-path allocation, caller-aware tracer threading)
+//! see the whole workspace.
 //!
 //! Run it over the workspace with `cargo run -p netcrafter-lint`; see
 //! DESIGN.md §"Determinism rules" for the rule catalogue and rationale.
@@ -22,13 +21,11 @@
 
 pub mod callgraph;
 pub mod index;
-pub mod inventory;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 mod semantic;
 
-pub use inventory::Inventory;
 pub use report::{render_json, render_text, summarize, Summary};
 pub use rules::{Finding, Rule, RULES};
 
@@ -48,15 +45,6 @@ pub struct SourceUnit {
     pub src: String,
     /// Workspace crate (`None` activates every rule).
     pub crate_name: Option<String>,
-}
-
-/// The result of one analysis run.
-#[derive(Debug)]
-pub struct Analysis {
-    /// Resolved findings, ordered by (file, line, rule).
-    pub findings: Vec<Finding>,
-    /// The snapshot field inventory of the analyzed sources.
-    pub inventory: Inventory,
 }
 
 /// The workspace crate a source path belongs to: `crates/<name>/…` maps
@@ -116,27 +104,22 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Analyzes a set of in-memory sources together (they share the item
-/// index, so cross-file rules see all of them). `baseline` is the
-/// `(path, parsed inventory)` pair for `snapshot-version-bump`; the
-/// rule is inactive without one.
-pub fn analyze_units(units: &[SourceUnit], baseline: Option<(&str, &Inventory)>) -> Analysis {
+/// index, so cross-file rules see all of them). Findings come back
+/// ordered by (file, line, rule).
+pub fn analyze_units(units: &[SourceUnit]) -> Vec<Finding> {
     let files: Vec<FileIndex> = units
         .iter()
         .map(|u| index_file(&u.path, &u.src, u.crate_name.as_deref()))
         .collect();
-    finish(files, baseline)
+    finish(files)
 }
 
 /// Reads, indexes (in parallel with `jobs` threads) and analyzes the
 /// whole workspace under `root`.
-pub fn analyze_workspace(
-    root: &Path,
-    jobs: usize,
-    baseline: Option<(&str, &Inventory)>,
-) -> std::io::Result<Analysis> {
+pub fn analyze_workspace(root: &Path, jobs: usize) -> std::io::Result<Vec<Finding>> {
     let paths = workspace_files(root)?;
     let files = index_paths(root, &paths, jobs)?;
-    Ok(finish(files, baseline))
+    Ok(finish(files))
 }
 
 /// Reads and lexes/indexes `paths` with up to `jobs` worker threads.
@@ -186,7 +169,7 @@ fn index_paths(root: &Path, paths: &[PathBuf], jobs: usize) -> std::io::Result<V
 
 /// Runs local rules per file, semantic rules over the whole index,
 /// then resolves allow-annotations and appends the meta-findings.
-fn finish(files: Vec<FileIndex>, baseline: Option<(&str, &Inventory)>) -> Analysis {
+fn finish(files: Vec<FileIndex>) -> Vec<Finding> {
     let mut raw: Vec<Raw> = Vec::new();
     for (fx, fi) in files.iter().enumerate() {
         for rule in RULES {
@@ -208,13 +191,8 @@ fn finish(files: Vec<FileIndex>, baseline: Option<(&str, &Inventory)>) -> Analys
             }
         }
     }
-    semantic::snapshot_field_parity(&files, &mut raw);
     semantic::interproc_hot_path_alloc(&files, &mut raw);
     semantic::tracer_threading(&files, &mut raw);
-    let (inventory, locations) = semantic::inventory_with_locations(&files);
-    if let Some((path, base)) = baseline {
-        semantic::snapshot_version_bump(&files, &inventory, &locations, base, path, &mut raw);
-    }
 
     // Group raw findings per file, resolve allows, emit meta-findings.
     let mut per_file: Vec<Vec<(u32, &'static str, String)>> = vec![Vec::new(); files.len()];
@@ -270,10 +248,7 @@ fn finish(files: Vec<FileIndex>, baseline: Option<(&str, &Inventory)>) -> Analys
         file_findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
         findings.extend(file_findings);
     }
-    Analysis {
-        findings,
-        inventory,
-    }
+    findings
 }
 
 /// Resolves the allow-annotation for a finding of `rule` at `line`, if
@@ -305,17 +280,13 @@ fn match_allow(fi: &FileIndex, line: u32, rule: &str, used: &mut [bool]) -> Opti
 }
 
 /// Runs every applicable rule over one file's source text (the file is
-/// analyzed alone, so cross-file struct resolution sees only it).
+/// analyzed alone, so the call graph sees only it).
 pub fn check_file(path: &str, src: &str, crate_name: Option<&str>) -> Vec<Finding> {
-    analyze_units(
-        &[SourceUnit {
-            path: path.to_string(),
-            src: src.to_string(),
-            crate_name: crate_name.map(str::to_string),
-        }],
-        None,
-    )
-    .findings
+    analyze_units(&[SourceUnit {
+        path: path.to_string(),
+        src: src.to_string(),
+        crate_name: crate_name.map(str::to_string),
+    }])
 }
 
 /// Lints one file from disk. `as_crate` overrides crate detection
@@ -342,7 +313,7 @@ pub fn check_path(
 /// Lints the whole workspace under `root` (single-threaded; the CLI
 /// exposes `--jobs` via [`analyze_workspace`]).
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    Ok(analyze_workspace(root, 1, None)?.findings)
+    analyze_workspace(root, 1)
 }
 
 #[cfg(test)]
@@ -368,9 +339,8 @@ mod tests {
             .parent()
             .and_then(Path::parent)
             .expect("workspace root");
-        let serial = analyze_workspace(root, 1, None).expect("serial run");
-        let parallel = analyze_workspace(root, 4, None).expect("parallel run");
-        assert_eq!(serial.findings, parallel.findings);
-        assert_eq!(serial.inventory, parallel.inventory);
+        let serial = analyze_workspace(root, 1).expect("serial run");
+        let parallel = analyze_workspace(root, 4).expect("parallel run");
+        assert_eq!(serial, parallel);
     }
 }

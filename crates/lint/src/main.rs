@@ -4,15 +4,9 @@
 //! cargo run -p netcrafter-lint                      # lint the workspace
 //! cargo run -p netcrafter-lint -- --jobs 4          # parallel indexing
 //! cargo run -p netcrafter-lint -- --report out.json # + JSON report
-//! cargo run -p netcrafter-lint -- --baseline ci/lint-field-inventory.json
-//! cargo run -p netcrafter-lint -- --emit-inventory ci/lint-field-inventory.json
 //! cargo run -p netcrafter-lint -- --as-crate net f.rs  # lint one file
 //! cargo run -p netcrafter-lint -- --list-rules
 //! ```
-//!
-//! `--baseline` activates the `snapshot-version-bump` rule against the
-//! given field-inventory JSON; `--emit-inventory` writes the current
-//! inventory there (the regeneration step after an intentional change).
 //!
 //! Exit codes: 0 clean, 1 unwaived violations, 2 usage or I/O error.
 
@@ -20,8 +14,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use netcrafter_lint::{
-    analyze_units, analyze_workspace, crate_of, render_json, render_text, summarize, Analysis,
-    Inventory, SourceUnit, RULES,
+    analyze_units, analyze_workspace, crate_of, render_json, render_text, summarize, Finding,
+    SourceUnit, RULES,
 };
 
 struct Args {
@@ -31,8 +25,6 @@ struct Args {
     paths: Vec<PathBuf>,
     list_rules: bool,
     jobs: usize,
-    baseline: Option<PathBuf>,
-    emit_inventory: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -43,8 +35,6 @@ fn parse_args() -> Result<Args, String> {
         paths: Vec::new(),
         list_rules: false,
         jobs: 1,
-        baseline: None,
-        emit_inventory: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -61,18 +51,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| format!("--jobs needs a positive integer, got {v}"))?
                     .max(1);
             }
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a value")?.into());
-            }
-            "--emit-inventory" => {
-                args.emit_inventory =
-                    Some(it.next().ok_or("--emit-inventory needs a value")?.into());
-            }
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 return Err("usage: netcrafter-lint [--root DIR] [--report FILE] \
-                     [--as-crate NAME] [--jobs N] [--baseline FILE] \
-                     [--emit-inventory FILE] [--list-rules] [FILES...]"
+                     [--as-crate NAME] [--jobs N] [--list-rules] [FILES...]"
                     .to_string())
             }
             p if !p.starts_with('-') => args.paths.push(p.into()),
@@ -82,9 +64,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn run(args: &Args, baseline: Option<(&str, &Inventory)>) -> std::io::Result<Analysis> {
+fn run(args: &Args) -> std::io::Result<Vec<Finding>> {
     if args.paths.is_empty() {
-        return analyze_workspace(&args.root, args.jobs, baseline);
+        return analyze_workspace(&args.root, args.jobs);
     }
     let mut units = Vec::new();
     for path in &args.paths {
@@ -101,7 +83,7 @@ fn run(args: &Args, baseline: Option<(&str, &Inventory)>) -> std::io::Result<Ana
             crate_name,
         });
     }
-    Ok(analyze_units(&units, baseline))
+    Ok(analyze_units(&units))
 }
 
 fn main() -> ExitCode {
@@ -123,52 +105,22 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let baseline = match &args.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("netcrafter-lint: reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match Inventory::parse_json(&text) {
-                Ok(inv) => Some((path.to_string_lossy().into_owned(), inv)),
-                Err(e) => {
-                    eprintln!("netcrafter-lint: parsing {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-    let analysis = match run(&args, baseline.as_ref().map(|(p, inv)| (p.as_str(), inv))) {
-        Ok(a) => a,
+    let findings = match run(&args) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("netcrafter-lint: {e}");
             return ExitCode::from(2);
         }
     };
 
-    print!("{}", render_text(&analysis.findings));
+    print!("{}", render_text(&findings));
     if let Some(report) = &args.report {
-        if let Err(e) = std::fs::write(report, render_json(&analysis.findings)) {
+        if let Err(e) = std::fs::write(report, render_json(&findings)) {
             eprintln!("netcrafter-lint: writing {}: {e}", report.display());
             return ExitCode::from(2);
         }
     }
-    if let Some(path) = &args.emit_inventory {
-        if let Err(e) = std::fs::write(path, analysis.inventory.to_json()) {
-            eprintln!("netcrafter-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "netcrafter-lint: wrote field inventory ({} structs) to {}",
-            analysis.inventory.structs.len(),
-            path.display()
-        );
-    }
-    if summarize(&analysis.findings).violations > 0 {
+    if summarize(&findings).violations > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

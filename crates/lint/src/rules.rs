@@ -130,31 +130,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "snapshot-coverage",
         summary: "every non-test `impl Component` must implement the \
-                  `save_state`/`load_state` pair; a component the trait \
-                  defaults would panic for makes every checkpoint of a \
-                  system containing it abort at snapshot time",
+                  `save_state`/`load_state` pair (by hand or through \
+                  `snap_fields!`); a component the trait defaults would \
+                  panic for makes every checkpoint of a system containing \
+                  it abort at snapshot time",
         crates: Some(COMPONENT_CRATES),
         check: Some(check_snapshot_coverage),
-    },
-    Rule {
-        name: "snapshot-field-parity",
-        summary: "every field of a snapshotted struct must be referenced \
-                  in both halves of its save/load pair, in the same \
-                  order; an unsnapshotted field silently resets on \
-                  restore — waive per field with the reason it is \
-                  restore-invariant",
-        crates: Some(SIM_CRATES),
-        check: None,
-    },
-    Rule {
-        name: "snapshot-version-bump",
-        summary: "a diff-visible change to a snapshotted struct's field \
-                  list must come with a SNAPSHOT_VERSION bump; checked \
-                  against the committed field-inventory baseline \
-                  (regenerate with --emit-inventory); active only when \
-                  --baseline is given",
-        crates: Some(SIM_CRATES),
-        check: None,
     },
     Rule {
         name: "no-unchecked-narrowing",

@@ -1,19 +1,17 @@
-//! The semantic (field-sensitive / interprocedural) rules: snapshot
-//! field parity, transitive hot-path allocation, caller-aware tracer
-//! threading, and the snapshot-version-bump baseline diff.
+//! The semantic (interprocedural) rules: transitive hot-path allocation
+//! and caller-aware tracer threading.
 //!
-//! Unlike the local rules in [`crate::rules`], these need the whole
-//! workspace in view: a struct and the `impl Snap` that serializes it
-//! can live in different crates, and an allocation can hide an
-//! arbitrary number of calls below `tick`. They run once per analysis
-//! over the full [`FileIndex`] slice and report findings anchored in
-//! whichever file the fix belongs in.
+//! Unlike the local rules in [`crate::rules`], these need a whole crate
+//! in view: an allocation can hide an arbitrary number of calls below
+//! `tick`, and whether a helper may drop the Tracer depends on its
+//! callers. They run once per analysis over the full [`FileIndex`]
+//! slice and report findings anchored in whichever file the fix belongs
+//! in.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::callgraph::{alloc_sites, build_crate_graph, can_reach_alloc};
 use crate::index::{ident_at, FileIndex};
-use crate::inventory::Inventory;
 use crate::rules::{rule_applies, rule_by_name, TRACED_ENTRY_POINTS};
 
 /// An unresolved finding: like [`crate::Finding`] but file-indexed and
@@ -28,188 +26,6 @@ pub(crate) struct Raw {
     pub rule: &'static str,
     /// Finding text.
     pub message: String,
-}
-
-/// A resolved `save`/`load` pair: the impl that serializes, and the
-/// struct whose fields it must cover.
-struct Pair {
-    impl_file: usize,
-    impl_ix: usize,
-    /// Indices into the impl's `fns`.
-    save_fn: usize,
-    load_fn: usize,
-    /// `("save_state", "load_state")` or `("save", "load")`.
-    names: (&'static str, &'static str),
-    struct_file: usize,
-    struct_ix: usize,
-}
-
-/// Finds every serializer pair in the workspace and resolves its
-/// struct. An impl whose type cannot be resolved to exactly one named
-/// struct (primitives, generic containers, ambiguous names) is skipped
-/// — the extraction must never guess.
-fn snapshot_pairs(files: &[FileIndex]) -> Vec<Pair> {
-    let mut pairs = Vec::new();
-    for (fx, fi) in files.iter().enumerate() {
-        for (ix, im) in fi.impls.iter().enumerate() {
-            let find = |name: &str| {
-                im.fns
-                    .iter()
-                    .position(|f| f.name == name && f.body.is_some())
-            };
-            let candidate = if im.trait_name.as_deref() == Some("Snap") {
-                find("save")
-                    .zip(find("load"))
-                    .map(|p| (p, ("save", "load")))
-            } else {
-                find("save_state")
-                    .zip(find("load_state"))
-                    .map(|p| (p, ("save_state", "load_state")))
-            };
-            let Some(((save_fn, load_fn), names)) = candidate else {
-                continue;
-            };
-            let Some((struct_file, struct_ix)) = resolve_struct(files, &im.self_ty, fx) else {
-                continue;
-            };
-            pairs.push(Pair {
-                impl_file: fx,
-                impl_ix: ix,
-                save_fn,
-                load_fn,
-                names,
-                struct_file,
-                struct_ix,
-            });
-        }
-    }
-    pairs
-}
-
-/// Resolves a type name to its struct: same file first, then unique in
-/// the impl's crate, then unique across the workspace (covers proto
-/// structs whose `Snap` impls live in the sim crate).
-fn resolve_struct(files: &[FileIndex], name: &str, home: usize) -> Option<(usize, usize)> {
-    if let Some(ix) = files[home].structs.iter().position(|s| s.name == name) {
-        return Some((home, ix));
-    }
-    let home_crate = files[home].crate_name.as_deref();
-    let matches = |same_crate: bool| -> Vec<(usize, usize)> {
-        files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| !same_crate || f.crate_name.as_deref() == home_crate)
-            .flat_map(|(fx, f)| {
-                f.structs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.name == name)
-                    .map(move |(sx, _)| (fx, sx))
-            })
-            .collect()
-    };
-    let in_crate = matches(true);
-    match in_crate.len() {
-        1 => Some(in_crate[0]),
-        0 => {
-            let global = matches(false);
-            (global.len() == 1).then(|| global[0])
-        }
-        _ => None,
-    }
-}
-
-/// First token index (within `body`) where `field` is referenced, if
-/// any.
-fn first_ref(files: &[FileIndex], file: usize, body: (usize, usize), field: &str) -> Option<usize> {
-    (body.0..body.1).find(|&ix| ident_at(&files[file].tokens, ix) == Some(field))
-}
-
-/// `snapshot-field-parity`: every declared field of a snapshotted
-/// struct must be referenced in both halves of its serializer pair, in
-/// the same order. Per-field findings anchor at the field declaration
-/// (waivable there); order findings anchor at the save fn.
-pub(crate) fn snapshot_field_parity(files: &[FileIndex], out: &mut Vec<Raw>) {
-    let rule = rule_by_name("snapshot-field-parity").expect("registered");
-    for p in snapshot_pairs(files) {
-        if !rule_applies(rule, files[p.impl_file].crate_name.as_deref()) {
-            continue;
-        }
-        let st = &files[p.struct_file].structs[p.struct_ix];
-        if !st.named {
-            continue;
-        }
-        let im = &files[p.impl_file].impls[p.impl_ix];
-        let (save_name, load_name) = p.names;
-        let save_body = im.fns[p.save_fn].body.expect("paired fns have bodies");
-        let load_body = im.fns[p.load_fn].body.expect("paired fns have bodies");
-        let mut save_seen: Vec<(usize, &str)> = Vec::new();
-        let mut load_seen: Vec<(usize, &str)> = Vec::new();
-        for f in &st.fields {
-            let s = first_ref(files, p.impl_file, save_body, &f.name);
-            let l = first_ref(files, p.impl_file, load_body, &f.name);
-            match (s, l) {
-                (Some(si), Some(li)) => {
-                    save_seen.push((si, &f.name));
-                    load_seen.push((li, &f.name));
-                }
-                (None, None) => out.push(Raw {
-                    file: p.struct_file,
-                    line: f.line,
-                    rule: rule.name,
-                    message: format!(
-                        "field `{}` of `{}` is never referenced in {save_name} or \
-                         {load_name}: its value silently resets on restore — \
-                         snapshot it (and bump SNAPSHOT_VERSION), or waive this \
-                         field with the reason it is restore-invariant",
-                        f.name, st.name
-                    ),
-                }),
-                (Some(_), None) => out.push(Raw {
-                    file: p.struct_file,
-                    line: f.line,
-                    rule: rule.name,
-                    message: format!(
-                        "field `{}` of `{}` is referenced in {save_name} but not \
-                         {load_name}: the saved bytes are never consumed, so every \
-                         later read desynchronizes the decode stream",
-                        f.name, st.name
-                    ),
-                }),
-                (None, Some(_)) => out.push(Raw {
-                    file: p.struct_file,
-                    line: f.line,
-                    rule: rule.name,
-                    message: format!(
-                        "field `{}` of `{}` is referenced in {load_name} but not \
-                         {save_name}: restore reads bytes that were never written \
-                         for it",
-                        f.name, st.name
-                    ),
-                }),
-            }
-        }
-        save_seen.sort_unstable();
-        load_seen.sort_unstable();
-        let save_order: Vec<&str> = save_seen.iter().map(|&(_, n)| n).collect();
-        let load_order: Vec<&str> = load_seen.iter().map(|&(_, n)| n).collect();
-        if save_order != load_order {
-            out.push(Raw {
-                file: p.impl_file,
-                line: im.fns[p.save_fn].line,
-                rule: rule.name,
-                message: format!(
-                    "`{}`: {save_name} and {load_name} reference the fields of \
-                     `{}` in different orders (save: {} / load: {}); the snapshot \
-                     byte stream is positional, so the orders must match",
-                    im.self_ty,
-                    st.name,
-                    save_order.join(", "),
-                    load_order.join(", "),
-                ),
-            });
-        }
-    }
 }
 
 /// Interprocedural half of `no-hot-path-alloc`: walk the same-crate
@@ -356,154 +172,6 @@ pub(crate) fn tracer_threading(files: &[FileIndex], out: &mut Vec<Raw>) {
                 ),
             });
         }
-    }
-}
-
-/// Builds the snapshot field inventory plus each struct's location
-/// (for anchoring `snapshot-version-bump` findings).
-pub(crate) fn inventory_with_locations(
-    files: &[FileIndex],
-) -> (Inventory, BTreeMap<String, (usize, u32)>) {
-    let mut inv = Inventory {
-        snapshot_version: files.iter().find_map(|f| f.snapshot_version),
-        structs: Vec::new(),
-    };
-    let mut locations = BTreeMap::new();
-    for p in snapshot_pairs(files) {
-        let st = &files[p.struct_file].structs[p.struct_ix];
-        if !st.named {
-            continue;
-        }
-        let crate_label = files[p.struct_file]
-            .crate_name
-            .clone()
-            .unwrap_or_else(|| "unscoped".to_string());
-        let key = format!("{crate_label}::{}", st.name);
-        if locations.contains_key(&key) {
-            continue;
-        }
-        locations.insert(key.clone(), (p.struct_file, st.line));
-        inv.structs
-            .push((key, st.fields.iter().map(|f| f.name.clone()).collect()));
-    }
-    inv.structs.sort();
-    (inv, locations)
-}
-
-/// `snapshot-version-bump`: diff the current inventory against the
-/// committed baseline. A field-list change without a `SNAPSHOT_VERSION`
-/// bump is the real hazard; any other drift (bumped but baseline not
-/// regenerated, structs added/removed) is a stale baseline, which CI
-/// also refuses.
-pub(crate) fn snapshot_version_bump(
-    files: &[FileIndex],
-    current: &Inventory,
-    locations: &BTreeMap<String, (usize, u32)>,
-    baseline: &Inventory,
-    baseline_path: &str,
-    out: &mut Vec<Raw>,
-) {
-    let rule = rule_by_name("snapshot-version-bump").expect("registered");
-    let regen = format!(
-        "regenerate with `cargo run -p netcrafter-lint -- --emit-inventory {baseline_path}`"
-    );
-    // Findings with no surviving struct to anchor to go to the file
-    // that declares SNAPSHOT_VERSION (the snapshot module).
-    let anchor = files
-        .iter()
-        .position(|f| f.snapshot_version.is_some())
-        .unwrap_or(0);
-    let version_bumped = current.snapshot_version != baseline.snapshot_version;
-    let mut fields_changed = false;
-
-    for (key, fields) in &current.structs {
-        let &(file, line) = locations.get(key).expect("inventory keys have locations");
-        match baseline.fields_of(key) {
-            None => {
-                fields_changed = true;
-                out.push(Raw {
-                    file,
-                    line,
-                    rule: rule.name,
-                    message: format!(
-                        "snapshotted struct `{key}` is missing from the \
-                         field-inventory baseline ({baseline_path}); {regen}"
-                    ),
-                });
-            }
-            Some(base) if base != fields.as_slice() => {
-                fields_changed = true;
-                let added: Vec<&str> = fields
-                    .iter()
-                    .filter(|f| !base.contains(f))
-                    .map(String::as_str)
-                    .collect();
-                let removed: Vec<&str> = base
-                    .iter()
-                    .filter(|f| !fields.contains(f))
-                    .map(String::as_str)
-                    .collect();
-                let what = if added.is_empty() && removed.is_empty() {
-                    "fields reordered".to_string()
-                } else {
-                    let mut parts = Vec::new();
-                    if !added.is_empty() {
-                        parts.push(format!("added {}", added.join(", ")));
-                    }
-                    if !removed.is_empty() {
-                        parts.push(format!("removed {}", removed.join(", ")));
-                    }
-                    parts.join("; ")
-                };
-                let message = if version_bumped {
-                    format!(
-                        "field list of `{key}` changed ({what}) and \
-                         SNAPSHOT_VERSION was bumped; the baseline \
-                         {baseline_path} is stale — {regen}"
-                    )
-                } else {
-                    format!(
-                        "field list of `{key}` changed ({what}) without a \
-                         SNAPSHOT_VERSION bump: old checkpoints would decode as \
-                         garbage — bump SNAPSHOT_VERSION in \
-                         crates/sim/src/snapshot.rs, then {regen}"
-                    )
-                };
-                out.push(Raw {
-                    file,
-                    line,
-                    rule: rule.name,
-                    message,
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    for (key, _) in &baseline.structs {
-        if current.fields_of(key).is_none() {
-            fields_changed = true;
-            out.push(Raw {
-                file: anchor,
-                line: 1,
-                rule: rule.name,
-                message: format!(
-                    "struct `{key}` recorded in {baseline_path} is no longer \
-                     snapshotted (renamed or removed); {regen}"
-                ),
-            });
-        }
-    }
-    if version_bumped && !fields_changed {
-        out.push(Raw {
-            file: anchor,
-            line: 1,
-            rule: rule.name,
-            message: format!(
-                "SNAPSHOT_VERSION is {:?} but the baseline {baseline_path} \
-                 records {:?}; {regen}",
-                current.snapshot_version, baseline.snapshot_version
-            ),
-        });
     }
 }
 

@@ -27,6 +27,34 @@ impl Component for Table {
     }
 }
 
+pub struct Meter {
+    limit: u64,
+    seen: u64,
+}
+
+// The snapshot pair may come from `snap_fields!`: snapshot-coverage
+// reads the two method names out of the invocation.
+impl Component for Meter {
+    fn tick(&mut self, _ctx: &mut Ctx<'_>) {
+        self.seen += 1;
+    }
+    fn busy(&self) -> bool {
+        self.seen < self.limit
+    }
+    fn name(&self) -> &str {
+        "meter"
+    }
+    fn next_wake(&self, _now: Cycle) -> Wake {
+        Wake::EveryCycle
+    }
+    snap_fields! {
+        fn save_state + load_state {
+            limit: skipped(config),
+            seen,
+        }
+    }
+}
+
 impl EgressQueue for Table {
     fn pop(&mut self, _now: Cycle, tracer: &mut Tracer) -> Option<Flit> {
         let _ = tracer;

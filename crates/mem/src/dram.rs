@@ -6,8 +6,9 @@ use std::collections::VecDeque;
 
 use netcrafter_proto::config::DramConfig;
 use netcrafter_proto::{GpuId, MemReq, MemRsp, Message, Metrics, LINE_BYTES};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{BurstOutcome, Component, ComponentId, Ctx, Cycle, RateLimiter, Wake};
+use netcrafter_sim::{
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, RateLimiter, Wake,
+};
 
 /// DRAM statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,22 +23,7 @@ pub struct DramStats {
     pub queue_wait_cycles: u64,
 }
 
-impl Snap for DramStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.reads.save(w);
-        self.writes.save(w);
-        self.bytes.save(w);
-        self.queue_wait_cycles.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DramStats {
-            reads: Snap::load(r)?,
-            writes: Snap::load(r)?,
-            bytes: Snap::load(r)?,
-            queue_wait_cycles: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for DramStats { reads, writes, bytes, queue_wait_cycles } }
 
 impl DramStats {
     /// Dumps counters under `prefix`.
@@ -54,13 +40,10 @@ impl DramStats {
 
 /// One GPU's DRAM stack.
 pub struct Dram {
-    // lint:allow(snapshot-field-parity) construction-time identity label; never serialized
     name: String,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     l2: ComponentId,
     queue: VecDeque<(u64, MemReq)>, // (arrival cycle, request)
     rate: RateLimiter,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     latency: u32,
     /// Cycle of the last executed tick; idle cycles skipped by the
     /// event-driven scheduler are replayed as pure token accrual.
@@ -159,19 +142,16 @@ impl Component for Dram {
         }
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.queue.save(w);
-        self.rate.save(w);
-        self.last_tick.save(w);
-        self.stats.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.queue = Snap::load(r)?;
-        self.rate = Snap::load(r)?;
-        self.last_tick = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+    snap_fields! {
+        fn save_state + load_state {
+            name: skipped(wiring),
+            l2: skipped(wiring),
+            latency: skipped(config),
+            queue,
+            rate,
+            last_tick,
+            stats,
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 
 use netcrafter_proto::config::{CacheConfig, SectorFillPolicy};
 use netcrafter_proto::{AccessId, LineAddr, LineMask, Metrics, LINE_BYTES};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snap_fields;
 
 use crate::mshr::{Mshr, MshrOutcome};
 use crate::tagstore::TagStore;
@@ -54,27 +54,8 @@ pub struct L1Stats {
     pub evictions: u64,
 }
 
-impl Snap for L1Stats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.reads.save(w);
-        self.writes.save(w);
-        self.hits.save(w);
-        self.misses.save(w);
-        self.sector_misses.save(w);
-        self.fills.save(w);
-        self.evictions.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(L1Stats {
-            reads: Snap::load(r)?,
-            writes: Snap::load(r)?,
-            hits: Snap::load(r)?,
-            misses: Snap::load(r)?,
-            sector_misses: Snap::load(r)?,
-            fills: Snap::load(r)?,
-            evictions: Snap::load(r)?,
-        })
-    }
+snap_fields! {
+    impl Snap for L1Stats { reads, writes, hits, misses, sector_misses, fills, evictions }
 }
 
 impl L1Stats {
@@ -117,13 +98,9 @@ impl L1Stats {
 pub struct L1Cache {
     tags: TagStore<u16>,
     mshr: Mshr<AccessId>,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     policy: SectorFillPolicy,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     granularity: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     full_mask: u16,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     lookup_cycles: u32,
     /// Statistics.
     pub stats: L1Stats,
@@ -271,22 +248,16 @@ impl L1Cache {
         self.mshr.full_stalls
     }
 
-    /// Appends the cache's dynamic state (tags, MSHR, stats) to `w`; the
-    /// configuration (policy, granularity, latency) stays builder-time.
-    pub fn save_state(&self, w: &mut SnapshotWriter) {
-        self.tags.save(w);
-        self.mshr.save(w);
-        self.stats.save(w);
-    }
-
-    /// Restores the state written by [`L1Cache::save_state`] into this
-    /// (identically configured) cache. The tag array is decoded in place
-    /// ([`TagStore::load_into`]) — restore is a sweep hot path.
-    pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.tags.load_into(r)?;
-        self.mshr = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+    snap_fields! {
+        pub fn save + load_into {
+            policy: skipped(config),
+            granularity: skipped(config),
+            full_mask: skipped(config),
+            lookup_cycles: skipped(config),
+            tags,
+            mshr,
+            stats,
+        }
     }
 }
 

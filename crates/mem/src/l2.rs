@@ -10,9 +10,8 @@ use std::collections::VecDeque;
 
 use netcrafter_proto::config::CacheConfig;
 use netcrafter_proto::{GpuId, MemReq, MemRsp, Message, Metrics, Origin, LINE_BYTES};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use netcrafter_sim::{
-    BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake,
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake,
 };
 
 use crate::mshr::{Mshr, MshrOutcome};
@@ -43,32 +42,10 @@ pub struct L2Stats {
     pub mshr_retries: u64,
 }
 
-impl Snap for L2Stats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.reads.save(w);
-        self.writes.save(w);
-        self.read_hits.save(w);
-        self.read_misses.save(w);
-        self.write_hits.save(w);
-        self.write_misses.save(w);
-        self.writebacks.save(w);
-        self.remote_served.save(w);
-        self.ptw_reads.save(w);
-        self.mshr_retries.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(L2Stats {
-            reads: Snap::load(r)?,
-            writes: Snap::load(r)?,
-            read_hits: Snap::load(r)?,
-            read_misses: Snap::load(r)?,
-            write_hits: Snap::load(r)?,
-            write_misses: Snap::load(r)?,
-            writebacks: Snap::load(r)?,
-            remote_served: Snap::load(r)?,
-            ptw_reads: Snap::load(r)?,
-            mshr_retries: Snap::load(r)?,
-        })
+snap_fields! {
+    impl Snap for L2Stats {
+        reads, writes, read_hits, read_misses, write_hits, write_misses, writebacks,
+        remote_served, ptw_reads, mshr_retries,
     }
 }
 
@@ -96,35 +73,9 @@ struct Bank {
     mshr: Mshr<MemReq>,
 }
 
-impl Snap for Bank {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.input.save(w);
-        self.pipe.save(w);
-        self.tags.save(w);
-        self.mshr.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Bank {
-            input: Snap::load(r)?,
-            pipe: Snap::load(r)?,
-            tags: Snap::load(r)?,
-            mshr: Snap::load(r)?,
-        })
-    }
-}
-
-impl Bank {
-    /// In-place [`Snap::load`]: the bank's queues are small, but its tag
-    /// array is the L2's bulk state, so restoring it in place turns the
-    /// dominant restore cost into a plain decode.
-    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.input = Snap::load(r)?;
-        self.pipe = Snap::load(r)?;
-        self.tags.load_into(r)?;
-        self.mshr = Snap::load(r)?;
-        Ok(())
-    }
-}
+// The tag array is the L2's bulk state; the generated `load_into`
+// restores it (and everything else) in place.
+snap_fields! { impl Snap for Bank { input, pipe, tags, mshr } }
 
 /// Reply-routing table: where responses to each origin go.
 #[derive(Debug, Clone)]
@@ -141,18 +92,12 @@ pub struct L2Wiring {
 
 /// The banked shared L2 component of one GPU.
 pub struct L2Cache {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     gpu: GpuId,
-    // lint:allow(snapshot-field-parity) construction-time identity; load_state only names it in decode error messages
     name: String,
     banks: Vec<Bank>,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     wiring: L2Wiring,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     lookup_cycles: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     hop_cycles: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     full_sector_mask: u16,
     /// Statistics.
     pub stats: L2Stats,
@@ -449,27 +394,17 @@ impl Component for L2Cache {
         BurstOutcome { busy, wake }
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.banks.save(w);
-        self.stats.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        // Same bytes as `Vec<Bank>`'s save (length prefix + each bank),
-        // decoded bank-by-bank into the existing allocations.
-        let n = r.get_len()?;
-        if n != self.banks.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: snapshot has {n} banks, cache has {}",
-                self.name,
-                self.banks.len()
-            )));
+    snap_fields! {
+        fn save_state + load_state {
+            gpu: skipped(wiring),
+            name: skipped(wiring),
+            wiring: skipped(wiring),
+            lookup_cycles: skipped(config),
+            hop_cycles: skipped(config),
+            full_sector_mask: skipped(config),
+            banks: fixed,
+            stats,
         }
-        for bank in &mut self.banks {
-            bank.load_into(r)?;
-        }
-        self.stats = Snap::load(r)?;
-        Ok(())
     }
 }
 

@@ -4,7 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snap_fields;
+use netcrafter_sim::snapshot::{Snap, SnapshotError};
 
 /// Result of trying to register a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,51 +120,26 @@ impl<W> Mshr<W> {
     }
 }
 
-impl<W: Snap> Snap for Mshr<W> {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_len(self.capacity);
-        w.put_len(self.peak);
-        w.put_u64(self.full_stalls);
-        w.put_u64(self.merges);
-        w.put_len(self.entries.len());
-        for (key, entry) in &self.entries {
-            key.save(w);
-            entry.coverage.save(w);
-            entry.waiters.save(w);
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.get_len()?;
-        if capacity == 0 {
+snap_fields! { impl<W: Snap> Snap for Entry<W> { coverage, waiters } }
+
+snap_fields! {
+    impl<W: Snap> Snap for Mshr<W> { capacity, peak, full_stalls, merges, entries }
+    validate Self::check_restored
+}
+
+impl<W> Mshr<W> {
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.capacity == 0 {
             return Err(SnapshotError::Corrupt("MSHR capacity 0".to_string()));
         }
-        let peak = r.get_len()?;
-        let full_stalls = r.get_u64()?;
-        let merges = r.get_u64()?;
-        let n = r.get_len()?;
-        if n > capacity {
+        if self.entries.len() > self.capacity {
             return Err(SnapshotError::Corrupt(format!(
-                "MSHR holds {n} entries but capacity is {capacity}"
+                "MSHR holds {} entries but capacity is {}",
+                self.entries.len(),
+                self.capacity
             )));
         }
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let key: u64 = Snap::load(r)?;
-            entries.insert(
-                key,
-                Entry {
-                    coverage: Snap::load(r)?,
-                    waiters: Snap::load(r)?,
-                },
-            );
-        }
-        Ok(Self {
-            entries,
-            capacity,
-            peak,
-            full_stalls,
-            merges,
-        })
+        Ok(())
     }
 }
 

@@ -1,6 +1,7 @@
 //! A generic set-associative tag array with LRU replacement, shared by
 //! the caches and (via `netcrafter-vm`) the TLBs.
 
+use netcrafter_sim::snap_fields;
 use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One resident entry: the caller's payload plus replacement state.
@@ -10,6 +11,8 @@ struct Slot<T> {
     last_used: u64,
     data: T,
 }
+
+snap_fields! { impl<T: Snap> Snap for Slot<T> { tag, last_used, data } }
 
 /// A set-associative lookup structure keyed by an integer (line address,
 /// VPN, …) with least-recently-used replacement.
@@ -145,49 +148,6 @@ impl<T> TagStore<T> {
         Some(self.sets[set].swap_remove(pos).data)
     }
 
-    /// In-place [`Snap::load`]: decodes a store saved by [`Snap::save`]
-    /// into `self`, reusing every set's existing allocation. This is the
-    /// snapshot-restore hot path — a store holds one `Vec` per set, so
-    /// `Snap::load` pays thousands of small allocations per cache while
-    /// this pays none. The snapshot's geometry must match `self` (restore
-    /// targets are built from the same configuration).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input, a geometry mismatch, or an overfull set.
-    pub fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>
-    where
-        T: Snap,
-    {
-        let ways = r.get_len()?;
-        let n_sets = r.get_len()?;
-        if ways != self.ways || n_sets != self.sets.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "TagStore geometry mismatch: snapshot {n_sets} sets x {ways} ways, \
-                 target {} x {}",
-                self.sets.len(),
-                self.ways
-            )));
-        }
-        for set in &mut self.sets {
-            let len = r.get_len()?;
-            if len > ways {
-                return Err(SnapshotError::Corrupt(format!(
-                    "TagStore set holds {len} slots but has only {ways} ways"
-                )));
-            }
-            set.clear();
-            for _ in 0..len {
-                set.push(Slot {
-                    tag: Snap::load(r)?,
-                    last_used: Snap::load(r)?,
-                    data: Snap::load(r)?,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Iterates over all resident `(key, &data)` pairs (diagnostics only;
     /// order is unspecified).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
@@ -199,6 +159,25 @@ impl<T> TagStore<T> {
     }
 }
 
+/// Decodes one set into `set`, reusing its allocation.
+fn load_set<T: Snap>(
+    set: &mut Vec<Slot<T>>,
+    ways: usize,
+    r: &mut SnapshotReader<'_>,
+) -> Result<(), SnapshotError> {
+    let len = r.get_len()?;
+    if len > ways {
+        return Err(SnapshotError::Corrupt(format!(
+            "TagStore set holds {len} slots but has only {ways} ways"
+        )));
+    }
+    set.clear();
+    for _ in 0..len {
+        set.push(Slot::load(r)?);
+    }
+    Ok(())
+}
+
 /// The sets are serialized verbatim — within-set slot order and the LRU
 /// stamps are observable through victim selection (`invalidate` uses
 /// `swap_remove`, so slot order is not derivable from insertion history).
@@ -207,14 +186,10 @@ impl<T: Snap> Snap for TagStore<T> {
         w.put_len(self.ways);
         w.put_len(self.sets.len());
         for set in &self.sets {
-            w.put_len(set.len());
-            for slot in set {
-                slot.tag.save(w);
-                slot.last_used.save(w);
-                slot.data.save(w);
-            }
+            set.save(w);
         }
     }
+
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let ways = r.get_len()?;
         let n_sets = r.get_len()?;
@@ -225,23 +200,32 @@ impl<T: Snap> Snap for TagStore<T> {
         }
         let mut sets = Vec::with_capacity(n_sets);
         for _ in 0..n_sets {
-            let len = r.get_len()?;
-            if len > ways {
-                return Err(SnapshotError::Corrupt(format!(
-                    "TagStore set holds {len} slots but has only {ways} ways"
-                )));
-            }
             let mut set = Vec::with_capacity(ways);
-            for _ in 0..len {
-                set.push(Slot {
-                    tag: Snap::load(r)?,
-                    last_used: Snap::load(r)?,
-                    data: Snap::load(r)?,
-                });
-            }
+            load_set(&mut set, ways, r)?;
             sets.push(set);
         }
         Ok(Self { sets, ways })
+    }
+
+    /// Reuses every set's existing allocation. This is the
+    /// snapshot-restore hot path — a store holds one `Vec` per set, so
+    /// `load` pays thousands of small allocations per cache while this
+    /// pays none. The snapshot's geometry must match `self` (restore
+    /// targets are built from the same configuration).
+    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let ways = r.get_len()?;
+        let n_sets = r.get_len()?;
+        if ways != self.ways || n_sets != self.sets.len() {
+            return Err(SnapshotError::Corrupt(format!(
+                "TagStore geometry mismatch: snapshot {n_sets} sets x {ways} ways, \
+                 target {} x {}",
+                self.sets.len(),
+                self.ways
+            )));
+        }
+        self.sets
+            .iter_mut()
+            .try_for_each(|set| load_set(set, ways, r))
     }
 }
 

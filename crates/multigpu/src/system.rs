@@ -490,18 +490,23 @@ impl System {
         self.engine.run_until(cycle)
     }
 
-    /// Serializes the node's full dynamic state — the kernel-barrier
-    /// bookkeeping plus the engine body (every component, mailboxes,
-    /// in-flight messages, the tracer) — behind the versioned snapshot
-    /// header. Restore with [`System::restore`] on a node built from the
-    /// *same* config and kernels.
+    /// The canonical state encoding behind every snapshot flavour: the
+    /// kernel-barrier bookkeeping, then the engine body (every component,
+    /// mailboxes, in-flight messages, the tracer).
+    fn save_body(&mut self, w: &mut SnapshotWriter) {
+        self.kernel_name.save(w);
+        self.pending_kernels.save(w);
+        self.kernel_cycles.save(w);
+        self.engine.save_state_into(w);
+    }
+
+    /// Serializes the node's full dynamic state behind the versioned
+    /// snapshot header. Restore with [`System::restore`] on a node built
+    /// from the *same* config and kernels.
     pub fn save_snapshot(&mut self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         write_header(&mut w);
-        self.kernel_name.save(&mut w);
-        self.pending_kernels.save(&mut w);
-        self.kernel_cycles.save(&mut w);
-        self.engine.save_state_into(&mut w);
+        self.save_body(&mut w);
         w.into_bytes()
     }
 
@@ -513,9 +518,9 @@ impl System {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(bytes);
         read_header(&mut r)?;
-        self.kernel_name = Snap::load(&mut r)?;
-        self.pending_kernels = Snap::load(&mut r)?;
-        self.kernel_cycles = Snap::load(&mut r)?;
+        self.kernel_name.load_into(&mut r)?;
+        self.pending_kernels.load_into(&mut r)?;
+        self.kernel_cycles.load_into(&mut r)?;
         self.engine.load_state_from(&mut r)?;
         if r.remaining() != 0 {
             return Err(SnapshotError::Corrupt(format!(
@@ -530,10 +535,7 @@ impl System {
     /// bookkeeping + engine body, no header).
     pub fn state_hash(&mut self) -> u64 {
         let mut w = SnapshotWriter::new();
-        self.kernel_name.save(&mut w);
-        self.pending_kernels.save(&mut w);
-        self.kernel_cycles.save(&mut w);
-        self.engine.save_state_into(&mut w);
+        self.save_body(&mut w);
         netcrafter_proto::fnv1a64(&w.into_bytes())
     }
 
@@ -545,17 +547,12 @@ impl System {
     /// pointer clones, not N encodes. Restore with [`System::restore`] on
     /// a node built from the same config and kernels.
     pub fn fork_snapshot(&mut self) -> ForkSnapshot {
-        let mut body = SnapshotWriter::new();
-        self.kernel_name.save(&mut body);
-        self.pending_kernels.save(&mut body);
-        self.kernel_cycles.save(&mut body);
-        self.engine.save_state_into(&mut body);
-        let body = body.into_bytes();
-        let hash = netcrafter_proto::fnv1a64(&body);
         let mut w = SnapshotWriter::new();
         write_header(&mut w);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&body);
+        let header_len = w.position();
+        self.save_body(&mut w);
+        let bytes = w.into_bytes();
+        let hash = netcrafter_proto::fnv1a64(&bytes[header_len..]);
         ForkSnapshot::new(self.engine.cycle(), bytes, hash)
     }
 

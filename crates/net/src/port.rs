@@ -9,8 +9,8 @@
 //! its `pop`.
 
 use netcrafter_proto::{Flit, Message, Metrics, NodeId, TimeSeries, TrafficClass};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{ComponentId, Ctx, Cycle, EventClass, RateLimiter, Tracer, Wake};
+use netcrafter_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::{snap_fields, ComponentId, Ctx, Cycle, EventClass, RateLimiter, Tracer, Wake};
 use std::collections::VecDeque;
 
 /// The queue behind an egress port. `pop` may return `None` even when the
@@ -73,11 +73,11 @@ pub trait EgressQueue: Send {
 
     /// Appends the queue's dynamic state to `w` (part of the engine
     /// snapshot of the owning component).
-    fn save_state(&self, w: &mut SnapshotWriter);
+    fn save(&self, w: &mut SnapshotWriter);
 
-    /// Restores the state written by [`EgressQueue::save_state`] into
-    /// this (identically configured) queue.
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
+    /// Restores the state written by [`EgressQueue::save`] into this
+    /// (identically configured) queue.
+    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
 }
 
 /// The default strictly-FIFO egress queue.
@@ -110,13 +110,8 @@ impl EgressQueue for FifoQueue {
         self.q.iter().map(|f| f.chunks.len()).sum()
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.q.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.q = Snap::load(r)?;
-        Ok(())
+    snap_fields! {
+        fn save + load_into { q }
     }
 }
 
@@ -171,36 +166,6 @@ impl PortStats {
         }
     }
 
-    /// Appends every counter to `w`.
-    pub fn save(&self, w: &mut SnapshotWriter) {
-        self.flits.save(w);
-        self.used_bytes.save(w);
-        self.meta_bytes.save(w);
-        self.busy_cycles.save(w);
-        self.stitched_flits.save(w);
-        self.chunks.save(w);
-        self.padding_hist.save(w);
-        self.class_flits.save(w);
-        self.class_bytes.save(w);
-        self.kind_chunks.save(w);
-    }
-
-    /// Reads counters written by [`PortStats::save`].
-    pub fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PortStats {
-            flits: Snap::load(r)?,
-            used_bytes: Snap::load(r)?,
-            meta_bytes: Snap::load(r)?,
-            busy_cycles: Snap::load(r)?,
-            stitched_flits: Snap::load(r)?,
-            chunks: Snap::load(r)?,
-            padding_hist: Snap::load(r)?,
-            class_flits: Snap::load(r)?,
-            class_bytes: Snap::load(r)?,
-            kind_chunks: Snap::load(r)?,
-        })
-    }
-
     /// Writes all counters under `prefix` into `metrics`.
     pub fn report(&self, metrics: &mut Metrics, prefix: &str) {
         metrics.add(&format!("{prefix}.flits"), self.flits);
@@ -222,6 +187,13 @@ impl PortStats {
                 self.kind_chunks[i],
             );
         }
+    }
+}
+
+snap_fields! {
+    impl Snap for PortStats {
+        flits, used_bytes, meta_bytes, busy_cycles, stitched_flits, chunks, padding_hist,
+        class_flits, class_bytes, kind_chunks,
     }
 }
 
@@ -255,22 +227,7 @@ impl PortSeries {
     }
 }
 
-impl Snap for PortSeries {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.bytes.save(w);
-        self.flits.save(w);
-        self.occupancy.save(w);
-        self.pooled.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PortSeries {
-            bytes: Snap::load(r)?,
-            flits: Snap::load(r)?,
-            occupancy: Snap::load(r)?,
-            pooled: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for PortSeries { bytes, flits, occupancy, pooled } }
 
 /// Identity and timing of the wire an [`EgressPort`] transmits on: who
 /// is on the other end, which of the peer's ports the wire lands on,
@@ -290,27 +247,22 @@ pub struct EgressWire {
 /// A rate-limited, credit-flow-controlled transmit port.
 pub struct EgressPort {
     /// Engine address of the next hop's component.
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     peer: ComponentId,
     /// This port's own node id (stamped as `from` on transmissions).
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     self_node: NodeId,
     /// The paired port's index at the peer, stamped as `link` on
     /// transmissions so the receiver can index its port array directly
     /// (0 for single-port endpoints).
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     peer_port: u16,
     /// Output buffer.
     queue: Box<dyn EgressQueue>,
     /// Output buffer capacity in flits (Table 2: 1024).
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     capacity: usize,
     /// Link bandwidth in flits/cycle (may be fractional).
     rate: RateLimiter,
     /// Remaining downstream buffer slots.
     credits: u32,
     /// Wire propagation latency in cycles.
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     wire_latency: u64,
     /// Transmit statistics.
     pub stats: PortStats,
@@ -324,10 +276,10 @@ pub struct EgressPort {
     /// Debug-build flit-conservation ledger: chunks that entered the
     /// output buffer. Chunks (not flits) are the conserved unit because
     /// stitching merges flits without creating or destroying chunks.
-    #[cfg(debug_assertions)]
+    /// Release builds never count, so the snapshot bytes are zeros there
+    /// and the layout is the same in both profiles.
     dbg_pushed_chunks: u64,
     /// Debug-build flit-conservation ledger: chunks transmitted.
-    #[cfg(debug_assertions)]
     dbg_popped_chunks: u64,
 }
 
@@ -371,9 +323,7 @@ impl EgressPort {
             stats: PortStats::default(),
             series: None,
             last_tick: 0,
-            #[cfg(debug_assertions)]
             dbg_pushed_chunks: 0,
-            #[cfg(debug_assertions)]
             dbg_popped_chunks: 0,
         }
     }
@@ -617,49 +567,22 @@ impl EgressPort {
         self.queue.report(metrics, prefix);
     }
 
-    /// Appends the port's dynamic state (queue contents, rate-limiter
-    /// tokens, credits, stats, telemetry, conservation ledger). The byte
-    /// layout is identical in debug and release builds: the debug-only
-    /// conservation counters are written as zeros by release builds.
-    pub fn save_state(&self, w: &mut SnapshotWriter) {
-        self.queue.save_state(w);
-        self.rate.save(w);
-        self.credits.save(w);
-        self.stats.save(w);
-        self.series.as_deref().cloned().save(w);
-        self.last_tick.save(w);
-        #[cfg(debug_assertions)]
-        {
-            self.dbg_pushed_chunks.save(w);
-            self.dbg_popped_chunks.save(w);
+    snap_fields! {
+        pub fn save + load_into {
+            peer: skipped(wiring),
+            self_node: skipped(wiring),
+            peer_port: skipped(wiring),
+            capacity: skipped(config),
+            wire_latency: skipped(config),
+            queue,
+            rate,
+            credits,
+            stats,
+            series,
+            last_tick,
+            dbg_pushed_chunks,
+            dbg_popped_chunks,
         }
-        #[cfg(not(debug_assertions))]
-        {
-            0u64.save(w);
-            0u64.save(w);
-        }
-    }
-
-    /// Restores the state written by [`EgressPort::save_state`] into this
-    /// (identically configured) port.
-    pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.queue.load_state(r)?;
-        self.rate = Snap::load(r)?;
-        self.credits = Snap::load(r)?;
-        self.stats = PortStats::load(r)?;
-        let series: Option<PortSeries> = Snap::load(r)?;
-        self.series = series.map(Box::new);
-        self.last_tick = Snap::load(r)?;
-        let pushed: u64 = Snap::load(r)?;
-        let popped: u64 = Snap::load(r)?;
-        #[cfg(debug_assertions)]
-        {
-            self.dbg_pushed_chunks = pushed;
-            self.dbg_popped_chunks = popped;
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = (pushed, popped);
-        Ok(())
     }
 }
 

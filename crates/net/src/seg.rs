@@ -10,7 +10,7 @@
 //! original packet" by id.
 
 use netcrafter_proto::{Chunk, Flit, OrderedMap, Packet, PacketId};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snap_fields;
 
 /// Segments packets into fixed-size flits.
 #[derive(Debug, Clone)]
@@ -143,31 +143,9 @@ impl Reassembler {
     }
 }
 
-impl Snap for Partial {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.received_bytes.save(w);
-        self.info.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Partial {
-            received_bytes: Snap::load(r)?,
-            info: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for Partial { received_bytes, info } }
 
-impl Snap for Reassembler {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.pending.save(w);
-        self.completed.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Reassembler {
-            pending: Snap::load(r)?,
-            completed: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for Reassembler { pending, completed } }
 
 #[cfg(test)]
 mod tests {

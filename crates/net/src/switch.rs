@@ -11,9 +11,9 @@
 use std::collections::BTreeMap;
 
 use netcrafter_proto::{Flit, Message, Metrics, NodeId};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use netcrafter_sim::{
-    BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Tracer, Wake,
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Tracer,
+    Wake,
 };
 
 use crate::port::{EgressPort, EgressQueue, EgressWire, PortSeries};
@@ -48,20 +48,14 @@ pub struct SwitchPortSpec {
 }
 
 struct Port {
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     peer: ComponentId,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     peer_node: NodeId,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     peer_port: u16,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     wire_latency: u64,
     in_pipe: DelayQueue<Flit>,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     in_capacity: usize,
     stalled: Option<Flit>,
     egress: EgressPort,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     is_inter: bool,
 }
 
@@ -70,16 +64,18 @@ impl Port {
         self.in_pipe.len() + usize::from(self.stalled.is_some())
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.in_pipe.save(w);
-        self.stalled.save(w);
-        self.egress.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.in_pipe = Snap::load(r)?;
-        self.stalled = Snap::load(r)?;
-        self.egress.load_state(r)
+    snap_fields! {
+        fn save + load_into {
+            peer: skipped(wiring),
+            peer_node: skipped(wiring),
+            peer_port: skipped(wiring),
+            wire_latency: skipped(config),
+            in_capacity: skipped(config),
+            is_inter: skipped(config),
+            in_pipe,
+            stalled,
+            egress,
+        }
     }
 }
 
@@ -96,38 +92,20 @@ pub struct SwitchStats {
     pub output_stalls: u64,
 }
 
-impl Snap for SwitchStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.arrived.save(w);
-        self.unstitched_flits.save(w);
-        self.unstitched_chunks.save(w);
-        self.output_stalls.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SwitchStats {
-            arrived: Snap::load(r)?,
-            unstitched_flits: Snap::load(r)?,
-            unstitched_chunks: Snap::load(r)?,
-            output_stalls: Snap::load(r)?,
-        })
-    }
+snap_fields! {
+    impl Snap for SwitchStats { arrived, unstitched_flits, unstitched_chunks, output_stalls }
 }
 
 /// A cluster switch component.
 pub struct Switch {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     node: NodeId,
-    // lint:allow(snapshot-field-parity) construction-time identity; load_state only names it in decode error messages
     name: String,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     pipeline_cycles: u32,
     ports: Vec<Port>,
-    // lint:allow(snapshot-field-parity) static routing table derived from the topology at build time
     route: BTreeMap<NodeId, usize>,
     /// Per-port chunk counters reused by the un-stitching admission check
     /// in [`Switch::try_route`]; always all-zero between calls. A scratch
     /// field (not a local) so the routing hot path allocates nothing.
-    // lint:allow(snapshot-field-parity) per-tick scratch, all-zero between ticks (debug-asserted); nothing to restore
     unstitch_needed: Vec<u32>,
     /// Aggregate statistics.
     pub stats: SwitchStats,
@@ -480,28 +458,16 @@ impl Component for Switch {
         wake
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_len(self.ports.len());
-        for port in &self.ports {
-            port.save_state(w);
+    snap_fields! {
+        fn save_state + load_state {
+            node: skipped(wiring),
+            name: skipped(wiring),
+            pipeline_cycles: skipped(config),
+            route: skipped(wiring),
+            unstitch_needed: skipped(scratch),
+            ports: fixed,
+            stats,
         }
-        self.stats.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_len()?;
-        if n != self.ports.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{}: snapshot has {n} ports, switch has {}",
-                self.name,
-                self.ports.len()
-            )));
-        }
-        for port in &mut self.ports {
-            port.load_state(r)?;
-        }
-        self.stats = Snap::load(r)?;
-        Ok(())
     }
 }
 

@@ -12,8 +12,9 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use netcrafter_proto::{Chunk, Flit, Message, NodeId, PacketId, PacketKind, TrafficClass};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{Component, ComponentId, Ctx, Cycle, EngineBuilder, RateLimiter, Wake};
+use netcrafter_sim::{
+    snap_fields, Component, ComponentId, Ctx, Cycle, EngineBuilder, RateLimiter, Wake,
+};
 
 use crate::port::FifoQueue;
 use crate::switch::{Switch, SwitchPortSpec};
@@ -35,21 +36,16 @@ pub struct LoadPoint {
 /// rate. The injection timestamp rides in the packet id, so the sink can
 /// compute end-to-end latency without side tables.
 struct Source {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     node: NodeId,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     switch: ComponentId,
     /// This endpoint's port index at its switch, stamped as `link` on
     /// every flit so the switch can index the ingress port directly.
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     switch_port: u16,
     rate: RateLimiter,
-    // lint:allow(snapshot-field-parity) construction-time destination set from the config
     dsts: Vec<NodeId>,
     remaining: u64,
     credits: u32,
     rng_state: u64,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     flit_bytes: u32,
 }
 
@@ -119,19 +115,18 @@ impl Component for Source {
         }
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.rate.save(w);
-        self.remaining.save(w);
-        self.credits.save(w);
-        self.rng_state.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.rate = Snap::load(r)?;
-        self.remaining = Snap::load(r)?;
-        self.credits = Snap::load(r)?;
-        self.rng_state = Snap::load(r)?;
-        Ok(())
+    snap_fields! {
+        fn save_state + load_state {
+            node: skipped(wiring),
+            switch: skipped(wiring),
+            switch_port: skipped(wiring),
+            dsts: skipped(config),
+            flit_bytes: skipped(config),
+            rate,
+            remaining,
+            credits,
+            rng_state,
+        }
     }
 }
 
@@ -143,18 +138,16 @@ struct SinkStats {
     latency_max: u64,
 }
 
+snap_fields! { impl Snap for SinkStats { received, latency_sum, latency_max } }
+
 struct Sink {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     node: NodeId,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     switch: ComponentId,
     /// Port index of this endpoint at its switch (for credit returns).
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     switch_port: u16,
     /// The co-located source: the switch addresses all of this node's
     /// traffic (including returned input-buffer credits) to the sink, so
     /// the sink forwards credits to the source that actually needs them.
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     source: ComponentId,
     stats: Arc<Mutex<SinkStats>>,
 }
@@ -206,24 +199,16 @@ impl Component for Sink {
         Wake::OnMessage
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        // The accumulator is shared by every sink; each saves (and each
-        // restores) the same totals, so the repetition is idempotent.
-        let s = self.stats.lock().expect("sink stats lock");
-        s.received.save(w);
-        s.latency_sum.save(w);
-        s.latency_max.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let received = Snap::load(r)?;
-        let latency_sum = Snap::load(r)?;
-        let latency_max = Snap::load(r)?;
-        let mut s = self.stats.lock().expect("sink stats lock");
-        s.received = received;
-        s.latency_sum = latency_sum;
-        s.latency_max = latency_max;
-        Ok(())
+    // The accumulator is shared by every sink; each saves (and each
+    // restores) the same totals, so the repetition is idempotent.
+    snap_fields! {
+        fn save_state + load_state {
+            node: skipped(wiring),
+            switch: skipped(wiring),
+            switch_port: skipped(wiring),
+            source: skipped(wiring),
+            stats,
+        }
     }
 }
 

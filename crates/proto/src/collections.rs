@@ -69,12 +69,9 @@ fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
 #[derive(Debug, Clone)]
 pub struct OrderedMap<K, V> {
     /// Entries in insertion order; `None` marks a removed entry.
-    // lint:allow(snapshot-field-parity) serialized wholesale via the public iter()/insert() API by sim's Snap impl, which cannot name this private field
     entries: Vec<Option<(K, V)>>,
     /// Bucket chains of indices into `entries`. Length is a power of two.
-    // lint:allow(snapshot-field-parity) rebuilt by insert() during load; serialized via the public API by sim's Snap impl
     buckets: Vec<Vec<u32>>,
-    // lint:allow(snapshot-field-parity) rebuilt by insert() during load; serialized via the public API by sim's Snap impl
     live: usize,
 }
 

@@ -135,9 +135,7 @@ impl GpuId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdAlloc<T> {
-    // lint:allow(snapshot-field-parity) serialized via issued()/with_issued() by sim's Snap impl, which cannot name this private field
     next: u64,
-    // lint:allow(snapshot-field-parity) PhantomData; no runtime state
     _marker: core::marker::PhantomData<T>,
 }
 

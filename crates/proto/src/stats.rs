@@ -48,7 +48,6 @@ impl LatencyStat {
 /// A sparse integer histogram (bucket → count).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
-    // lint:allow(snapshot-field-parity) serialized via the public observation API by sim's Snap impl, which cannot name this private field
     buckets: BTreeMap<u64, u64>,
 }
 
@@ -111,7 +110,6 @@ impl Histogram {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     window: u64,
-    // lint:allow(snapshot-field-parity) serialized via the public observation API by sim's Snap impl, which cannot name this private field
     buckets: Vec<u64>,
 }
 
@@ -201,11 +199,8 @@ impl TimeSeries {
 /// The harvested metrics of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    // lint:allow(snapshot-field-parity) serialized via the public to_kv()/from_kv() API by sim's Snap impl
     counters: BTreeMap<String, u64>,
-    // lint:allow(snapshot-field-parity) serialized via the public to_kv()/from_kv() API by sim's Snap impl
     histograms: BTreeMap<String, Histogram>,
-    // lint:allow(snapshot-field-parity) serialized via the public to_kv()/from_kv() API by sim's Snap impl
     latencies: BTreeMap<String, LatencyStat>,
 }
 

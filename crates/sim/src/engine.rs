@@ -709,7 +709,8 @@ impl Engine {
         core.delivered = delivered;
         for (comp, body) in core.comps.iter_mut().zip(&bodies) {
             let mut br = SnapshotReader::new(body);
-            comp.load_state(&mut br)?;
+            comp.load_state(&mut br)
+                .map_err(|e| e.within(comp.name()))?;
             if br.remaining() != 0 {
                 return Err(SnapshotError::Corrupt(format!(
                     "component `{}` left {} unread byte(s) in its state blob",
@@ -1397,16 +1398,14 @@ mod tests {
         fn name(&self) -> &str {
             "churner"
         }
-        fn save_state(&self, w: &mut SnapshotWriter) {
-            w.put_u64(self.next_delay as u64);
-            w.put_u64(u64::from(self.bounces_left));
-            w.put_u64(self.received);
-        }
-        fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-            self.next_delay = r.get_u64()? as usize;
-            self.bounces_left = r.get_u64()? as u32;
-            self.received = r.get_u64()?;
-            Ok(())
+        crate::snap_fields! {
+            fn save_state + load_state {
+                peer: skipped(wiring),
+                delays: skipped(config),
+                next_delay,
+                bounces_left,
+                received,
+            }
         }
     }
 
@@ -1431,14 +1430,8 @@ mod tests {
         fn name(&self) -> &str {
             "sloth"
         }
-        fn save_state(&self, w: &mut SnapshotWriter) {
-            w.put_u64(u64::from(self.backlog));
-            w.put_u64(self.got);
-        }
-        fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-            self.backlog = r.get_u64()? as u32;
-            self.got = r.get_u64()?;
-            Ok(())
+        crate::snap_fields! {
+            fn save_state + load_state { backlog, got }
         }
     }
 

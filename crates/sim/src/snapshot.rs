@@ -17,9 +17,12 @@
 //! here for primitives, standard containers and the `proto` data types)
 //! plus the [`crate::Component::save_state`]/
 //! [`crate::Component::load_state`] pair that every snapshottable
-//! component implements.
+//! component implements. Struct-shaped types do not write those pairs by
+//! hand: [`snap_fields!`](crate::snap_fields) takes the field list once
+//! and generates every direction from it.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 use netcrafter_proto::access::{AccessKind, CoalescedAccess, WavefrontOp, WavefrontTrace};
 use netcrafter_proto::collections::OrderedMap;
@@ -91,6 +94,17 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl SnapshotError {
+    /// Names the component (or part) whose state was being decoded when
+    /// the bytes turned out invalid.
+    pub fn within(self, what: &str) -> Self {
+        match self {
+            SnapshotError::Corrupt(why) => SnapshotError::Corrupt(format!("{what}: {why}")),
+            other => other,
+        }
+    }
+}
 
 /// Append-only little-endian encoder for snapshot bytes.
 #[derive(Debug, Default)]
@@ -315,7 +329,7 @@ pub fn read_header(r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
 #[derive(Debug, Clone)]
 pub struct ForkSnapshot {
     cycle: u64,
-    bytes: std::sync::Arc<Vec<u8>>,
+    bytes: Arc<Vec<u8>>,
     state_hash: u64,
 }
 
@@ -324,7 +338,7 @@ impl ForkSnapshot {
     pub fn new(cycle: u64, bytes: Vec<u8>, state_hash: u64) -> Self {
         Self {
             cycle,
-            bytes: std::sync::Arc::new(bytes),
+            bytes: Arc::new(bytes),
             state_hash,
         }
     }
@@ -355,6 +369,240 @@ pub trait Snap: Sized {
 
     /// Decodes a value previously written by [`Snap::save`].
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+
+    /// Decodes the same bytes into an existing value. Restore always
+    /// goes through this method, so a type whose fresh construction is
+    /// expensive (a tag array with one `Vec` per set) overrides it to
+    /// reuse its allocations and every owner benefits without knowing.
+    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = Self::load(r)?;
+        Ok(())
+    }
+}
+
+/// Generates a struct's snapshot code from **one** list of its fields.
+///
+/// Every field is named exactly once, in the order its bytes appear in
+/// the snapshot, and every direction (save, decode, restore in place)
+/// is generated from that one list — so the directions cannot drift
+/// apart. Both generated halves destructure `Self { .. }` without a
+/// rest pattern: a field that is added to the struct and not listed
+/// here **does not compile**.
+///
+/// # Value types
+///
+/// At item level, `impl Snap for T { a, b, c }` implements [`Snap`] for
+/// a struct whose fields are all `Snap`: `save`, `load`, and a
+/// field-wise [`Snap::load_into`], so a nested field with an in-place
+/// restore (a tag store) keeps it. Attributes (doc comments) in front
+/// of the `impl` land on it. An optional `validate path::to::fn`
+/// names a `fn(&mut T) -> Result<(), SnapshotError>` (or `fn(&T)`) that
+/// runs on the decoded value before it is returned.
+///
+/// ```
+/// use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Cursor {
+///     items: Vec<u64>,
+///     next: usize,
+/// }
+///
+/// impl Cursor {
+///     fn check(&self) -> Result<(), SnapshotError> {
+///         if self.next > self.items.len() {
+///             return Err(SnapshotError::Corrupt("cursor past the end".to_string()));
+///         }
+///         Ok(())
+///     }
+/// }
+///
+/// netcrafter_sim::snap_fields! {
+///     impl Snap for Cursor { items, next }
+///     validate Cursor::check
+/// }
+///
+/// let cursor = Cursor { items: vec![7, 8], next: 1 };
+/// let mut w = SnapshotWriter::new();
+/// cursor.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(Cursor::load(&mut SnapshotReader::new(&bytes)).unwrap(), cursor);
+/// ```
+///
+/// # Stateful types
+///
+/// Components, queues and caches also hold wiring and configuration
+/// that the restore target already has, so they cannot be decoded from
+/// nothing: they save, and restore *into* an identically built
+/// instance. Inside an `impl` block, `[pub] fn SAVE + LOAD { .. }`
+/// emits that method pair under the given names (`save_state` +
+/// `load_state` for a [`crate::Component`]; `save` + `load_into`,
+/// the names [`Snap`] uses, for a part owned by one). Each field is
+/// classified:
+///
+/// * `field` — persisted through its own `save` / `load_into` (a
+///   [`Snap`] value or a stateful part with methods of those names);
+/// * `field: fixed` — a sequence whose length is structure, not state
+///   (a switch's ports, a cache's banks): a length prefix that must
+///   match the target, then each element in place;
+/// * `field: skipped(why)` — not in the snapshot, with the reason:
+///   `wiring` (who this instance is and what it is connected to),
+///   `config` (builder-time parameters), `derived` (recomputed by the
+///   `validate` hook) or `scratch` (meaningless between ticks).
+///
+/// An optional `validate path::to::fn`, as for value types, runs on
+/// `self` after the last field — post-decode checks and derived-state
+/// rebuilds stay ordinary code there.
+///
+/// ```
+/// use netcrafter_sim::snapshot::{SnapshotReader, SnapshotWriter};
+///
+/// struct Counter {
+///     limit: u64,
+///     ticks: u64,
+///     sum: u64,
+/// }
+///
+/// impl Counter {
+///     netcrafter_sim::snap_fields! {
+///         pub fn save + load_into {
+///             limit: skipped(config),
+///             ticks,
+///             sum,
+///         }
+///     }
+/// }
+///
+/// let mut w = SnapshotWriter::new();
+/// Counter { limit: 9, ticks: 3, sum: 12 }.save(&mut w);
+/// let bytes = w.into_bytes();
+/// let mut fresh = Counter { limit: 9, ticks: 0, sum: 0 };
+/// fresh.load_into(&mut SnapshotReader::new(&bytes)).unwrap();
+/// assert_eq!((fresh.ticks, fresh.sum), (3, 12));
+/// ```
+///
+/// The same struct with `sum` left out of the list is rejected by the
+/// compiler, at the invocation: E0027 "pattern does not mention field
+/// `sum`", or — for a private field seen from another crate's macro, as
+/// here — "pattern requires `..` due to inaccessible fields". Either
+/// way the fix is to classify the new field.
+///
+/// ```compile_fail
+/// struct Counter {
+///     limit: u64,
+///     ticks: u64,
+///     sum: u64,
+/// }
+///
+/// impl Counter {
+///     netcrafter_sim::snap_fields! {
+///         pub fn save + load_into {
+///             limit: skipped(config),
+///             ticks,
+///         }
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! snap_fields {
+    (
+        $(#[$attr:meta])*
+        impl $(<$($g:ident : $bound:path),+>)? Snap for $ty:ty {
+            $($field:ident),* $(,)?
+        }
+        $(validate $check:path)?
+    ) => {
+        $(#[$attr])*
+        impl $(<$($g: $bound),+>)? $crate::snapshot::Snap for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                let Self { $($field),* } = self;
+                $($crate::snapshot::Snap::save($field, w);)*
+            }
+
+            fn load(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                #[allow(unused_mut)]
+                let mut value = Self {
+                    $($field: $crate::snapshot::Snap::load(r)?),*
+                };
+                $($check(&mut value)?;)?
+                Ok(value)
+            }
+
+            fn load_into(
+                &mut self,
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<(), $crate::snapshot::SnapshotError> {
+                let Self { $($field),* } = self;
+                $($crate::snapshot::Snap::load_into($field, r)?;)*
+                $($check(self)?;)?
+                Ok(())
+            }
+        }
+    };
+    (
+        $vis:vis fn $save:ident + $load:ident {
+            $($field:ident $(: $kind:ident $(($why:ident))?)?),* $(,)?
+        }
+        $(validate $check:path)?
+    ) => {
+        /// Appends the dynamic state (the fields `snap_fields!` lists as
+        /// persisted, in list order) to `w`.
+        $vis fn $save(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+            #[allow(unused_imports)]
+            use $crate::snapshot::Snap as _;
+            let Self { $($field),* } = self;
+            $($crate::snap_fields!(@save w $field $($kind $(($why))?)?);)*
+        }
+
+        /// Restores the state its save twin wrote into this, identically
+        /// built, instance.
+        $vis fn $load(
+            &mut self,
+            r: &mut $crate::snapshot::SnapshotReader<'_>,
+        ) -> Result<(), $crate::snapshot::SnapshotError> {
+            #[allow(unused_imports)]
+            use $crate::snapshot::Snap as _;
+            let Self { $($field),* } = self;
+            $($crate::snap_fields!(@load r $field $($kind $(($why))?)?);)*
+            $($check(self)?;)?
+            Ok(())
+        }
+    };
+    (@save $w:ident $f:ident) => {
+        $f.save($w);
+    };
+    (@load $r:ident $f:ident) => {
+        $f.load_into($r)?;
+    };
+    (@save $w:ident $f:ident fixed) => {
+        $w.put_len($f.len());
+        for item in $f.iter() {
+            item.save($w);
+        }
+    };
+    (@load $r:ident $f:ident fixed) => {
+        let n = $r.get_len()?;
+        if n != $f.len() {
+            return Err($crate::snapshot::SnapshotError::Corrupt(format!(
+                "snapshot has {n} {}, the restore target has {}",
+                stringify!($f),
+                $f.len()
+            )));
+        }
+        for item in $f.iter_mut() {
+            item.load_into($r)?;
+        }
+    };
+    (@$dir:ident $io:ident $f:ident skipped($why:ident)) => {
+        $crate::snap_fields!(@reason $why);
+        let _ = $f;
+    };
+    (@reason wiring) => {};
+    (@reason config) => {};
+    (@reason derived) => {};
+    (@reason scratch) => {};
 }
 
 // ---- primitives ----
@@ -496,6 +744,23 @@ impl<T: Snap> Snap for Box<T> {
     }
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Box::new(T::load(r)?))
+    }
+}
+
+/// A value shared between components: every holder saves the same
+/// bytes, and restores them into the shared cell (never replacing the
+/// `Arc`, which would split the holders apart).
+impl<T: Snap> Snap for Arc<Mutex<T>> {
+    fn save(&self, w: &mut SnapshotWriter) {
+        self.lock().expect("shared snapshot state lock").save(w);
+    }
+    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Arc::new(Mutex::new(T::load(r)?)))
+    }
+    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.lock()
+            .expect("shared snapshot state lock")
+            .load_into(r)
     }
 }
 
@@ -673,102 +938,23 @@ impl Snap for Origin {
     }
 }
 
-impl Snap for MemReq {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.access.save(w);
-        self.line.save(w);
-        self.write.save(w);
-        self.mask.save(w);
-        self.sectors.save(w);
-        self.class.save(w);
-        self.requester.save(w);
-        self.owner.save(w);
-        self.origin.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MemReq {
-            access: Snap::load(r)?,
-            line: Snap::load(r)?,
-            write: Snap::load(r)?,
-            mask: Snap::load(r)?,
-            sectors: Snap::load(r)?,
-            class: Snap::load(r)?,
-            requester: Snap::load(r)?,
-            owner: Snap::load(r)?,
-            origin: Snap::load(r)?,
-        })
+snap_fields! {
+    impl Snap for MemReq {
+        access, line, write, mask, sectors, class, requester, owner, origin,
     }
 }
 
-impl Snap for MemRsp {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.access.save(w);
-        self.line.save(w);
-        self.write.save(w);
-        self.sectors_valid.save(w);
-        self.class.save(w);
-        self.requester.save(w);
-        self.owner.save(w);
-        self.origin.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MemRsp {
-            access: Snap::load(r)?,
-            line: Snap::load(r)?,
-            write: Snap::load(r)?,
-            sectors_valid: Snap::load(r)?,
-            class: Snap::load(r)?,
-            requester: Snap::load(r)?,
-            owner: Snap::load(r)?,
-            origin: Snap::load(r)?,
-        })
+snap_fields! {
+    impl Snap for MemRsp {
+        access, line, write, sectors_valid, class, requester, owner, origin,
     }
 }
 
-impl Snap for TransReq {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.access.save(w);
-        self.vpn.save(w);
-        self.cu.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TransReq {
-            access: Snap::load(r)?,
-            vpn: Snap::load(r)?,
-            cu: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for TransReq { access, vpn, cu } }
 
-impl Snap for TransRsp {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.access.save(w);
-        self.vpn.save(w);
-        self.pfn.save(w);
-        self.cu.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TransRsp {
-            access: Snap::load(r)?,
-            vpn: Snap::load(r)?,
-            pfn: Snap::load(r)?,
-            cu: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for TransRsp { access, vpn, pfn, cu } }
 
-impl Snap for TrimInfo {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.granularity.save(w);
-        self.sector.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TrimInfo {
-            granularity: Snap::load(r)?,
-            sector: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for TrimInfo { granularity, sector } }
 
 impl Snap for PacketPayload {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -792,72 +978,15 @@ impl Snap for PacketPayload {
     }
 }
 
-impl Snap for Packet {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.id.save(w);
-        self.kind.save(w);
-        self.src.save(w);
-        self.dst.save(w);
-        self.payload_bytes.save(w);
-        self.trim.save(w);
-        self.inner.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Packet {
-            id: Snap::load(r)?,
-            kind: Snap::load(r)?,
-            src: Snap::load(r)?,
-            dst: Snap::load(r)?,
-            payload_bytes: Snap::load(r)?,
-            trim: Snap::load(r)?,
-            inner: Snap::load(r)?,
-        })
+snap_fields! { impl Snap for Packet { id, kind, src, dst, payload_bytes, trim, inner } }
+
+snap_fields! {
+    impl Snap for Chunk {
+        packet, kind, bytes, meta_bytes, has_header, is_tail, seq, dst, class, packet_info,
     }
 }
 
-impl Snap for Chunk {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.packet.save(w);
-        self.kind.save(w);
-        self.bytes.save(w);
-        self.meta_bytes.save(w);
-        self.has_header.save(w);
-        self.is_tail.save(w);
-        self.seq.save(w);
-        self.dst.save(w);
-        self.class.save(w);
-        self.packet_info.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Chunk {
-            packet: Snap::load(r)?,
-            kind: Snap::load(r)?,
-            bytes: Snap::load(r)?,
-            meta_bytes: Snap::load(r)?,
-            has_header: Snap::load(r)?,
-            is_tail: Snap::load(r)?,
-            seq: Snap::load(r)?,
-            dst: Snap::load(r)?,
-            class: Snap::load(r)?,
-            packet_info: Snap::load(r)?,
-        })
-    }
-}
-
-impl Snap for Flit {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.capacity.save(w);
-        self.chunks.save(w);
-        self.dst.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Flit {
-            capacity: Snap::load(r)?,
-            chunks: Snap::load(r)?,
-            dst: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for Flit { capacity, chunks, dst } }
 
 impl Snap for Message {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -931,21 +1060,16 @@ impl Snap for AccessKind {
     }
 }
 
-impl Snap for CoalescedAccess {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.vaddr.save(w);
-        self.kind.save(w);
-        self.mask.save(w);
+snap_fields! {
+    impl Snap for CoalescedAccess { vaddr, kind, mask }
+    validate nonempty_mask
+}
+
+fn nonempty_mask(access: &CoalescedAccess) -> Result<(), SnapshotError> {
+    if access.mask.is_empty() {
+        return Err(SnapshotError::Corrupt("empty access mask".to_string()));
     }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let vaddr = Snap::load(r)?;
-        let kind = Snap::load(r)?;
-        let mask: LineMask = Snap::load(r)?;
-        if mask.is_empty() {
-            return Err(SnapshotError::Corrupt("empty access mask".to_string()));
-        }
-        Ok(CoalescedAccess::with_mask(vaddr, kind, mask))
-    }
+    Ok(())
 }
 
 impl Snap for WavefrontOp {
@@ -970,37 +1094,11 @@ impl Snap for WavefrontOp {
     }
 }
 
-impl Snap for WavefrontTrace {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.id.save(w);
-        self.cta.save(w);
-        self.ops.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(WavefrontTrace {
-            id: Snap::load(r)?,
-            cta: Snap::load(r)?,
-            ops: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for WavefrontTrace { id, cta, ops } }
 
 // ---- proto statistics types ----
 
-impl Snap for LatencyStat {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.count.save(w);
-        self.sum.save(w);
-        self.max.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(LatencyStat {
-            count: Snap::load(r)?,
-            sum: Snap::load(r)?,
-            max: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for LatencyStat { count, sum, max } }
 
 impl Snap for Histogram {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -1041,7 +1139,10 @@ impl Snap for TimeSeries {
         let n = r.get_len()?;
         let mut out = TimeSeries::new(window);
         for ix in 0..n {
-            out.add(ix as u64 * window, r.get_u64()?);
+            let cycle = (ix as u64).checked_mul(window).ok_or_else(|| {
+                SnapshotError::Corrupt(format!("TimeSeries of {n} windows of {window} cycles"))
+            })?;
+            out.add(cycle, r.get_u64()?);
         }
         Ok(out)
     }
@@ -1306,6 +1407,78 @@ mod tests {
         w.put_u64(u64::MAX); // claimed element count
         let bytes = w.into_bytes();
         let got: Result<Vec<u64>, _> = Snap::load(&mut SnapshotReader::new(&bytes));
+        assert!(matches!(got, Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Lane {
+        queued: Vec<u32>,
+    }
+    snap_fields! { impl Snap for Lane { queued } }
+
+    struct Router {
+        radix: usize,
+        lanes: Vec<Lane>,
+        seen: Arc<Mutex<u64>>,
+    }
+
+    impl Router {
+        fn new(radix: usize) -> Self {
+            Router {
+                radix,
+                lanes: (0..radix).map(|_| Lane { queued: Vec::new() }).collect(),
+                seen: Arc::new(Mutex::new(0)),
+            }
+        }
+
+        snap_fields! {
+            fn save + load_into {
+                radix: skipped(config),
+                lanes: fixed,
+                seen,
+            }
+        }
+    }
+
+    #[test]
+    fn stateful_restore_is_in_place_and_checks_fixed_lengths() {
+        let mut router = Router::new(2);
+        router.lanes[1].queued.push(9);
+        *router.seen.lock().unwrap() = 4;
+        let mut w = SnapshotWriter::new();
+        router.save(&mut w);
+        let bytes = w.into_bytes();
+
+        // Same shape: lanes restore in place and a co-owner of the shared
+        // cell sees the restored value (the Arc is not replaced).
+        let mut twin = Router::new(2);
+        let co_owner = Arc::clone(&twin.seen);
+        twin.load_into(&mut SnapshotReader::new(&bytes))
+            .expect("same shape restores");
+        assert_eq!(twin.lanes, router.lanes);
+        assert_eq!(*co_owner.lock().unwrap(), 4);
+        assert_eq!(twin.radix, 2);
+
+        // A differently built target is a mismatch, not a resize.
+        let err = Router::new(3)
+            .load_into(&mut SnapshotReader::new(&bytes))
+            .expect_err("lane count differs");
+        assert_eq!(
+            err,
+            SnapshotError::Corrupt("snapshot has 2 lanes, the restore target has 3".to_string())
+        );
+    }
+
+    #[test]
+    fn time_series_spanning_more_than_u64_cycles_is_rejected() {
+        let mut w = SnapshotWriter::new();
+        w.put_u64(u64::MAX); // window
+        w.put_len(3);
+        for bucket in 0..3 {
+            w.put_u64(bucket);
+        }
+        let bytes = w.into_bytes();
+        let got: Result<TimeSeries, _> = Snap::load(&mut SnapshotReader::new(&bytes));
         assert!(matches!(got, Err(SnapshotError::Corrupt(_))));
     }
 

@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Snap, SnapshotError};
 use crate::Cycle;
 
 /// A fixed- or variable-latency pipeline: items pushed at cycle `t` with
@@ -97,22 +97,24 @@ impl<T> Default for DelayQueue<T> {
     }
 }
 
-impl<T: Snap> Snap for DelayQueue<T> {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.items.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let items: VecDeque<(Cycle, T)> = Snap::load(r)?;
-        if items
+crate::snap_fields! {
+    impl<T: Snap> Snap for DelayQueue<T> { items }
+    validate Self::check_restored
+}
+
+impl<T> DelayQueue<T> {
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self
+            .items
             .iter()
-            .zip(items.iter().skip(1))
+            .zip(self.items.iter().skip(1))
             .any(|((a, _), (b, _))| a > b)
         {
             return Err(SnapshotError::Corrupt(
                 "DelayQueue ready cycles not non-decreasing".to_string(),
             ));
         }
-        Ok(Self { items })
+        Ok(())
     }
 }
 
@@ -192,20 +194,22 @@ impl RateLimiter {
     }
 }
 
-/// Rate and burst are builder-time configuration, but they are saved
-/// anyway and validated on load: restoring a snapshot into a limiter
-/// built from a different config is a config mismatch, not a silent
-/// behavior change. The token count restores by exact bit pattern.
-impl Snap for RateLimiter {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.rate.save(w);
-        self.burst.save(w);
-        self.tokens.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let rate: f64 = Snap::load(r)?;
-        let burst: f64 = Snap::load(r)?;
-        let tokens: f64 = Snap::load(r)?;
+crate::snap_fields! {
+    /// Rate and burst are builder-time configuration, but they are saved
+    /// anyway and validated on load: restoring a snapshot into a limiter
+    /// built from a different config is a config mismatch, not a silent
+    /// behavior change. The token count restores by exact bit pattern.
+    impl Snap for RateLimiter { rate, burst, tokens }
+    validate Self::check_restored
+}
+
+impl RateLimiter {
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        let Self {
+            rate,
+            burst,
+            tokens,
+        } = *self;
         // Positive comparisons so NaNs in any field also fail validation.
         let valid = rate > 0.0 && burst >= rate && (0.0..=burst).contains(&tokens);
         if !valid {
@@ -213,11 +217,7 @@ impl Snap for RateLimiter {
                 "RateLimiter state rate={rate} burst={burst} tokens={tokens}"
             )));
         }
-        Ok(Self {
-            rate,
-            burst,
-            tokens,
-        })
+        Ok(())
     }
 }
 
@@ -251,18 +251,17 @@ impl Ticker {
     }
 }
 
-impl Snap for Ticker {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.period.save(w);
-        self.next.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let period: Cycle = Snap::load(r)?;
-        let next: Cycle = Snap::load(r)?;
-        if period == 0 {
+crate::snap_fields! {
+    impl Snap for Ticker { period, next }
+    validate Self::check_restored
+}
+
+impl Ticker {
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.period == 0 {
             return Err(SnapshotError::Corrupt("Ticker period 0".to_string()));
         }
-        Ok(Self { period, next })
+        Ok(())
     }
 }
 

@@ -251,10 +251,8 @@ pub struct Tracer {
     last_cycle: Cycle,
     now: Cycle,
     /// Track currently being ticked; events are attributed to it.
-    // lint:allow(snapshot-field-parity) transient per-tick focus; the engine re-establishes it before the next tick, so load resets it
     focus: u32,
     /// Cached `track_enabled[focus] && on`: makes `wants` one load + mask.
-    // lint:allow(snapshot-field-parity) transient per-tick focus; the engine re-establishes it before the next tick, so load resets it
     focus_live: bool,
     tracks: Vec<String>,
     track_enabled: Vec<bool>,
@@ -441,21 +439,8 @@ impl Tracer {
     }
 }
 
-impl Snap for TraceConfig {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.components.save(w);
-        self.class_mask.save(w);
-        self.first_cycle.save(w);
-        self.last_cycle.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TraceConfig {
-            components: Snap::load(r)?,
-            class_mask: Snap::load(r)?,
-            first_cycle: Snap::load(r)?,
-            last_cycle: Snap::load(r)?,
-        })
-    }
+crate::snap_fields! {
+    impl Snap for TraceConfig { components, class_mask, first_cycle, last_cycle }
 }
 
 /// The tracer snapshots everything observable: its filter, track table

@@ -1,44 +1,44 @@
-//! Runtime demonstration of the failure class the
-//! `snapshot-field-parity` lint rule closes statically: a component
-//! whose `save_state` omits one evolving field restores cleanly, hashes
-//! identically at the restore point — and then silently diverges from
-//! the original run. The complete twin stays bit-identical.
+//! What `snap_fields!` can and cannot guarantee, shown at runtime.
 //!
-//! (This file lives in `tests/`, outside the linter's `src/` scan, so
-//! the deliberately leaky component does not need a waiver.)
+//! The macro makes *omitting* a field from the snapshot pair a compile
+//! error (its `compile_fail` doctest), and generating both halves from
+//! one list rules out save/load disagreeing. What stays a judgement is
+//! the classification itself: a component that lists an evolving field
+//! as `skipped` restores cleanly, hashes identically at the restore
+//! point — and then silently diverges from the original run. The twin
+//! that persists every evolving field stays bit-identical.
 
-use netcrafter_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{Component, Ctx, EngineBuilder};
+use netcrafter_sim::{snap_fields, Component, Ctx, EngineBuilder};
 
-/// Accumulator whose `sum` trajectory depends on the tick counter. With
-/// `complete: false` the counter is left out of the snapshot pair —
-/// exactly the single-field omission the parity rule rejects.
+/// Accumulator whose `sum` trajectory depends on the tick counter.
 struct Drifter {
     ticks: u64,
     sum: u64,
     horizon: u64,
-    complete: bool,
 }
 
 impl Drifter {
-    fn boxed(complete: bool) -> Box<dyn Component> {
-        Box::new(Drifter {
+    fn new() -> Self {
+        Drifter {
             ticks: 0,
             sum: 0,
             horizon: 200,
-            complete,
-        })
+        }
     }
-}
 
-impl Component for Drifter {
-    fn tick(&mut self, _ctx: &mut Ctx<'_>) {
+    fn step(&mut self) {
         if self.ticks < self.horizon {
             self.ticks += 1;
             // `sum` depends on `ticks`, so a restore that resets `ticks`
             // bends the `sum` trajectory from here on.
             self.sum += self.ticks * 3 + 1;
         }
+    }
+}
+
+impl Component for Drifter {
+    fn tick(&mut self, _ctx: &mut Ctx<'_>) {
+        self.step();
     }
 
     fn busy(&self) -> bool {
@@ -49,34 +49,61 @@ impl Component for Drifter {
         "drifter"
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.sum);
-        if self.complete {
-            w.put_u64(self.ticks);
+    snap_fields! {
+        fn save_state + load_state {
+            horizon: skipped(config),
+            sum,
+            ticks,
         }
     }
+}
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.sum = r.get_u64()?;
-        if self.complete {
-            self.ticks = r.get_u64()?;
+/// The same model, snapshotted through a pair that misclassifies
+/// `ticks` as derived state.
+struct LeakyDrifter {
+    inner: Drifter,
+}
+
+impl Component for LeakyDrifter {
+    fn tick(&mut self, _ctx: &mut Ctx<'_>) {
+        self.inner.step();
+    }
+
+    fn busy(&self) -> bool {
+        self.inner.busy()
+    }
+
+    fn name(&self) -> &str {
+        "drifter"
+    }
+
+    snap_fields! {
+        fn save_state + load_state { inner }
+    }
+}
+
+impl Drifter {
+    snap_fields! {
+        fn save + load_into {
+            horizon: skipped(config),
+            sum,
+            ticks: skipped(derived),
         }
-        Ok(())
     }
 }
 
 /// Runs to cycle 50, snapshots, and compares the original at cycle 150
 /// with a restored replica run over the same span.
-fn divergence_after_restore(complete: bool) -> (u64, u64) {
+fn divergence_after_restore(build: fn() -> Box<dyn Component>) -> (u64, u64) {
     let mut b = EngineBuilder::new();
-    b.add(Drifter::boxed(complete));
+    b.add(build());
     let mut original = b.build();
     original.run_until(50);
     let snapshot = original.save_snapshot();
     original.run_until(150);
 
     let mut b = EngineBuilder::new();
-    b.add(Drifter::boxed(complete));
+    b.add(build());
     let mut replica = b.build();
     replica.restore(&snapshot).expect("snapshot restores");
     replica.run_until(150);
@@ -84,20 +111,24 @@ fn divergence_after_restore(complete: bool) -> (u64, u64) {
 }
 
 #[test]
-fn complete_snapshot_pair_is_restore_equivalent() {
-    let (original, replica) = divergence_after_restore(true);
+fn persisting_every_evolving_field_is_restore_equivalent() {
+    let (original, replica) = divergence_after_restore(|| Box::new(Drifter::new()));
     assert_eq!(
         original, replica,
-        "a component that snapshots every field replays bit-identically"
+        "a component that snapshots every evolving field replays bit-identically"
     );
 }
 
 #[test]
-fn omitting_one_field_write_diverges_silently() {
-    let (original, replica) = divergence_after_restore(false);
+fn skipping_an_evolving_field_diverges_silently() {
+    let (original, replica) = divergence_after_restore(|| {
+        Box::new(LeakyDrifter {
+            inner: Drifter::new(),
+        })
+    });
     assert_ne!(
         original, replica,
-        "dropping a single field from save_state must show up as \
-         post-restore divergence (else the parity rule guards nothing)"
+        "classifying an evolving field as skipped must show up as \
+         post-restore divergence"
     );
 }

@@ -17,8 +17,10 @@ use netcrafter_proto::{
     AccessId, GpuId, LatencyStat, LineMask, MemReq, Message, Metrics, Origin, TrafficClass,
     TransReq, TransRsp,
 };
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use netcrafter_sim::{Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake};
+use netcrafter_sim::snapshot::SnapshotError;
+use netcrafter_sim::{
+    snap_fields, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake,
+};
 
 use crate::pagetable::PageTable;
 use crate::tlb::Tlb;
@@ -55,26 +57,10 @@ pub struct GmmuStats {
     pub walker_queue_events: u64,
 }
 
-impl Snap for GmmuStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.requests.save(w);
-        self.walks.save(w);
-        self.walk_reads_hist.save(w);
-        self.local_pt_reads.save(w);
-        self.remote_pt_reads.save(w);
-        self.walk_latency.save(w);
-        self.walker_queue_events.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(GmmuStats {
-            requests: Snap::load(r)?,
-            walks: Snap::load(r)?,
-            walk_reads_hist: Snap::load(r)?,
-            local_pt_reads: Snap::load(r)?,
-            remote_pt_reads: Snap::load(r)?,
-            walk_latency: Snap::load(r)?,
-            walker_queue_events: Snap::load(r)?,
-        })
+snap_fields! {
+    impl Snap for GmmuStats {
+        requests, walks, walk_reads_hist, local_pt_reads, remote_pt_reads, walk_latency,
+        walker_queue_events,
     }
 }
 
@@ -109,29 +95,21 @@ struct Walk {
     started: Cycle,
 }
 
-impl Snap for Walk {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.vpn.save(w);
-        self.reads.save(w);
-        self.next_read.save(w);
-        self.started.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let vpn: u64 = Snap::load(r)?;
-        let reads: Vec<(GpuId, netcrafter_proto::LineAddr)> = Snap::load(r)?;
-        let next_read: usize = Snap::load(r)?;
-        if next_read > reads.len() {
+snap_fields! {
+    impl Snap for Walk { vpn, reads, next_read, started }
+    validate Self::check_restored
+}
+
+impl Walk {
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        if self.next_read > self.reads.len() {
             return Err(SnapshotError::Corrupt(format!(
-                "walk read cursor {next_read} past {} reads",
-                reads.len()
+                "walk read cursor {} past {} reads",
+                self.next_read,
+                self.reads.len()
             )));
         }
-        Ok(Walk {
-            vpn,
-            reads,
-            next_read,
-            started: Snap::load(r)?,
-        })
+        Ok(())
     }
 }
 
@@ -140,22 +118,15 @@ type PendingWalk = (u64, Vec<(GpuId, netcrafter_proto::LineAddr)>, Cycle);
 
 /// The per-GPU shared L2 TLB + GMMU component.
 pub struct TranslationUnit {
-    // lint:allow(snapshot-field-parity) construction-time wiring identity
     gpu: GpuId,
-    // lint:allow(snapshot-field-parity) construction-time identity label; never serialized
     name: String,
     /// Shared L2 TLB (hit path).
     pub l2_tlb: Tlb,
     pwc: netcrafter_mem::TagStore<()>,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     pwc_cycles: u32,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     max_walkers: usize,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     hop_cycles: u32,
-    // lint:allow(snapshot-field-parity) immutable shared page table installed at construction
     page_table: Arc<PageTable>,
-    // lint:allow(snapshot-field-parity) construction-time wiring; the restore target is built with the same topology
     wiring: TranslationWiring,
 
     tlb_pipe: DelayQueue<TransReq>,
@@ -172,7 +143,6 @@ pub struct TranslationUnit {
     /// so the saved state is the same under every scheduler.
     retry_settled: Cycle,
     waiters: BTreeMap<u64, Vec<TransReq>>,
-    // lint:allow(snapshot-field-parity) construction-time config; identical in the restore target by construction
     waiter_cap: usize,
     active: BTreeMap<u64, Walk>,
     pending_walks: VecDeque<PendingWalk>,
@@ -484,35 +454,29 @@ impl Component for TranslationUnit {
         wake
     }
 
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.l2_tlb.save(w);
-        self.pwc.save(w);
-        self.tlb_pipe.save(w);
-        self.pwc_pipe.save(w);
-        self.retry.save(w);
-        self.retry_settled.save(w);
-        self.waiters.save(w);
-        self.active.save(w);
-        self.pending_walks.save(w);
-        self.inflight_reads.save(w);
-        self.read_ids.save(w);
-        self.stats.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.l2_tlb.load_into(r)?;
-        self.pwc.load_into(r)?;
-        self.tlb_pipe = Snap::load(r)?;
-        self.pwc_pipe = Snap::load(r)?;
-        self.retry = Snap::load(r)?;
-        self.retry_settled = Snap::load(r)?;
-        self.waiters = Snap::load(r)?;
-        self.active = Snap::load(r)?;
-        self.pending_walks = Snap::load(r)?;
-        self.inflight_reads = Snap::load(r)?;
-        self.read_ids = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
+    snap_fields! {
+        fn save_state + load_state {
+            gpu: skipped(wiring),
+            name: skipped(wiring),
+            pwc_cycles: skipped(config),
+            max_walkers: skipped(config),
+            hop_cycles: skipped(config),
+            page_table: skipped(wiring),
+            wiring: skipped(wiring),
+            waiter_cap: skipped(config),
+            l2_tlb,
+            pwc,
+            tlb_pipe,
+            pwc_pipe,
+            retry,
+            retry_settled,
+            waiters,
+            active,
+            pending_walks,
+            inflight_reads,
+            read_ids,
+            stats,
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 use netcrafter_mem::TagStore;
 use netcrafter_proto::config::TlbConfig;
 use netcrafter_proto::Metrics;
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snap_fields;
 
 /// TLB hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -19,20 +19,7 @@ pub struct TlbStats {
     pub evictions: u64,
 }
 
-impl Snap for TlbStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.hits.save(w);
-        self.misses.save(w);
-        self.evictions.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TlbStats {
-            hits: Snap::load(r)?,
-            misses: Snap::load(r)?,
-            evictions: Snap::load(r)?,
-        })
-    }
-}
+snap_fields! { impl Snap for TlbStats { hits, misses, evictions } }
 
 impl TlbStats {
     /// Hit rate in [0, 1]; 0 when no lookups happened.
@@ -118,37 +105,13 @@ impl Tlb {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// In-place [`Snap::load`] for the snapshot-restore hot path: decodes
-    /// the same bytes into `self`, reusing the entry store's allocations.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input or an entry-store geometry mismatch.
-    pub fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.entries.load_into(r)?;
-        self.lookup_cycles = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
-    }
 }
 
-/// The lookup latency is builder-time configuration; it is saved and
-/// checked on load so restoring into a differently configured TLB fails
-/// loudly instead of silently changing timing.
-impl Snap for Tlb {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.entries.save(w);
-        self.lookup_cycles.save(w);
-        self.stats.save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Tlb {
-            entries: Snap::load(r)?,
-            lookup_cycles: Snap::load(r)?,
-            stats: Snap::load(r)?,
-        })
-    }
+snap_fields! {
+    /// The lookup latency is builder-time configuration; it is saved so
+    /// the bytes say which TLB they describe. The generated `load_into`
+    /// restores the entry store in place.
+    impl Snap for Tlb { entries, lookup_cycles, stats }
 }
 
 #[cfg(test)]
