@@ -24,7 +24,13 @@
 //! gated. The simulator is deterministic, so
 //! cycles and speedups are exactly reproducible; `check` compares two
 //! reports and fails (exit 1) with a readable diff when any gated number
-//! drifts beyond `--tolerance` percent (default 0, i.e. exact). The
+//! drifts beyond `--tolerance` percent (default 0, i.e. exact). Each run
+//! also records `ticks`, the component ticks the engine executed for it
+//! (`Engine::ticks_executed`; left out under `--threads N`, where domain
+//! workers tick differently): host work as an exact count, so `check`
+//! fails a run that executes *more* ticks than its baseline — a component
+//! that starts spinning again — on any runner, however noisy; fewer
+//! ticks pass. The
 //! per-run cycles-per-second rates vary with the host and are reported
 //! but never gated; the aggregate `cycles_per_sec` is *soft*-gated —
 //! a regression of more than 25% vs the baseline fails the check, and
@@ -273,11 +279,19 @@ fn emit(args: &[String]) -> ! {
     // Per-run host throughput (informational, never gated): the sweep
     // resolves each unique job exactly once, so its stat is the run's.
     let stats = runner.job_stats();
-    let host_rate = |key: &str| -> f64 {
-        stats
-            .iter()
-            .find(|s| s.memo_key == key)
-            .map_or(0.0, netcrafter_bench::JobStat::cycles_per_sec)
+    let stat_of = |key: &str| stats.iter().find(|s| s.memo_key == key);
+    let host_rate =
+        |key: &str| -> f64 { stat_of(key).map_or(0.0, netcrafter_bench::JobStat::cycles_per_sec) };
+    // Component ticks the engine executed for the run: deterministic
+    // under the default scheduler for a given plan (a forked sweep job
+    // counts its suffix only), so `check` can hold it exactly even on a
+    // noisy runner. Domain workers tick differently; `--threads N`
+    // reports leave it out.
+    let ticks_field = |key: &str| -> String {
+        match stat_of(key) {
+            Some(s) if threads <= 1 => format!(",\"ticks\":{}", s.ticks),
+            _ => String::new(),
+        }
     };
 
     // Cells are ordered with each group's baseline first, so the base
@@ -299,11 +313,12 @@ fn emit(args: &[String]) -> ! {
         }
         runs.push_str(&format!(
             "{{\"workload\":{},\"variant\":{},\"exec_cycles\":{},\
-             \"host_cycles_per_sec\":{:.0}}}",
+             \"host_cycles_per_sec\":{:.0}{}}}",
             json_string(&cell.workload),
             json_string(&cell.variant),
             r.exec_cycles,
             host_rate(&cell.job.memo_key()),
+            ticks_field(&cell.job.memo_key()),
         ));
         if cell.speedup_base {
             base_cycles.insert(cell.workload.as_str(), r.exec_cycles);
@@ -459,6 +474,21 @@ fn gated_numbers(report: &json::Value) -> Result<Vec<(String, f64)>, String> {
     Ok(out)
 }
 
+/// The `ticks` of every run that recorded them, keyed like the gated
+/// `runs:` numbers. Reports emitted with `--threads N` record none.
+fn run_ticks(report: &json::Value) -> std::collections::BTreeMap<String, f64> {
+    let runs = report.get("runs").and_then(|v| v.as_arr());
+    runs.into_iter()
+        .flatten()
+        .filter_map(|run| {
+            let workload = run.get("workload")?.as_str()?;
+            let variant = run.get("variant")?.as_str()?;
+            let ticks = run.get("ticks")?.as_f64()?;
+            Some((format!("{workload}|{variant}"), ticks))
+        })
+        .collect()
+}
+
 fn load(path: &str) -> json::Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -519,6 +549,36 @@ fn check(args: &[String]) -> ! {
                 "{key}: not in baseline {base_path} (re-emit the baseline?)"
             ));
         }
+    }
+
+    // Tick gate: a run may execute fewer component ticks than its
+    // baseline, never more. The count is exact under the default
+    // scheduler, so a component that starts spinning again fails here
+    // even where host time is too noisy to show it.
+    let base_ticks = run_ticks(&base);
+    let cur_ticks = run_ticks(&cur);
+    let mut ticks_compared = 0usize;
+    for (key, want) in &base_ticks {
+        let Some(got) = cur_ticks.get(key) else {
+            continue;
+        };
+        ticks_compared += 1;
+        if got > want {
+            failures.push(format!(
+                "ticks:{key}: {got} engine ticks vs baseline {want} ({:+.2}%; more ticks never pass)",
+                100.0 * (got - want) / want.max(1.0)
+            ));
+        }
+    }
+    if ticks_compared > 0 {
+        let total = |t: &std::collections::BTreeMap<String, f64>| -> f64 {
+            base_ticks.keys().filter_map(|k| t.get(k)).sum()
+        };
+        eprintln!(
+            "bench_gate: {:.0} engine ticks over {ticks_compared} runs vs baseline {:.0}",
+            total(&cur_ticks),
+            total(&base_ticks)
+        );
     }
 
     // Soft throughput gate: the aggregate host rate may regress up to

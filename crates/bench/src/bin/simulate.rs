@@ -39,7 +39,7 @@
 //! uninterrupted run — metrics, traces and time series alike.
 
 use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
-use netcrafter_bench::{f2, pct, stats_report, Cli, Runner, Table, TraceArgs};
+use netcrafter_bench::{f2, pct, stats_report, ticks_line, Cli, Runner, Table, TraceArgs};
 use netcrafter_multigpu::{CheckpointPlan, SystemVariant};
 use netcrafter_proto::{SystemConfig, TopologyConfig};
 use netcrafter_workloads::{Scale, Workload};
@@ -311,6 +311,9 @@ fn main() {
                 std::process::exit(1);
             });
         }
+        // This run bypassed the runner, so the footer below has no job
+        // to report on.
+        eprint!("{}", ticks_line(run.ticks, run.messages));
         std::sync::Arc::new(run.result)
     } else {
         runner.run(workload, variant)

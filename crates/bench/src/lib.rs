@@ -156,6 +156,12 @@ pub struct JobStat {
     /// Cycle the simulation started stepping from: 0 for a cold run,
     /// the checkpoint's cycle after a warm start.
     pub resumed_at: u64,
+    /// Component ticks the engine executed from `resumed_at` on (0 for a
+    /// replay): the deterministic measure of host work that
+    /// `bench_gate` records per run.
+    pub ticks: u64,
+    /// Messages delivered over the same cycles.
+    pub messages: u64,
 }
 
 impl JobStat {
@@ -181,6 +187,7 @@ pub fn stats_report(stats: &[JobStat]) -> String {
     let mut shared = 0usize;
     let mut total_wall = Duration::ZERO;
     let mut total_cycles = 0u64;
+    let (mut total_ticks, mut total_messages) = (0u64, 0u64);
     for s in stats {
         let src = match s.source {
             JobSource::Fresh => "sim",
@@ -208,6 +215,8 @@ pub fn stats_report(stats: &[JobStat]) -> String {
                 }
                 total_wall += s.wall;
                 total_cycles += s.exec_cycles;
+                total_ticks += s.ticks;
+                total_messages += s.messages;
             }
             JobSource::DiskHit => replayed += 1,
             JobSource::Shared => shared += 1,
@@ -222,6 +231,9 @@ pub fn stats_report(stats: &[JobStat]) -> String {
         "  {fresh} simulated ({total_cycles} cycles in {total_wall:.1?} cpu-time, \
          {rate:.1} Mcyc/s), {replayed} replayed from disk\n",
     ));
+    if total_ticks > 0 {
+        out.push_str(&ticks_line(total_ticks, total_messages));
+    }
     if forked + shared > 0 {
         out.push_str(&format!(
             "  {forked} of the simulations resumed from an in-memory prefix fork, \
@@ -229,6 +241,14 @@ pub fn stats_report(stats: &[JobStat]) -> String {
         ));
     }
     out
+}
+
+/// The footer line on engine work: component ticks executed and ticks
+/// per message delivered over the same cycles. A component that spins
+/// shows up here before it shows up on the clock.
+pub fn ticks_line(ticks: u64, messages: u64) -> String {
+    let per_message = ticks as f64 / messages.max(1) as f64;
+    format!("  {ticks} ticks, {per_message:.2} ticks/message\n")
 }
 
 /// Counters describing how a [`Runner`]'s sweeps exploited shared work:
@@ -583,12 +603,13 @@ impl Runner {
         } else {
             JobSource::Fresh
         };
-        self.finish_at(memo_key, source, wall, &result, run.resumed_at);
+        let work = (run.ticks, run.messages);
+        self.finish_at(memo_key, source, wall, &result, run.resumed_at, work);
         (result, run.fork)
     }
 
     fn finish(&self, memo_key: String, source: JobSource, wall: Duration, result: &Arc<RunResult>) {
-        self.finish_at(memo_key, source, wall, result, 0);
+        self.finish_at(memo_key, source, wall, result, 0, (0, 0));
     }
 
     fn finish_at(
@@ -598,6 +619,7 @@ impl Runner {
         wall: Duration,
         result: &Arc<RunResult>,
         resumed_at: u64,
+        (ticks, messages): (u64, u64),
     ) {
         self.stats.lock().unwrap().push(JobStat {
             memo_key: memo_key.clone(),
@@ -605,6 +627,8 @@ impl Runner {
             wall,
             exec_cycles: result.exec_cycles,
             resumed_at,
+            ticks,
+            messages,
         });
         self.memo
             .lock()
@@ -1010,6 +1034,8 @@ mod tests {
                 wall: std::time::Duration::from_millis(10),
                 exec_cycles: 1_000_000,
                 resumed_at: 0,
+                ticks: 3_000,
+                messages: 2_000,
             },
             JobStat {
                 memo_key: "GUPS|Ideal|".into(),
@@ -1017,6 +1043,8 @@ mod tests {
                 wall: std::time::Duration::from_micros(50),
                 exec_cycles: 900_000,
                 resumed_at: 250_000,
+                ticks: 0,
+                messages: 0,
             },
         ];
         let report = stats_report(&stats);
@@ -1024,6 +1052,10 @@ mod tests {
         assert!(report.contains("1 simulated"));
         assert!(report.contains("1 replayed from disk"));
         assert!(report.contains("warm-start from cycle 250000"));
+        assert!(
+            report.contains("3000 ticks, 1.50 ticks/message"),
+            "{report}"
+        );
         assert!((stats[0].cycles_per_sec() - 1e8).abs() < 1e3);
     }
 }

@@ -226,6 +226,12 @@ impl ClusterQueue {
     fn stitch_into(&mut self, parent: &mut Flit) -> u64 {
         let mut absorbed = 0;
         loop {
+            // A full parent (four of the five flits of a read response)
+            // fits nothing: every chunk occupies at least one byte.
+            let room = parent.empty_bytes();
+            if room == 0 {
+                break;
+            }
             let mut best: Option<(usize, usize, u32)> = None;
             for qi in 0..6 {
                 for (pos, cand) in self.queues[qi]
@@ -233,7 +239,7 @@ impl ClusterQueue {
                     .enumerate()
                     .take(self.cfg.stitch_search_depth as usize)
                 {
-                    if let Some(cost) = parent.stitch_cost(cand) {
+                    if let Some(cost) = parent.stitch_cost_in(room, cand) {
                         if best.is_none_or(|(_, _, c)| cost > c) {
                             best = Some((qi, pos, cost));
                         }

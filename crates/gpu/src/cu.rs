@@ -16,8 +16,8 @@ use netcrafter_proto::access::{CoalescedAccess, WavefrontOp, WavefrontTrace};
 use netcrafter_proto::config::SystemConfig;
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::{
-    AccessId, CuId, GpuId, LatencyStat, MemReq, Message, Metrics, Origin, PAddr, TrafficClass,
-    TransReq, PAGE_BYTES,
+    AccessId, CuId, GpuId, LatencyStat, LineAddr, MemReq, Message, Metrics, Origin, PAddr,
+    TrafficClass, TransReq, PAGE_BYTES,
 };
 use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use netcrafter_sim::{
@@ -202,8 +202,9 @@ pub struct Cu {
     read_waiters: BTreeMap<AccessId, usize>,
     issue_times: BTreeMap<AccessId, (Cycle, bool)>, // (issued, inter_cluster)
     outstanding: u32,
-    /// Cycle of the last tick, the anchor for arithmetic `idle_cycles`
-    /// catch-up after an event-driven scheduler skips blocked cycles.
+    /// Cycle of the last tick, the anchor for the arithmetic catch-up
+    /// (`idle_cycles`, failed access retries) after an event-driven
+    /// scheduler skips blocked cycles.
     last_tick: Cycle,
     /// Whether the CU was busy at the end of the last tick. State is
     /// frozen between ticks, so this is the busy value for every cycle
@@ -297,13 +298,75 @@ impl Cu {
         self.pending.extend(waves);
     }
 
+    /// Waves whose translated access found the outstanding cap reached
+    /// or the L1 stalling, and is retried until it goes through.
+    pub fn retrying_waves(&self) -> usize {
+        let retrying = |w: &&Wavefront| matches!(w.state, WfState::RetryAccess(..));
+        self.resident.iter().filter(retrying).count()
+    }
+
+    /// Physical line of the translated access `acc`, the GPU owning it,
+    /// and whether that GPU sits in another cluster.
+    fn locate(&self, acc: &CoalescedAccess, pfn: u64) -> (LineAddr, GpuId, bool) {
+        let pa = PAddr(pfn * PAGE_BYTES + acc.vaddr.page_offset());
+        let owner = self.owner_of(pa.0);
+        (pa.line(), owner, self.crosses_clusters(owner))
+    }
+
+    /// True when attempting the translated access now would leave its
+    /// wave in [`WfState::RetryAccess`]: the outstanding cap is reached,
+    /// or it is a read the L1 would stall. Changes nothing, and asks the
+    /// questions `do_mem_access` asks, in its order and of the same
+    /// deciders (the cap comparison, `L1Cache::plan_read`), so a retry
+    /// that is skipped on this answer is one that would have failed.
+    fn retry_blocked(&self, acc: &CoalescedAccess, pfn: u64) -> bool {
+        if self.outstanding >= self.max_outstanding {
+            return true;
+        }
+        if acc.kind.is_write() {
+            return false;
+        }
+        let (line, _, crosses) = self.locate(acc, pfn);
+        self.l1.read_would_stall(line, acc.mask, crosses)
+    }
+
+    /// Books the retry passes of the `skipped` cycles the scheduler did
+    /// not tick, the last of them at cycle `last`. `blocked_wake` only
+    /// lets it skip while every `RetryAccess` wave is `retry_blocked`,
+    /// and nothing such a pass changes feeds back into that answer, so
+    /// each skipped pass would have failed every retry again. A
+    /// cap-blocked attempt returns before it touches anything; an
+    /// L1-stalled read has by then burnt an access id (`next_id` runs
+    /// before `l1.read`), counted an MSHR stall and stamped its line.
+    fn settle_parked_retries(&mut self, skipped: u64, last: Cycle) {
+        let capped = self.outstanding >= self.max_outstanding;
+        for wf_ix in 0..self.resident.len() {
+            let WfState::RetryAccess(acc, pfn) = self.resident[wf_ix].state else {
+                continue;
+            };
+            // Debug-build referee: the CU slept on a retry that is still
+            // blocked in the frozen, pre-mailbox state.
+            debug_assert!(
+                self.retry_blocked(&acc, pfn),
+                "{}: wave {wf_ix} slept {skipped} cycles on a retry that would succeed",
+                self.name
+            );
+            if !capped {
+                let (line, ..) = self.locate(&acc, pfn);
+                self.ids.skip(skipped);
+                self.l1.settle_stalled_reads(line, skipped, last);
+            }
+        }
+    }
+
     /// Executes the (already translated) access for wavefront `wf_ix`.
     fn do_mem_access(&mut self, ctx: &mut Ctx<'_>, wf_ix: usize, acc: CoalescedAccess, pfn: u64) {
         let now = ctx.cycle();
-        let pa = PAddr(pfn * PAGE_BYTES + acc.vaddr.page_offset());
-        let line = pa.line();
-        let owner = self.owner_of(pa.0);
-        let crosses = self.crosses_clusters(owner);
+        if self.outstanding >= self.max_outstanding {
+            self.resident[wf_ix].state = WfState::RetryAccess(acc, pfn);
+            return;
+        }
+        let (line, owner, crosses) = self.locate(&acc, pfn);
         let target = if owner == self.gpu {
             self.wiring.l2
         } else {
@@ -314,10 +377,6 @@ impl Cu {
         // space; physical line offset equals virtual line offset (pages
         // are line-aligned), so the mask carries over unchanged.
         if acc.kind.is_write() {
-            if self.outstanding >= self.max_outstanding {
-                self.resident[wf_ix].state = WfState::RetryAccess(acc, pfn);
-                return;
-            }
             self.l1.write(line, acc.mask, now);
             let req = MemReq {
                 access: self.next_id(),
@@ -337,10 +396,6 @@ impl Cu {
             return;
         }
 
-        if self.outstanding >= self.max_outstanding {
-            self.resident[wf_ix].state = WfState::RetryAccess(acc, pfn);
-            return;
-        }
         let id = self.next_id();
         match self.l1.read(line, acc.mask, id, now, crosses) {
             L1Access::Hit => {
@@ -426,27 +481,35 @@ impl Cu {
         };
     }
 
-    /// The earliest cycle at which ticking the CU can do more than
-    /// increment `idle_cycles` (which `tick` catches up arithmetically
-    /// from `last_tick`, so blocked cycles need no tick at all). A wave
-    /// that can issue — `Ready`, retrying, or a `BusyUntil` deadline
-    /// already due — needs every cycle; a pure compute phase sleeps
-    /// until its deadline; memory- and translation-blocked waves sleep
-    /// until a response message arrives. A non-empty pending queue only
-    /// matters while a resident slot is free — except in the degenerate
-    /// all-retired-but-queue-nonempty state, where the legacy scheduler
-    /// spins, so we must spin too.
+    /// The earliest cycle at which ticking the CU can do more than what
+    /// `tick` settles arithmetically from `last_tick`: count an idle
+    /// cycle and fail every access retry again. A wave that can issue —
+    /// `Ready`, or a `BusyUntil` deadline already due — needs every
+    /// cycle, and so does a retry that would go through; a pure compute
+    /// phase sleeps until its deadline; memory- and translation-blocked
+    /// waves and blocked retries sleep until a response message arrives
+    /// (a reached outstanding cap and a stalling L1 MSHR both have a
+    /// response on the way, and only a response changes either). A
+    /// non-empty pending queue only matters while a resident slot is
+    /// free — except in the degenerate all-retired-but-queue-nonempty
+    /// state, where the legacy scheduler spins, so we must spin too.
     fn blocked_wake(&self, now: Cycle) -> Wake {
         let mut wake = Wake::OnMessage;
         let mut active = false;
         for w in &self.resident {
-            match w.state {
-                WfState::Ready | WfState::RetryAccess(..) => return Wake::EveryCycle,
-                WfState::BusyUntil(t) => {
-                    if t <= now {
+            match &w.state {
+                WfState::Ready => return Wake::EveryCycle,
+                WfState::RetryAccess(acc, pfn) => {
+                    if !self.retry_blocked(acc, *pfn) {
                         return Wake::EveryCycle;
                     }
-                    wake = wake.earliest(Wake::At(t));
+                    active = true;
+                }
+                WfState::BusyUntil(t) => {
+                    if *t <= now {
+                        return Wake::EveryCycle;
+                    }
+                    wake = wake.earliest(Wake::At(*t));
                     active = true;
                 }
                 WfState::WaitTranslation(_) | WfState::WaitMem => active = true,
@@ -485,14 +548,17 @@ impl Cu {
 impl Component for Cu {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
-        // Catch up idle accounting for skipped cycles. `blocked_wake`
-        // only lets the scheduler skip spans where no wave can issue and
-        // no message arrives, and state is frozen between ticks — so the
-        // reference model would have spent every skipped cycle in the
-        // `!issued && busy` branch below, exactly when `was_busy` holds.
+        // Catch up on the skipped cycles before looking at the mailbox.
+        // `blocked_wake` only lets the scheduler skip spans where no wave
+        // can issue, no retry can go through and no message arrives, and
+        // state is frozen between ticks — so the reference model would
+        // have spent every skipped cycle failing the same retries and
+        // then in the `!issued && busy` branch below, exactly when
+        // `was_busy` holds. Under the Legacy reference the span is 0.
         let skipped = now.saturating_sub(self.last_tick + 1);
         if skipped > 0 && self.was_busy {
             self.stats.idle_cycles += skipped;
+            self.settle_parked_retries(skipped, now - 1);
         }
         self.activate_pending();
 
@@ -612,7 +678,7 @@ impl Component for Cu {
         // `load_waves` (which re-ticks it via the engine's
         // external-mutation tracking); a blocked CU sleeps until its
         // earliest wave deadline, with `tick` catching up the skipped
-        // idle cycles arithmetically.
+        // idle cycles and failed retries arithmetically.
         self.blocked_wake(now)
     }
 
@@ -651,10 +717,11 @@ impl Component for Cu {
             read_waiters,
             issue_times,
             outstanding,
-            // The idle-accounting anchor is part of the dynamic state: an
+            // The catch-up anchor is part of the dynamic state: an
             // event-driven snapshot may be taken mid-sleep, with the skipped
-            // cycles' idle credit still pending — the restored run finishes
-            // the catch-up from the same anchor under any scheduler.
+            // cycles' idle credit and retry side effects still pending — the
+            // restored run finishes the catch-up from the same anchor under
+            // any scheduler.
             last_tick,
             was_busy,
             stats,
@@ -734,6 +801,9 @@ mod tests {
         fn name(&self) -> &str {
             "backend"
         }
+        fn next_wake(&self, _now: Cycle) -> Wake {
+            Wake::OnMessage
+        }
     }
 
     fn wave(id: u32, ops: Vec<WavefrontOp>) -> WavefrontTrace {
@@ -754,6 +824,15 @@ mod tests {
     fn harness(waves: Vec<WavefrontTrace>, pfn_base: u64) -> H {
         let mut cfg = SystemConfig::small(1);
         cfg.max_waves_per_cu = 4;
+        harness_with(&cfg, waves, pfn_base, 50)
+    }
+
+    fn harness_with(
+        cfg: &SystemConfig,
+        waves: Vec<WavefrontTrace>,
+        pfn_base: u64,
+        mem_latency: u64,
+    ) -> H {
         let mut b = EngineBuilder::new();
         let cu_id = b.reserve(); // must be ComponentId(0): Backend replies there
         let be = b.reserve();
@@ -764,7 +843,7 @@ mod tests {
             Box::new(Backend {
                 reqs: Arc::clone(&reqs),
                 trans: Arc::clone(&trans),
-                mem_latency: 50,
+                mem_latency,
                 pfn_base,
             }),
         );
@@ -773,7 +852,7 @@ mod tests {
             Box::new(Cu::new(
                 GpuId(0),
                 netcrafter_proto::CuId(0),
-                &cfg,
+                cfg,
                 waves,
                 CuWiring {
                     gmmu: be,
@@ -901,5 +980,94 @@ mod tests {
         let mut h = harness(waves, 0);
         h.engine.run_to_quiescence(100_000);
         assert!(h.reqs.lock().unwrap().len() >= 10);
+    }
+
+    /// One CU whose single L1 MSHR is held by a 500-cycle fill of line Z
+    /// (requested at 1076, back at 1576) while wave 1 retries a read of a
+    /// missing sector of the resident line X: every attempt stalls, burns
+    /// an access id, counts an MSHR stall and re-stamps X. Wave 2 hits
+    /// the other resident line, Y, at 1568 — in a tick whose retry pass
+    /// stamps X too, and the last tick before the fill. Ticked every
+    /// cycle, X is stamped 1575 when Z arrives and Y is the victim; with
+    /// X left at 1568 the tie would evict X, the lower way.
+    fn blocked_behind_a_long_fill(mode: netcrafter_sim::SchedulerMode) -> H {
+        let mut cfg = SystemConfig::small(1).with_sector_cache();
+        cfg.max_waves_per_cu = 4;
+        cfg.max_loads_per_wave = 1;
+        cfg.l1.size_bytes = 128; // one set of two lines
+        cfg.l1.ways = 2;
+        cfg.l1.mshr_entries = 1;
+        let read = |va: u64| WavefrontOp::Mem(CoalescedAccess::read(VAddr(va), 8));
+        let (x, y, z) = (0x1000, 0x1040, 0x1080);
+        let waves = vec![
+            // Fills X, then Y, then holds the MSHR for Z.
+            wave(0, vec![read(x), read(y), read(z)]),
+            // Sector 3 of X is not resident, and the MSHR is taken.
+            wave(1, vec![WavefrontOp::Compute(1200), read(x + 48)]),
+            wave(2, vec![WavefrontOp::Compute(1565), read(y)]),
+        ];
+        let mut h = harness_with(&cfg, waves, 0, 500);
+        h.engine.set_scheduler(mode);
+        h
+    }
+
+    #[test]
+    fn parked_retries_cost_no_ticks_and_settle_to_the_per_cycle_state() {
+        use netcrafter_sim::SchedulerMode;
+        type Observed = (u64, u64, u64, Vec<u8>, u64, usize);
+        let finish = |mut h: H| -> Observed {
+            h.engine.run_to_quiescence(10_000);
+            let cu: &Cu = h.engine.get(h.cu).expect("cu");
+            let mut l1 = SnapshotWriter::new();
+            cu.l1.save(&mut l1);
+            (
+                cu.stats.idle_cycles,
+                cu.l1.mshr_stalls(),
+                cu.ids.issued(),
+                l1.into_bytes(),
+                cu.l1.stats.sector_misses,
+                h.reqs.lock().unwrap().len(),
+            )
+        };
+        let legacy = finish(blocked_behind_a_long_fill(SchedulerMode::Legacy));
+
+        let mut h = blocked_behind_a_long_fill(SchedulerMode::EventDriven);
+        // Wave 1 has been retrying since 1202; nothing is due before
+        // wave 2's deadline.
+        h.engine.run_until(1_250);
+        let cu: &Cu = h.engine.get(h.cu).expect("cu");
+        assert!(
+            matches!(cu.resident[1].state, WfState::RetryAccess(..)),
+            "wave 1 is retrying at 1250"
+        );
+        // One issue per cycle: wave 2 started its compute phase at cycle 3.
+        assert_eq!(
+            cu.blocked_wake(1_250),
+            Wake::At(1_568),
+            "asleep until wave 2"
+        );
+        let (ticks, stalls, ids) = (
+            h.engine.ticks_executed(),
+            cu.l1.mshr_stalls(),
+            cu.ids.issued(),
+        );
+        h.engine.run_until(1_550);
+        let cu: &Cu = h.engine.get(h.cu).expect("cu");
+        assert_eq!(
+            h.engine.ticks_executed(),
+            ticks,
+            "300 parked cycles, no tick"
+        );
+        assert_eq!(
+            (cu.l1.mshr_stalls(), cu.ids.issued()),
+            (stalls, ids),
+            "the skipped attempts are booked by the next tick, not before"
+        );
+        let event_driven = finish(h);
+
+        assert!(legacy.1 > 350, "a stall per parked cycle: {}", legacy.1);
+        assert_eq!(legacy.5, 4, "X, Y, Z and sector 3 of X are fetched");
+        assert_eq!(legacy.4, 1, "X survived the fill of Z");
+        assert_eq!(event_driven, legacy);
     }
 }

@@ -34,6 +34,15 @@ pub enum L1Access {
     Stall,
 }
 
+/// A read decided but not yet made (see [`L1Cache::plan_read`]).
+struct ReadPlan {
+    access: L1Access,
+    /// Sectors to register with the MSHR; unused on a hit.
+    register_mask: u16,
+    /// The line is resident but lacks a needed sector.
+    sector_miss: bool,
+}
+
 /// L1 statistics (drives the MPKI comparisons of Figures 16 and 17).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct L1Stats {
@@ -157,26 +166,25 @@ impl L1Cache {
         }
     }
 
-    /// Performs a read lookup for `waiter` needing `mask` of `line`.
-    pub fn read(
-        &mut self,
-        line: LineAddr,
+    /// Decides a read of `mask` of the line `key`, given the line's
+    /// resident sectors, without changing anything: the outcome, and the
+    /// sectors a miss registers with the MSHR. [`L1Cache::read`] and
+    /// [`L1Cache::read_would_stall`] both decide here, so a retry that is
+    /// skipped because it would stall is one `read` would have stalled.
+    fn plan_read(
+        &self,
+        key: u64,
         mask: LineMask,
-        waiter: AccessId,
-        now: u64,
+        resident: Option<u16>,
         crosses_clusters: bool,
-    ) -> L1Access {
+    ) -> ReadPlan {
         let needed = mask.sectors(self.granularity as u64);
-        let key = line.0 / LINE_BYTES;
-        let resident = self.tags.lookup(key, now).map(|v| *v);
-        let mut sector_miss = false;
-        if let Some(valid) = resident {
-            if needed & !valid == 0 {
-                self.stats.reads += 1;
-                self.stats.hits += 1;
-                return L1Access::Hit;
-            }
-            sector_miss = true;
+        if resident.is_some_and(|valid| needed & !valid == 0) {
+            return ReadPlan {
+                access: L1Access::Hit,
+                register_mask: 0,
+                sector_miss: false,
+            };
         }
         let request = self.fill_request_sectors(mask, crosses_clusters);
         debug_assert_eq!(needed & !request, 0, "fill must cover the access");
@@ -190,24 +198,75 @@ impl L1Cache {
         } else {
             request
         };
+        let access = match self.mshr.probe(key, register_mask) {
+            MshrOutcome::Allocated => L1Access::Miss { sectors: request },
+            MshrOutcome::Merged => L1Access::MergedMiss,
+            MshrOutcome::Stalled => L1Access::Stall,
+        };
+        ReadPlan {
+            access,
+            register_mask,
+            sector_miss: resident.is_some(),
+        }
+    }
+
+    /// Performs a read lookup for `waiter` needing `mask` of `line`.
+    pub fn read(
+        &mut self,
+        line: LineAddr,
+        mask: LineMask,
+        waiter: AccessId,
+        now: u64,
+        crosses_clusters: bool,
+    ) -> L1Access {
+        let key = line.0 / LINE_BYTES;
+        let resident = self.tags.lookup(key, now).map(|v| *v);
+        let plan = self.plan_read(key, mask, resident, crosses_clusters);
         // Statistics count each logical access once: a Stall outcome is
         // retried by the CU and must not inflate the read/sector-miss
-        // counters on every attempt.
-        match self.mshr.register(key, register_mask, waiter) {
-            MshrOutcome::Allocated => {
+        // counters on every attempt (the MSHR counts the stall).
+        match plan.access {
+            L1Access::Hit => {
                 self.stats.reads += 1;
-                self.stats.sector_misses += u64::from(sector_miss);
-                self.stats.misses += 1;
-                L1Access::Miss { sectors: request }
+                self.stats.hits += 1;
+                return L1Access::Hit;
             }
-            MshrOutcome::Merged => {
+            L1Access::Miss { .. } | L1Access::MergedMiss => {
                 self.stats.reads += 1;
-                self.stats.sector_misses += u64::from(sector_miss);
+                self.stats.sector_misses += u64::from(plan.sector_miss);
                 self.stats.misses += 1;
-                L1Access::MergedMiss
             }
-            MshrOutcome::Stalled => L1Access::Stall,
+            L1Access::Stall => {}
         }
+        let outcome = self.mshr.register(key, plan.register_mask, waiter);
+        debug_assert_eq!(
+            outcome == MshrOutcome::Stalled,
+            plan.access == L1Access::Stall,
+            "the MSHR must do what the plan probed"
+        );
+        plan.access
+    }
+
+    /// True when [`L1Cache::read`] of `mask` of `line` would return
+    /// [`L1Access::Stall`] in the cache's current state. Changes nothing
+    /// (no LRU stamp, no counter): a CU whose stalled retries would all
+    /// stall again sleeps on this instead of re-reading every cycle, and
+    /// books the skipped attempts with
+    /// [`L1Cache::settle_stalled_reads`].
+    pub fn read_would_stall(&self, line: LineAddr, mask: LineMask, crosses_clusters: bool) -> bool {
+        let key = line.0 / LINE_BYTES;
+        let resident = self.tags.peek(key).copied();
+        self.plan_read(key, mask, resident, crosses_clusters).access == L1Access::Stall
+    }
+
+    /// Books `attempts` consecutive stalled reads of `line`, one per
+    /// cycle and the last at cycle `last`, without executing them: what
+    /// [`L1Cache::read`] changes when it returns [`L1Access::Stall`] is
+    /// one MSHR stall per attempt and the LRU stamp of the line, if it is
+    /// resident (a stall on a missing sector).
+    pub fn settle_stalled_reads(&mut self, line: LineAddr, attempts: u64, last: u64) {
+        self.mshr.full_stalls += attempts;
+        let _ = self.tags.lookup(line.0 / LINE_BYTES, last);
     }
 
     /// Performs a write lookup. The L1 is write-through and

@@ -77,33 +77,44 @@ impl<W> Mshr<W> {
         self.entries.get(&key).map_or(0, |e| e.coverage)
     }
 
+    /// What [`Mshr::register`] would return for a miss on `key` needing
+    /// `sectors`, without registering it. `register` decides through
+    /// this, so a caller that sleeps on `Stalled` (the CU's parked access
+    /// retries) cannot disagree with the attempt it skipped.
+    pub fn probe(&self, key: u64, sectors: u16) -> MshrOutcome {
+        match self.entries.get(&key) {
+            Some(entry) if sectors & !entry.coverage == 0 => MshrOutcome::Merged,
+            // The in-flight fill will not bring everything this request
+            // needs; the requester must retry after the fill lands.
+            Some(_) => MshrOutcome::Stalled,
+            None if self.entries.len() >= self.capacity => MshrOutcome::Stalled,
+            None => MshrOutcome::Allocated,
+        }
+    }
+
     /// Registers a miss on `key` needing `sectors`, enqueueing `waiter`
     /// for wake-up on fill.
     pub fn register(&mut self, key: u64, sectors: u16, waiter: W) -> MshrOutcome {
-        if let Some(entry) = self.entries.get_mut(&key) {
-            if sectors & !entry.coverage == 0 {
+        let outcome = self.probe(key, sectors);
+        match outcome {
+            MshrOutcome::Allocated => {
+                self.entries.insert(
+                    key,
+                    Entry {
+                        coverage: sectors,
+                        waiters: vec![waiter],
+                    },
+                );
+                self.peak = self.peak.max(self.entries.len());
+            }
+            MshrOutcome::Merged => {
+                let entry = self.entries.get_mut(&key).expect("probe found the entry");
                 entry.waiters.push(waiter);
                 self.merges += 1;
-                return MshrOutcome::Merged;
             }
-            // The in-flight fill will not bring everything this request
-            // needs; the requester must retry after the fill lands.
-            self.full_stalls += 1;
-            return MshrOutcome::Stalled;
+            MshrOutcome::Stalled => self.full_stalls += 1,
         }
-        if self.entries.len() >= self.capacity {
-            self.full_stalls += 1;
-            return MshrOutcome::Stalled;
-        }
-        self.entries.insert(
-            key,
-            Entry {
-                coverage: sectors,
-                waiters: vec![waiter],
-            },
-        );
-        self.peak = self.peak.max(self.entries.len());
-        MshrOutcome::Allocated
+        outcome
     }
 
     /// Completes the miss on `key`, returning every waiter to wake.

@@ -450,6 +450,7 @@ impl Experiment {
             sys.restore(bytes)?;
         }
         let resumed_at = sys.engine.cycle();
+        let messages_at_resume = sys.engine.messages_delivered();
         // Apply the pause points in ascending cycle order, skipping any
         // the restore already moved past.
         let mut pauses: Vec<(u64, bool)> = Vec::new();
@@ -487,6 +488,8 @@ impl Experiment {
                 snapshot,
                 fork,
                 resumed_at,
+                ticks: sys.engine.ticks_executed(),
+                messages: sys.engine.messages_delivered() - messages_at_resume,
             },
             data,
         ))
@@ -534,6 +537,13 @@ pub struct CheckpointedRun {
     /// Cycle the simulation actually started stepping from: 0 for a cold
     /// run, the snapshot's cycle after a warm start.
     pub resumed_at: u64,
+    /// Component ticks the engine executed for this run (from
+    /// `resumed_at` on): host work, which depends on the scheduler and
+    /// is deliberately not part of [`RunResult`] or its metrics.
+    pub ticks: u64,
+    /// Messages delivered over the same cycles (`sys.messages` counts
+    /// from cycle 0 even after a warm start).
+    pub messages: u64,
 }
 
 /// What [`Experiment::run_traced`] should record.

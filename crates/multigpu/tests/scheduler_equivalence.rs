@@ -4,9 +4,12 @@
 //! Rows are {EventDriven, Legacy, PDES on 4 threads} × {uninterrupted,
 //! checkpoint at the midpoint then restore, in-memory fork at the
 //! midpoint then restore}; columns are a slice of the fig14 matrix on
-//! the 2×2 mesh plus the fat-tree-8 and torus fabrics, and one column
+//! the 2×2 mesh plus the fat-tree-8 and torus fabrics, one column
 //! paused while translation requests are parked behind full L2-TLB MSHRs
-//! (their replay misses only partly settled). Each cell compares
+//! (their replay misses only partly settled), and three paused while CUs
+//! sleep on access retries that cannot succeed (the burnt access ids, MSHR
+//! stalls and LRU stamps of the skipped attempts not yet booked). Each
+//! cell compares
 //! `exec_cycles`, `Metrics::to_kv`, the chrome-trace JSON and the
 //! per-link time-series JSONL against the EventDriven/uninterrupted
 //! cell of its column. A checkpoint row restores both the snapshot it
@@ -17,12 +20,13 @@
 //! the referee for every native `tick_burst` (Switch, Rdma, Dram and the
 //! EgressPort/ClusterQueue machinery they drive).
 
+use netcrafter_gpu::Cu;
 use netcrafter_multigpu::{
     CheckpointPlan, CheckpointedRun, Experiment, System, SystemVariant, TraceData, TraceOptions,
 };
 use netcrafter_proto::{SystemConfig, TopologyConfig};
-use netcrafter_sim::snapshot::SnapshotError;
-use netcrafter_sim::{SchedulerMode, TraceConfig};
+use netcrafter_sim::snapshot::{SnapshotError, SnapshotWriter};
+use netcrafter_sim::{Component, SchedulerMode, TraceConfig};
 use netcrafter_vm::TranslationUnit;
 use netcrafter_workloads::{Scale, Workload};
 
@@ -283,16 +287,21 @@ fn pausing_while_tlb_requests_are_parked() {
     let pause = cycle_with_parked_requests();
     check_column_pausing("mesh/Gups/NetCrafter/2-mshr", &exp, |_| pause);
 
-    // The same at the state level: a replica restored mid-park encodes to
-    // the bytes it was restored from and ends in the state its scheduler
-    // reaches uninterrupted (Legacy leaves later last-tick anchors in the
-    // CUs than the event-driven schedulers, so each is its own reference).
-    let mut reference = build(&exp);
+    check_states_pausing(&exp, pause, |sys| parked_requests(sys) > 0);
+}
+
+/// The pause of `check_column_pausing` at the state level: a replica
+/// restored at `pause` — where `mid_park` must hold — encodes to the
+/// bytes it was restored from and ends in the state its scheduler reaches
+/// uninterrupted (Legacy leaves later last-tick anchors in the CUs than
+/// the event-driven schedulers, so each is its own reference).
+fn check_states_pausing(exp: &Experiment, pause: u64, mid_park: impl Fn(&System) -> bool) {
+    let mut reference = build(exp);
     let exec_cycles = reference.run(exp.max_cycles);
     let metrics = reference.harvest().to_kv();
     for sched in SCHEDS {
         let configured = || {
-            let mut sys = build(&exp);
+            let mut sys = build(exp);
             match sched {
                 Sched::EventDriven => {}
                 Sched::Legacy => sys.engine.set_scheduler(SchedulerMode::Legacy),
@@ -304,7 +313,7 @@ fn pausing_while_tlb_requests_are_parked() {
         assert_eq!(straight.run(exp.max_cycles), exec_cycles, "{sched:?}");
         let mut paused = configured();
         paused.run_until(pause);
-        assert!(parked_requests(&paused) > 0, "{sched:?}: parked at {pause}");
+        assert!(mid_park(&paused), "{sched:?}: parked at {pause}");
         let snapshot = paused.save_snapshot();
         let mut replica = configured();
         replica.restore(&snapshot).expect("snapshot restores");
@@ -321,6 +330,76 @@ fn pausing_while_tlb_requests_are_parked() {
             "{sched:?}: final state"
         );
         assert_eq!(replica.harvest().to_kv(), metrics, "{sched:?}: metrics");
+    }
+}
+
+/// Quick GUPS on the 2×2 mesh with two L1 MSHRs per CU, so translated
+/// accesses wait in `RetryAccess`. With `max_outstanding` at 3 what they
+/// find is the outstanding cap reached (the updates' posted writes count
+/// against it), and a blocked attempt touches nothing; at 8 the cap is
+/// out of reach and every blocked attempt is a read the L1 stalls.
+fn l1_starved(variant: SystemVariant, max_outstanding: u32) -> Experiment {
+    let mut exp = Experiment::quick(Workload::Gups, variant);
+    exp.base_cfg.l1.mshr_entries = 2;
+    exp.base_cfg.max_outstanding_per_cu = max_outstanding;
+    exp
+}
+
+/// Waves waiting in `RetryAccess`, summed over every CU.
+fn retrying_waves(sys: &System) -> usize {
+    let cus = sys.ids.cus.iter().flatten();
+    cus.map(|&id| {
+        let cu: &Cu = sys.engine.get(id).expect("cu installed");
+        cu.retrying_waves()
+    })
+    .sum()
+}
+
+/// A cycle of `exp`'s run at which some CU has slept on blocked retries
+/// for four cycles: it has waves in `RetryAccess`, and its saved state —
+/// which holds its last-tick anchor — did not move, so the event-driven
+/// engine did not tick it.
+fn cycle_inside_a_retry_park(exp: &Experiment) -> u64 {
+    let mut sys = build(exp);
+    let cus: Vec<_> = sys.ids.cus.iter().flatten().copied().collect();
+    let mut seen: Vec<(Vec<u8>, u32)> = vec![(Vec::new(), 0); cus.len()];
+    loop {
+        assert!(!sys.engine.quiescent(), "a starved L1 must park retries");
+        sys.engine.step();
+        for (&id, (bytes, unchanged)) in cus.iter().zip(&mut seen) {
+            let cu: &Cu = sys.engine.get(id).expect("cu installed");
+            let mut w = SnapshotWriter::new();
+            cu.save_state(&mut w);
+            let now = w.into_bytes();
+            *unchanged = if cu.retrying_waves() > 0 && now == *bytes {
+                *unchanged + 1
+            } else {
+                0
+            };
+            *bytes = now;
+            if *unchanged == 4 {
+                return sys.engine.cycle();
+            }
+        }
+    }
+}
+
+#[test]
+fn pausing_while_cu_retries_are_parked() {
+    // Cap-blocked retries under full-line fills; L1-stalled retries under
+    // trimmed single-sector fills across clusters and under sectored
+    // fills everywhere, where a stalled retry re-stamps a resident line
+    // and the stamp decides a later eviction.
+    for (variant, max_outstanding) in [
+        (SystemVariant::Baseline, 3),
+        (SystemVariant::NetCrafter, 8),
+        (SystemVariant::SectorCache, 8),
+    ] {
+        let exp = l1_starved(variant, max_outstanding);
+        let pause = cycle_inside_a_retry_park(&exp);
+        let column = format!("mesh/Gups/{variant:?}/2-l1-mshr/cap-{max_outstanding}");
+        check_column_pausing(&column, &exp, |_| pause);
+        check_states_pausing(&exp, pause, |sys| retrying_waves(sys) > 0);
     }
 }
 

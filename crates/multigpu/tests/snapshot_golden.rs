@@ -119,6 +119,6 @@ fn torus_8_mid_run() {
     assert_pinned("torus-8/Gups/NetCrafter", &mut sys, TORUS_8);
 }
 
-const MESH: Pin = (4, 194_332, 0xb812_40c3_e1c4_9cf9, 0x1e32_4ae2_6670_d623);
-const FAT_TREE_8: Pin = (4, 362_435, 0x7382_1bbc_175b_46af, 0x5665_6c03_d6b1_5d3d);
-const TORUS_8: Pin = (4, 366_790, 0x2bd6_546b_842e_c354, 0x925d_1c38_979d_103d);
+const MESH: Pin = (5, 194_332, 0x8478_8ffa_8549_a200, 0x56b3_cfc3_ecf0_5da6);
+const FAT_TREE_8: Pin = (5, 362_435, 0xaeca_c179_7d66_d52c, 0x46fb_3270_4cde_2192);
+const TORUS_8: Pin = (5, 366_790, 0x590b_8401_b1c5_2ddd, 0x90d0_3534_b93f_7168);

@@ -138,6 +138,15 @@ impl Flit {
     /// engine only stitches single-chunk candidates, though an already-
     /// stitched *parent* may absorb more chunks, §4.4 step 4h).
     pub fn stitch_cost(&self, candidate: &Flit) -> Option<u32> {
+        self.stitch_cost_in(self.empty_bytes(), candidate)
+    }
+
+    /// [`Flit::stitch_cost`] for a caller that has already read
+    /// `self.empty_bytes()` into `room`: the Cluster Queue offers one
+    /// parent many candidates, and the sum over the parent's chunks is
+    /// the same for all of them.
+    pub fn stitch_cost_in(&self, room: u32, candidate: &Flit) -> Option<u32> {
+        debug_assert_eq!(room, self.empty_bytes());
         if candidate.chunks.len() != 1 {
             return None;
         }
@@ -147,7 +156,7 @@ impl Flit {
         } else {
             c.bytes + STITCH_META_BYTES
         };
-        (cost <= self.empty_bytes() && self.dst_cluster_compatible(candidate)).then_some(cost)
+        (cost <= room && self.dst_cluster_compatible(candidate)).then_some(cost)
     }
 
     /// Stitching requires a shared route; the caller (the Cluster Queue)

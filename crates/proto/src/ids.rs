@@ -156,6 +156,12 @@ impl<T: From<u64>> IdAlloc<T> {
         T::from(id)
     }
 
+    /// Discards the next `n` ids, as `n` calls of [`IdAlloc::next`] whose
+    /// results were dropped would.
+    pub fn skip(&mut self, n: u64) {
+        self.next += n;
+    }
+
     /// Number of ids handed out so far.
     pub const fn issued(&self) -> u64 {
         self.next
@@ -212,6 +218,8 @@ mod tests {
         assert_eq!(first, AccessId(0));
         assert_eq!(second, AccessId(1));
         assert_eq!(a.issued(), 2);
+        a.skip(3);
+        assert_eq!(a.next(), AccessId(5));
     }
 
     #[test]

@@ -386,6 +386,15 @@ impl Engine {
         self.core.delivered
     }
 
+    /// Component ticks executed by this engine object so far, under
+    /// whichever schedulers it ran. A measure of host work: it is not
+    /// part of the simulated state, so a snapshot neither saves nor
+    /// restores it, and the event-driven modes exist to make it small.
+    #[inline]
+    pub fn ticks_executed(&self) -> u64 {
+        self.core.ticks
+    }
+
     /// Number of components.
     pub fn len(&self) -> usize {
         self.core.comps.len()

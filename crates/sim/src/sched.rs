@@ -82,6 +82,9 @@ pub(crate) struct Core<R: Route> {
     pub(crate) cycle: Cycle,
     pub(crate) in_flight: usize,
     pub(crate) delivered: u64,
+    /// Component ticks executed by this core — host work, not simulation
+    /// state: it depends on the scheduler and is never snapshotted.
+    pub(crate) ticks: u64,
     /// Sends staged by the component being ticked.
     outbox: Vec<(Cycle, ComponentId, Handle)>,
     /// Next cycle each component must tick (`NEVER` = waiting on a
@@ -124,6 +127,7 @@ impl<R: Route> Core<R> {
             cycle,
             in_flight: 0,
             delivered: 0,
+            ticks: 0,
             outbox: Vec::new(),
             armed: Vec::new(),
             wake_heap: BinaryHeap::new(),
@@ -414,6 +418,7 @@ impl<R: Route> Core<R> {
     /// `engine_scheduler` dense bench) and 8 % of `scaleout_ft16` wall.
     #[inline(always)]
     fn tick_one(&mut self, l: usize, scalar: bool) -> Wake {
+        self.ticks += 1;
         let global = self.route.global(l);
         self.tracer.focus(global as u32);
         let mut ctx = Ctx {

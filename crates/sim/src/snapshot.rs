@@ -41,7 +41,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5053_434E;
 /// Current snapshot format version. Bump whenever the encoding of any
 /// serialized structure changes; old snapshots then fail loudly with
 /// [`SnapshotError::VersionMismatch`] instead of restoring garbage.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

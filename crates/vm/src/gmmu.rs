@@ -142,6 +142,9 @@ pub struct TranslationUnit {
     /// when `retry` does, never on a tick that leaves the queue alone,
     /// so the saved state is the same under every scheduler.
     retry_settled: Cycle,
+    /// Pages that took an MSHR in the current [`Self::replay_retries`]
+    /// scan; scratch, meaningless between scans.
+    replay_claimed: Vec<u64>,
     waiters: BTreeMap<u64, Vec<TransReq>>,
     waiter_cap: usize,
     active: BTreeMap<u64, Walk>,
@@ -183,6 +186,7 @@ impl TranslationUnit {
             pwc_pipe: DelayQueue::new(),
             retry: VecDeque::new(),
             retry_settled: 0,
+            replay_claimed: Vec::new(),
             waiters: BTreeMap::new(),
             waiter_cap: l2_tlb_cfg.mshr_entries as usize,
             active: BTreeMap::new(),
@@ -334,14 +338,41 @@ impl TranslationUnit {
     /// Replays the parked requests in arrival order at `now`, the cycle a
     /// walk completed: the freed MSHRs go to the oldest requests, later
     /// ones for the same page join them, the rest park again.
+    ///
+    /// Only a request that can move runs its lookup: one reached while an
+    /// MSHR is free, or one whose page was claimed earlier in this scan.
+    /// Any other would miss the TLB (no parked page has ever had a walk —
+    /// a request for a page being walked joins that walk instead of
+    /// parking, and an MSHR is only ever claimed by the oldest request
+    /// for its page with all later ones joining in the same scan — so no
+    /// completion can have installed it), find no walk to join and no
+    /// MSHR, and go back to the end of the queue: it is rotated there
+    /// with its miss counted, which leaves the FIFO as the full replay
+    /// would.
     fn replay_retries(&mut self, ctx: &mut Ctx<'_>, now: Cycle) {
         // The skipped cycles were misses; this cycle's lookups run below
         // and count themselves.
         self.settle_retries(now - 1);
         self.retry_settled = now;
+        self.replay_claimed.clear();
         for _ in 0..self.retry.len() {
             let req = self.retry.pop_front().expect("len checked");
-            self.handle_lookup(ctx, req, now);
+            let free = self.waiters.len() < self.waiter_cap;
+            if free || self.replay_claimed.contains(&req.vpn) {
+                self.handle_lookup(ctx, req, now);
+                if free {
+                    self.replay_claimed.push(req.vpn);
+                }
+            } else {
+                debug_assert!(
+                    self.l2_tlb.probe(req.vpn).is_none() && !self.waiters.contains_key(&req.vpn),
+                    "{}: parked vpn {:#x} could have moved",
+                    self.name,
+                    req.vpn
+                );
+                self.l2_tlb.stats.misses += 1;
+                self.retry.push_back(req);
+            }
         }
         if self.retry.is_empty() {
             self.retry_settled = 0;
@@ -470,6 +501,7 @@ impl Component for TranslationUnit {
             pwc_pipe,
             retry,
             retry_settled,
+            replay_claimed: skipped(scratch),
             waiters,
             active,
             pending_walks,
@@ -833,6 +865,45 @@ mod tests {
         );
         assert_eq!(stats.misses, reqs.len() as u64 + queue_cycles);
         assert_eq!(stats.hits, 0);
+    }
+
+    #[test]
+    fn one_completion_moves_one_parked_request_and_keeps_the_rest_in_order() {
+        // Four requests take the four MSHRs 100 cycles apart (looked up
+        // at 11, 111, 211, 311; each held 10 + 4 * 402 cycles), then six
+        // for six more pages park behind them (looked up at 330..=335).
+        let page = |i: u64| (i + 1) << 27;
+        let mut pt = PageTable::new(1 << 24);
+        for i in 0..10 {
+            pt.map(page(i), i, GpuId(2));
+        }
+        let mut h = harness(pt, 16);
+        for i in 0..4 {
+            h.engine.inject(h.tu, treq(page(i)), 1 + 100 * i);
+        }
+        for i in 0..6 {
+            h.engine.inject(h.tu, treq(page(4 + i)), 320 + i);
+        }
+        // The first walk completes at 11 + 1618: one MSHR, one mover.
+        h.engine.run_until(1_629);
+        let tu: &TranslationUnit = h.engine.get(h.tu).expect("tu");
+        let parked: Vec<u64> = tu.retry.iter().map(|r| r.vpn).collect();
+        assert_eq!(parked, (5..10).map(page).collect::<Vec<_>>());
+        assert!(
+            tu.waiters.contains_key(&page(4)),
+            "the oldest took the MSHR"
+        );
+        assert_eq!(tu.retry_settled, 1_629);
+        // Ten first lookups, then the request parked at cycle 330 + i is
+        // replayed (and misses) on each of the cycles 331 + i ..= 1629 —
+        // by a lookup that ran only for the one that moved.
+        let replays: u64 = (0..6).map(|i| 1_629 - (330 + i)).sum();
+        assert_eq!(tu.l2_tlb.stats.misses, 10 + replays);
+        assert_eq!(tu.l2_tlb.stats.hits, 0);
+
+        h.engine.run_to_quiescence(100_000);
+        let answered: Vec<u64> = h.rsp.lock().unwrap().iter().map(|(_, r)| r.vpn).collect();
+        assert_eq!(answered, (0..10).map(page).collect::<Vec<_>>());
     }
 
     #[test]
