@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! figures [--quick] [--big] [--verbose] [--jobs N] [--threads N]
-//!         [--cache-dir DIR] [--checkpoint-at CYCLE] [--checkpoint-dir DIR]
-//!         [--restore-from FILE] [--trace FILE] [--timeseries FILE]
+//!         [--cache-dir DIR] [--trace FILE] [--timeseries FILE]
 //!         [--trace-filter SPEC] [--sample-window N]
 //!         [--warmup CYCLES] [--no-prefix-share]
 //!         <id>... | all
@@ -25,12 +24,6 @@
 //! Chrome-trace JSON event trace / per-link time-series JSONL. See the
 //! `simulate` binary for the filter syntax.
 //!
-//! `--checkpoint-dir DIR` warm-starts every sweep simulation from the
-//! longest cached prefix snapshot and persists any new checkpoint taken
-//! via `--checkpoint-at CYCLE`; `--restore-from FILE` resumes the traced
-//! re-run from a specific snapshot. All checkpointed paths stay
-//! byte-identical to uninterrupted runs.
-//!
 //! `--warmup CYCLES` keeps every NetCrafter policy knob inert until the
 //! given cycle, which lets the sweep share one simulated warmup prefix
 //! across all policy variants of a workload (in-memory snapshot forks;
@@ -42,22 +35,12 @@ use std::time::Instant;
 
 use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
 use netcrafter_bench::{figures, stats_report, Cli, Runner, TraceArgs};
-use netcrafter_multigpu::CheckpointPlan;
 
 const USAGE: &str = "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--threads N] \
-     [--cache-dir DIR] [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
-     [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
+     [--cache-dir DIR] [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
      [--warmup CYCLES] [--no-prefix-share] <id>... | all";
 
-const VALUE_FLAGS: [&str; 7] = [
-    "--jobs",
-    "--threads",
-    "--cache-dir",
-    "--checkpoint-at",
-    "--checkpoint-dir",
-    "--restore-from",
-    "--warmup",
-];
+const VALUE_FLAGS: [&str; 4] = ["--jobs", "--threads", "--cache-dir", "--warmup"];
 
 fn main() {
     let mut value_flags = VALUE_FLAGS.to_vec();
@@ -71,8 +54,6 @@ fn main() {
     let big = cli.has("--big");
     let jobs: usize = cli.parsed("--jobs").unwrap_or(1);
     let threads: usize = cli.parsed("--threads").unwrap_or(1);
-    let checkpoint_at: Option<u64> = cli.parsed("--checkpoint-at");
-    let restore_path = cli.value("--restore-from");
     let warmup: Option<u64> = cli.parsed("--warmup");
     let trace_args = TraceArgs::parse(&cli);
 
@@ -113,15 +94,6 @@ fn main() {
     if let Some(dir) = cli.value("--cache-dir") {
         runner = runner.with_cache_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open cache dir {dir}: {e}");
-            std::process::exit(1);
-        });
-    }
-    if let Some(at) = checkpoint_at {
-        runner = runner.with_checkpoint_at(at);
-    }
-    if let Some(dir) = cli.value("--checkpoint-dir") {
-        runner = runner.with_checkpoint_dir(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open checkpoint dir {dir}: {e}");
             std::process::exit(1);
         });
     }
@@ -181,45 +153,7 @@ fn main() {
                 std::process::exit(2);
             });
         eprintln!("[tracing {} …]", job.memo_key());
-        let plan = CheckpointPlan {
-            checkpoint_at,
-            restore_from: restore_path.map(|path| {
-                std::fs::read(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read snapshot {path}: {e}");
-                    std::process::exit(1);
-                })
-            }),
-            fork_at: None,
-            fork: None,
-        };
-        let (run, data) = job
-            .to_experiment()
-            .run_traced_checkpointed(&opts, &plan)
-            .unwrap_or_else(|e| {
-                eprintln!("cannot restore snapshot: {e}");
-                std::process::exit(1);
-            });
-        if run.resumed_at > 0 {
-            eprintln!(
-                "[restored snapshot: simulated from cycle {} instead of 0]",
-                run.resumed_at
-            );
-        }
-        if let Some((cycle, bytes)) = &run.snapshot {
-            if let Some(store) = runner.checkpoint_store() {
-                let path = store.path_for(&job.cache_key(), *cycle);
-                store
-                    .store(&job.cache_key(), *cycle, bytes)
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot write checkpoint {}: {e}", path.display());
-                        std::process::exit(1);
-                    });
-                eprintln!(
-                    "[checkpoint at cycle {cycle} written to {}]",
-                    path.display()
-                );
-            }
-        }
+        let (_, data) = job.to_experiment().run_traced(&opts);
         trace_args.write(&data).unwrap_or_else(|e| {
             eprintln!("cannot write trace output: {e}");
             std::process::exit(1);

@@ -30,18 +30,22 @@
 //! `--sample-window`-cycle buckets. Both force a fresh (uncached) run and
 //! are ignored by `--variant all`.
 //!
-//! `--checkpoint-at CYCLE` pauses the simulation at the first epoch
-//! barrier at or after CYCLE and snapshots the full engine state;
-//! `--checkpoint-dir DIR` persists the snapshot there (and lets plain
-//! runs warm-start from the longest cached prefix automatically).
-//! `--restore-from FILE` resumes from a specific snapshot file instead.
+//! `--checkpoint-at CYCLE --checkpoint-dir DIR` pauses the simulation at
+//! the first epoch barrier at or after CYCLE, writes the full engine
+//! state to `DIR/ckpt-<config hash>-<cycle>.bin` and runs on to
+//! completion; the two flags only go together. `--restore-from FILE`
+//! resumes from such a file instead of simulating from cycle 0.
 //! Checkpoint → restore → continue is byte-identical to an
-//! uninterrupted run — metrics, traces and time series alike.
+//! uninterrupted run — metrics, traces and time series alike — which is
+//! why a snapshot is refused unless the run that took it had the same
+//! `--trace`/`--timeseries` flags as the run resuming it. All three
+//! flags pause and resume *one* run, so `--variant all` refuses them.
 
+use netcrafter_bench::cache::write_atomic;
 use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
 use netcrafter_bench::{f2, pct, stats_report, ticks_line, Cli, Runner, Table, TraceArgs};
 use netcrafter_multigpu::{CheckpointPlan, SystemVariant};
-use netcrafter_proto::{SystemConfig, TopologyConfig};
+use netcrafter_proto::{fnv1a64, SystemConfig, TopologyConfig};
 use netcrafter_workloads::{Scale, Workload};
 
 fn parse_variant(s: &str) -> Option<SystemVariant> {
@@ -129,6 +133,17 @@ fn main() {
         parse_variant(variant_name)
             .unwrap_or_else(|| cli.fail(&format!("unknown variant {variant_name:?}")))
     };
+    let checkpoint_at: Option<u64> = cli.parsed("--checkpoint-at");
+    let checkpoint_dir = cli.value("--checkpoint-dir");
+    let restore_path = cli.value("--restore-from");
+    match (checkpoint_at, checkpoint_dir) {
+        (Some(_), None) => cli.fail("--checkpoint-at needs --checkpoint-dir DIR to write to"),
+        (None, Some(_)) => cli.fail("--checkpoint-dir needs --checkpoint-at CYCLE"),
+        _ => {}
+    }
+    if sweep_all && (checkpoint_at.is_some() || restore_path.is_some()) {
+        cli.fail("--checkpoint-at and --restore-from pause and resume one run, not --variant all");
+    }
 
     let mut cfg = SystemConfig::small(cli.parsed("--cus").unwrap_or(8));
     // --topology replaces the whole fabric shape first; the individual
@@ -183,24 +198,8 @@ fn main() {
             std::process::exit(1);
         });
     }
-    let checkpoint_at: Option<u64> = cli.parsed("--checkpoint-at");
-    let restore_path = cli.value("--restore-from");
-    if let Some(at) = checkpoint_at {
-        runner = runner.with_checkpoint_at(at);
-    }
-    if let Some(dir) = cli.value("--checkpoint-dir") {
-        runner = runner.with_checkpoint_dir(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open checkpoint dir {dir}: {e}");
-            std::process::exit(1);
-        });
-    }
 
     if sweep_all {
-        if restore_path.is_some() {
-            eprintln!("--restore-from names one snapshot and cannot drive --variant all;");
-            eprintln!("use --checkpoint-dir to warm-start a sweep instead");
-            std::process::exit(2);
-        }
         eprintln!(
             "sweeping {workload} across {} variants on {} worker(s) …",
             ALL_VARIANTS.len(),
@@ -247,76 +246,77 @@ fn main() {
         runner.base_cfg.topology.gpus_per_cluster,
         runner.base_cfg.cus_per_gpu,
     );
-    let r = if trace_args.active() || checkpoint_at.is_some() || restore_path.is_some() {
-        // Checkpointed and traced runs drive the experiment directly:
-        // both must actually simulate, not replay the result cache.
+    let (r, footer) = if trace_args.active() || checkpoint_at.is_some() || restore_path.is_some() {
+        // Paused, resumed and traced runs drive the experiment directly:
+        // all three must actually simulate, not replay the result cache.
+        let snapshot = restore_path.map(|path| {
+            std::fs::read(path).unwrap_or_else(|e| {
+                eprintln!("cannot read snapshot {path}: {e}");
+                std::process::exit(1);
+            })
+        });
         let plan = CheckpointPlan {
-            checkpoint_at,
-            restore_from: restore_path.map(|path| {
-                std::fs::read(path).unwrap_or_else(|e| {
-                    eprintln!("cannot read snapshot {path}: {e}");
-                    std::process::exit(1);
-                })
-            }),
-            fork_at: None,
-            fork: None,
+            resume_from: snapshot.as_deref(),
+            pause_at: checkpoint_at,
         };
-        let job = runner.job(workload, variant);
-        let exp = job.to_experiment();
-        let snapshot_err = |e| -> ! {
-            eprintln!("cannot restore snapshot: {e}");
-            std::process::exit(1);
-        };
-        let (run, data) = if trace_args.active() {
-            let opts = trace_args.options().unwrap_or_else(|e| {
+        let opts = trace_args.active().then(|| {
+            trace_args.options().unwrap_or_else(|e| {
                 eprintln!("{e}");
                 std::process::exit(2);
+            })
+        });
+        if let Some(dir) = checkpoint_dir {
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+                eprintln!("cannot open checkpoint dir {dir}: {e}");
+                std::process::exit(1);
             });
-            let (run, data) = exp
-                .run_traced_checkpointed(&opts, &plan)
-                .unwrap_or_else(|e| snapshot_err(e));
-            (run, Some(data))
-        } else {
-            let run = exp
-                .run_checkpointed(&plan)
-                .unwrap_or_else(|e| snapshot_err(e));
-            (run, None)
-        };
+        }
+        let job = runner.job(workload, variant);
+        let run = job
+            .to_experiment()
+            .run_planned(plan, opts.as_ref())
+            .unwrap_or_else(|e| {
+                eprintln!("cannot restore snapshot: {e}");
+                std::process::exit(1);
+            });
         if run.resumed_at > 0 {
             eprintln!(
                 "restored snapshot: simulated from cycle {} instead of 0",
                 run.resumed_at
             );
         }
-        if let Some((cycle, bytes)) = &run.snapshot {
-            match runner.checkpoint_store() {
-                Some(store) => {
-                    let path = store.path_for(&job.cache_key(), *cycle);
-                    store
-                        .store(&job.cache_key(), *cycle, bytes)
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot write checkpoint {}: {e}", path.display());
-                            std::process::exit(1);
-                        });
-                    eprintln!("checkpoint at cycle {cycle} written to {}", path.display());
+        if let Some(dir) = checkpoint_dir {
+            match &run.snapshot {
+                Some(taken) => {
+                    let path = std::path::Path::new(dir).join(format!(
+                        "ckpt-{:016x}-{}.bin",
+                        fnv1a64(job.cache_key().as_bytes()),
+                        taken.cycle()
+                    ));
+                    write_atomic(&path, taken.bytes()).unwrap_or_else(|e| {
+                        eprintln!("cannot write checkpoint {}: {e}", path.display());
+                        std::process::exit(1);
+                    });
+                    eprintln!(
+                        "checkpoint at cycle {} written to {}",
+                        taken.cycle(),
+                        path.display()
+                    );
                 }
-                None => eprintln!(
-                    "checkpoint at cycle {cycle} taken but discarded (no --checkpoint-dir)"
-                ),
+                None => eprintln!("no checkpoint taken: the restored snapshot is past that cycle"),
             }
         }
-        if let Some(data) = &data {
+        if let Some(data) = &run.recorded {
             trace_args.write(data).unwrap_or_else(|e| {
                 eprintln!("cannot write trace output: {e}");
                 std::process::exit(1);
             });
         }
-        // This run bypassed the runner, so the footer below has no job
-        // to report on.
-        eprint!("{}", ticks_line(run.ticks, run.messages));
-        std::sync::Arc::new(run.result)
+        let footer = ticks_line(run.ticks, run.messages);
+        (std::sync::Arc::new(run.result), footer)
     } else {
-        runner.run(workload, variant)
+        let r = runner.run(workload, variant);
+        (r, stats_report(&runner.job_stats()))
     };
 
     println!(
@@ -359,7 +359,7 @@ fn main() {
         "page-table walks     : {}",
         r.metrics.counter("total.gmmu.walks")
     );
-    eprint!("{}", stats_report(&runner.job_stats()));
+    eprint!("{footer}");
 
     if cli.has("--dump-metrics") {
         println!("\n--- all metrics ---\n{}", r.metrics);

@@ -15,9 +15,10 @@
 //! [`RunResult`](netcrafter_multigpu::RunResult) — no serde, greppable,
 //! and stable across platforms.
 //!
-//! Writes go through a uniquely named temp file followed by an atomic
-//! rename, so concurrent sweep workers (or two processes sharing a cache
-//! directory) never expose a torn file to readers.
+//! Writes go through [`write_atomic`] — a uniquely named temp file
+//! followed by an atomic rename — so concurrent sweep workers (or two
+//! processes sharing a cache directory) never expose a torn file to
+//! readers.
 
 use std::fs;
 use std::io;
@@ -34,6 +35,19 @@ const HEADER: &str = "netcrafter-run-cache v1";
 /// Monotonic suffix so concurrent writers in one process get distinct
 /// temp files.
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes `bytes` to `path` through a uniquely named temp file beside it
+/// and an atomic rename: a reader sees the old file or the new one,
+/// never a torn one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_file_name(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
+    ));
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
+}
 
 /// A directory of cached [`RunResult`]s keyed by physical job identity.
 #[derive(Debug)]
@@ -86,14 +100,7 @@ impl DiskCache {
     /// Persists `result` under `cache_key` (atomically, via rename).
     pub fn store(&self, cache_key: &str, result: &RunResult) -> io::Result<()> {
         let body = format!("{HEADER}\nkey = {cache_key}\n{}", result.to_kv());
-        let final_path = self.path_for(cache_key);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        fs::write(&tmp, body)?;
-        fs::rename(&tmp, final_path)
+        write_atomic(&self.path_for(cache_key), body.as_bytes())
     }
 
     /// Number of cached results on disk.
@@ -108,80 +115,6 @@ impl DiskCache {
     /// Whether the cache holds no results.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A directory of engine snapshots used by the sweep runner's
-/// warm-start: each file holds the paused state of one job's simulation
-/// prefix, named by the FNV-1a hash of the job's physical cache key plus
-/// the pause cycle:
-///
-/// ```text
-/// <dir>/ckpt-<fnv64 hex>-<cycle>.bin
-/// ```
-///
-/// A warm start picks the *largest* cached cycle for the key (the longest
-/// shared prefix) and restores it; restore itself validates the versioned
-/// snapshot header and every component name, so a stale or colliding file
-/// fails loudly rather than silently corrupting a run.
-#[derive(Debug)]
-pub struct CheckpointStore {
-    dir: PathBuf,
-}
-
-impl CheckpointStore {
-    /// Opens (creating if needed) a checkpoint store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn prefix_for(cache_key: &str) -> String {
-        format!("ckpt-{:016x}-", fnv1a64(cache_key.as_bytes()))
-    }
-
-    /// The path a snapshot of `cache_key` paused at `cycle` is stored at.
-    pub fn path_for(&self, cache_key: &str, cycle: u64) -> PathBuf {
-        self.dir
-            .join(format!("{}{cycle}.bin", Self::prefix_for(cache_key)))
-    }
-
-    /// Persists snapshot `bytes` of `cache_key` paused at `cycle`
-    /// (atomically, via rename).
-    pub fn store(&self, cache_key: &str, cycle: u64, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, self.path_for(cache_key, cycle))
-    }
-
-    /// The longest cached prefix for `cache_key`: the snapshot with the
-    /// largest pause cycle, as `(cycle, bytes)`. `None` when the store
-    /// holds no snapshot for the key.
-    pub fn load_longest_prefix(&self, cache_key: &str) -> Option<(u64, Vec<u8>)> {
-        let prefix = Self::prefix_for(cache_key);
-        let best = fs::read_dir(&self.dir)
-            .ok()?
-            .filter_map(Result::ok)
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                name.strip_prefix(&prefix)?
-                    .strip_suffix(".bin")?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()?;
-        let bytes = fs::read(self.path_for(cache_key, best)).ok()?;
-        Some((best, bytes))
     }
 }
 
@@ -255,20 +188,6 @@ mod tests {
         )
         .unwrap();
         assert!(cache.load("k2").is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_store_picks_longest_prefix() {
-        let dir = tempdir("ckpt");
-        let store = CheckpointStore::open(&dir).unwrap();
-        assert!(store.load_longest_prefix("job-a").is_none());
-        store.store("job-a", 1_000, b"early").unwrap();
-        store.store("job-a", 50_000, b"late").unwrap();
-        store.store("job-b", 99_999, b"other job").unwrap();
-        let (cycle, bytes) = store.load_longest_prefix("job-a").expect("hit");
-        assert_eq!(cycle, 50_000);
-        assert_eq!(bytes, b"late");
         let _ = fs::remove_dir_all(&dir);
     }
 }

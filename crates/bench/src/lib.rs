@@ -36,7 +36,7 @@ use netcrafter_proto::SystemConfig;
 use netcrafter_sim::ForkSnapshot;
 use netcrafter_workloads::{Scale, Workload};
 
-pub use cache::{CheckpointStore, DiskCache};
+pub use cache::DiskCache;
 pub use cli::Cli;
 pub use traceio::TraceArgs;
 
@@ -128,8 +128,7 @@ impl fmt::Display for Table {
 /// Where a job's result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobSource {
-    /// Simulated in this process from cycle 0 (possibly warm-started
-    /// from a persistent checkpoint).
+    /// Simulated in this process from cycle 0.
     Fresh,
     /// Simulated in this process from an in-memory prefix fork shared
     /// with other jobs of the same sweep.
@@ -147,14 +146,14 @@ pub enum JobSource {
 pub struct JobStat {
     /// The job's memo key (`workload|variant|tag`).
     pub memo_key: String,
-    /// Fresh simulation or disk-cache replay.
+    /// Where the result came from.
     pub source: JobSource,
     /// Time to resolve the job.
     pub wall: Duration,
     /// Simulated cycles of the resolved result.
     pub exec_cycles: u64,
-    /// Cycle the simulation started stepping from: 0 for a cold run,
-    /// the checkpoint's cycle after a warm start.
+    /// Cycle the simulation started stepping from: the fork's cycle for
+    /// a [`JobSource::Forked`] job, 0 otherwise.
     pub resumed_at: u64,
     /// Component ticks the engine executed from `resumed_at` on (0 for a
     /// replay): the deterministic measure of host work that
@@ -195,13 +194,13 @@ pub fn stats_report(stats: &[JobStat]) -> String {
             JobSource::DiskHit => "disk",
             JobSource::Shared => "dup",
         };
-        let warm = if s.resumed_at > 0 {
-            format!("  warm-start from cycle {}", s.resumed_at)
+        let resumed = if s.resumed_at > 0 {
+            format!("  resumed from cycle {}", s.resumed_at)
         } else {
             String::new()
         };
         out.push_str(&format!(
-            "  {:<40} {src:>4}  {:>9.1?}  {:>12} cyc  {:>7.1} Mcyc/s{warm}\n",
+            "  {:<40} {src:>4}  {:>9.1?}  {:>12} cyc  {:>7.1} Mcyc/s{resumed}\n",
             s.memo_key,
             s.wall,
             s.exec_cycles,
@@ -261,9 +260,8 @@ pub struct PrefixStats {
     /// Prefix groups planned (two or more jobs sharing a warmup window).
     pub groups: usize,
     /// Representative runs that captured a shared fork in flight
-    /// (≤ `groups`; a representative that produced no fork — e.g. it
-    /// warm-started past the warmup cycle — leaves its group mates cold
-    /// and still counts a group).
+    /// (≤ `groups`: a representative that another process's disk result
+    /// answered simulates nothing, so its group mates start from cycle 0).
     pub prefix_runs: usize,
     /// Wall-clock of the fork-capturing representative runs (full runs,
     /// not just their warmup windows).
@@ -321,7 +319,7 @@ impl PrefixStats {
 
 /// Memoizing experiment executor shared by all figure generators.
 ///
-/// A result comes from the first of five sources that has it:
+/// A result comes from the first of four sources that has it:
 ///
 /// 1. the in-process memo (thread-safe; keyed by `workload|variant|tag`),
 /// 2. an optional persistent [`DiskCache`] keyed by the *physical* job
@@ -329,9 +327,7 @@ impl PrefixStats {
 ///    simulates configurations it has never seen,
 /// 3. a simulation resumed from an in-memory prefix fork shared with the
 ///    other jobs of its [`JobSpec::prefix_key`] group (`prefix_share`),
-/// 4. a simulation warm-started from the longest prefix snapshot in an
-///    optional persistent [`CheckpointStore`],
-/// 5. a fresh simulation from cycle 0.
+/// 4. a fresh simulation from cycle 0.
 ///
 /// [`Runner::sweep`] resolves a batch of jobs on `jobs` worker threads.
 /// Because every simulation is deterministic in its spec and results are
@@ -364,8 +360,6 @@ pub struct Runner {
     pub prefix_share: bool,
     memo: Mutex<HashMap<String, Arc<RunResult>>>,
     disk: Option<DiskCache>,
-    ckpt: Option<CheckpointStore>,
-    checkpoint_at: Option<u64>,
     stats: Mutex<Vec<JobStat>>,
     prefix: Mutex<PrefixStats>,
 }
@@ -396,8 +390,6 @@ impl Runner {
             prefix_share: true,
             memo: Mutex::new(HashMap::new()),
             disk: None,
-            ckpt: None,
-            checkpoint_at: None,
             stats: Mutex::new(Vec::new()),
             prefix: Mutex::new(PrefixStats::default()),
         }
@@ -432,30 +424,6 @@ impl Runner {
     /// The attached disk cache, if any.
     pub fn disk_cache(&self) -> Option<&DiskCache> {
         self.disk.as_ref()
-    }
-
-    /// Attaches a snapshot store rooted at `dir`: fresh simulations
-    /// warm-start from the longest cached prefix checkpoint of their
-    /// physical cache key, and checkpoints requested via
-    /// [`Runner::with_checkpoint_at`] are persisted there.
-    pub fn with_checkpoint_dir(
-        mut self,
-        dir: impl Into<std::path::PathBuf>,
-    ) -> std::io::Result<Self> {
-        self.ckpt = Some(CheckpointStore::open(dir)?);
-        Ok(self)
-    }
-
-    /// Requests a snapshot at `cycle` from every fresh simulation; stored
-    /// in the checkpoint dir when one is attached.
-    pub fn with_checkpoint_at(mut self, cycle: u64) -> Self {
-        self.checkpoint_at = Some(cycle);
-        self
-    }
-
-    /// The attached checkpoint store, if any.
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.ckpt.as_ref()
     }
 
     /// The job spec for `workload` × `variant` on the base config.
@@ -535,53 +503,28 @@ impl Runner {
         if self.verbose {
             eprintln!("  running {memo_key} …");
         }
-        let mut plan = CheckpointPlan {
-            checkpoint_at: self.checkpoint_at,
-            fork_at,
-            restore_from: None,
-            fork: fork.cloned(),
-        };
-        // The persistent checkpoint tier is only consulted when no
-        // in-memory fork is at hand: the fork is already resident and at
-        // least as deep, and skipping the store keeps corrupt on-disk
-        // snapshots out of the forked path entirely.
-        if plan.fork.is_none() {
-            if let Some(store) = &self.ckpt {
-                if let Some((_, bytes)) = store.load_longest_prefix(&job.cache_key()) {
-                    plan.restore_from = Some(bytes);
-                }
-            }
-        }
         let exp = job.to_experiment();
-        let run = match exp.run_checkpointed(&plan) {
-            Ok(run) => run,
-            Err(e) => {
-                // A stale checkpoint (older snapshot version, changed
-                // component roster) is a cache miss, not a fatal error.
-                eprintln!("warning: unusable checkpoint for {memo_key} ({e}); simulating cold");
-                plan.restore_from = None;
-                plan.fork = None;
-                exp.run_checkpointed(&plan)
-                    .expect("cold run restores nothing")
-            }
+        let plan = CheckpointPlan {
+            resume_from: fork.map(ForkSnapshot::bytes),
+            pause_at: fork_at,
         };
-        let forked = plan.fork.is_some();
-        // Disk warm-starts are rare enough to always announce; forked
-        // resumptions happen for most of a shared sweep and are already
-        // summarized by the prefix report, so per-job lines are
-        // verbose-only.
-        if run.resumed_at > 0 && (self.verbose || !forked) {
+        let run = exp.run_planned(plan, None).unwrap_or_else(|e| {
+            // Prefix sharing is an optimization, never a correctness
+            // dependency: a fork that does not restore costs a cold run.
+            eprintln!("warning: unusable prefix fork for {memo_key} ({e}); simulating cold");
+            let cold = CheckpointPlan {
+                resume_from: None,
+                ..plan
+            };
+            exp.run_planned(cold, None)
+                .expect("a cold run restores nothing")
+        });
+        let forked = run.resumed_at > 0;
+        if forked && self.verbose {
             eprintln!(
-                "  warm-start {memo_key}: simulated from cycle {} instead of 0",
+                "  forked {memo_key}: simulated from cycle {} instead of 0",
                 run.resumed_at
             );
-        }
-        if let Some(store) = &self.ckpt {
-            if let Some((cycle, bytes)) = &run.snapshot {
-                if let Err(e) = store.store(&job.cache_key(), *cycle, bytes) {
-                    eprintln!("warning: cannot persist checkpoint for {memo_key}: {e}");
-                }
-            }
         }
         let result = run.result;
         let wall = t0.elapsed();
@@ -605,7 +548,7 @@ impl Runner {
         };
         let work = (run.ticks, run.messages);
         self.finish_at(memo_key, source, wall, &result, run.resumed_at, work);
-        (result, run.fork)
+        (result, run.snapshot)
     }
 
     fn finish(&self, memo_key: String, source: JobSource, wall: Duration, result: &Arc<RunResult>) {
@@ -767,14 +710,6 @@ impl Runner {
                         let mut prefix = self.prefix.lock().unwrap();
                         prefix.prefix_runs += 1;
                         prefix.prefix_wall += t0.elapsed();
-                    } else if self.verbose {
-                        // Legitimate, not an error: e.g. the representative
-                        // warm-started from a disk checkpoint past the
-                        // warmup cycle. The members simply run cold.
-                        eprintln!(
-                            "  no fork captured for {} group; members run cold",
-                            rep.memo_key()
-                        );
                     }
                     let mut q = queue.lock().unwrap();
                     for &idx in &groups[g][1..] {
@@ -962,6 +897,22 @@ mod tests {
     }
 
     #[test]
+    fn unusable_fork_falls_back_to_a_cold_run() {
+        // Prefix sharing is never a correctness dependency: a fork that
+        // does not restore costs a warning and a run from cycle 0.
+        let cold = Runner::quick().run(Workload::Gups, SystemVariant::NetCrafter);
+        let r = Runner::quick();
+        let job = r.job(Workload::Gups, SystemVariant::NetCrafter);
+        let bad = ForkSnapshot::new(400, b"not a snapshot".to_vec(), 0);
+        let (result, _) = r.run_job_forked(&job, Some(&bad), None);
+        assert_eq!(result.to_kv(), cold.to_kv());
+        let stats = r.job_stats();
+        assert_eq!(stats[0].source, JobSource::Fresh);
+        assert_eq!(stats[0].resumed_at, 0);
+        assert_eq!(r.prefix_stats().forked_jobs, 0);
+    }
+
+    #[test]
     fn sweep_aliases_identical_physical_jobs() {
         // Two specs with different memo keys but one physical identity
         // (tag is display-only) share a single execution.
@@ -1042,18 +993,27 @@ mod tests {
                 source: JobSource::DiskHit,
                 wall: std::time::Duration::from_micros(50),
                 exec_cycles: 900_000,
-                resumed_at: 250_000,
+                resumed_at: 0,
                 ticks: 0,
                 messages: 0,
+            },
+            JobStat {
+                memo_key: "GUPS|NetCrafter|".into(),
+                source: JobSource::Forked,
+                wall: std::time::Duration::from_millis(5),
+                exec_cycles: 800_000,
+                resumed_at: 250_000,
+                ticks: 1_500,
+                messages: 1_000,
             },
         ];
         let report = stats_report(&stats);
         assert!(report.contains("GUPS|Baseline|"));
-        assert!(report.contains("1 simulated"));
+        assert!(report.contains("2 simulated"));
         assert!(report.contains("1 replayed from disk"));
-        assert!(report.contains("warm-start from cycle 250000"));
+        assert!(report.contains("resumed from cycle 250000"));
         assert!(
-            report.contains("3000 ticks, 1.50 ticks/message"),
+            report.contains("4500 ticks, 1.50 ticks/message"),
             "{report}"
         );
         assert!((stats[0].cycles_per_sec() - 1e8).abs() < 1e3);

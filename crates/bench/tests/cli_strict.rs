@@ -32,6 +32,12 @@ const CASES: &[Case] = &[
     (SIMULATE, &["--scale", "huge"], 2, "unknown scale \"huge\""),
     (SIMULATE, &["gups"], 2, "unexpected argument \"gups\""),
     (SIMULATE, &["--sample-window", "0"], 2, "--sample-window expects a positive cycle count"),
+    // A checkpoint with nowhere to go used to be simulated, serialised and discarded.
+    (SIMULATE, &["--checkpoint-at", "100"], 2, "--checkpoint-at needs --checkpoint-dir"),
+    (SIMULATE, &["--checkpoint-dir", "d"], 2, "--checkpoint-dir needs --checkpoint-at"),
+    // Pause and resume belong to one run, not to a sweep.
+    (SIMULATE, &["--variant", "all", "--checkpoint-at", "100", "--checkpoint-dir", "d"], 2, "not --variant all"),
+    (SIMULATE, &["--variant", "all", "--restore-from", "f"], 2, "not --variant all"),
     // `figures --help` used to start a paper-scale `all` pass.
     (FIGURES, &["--help"], 0, "usage: figures"),
     (FIGURES, &["--quick", "fig14", "-h"], 0, "usage: figures"),
@@ -41,6 +47,8 @@ const CASES: &[Case] = &[
     (FIGURES, &["--quick", "--warmup", "soon", "fig14"], 2, "--warmup: cannot parse \"soon\""),
     (FIGURES, &["--quick", "fig99"], 2, "unknown figure id \"fig99\""),
     (FIGURES, &["--quick", "fig14", "--trace"], 2, "--trace expects a value"),
+    // A sweep of sub-second jobs has no checkpoint flags.
+    (FIGURES, &["--quick", "fig14", "--checkpoint-dir", "d"], 2, "unknown flag --checkpoint-dir"),
 ];
 
 #[test]

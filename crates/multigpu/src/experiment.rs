@@ -340,10 +340,9 @@ impl Experiment {
 
     /// Builds the system, runs the workload to completion and harvests.
     pub fn run(&self) -> RunResult {
-        let (run, _) = self
-            .run_inner(None, &CheckpointPlan::default())
-            .expect("no snapshot restore involved");
-        run.result
+        self.run_planned(CheckpointPlan::default(), None)
+            .expect("nothing to restore")
+            .result
     }
 
     /// Like [`Experiment::run`], but with the requested observability
@@ -351,82 +350,39 @@ impl Experiment {
     /// time-series sampling when `opts.sample_window` is set. Returns the
     /// normal result plus everything recorded.
     pub fn run_traced(&self, opts: &TraceOptions) -> (RunResult, TraceData) {
-        let (run, data) = self
-            .run_inner(Some(opts), &CheckpointPlan::default())
-            .expect("no snapshot restore involved");
-        (run.result, data.expect("tracing requested"))
+        let run = self
+            .run_planned(CheckpointPlan::default(), Some(opts))
+            .expect("nothing to restore");
+        (run.result, run.recorded.expect("tracing requested"))
     }
 
-    /// Like [`Experiment::run`], but driven by a [`CheckpointPlan`]: the
-    /// run can warm-start from a snapshot and/or pause at a cycle to take
-    /// one. Checkpoint → restore → continue is byte-identical to the
-    /// uninterrupted run (metrics, traces and time series alike).
+    /// [`Experiment::run`] driven by a [`CheckpointPlan`]: the run can
+    /// resume from a snapshot and pause once to hand one back, with the
+    /// observability of [`Experiment::run_traced`] when `trace` is given.
+    /// Pause → resume → continue is byte-identical to the uninterrupted
+    /// run (metrics, traces and time series alike), and a snapshot taken
+    /// no later than the warmup cycle resumes under every job with the
+    /// same [`JobSpec::prefix_key`].
     ///
     /// # Errors
     ///
-    /// Returns the restore error when `plan.restore_from` is corrupt, has
-    /// a version mismatch, or was taken on a different configuration.
-    pub fn run_checkpointed(
+    /// Returns the restore error when `plan.resume_from` is corrupt, has
+    /// a version mismatch or was taken on a different configuration, and
+    /// [`SnapshotError::Mismatch`] when it was taken under other tracing
+    /// or link sampling than `trace` asks for: the snapshot carries the
+    /// tracer and the time series from cycle 0, so resuming it under
+    /// anything else would write an empty or a headless trace.
+    pub fn run_planned(
         &self,
-        plan: &CheckpointPlan,
+        plan: CheckpointPlan<'_>,
+        trace: Option<&TraceOptions>,
     ) -> Result<CheckpointedRun, SnapshotError> {
-        Ok(self.run_inner(None, plan)?.0)
-    }
-
-    /// [`Experiment::run_traced`] with a [`CheckpointPlan`]. The snapshot
-    /// carries the tracer and time-series state, so a restored run's trace
-    /// is complete from cycle 0, not from the restore point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the restore error when `plan.restore_from` is invalid.
-    pub fn run_traced_checkpointed(
-        &self,
-        opts: &TraceOptions,
-        plan: &CheckpointPlan,
-    ) -> Result<(CheckpointedRun, TraceData), SnapshotError> {
-        let (run, data) = self.run_inner(Some(opts), plan)?;
-        Ok((run, data.expect("tracing requested")))
-    }
-
-    /// Runs the experiment forward to `until` (or quiescence, whichever
-    /// comes first) and returns an in-memory [`ForkSnapshot`] of the
-    /// paused state — a standalone prefix simulation, discarded after the
-    /// fork. Sweeps prefer [`CheckpointPlan::fork_at`], which captures
-    /// the same fork from a run that then continues to completion.
-    /// Every job whose configuration is warmup-equivalent to this one
-    /// (same [`JobSpec::prefix_key`]) can restore the fork via
-    /// [`CheckpointPlan::fork`] and continue byte-identically to its own
-    /// cold run, because no policy knob has acted before `until` when
-    /// `until <= warmup_cycles`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today (the fork is serialized, never parsed); the
-    /// `Result` keeps the signature uniform with the restore paths.
-    pub fn run_prefix(&self, until: u64) -> Result<ForkSnapshot, SnapshotError> {
         let cfg = self.variant.apply(self.base_cfg);
         let kernel = self
             .workload
             .generate(&self.scale, cfg.total_gpus(), self.seed);
         let mut sys = System::build(cfg, &kernel);
-        sys.engine.set_scheduler(self.scheduler);
-        sys.set_threads(self.threads);
-        sys.run_until(until);
-        Ok(sys.fork_snapshot())
-    }
-
-    fn run_inner(
-        &self,
-        opts: Option<&TraceOptions>,
-        plan: &CheckpointPlan,
-    ) -> Result<(CheckpointedRun, Option<TraceData>), SnapshotError> {
-        let cfg = self.variant.apply(self.base_cfg);
-        let kernel = self
-            .workload
-            .generate(&self.scale, cfg.total_gpus(), self.seed);
-        let mut sys = System::build(cfg, &kernel);
-        if let Some(opts) = opts {
+        if let Some(opts) = trace {
             if let Some(config) = &opts.config {
                 sys.enable_tracing(config.clone());
             }
@@ -436,118 +392,117 @@ impl Experiment {
         }
         sys.engine.set_scheduler(self.scheduler);
         sys.set_threads(self.threads);
-        if let Some(fork) = &plan.fork {
-            // In-memory fork takes precedence over the persistent tier:
-            // it is already resident and always at least as deep into the
-            // run as any disk snapshot the planner would have chosen.
-            sys.restore(fork.bytes())?;
-            debug_assert_eq!(
-                sys.state_hash(),
-                fork.state_hash(),
-                "fork restore must reproduce the paused state byte-exactly"
-            );
-        } else if let Some(bytes) = &plan.restore_from {
+        if let Some(bytes) = plan.resume_from {
             sys.restore(bytes)?;
+            debug_assert!(
+                sys.save_snapshot() == bytes,
+                "a restored node must re-encode to the bytes it was restored from"
+            );
+            let carried = TraceOptions {
+                config: sys.engine.tracer().filter().cloned(),
+                sample_window: sys.link_sampling_window(),
+            };
+            if let Some(why) = observability_mismatch(trace, &carried) {
+                return Err(SnapshotError::Mismatch(why));
+            }
         }
         let resumed_at = sys.engine.cycle();
         let messages_at_resume = sys.engine.messages_delivered();
-        // Apply the pause points in ascending cycle order, skipping any
-        // the restore already moved past.
-        let mut pauses: Vec<(u64, bool)> = Vec::new();
-        if let Some(at) = plan.fork_at.filter(|&at| at > resumed_at) {
-            pauses.push((at, true));
-        }
-        if let Some(at) = plan.checkpoint_at.filter(|&at| at > resumed_at) {
-            pauses.push((at, false));
-        }
-        pauses.sort_unstable();
-        let mut snapshot = None;
-        let mut fork = None;
-        for (at, is_fork) in pauses {
+        let snapshot = plan.pause_at.filter(|&at| at > resumed_at).map(|at| {
             sys.run_until(at);
-            // The run may quiesce before the requested cycle; the
-            // snapshot is tagged with the cycle actually paused at.
-            if is_fork {
-                fork = Some(sys.fork_snapshot());
-            } else {
-                snapshot = Some((sys.engine.cycle(), sys.save_snapshot()));
-            }
-        }
+            sys.fork_snapshot()
+        });
         let exec_cycles = sys.run(self.max_cycles);
         let result = RunResult {
             exec_cycles,
             metrics: sys.harvest(),
         };
-        let data = opts.map(|_| TraceData {
-            trace: sys.take_trace(),
-            links: sys.take_link_series(),
-        });
-        Ok((
-            CheckpointedRun {
-                result,
-                snapshot,
-                fork,
-                resumed_at,
-                ticks: sys.engine.ticks_executed(),
-                messages: sys.engine.messages_delivered() - messages_at_resume,
-            },
-            data,
-        ))
+        Ok(CheckpointedRun {
+            result,
+            snapshot,
+            resumed_at,
+            ticks: sys.engine.ticks_executed(),
+            messages: sys.engine.messages_delivered() - messages_at_resume,
+            recorded: trace.map(|_| TraceData {
+                trace: sys.take_trace(),
+                links: sys.take_link_series(),
+            }),
+        })
     }
 }
 
-/// Checkpoint/restore controls for one run. The default plan (no
-/// checkpoint, no restore) reproduces [`Experiment::run`] exactly.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointPlan {
-    /// Pause at this cycle and snapshot the state. No snapshot is taken
-    /// when the run quiesces first or a restore already starts past it.
-    pub checkpoint_at: Option<u64>,
-    /// Pause at this cycle and capture an in-memory [`ForkSnapshot`] into
-    /// [`CheckpointedRun::fork`], then continue to completion — how a
-    /// prefix-sharing sweep's *representative* job produces the fork its
-    /// group mates restore, without a separate warmup-only simulation.
-    /// No fork is captured when the run quiesces first or a restore
-    /// already starts past it.
-    pub fork_at: Option<u64>,
-    /// Snapshot bytes (from [`CheckpointedRun::snapshot`]) to warm-start
-    /// from; the experiment's configuration must match the run that
-    /// produced them.
-    pub restore_from: Option<Vec<u8>>,
-    /// In-memory fork (from [`CheckpointedRun::fork`] or
-    /// [`Experiment::run_prefix`]) to warm-start from. Takes precedence
-    /// over `restore_from`; the experiment's configuration must be
-    /// warmup-equivalent to the run that produced the fork (same
-    /// [`JobSpec::prefix_key`]).
-    pub fork: Option<ForkSnapshot>,
+/// Why a snapshot taken under `carried` observability cannot continue a
+/// run asked for `wanted`; `None` when the two agree.
+fn observability_mismatch(wanted: Option<&TraceOptions>, carried: &TraceOptions) -> Option<String> {
+    let off = TraceOptions::default();
+    let wanted = wanted.unwrap_or(&off);
+    if wanted.config != carried.config {
+        return Some(match (&wanted.config, &carried.config) {
+            (Some(_), None) => "taken with tracing off, --trace needs a snapshot from a run \
+                                traced with the same filter"
+                .into(),
+            (None, _) => "taken with tracing on, resume it with the same --trace filter".into(),
+            _ => "taken with another trace filter, --trace needs a snapshot from a run \
+                  traced with the same filter"
+                .into(),
+        });
+    }
+    if wanted.sample_window != carried.sample_window {
+        return Some(match (wanted.sample_window, carried.sample_window) {
+            (Some(_), None) => "taken with link sampling off, --timeseries needs a snapshot \
+                                from a run sampled with the same window"
+                .into(),
+            (None, _) => "taken with link sampling on, resume it with the same --timeseries \
+                          window"
+                .into(),
+            (_, Some(w)) => format!(
+                "taken with --sample-window {w}, --timeseries needs a snapshot from a run \
+                 sampled with the same window"
+            ),
+        });
+    }
+    None
 }
 
-/// Outcome of [`Experiment::run_checkpointed`].
+/// What a run does besides running: at most one snapshot in, at most one
+/// out. The default plan (neither) reproduces [`Experiment::run`] exactly.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CheckpointPlan<'a> {
+    /// Snapshot bytes ([`ForkSnapshot::bytes`], or the file `simulate
+    /// --checkpoint-at` wrote from them) to resume from instead of
+    /// starting at cycle 0.
+    pub resume_from: Option<&'a [u8]>,
+    /// Pause once at this cycle, hand the paused state back in
+    /// [`CheckpointedRun::snapshot`], and continue to completion. The
+    /// snapshot is tagged with the cycle actually paused at (earlier when
+    /// the run quiesces first); none is taken when `resume_from` already
+    /// starts at or past the cycle.
+    pub pause_at: Option<u64>,
+}
+
+/// Outcome of [`Experiment::run_planned`].
 #[derive(Debug)]
 pub struct CheckpointedRun {
     /// The run's result, identical to an uninterrupted run's.
     pub result: RunResult,
-    /// `(cycle, bytes)` of the snapshot taken at `checkpoint_at`, when
-    /// one was requested (the cycle is earlier when the run quiesced
-    /// before the requested pause point).
-    pub snapshot: Option<(u64, Vec<u8>)>,
-    /// The in-memory fork captured at `fork_at`, when one was requested
-    /// and the run reached the pause point.
-    pub fork: Option<ForkSnapshot>,
+    /// The state paused at [`CheckpointPlan::pause_at`], when asked for.
+    pub snapshot: Option<ForkSnapshot>,
     /// Cycle the simulation actually started stepping from: 0 for a cold
-    /// run, the snapshot's cycle after a warm start.
+    /// run, the snapshot's cycle after a resume.
     pub resumed_at: u64,
     /// Component ticks the engine executed for this run (from
     /// `resumed_at` on): host work, which depends on the scheduler and
     /// is deliberately not part of [`RunResult`] or its metrics.
     pub ticks: u64,
     /// Messages delivered over the same cycles (`sys.messages` counts
-    /// from cycle 0 even after a warm start).
+    /// from cycle 0 even after a resume).
     pub messages: u64,
+    /// Everything recorded, when the run was given [`TraceOptions`].
+    pub recorded: Option<TraceData>,
 }
 
 /// What [`Experiment::run_traced`] should record.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Event-trace filter; `None` leaves tracing off.
     pub config: Option<TraceConfig>,
@@ -932,30 +887,38 @@ mod tests {
         assert_ne!(JobSpec::new(reseeded, "").prefix_key().unwrap(), key);
     }
 
+    /// `exp` paused once at `at`: the finished run, which carries the
+    /// snapshot.
+    fn paused(exp: &Experiment, at: u64) -> CheckpointedRun {
+        let plan = CheckpointPlan {
+            resume_from: None,
+            pause_at: Some(at),
+        };
+        exp.run_planned(plan, None).expect("nothing to restore")
+    }
+
     #[test]
     fn forked_run_is_byte_identical_to_cold() {
-        // The tentpole oracle at experiment granularity: run a shared
-        // prefix once, fork it in memory, and finish two *different*
-        // policy variants from the fork. Each must match its own cold run
+        // The oracle of prefix sharing at experiment granularity: pause
+        // one run at the warmup cycle and finish two *different* policy
+        // variants from its snapshot. Each must match its own cold run
         // byte-for-byte (exec cycles and every metric).
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         exp.base_cfg.netcrafter.warmup_cycles = 400;
-        let fork = exp.run_prefix(400).expect("prefix run is infallible");
-        assert!(fork.cycle() <= 400);
-        assert!(!fork.bytes().is_empty());
+        let fork = paused(&exp, 400).snapshot.expect("paused at cycle 400");
+        assert_eq!(fork.cycle(), 400);
 
         for variant in [SystemVariant::NetCrafter, SystemVariant::StitchTrim] {
             let mut member = exp.clone();
             member.variant = variant;
             let cold = member.run();
             let plan = CheckpointPlan {
-                checkpoint_at: None,
-                fork_at: None,
-                restore_from: None,
-                fork: Some(fork.clone()),
+                resume_from: Some(fork.bytes()),
+                pause_at: None,
             };
-            let warm = member.run_checkpointed(&plan).expect("fork restores");
+            let warm = member.run_planned(plan, None).expect("fork restores");
             assert_eq!(warm.resumed_at, fork.cycle());
+            assert!(warm.snapshot.is_none(), "no pause asked for");
             assert_eq!(warm.result.exec_cycles, cold.exec_cycles, "{variant:?}");
             assert_eq!(
                 warm.result.metrics.to_kv(),
@@ -967,59 +930,36 @@ mod tests {
 
     #[test]
     fn fork_at_captures_mid_run_without_perturbing_the_run() {
-        // A representative job pauses at the warmup cycle, forks, and
-        // continues. Its own result must match an uninterrupted run, and
-        // the captured fork must be byte-identical to a standalone
-        // prefix simulation's.
+        // A representative job pauses at the warmup cycle, hands its
+        // snapshot back, and continues: its own result must match an
+        // uninterrupted run, and a warmup-equivalent sibling pausing at
+        // the same cycle must be in the same state, byte for byte.
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         exp.base_cfg.netcrafter.warmup_cycles = 400;
         let cold = exp.run();
-        let plan = CheckpointPlan {
-            checkpoint_at: None,
-            fork_at: Some(400),
-            restore_from: None,
-            fork: None,
-        };
-        let run = exp.run_checkpointed(&plan).expect("nothing to restore");
+        let run = paused(&exp, 400);
+        assert_eq!(run.resumed_at, 0);
         assert_eq!(run.result.exec_cycles, cold.exec_cycles);
         assert_eq!(run.result.metrics.to_kv(), cold.metrics.to_kv());
-        let fork = run.fork.expect("fork captured at cycle 400");
-        let standalone = exp.run_prefix(400).expect("prefix run");
-        assert_eq!(fork.cycle(), standalone.cycle());
-        assert_eq!(fork.state_hash(), standalone.state_hash());
-        assert_eq!(fork.bytes(), standalone.bytes());
+        let fork = run.snapshot.expect("paused at cycle 400");
 
-        // A sibling restoring the mid-run fork matches its own cold run.
-        let mut member = exp.clone();
-        member.variant = SystemVariant::StitchTrim;
-        let member_cold = member.run();
-        let restore = CheckpointPlan {
-            checkpoint_at: None,
-            fork_at: None,
-            restore_from: None,
-            fork: Some(fork),
-        };
-        let warm = member.run_checkpointed(&restore).expect("fork restores");
-        assert_eq!(warm.resumed_at, 400);
-        assert_eq!(warm.result.exec_cycles, member_cold.exec_cycles);
-        assert_eq!(warm.result.metrics.to_kv(), member_cold.metrics.to_kv());
-    }
+        let mut sibling = exp.clone();
+        sibling.variant = SystemVariant::StitchTrim;
+        let theirs = paused(&sibling, 400).snapshot.expect("paused at cycle 400");
+        assert_eq!(fork.cycle(), theirs.cycle());
+        assert_eq!(fork.state_hash(), theirs.state_hash());
+        assert_eq!(fork.bytes(), theirs.bytes());
 
-    #[test]
-    fn fork_takes_precedence_over_disk_restore() {
-        let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-        exp.base_cfg.netcrafter.warmup_cycles = 400;
-        let fork = exp.run_prefix(400).expect("prefix run");
+        // A snapshot that already starts at the pause cycle is not taken
+        // a second time, and a run that quiesces first pauses there.
         let plan = CheckpointPlan {
-            checkpoint_at: None,
-            fork_at: None,
-            // Garbage in the persistent slot: if the fork really wins,
-            // these bytes are never parsed.
-            restore_from: Some(vec![0xde, 0xad, 0xbe, 0xef]),
-            fork: Some(fork),
+            resume_from: Some(fork.bytes()),
+            pause_at: Some(400),
         };
-        let warm = exp.run_checkpointed(&plan).expect("fork wins");
-        assert_eq!(warm.result.exec_cycles, exp.run().exec_cycles);
+        let resumed = exp.run_planned(plan, None).expect("fork restores");
+        assert!(resumed.snapshot.is_none());
+        let late = paused(&exp, u64::MAX).snapshot.expect("paused at the end");
+        assert_eq!(late.cycle(), cold.exec_cycles);
     }
 
     #[test]

@@ -445,6 +445,14 @@ impl System {
         }
     }
 
+    /// Bucket width of the link sampling the node carries — turned on by
+    /// [`System::enable_link_sampling`] or restored with a snapshot —
+    /// `None` when sampling is off.
+    pub fn link_sampling_window(&self) -> Option<Cycle> {
+        let sw: &Switch = self.engine.get(*self.ids.switches.first()?)?;
+        sw.sampling_window()
+    }
+
     /// Drains the per-link time series sampled since
     /// [`System::enable_link_sampling`], labelled `switch->peer`.
     pub fn take_link_series(&mut self) -> Vec<LinkSeries> {

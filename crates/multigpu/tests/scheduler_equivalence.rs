@@ -2,18 +2,17 @@
 //! must reproduce the uninterrupted event-driven run byte for byte.
 //!
 //! Rows are {EventDriven, Legacy, PDES on 4 threads} × {uninterrupted,
-//! checkpoint at the midpoint then restore, in-memory fork at the
-//! midpoint then restore}; columns are a slice of the fig14 matrix on
-//! the 2×2 mesh plus the fat-tree-8 and torus fabrics, one column
-//! paused while translation requests are parked behind full L2-TLB MSHRs
-//! (their replay misses only partly settled), and three paused while CUs
-//! sleep on access retries that cannot succeed (the burnt access ids, MSHR
-//! stalls and LRU stamps of the skipped attempts not yet booked). Each
-//! cell compares
-//! `exec_cycles`, `Metrics::to_kv`, the chrome-trace JSON and the
-//! per-link time-series JSONL against the EventDriven/uninterrupted
-//! cell of its column. A checkpoint row restores both the snapshot it
-//! took itself and the one the event-driven row took: snapshots exclude
+//! pause at the midpoint then resume}; columns are a slice of the fig14
+//! matrix on the 2×2 mesh plus the fat-tree-8 and torus fabrics, one
+//! column paused while translation requests are parked behind full
+//! L2-TLB MSHRs (their replay misses only partly settled), and three
+//! paused while CUs sleep on access retries that cannot succeed (the
+//! burnt access ids, MSHR stalls and LRU stamps of the skipped attempts
+//! not yet booked). Each cell compares `exec_cycles`, `Metrics::to_kv`,
+//! the chrome-trace JSON and the per-link time-series JSONL against the
+//! EventDriven/uninterrupted cell of its column. A pause row checks the
+//! run that paused and went on, then resumes both the snapshot it took
+//! itself and the one the event-driven row took: snapshots exclude
 //! scheduler-derived state, so they are portable across schedulers.
 //!
 //! Legacy dispatches the scalar `tick`/`busy` pair, so its rows are also
@@ -22,10 +21,10 @@
 
 use netcrafter_gpu::Cu;
 use netcrafter_multigpu::{
-    CheckpointPlan, CheckpointedRun, Experiment, System, SystemVariant, TraceData, TraceOptions,
+    CheckpointPlan, CheckpointedRun, Experiment, System, SystemVariant, TraceOptions,
 };
 use netcrafter_proto::{SystemConfig, TopologyConfig};
-use netcrafter_sim::snapshot::{SnapshotError, SnapshotWriter};
+use netcrafter_sim::snapshot::{ForkSnapshot, SnapshotError, SnapshotWriter};
 use netcrafter_sim::{Component, SchedulerMode, TraceConfig};
 use netcrafter_vm::TranslationUnit;
 use netcrafter_workloads::{Scale, Workload};
@@ -37,15 +36,7 @@ enum Sched {
     Pdes4,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Interrupt {
-    None,
-    Checkpoint,
-    Fork,
-}
-
 const SCHEDS: [Sched; 3] = [Sched::EventDriven, Sched::Legacy, Sched::Pdes4];
-const INTERRUPTS: [Interrupt; 3] = [Interrupt::None, Interrupt::Checkpoint, Interrupt::Fork];
 
 fn under(exp: &Experiment, sched: Sched) -> Experiment {
     match sched {
@@ -71,7 +62,8 @@ struct Observed {
 }
 
 impl Observed {
-    fn of(run: &CheckpointedRun, data: &TraceData) -> Observed {
+    fn of(run: &CheckpointedRun) -> Observed {
+        let data = run.recorded.as_ref().expect("every cell runs traced");
         Observed {
             exec_cycles: run.result.exec_cycles,
             metrics: run.result.metrics.to_kv(),
@@ -97,11 +89,11 @@ impl Observed {
     }
 }
 
-fn traced(exp: &Experiment, plan: &CheckpointPlan) -> (CheckpointedRun, Observed) {
-    let (run, data) = exp
-        .run_traced_checkpointed(&trace_opts(), plan)
+fn traced(exp: &Experiment, plan: CheckpointPlan<'_>) -> (CheckpointedRun, Observed) {
+    let run = exp
+        .run_planned(plan, Some(&trace_opts()))
         .expect("snapshot restores");
-    let seen = Observed::of(&run, &data);
+    let seen = Observed::of(&run);
     (run, seen)
 }
 
@@ -110,69 +102,49 @@ fn check_column(column: &str, exp: &Experiment) {
     check_column_pausing(column, exp, |exec_cycles| exec_cycles / 2);
 }
 
-/// Walks every row of one column; `pause_at` picks the checkpoint/fork
-/// cycle from the uninterrupted run's length.
+/// Walks every row of one column; `pause_at` picks the pause cycle from
+/// the uninterrupted run's length.
 fn check_column_pausing(column: &str, exp: &Experiment, pause_at: impl Fn(u64) -> u64) {
-    let (_, reference) = traced(exp, &CheckpointPlan::default());
+    let (_, reference) = traced(exp, CheckpointPlan::default());
     let mid = pause_at(reference.exec_cycles);
     assert!(
         mid > 0 && mid < reference.exec_cycles,
         "{column}: no room to pause at {mid}"
     );
-    let mut event_driven_snapshot: Option<Vec<u8>> = None;
+    let mut event_driven_snapshot: Option<ForkSnapshot> = None;
 
     for sched in SCHEDS {
         let exp = under(exp, sched);
-        for interrupt in INTERRUPTS {
-            let cell = format!("{column} / {sched:?} / {interrupt:?}");
-            let restore = match interrupt {
-                Interrupt::None => CheckpointPlan::default(),
-                Interrupt::Checkpoint => {
-                    let plan = CheckpointPlan {
-                        checkpoint_at: Some(mid),
-                        ..CheckpointPlan::default()
-                    };
-                    // Pausing to checkpoint must not perturb the run that
-                    // continues.
-                    let (paused, seen) = traced(&exp, &plan);
-                    seen.assert_matches(&reference, &format!("{cell} (pausing run)"));
-                    let (cycle, bytes) = paused.snapshot.expect("checkpoint requested");
-                    assert_eq!(cycle, mid, "{cell}: paused at the requested barrier");
-                    let foreign = event_driven_snapshot.get_or_insert_with(|| bytes.clone());
-                    if sched != Sched::EventDriven {
-                        let plan = CheckpointPlan {
-                            restore_from: Some(foreign.clone()),
-                            ..CheckpointPlan::default()
-                        };
-                        let (run, seen) = traced(&exp, &plan);
-                        assert_eq!(run.resumed_at, mid, "{cell}: resumed from the pause point");
-                        seen.assert_matches(&reference, &format!("{cell} (event-driven snapshot)"));
-                    }
-                    CheckpointPlan {
-                        restore_from: Some(bytes),
-                        ..CheckpointPlan::default()
-                    }
-                }
-                Interrupt::Fork => {
-                    let plan = CheckpointPlan {
-                        fork_at: Some(mid),
-                        ..CheckpointPlan::default()
-                    };
-                    let (paused, seen) = traced(&exp, &plan);
-                    seen.assert_matches(&reference, &format!("{cell} (forking run)"));
-                    let fork = paused.fork.expect("fork requested");
-                    assert_eq!(fork.cycle(), mid, "{cell}: forked at the requested barrier");
-                    CheckpointPlan {
-                        fork: Some(fork),
-                        ..CheckpointPlan::default()
-                    }
-                }
+        let cell = format!("{column} / {sched:?}");
+        if sched != Sched::EventDriven {
+            let (_, seen) = traced(&exp, CheckpointPlan::default());
+            seen.assert_matches(&reference, &format!("{cell} / uninterrupted"));
+        }
+
+        // Pausing to hand a snapshot back must not perturb the run that
+        // continues.
+        let pause = CheckpointPlan {
+            resume_from: None,
+            pause_at: Some(mid),
+        };
+        let (paused, seen) = traced(&exp, pause);
+        seen.assert_matches(&reference, &format!("{cell} / pausing run"));
+        let own = paused.snapshot.expect("pause requested");
+        assert_eq!(own.cycle(), mid, "{cell}: paused at the requested barrier");
+
+        let mut snapshots = vec![("its own snapshot", own.clone())];
+        match &event_driven_snapshot {
+            None => event_driven_snapshot = Some(own),
+            Some(foreign) => snapshots.push(("the event-driven snapshot", foreign.clone())),
+        }
+        for (whose, snapshot) in snapshots {
+            let resume = CheckpointPlan {
+                resume_from: Some(snapshot.bytes()),
+                pause_at: None,
             };
-            let (run, seen) = traced(&exp, &restore);
-            if interrupt != Interrupt::None {
-                assert_eq!(run.resumed_at, mid, "{cell}: resumed from the pause point");
-            }
-            seen.assert_matches(&reference, &cell);
+            let (run, seen) = traced(&exp, resume);
+            assert_eq!(run.resumed_at, mid, "{cell}: resumed from the pause point");
+            seen.assert_matches(&reference, &format!("{cell} / resumed from {whose}"));
         }
     }
 }

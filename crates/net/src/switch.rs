@@ -184,6 +184,13 @@ impl Switch {
         }
     }
 
+    /// Bucket width of the series the egress ports sample; `None` when
+    /// sampling is off.
+    pub fn sampling_window(&self) -> Option<u64> {
+        let series = self.ports.iter().find_map(|p| p.egress.series())?;
+        Some(series.bytes.window())
+    }
+
     /// Extracts the sampled per-link series: `(peer_node, is_inter,
     /// series)` for every port where sampling was enabled.
     pub fn take_series(&mut self) -> Vec<(NodeId, bool, PortSeries)> {

@@ -21,7 +21,7 @@ use netcrafter_proto::Message;
 use crate::arena::{Arena, Handle};
 use crate::sched::{Core, Route};
 use crate::snapshot::{
-    read_header, write_header, ForkSnapshot, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
+    read_header, write_header, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use crate::trace::{Trace, TraceConfig, Tracer};
 use crate::Cycle;
@@ -782,31 +782,6 @@ impl Engine {
         let mut w = SnapshotWriter::new();
         self.save_state_into(&mut w);
         netcrafter_proto::fnv1a64(&w.into_bytes())
-    }
-
-    /// Runs until `cycle` (see [`Engine::run_until`]) and returns the
-    /// snapshot of the paused state.
-    pub fn checkpoint_at(&mut self, cycle: Cycle) -> Vec<u8> {
-        self.run_until(cycle);
-        self.save_snapshot()
-    }
-
-    /// Serializes the paused engine into an in-memory [`ForkSnapshot`]:
-    /// the versioned snapshot bytes behind an `Arc`, tagged with the pause
-    /// cycle and the body's state hash. One serialization pass produces
-    /// both the bytes and the fingerprint (the body is hashed before the
-    /// header is prepended), so forking costs exactly one encode no matter
-    /// how many children later restore from it.
-    pub fn fork_snapshot(&mut self) -> ForkSnapshot {
-        let mut body = SnapshotWriter::new();
-        self.save_state_into(&mut body);
-        let body = body.into_bytes();
-        let hash = netcrafter_proto::fnv1a64(&body);
-        let mut w = SnapshotWriter::new();
-        write_header(&mut w);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&body);
-        ForkSnapshot::new(self.core.cycle, bytes, hash)
     }
 }
 

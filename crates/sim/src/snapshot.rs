@@ -66,6 +66,10 @@ pub enum SnapshotError {
     /// The bytes decoded, but the value they describe is invalid (bad
     /// enum tag, component-name mismatch, malformed embedded text, …).
     Corrupt(String),
+    /// The snapshot is intact, but the run that took it differs from the
+    /// run asked to continue it in a way the bytes carry along (tracing,
+    /// link sampling); the message names the difference.
+    Mismatch(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -89,6 +93,7 @@ impl std::fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Corrupt(why) => write!(f, "snapshot corrupt: {why}"),
+            SnapshotError::Mismatch(why) => f.write_str(why),
         }
     }
 }
@@ -319,13 +324,12 @@ pub fn read_header(r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
 /// what [`crate::Engine::save_snapshot`] / a system-level saver emits)
 /// behind an `Arc`, so handing a fork to N children is N pointer clones —
 /// no disk round-trip and no buffer copies. `state_hash` fingerprints the
-/// snapshot *body* at the moment the fork was taken; restore paths use it
-/// as the byte-identity oracle (a restored engine must hash to the same
-/// value before it steps).
+/// snapshot *body* at the moment the fork was taken: two runs paused in
+/// the same state carry the same hash, and a system restored from the
+/// bytes hashes to it before it steps.
 ///
-/// `ForkSnapshot` is the in-RAM sibling of the bench crate's persistent
-/// `CheckpointStore` tier: forks never touch disk and die with the
-/// process; the store covers cross-invocation warm starts.
+/// A fork lives in memory and dies with the process; the one place that
+/// writes its bytes to a file is `simulate --checkpoint-at`.
 #[derive(Debug, Clone)]
 pub struct ForkSnapshot {
     cycle: u64,

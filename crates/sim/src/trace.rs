@@ -308,6 +308,11 @@ impl Tracer {
         self.on
     }
 
+    /// The filter this tracer records under; `None` when it is disabled.
+    pub fn filter(&self) -> Option<&TraceConfig> {
+        self.on.then_some(&self.filter)
+    }
+
     /// Registers a named track (one per component) and returns its index.
     /// The component filter is resolved here, once.
     pub fn register_track(&mut self, name: &str) -> u32 {
