@@ -870,7 +870,7 @@ pub fn extension_cluster_scaling(r: &Runner) -> Table {
 }
 
 /// Workloads driven across every fabric by the `topology` figure and the
-/// CI topology perf gate: a latency-bound, a sparse, and an
+/// `gated_counts` topology matrix: a latency-bound, a sparse, and an
 /// iterative-graph pattern, so multi-hop effects show on more than one
 /// traffic shape without sweeping the full 15-workload matrix per fabric.
 pub const TOPOLOGY_WORKLOADS: [Workload; 3] = [Workload::Gups, Workload::Spmv, Workload::Pr];

@@ -23,7 +23,6 @@
 pub mod cache;
 pub mod cli;
 pub mod figures;
-pub mod microbench;
 pub mod traceio;
 
 use std::collections::{HashMap, HashSet};
@@ -156,8 +155,8 @@ pub struct JobStat {
     /// a [`JobSource::Forked`] job, 0 otherwise.
     pub resumed_at: u64,
     /// Component ticks the engine executed from `resumed_at` on (0 for a
-    /// replay): the deterministic measure of host work that
-    /// `bench_gate` records per run.
+    /// replay): the deterministic measure of host work that the
+    /// `gated_counts` test holds per run.
     pub ticks: u64,
     /// Messages delivered over the same cycles.
     pub messages: u64,
@@ -371,7 +370,7 @@ impl Runner {
         Self::with_base(SystemConfig::small(8), Scale::paper())
     }
 
-    /// Scaled-down configuration for smoke tests and the bench suites:
+    /// Scaled-down configuration for smoke tests and the gated matrices:
     /// 2 CUs per GPU, tiny workloads.
     pub fn quick() -> Self {
         Self::with_base(SystemConfig::small(2), Scale::tiny())

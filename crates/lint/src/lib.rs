@@ -2,7 +2,7 @@
 //! analysis pass.
 //!
 //! The simulator's evaluation rests on bit-exact determinism: the
-//! scheduler-equivalence CI step, the perf-regression gate and the
+//! scheduler-equivalence table test, the `gated_counts` baselines and the
 //! Chrome-trace byte-diffs all assume two runs of one config produce
 //! identical flit streams. This crate makes the determinism rules
 //! machine-checked instead of tribal knowledge: a small Rust lexer (no

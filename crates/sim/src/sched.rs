@@ -414,8 +414,8 @@ impl<R: Route> Core<R> {
     ///
     /// Forced inline, with the send commit out of line behind an emptiness
     /// check: most ticks send nothing, and a call plus the commit loop's
-    /// setup on each cost 20–30 % per tick on always-busy components (the
-    /// `engine_scheduler` dense bench) and 8 % of `scaleout_ft16` wall.
+    /// setup on each cost 20–30 % per tick on always-busy components
+    /// (`sim.engine.dense_ns_per_tick`) and 8 % of `scaleout_ft16` wall.
     #[inline(always)]
     fn tick_one(&mut self, l: usize, scalar: bool) -> Wake {
         self.ticks += 1;

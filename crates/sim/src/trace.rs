@@ -677,7 +677,7 @@ pub fn json_string(s: &str) -> String {
 
 pub mod json {
     //! A minimal recursive-descent JSON parser, used by the trace validity
-    //! tests and the CI perf gate. Hand-rolled because the workspace is
+    //! tests and the `gated_counts` test. Hand-rolled because the workspace is
     //! hermetic (no serde).
 
     /// A parsed JSON value.
