@@ -31,6 +31,9 @@
 //! keeping the warmup semantics — output stays byte-identical, only
 //! host-side wall-clock changes.
 
+// The stderr progress lines time the host, as `netcrafter_bench` itself does.
+#![allow(clippy::disallowed_types)]
+
 use std::time::Instant;
 
 use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;

@@ -160,11 +160,6 @@ fn main() {
     if let Some(v) = cli.parsed("--gpus-per-cluster") {
         cfg.topology.gpus_per_cluster = v;
     }
-    // --clusters/--gpus-per-cluster can outgrow the node-id space too.
-    if let Err(e) = cfg.topology.check_size() {
-        eprintln!("--topology: {e}");
-        std::process::exit(2);
-    }
     if let Some(v) = cli.parsed("--intra") {
         cfg.topology.intra_gbps = v;
     }
@@ -179,6 +174,12 @@ fn main() {
     }
     if let Some(v) = cli.parsed("--trim-granularity") {
         cfg.trim_granularity = v;
+    }
+    // What `System::build` would otherwise panic on: a flit or trim size
+    // that is no power-of-two divisor, an empty or oversize fabric, a link
+    // with no bandwidth.
+    if let Err(e) = variant.apply(cfg).validate() {
+        cli.fail(&format!("invalid configuration: {e}"));
     }
     let scale = match cli.value("--scale") {
         None | Some("small") => Scale::small(),

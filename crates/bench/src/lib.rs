@@ -19,6 +19,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Host-side crate: it owns the sweep stopwatch (`Instant`) and the memo and
+// planning maps, whose iteration order never reaches a result (groups are
+// sorted before they run, results are read back by key).
+#![allow(clippy::disallowed_types)]
 
 pub mod cache;
 pub mod cli;
@@ -475,7 +479,7 @@ impl Runner {
 
     /// [`Runner::run_job`] with the sweep tree's two fork roles: when
     /// `fork` is `Some`, a fresh simulation restores it and resumes from
-    /// the warmup cycle instead of stepping from 0; when `fork_at` is
+    /// the fork's cycle instead of stepping from 0; when `fork_at` is
     /// `Some` (a group representative), the simulation pauses there,
     /// captures an in-memory fork for its group mates — returned
     /// alongside the result — and continues. Memo and disk lookups are
@@ -590,10 +594,11 @@ impl Runner {
     /// 2. Jobs that will not replay from disk are grouped by
     ///    [`JobSpec::prefix_key`]; each group of two or more becomes an
     ///    internal tree node whose *representative* (the group's first
-    ///    job in canonical order) runs from cycle 0, pauses at the warmup
-    ///    cycle to capture an in-memory [`ForkSnapshot`], and continues
-    ///    to completion. The other members restore the fork — no cycle of
-    ///    the shared warmup window is ever simulated twice.
+    ///    job in canonical order) runs from cycle 0, pauses one cycle
+    ///    before the warmup cycle to capture an in-memory
+    ///    [`ForkSnapshot`], and continues to completion. The other
+    ///    members restore the fork — no cycle of the shared warmup window
+    ///    is ever simulated twice.
     /// 3. A deque of ready tasks is drained by [`Runner::jobs`] workers;
     ///    a completing representative pushes its group mates along with
     ///    the fork it captured, so divergent suffixes start the moment
@@ -672,6 +677,21 @@ impl Runner {
             /// behind an unfinished representative — workers wait (rather
             /// than exit) while this is nonzero and the deque is empty.
             remaining: usize,
+            /// A worker panicked: the jobs it held will never resolve.
+            failed: bool,
+        }
+        /// Sends the waiting workers home when a simulation panics, so the
+        /// sweep ends with that panic instead of waiting on its jobs.
+        struct FailOnPanic<'a>(&'a Mutex<Queue>, &'a Condvar);
+        impl Drop for FailOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    if let Ok(mut q) = self.0.lock() {
+                        q.failed = true;
+                    }
+                    self.1.notify_all();
+                }
+            }
         }
         let mut tasks = std::collections::VecDeque::new();
         for g in 0..groups.len() {
@@ -685,13 +705,15 @@ impl Runner {
         let queue = Mutex::new(Queue {
             tasks,
             remaining: pending.len(),
+            failed: false,
         });
         let ready = Condvar::new();
         let worker = || loop {
+            let _fail_on_panic = FailOnPanic(&queue, &ready);
             let task = {
                 let mut q = queue.lock().unwrap();
                 loop {
-                    if q.remaining == 0 {
+                    if q.remaining == 0 || q.failed {
                         return;
                     }
                     if let Some(t) = q.tasks.pop_front() {
@@ -704,7 +726,11 @@ impl Runner {
                 Task::Rep(g) => {
                     let rep = pending[groups[g][0]];
                     let t0 = Instant::now();
-                    let (_, fork) = self.run_job_forked(rep, None, Some(rep.warmup_cycles()));
+                    // Fork at W - 1, the last cycle every policy knob is
+                    // inert: pausing *at* W executes cycle W under the
+                    // representative's own policy (`prefix_key` makes W >= 1).
+                    let fork_at = rep.warmup_cycles() - 1;
+                    let (_, fork) = self.run_job_forked(rep, None, Some(fork_at));
                     if fork.is_some() {
                         let mut prefix = self.prefix.lock().unwrap();
                         prefix.prefix_runs += 1;

@@ -1,6 +1,7 @@
 //! `simulate` and `figures` refuse what they do not understand: an
-//! unknown flag, a flag without its value or an unparsable number ends
-//! with the usage line and exit code 2 before anything is simulated,
+//! unknown flag, a flag without its value, an unparsable number or a
+//! configuration no system can be built from ends with the usage line
+//! and exit code 2 before anything is simulated,
 //! and `--help` prints the usage and exits 0.
 
 use std::process::Command;
@@ -32,6 +33,15 @@ const CASES: &[Case] = &[
     (SIMULATE, &["--scale", "huge"], 2, "unknown scale \"huge\""),
     (SIMULATE, &["gups"], 2, "unexpected argument \"gups\""),
     (SIMULATE, &["--sample-window", "0"], 2, "--sample-window expects a positive cycle count"),
+    // A configuration `System::build` rejects used to be a panic with a backtrace.
+    (SIMULATE, &["--flit", "3"], 2, "flit size must be a power of two, got 3"),
+    (SIMULATE, &["--flit", "0"], 2, "flit size must be a power of two, got 0"),
+    (SIMULATE, &["--trim-granularity", "0"], 2, "trim granularity must divide the 64 B line, got 0"),
+    (SIMULATE, &["--trim-granularity", "5"], 2, "trim granularity must divide the 64 B line, got 5"),
+    (SIMULATE, &["--clusters", "0"], 2, "topology must contain at least one GPU"),
+    (SIMULATE, &["--intra", "0"], 2, "intra-cluster link bandwidth must be positive"),
+    (SIMULATE, &["--inter", "0"], 2, "inter-cluster link bandwidth must be positive"),
+    (SIMULATE, &["--clusters", "300", "--gpus-per-cluster", "300"], 2, "exceed the 65535 nodes"),
     // A checkpoint with nowhere to go used to be simulated, serialised and discarded.
     (SIMULATE, &["--checkpoint-at", "100"], 2, "--checkpoint-at needs --checkpoint-dir"),
     (SIMULATE, &["--checkpoint-dir", "d"], 2, "--checkpoint-dir needs --checkpoint-at"),

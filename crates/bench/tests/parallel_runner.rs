@@ -53,6 +53,26 @@ fn parallel_sweep_matches_sequential() {
     assert_eq!(seq.runs_completed(), par.runs_completed());
 }
 
+/// A simulation that panics ends the sweep with that panic: the other
+/// worker used to wait forever for the job the dead one held.
+#[test]
+#[should_panic]
+fn a_panicking_job_ends_a_parallel_sweep() {
+    let r = Runner::quick().with_jobs(2);
+    let mut unbuildable = r.base_cfg;
+    unbuildable.flit_bytes = 3;
+    r.sweep(&[
+        r.job_with(
+            Workload::Gups,
+            SystemVariant::Baseline,
+            unbuildable,
+            "flit3",
+        ),
+        r.job(Workload::Gups, SystemVariant::Baseline),
+        r.job(Workload::Mt, SystemVariant::Baseline),
+    ]);
+}
+
 #[test]
 fn figure_output_is_identical_across_worker_counts() {
     let seq = Runner::quick();

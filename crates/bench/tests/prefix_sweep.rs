@@ -1,8 +1,9 @@
-//! Integration test for prefix-sharing sweeps: the in-memory fork path
-//! composed with `--threads` parallelism inside each job.
+//! Integration tests for prefix-sharing sweeps: the in-memory fork path
+//! composed with `--threads` parallelism inside each job, and the fork
+//! cycle itself.
 
 use netcrafter_bench::Runner;
-use netcrafter_multigpu::{JobSpec, SystemVariant};
+use netcrafter_multigpu::{CheckpointPlan, JobSpec, SystemVariant};
 use netcrafter_workloads::Workload;
 
 const WARMUP: u64 = 400;
@@ -40,4 +41,66 @@ fn prefix_sharing_composes_with_pdes_threads() {
         assert_eq!(&got.to_kv(), want, "threaded forked run must match cold");
     }
     assert!(r.prefix_stats().forked_jobs >= 1);
+}
+
+/// Quick GUPS at warmup 500 is a point where a fork taken *at* the
+/// warmup cycle drifts: cycle 500 already runs under the representative's
+/// own policy, so the other variants inherit one cycle of it.
+#[test]
+fn forks_are_taken_before_any_policy_acts() {
+    const WARMUP: u64 = 500;
+    let variants = [
+        SystemVariant::StitchOnly,
+        SystemVariant::SeqOnly,
+        SystemVariant::DataPrio,
+        SystemVariant::StitchPool {
+            window: 32,
+            selective: true,
+        },
+        SystemVariant::StitchPool {
+            window: 32,
+            selective: false,
+        },
+    ];
+    let runner = |share| {
+        let mut r = Runner::quick().with_prefix_share(share);
+        r.base_cfg.netcrafter.warmup_cycles = WARMUP;
+        r
+    };
+    let (shared, cold) = (runner(true), runner(false));
+    let jobs: Vec<JobSpec> = variants
+        .iter()
+        .map(|&v| shared.job(Workload::Gups, v))
+        .collect();
+    let (forked, reference) = (shared.sweep(&jobs), cold.sweep(&jobs));
+    assert_eq!(shared.prefix_stats().forked_jobs, variants.len() - 1);
+    let drifted: Vec<String> = jobs
+        .iter()
+        .zip(forked.iter().zip(&reference))
+        .filter(|(_, (got, want))| got.to_kv() != want.to_kv())
+        .map(|(job, (got, want))| {
+            let (forked, cold) = (got.exec_cycles, want.exec_cycles);
+            format!("{} ({forked} cycles forked, {cold} cold)", job.memo_key())
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "forked runs differ from cold: {drifted:?}"
+    );
+
+    // The invariant behind it: paused at the fork cycle — the last one
+    // every knob is inert — each member is in the representative's state.
+    let hashes: Vec<u64> = jobs
+        .iter()
+        .map(|job| {
+            let plan = CheckpointPlan {
+                resume_from: None,
+                pause_at: Some(job.warmup_cycles() - 1),
+            };
+            let run = job.to_experiment().run_planned(plan, None);
+            let fork = run.expect("a cold run restores nothing").snapshot;
+            fork.expect("the run outlives its warmup").state_hash()
+        })
+        .collect();
+    assert!(hashes.iter().all(|&h| h == hashes[0]), "{hashes:x?}");
 }

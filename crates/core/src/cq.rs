@@ -309,8 +309,6 @@ impl ClusterQueue {
     /// Simulation code goes through [`EgressQueue::pop`], which threads
     /// the engine's tracer so stitch/pool/sequence decisions are visible
     /// in traces.
-    // lint:allow(tracer-threading) convenience wrapper for tests/benches; it
-    // delegates to EgressQueue::pop with an explicit Tracer::off()
     pub fn pop(&mut self, now: Cycle) -> Option<Flit> {
         let mut tracer = Tracer::off();
         EgressQueue::pop(self, now, &mut tracer)

@@ -77,8 +77,6 @@ impl TrimEngine {
     /// Computes the trim bits a *request* should carry: `Some` when
     /// trimming is on, the access fits one sector, and the response will
     /// cross clusters.
-    // lint:allow(tracer-threading) pure policy query; the caller (Rdma) emits
-    // the trim.* trace events next to the call with its own tracer
     pub fn request_bits(&self, req: &MemReq, crosses_clusters: bool) -> Option<TrimInfo> {
         if !self.enabled || !crosses_clusters || req.write {
             return None;
@@ -98,9 +96,8 @@ impl TrimEngine {
     /// from the sectors the fill policy requested). A sub-line payload on
     /// a cross-cluster response is a trim performed by this engine; with
     /// the engine disabled (the sector-cache baseline also produces
-    /// partial responses) nothing is counted as trimmed.
-    // lint:allow(tracer-threading) statistics accumulator only; the caller
-    // (Rdma) emits trim.saved trace events alongside with its own tracer
+    /// partial responses) nothing is counted as trimmed. Statistics only:
+    /// the caller (`Rdma`) emits the `trim.response` trace event alongside.
     pub fn record_response(&mut self, payload_bytes: u32, crosses_clusters: bool) {
         if !crosses_clusters {
             return;

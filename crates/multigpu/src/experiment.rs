@@ -361,7 +361,8 @@ impl Experiment {
     /// observability of [`Experiment::run_traced`] when `trace` is given.
     /// Pause → resume → continue is byte-identical to the uninterrupted
     /// run (metrics, traces and time series alike), and a snapshot taken
-    /// no later than the warmup cycle resumes under every job with the
+    /// before the warmup cycle `W` (pausing at `W` executes cycle `W`,
+    /// which the knobs already steer) resumes under every job with the
     /// same [`JobSpec::prefix_key`].
     ///
     /// # Errors
@@ -660,14 +661,15 @@ impl JobSpec {
     }
 
     /// Prefix-sharing group key: jobs with equal keys evolve
-    /// byte-identically up to their NetCrafter warmup cycle, so one
-    /// simulated prefix (an in-memory [`ForkSnapshot`]) serves them all.
+    /// byte-identically over `[0, W)`, `W` their NetCrafter warmup cycle,
+    /// so one simulated prefix (an in-memory [`ForkSnapshot`] paused at
+    /// `W - 1`) serves them all.
     ///
     /// The key is the variant-applied configuration's
     /// [`SystemConfig::warmup_repr`] — the stable representation with the
     /// warmup-inert policy knobs masked, plus the component-roster token —
     /// combined with the workload identity. `max_cycles` is deliberately
-    /// excluded: a prefix paused at the warmup cycle is valid for any
+    /// excluded: a prefix paused before the warmup cycle is valid for any
     /// watchdog deeper than it (the planner enforces that per job).
     ///
     /// `None` means this job cannot share a prefix:
@@ -695,8 +697,9 @@ impl JobSpec {
         ))
     }
 
-    /// The variant-applied warmup cycle — the pause point of this job's
-    /// shared prefix when [`JobSpec::prefix_key`] is `Some`.
+    /// The variant-applied warmup cycle `W`, the first one the policy
+    /// knobs act on; when [`JobSpec::prefix_key`] is `Some` the job's
+    /// shared prefix is `[0, W)` and its fork is paused at `W - 1`.
     pub fn warmup_cycles(&self) -> u64 {
         self.variant.apply(self.base_cfg).netcrafter.warmup_cycles
     }
@@ -900,13 +903,13 @@ mod tests {
     #[test]
     fn forked_run_is_byte_identical_to_cold() {
         // The oracle of prefix sharing at experiment granularity: pause
-        // one run at the warmup cycle and finish two *different* policy
-        // variants from its snapshot. Each must match its own cold run
-        // byte-for-byte (exec cycles and every metric).
+        // one run on the last inert cycle (warmup - 1) and finish two
+        // *different* policy variants from its snapshot. Each must match
+        // its own cold run byte-for-byte (exec cycles and every metric).
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         exp.base_cfg.netcrafter.warmup_cycles = 400;
-        let fork = paused(&exp, 400).snapshot.expect("paused at cycle 400");
-        assert_eq!(fork.cycle(), 400);
+        let fork = paused(&exp, 399).snapshot.expect("paused at cycle 399");
+        assert_eq!(fork.cycle(), 399);
 
         for variant in [SystemVariant::NetCrafter, SystemVariant::StitchTrim] {
             let mut member = exp.clone();
@@ -930,22 +933,22 @@ mod tests {
 
     #[test]
     fn fork_at_captures_mid_run_without_perturbing_the_run() {
-        // A representative job pauses at the warmup cycle, hands its
+        // A representative job pauses on the last inert cycle, hands its
         // snapshot back, and continues: its own result must match an
         // uninterrupted run, and a warmup-equivalent sibling pausing at
         // the same cycle must be in the same state, byte for byte.
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         exp.base_cfg.netcrafter.warmup_cycles = 400;
         let cold = exp.run();
-        let run = paused(&exp, 400);
+        let run = paused(&exp, 399);
         assert_eq!(run.resumed_at, 0);
         assert_eq!(run.result.exec_cycles, cold.exec_cycles);
         assert_eq!(run.result.metrics.to_kv(), cold.metrics.to_kv());
-        let fork = run.snapshot.expect("paused at cycle 400");
+        let fork = run.snapshot.expect("paused at cycle 399");
 
         let mut sibling = exp.clone();
         sibling.variant = SystemVariant::StitchTrim;
-        let theirs = paused(&sibling, 400).snapshot.expect("paused at cycle 400");
+        let theirs = paused(&sibling, 399).snapshot.expect("paused at cycle 399");
         assert_eq!(fork.cycle(), theirs.cycle());
         assert_eq!(fork.state_hash(), theirs.state_hash());
         assert_eq!(fork.bytes(), theirs.bytes());
@@ -954,7 +957,7 @@ mod tests {
         // a second time, and a run that quiesces first pauses there.
         let plan = CheckpointPlan {
             resume_from: Some(fork.bytes()),
-            pause_at: Some(400),
+            pause_at: Some(399),
         };
         let resumed = exp.run_planned(plan, None).expect("fork restores");
         assert!(resumed.snapshot.is_none());

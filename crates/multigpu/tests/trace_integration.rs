@@ -26,8 +26,22 @@ fn traced_event_counts_agree_with_metrics() {
     let t = &data.trace;
     assert!(!t.events.is_empty(), "a full trace records events");
 
-    // Every flit arrival at a switch is one `flit.rx` instant.
-    assert_eq!(t.count("flit.rx") as u64, m.counter("net.arrived"));
+    // Every traced decision has a counter it must match: an entry point
+    // that loses its tracer (or its counter) fails its row.
+    for (event, counter) in [
+        ("flit.rx", "net.arrived"),
+        ("stitch.eject", "net.inter.cq.stitched_parents"),
+        ("stitch.unpack", "net.unstitched_flits"),
+        ("pool.park", "net.inter.cq.pool_events"),
+        ("pool.expired", "net.inter.cq.pool_expired_unstitched"),
+        ("seq.priority_pop", "net.inter.cq.ptw_priority_pops"),
+        // The run drains, so every trim request has had its response.
+        ("trim.request", "total.trim.trimmed"),
+        ("trim.response", "total.trim.trimmed"),
+    ] {
+        assert!(m.counter(counter) > 0, "{counter}: the run exercises it");
+        assert_eq!(t.count(event) as u64, m.counter(counter), "{event}");
+    }
     // Every page-table walk opens one `ptw.walk` span.
     assert_eq!(
         t.count_phase("ptw.walk", Phase::Begin) as u64,
@@ -43,11 +57,6 @@ fn traced_event_counts_agree_with_metrics() {
     assert_eq!(
         t.count_phase("l1.miss", Phase::Begin),
         t.count_phase("l1.miss", Phase::End)
-    );
-    // Every stitched parent ejected from a Cluster Queue is one event.
-    assert_eq!(
-        t.count("stitch.eject") as u64,
-        m.counter("net.inter.cq.stitched_parents")
     );
 }
 

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod port;
 pub mod seg;

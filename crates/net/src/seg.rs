@@ -77,8 +77,8 @@ struct Partial {
 #[derive(Debug, Default)]
 pub struct Reassembler {
     /// Keyed by packet id in first-flit-arrival order. An `OrderedMap`
-    /// (not `std::collections::HashMap`, which the no-unordered-iteration
-    /// lint bans from sim-facing crates) so that any future iteration —
+    /// (not `std::collections::HashMap`, which `clippy.toml` disallows in
+    /// sim-facing crates) so that any future iteration —
     /// and the [`Reassembler::pending_ids`] diagnostic today — observes a
     /// deterministic order.
     pending: OrderedMap<PacketId, Partial>,
@@ -312,7 +312,7 @@ mod tests {
             state >> 33
         };
         for i in (1..flits.len()).rev() {
-            flits.swap(i, next() as usize % (i + 1));
+            flits.swap(i, usize::try_from(next()).unwrap() % (i + 1));
         }
         let mut r = Reassembler::new();
         let mut completed_order = Vec::new();

@@ -56,7 +56,9 @@ impl Source {
         self.rng_state ^= self.rng_state << 25;
         self.rng_state ^= self.rng_state >> 27;
         let x = self.rng_state.wrapping_mul(0x2545F4914F6CDD1D);
-        self.dsts[(x % self.dsts.len() as u64) as usize]
+        #[allow(clippy::cast_possible_truncation)] // the remainder is below dsts.len()
+        let i = (x % self.dsts.len() as u64) as usize;
+        self.dsts[i]
     }
 }
 

@@ -816,6 +816,16 @@ impl SystemConfig {
         if self.topology.fabric_link_cycles == 0 {
             return Err("fabric link latency must be at least one cycle".into());
         }
+        for (which, gbps) in [
+            ("intra", self.topology.intra_gbps),
+            ("inter", self.topology.inter_gbps),
+        ] {
+            if !(gbps.is_finite() && gbps > 0.0) {
+                return Err(format!(
+                    "{which}-cluster link bandwidth must be positive and finite, got {gbps} GB/s"
+                ));
+            }
+        }
         match self.topology.fabric {
             FabricConfig::Mesh => {}
             FabricConfig::FatTree { cores } => {
@@ -959,6 +969,12 @@ mod tests {
         let mut c = SystemConfig::paper_baseline();
         c.trim_granularity = 24;
         assert!(c.validate().is_err());
+
+        for gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = SystemConfig::paper_baseline();
+            c.topology.inter_gbps = gbps;
+            assert!(c.validate().is_err(), "inter {gbps}");
+        }
 
         let mut c = SystemConfig::paper_baseline();
         c.netcrafter.trimming = true; // without sectored fill policy

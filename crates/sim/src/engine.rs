@@ -161,8 +161,8 @@ pub trait Component: std::any::Any + Send {
     /// be written — only state that changes as the simulation runs.
     ///
     /// The default panics: a component that can appear in a
-    /// checkpointed engine must implement the pair (enforced by the
-    /// `snapshot-coverage` lint rule).
+    /// checkpointed engine must implement the pair, and every snapshot
+    /// or fork test fails on the first one that does not.
     fn save_state(&self, _w: &mut SnapshotWriter) {
         panic!("component `{}` does not support snapshotting", self.name());
     }

@@ -247,6 +247,9 @@ impl Route for Shard {
         h: Handle,
         arena: &mut Arena<Message>,
     ) -> Option<(Key, usize)> {
+        // Component ids index a Vec of boxed components; 2^32 of them do
+        // not fit in memory.
+        #[allow(clippy::cast_possible_truncation)]
         let key = (now, self.ids[src] as u32, self.send_seq[src]);
         self.send_seq[src] += 1;
         let dd = self.domain_of[dst.0];
@@ -452,7 +455,8 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
         let dom = &mut domains[part.domain_of[dst]];
         let dh = dom.arena.alloc(msgs.take(h));
         let l = dom.route.local_of[dst];
-        dom.schedule(when, (start, SRC_EXTERNAL, seq as u32), l, dh);
+        let seq = u32::try_from(seq).expect("fewer than 2^32 in-flight messages");
+        dom.schedule(when, (start, SRC_EXTERNAL, seq), l, dh);
     }
     // Every payload has moved to a domain arena; the (empty) engine arena
     // keeps its slot capacity for after reassembly.

@@ -32,6 +32,13 @@ pub(crate) const NEVER: Cycle = Cycle::MAX;
 /// (rare) overflow path.
 pub(crate) const WHEEL_SLOTS: usize = 512;
 
+/// The wheel slot holding the deliveries due at `cycle`.
+#[inline]
+#[allow(clippy::cast_possible_truncation)] // the remainder is below WHEEL_SLOTS
+fn wheel_slot(cycle: Cycle) -> usize {
+    (cycle % WHEEL_SLOTS as u64) as usize
+}
+
 /// How a [`Core`] orders its deliveries and places its components' sends.
 pub(crate) trait Route {
     /// Ordering key stored next to every in-flight delivery. `()` when
@@ -217,7 +224,7 @@ impl<R: Route> Core<R> {
         debug_assert!(when > self.cycle);
         self.in_flight += 1;
         if (when - self.cycle) < WHEEL_SLOTS as u64 {
-            self.wheel[(when % WHEEL_SLOTS as u64) as usize].push((key, l, h));
+            self.wheel[wheel_slot(when)].push((key, l, h));
         } else {
             self.overflow_min = self.overflow_min.min(when);
             self.overflow.push((when, key, l, h));
@@ -230,7 +237,7 @@ impl<R: Route> Core<R> {
     pub(crate) fn in_flight(&self) -> impl Iterator<Item = (Cycle, usize, Handle)> + '_ {
         let wheel = (1..WHEEL_SLOTS as u64).flat_map(move |d| {
             let when = self.cycle + d;
-            self.wheel[(when % WHEEL_SLOTS as u64) as usize]
+            self.wheel[wheel_slot(when)]
                 .iter()
                 .map(move |&(_, l, h)| (when, l, h))
         });
@@ -275,7 +282,7 @@ impl<R: Route> Core<R> {
                 if c >= next {
                     break;
                 }
-                if !self.wheel[(c % WHEEL_SLOTS as u64) as usize].is_empty() {
+                if !self.wheel[wheel_slot(c)].is_empty() {
                     next = c;
                     break;
                 }
@@ -313,7 +320,7 @@ impl<R: Route> Core<R> {
             let mut min_left = NEVER;
             for (when, key, l, h) in pending.drain(..) {
                 if when < horizon {
-                    self.wheel[(when % WHEEL_SLOTS as u64) as usize].push((key, l, h));
+                    self.wheel[wheel_slot(when)].push((key, l, h));
                 } else {
                     min_left = min_left.min(when);
                     self.overflow.push((when, key, l, h));
@@ -325,7 +332,7 @@ impl<R: Route> Core<R> {
 
         // Deliver the slot due this cycle. The slot vector and the
         // persistent scratch buffer trade places (and capacities).
-        let slot = (c % WHEEL_SLOTS as u64) as usize;
+        let slot = wheel_slot(c);
         let mut due = std::mem::replace(
             &mut self.wheel[slot],
             std::mem::take(&mut self.slot_scratch),
@@ -420,6 +427,9 @@ impl<R: Route> Core<R> {
     fn tick_one(&mut self, l: usize, scalar: bool) -> Wake {
         self.ticks += 1;
         let global = self.route.global(l);
+        // Component ids index a Vec of boxed components; 2^32 of them do
+        // not fit in memory.
+        #[allow(clippy::cast_possible_truncation)]
         self.tracer.focus(global as u32);
         let mut ctx = Ctx {
             cycle: self.cycle,

@@ -316,7 +316,7 @@ impl Tracer {
     /// Registers a named track (one per component) and returns its index.
     /// The component filter is resolved here, once.
     pub fn register_track(&mut self, name: &str) -> u32 {
-        let id = self.tracks.len() as u32;
+        let id = u32::try_from(self.tracks.len()).expect("fewer than 2^32 trace tracks");
         self.track_enabled.push(self.filter.allows_component(name));
         self.tracks.push(name.to_string());
         id
