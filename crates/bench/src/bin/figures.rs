@@ -4,8 +4,7 @@
 //! figures [--quick] [--big] [--verbose] [--jobs N] [--threads N]
 //!         [--cache-dir DIR] [--trace FILE] [--timeseries FILE]
 //!         [--trace-filter SPEC] [--sample-window N]
-//!         [--warmup CYCLES] [--no-prefix-share]
-//!         <id>... | all
+//!         [--warmup CYCLES] <id>... | all
 //! ```
 //!
 //! Ids: table1, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig12,
@@ -27,9 +26,7 @@
 //! `--warmup CYCLES` keeps every NetCrafter policy knob inert until the
 //! given cycle, which lets the sweep share one simulated warmup prefix
 //! across all policy variants of a workload (in-memory snapshot forks;
-//! DESIGN.md §3.7). `--no-prefix-share` disables the sharing while
-//! keeping the warmup semantics — output stays byte-identical, only
-//! host-side wall-clock changes.
+//! DESIGN.md §3.7); the output is byte-identical to cold runs.
 
 // The stderr progress lines time the host, as `netcrafter_bench` itself does.
 #![allow(clippy::disallowed_types)]
@@ -41,18 +38,14 @@ use netcrafter_bench::{figures, stats_report, Cli, Runner, TraceArgs};
 
 const USAGE: &str = "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--threads N] \
      [--cache-dir DIR] [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
-     [--warmup CYCLES] [--no-prefix-share] <id>... | all";
+     [--warmup CYCLES] <id>... | all";
 
 const VALUE_FLAGS: [&str; 4] = ["--jobs", "--threads", "--cache-dir", "--warmup"];
 
 fn main() {
     let mut value_flags = VALUE_FLAGS.to_vec();
     value_flags.extend(TRACE_VALUE_FLAGS);
-    let cli = Cli::from_env(
-        USAGE,
-        &value_flags,
-        &["--quick", "--big", "--verbose", "--no-prefix-share"],
-    );
+    let cli = Cli::from_env(USAGE, &value_flags, &["--quick", "--big", "--verbose"]);
     let quick = cli.has("--quick");
     let big = cli.has("--big");
     let jobs: usize = cli.parsed("--jobs").unwrap_or(1);
@@ -87,10 +80,7 @@ fn main() {
         runner.scale.mem_ops_per_wave *= 2;
     }
     runner.verbose = cli.has("--verbose");
-    runner = runner
-        .with_jobs(jobs)
-        .with_threads(threads)
-        .with_prefix_share(!cli.has("--no-prefix-share"));
+    runner = runner.with_jobs(jobs).with_threads(threads);
     if let Some(w) = warmup {
         runner.base_cfg.netcrafter.warmup_cycles = w;
     }

@@ -36,10 +36,11 @@
 //! completion; the two flags only go together. `--restore-from FILE`
 //! resumes from such a file instead of simulating from cycle 0.
 //! Checkpoint → restore → continue is byte-identical to an
-//! uninterrupted run — metrics, traces and time series alike — which is
-//! why a snapshot is refused unless the run that took it had the same
-//! `--trace`/`--timeseries` flags as the run resuming it. All three
-//! flags pause and resume *one* run, so `--variant all` refuses them.
+//! uninterrupted run. A snapshot holds simulated state only, so the
+//! file is the same with or without `--trace`/`--timeseries`, and a
+//! restored run takes any of them: it records the cycles it simulates,
+//! from the resume cycle on. All three flags pause and resume *one*
+//! run, so `--variant all` refuses them.
 
 use netcrafter_bench::cache::write_atomic;
 use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;

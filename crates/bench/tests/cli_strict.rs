@@ -2,9 +2,13 @@
 //! unknown flag, a flag without its value, an unparsable number or a
 //! configuration no system can be built from ends with the usage line
 //! and exit code 2 before anything is simulated,
-//! and `--help` prints the usage and exits 0.
+//! and `--help` prints the usage and exits 0. Checkpoint files go
+//! through the binary too: what `--checkpoint-at` writes does not depend
+//! on the observers, and `--restore-from` takes any of them.
 
 use std::process::Command;
+
+use netcrafter_sim::trace::json;
 
 const SIMULATE: &str = env!("CARGO_BIN_EXE_simulate");
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
@@ -59,6 +63,8 @@ const CASES: &[Case] = &[
     (FIGURES, &["--quick", "fig14", "--trace"], 2, "--trace expects a value"),
     // A sweep of sub-second jobs has no checkpoint flags.
     (FIGURES, &["--quick", "fig14", "--checkpoint-dir", "d"], 2, "unknown flag --checkpoint-dir"),
+    // Prefix sharing is byte-identical to cold runs; there is nothing to turn off.
+    (FIGURES, &["--quick", "fig14", "--no-prefix-share"], 2, "unknown flag --no-prefix-share"),
 ];
 
 #[test]
@@ -111,4 +117,61 @@ fn a_well_formed_command_line_still_runs() {
         stdout.contains("variant              : NetCrafter"),
         "{stdout}"
     );
+}
+
+/// Runs `simulate` on quick GUPS/NetCrafter with `extra` flags, which
+/// must exit 0; returns stdout and stderr.
+fn simulate_quick(extra: &[&str]) -> (String, String) {
+    let out = Command::new(SIMULATE)
+        .args("--workload GUPS --variant netcrafter --cus 2 --scale tiny".split(' '))
+        .args(extra)
+        .output()
+        .expect("simulate runs");
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    assert!(out.status.success(), "{extra:?}: {}", text(&out.stderr));
+    (text(&out.stdout), text(&out.stderr))
+}
+
+#[test]
+fn checkpoint_files_hold_no_observer_and_restore_under_any() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_checkpoints");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (cold, _) = simulate_quick(&["--dump-metrics"]);
+    let cycles: u64 = (cold.lines())
+        .find_map(|l| l.strip_prefix("execution cycles     : ")?.parse().ok())
+        .expect("execution cycles");
+    let mid = cycles / 2;
+    let at = mid.to_string();
+
+    // One checkpoint untraced, one traced: the same bytes.
+    let trace = path("taken.json");
+    let mut taken = Vec::new();
+    for (dir, observe) in [
+        (path("plain"), vec![]),
+        (path("traced"), vec!["--trace", &trace]),
+    ] {
+        let checkpoint = ["--checkpoint-at", &at, "--checkpoint-dir", &dir];
+        simulate_quick(&[&checkpoint[..], &observe].concat());
+        let files: Vec<_> = std::fs::read_dir(&dir).expect("checkpoint dir").collect();
+        assert_eq!(files.len(), 1, "{dir}: {files:?}");
+        taken.push(files[0].as_ref().expect("dir entry").path());
+    }
+    let bytes = |f| std::fs::read(f).expect("checkpoint readable");
+    assert!(bytes(&taken[0]) == bytes(&taken[1]), "tracing moved it");
+
+    // Restored under tracing and sampling the run that took it had neither of.
+    let (snapshot, trace, series) = (taken[0].to_string_lossy(), path("trace.json"), path("ts"));
+    let restore = ["--restore-from", &snapshot, "--trace", &trace];
+    let sample = ["--timeseries", &series, "--dump-metrics"];
+    let (warm, stderr) = simulate_quick(&[&restore[..], &sample].concat());
+    let resumed = format!("simulated from cycle {mid} ");
+    assert!(stderr.contains(&resumed), "{stderr}");
+    assert!(warm == cold, "restored stdout differs");
+    let doc = json::parse(&std::fs::read_to_string(&trace).expect("trace")).expect("valid JSON");
+    let events = doc.get("traceEvents").and_then(json::Value::as_arr);
+    let first = (events.expect("traceEvents").iter())
+        .filter_map(|e| e.get("ts")?.as_f64())
+        .reduce(f64::min);
+    assert!(first.is_some_and(|ts| ts > mid as f64), "{first:?}");
 }

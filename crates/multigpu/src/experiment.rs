@@ -360,19 +360,19 @@ impl Experiment {
     /// resume from a snapshot and pause once to hand one back, with the
     /// observability of [`Experiment::run_traced`] when `trace` is given.
     /// Pause → resume → continue is byte-identical to the uninterrupted
-    /// run (metrics, traces and time series alike), and a snapshot taken
-    /// before the warmup cycle `W` (pausing at `W` executes cycle `W`,
-    /// which the knobs already steer) resumes under every job with the
-    /// same [`JobSpec::prefix_key`].
+    /// run, and a snapshot taken before the warmup cycle `W` (pausing at
+    /// `W` executes cycle `W`, which the knobs already steer) resumes
+    /// under every job with the same [`JobSpec::prefix_key`].
+    ///
+    /// Observation is not state: a snapshot is the same bytes whatever
+    /// `trace` asks for, and a resumed run records what it simulates —
+    /// trace events after the resume cycle, time-series samples from it
+    /// on — under whatever `trace` it is given.
     ///
     /// # Errors
     ///
     /// Returns the restore error when `plan.resume_from` is corrupt, has
-    /// a version mismatch or was taken on a different configuration, and
-    /// [`SnapshotError::Mismatch`] when it was taken under other tracing
-    /// or link sampling than `trace` asks for: the snapshot carries the
-    /// tracer and the time series from cycle 0, so resuming it under
-    /// anything else would write an empty or a headless trace.
+    /// a version mismatch or was taken on a different configuration.
     pub fn run_planned(
         &self,
         plan: CheckpointPlan<'_>,
@@ -399,13 +399,6 @@ impl Experiment {
                 sys.save_snapshot() == bytes,
                 "a restored node must re-encode to the bytes it was restored from"
             );
-            let carried = TraceOptions {
-                config: sys.engine.tracer().filter().cloned(),
-                sample_window: sys.link_sampling_window(),
-            };
-            if let Some(why) = observability_mismatch(trace, &carried) {
-                return Err(SnapshotError::Mismatch(why));
-            }
         }
         let resumed_at = sys.engine.cycle();
         let messages_at_resume = sys.engine.messages_delivered();
@@ -430,39 +423,6 @@ impl Experiment {
             }),
         })
     }
-}
-
-/// Why a snapshot taken under `carried` observability cannot continue a
-/// run asked for `wanted`; `None` when the two agree.
-fn observability_mismatch(wanted: Option<&TraceOptions>, carried: &TraceOptions) -> Option<String> {
-    let off = TraceOptions::default();
-    let wanted = wanted.unwrap_or(&off);
-    if wanted.config != carried.config {
-        return Some(match (&wanted.config, &carried.config) {
-            (Some(_), None) => "taken with tracing off, --trace needs a snapshot from a run \
-                                traced with the same filter"
-                .into(),
-            (None, _) => "taken with tracing on, resume it with the same --trace filter".into(),
-            _ => "taken with another trace filter, --trace needs a snapshot from a run \
-                  traced with the same filter"
-                .into(),
-        });
-    }
-    if wanted.sample_window != carried.sample_window {
-        return Some(match (wanted.sample_window, carried.sample_window) {
-            (Some(_), None) => "taken with link sampling off, --timeseries needs a snapshot \
-                                from a run sampled with the same window"
-                .into(),
-            (None, _) => "taken with link sampling on, resume it with the same --timeseries \
-                          window"
-                .into(),
-            (_, Some(w)) => format!(
-                "taken with --sample-window {w}, --timeseries needs a snapshot from a run \
-                 sampled with the same window"
-            ),
-        });
-    }
-    None
 }
 
 /// What a run does besides running: at most one snapshot in, at most one
@@ -503,7 +463,7 @@ pub struct CheckpointedRun {
 }
 
 /// What [`Experiment::run_traced`] should record.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceOptions {
     /// Event-trace filter; `None` leaves tracing off.
     pub config: Option<TraceConfig>,
@@ -806,6 +766,12 @@ mod tests {
 
         let other_scale = JobSpec::new(exp.clone().with_scale(Scale::small()), "");
         assert_ne!(a.cache_key(), other_scale.cache_key());
+
+        // PDES results are bit-identical, so a cache filled sequentially
+        // serves a threaded run.
+        let threaded = JobSpec::new(exp.clone().with_threads(4), "");
+        assert_eq!(a.cache_key(), threaded.cache_key(), "threads are host-side");
+        assert_eq!(a.memo_key(), threaded.memo_key());
 
         let mut longer = JobSpec::new(exp, "");
         longer.max_cycles += 1;

@@ -445,18 +445,12 @@ impl System {
         }
     }
 
-    /// Bucket width of the link sampling the node carries — turned on by
-    /// [`System::enable_link_sampling`] or restored with a snapshot —
-    /// `None` when sampling is off.
-    pub fn link_sampling_window(&self) -> Option<Cycle> {
-        let sw: &Switch = self.engine.get(*self.ids.switches.first()?)?;
-        sw.sampling_window()
-    }
-
     /// Drains the per-link time series sampled since
-    /// [`System::enable_link_sampling`], labelled `switch->peer`.
+    /// [`System::enable_link_sampling`], labelled `switch->peer`, with
+    /// every cycle up to the current one accounted.
     pub fn take_link_series(&mut self) -> Vec<LinkSeries> {
         let topo = Topology::new(&self.cfg.topology);
+        let end = self.engine.cycle();
         let mut out = Vec::new();
         for (s, &sw_id) in self.ids.switches.iter().enumerate() {
             let name = switch_name(&topo, s);
@@ -464,7 +458,7 @@ impl System {
                 .engine
                 .get_mut::<Switch>(sw_id)
                 .expect("switch installed");
-            for (peer_node, is_inter, series) in sw.take_series() {
+            for (peer_node, is_inter, series) in sw.take_series(end) {
                 out.push(LinkSeries {
                     link: format!("{name}->{peer_node}"),
                     is_inter,
@@ -500,7 +494,7 @@ impl System {
 
     /// The canonical state encoding behind every snapshot flavour: the
     /// kernel-barrier bookkeeping, then the engine body (every component,
-    /// mailboxes, in-flight messages, the tracer).
+    /// mailboxes, in-flight messages).
     fn save_body(&mut self, w: &mut SnapshotWriter) {
         self.kernel_name.save(w);
         self.pending_kernels.save(w);
@@ -521,8 +515,9 @@ impl System {
     /// Restores a snapshot produced by [`System::save_snapshot`] onto a
     /// freshly built identical node, validating the header and that every
     /// byte is consumed. Continuing the run afterwards is byte-identical
-    /// to the run that produced the snapshot — including the structured
-    /// trace and time series, which the snapshot carries from cycle 0.
+    /// to the run that produced the snapshot. Tracing and link sampling
+    /// are this node's own, not the snapshot's: they record the cycles
+    /// simulated after the restore.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(bytes);
         read_header(&mut r)?;
@@ -562,41 +557,6 @@ impl System {
         let bytes = w.into_bytes();
         let hash = netcrafter_proto::fnv1a64(&bytes[header_len..]);
         ForkSnapshot::new(self.engine.cycle(), bytes, hash)
-    }
-
-    /// Total flits transmitted so far on inter-cluster egress ports.
-    fn inter_flits_now(&self) -> u64 {
-        self.ids
-            .switches
-            .iter()
-            .map(|&sw| {
-                let sw: &Switch = self.engine.get(sw).expect("switch installed");
-                sw.port_stats()
-                    .filter(|(_, is_inter, _)| *is_inter)
-                    .map(|(_, _, stats)| stats.flits)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
-    /// Runs like [`System::run`] but samples the inter-cluster links every
-    /// `interval` cycles, returning a `(cycle, flits_in_interval)` series —
-    /// the utilization-over-time view (flits per interval divided by the
-    /// links' flit capacity gives instantaneous utilization).
-    pub fn run_sampled(&mut self, max_cycles: Cycle, interval: Cycle) -> Vec<(Cycle, u64)> {
-        assert!(interval > 0);
-        let limit = self.engine.cycle() + max_cycles;
-        let mut samples = Vec::new();
-        let mut last = self.inter_flits_now();
-        while !self.engine.quiescent() {
-            assert!(self.engine.cycle() < limit, "simulation did not quiesce");
-            let until = self.engine.cycle() + interval;
-            self.engine.run_while(interval, |e| e.cycle() < until);
-            let now_flits = self.inter_flits_now();
-            samples.push((self.engine.cycle(), now_flits - last));
-            last = now_flits;
-        }
-        samples
     }
 
     /// Collects every component's statistics plus system-level derived
@@ -780,18 +740,21 @@ mod tests {
     #[test]
     fn sampling_tracks_traffic_phases() {
         let mut sys = System::build(SystemConfig::small(2), &tiny_kernel());
-        let samples = sys.run_sampled(1_000_000, 200);
-        assert!(!samples.is_empty());
-        let total: u64 = samples.iter().map(|(_, f)| f).sum();
+        sys.enable_link_sampling(200);
+        let end = sys.run(1_000_000);
+        let links = sys.take_link_series();
+        let inter: Vec<_> = links.iter().filter(|l| l.is_inter).collect();
+        assert!(!inter.is_empty());
+        let total: u64 = inter.iter().map(|l| l.series.flits.total()).sum();
         let m = sys.harvest();
         assert_eq!(
             total,
             m.counter("net.inter.flits"),
             "samples sum to the total"
         );
-        // Cycles are monotonically increasing interval ends.
-        for w in samples.windows(2) {
-            assert!(w[0].0 < w[1].0);
+        // Every link's occupancy integral covers the run to its last cycle.
+        for link in &links {
+            assert_eq!(link.series.occupancy.len() as u64, end / 200 + 1);
         }
     }
 

@@ -14,6 +14,10 @@
 //! run that paused and went on, then resumes both the snapshot it took
 //! itself and the one the event-driven row took: snapshots exclude
 //! scheduler-derived state, so they are portable across schedulers.
+//! Snapshots exclude observers too, so a resumed cell records only what
+//! it simulates: its metrics are compared in full, its trace from the
+//! first cycle after the pause and its time series from the first window
+//! that starts after it.
 //!
 //! Legacy dispatches the scalar `tick`/`busy` pair, so its rows are also
 //! the referee for every native `tick_burst` (Switch, Rdma, Dram and the
@@ -21,11 +25,12 @@
 
 use netcrafter_gpu::Cu;
 use netcrafter_multigpu::{
-    CheckpointPlan, CheckpointedRun, Experiment, System, SystemVariant, TraceOptions,
+    CheckpointPlan, CheckpointedRun, Experiment, LinkSeries, System, SystemVariant, TraceData,
+    TraceOptions,
 };
-use netcrafter_proto::{SystemConfig, TopologyConfig};
+use netcrafter_proto::{SystemConfig, TimeSeries, TopologyConfig};
 use netcrafter_sim::snapshot::{ForkSnapshot, SnapshotError, SnapshotWriter};
-use netcrafter_sim::{Component, SchedulerMode, TraceConfig};
+use netcrafter_sim::{Component, SchedulerMode, Trace, TraceConfig};
 use netcrafter_vm::TranslationUnit;
 use netcrafter_workloads::{Scale, Workload};
 
@@ -62,13 +67,42 @@ struct Observed {
 }
 
 impl Observed {
-    fn of(run: &CheckpointedRun) -> Observed {
+    /// The run's results, and what it recorded after cycle `since` (all
+    /// of it when `None`): trace events after `since`, series windows
+    /// starting after it.
+    fn of(run: &CheckpointedRun, since: Option<u64>) -> Observed {
         let data = run.recorded.as_ref().expect("every cell runs traced");
+        let kept = |cycle: u64| since.is_none_or(|since| cycle > since);
+        let events = data.trace.events.iter().filter(|e| kept(e.cycle));
+        let trace = Trace {
+            tracks: data.trace.tracks.clone(),
+            events: events.cloned().collect(),
+        };
+        let links = data.links.iter().map(|l| {
+            let mut series = l.series.clone();
+            let s = &mut series;
+            for ts in [&mut s.bytes, &mut s.flits, &mut s.occupancy, &mut s.pooled] {
+                let mut after = TimeSeries::new(ts.window());
+                for (start, value) in ts.iter().filter(|&(start, _)| kept(start)) {
+                    after.add(start, value);
+                }
+                *ts = after;
+            }
+            LinkSeries {
+                link: l.link.clone(),
+                is_inter: l.is_inter,
+                series,
+            }
+        });
+        let after = TraceData {
+            trace,
+            links: links.collect(),
+        };
         Observed {
             exec_cycles: run.result.exec_cycles,
             metrics: run.result.metrics.to_kv(),
-            chrome_json: data.trace.to_chrome_json(),
-            links_jsonl: data.links_to_jsonl(),
+            chrome_json: after.trace.to_chrome_json(),
+            links_jsonl: after.links_to_jsonl(),
         }
     }
 
@@ -89,11 +123,13 @@ impl Observed {
     }
 }
 
+/// Runs `plan` traced; a resumed run is observed after its resume cycle.
 fn traced(exp: &Experiment, plan: CheckpointPlan<'_>) -> (CheckpointedRun, Observed) {
     let run = exp
         .run_planned(plan, Some(&trace_opts()))
         .expect("snapshot restores");
-    let seen = Observed::of(&run);
+    let since = plan.resume_from.map(|_| run.resumed_at);
+    let seen = Observed::of(&run, since);
     (run, seen)
 }
 
@@ -105,12 +141,13 @@ fn check_column(column: &str, exp: &Experiment) {
 /// Walks every row of one column; `pause_at` picks the pause cycle from
 /// the uninterrupted run's length.
 fn check_column_pausing(column: &str, exp: &Experiment, pause_at: impl Fn(u64) -> u64) {
-    let (_, reference) = traced(exp, CheckpointPlan::default());
+    let (reference_run, reference) = traced(exp, CheckpointPlan::default());
     let mid = pause_at(reference.exec_cycles);
     assert!(
         mid > 0 && mid < reference.exec_cycles,
         "{column}: no room to pause at {mid}"
     );
+    let reference_after_mid = Observed::of(&reference_run, Some(mid));
     let mut event_driven_snapshot: Option<ForkSnapshot> = None;
 
     for sched in SCHEDS {
@@ -144,7 +181,10 @@ fn check_column_pausing(column: &str, exp: &Experiment, pause_at: impl Fn(u64) -
             };
             let (run, seen) = traced(&exp, resume);
             assert_eq!(run.resumed_at, mid, "{cell}: resumed from the pause point");
-            seen.assert_matches(&reference, &format!("{cell} / resumed from {whose}"));
+            seen.assert_matches(
+                &reference_after_mid,
+                &format!("{cell} / resumed from {whose}"),
+            );
         }
     }
 }

@@ -8,17 +8,11 @@
 //! truncation at every Nth offset, single-bit flips and `0xFF` stomps
 //! over short runs of bytes, all over a real quick-scale snapshot taken
 //! while flits, fills and page walks are in flight.
-//!
-//! An intact snapshot can still be the wrong one: it carries the tracer
-//! and the link time series of the run that took it, so a run asked for
-//! other observability refuses it instead of writing an empty trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use netcrafter_core::SplitMix64;
-use netcrafter_multigpu::{CheckpointPlan, Experiment, System, SystemVariant, TraceOptions};
-use netcrafter_sim::snapshot::SnapshotError;
-use netcrafter_sim::TraceConfig;
+use netcrafter_multigpu::{Experiment, System, SystemVariant};
 use netcrafter_workloads::Workload;
 
 fn build() -> System {
@@ -89,53 +83,4 @@ fn corrupted_snapshots_restore_or_fail_without_panicking() {
         panicked.len(),
         panicked.join("\n  ")
     );
-}
-
-#[test]
-fn snapshots_resume_only_under_the_observability_they_were_taken_with() {
-    let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-    let traced = TraceOptions::trace_all();
-    let flits_only = TraceOptions {
-        config: Some(TraceConfig::parse("class=flit").expect("valid filter")),
-        sample_window: None,
-    };
-    let sampled = TraceOptions::sample(256);
-    let pause = CheckpointPlan {
-        resume_from: None,
-        pause_at: Some(1_500),
-    };
-    let taken_under = |opts: Option<&TraceOptions>| {
-        let run = exp.run_planned(pause, opts).expect("nothing to restore");
-        run.snapshot.expect("paused mid-run")
-    };
-    let plain = taken_under(None);
-    let with_trace = taken_under(Some(&traced));
-    let with_series = taken_under(Some(&sampled));
-    let wider = TraceOptions::sample(512);
-
-    // `(snapshot, taken under, resumed under, what the refusal names)`.
-    #[rustfmt::skip]
-    let cases = [
-        (&plain, None, Some(&traced), "taken with tracing off"),
-        (&with_trace, Some(&traced), None, "taken with tracing on"),
-        (&with_trace, Some(&traced), Some(&flits_only), "taken with another trace filter"),
-        (&plain, None, Some(&sampled), "taken with link sampling off"),
-        (&with_series, Some(&sampled), None, "taken with link sampling on"),
-        (&with_series, Some(&sampled), Some(&wider), "taken with --sample-window 256"),
-    ];
-    for (snapshot, taken, resumed, names) in cases {
-        let resume = CheckpointPlan {
-            resume_from: Some(snapshot.bytes()),
-            pause_at: None,
-        };
-        let same = exp.run_planned(resume, taken).expect("same observability");
-        assert_eq!(same.resumed_at, 1_500);
-        match exp.run_planned(resume, resumed) {
-            Err(SnapshotError::Mismatch(why)) => assert!(why.contains(names), "{names}: {why}"),
-            other => panic!(
-                "{names}: expected a refusal, got {:?}",
-                other.map(|r| r.result)
-            ),
-        }
-    }
 }

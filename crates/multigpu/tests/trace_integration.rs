@@ -1,11 +1,15 @@
 //! End-to-end checks of the observability layer on real simulations: the
 //! structured event trace must agree with the scalar [`Metrics`] counters
-//! the figures are built from, must not perturb the simulation, and must
-//! export valid, deterministic Chrome-trace JSON.
+//! the figures are built from, must not perturb the simulation — its
+//! results, its schedule or its snapshots — and must export valid,
+//! deterministic Chrome-trace JSON.
 //!
 //! [`Metrics`]: netcrafter_proto::Metrics
 
-use netcrafter_multigpu::{Experiment, RunResult, SystemVariant, TraceData, TraceOptions};
+use netcrafter_multigpu::{
+    CheckpointPlan, CheckpointedRun, Experiment, RunResult, SystemVariant, TraceData, TraceOptions,
+};
+use netcrafter_sim::snapshot::ForkSnapshot;
 use netcrafter_sim::trace::json;
 use netcrafter_sim::{Phase, TraceConfig};
 use netcrafter_workloads::Workload;
@@ -81,13 +85,51 @@ fn link_series_sums_match_flit_counters() {
     }
 }
 
+/// Observation is not state: under every observer a run pauses into the
+/// same snapshot bytes after the same engine ticks and ends with the same
+/// metrics, and a snapshot resumes under any observer, which then records
+/// only the cycles it simulates.
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
     let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-    let plain = exp.run();
-    let (traced, _) = traced_quick(SystemVariant::NetCrafter);
-    assert_eq!(plain.exec_cycles, traced.exec_cycles);
-    assert_eq!(plain.metrics.to_kv(), traced.metrics.to_kv());
+    let run = |plan, opts: Option<&TraceOptions>| exp.run_planned(plan, opts).expect("runs");
+    let outcome = |r: &CheckpointedRun| (r.result.exec_cycles, r.ticks, r.result.metrics.to_kv());
+    let flits = Some(TraceConfig::parse("class=flit").expect("valid filter"));
+    let observers = [
+        None,
+        Some(TraceOptions::trace_all()),
+        Some(TraceOptions::sample(256)),
+        Some(TraceOptions {
+            config: flits,
+            ..TraceOptions::sample(512)
+        }),
+    ];
+    let pause = CheckpointPlan {
+        pause_at: Some(1_500),
+        ..CheckpointPlan::default()
+    };
+    let plain = run(pause, None);
+    let snapshot = plain.snapshot.as_ref().map(ForkSnapshot::bytes);
+    let resume = CheckpointPlan {
+        resume_from: snapshot,
+        ..CheckpointPlan::default()
+    };
+    let plain_resumed = outcome(&run(resume, None));
+    assert!(plain_resumed.2 == outcome(&plain).2, "resumed metrics");
+
+    for opts in &observers {
+        let paused = run(pause, opts.as_ref());
+        let taken = paused.snapshot.as_ref().map(ForkSnapshot::bytes);
+        assert!(taken.is_some() && taken == snapshot, "{opts:?}: snapshot");
+        assert!(outcome(&paused) == outcome(&plain), "{opts:?}: run");
+        let resumed = run(resume, opts.as_ref());
+        assert!(outcome(&resumed) == plain_resumed, "{opts:?}: resumed run");
+        let events = resumed.recorded.iter().flat_map(|d| &d.trace.events);
+        let first = events.map(|e| e.cycle).min();
+        let traced = opts.as_ref().is_some_and(|o| o.config.is_some());
+        assert_eq!(first.is_some(), traced, "{opts:?}: records");
+        assert!(first.is_none_or(|c| c > 1_500), "{opts:?}: {first:?}");
+    }
 }
 
 #[test]

@@ -31,8 +31,8 @@ pub trait EgressQueue: Send {
     fn len(&self) -> usize;
 
     /// Flits currently parked in pooling side-slots (0 for queues that
-    /// never pool). Sampled per cycle by the link telemetry: the per-window
-    /// integral of this value is the aggregate pooling delay in
+    /// never pool). Integrated per cycle by the link telemetry: the
+    /// per-window integral of this value is the aggregate pooling delay in
     /// flit-cycles (Little's law).
     fn pooled_len(&self) -> usize {
         0
@@ -227,8 +227,6 @@ impl PortSeries {
     }
 }
 
-snap_fields! { impl Snap for PortSeries { bytes, flits, occupancy, pooled } }
-
 /// Identity and timing of the wire an [`EgressPort`] transmits on: who
 /// is on the other end, which of the peer's ports the wire lands on,
 /// and how long the signal takes to get there.
@@ -267,7 +265,8 @@ pub struct EgressPort {
     /// Transmit statistics.
     pub stats: PortStats,
     /// Windowed telemetry, `None` (and costing one branch per tick)
-    /// unless [`EgressPort::enable_sampling`] was called.
+    /// unless [`EgressPort::enable_sampling`] was called. It observes the
+    /// run and is not snapshotted.
     series: Option<Box<PortSeries>>,
     /// Cycle of the last executed tick; skipped cycles in between are
     /// replayed by [`EgressPort::catch_up`] so the rate limiter's token
@@ -355,14 +354,24 @@ impl EgressPort {
         self.series = Some(Box::new(PortSeries::new(window)));
     }
 
-    /// The sampled series, if sampling is enabled.
-    pub fn series(&self) -> Option<&PortSeries> {
-        self.series.as_deref()
+    /// Extracts the sampled series, disabling further sampling. The
+    /// occupancy and pooling integrals are settled through `end`, the
+    /// run's final cycle, for the cycles since the last tick.
+    pub fn take_series(&mut self, end: Cycle) -> Option<PortSeries> {
+        self.settle_series(self.last_tick + 1, end);
+        self.series.take().map(|b| *b)
     }
 
-    /// Extracts the sampled series, disabling further sampling.
-    pub fn take_series(&mut self) -> Option<PortSeries> {
-        self.series.take().map(|b| *b)
+    /// Integrates the occupancy and pooling series over `first..=last`,
+    /// through which both lengths hold their current value: the cycle
+    /// being ticked, or cycles skipped since the last tick (nothing was
+    /// pushed or popped in them).
+    fn settle_series(&mut self, first: Cycle, last: Cycle) {
+        let queue = &self.queue;
+        if let Some(s) = self.series.as_deref_mut() {
+            s.occupancy.add_span(first, last, queue.len() as u64);
+            s.pooled.add_span(first, last, queue.pooled_len() as u64);
+        }
     }
 
     /// True if the output buffer has room for another flit.
@@ -422,6 +431,9 @@ impl EgressPort {
     /// were available (the tick loop burns one token probing an unwilling
     /// queue — see the `else break` in [`EgressPort::tick`]).
     ///
+    /// Link sampling's occupancy and pooling integrals are settled for
+    /// the same span, so sampling never needs a tick of its own.
+    ///
     /// Must run before any credit message is applied for the current
     /// cycle: the replay assumes the credit balance was constant across
     /// the slept span. The owning component calls this at the top of its
@@ -435,6 +447,7 @@ impl EgressPort {
         if now <= first {
             return;
         }
+        self.settle_series(first, now - 1);
         let mut left = now - first; // cycles last_tick+1 ..= now-1
         if self.credits == 0 {
             // The transmit loop's guard fails before any consume: pure
@@ -489,10 +502,6 @@ impl EgressPort {
     /// owner's own `next_wake`). Skipped cycles are made bit-identical by
     /// [`EgressPort::catch_up`].
     pub fn next_wake(&self, now: Cycle) -> Wake {
-        if self.series.is_some() {
-            // Sampling integrates queue occupancy every cycle.
-            return Wake::EveryCycle;
-        }
         match self.queue.next_event(now) {
             // Willing to transmit: drain per cycle while credits last;
             // with none, only a credit message changes anything.
@@ -515,10 +524,7 @@ impl EgressPort {
         let now = ctx.cycle();
         self.catch_up(now);
         self.last_tick = now;
-        if let Some(series) = self.series.as_deref_mut() {
-            series.occupancy.add(now, self.queue.len() as u64);
-            series.pooled.add(now, self.queue.pooled_len() as u64);
-        }
+        self.settle_series(now, now);
         self.rate.accrue();
         let mut sent_any = false;
         while self.credits > 0 && self.rate.try_consume(1.0) {
@@ -578,7 +584,7 @@ impl EgressPort {
             rate,
             credits,
             stats,
-            series,
+            series: skipped(observer),
             last_tick,
             dbg_pushed_chunks,
             dbg_popped_chunks,

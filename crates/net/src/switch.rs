@@ -184,21 +184,16 @@ impl Switch {
         }
     }
 
-    /// Bucket width of the series the egress ports sample; `None` when
-    /// sampling is off.
-    pub fn sampling_window(&self) -> Option<u64> {
-        let series = self.ports.iter().find_map(|p| p.egress.series())?;
-        Some(series.bytes.window())
-    }
-
     /// Extracts the sampled per-link series: `(peer_node, is_inter,
-    /// series)` for every port where sampling was enabled.
-    pub fn take_series(&mut self) -> Vec<(NodeId, bool, PortSeries)> {
+    /// series)` for every port where sampling was enabled, with the
+    /// occupancy and pooling integrals settled through `end`, the run's
+    /// final cycle.
+    pub fn take_series(&mut self, end: Cycle) -> Vec<(NodeId, bool, PortSeries)> {
         self.ports
             .iter_mut()
             .filter_map(|p| {
                 p.egress
-                    .take_series()
+                    .take_series(end)
                     .map(|series| (p.peer_node, p.is_inter, series))
             })
             .collect()

@@ -143,6 +143,17 @@ impl TimeSeries {
         self.buckets[ix] += amount;
     }
 
+    /// Adds `per_cycle` for every cycle of `first..=last` in one `add` per
+    /// bucket — what an `add` per cycle would record, zeros included.
+    pub fn add_span(&mut self, first: u64, last: u64, per_cycle: u64) {
+        let mut cycle = first;
+        while cycle <= last {
+            let end = last.min(cycle - cycle % self.window + self.window - 1);
+            self.add(cycle, (end - cycle + 1) * per_cycle);
+            cycle = end + 1;
+        }
+    }
+
     /// Number of buckets (index of the last touched window + 1).
     pub fn len(&self) -> usize {
         self.buckets.len()
@@ -462,6 +473,20 @@ mod tests {
         assert_eq!(ts.peak(), 10);
         let points: Vec<_> = ts.iter().take(3).collect();
         assert_eq!(points, vec![(0, 10), (100, 7), (200, 0)]);
+
+        // A span settles exactly what one `add` per cycle would have.
+        for (first, last, per_cycle) in [
+            (3, 3, 2),
+            (7, 45, 3),
+            (90, 1_234, 1),
+            (20, 29, 0),
+            (5, 4, 1),
+        ] {
+            let (mut settled, mut ticked) = (TimeSeries::new(10), TimeSeries::new(10));
+            settled.add_span(first, last, per_cycle);
+            (first..=last).for_each(|cycle| ticked.add(cycle, per_cycle));
+            assert_eq!(settled, ticked, "{first}..={last} x {per_cycle}");
+        }
     }
 
     #[test]

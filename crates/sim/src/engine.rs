@@ -623,11 +623,12 @@ impl Engine {
     }
 
     /// Appends the engine's full dynamic state — clock, every component's
-    /// saved state, mailboxes, in-flight messages and the structured
-    /// tracer — to `w`, in the canonical order described in DESIGN.md
-    /// §3.4. Scheduler-derived state (wake heap, armed table, busy cache)
-    /// is intentionally excluded: it is reconstructed bit-exactly on load,
-    /// which also makes snapshots portable across scheduler modes.
+    /// saved state, mailboxes and in-flight messages — to `w`, in the
+    /// canonical order described in DESIGN.md §3.4. Scheduler-derived
+    /// state (wake heap, armed table, busy cache) is intentionally
+    /// excluded: it is reconstructed bit-exactly on load, which also makes
+    /// snapshots portable across scheduler modes. So is the tracer: it
+    /// observes the run and is not part of its state.
     pub fn save_state_into(&mut self, w: &mut SnapshotWriter) {
         self.flush_dirty();
         let core = &self.core;
@@ -656,14 +657,15 @@ impl Engine {
             w.put_len(dst);
             core.arena.get(h).save(w);
         }
-        core.tracer.save(w);
     }
 
     /// Restores the state written by [`Engine::save_state_into`] into
     /// this engine, which must contain the same components (same count,
     /// names and order — i.e. be built from the same configuration).
     /// The active scheduler mode is kept and all of its derived state is
-    /// rebuilt from scratch, exactly as [`Engine::set_scheduler`] does.
+    /// rebuilt from scratch, exactly as [`Engine::set_scheduler`] does;
+    /// the engine's own tracer is kept too and records from the restored
+    /// cycle on.
     pub fn load_state_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let n = r.get_len()?;
         if n != self.core.comps.len() {
@@ -710,7 +712,6 @@ impl Engine {
             }
             deliveries.push((when, dst, msg));
         }
-        let tracer = Tracer::load(r)?;
 
         // Everything decoded — only now mutate the engine.
         let core = &mut self.core;
@@ -742,7 +743,6 @@ impl Engine {
             let h = core.arena.alloc(msg);
             core.schedule(when, (), dst, h);
         }
-        core.tracer = tracer;
         core.tracer.set_now(cycle);
         // Rebuild every piece of scheduler-derived state (armed table,
         // wake heap, always-on set, busy cache, dirty list) for the

@@ -32,7 +32,9 @@
 //! minimum per-domain completed cycle). See DESIGN.md §3.3 for the full
 //! determinism argument.
 //!
-//! **Quiescence.** Sampling components tick every cycle until *global*
+//! **Quiescence.** A component may ask for ticks while idle (the default
+//! [`Component::next_wake`] does; no product component has since link
+//! sampling settles skipped cycles) and then ticks until *global*
 //! quiescence, so a domain must not free-run past the final cycle. A
 //! domain therefore executes events only while *locally* active (busy
 //! components or local messages in flight); once locally quiescent its

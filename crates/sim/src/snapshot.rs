@@ -1,9 +1,9 @@
 //! Versioned, dependency-free binary serialization of simulation state.
 //!
 //! A *snapshot* is the byte-exact dynamic state of a paused simulation:
-//! every component's internal queues and statistics, the engine's event
-//! wheel and in-flight messages, and the structured-event tracer. The
-//! encoding is little-endian, length-prefixed where variable, and fully
+//! every component's internal queues and statistics and the engine's
+//! event wheel and in-flight messages. What observes a run (the tracer,
+//! link sampling) is not state and is not in it. The encoding is little-endian, length-prefixed where variable, and fully
 //! deterministic — the same paused state always encodes to the same
 //! bytes, so `fnv1a64` over the encoding is a cheap state fingerprint
 //! (see [`crate::Engine::state_hash`]).
@@ -32,7 +32,7 @@ use netcrafter_proto::packet::{PacketPayload, TrimInfo};
 use netcrafter_proto::{
     AccessId, Chunk, ClusterId, CtaId, CuId, Flit, GpuId, Histogram, LatencyStat, LineAddr,
     LineMask, MemReq, MemRsp, Message, Metrics, NodeId, PAddr, Packet, PacketId, PacketKind,
-    TimeSeries, TrafficClass, TransReq, TransRsp, VAddr, WavefrontId,
+    TrafficClass, TransReq, TransRsp, VAddr, WavefrontId,
 };
 
 /// First four bytes of every snapshot: `"NCSP"` as a little-endian u32.
@@ -41,7 +41,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5053_434E;
 /// Current snapshot format version. Bump whenever the encoding of any
 /// serialized structure changes; old snapshots then fail loudly with
 /// [`SnapshotError::VersionMismatch`] instead of restoring garbage.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,10 +66,6 @@ pub enum SnapshotError {
     /// The bytes decoded, but the value they describe is invalid (bad
     /// enum tag, component-name mismatch, malformed embedded text, …).
     Corrupt(String),
-    /// The snapshot is intact, but the run that took it differs from the
-    /// run asked to continue it in a way the bytes carry along (tracing,
-    /// link sampling); the message names the difference.
-    Mismatch(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -93,7 +89,6 @@ impl std::fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Corrupt(why) => write!(f, "snapshot corrupt: {why}"),
-            SnapshotError::Mismatch(why) => f.write_str(why),
         }
     }
 }
@@ -452,7 +447,8 @@ pub trait Snap: Sized {
 /// * `field: skipped(why)` — not in the snapshot, with the reason:
 ///   `wiring` (who this instance is and what it is connected to),
 ///   `config` (builder-time parameters), `derived` (recomputed by the
-///   `validate` hook) or `scratch` (meaningless between ticks).
+///   `validate` hook), `scratch` (meaningless between ticks) or
+///   `observer` (what a run records about itself, not simulated state).
 ///
 /// An optional `validate path::to::fn`, as for value types, runs on
 /// `self` after the last field — post-decode checks and derived-state
@@ -607,6 +603,7 @@ macro_rules! snap_fields {
     (@reason config) => {};
     (@reason derived) => {};
     (@reason scratch) => {};
+    (@reason observer) => {};
 }
 
 // ---- primitives ----
@@ -1124,34 +1121,6 @@ impl Snap for Histogram {
     }
 }
 
-/// Rebuilds through `new(window)` + `add`, including trailing
-/// zero-valued buckets (bucket count is observable via
-/// [`TimeSeries::len`]).
-impl Snap for TimeSeries {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.window());
-        w.put_len(self.len());
-        for ix in 0..self.len() {
-            w.put_u64(self.bucket(ix));
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let window = r.get_u64()?;
-        if window == 0 {
-            return Err(SnapshotError::Corrupt("TimeSeries window 0".to_string()));
-        }
-        let n = r.get_len()?;
-        let mut out = TimeSeries::new(window);
-        for ix in 0..n {
-            let cycle = (ix as u64).checked_mul(window).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("TimeSeries of {n} windows of {window} cycles"))
-            })?;
-            out.add(cycle, r.get_u64()?);
-        }
-        Ok(out)
-    }
-}
-
 /// [`Metrics`] round-trips losslessly through its own `to_kv` text form
 /// (covered by the proto test `kv_round_trip_is_lossless`), so the
 /// snapshot embeds that canonical text instead of duplicating the
@@ -1339,12 +1308,6 @@ mod tests {
         hist.add(64, 1);
         round_trip(&hist);
         round_trip(&Histogram::new());
-
-        let mut ts = TimeSeries::new(100);
-        ts.add(0, 5);
-        ts.add(950, 1); // forces trailing zero buckets in between
-        round_trip(&ts);
-        round_trip(&TimeSeries::new(7));
     }
 
     #[test]
@@ -1471,19 +1434,6 @@ mod tests {
             err,
             SnapshotError::Corrupt("snapshot has 2 lanes, the restore target has 3".to_string())
         );
-    }
-
-    #[test]
-    fn time_series_spanning_more_than_u64_cycles_is_rejected() {
-        let mut w = SnapshotWriter::new();
-        w.put_u64(u64::MAX); // window
-        w.put_len(3);
-        for bucket in 0..3 {
-            w.put_u64(bucket);
-        }
-        let bytes = w.into_bytes();
-        let got: Result<TimeSeries, _> = Snap::load(&mut SnapshotReader::new(&bytes));
-        assert!(matches!(got, Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]

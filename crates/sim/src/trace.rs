@@ -16,7 +16,6 @@
 //!
 //! [`Ctx`]: crate::Ctx
 
-use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::Cycle;
 
 /// Coarse event category, used both for filtering and as the Chrome-trace
@@ -308,11 +307,6 @@ impl Tracer {
         self.on
     }
 
-    /// The filter this tracer records under; `None` when it is disabled.
-    pub fn filter(&self) -> Option<&TraceConfig> {
-        self.on.then_some(&self.filter)
-    }
-
     /// Registers a named track (one per component) and returns its index.
     /// The component filter is resolved here, once.
     pub fn register_track(&mut self, name: &str) -> u32 {
@@ -441,114 +435,6 @@ impl Tracer {
     /// Appends already-ordered events (main-tracer side of the merge).
     pub(crate) fn absorb_events(&mut self, events: impl IntoIterator<Item = Event>) {
         self.events.extend(events);
-    }
-}
-
-crate::snap_fields! {
-    impl Snap for TraceConfig { components, class_mask, first_cycle, last_cycle }
-}
-
-/// The tracer snapshots everything observable: its filter, track table
-/// and every buffered event, so a restored run's trace output is
-/// byte-identical to the uninterrupted run's from cycle 0 onward.
-/// The transient tick focus is reset (the engine re-focuses before every
-/// tick). Event names are `&'static str`s; loading re-interns each
-/// distinct name once (leaked, like string literals — the name set is a
-/// small fixed vocabulary).
-impl Snap for Tracer {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.on.save(w);
-        self.class_mask.save(w);
-        self.first_cycle.save(w);
-        self.last_cycle.save(w);
-        self.now.save(w);
-        self.tracks.save(w);
-        self.track_enabled.save(w);
-        self.filter.save(w);
-        w.put_len(self.events.len());
-        for ev in &self.events {
-            ev.cycle.save(w);
-            ev.track.save(w);
-            w.put_u8(u8::try_from(ev.class as u32).expect("eight event classes"));
-            w.put_u8(match ev.phase {
-                Phase::Instant => 0,
-                Phase::Begin => 1,
-                Phase::End => 2,
-                Phase::Counter => 3,
-            });
-            w.put_str(ev.name);
-            ev.id.save(w);
-            ev.value.save(w);
-        }
-    }
-
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let on = Snap::load(r)?;
-        let class_mask = Snap::load(r)?;
-        let first_cycle = Snap::load(r)?;
-        let last_cycle = Snap::load(r)?;
-        let now = Snap::load(r)?;
-        let tracks: Vec<String> = Snap::load(r)?;
-        let track_enabled: Vec<bool> = Snap::load(r)?;
-        if track_enabled.len() != tracks.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "tracer has {} tracks but {} enable flags",
-                tracks.len(),
-                track_enabled.len()
-            )));
-        }
-        let filter = Snap::load(r)?;
-        let n = r.get_len()?;
-        let mut interned: std::collections::BTreeMap<String, &'static str> =
-            std::collections::BTreeMap::new();
-        let mut events = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let cycle = Snap::load(r)?;
-            let track = Snap::load(r)?;
-            let class_tag = r.get_u8()?;
-            let class = ALL_CLASSES
-                .get(usize::from(class_tag))
-                .copied()
-                .ok_or_else(|| SnapshotError::Corrupt(format!("EventClass tag {class_tag}")))?;
-            let phase = match r.get_u8()? {
-                0 => Phase::Instant,
-                1 => Phase::Begin,
-                2 => Phase::End,
-                3 => Phase::Counter,
-                tag => return Err(SnapshotError::Corrupt(format!("Phase tag {tag}"))),
-            };
-            let name_text = r.get_str()?;
-            let name = match interned.get(name_text.as_str()) {
-                Some(&s) => s,
-                None => {
-                    let leaked: &'static str = Box::leak(name_text.clone().into_boxed_str());
-                    interned.insert(name_text, leaked);
-                    leaked
-                }
-            };
-            events.push(Event {
-                cycle,
-                track,
-                class,
-                phase,
-                name,
-                id: Snap::load(r)?,
-                value: Snap::load(r)?,
-            });
-        }
-        Ok(Tracer {
-            on,
-            class_mask,
-            first_cycle,
-            last_cycle,
-            now,
-            focus: 0,
-            focus_live: false,
-            tracks,
-            track_enabled,
-            events,
-            filter,
-        })
     }
 }
 

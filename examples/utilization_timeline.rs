@@ -7,26 +7,27 @@
 //! cargo run --release --example utilization_timeline [WORKLOAD]
 //! ```
 
-use netcrafter::multigpu::{System, SystemVariant};
-use netcrafter::proto::SystemConfig;
-use netcrafter::workloads::{Scale, Workload};
+use netcrafter::multigpu::{Experiment, SystemVariant, TraceOptions};
+use netcrafter::workloads::Workload;
 
 const INTERVAL: u64 = 500;
 const BARS: &[char] = &[' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 fn timeline(variant: SystemVariant, workload: Workload) -> (u64, Vec<f64>) {
-    let cfg = variant.apply(SystemConfig::small(8));
-    let kernel = workload.generate(&Scale::small(), cfg.total_gpus(), 7);
-    let inter_ports = 2.0; // 2 clusters, one egress each way
+    let exp = Experiment::new(workload, variant).with_seed(7);
+    let cfg = variant.apply(exp.base_cfg);
+    let (result, data) = exp.run_traced(&TraceOptions::sample(INTERVAL));
+    let inter: Vec<_> = data.links.iter().filter(|l| l.is_inter).collect();
     let flits_per_cycle = cfg.topology.inter_bytes_per_cycle() / cfg.flit_bytes as f64;
-    let capacity = INTERVAL as f64 * flits_per_cycle * inter_ports;
-    let mut sys = System::build(cfg, &kernel);
-    let samples = sys.run_sampled(100_000_000, INTERVAL);
-    let cycles = sys.engine.cycle();
-    (
-        cycles,
-        samples.iter().map(|(_, f)| *f as f64 / capacity).collect(),
-    )
+    let capacity = INTERVAL as f64 * flits_per_cycle * inter.len() as f64;
+    let buckets = (result.exec_cycles / INTERVAL + 1) as usize;
+    let utils = (0..buckets)
+        .map(|ix| {
+            let flits: u64 = inter.iter().map(|l| l.series.flits.bucket(ix)).sum();
+            flits as f64 / capacity
+        })
+        .collect();
+    (result.exec_cycles, utils)
 }
 
 fn render(utils: &[f64]) -> String {
