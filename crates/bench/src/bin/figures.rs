@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! figures [--quick] [--big] [--verbose] [--jobs N] [--threads N]
-//!         [--cache-dir DIR] [--trace FILE] [--timeseries FILE]
-//!         [--trace-filter SPEC] [--sample-window N]
-//!         [--warmup CYCLES] <id>... | all
+//!         [--cache-dir DIR] [--warmup CYCLES] <id>... | all
 //! ```
 //!
 //! Ids: table1, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig12,
@@ -18,10 +16,9 @@
 //! has never seen. All three leave the printed tables byte-identical to
 //! a sequential, uncached run.
 //!
-//! `--trace FILE` / `--timeseries FILE` re-run the *first* simulation of
-//! the first requested figure with observability on and write a
-//! Chrome-trace JSON event trace / per-link time-series JSONL. See the
-//! `simulate` binary for the filter syntax.
+//! Tracing is the `simulate` binary's job: its `--trace` /
+//! `--timeseries` flags observe any single run, including any one of the
+//! figures' simulations.
 //!
 //! `--warmup CYCLES` keeps every NetCrafter policy knob inert until the
 //! given cycle, which lets the sweep share one simulated warmup prefix
@@ -33,25 +30,20 @@
 
 use std::time::Instant;
 
-use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
-use netcrafter_bench::{figures, stats_report, Cli, Runner, TraceArgs};
+use netcrafter_bench::{figures, stats_report, Cli, Runner};
 
 const USAGE: &str = "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--threads N] \
-     [--cache-dir DIR] [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
-     [--warmup CYCLES] <id>... | all";
+     [--cache-dir DIR] [--warmup CYCLES] <id>... | all";
 
 const VALUE_FLAGS: [&str; 4] = ["--jobs", "--threads", "--cache-dir", "--warmup"];
 
 fn main() {
-    let mut value_flags = VALUE_FLAGS.to_vec();
-    value_flags.extend(TRACE_VALUE_FLAGS);
-    let cli = Cli::from_env(USAGE, &value_flags, &["--quick", "--big", "--verbose"]);
+    let cli = Cli::from_env(USAGE, &VALUE_FLAGS, &["--quick", "--big", "--verbose"]);
     let quick = cli.has("--quick");
     let big = cli.has("--big");
     let jobs: usize = cli.parsed("--jobs").unwrap_or(1);
     let threads: usize = cli.parsed("--threads").unwrap_or(1);
     let warmup: Option<u64> = cli.parsed("--warmup");
-    let trace_args = TraceArgs::parse(&cli);
 
     // Everything that is not a flag (or a flag's value) is a figure id.
     let mut ids: Vec<String> = cli.positionals().to_vec();
@@ -132,24 +124,4 @@ fn main() {
     eprintln!("[total {:.1?}]", t0.elapsed());
     eprint!("{}", stats_report(&runner.job_stats()));
     eprint!("{}", runner.prefix_stats().report());
-
-    if trace_args.active() {
-        let opts = trace_args.options().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        let job = ids
-            .first()
-            .and_then(|id| figures::sweep_jobs(id, &runner).into_iter().next())
-            .unwrap_or_else(|| {
-                eprintln!("--trace/--timeseries: requested figures run no simulations");
-                std::process::exit(2);
-            });
-        eprintln!("[tracing {} …]", job.memo_key());
-        let (_, data) = job.to_experiment().run_traced(&opts);
-        trace_args.write(&data).unwrap_or_else(|e| {
-            eprintln!("cannot write trace output: {e}");
-            std::process::exit(1);
-        });
-    }
 }

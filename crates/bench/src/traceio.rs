@@ -1,5 +1,5 @@
-//! Shared CLI plumbing for the binaries' observability flags:
-//! `--trace FILE`, `--timeseries FILE`, `--trace-filter SPEC` and
+//! CLI plumbing for `simulate`'s observability flags (the one binary that
+//! traces): `--trace FILE`, `--timeseries FILE`, `--trace-filter SPEC` and
 //! `--sample-window N` parse into a [`TraceArgs`], which turns into the
 //! [`TraceOptions`] handed to [`Experiment::run_traced`] and writes the
 //! recorded data to disk.

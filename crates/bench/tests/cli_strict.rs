@@ -60,7 +60,8 @@ const CASES: &[Case] = &[
     (FIGURES, &["--quick", "fig14", "--jobs", "many"], 2, "--jobs: cannot parse \"many\""),
     (FIGURES, &["--quick", "--warmup", "soon", "fig14"], 2, "--warmup: cannot parse \"soon\""),
     (FIGURES, &["--quick", "fig99"], 2, "unknown figure id \"fig99\""),
-    (FIGURES, &["--quick", "fig14", "--trace"], 2, "--trace expects a value"),
+    // One binary traces: `simulate --trace` observes any single run.
+    (FIGURES, &["--quick", "fig14", "--trace"], 2, "unknown flag --trace"),
     // A sweep of sub-second jobs has no checkpoint flags.
     (FIGURES, &["--quick", "fig14", "--checkpoint-dir", "d"], 2, "unknown flag --checkpoint-dir"),
     // Prefix sharing is byte-identical to cold runs; there is nothing to turn off.

@@ -492,7 +492,11 @@ impl Cu {
     /// response on the way, and only a response changes either). A
     /// non-empty pending queue only matters while a resident slot is
     /// free — except in the degenerate all-retired-but-queue-nonempty
-    /// state, where the legacy scheduler spins, so we must spin too.
+    /// state, where the legacy scheduler spins, so we must spin too. A
+    /// drained CU changes state only on a message or a new kernel's
+    /// `load_waves`, which re-ticks it via the engine's external-mutation
+    /// tracking. This is the CU's only wake answer (`tick_burst` returns
+    /// it).
     fn blocked_wake(&self, now: Cycle) -> Wake {
         let mut wake = Wake::OnMessage;
         let mut active = false;
@@ -671,15 +675,6 @@ impl Component for Cu {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn next_wake(&self, now: Cycle) -> Wake {
-        // A drained CU changes state only on a message or a new kernel's
-        // `load_waves` (which re-ticks it via the engine's
-        // external-mutation tracking); a blocked CU sleeps until its
-        // earliest wave deadline, with `tick` catching up the skipped
-        // idle cycles and failed retries arithmetically.
-        self.blocked_wake(now)
     }
 
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {

@@ -19,7 +19,7 @@ use netcrafter_proto::{
     TrafficClass, TrimInfo,
 };
 use netcrafter_sim::{
-    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Tracer, Wake,
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, EventClass, Tracer, Wake,
 };
 
 /// Where the RDMA engine's traffic goes.
@@ -290,8 +290,8 @@ impl Component for Rdma {
     }
 
     /// Burst dispatch: the mailbox drains inside one `tick`, then one
-    /// fused status check replaces the separate `busy` + `next_wake`
-    /// virtual calls — the staging test answers both at once.
+    /// fused status check — the staging test — answers both busy-ness
+    /// and the wake (the RDMA engine's only wake answer).
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         if !self.staging.is_empty() {
@@ -313,14 +313,6 @@ impl Component for Rdma {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn next_wake(&self, now: Cycle) -> Wake {
-        if !self.staging.is_empty() {
-            // Staged flits drain into the egress buffer as space frees.
-            return Wake::EveryCycle;
-        }
-        self.egress.next_wake(now)
     }
 
     snap_fields! {

@@ -108,7 +108,8 @@ impl Component for Dram {
     }
 
     /// Burst dispatch: one queue-emptiness test answers both the busy bit
-    /// and the wake, replacing the two extra virtual calls per woken tick.
+    /// and the wake. Serving is bandwidth-throttled cycle by cycle; an
+    /// empty queue only changes on a request message.
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         if self.queue.is_empty() {
@@ -130,16 +131,6 @@ impl Component for Dram {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn next_wake(&self, _now: Cycle) -> Wake {
-        // Serving is bandwidth-throttled cycle by cycle; an empty queue
-        // only changes on a request message.
-        if self.queue.is_empty() {
-            Wake::OnMessage
-        } else {
-            Wake::EveryCycle
-        }
     }
 
     snap_fields! {

@@ -355,28 +355,14 @@ impl Component for L2Cache {
         &self.name
     }
 
-    fn next_wake(&self, _now: Cycle) -> Wake {
-        // Queued input admits one request per bank per cycle; with only
-        // pipeline contents left, nothing happens until the earliest
-        // lookup completes; MSHR-only state waits on the DRAM fill
-        // message.
-        let mut wake = Wake::OnMessage;
-        for bank in &self.banks {
-            if !bank.input.is_empty() {
-                return Wake::EveryCycle;
-            }
-            if let Some(t) = bank.pipe.next_ready() {
-                wake = wake.earliest(Wake::At(t));
-            }
-        }
-        wake
-    }
-
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         // Fused status pass: busy and the earliest wake come from the
-        // same per-bank fields, so one traversal answers both. Once a
-        // bank has queued input the outcome is saturated (busy, ticked
+        // same per-bank fields, so one traversal answers both. Queued
+        // input admits one request per bank per cycle; with only pipeline
+        // contents left, nothing happens until the earliest lookup
+        // completes; MSHR-only state waits on the DRAM fill message. Once
+        // a bank has queued input the outcome is saturated (busy, ticked
         // every cycle) and the remaining banks cannot change it.
         let mut busy = false;
         let mut wake = Wake::OnMessage;

@@ -19,9 +19,13 @@
 //! first cycle after the pause and its time series from the first window
 //! that starts after it.
 //!
-//! Legacy dispatches the scalar `tick`/`busy` pair, so its rows are also
-//! the referee for every native `tick_burst` (Switch, Rdma, Dram and the
-//! EgressPort/ClusterQueue machinery they drive).
+//! Every row dispatches the same `tick_burst`; Legacy ticks every
+//! component every cycle and ignores the returned wakes, so its rows
+//! referee the skipped ticks: a native wake (Switch, Rdma, L2, Dram, Cu
+//! and the EgressPort/ClusterQueue machinery) that sleeps through a tick
+//! that mattered shows as a Legacy diff. The fused busy flags are
+//! refereed separately, per tick, by the debug assertion in the engine's
+//! `tick_one`.
 
 use netcrafter_gpu::Cu;
 use netcrafter_multigpu::{

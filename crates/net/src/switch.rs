@@ -397,10 +397,9 @@ impl Component for Switch {
 
     /// Burst dispatch: one tick over the whole mailbox slice, then a
     /// single fused pass over the ports computing busy-ness and the next
-    /// wake together — the scalar path walks the port array twice more
-    /// (once in [`Switch::busy`], once in [`Switch::next_wake`]), and on
-    /// a radix-8+ switch under dense traffic those passes dominate the
-    /// dispatch overhead.
+    /// wake together — the switch's only wake answer. A separate pass per
+    /// question would dominate the dispatch overhead on a radix-8+ switch
+    /// under dense traffic.
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         let now = ctx.cycle();
@@ -439,25 +438,6 @@ impl Component for Switch {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn next_wake(&self, now: Cycle) -> Wake {
-        let mut wake = Wake::OnMessage;
-        for port in &self.ports {
-            // A stalled flit is retried — and counted in output_stalls —
-            // every cycle, so skipping any would change the statistics.
-            if port.stalled.is_some() {
-                return Wake::EveryCycle;
-            }
-            if let Some(t) = port.in_pipe.next_ready() {
-                wake = wake.earliest(Wake::At(t));
-            }
-            match port.egress.next_wake(now) {
-                Wake::EveryCycle => return Wake::EveryCycle,
-                w => wake = wake.earliest(w),
-            }
-        }
-        wake
     }
 
     snap_fields! {

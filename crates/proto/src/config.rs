@@ -519,9 +519,6 @@ pub struct SystemConfig {
     pub trim_granularity: u32,
     /// Fixed intra-GPU latencies: CU↔L1↔L2 hop latency in cycles.
     pub on_chip_hop_cycles: u32,
-    /// RNG seed for the whole simulation (workload generation and any
-    /// randomized tie-breaking) — runs are fully deterministic per seed.
-    pub seed: u64,
 }
 
 impl SystemConfig {
@@ -585,7 +582,6 @@ impl SystemConfig {
             sector_fill: SectorFillPolicy::FullLine,
             trim_granularity: SECTOR_BYTES as u32,
             on_chip_hop_cycles: 2,
-            seed: 0xC0FFEE,
         }
     }
 
@@ -697,7 +693,7 @@ impl SystemConfig {
     ///
     /// This is the cache identity of a simulation: two configs with equal
     /// `stable_repr` produce identical runs (given equal workload, scale
-    /// and seed), and any field change alters the string. Floats are
+    /// and workload seed), and any field change alters the string. Floats are
     /// rendered via their IEEE-754 bit patterns so the representation is
     /// exact and platform-independent.
     pub fn stable_repr(&self) -> String {
@@ -713,7 +709,7 @@ impl SystemConfig {
              l1:{},{},{},{},{};l2:{},{},{},{},{};\
              l1tlb:{},{},{},{};l2tlb:{},{},{},{};gmmu:{},{},{};dram:{},{};\
              switch:{},{};flit:{};nc:{},{},{},{},{},{},{},{};fill:{};gran:{};\
-             hop:{};seed:{:016x}",
+             hop:{}",
             t.clusters,
             t.gpus_per_cluster,
             t.intra_gbps.to_bits(),
@@ -761,14 +757,7 @@ impl SystemConfig {
             fill,
             self.trim_granularity,
             self.on_chip_hop_cycles,
-            self.seed,
         )
-    }
-
-    /// 64-bit FNV-1a hash of [`Self::stable_repr`] — the short cache key
-    /// for this configuration.
-    pub fn config_hash(&self) -> u64 {
-        fnv1a64(self.stable_repr().as_bytes())
     }
 
     /// The *warmup identity* of this configuration: [`Self::stable_repr`]
@@ -992,10 +981,6 @@ mod tests {
             base.stable_repr(),
             SystemConfig::paper_baseline().stable_repr()
         );
-        assert_eq!(
-            base.config_hash(),
-            SystemConfig::paper_baseline().config_hash()
-        );
 
         // A representative field from each sub-struct must perturb the key.
         let mut variants: Vec<SystemConfig> = Vec::new();
@@ -1010,9 +995,6 @@ mod tests {
         variants.push(c);
         let mut c = base;
         c.trim_granularity = 8;
-        variants.push(c);
-        let mut c = base;
-        c.seed = 1;
         variants.push(c);
         let mut c = base;
         c.topology.clusters = 3;
@@ -1082,7 +1064,7 @@ mod tests {
         longer.netcrafter.warmup_cycles = 4_000;
         assert_ne!(longer.warmup_repr(), full.warmup_repr());
 
-        // Physical divergence (scale, seed) always splits the key.
+        // Physical divergence (scale) always splits the key.
         let mut scaled = full;
         scaled.cus_per_gpu = 8;
         assert_ne!(scaled.warmup_repr(), full.warmup_repr());

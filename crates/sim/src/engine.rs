@@ -5,14 +5,15 @@
 //!   tick, idle stretches are fast-forwarded to the next scheduled event,
 //!   and quiescence is tracked incrementally instead of rescanning every
 //!   component's [`Component::busy`] flag each cycle.
-//! * **Legacy**: every component ticks every cycle, in id order, through
-//!   the scalar `tick`/`busy` pair — the reference the tests compare
-//!   against, selectable via [`Engine::set_scheduler`].
+//! * **Legacy**: every component ticks every cycle, in id order, with no
+//!   fast-forward — the reference the tests compare against, selectable
+//!   via [`Engine::set_scheduler`].
 //!
-//! The two produce bit-identical results because a component may only be
-//! skipped on cycles where its legacy tick would have been a no-op: its
-//! [`Component::next_wake`] contract promises exactly that (see
-//! DESIGN.md, "Event-driven scheduling").
+//! Both dispatch the same [`Component::tick_burst`]; Legacy ignores the
+//! wake it returns. The two produce bit-identical results because a
+//! component may only be skipped on cycles where its tick would have been
+//! a no-op: the [`Component::next_wake`] contract promises exactly that
+//! (see DESIGN.md, "Event-driven scheduling").
 
 use std::collections::VecDeque;
 
@@ -91,7 +92,8 @@ pub enum SchedulerMode {
 pub struct BurstOutcome {
     /// The value [`Component::busy`] would return right now.
     pub busy: bool,
-    /// The value [`Component::next_wake`] would return right now.
+    /// When the component next needs a tick, under the
+    /// [`Component::next_wake`] contract.
     pub wake: Wake,
 }
 
@@ -103,8 +105,9 @@ pub struct BurstOutcome {
 /// so a component never observes a message sent in the same cycle.
 ///
 /// Under the event-driven scheduler a component is only ticked when a
-/// message arrives or its [`Component::next_wake`] comes due; the default
-/// (`EveryCycle`) preserves the tick-always behaviour.
+/// message arrives or the wake its [`Component::tick_burst`] returned
+/// comes due; the default (`EveryCycle`) preserves the tick-always
+/// behaviour.
 ///
 /// Components are `Send` so domains of them can execute on worker threads
 /// under [`SchedulerMode::ParallelEventDriven`]; they are never shared
@@ -122,8 +125,9 @@ pub trait Component: std::any::Any + Send {
     /// Human-readable instance name for traces and error messages.
     fn name(&self) -> &str;
 
-    /// When this component next needs a tick, queried right after each
-    /// tick (and used only by the event-driven scheduler).
+    /// When this component next needs a tick, asked right after each tick
+    /// by the default [`Component::tick_burst`] (the engine never calls it
+    /// directly; only the event-driven modes act on the answer).
     ///
     /// Contract: every cycle between now and the returned wake on which
     /// the component is *not* ticked must be one where its tick would
@@ -136,15 +140,15 @@ pub trait Component: std::any::Any + Send {
 
     /// Burst entry point: performs this cycle's work (draining the whole
     /// mailbox burst) *and* reports the post-tick busy flag and next wake
-    /// in one virtual call. The event-driven schedulers dispatch this;
-    /// only the [`SchedulerMode::Legacy`] reference calls the scalar
-    /// `tick`/`busy` pair.
+    /// in one virtual call. It is the only method the engine calls to
+    /// advance a component, under every [`SchedulerMode`].
     ///
-    /// The default wraps [`Component::tick`], so existing components work
-    /// unchanged. An override must be observably identical to the scalar
-    /// triple — same state changes, sends, trace events, and the exact
-    /// values `busy()` / `next_wake()` would return — which the
-    /// scheduler equivalence suite checks byte for byte against Legacy.
+    /// The default wraps [`Component::tick`], [`Component::busy`] and
+    /// [`Component::next_wake`]. An override states its wake here and
+    /// nowhere else; its busy flag must equal `busy()`, which debug
+    /// builds assert after every tick, and its wake must obey the
+    /// `next_wake` contract, which the Legacy rows of the scheduler
+    /// equivalence suite and the `gated_counts` tick gates hold.
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         BurstOutcome {
@@ -207,18 +211,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn recv(&mut self) -> Option<Message> {
         self.inbox.pop_front().map(|h| self.arena.take(h))
-    }
-
-    /// Peeks at the oldest message without removing it.
-    #[inline]
-    pub fn peek(&self) -> Option<&Message> {
-        self.inbox.front().map(|&h| self.arena.get(h))
-    }
-
-    /// Number of messages waiting in the mailbox.
-    #[inline]
-    pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
     }
 
     /// Sends `msg` to `dst`, arriving after `delay` cycles (minimum 1: a
@@ -362,10 +354,10 @@ pub struct Engine {
     /// The scheduler core over every component (local index = id).
     pub(crate) core: Core<Whole>,
     mode: SchedulerMode,
-    /// Components handed out via `get_mut`/`component_mut` since the last
-    /// step: external code may have changed their state behind the
-    /// scheduler's back, so their cached busy flag is suspect and they
-    /// are re-ticked on the next cycle.
+    /// Components handed out via `get_mut` since the last step: external
+    /// code may have changed their state behind the scheduler's back, so
+    /// their cached busy flag is suspect and they are re-ticked on the
+    /// next cycle.
     dirty: Vec<usize>,
     dirty_flags: Vec<bool>,
     /// Domain partition + worker count for
@@ -403,11 +395,6 @@ impl Engine {
     /// True if the engine contains no components.
     pub fn is_empty(&self) -> bool {
         self.core.comps.is_empty()
-    }
-
-    /// The active scheduler.
-    pub fn scheduler(&self) -> SchedulerMode {
-        self.mode
     }
 
     /// Switches scheduler mid-flight: re-arms every component for the
@@ -584,19 +571,6 @@ impl Engine {
             .filter(|c| c.busy())
             .map(|c| c.name())
             .collect()
-    }
-
-    /// Immutable access to a component (for stats harvesting). The caller
-    /// downcasts via its own bookkeeping of what lives at which id.
-    pub fn component(&self, id: ComponentId) -> &dyn Component {
-        self.core.comps[id.0].as_ref()
-    }
-
-    /// Mutable access to a component. Marks it externally mutated: it is
-    /// re-ticked and its busy flag re-read on the next cycle.
-    pub fn component_mut(&mut self, id: ComponentId) -> &mut dyn Component {
-        self.mark_dirty(id.0);
-        self.core.comps[id.0].as_mut()
     }
 
     /// Typed access to a component: the stats-harvesting path used by the
@@ -964,6 +938,32 @@ mod tests {
         b.add(Box::new(Forever));
         let mut e = b.build();
         e.run_to_quiescence(10);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "busy() disagrees")]
+    fn fused_busy_flag_is_refereed_every_tick() {
+        /// A fused status that drifted from its scalar answer.
+        struct Liar;
+        impl Component for Liar {
+            fn tick(&mut self, _ctx: &mut Ctx<'_>) {}
+            fn busy(&self) -> bool {
+                true
+            }
+            fn name(&self) -> &str {
+                "liar"
+            }
+            fn tick_burst(&mut self, _ctx: &mut Ctx<'_>) -> BurstOutcome {
+                BurstOutcome {
+                    busy: false,
+                    wake: Wake::OnMessage,
+                }
+            }
+        }
+        let mut b = EngineBuilder::new();
+        b.add(Box::new(Liar));
+        b.build().step();
     }
 
     #[test]

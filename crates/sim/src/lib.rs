@@ -9,20 +9,21 @@
 //!   delivered in send order per cycle, so the same configuration and seed
 //!   always produce bit-identical results.
 //! * **Cheap idle** — the default event-driven scheduler ticks only
-//!   components with scheduled work ([`Component::next_wake`]) and
-//!   fast-forwards the clock across dead cycles, producing bit-identical
-//!   results to the tick-everything [`SchedulerMode::Legacy`] reference.
+//!   components with scheduled work (the wake each
+//!   [`Component::tick_burst`] returns) and fast-forwards the clock across
+//!   dead cycles, producing bit-identical results to the tick-everything
+//!   [`SchedulerMode::Legacy`] reference.
 //!
-//! One scheduler core (`sched.rs`) executes every mode: the sequential
+//! One scheduler core (`sched.rs`) executes every mode, advancing each
+//! component through [`Component::tick_burst`] alone: the sequential
 //! [`Engine`] is the core over all components, and each domain of the
 //! conservative parallel scheduler ([`parallel`]) is the same core over
 //! its slice, with delivery keys and cross-domain routing selected at
 //! compile time.
 //!
 //! The crate also provides the small timing utilities every hardware model
-//! needs: [`DelayQueue`] (fixed-latency pipelines), [`RateLimiter`]
-//! (bandwidth modelling with fractional bytes/cycle), and [`Ticker`]
-//! (periodic events).
+//! needs: [`DelayQueue`] (fixed-latency pipelines) and [`RateLimiter`]
+//! (bandwidth modelling with fractional bytes/cycle).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,7 @@ pub use snapshot::{
     read_header, write_header, ForkSnapshot, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use timing::{DelayQueue, RateLimiter, Ticker};
+pub use timing::{DelayQueue, RateLimiter};
 pub use trace::{Event, EventClass, Phase, Trace, TraceConfig, Tracer};
 
 /// Simulation time in core clock cycles (1 GHz).

@@ -21,7 +21,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use netcrafter_proto::Message;
 
 use crate::arena::{Arena, Handle};
-use crate::engine::{BurstOutcome, Component, ComponentId, Ctx, Wake};
+use crate::engine::{Component, ComponentId, Ctx, Wake};
 use crate::trace::Tracer;
 use crate::Cycle;
 
@@ -294,9 +294,9 @@ impl<R: Route> Core<R> {
     /// Executes cycle `c` (any cycle after the current one up to
     /// [`Core::next_event_cycle`]): delivers the messages due at `c`,
     /// then ticks components in ascending index order — every one of
-    /// them through the scalar `tick`/`busy` pair when `tick_all` (the
-    /// Legacy reference), otherwise only the woken ones through
-    /// [`Component::tick_burst`]. Returns the number of deliveries.
+    /// them when `tick_all` (the Legacy reference, which ignores the
+    /// returned wakes), otherwise only the woken ones. Returns the number
+    /// of deliveries.
     pub(crate) fn step_at(&mut self, c: Cycle, tick_all: bool) -> usize {
         debug_assert!(c > self.cycle);
         self.cycle = c;
@@ -351,7 +351,7 @@ impl<R: Route> Core<R> {
 
         if tick_all {
             for l in 0..self.comps.len() {
-                self.tick_one(l, true);
+                self.tick_one(l);
             }
             return delivered_now;
         }
@@ -394,7 +394,7 @@ impl<R: Route> Core<R> {
             woken.dedup();
         }
         for &l in &woken {
-            match self.tick_one(l, false) {
+            match self.tick_one(l) {
                 Wake::EveryCycle => {
                     if !self.every[l] {
                         self.every[l] = true;
@@ -414,17 +414,19 @@ impl<R: Route> Core<R> {
         delivered_now
     }
 
-    /// Ticks component `l` — through the scalar `tick`/`busy` pair when
-    /// `scalar`, through [`Component::tick_burst`] otherwise — then folds
-    /// its busy flag into the cache and commits its sends. Returns its
-    /// next wake (meaningless when `scalar`: the reference never sleeps).
+    /// Ticks component `l` through [`Component::tick_burst`] — the only
+    /// way the engine advances a component — then folds its busy flag
+    /// into the cache and commits its sends. Returns its next wake.
+    ///
+    /// Debug builds check the fused busy flag against [`Component::busy`]
+    /// on every tick, naming the component and cycle on a mismatch.
     ///
     /// Forced inline, with the send commit out of line behind an emptiness
     /// check: most ticks send nothing, and a call plus the commit loop's
     /// setup on each cost 20–30 % per tick on always-busy components
     /// (`sim.engine.dense_ns_per_tick`) and 8 % of `scaleout_ft16` wall.
     #[inline(always)]
-    fn tick_one(&mut self, l: usize, scalar: bool) -> Wake {
+    fn tick_one(&mut self, l: usize) -> Wake {
         self.ticks += 1;
         let global = self.route.global(l);
         // Component ids index a Vec of boxed components; 2^32 of them do
@@ -440,15 +442,14 @@ impl<R: Route> Core<R> {
             tracer: &mut self.tracer,
         };
         let comp = &mut self.comps[l];
-        let out = if scalar {
-            comp.tick(&mut ctx);
-            BurstOutcome {
-                busy: comp.busy(),
-                wake: Wake::EveryCycle,
-            }
-        } else {
-            comp.tick_burst(&mut ctx)
-        };
+        let out = comp.tick_burst(&mut ctx);
+        debug_assert_eq!(
+            out.busy,
+            comp.busy(),
+            "`{}` at cycle {}: busy() disagrees with the busy flag tick_burst returned",
+            comp.name(),
+            self.cycle
+        );
         self.fold_busy(l, out.busy);
         if !self.outbox.is_empty() {
             self.commit_sends(l);

@@ -1,5 +1,5 @@
 //! Timing utilities shared by all hardware models: fixed-latency
-//! pipelines, fractional-rate bandwidth limiters, and periodic tickers.
+//! pipelines and fractional-rate bandwidth limiters.
 
 use std::collections::VecDeque;
 
@@ -58,14 +58,6 @@ impl<T> DelayQueue<T> {
         } else {
             None
         }
-    }
-
-    /// Peeks at the front item if it is ready at `now`.
-    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
-        self.items
-            .front()
-            .filter(|(r, _)| *r <= now)
-            .map(|(_, item)| item)
     }
 
     /// Number of queued items (ready or not).
@@ -221,50 +213,6 @@ impl RateLimiter {
     }
 }
 
-/// Fires every `period` cycles, for round-robin scheduling epochs and
-/// periodic statistics sampling.
-#[derive(Debug, Clone)]
-pub struct Ticker {
-    period: Cycle,
-    next: Cycle,
-}
-
-impl Ticker {
-    /// Creates a ticker firing first at cycle `period`.
-    pub fn new(period: Cycle) -> Self {
-        assert!(period > 0, "period must be positive");
-        Self {
-            period,
-            next: period,
-        }
-    }
-
-    /// Returns true (once) when `now` reaches the next firing point, then
-    /// re-arms.
-    pub fn fired(&mut self, now: Cycle) -> bool {
-        if now >= self.next {
-            self.next += self.period * ((now - self.next) / self.period + 1);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-crate::snap_fields! {
-    impl Snap for Ticker { period, next }
-    validate Self::check_restored
-}
-
-impl Ticker {
-    fn check_restored(&self) -> Result<(), SnapshotError> {
-        if self.period == 0 {
-            return Err(SnapshotError::Corrupt("Ticker period 0".to_string()));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +226,6 @@ mod tests {
         q.push(9, 'z');
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop_ready(4), None);
-        assert_eq!(q.peek_ready(5), Some(&'x'));
         assert_eq!(q.pop_ready(5), Some('x'));
         assert_eq!(q.pop_ready(5), Some('y'));
         assert_eq!(q.pop_ready(5), None);
@@ -353,18 +300,5 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
         let _ = RateLimiter::new(0.0, 1.0);
-    }
-
-    #[test]
-    fn ticker_fires_periodically() {
-        let mut t = Ticker::new(10);
-        assert!(!t.fired(5));
-        assert!(t.fired(10));
-        assert!(!t.fired(11));
-        assert!(t.fired(20));
-        // Skipping ahead re-arms relative to the period grid.
-        assert!(t.fired(55));
-        assert!(!t.fired(59));
-        assert!(t.fired(60));
     }
 }

@@ -6,8 +6,7 @@
 //! during its tick. When tracing is disabled every emit call is a single
 //! predictable branch and **no allocation happens**; when enabled, events
 //! accumulate in a flat buffer and are exported after the run as
-//! Chrome-trace/Perfetto JSON ([`Trace::to_chrome_json`]) or compact JSONL
-//! ([`Trace::to_jsonl`]).
+//! Chrome-trace/Perfetto JSON ([`Trace::to_chrome_json`]).
 //!
 //! Output size is bounded by a [`TraceConfig`] filter: per-component
 //! (substring match on the component name), per-event-class (see
@@ -92,8 +91,6 @@ pub enum Phase {
     Begin,
     /// End of an async span (Chrome `e`), paired by `id`.
     End,
-    /// A sampled counter value (Chrome `C`).
-    Counter,
 }
 
 impl Phase {
@@ -102,16 +99,6 @@ impl Phase {
             Phase::Instant => 'i',
             Phase::Begin => 'b',
             Phase::End => 'e',
-            Phase::Counter => 'C',
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            Phase::Instant => "i",
-            Phase::Begin => "b",
-            Phase::End => "e",
-            Phase::Counter => "C",
         }
     }
 }
@@ -132,7 +119,7 @@ pub struct Event {
     /// Correlation id (packet id, access id, virtual page number, …);
     /// pairs `Begin`/`End` events.
     pub id: u64,
-    /// Free payload (bytes, sector index, waiter count, counter value, …).
+    /// Free payload (bytes, sector index, waiter count, …).
     pub value: u64,
 }
 
@@ -301,12 +288,6 @@ impl Tracer {
         }
     }
 
-    /// True when the tracer records events at all.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// Registers a named track (one per component) and returns its index.
     /// The component filter is resolved here, once.
     pub fn register_track(&mut self, name: &str) -> u32 {
@@ -383,19 +364,6 @@ impl Tracer {
         if self.wants(class) {
             self.push(class, Phase::End, name, id, 0);
         }
-    }
-
-    /// Emits a sampled counter value.
-    #[inline]
-    pub fn counter(&mut self, class: EventClass, name: &'static str, value: u64) {
-        if self.wants(class) {
-            self.push(class, Phase::Counter, name, 0, value);
-        }
-    }
-
-    /// Number of buffered events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
     }
 
     /// Extracts the recorded trace, leaving the tracer empty (but still
@@ -492,37 +460,10 @@ impl Trace {
                 Phase::Begin | Phase::End => {
                     out.push_str(&format!(",\"id\":{}", ev.id));
                 }
-                Phase::Counter => {
-                    out.push_str(&format!(",\"args\":{{\"value\":{}}}", ev.value));
-                }
             }
             out.push('}');
         }
         out.push_str("\n]}\n");
-        out
-    }
-
-    /// Renders the trace as compact JSONL: one JSON object per line with
-    /// keys `cycle`, `track`, `class`, `phase`, `name`, `id`, `value`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for ev in &self.events {
-            let track = self
-                .tracks
-                .get(ev.track as usize)
-                .map_or("?", String::as_str);
-            out.push_str(&format!(
-                "{{\"cycle\":{},\"track\":{},\"class\":\"{}\",\"phase\":\"{}\",\
-                 \"name\":{},\"id\":{},\"value\":{}}}\n",
-                ev.cycle,
-                json_string(track),
-                ev.class.label(),
-                ev.phase.label(),
-                json_string(ev.name),
-                ev.id,
-                ev.value
-            ));
-        }
         out
     }
 
@@ -817,13 +758,11 @@ mod tests {
             t.instant(EventClass::Flit, "flit.rx", i, 64);
             t.begin(EventClass::Ptw, "ptw.walk", i);
             t.end(EventClass::Ptw, "ptw.walk", i);
-            t.counter(EventClass::Flit, "occupancy", i);
         }
-        assert_eq!(t.event_count(), 0);
         // No allocation: the event buffer never grew past its (empty)
         // initial state.
         assert_eq!(t.events.capacity(), 0);
-        assert!(!t.is_enabled());
+        assert!(t.take().events.is_empty());
     }
 
     #[test]
@@ -839,8 +778,9 @@ mod tests {
         t.instant(EventClass::Ptw, "ptw.walk", 3, 0); // wrong class
         t.set_now(25);
         t.instant(EventClass::Flit, "flit.rx", 4, 0); // after range
-        assert_eq!(t.event_count(), 1);
-        assert_eq!(t.take().events[0].id, 2);
+        let events = t.take().events;
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].id, 2);
     }
 
     #[test]
@@ -890,11 +830,10 @@ mod tests {
         t.begin(EventClass::Cache, "l2.miss", 42);
         t.set_now(9);
         t.end(EventClass::Cache, "l2.miss", 42);
-        t.counter(EventClass::Flit, "occupancy", 11);
         let doc = parse(&t.take().to_chrome_json()).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        // 1 metadata record + 4 events.
-        assert_eq!(events.len(), 5);
+        // 1 metadata record + 3 events.
+        assert_eq!(events.len(), 4);
         assert_eq!(events[0].get("ph").unwrap().as_str(), Some("M"));
         assert_eq!(
             events[0].get("args").unwrap().get("name").unwrap().as_str(),
@@ -904,27 +843,6 @@ mod tests {
         assert_eq!(begin.get("ph").unwrap().as_str(), Some("b"));
         assert_eq!(begin.get("id").unwrap().as_f64(), Some(42.0));
         assert_eq!(begin.get("cat").unwrap().as_str(), Some("cache"));
-        let counter = &events[4];
-        assert_eq!(counter.get("ph").unwrap().as_str(), Some("C"));
-        assert_eq!(
-            counter.get("args").unwrap().get("value").unwrap().as_f64(),
-            Some(11.0)
-        );
-    }
-
-    #[test]
-    fn jsonl_lines_are_individually_valid() {
-        let mut t = live_tracer();
-        t.set_now(1);
-        t.instant(EventClass::Trim, "trim.request", 5, 3);
-        t.begin(EventClass::Ptw, "ptw.walk", 9);
-        let jsonl = t.take().to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let v = parse(line).expect("valid JSONL line");
-            assert_eq!(v.get("track").unwrap().as_str(), Some("unit"));
-        }
     }
 
     #[test]
