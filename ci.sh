@@ -17,7 +17,12 @@
 # resume, mesh/fat-tree/torus) in crates/multigpu/tests/, the gated
 # cycle/tick counts (ci/BENCH_*.baseline.json), --jobs, the disk cache,
 # prefix-shared sweeps and the checkpoint files of the `simulate` binary
-# in crates/bench/tests/. Nothing here measures host time: benchmark/
+# in crates/bench/tests/. Figure coverage is held there too: every table
+# resolves its jobs through Runner::sweep, so parallel_runner.rs's
+# figure_output_is_identical_across_worker_counts and
+# warm_cache_replays_every_figure_run reach each one, and figures.rs's
+# sweep_jobs_enumerate_every_id checks that only table1 and table3 list
+# none. Nothing here measures host time: benchmark/
 # does (README "Measuring host time").
 #
 # The fresh gated-count reports are left in $CI_ARTIFACT_DIR (default:

@@ -7,9 +7,9 @@
 //!
 //! Ids: table1, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig12,
 //! fig14, fig15, fig16, fig17, fig18, fig19, fig20, fig21, fig22,
-//! ablation, scaling.
+//! ablation, scaling, topology.
 //!
-//! `--jobs N` resolves the figures' simulations on N worker threads;
+//! `--jobs N` resolves every figure's simulations on N worker threads;
 //! `--threads N` runs each simulation's cluster domains on N worker
 //! threads (the conservative parallel scheduler); `--cache-dir DIR`
 //! persists every result so a re-run only simulates configurations it

@@ -317,7 +317,7 @@ fn main() {
         let footer = ticks_line(run.ticks, run.messages);
         (std::sync::Arc::new(run.result), footer)
     } else {
-        let r = runner.run(workload, variant);
+        let r = runner.sweep(&[runner.job(workload, variant)]).remove(0);
         (r, stats_report(&runner.job_stats()))
     };
 

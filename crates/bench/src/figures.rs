@@ -1,8 +1,19 @@
-//! One generator per paper table/figure. Each returns a [`Table`] whose
-//! rows correspond to the series the paper plots; EXPERIMENTS.md records
-//! a full paper-scale output next to the published values.
+//! One job list and one renderer per paper table/figure.
+//!
+//! Every id pairs a `jobs` function, which lists the simulations the
+//! table reads as [`JobSpec`]s, with a `render` function, which turns
+//! their results (in list order) into a [`Table`] whose rows correspond
+//! to the series the paper plots. [`generate`] resolves the list through
+//! [`Runner::sweep`] and renders it; [`sweep_jobs`] hands the same list to
+//! callers that resolve several tables in one sweep. A table's
+//! simulations are therefore declared once, and every one of them goes
+//! through the runner's memo, disk cache, prefix forks and workers.
+//! Nothing here builds a `System`. EXPERIMENTS.md records a full
+//! paper-scale output next to the published values.
 
-use netcrafter_multigpu::{JobSpec, System, SystemVariant};
+use std::sync::Arc;
+
+use netcrafter_multigpu::{JobSpec, RunResult, SystemVariant};
 use netcrafter_net::Topology;
 use netcrafter_proto::{
     AccessId, GpuId, LineAddr, LineMask, MemReq, NodeId, Origin, Packet, PacketId, PacketKind,
@@ -21,171 +32,135 @@ pub fn all_ids() -> Vec<&'static str> {
     ]
 }
 
-/// Dispatches a figure id to its generator.
+/// The simulations one table reads.
+type Jobs = fn(&Runner) -> Vec<JobSpec>;
+
+/// Renders a table from the results of its [`Jobs`], in list order.
+type Render = fn(&Runner, &[Arc<RunResult>]) -> Table;
+
+/// The job list and renderer of figure `id`.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id (the CLI validates first).
-pub fn generate(id: &str, runner: &Runner) -> Table {
+fn figure(id: &str) -> (Jobs, Render) {
     match id {
-        "table1" => table1(),
-        "table3" => table3(),
-        "fig3" => fig3(runner),
-        "fig4" => fig4(runner),
-        "fig5" => fig5(runner),
-        "fig6" => fig6(runner),
-        "fig7" => fig7(runner),
-        "fig8" => fig8(runner),
-        "fig9" => fig9(runner),
-        "fig12" => fig12(runner),
-        "fig14" => fig14(runner),
-        "fig15" => fig15(runner),
-        "fig16" => fig16(runner),
-        "fig17" => fig17(runner),
-        "fig18" => fig18(runner),
-        "fig19" => fig19(runner),
-        "fig20" => fig20(runner),
-        "fig21" => fig21(runner),
-        "fig22" => fig22(runner),
-        "ablation" => ablation_search_depth(runner),
-        "scaling" => extension_cluster_scaling(runner),
-        "topology" => extension_topology_sweep(runner),
+        "table1" => (|_| Vec::new(), |_, _| table1()),
+        "table3" => (|_| Vec::new(), |_, _| table3()),
+        "fig3" => (|r| for_all(r, &BASE_IDEAL), fig3),
+        "fig4" => (|r| for_all(r, &BASE_IDEAL), fig4),
+        "fig5" => (|r| for_all(r, &BASE_IDEAL), fig5),
+        "fig6" => (|r| for_all(r, &[SystemVariant::Baseline]), fig6),
+        "fig7" => (|r| for_all(r, &[SystemVariant::Baseline]), fig7),
+        "fig8" => (|r| for_all(r, &FIG8), fig8),
+        "fig9" => (|r| for_all(r, &[SystemVariant::Baseline]), fig9),
+        "fig12" => (|r| for_all(r, &FIG12), fig12),
+        "fig14" => (|r| for_all(r, &FIG14), fig14),
+        "fig15" => (|r| for_all(r, &BASE_NC), fig15),
+        "fig16" => (|r| for_all(r, &FIG16), fig16),
+        "fig17" => (fig17_jobs, fig17),
+        "fig18" => (|r| for_all(r, &pool_sweep(false)), fig18),
+        "fig19" => (|r| for_all(r, &pool_sweep(true)), fig19),
+        "fig20" => (|r| for_all(r, &pool_sweep(true)), fig20),
+        "fig21" => (fig21_jobs, fig21),
+        "fig22" => (fig22_jobs, fig22),
+        "ablation" => (ablation_jobs, ablation),
+        "scaling" => (scaling_jobs, scaling),
+        "topology" => (topology_jobs, topology),
         other => panic!("unknown figure id {other:?}"),
     }
 }
 
-/// Enumerates every [`Runner::run`]/[`Runner::run_with`] call the
-/// generator for `id` will make, as job specs for [`Runner::sweep`].
+/// Resolves figure `id`'s simulations through [`Runner::sweep`] and
+/// renders its table.
 ///
-/// The `figures` binary collects these for all requested ids and resolves
-/// them in one parallel sweep before generating; the generators then hit
-/// a warm memo, so their output is identical to a sequential run.
-/// `fig17` and `ablation` build systems directly (custom kernels and
-/// config knobs no [`SystemVariant`] expresses) and contribute only the
-/// baseline runs they share with other figures.
+/// # Panics
+///
+/// Panics on an unknown id (the CLI validates first).
+pub fn generate(id: &str, r: &Runner) -> Table {
+    let (jobs, render) = figure(id);
+    render(r, &r.sweep(&jobs(r)))
+}
+
+/// Every simulation figure `id` reads, in the order its renderer reads
+/// them. The `figures` binary resolves the lists of all requested ids in
+/// one parallel sweep before generating, so [`generate`] then replays a
+/// warm memo.
+///
+/// # Panics
+///
+/// Panics on an unknown id.
 pub fn sweep_jobs(id: &str, r: &Runner) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    let for_all = |variants: &[SystemVariant], jobs: &mut Vec<JobSpec>| {
-        for w in Workload::ALL {
-            for &v in variants {
-                jobs.push(r.job(w, v));
-            }
-        }
-    };
-    let selpool32 = SystemVariant::StitchPool {
+    let (jobs, _) = figure(id);
+    jobs(r)
+}
+
+const BASE_IDEAL: [SystemVariant; 2] = [SystemVariant::Baseline, SystemVariant::Ideal];
+const BASE_NC: [SystemVariant; 2] = [SystemVariant::Baseline, SystemVariant::NetCrafter];
+const SELPOOL32: SystemVariant = SystemVariant::StitchPool {
+    window: 32,
+    selective: true,
+};
+const FIG8: [SystemVariant; 3] = [
+    SystemVariant::Baseline,
+    SystemVariant::SeqOnly,
+    SystemVariant::DataPrio,
+];
+const FIG12: [SystemVariant; 2] = [
+    SystemVariant::StitchOnly,
+    SystemVariant::StitchPool {
         window: 32,
-        selective: true,
-    };
-    match id {
-        "table1" | "table3" | "fig17" => {}
-        "fig3" | "fig4" | "fig5" => {
-            for_all(&[SystemVariant::Baseline, SystemVariant::Ideal], &mut jobs);
-        }
-        "fig6" | "fig7" | "fig9" => for_all(&[SystemVariant::Baseline], &mut jobs),
-        "fig8" => for_all(
-            &[
-                SystemVariant::Baseline,
-                SystemVariant::SeqOnly,
-                SystemVariant::DataPrio,
-            ],
-            &mut jobs,
-        ),
-        "fig12" => for_all(
-            &[
-                SystemVariant::StitchOnly,
-                SystemVariant::StitchPool {
-                    window: 32,
-                    selective: false,
-                },
-            ],
-            &mut jobs,
-        ),
-        "fig14" => for_all(
-            &[
-                SystemVariant::Baseline,
-                selpool32,
-                SystemVariant::StitchTrim,
-                SystemVariant::NetCrafter,
-                SystemVariant::SectorCache,
-            ],
-            &mut jobs,
-        ),
-        "fig15" => for_all(
-            &[SystemVariant::Baseline, SystemVariant::NetCrafter],
-            &mut jobs,
-        ),
-        "fig16" => for_all(
-            &[
-                SystemVariant::Baseline,
-                SystemVariant::TrimOnly,
-                SystemVariant::SectorCache,
-            ],
-            &mut jobs,
-        ),
-        "fig18" | "fig19" | "fig20" => {
-            let selective = id != "fig18";
-            let mut variants = vec![SystemVariant::Baseline, SystemVariant::StitchOnly];
-            for window in [32, 64, 96, 128] {
-                variants.push(SystemVariant::StitchPool { window, selective });
-            }
-            for_all(&variants, &mut jobs);
-        }
-        "fig21" => {
-            let mut cfg8 = r.base_cfg;
-            cfg8.flit_bytes = 8;
-            for w in Workload::ALL {
-                for v in [SystemVariant::Baseline, selpool32] {
-                    jobs.push(r.job(w, v));
-                    jobs.push(r.job_with(w, v, cfg8, "flit8"));
-                }
-            }
-        }
-        "fig22" => {
-            for w in Workload::ALL {
-                for (intra, inter, label) in FIG22_CONFIGS {
-                    let mut cfg = r.base_cfg;
-                    cfg.topology.intra_gbps = intra;
-                    cfg.topology.inter_gbps = inter;
-                    for v in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
-                        jobs.push(r.job_with(w, v, cfg, label));
-                    }
-                }
-            }
-        }
-        "ablation" => {
-            for w in [Workload::Gups, Workload::Spmv, Workload::Mt] {
-                jobs.push(r.job(w, SystemVariant::Baseline));
-            }
-        }
-        "scaling" => {
-            for w in [
-                Workload::Gups,
-                Workload::Spmv,
-                Workload::Pr,
-                Workload::Vgg16,
-            ] {
-                for clusters in 1u16..=4 {
-                    let mut cfg = r.base_cfg;
-                    cfg.topology.clusters = clusters;
-                    let tag = format!("clusters{clusters}");
-                    for v in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
-                        jobs.push(r.job_with(w, v, cfg, &tag));
-                    }
-                }
-            }
-        }
-        "topology" => {
-            for (tag, cfg) in topology_sweep_points(r) {
-                for w in TOPOLOGY_WORKLOADS {
-                    for v in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
-                        jobs.push(topology_job(r, w, v, cfg, &tag));
-                    }
-                }
-            }
-        }
-        other => panic!("unknown figure id {other:?}"),
-    }
-    jobs
+        selective: false,
+    },
+];
+/// The baseline, then the four bars of Figure 14.
+const FIG14: [SystemVariant; 5] = [
+    SystemVariant::Baseline,
+    SELPOOL32,
+    SystemVariant::StitchTrim,
+    SystemVariant::NetCrafter,
+    SystemVariant::SectorCache,
+];
+const FIG16: [SystemVariant; 3] = [
+    SystemVariant::Baseline,
+    SystemVariant::TrimOnly,
+    SystemVariant::SectorCache,
+];
+
+/// The baseline, Stitching alone, then Stitching with (optionally
+/// selective) Flit Pooling at 32–128-cycle windows (Figures 18–20).
+fn pool_sweep(selective: bool) -> [SystemVariant; 6] {
+    let pool = |window| SystemVariant::StitchPool { window, selective };
+    [
+        SystemVariant::Baseline,
+        SystemVariant::StitchOnly,
+        pool(32),
+        pool(64),
+        pool(96),
+        pool(128),
+    ]
+}
+
+/// `variants` on the base configuration for every Table 3 workload,
+/// workload-major.
+fn for_all(r: &Runner, variants: &[SystemVariant]) -> Vec<JobSpec> {
+    Workload::ALL
+        .into_iter()
+        .flat_map(|w| variants.iter().map(move |&v| r.job(w, v)))
+        .collect()
+}
+
+/// A workload-major result list cut into one slice per Table 3 workload.
+fn by_workload(res: &[Arc<RunResult>]) -> impl Iterator<Item = (Workload, &[Arc<RunResult>])> {
+    let per_workload = res.len() / Workload::ALL.len();
+    Workload::ALL
+        .into_iter()
+        .zip(res.chunks_exact(per_workload))
+}
+
+/// Speedup of `res` over `base`.
+fn speedup(base: &RunResult, res: &RunResult) -> f64 {
+    base.exec_cycles as f64 / res.exec_cycles as f64
 }
 
 /// Table 1: the six packet categories and their 16 B-flit geometry.
@@ -260,16 +235,15 @@ pub fn table3() -> Table {
 
 /// Figure 3: speedup of the *ideal* uniform-high-bandwidth node over the
 /// non-uniform baseline.
-pub fn fig3(r: &Runner) -> Table {
+fn fig3(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 3: ideal (uniform 128 GB/s) speedup over non-uniform baseline",
         vec!["Workload", "Baseline cycles", "Ideal cycles", "Speedup"],
     );
     let mut speedups = Vec::new();
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let ideal = r.run(w, SystemVariant::Ideal);
-        let s = base.exec_cycles as f64 / ideal.exec_cycles as f64;
+    for (w, rs) in by_workload(res) {
+        let (base, ideal) = (&rs[0], &rs[1]);
+        let s = speedup(base, ideal);
         speedups.push(s);
         t.row(vec![
             w.abbrev().into(),
@@ -294,15 +268,14 @@ pub fn fig3(r: &Runner) -> Table {
 }
 
 /// Figure 4: inter-cluster link utilization, baseline vs ideal.
-pub fn fig4(r: &Runner) -> Table {
+fn fig4(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 4: inter-cluster network utilization",
         vec!["Workload", "Non-uniform", "Ideal"],
     );
     let (mut b_all, mut i_all) = (Vec::new(), Vec::new());
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let ideal = r.run(w, SystemVariant::Ideal);
+    for (w, rs) in by_workload(res) {
+        let (base, ideal) = (&rs[0], &rs[1]);
         b_all.push(base.inter_utilization());
         i_all.push(ideal.inter_utilization());
         t.row(vec![
@@ -315,31 +288,21 @@ pub fn fig4(r: &Runner) -> Table {
     t
 }
 
-/// Figure 5: average inter-cluster memory access latency of the ideal
-/// configuration, normalized to the non-uniform baseline (= 1.0).
-pub fn fig5(r: &Runner) -> Table {
-    let mut t = Table::new(
-        "Figure 5: avg inter-cluster read latency (normalized to non-uniform)",
-        vec![
-            "Workload",
-            "Non-uniform (cycles)",
-            "Ideal (cycles)",
-            "Ideal normalized",
-        ],
-    );
+/// Mean inter-cluster read latency of `other` against `base`, one row per
+/// workload plus the average normalized latency (Figures 5 and 15).
+fn latency_table(title: &str, header: Vec<&str>, res: &[Arc<RunResult>]) -> Table {
+    let mut t = Table::new(title, header);
     let mut ratios = Vec::new();
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let ideal = r.run(w, SystemVariant::Ideal);
-        let (b, i) = (base.inter_read_latency(), ideal.inter_read_latency());
-        let norm = if b > 0.0 { i / b } else { 1.0 };
+    for (w, rs) in by_workload(res) {
+        let (b, o) = (rs[0].inter_read_latency(), rs[1].inter_read_latency());
+        let norm = if b > 0.0 { o / b } else { 1.0 };
         if b > 0.0 {
             ratios.push(norm);
         }
         t.row(vec![
             w.abbrev().into(),
             format!("{b:.0}"),
-            format!("{i:.0}"),
+            format!("{o:.0}"),
             f2(norm),
         ]);
     }
@@ -352,18 +315,32 @@ pub fn fig5(r: &Runner) -> Table {
     t
 }
 
+/// Figure 5: average inter-cluster memory access latency of the ideal
+/// configuration, normalized to the non-uniform baseline (= 1.0).
+fn fig5(_: &Runner, res: &[Arc<RunResult>]) -> Table {
+    latency_table(
+        "Figure 5: avg inter-cluster read latency (normalized to non-uniform)",
+        vec![
+            "Workload",
+            "Non-uniform (cycles)",
+            "Ideal (cycles)",
+            "Ideal normalized",
+        ],
+        res,
+    )
+}
+
 /// Figure 6: fraction of inter-cluster flits with 25% / 75% padding in
 /// the baseline.
-pub fn fig6(r: &Runner) -> Table {
+fn fig6(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 6: flit occupancy distribution on the inter-cluster link (baseline)",
         vec!["Workload", "25% padded", "75% padded", "25%+75% total"],
     );
     let mut totals = Vec::new();
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let p25 = base.padding_fraction(25);
-        let p75 = base.padding_fraction(75);
+    for (w, rs) in by_workload(res) {
+        let p25 = rs[0].padding_fraction(25);
+        let p75 = rs[0].padding_fraction(75);
         totals.push(p25 + p75);
         t.row(vec![w.abbrev().into(), pct(p25), pct(p75), pct(p25 + p75)]);
     }
@@ -377,14 +354,13 @@ pub fn fig6(r: &Runner) -> Table {
 }
 
 /// Figure 7: inter-cluster read requests by bytes required.
-pub fn fig7(r: &Runner) -> Table {
+fn fig7(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 7: inter-cluster reads by cache-line bytes required",
         vec!["Workload", "<=16B", "<=32B", "<=48B", "64B"],
     );
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let f = base.fig7_fractions();
+    for (w, rs) in by_workload(res) {
+        let f = rs[0].fig7_fractions();
         t.row(vec![
             w.abbrev().into(),
             pct(f[0]),
@@ -398,24 +374,17 @@ pub fn fig7(r: &Runner) -> Table {
 
 /// Figure 8: prioritizing read-PTW accesses helps; prioritizing the same
 /// class of data accesses hurts.
-pub fn fig8(r: &Runner) -> Table {
+fn fig8(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 8: speedup of prioritizing PTW vs data accesses (vs baseline)",
         vec!["Workload", "Prioritize PTW", "Prioritize data"],
     );
     let (mut ptw_all, mut data_all) = (Vec::new(), Vec::new());
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let ptw = r.run(w, SystemVariant::SeqOnly);
-        let data = r.run(w, SystemVariant::DataPrio);
-        let sp = |x: u64| base.exec_cycles as f64 / x as f64;
-        ptw_all.push(sp(ptw.exec_cycles));
-        data_all.push(sp(data.exec_cycles));
-        t.row(vec![
-            w.abbrev().into(),
-            f2(sp(ptw.exec_cycles)),
-            f2(sp(data.exec_cycles)),
-        ]);
+    for (w, rs) in by_workload(res) {
+        let (ptw, data) = (speedup(&rs[0], &rs[1]), speedup(&rs[0], &rs[2]));
+        ptw_all.push(ptw);
+        data_all.push(data);
+        t.row(vec![w.abbrev().into(), f2(ptw), f2(data)]);
     }
     t.row(vec![
         "GEOMEAN".into(),
@@ -426,15 +395,14 @@ pub fn fig8(r: &Runner) -> Table {
 }
 
 /// Figure 9: PTW vs data share of inter-cluster traffic (baseline).
-pub fn fig9(r: &Runner) -> Table {
+fn fig9(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 9: PTW-related share of inter-cluster bytes (baseline)",
         vec!["Workload", "PTW", "Data"],
     );
     let mut shares = Vec::new();
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let s = base.ptw_byte_share();
+    for (w, rs) in by_workload(res) {
+        let s = rs[0].ptw_byte_share();
         shares.push(s);
         t.row(vec![w.abbrev().into(), pct(s), pct(1.0 - s)]);
     }
@@ -448,36 +416,44 @@ pub fn fig9(r: &Runner) -> Table {
 
 /// Figure 12: percentage of flits stitched, before and after Flit
 /// Pooling.
-pub fn fig12(r: &Runner) -> Table {
+fn fig12(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 12: flits stitched, Stitching alone vs with 32-cycle Flit Pooling",
         vec!["Workload", "Stitching", "Stitching+Pooling"],
     );
     let (mut a_all, mut b_all) = (Vec::new(), Vec::new());
-    for w in Workload::ALL {
-        let alone = r.run(w, SystemVariant::StitchOnly);
-        let pooled = r.run(
-            w,
-            SystemVariant::StitchPool {
-                window: 32,
-                selective: false,
-            },
-        );
-        a_all.push(alone.stitched_fraction());
-        b_all.push(pooled.stitched_fraction());
-        t.row(vec![
-            w.abbrev().into(),
-            pct(alone.stitched_fraction()),
-            pct(pooled.stitched_fraction()),
-        ]);
+    for (w, rs) in by_workload(res) {
+        let (alone, pooled) = (rs[0].stitched_fraction(), rs[1].stitched_fraction());
+        a_all.push(alone);
+        b_all.push(pooled);
+        t.row(vec![w.abbrev().into(), pct(alone), pct(pooled)]);
     }
     t.row(vec!["AVG".into(), pct(mean(&a_all)), pct(mean(&b_all))]);
     t
 }
 
+/// Each workload's speedups of its later variants over its first
+/// (baseline) run, one column per variant, plus the column geomeans.
+fn speedup_columns(t: &mut Table, res: &[Arc<RunResult>]) -> Vec<Vec<f64>> {
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); t.header.len() - 1];
+    for (w, rs) in by_workload(res) {
+        let mut cells = vec![w.abbrev().to_owned()];
+        for (col, run) in cols.iter_mut().zip(&rs[1..]) {
+            let s = speedup(&rs[0], run);
+            col.push(s);
+            cells.push(f2(s));
+        }
+        t.row(cells);
+    }
+    let mut gm = vec!["GEOMEAN".to_owned()];
+    gm.extend(cols.iter().map(|col| f2(geomean(col))));
+    t.row(gm);
+    cols
+}
+
 /// Figure 14: overall speedup of the cumulative NetCrafter mechanisms and
 /// the sector-cache baseline, normalized to the non-uniform baseline.
-pub fn fig14(r: &Runner) -> Table {
+fn fig14(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 14: overall speedup over the non-uniform baseline",
         vec![
@@ -488,41 +464,19 @@ pub fn fig14(r: &Runner) -> Table {
             "SectorCache(16B)",
         ],
     );
-    let variants = [
-        SystemVariant::StitchPool {
-            window: 32,
-            selective: true,
-        },
-        SystemVariant::StitchTrim,
-        SystemVariant::NetCrafter,
-        SystemVariant::SectorCache,
-    ];
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let mut cells = vec![w.abbrev().to_owned()];
-        for (i, v) in variants.iter().enumerate() {
-            let res = r.run(w, *v);
-            let s = base.exec_cycles as f64 / res.exec_cycles as f64;
-            cols[i].push(s);
-            cells.push(f2(s));
-        }
-        t.row(cells);
-    }
-    let mut gm = vec!["GEOMEAN".to_owned()];
+    let cols = speedup_columns(&mut t, res);
     let mut mx = vec!["MAX".to_owned()];
-    for col in &cols {
-        gm.push(f2(geomean(col)));
-        mx.push(f2(col.iter().copied().fold(0.0_f64, f64::max)));
-    }
-    t.row(gm);
+    mx.extend(
+        cols.iter()
+            .map(|col| f2(col.iter().copied().fold(0.0_f64, f64::max))),
+    );
     t.row(mx);
     t
 }
 
 /// Figure 15: average inter-cluster read latency, baseline vs NetCrafter.
-pub fn fig15(r: &Runner) -> Table {
-    let mut t = Table::new(
+fn fig15(_: &Runner, res: &[Arc<RunResult>]) -> Table {
+    latency_table(
         "Figure 15: avg inter-cluster read latency, baseline vs NetCrafter",
         vec![
             "Workload",
@@ -530,35 +484,13 @@ pub fn fig15(r: &Runner) -> Table {
             "NetCrafter (cycles)",
             "NetCrafter normalized",
         ],
-    );
-    let mut ratios = Vec::new();
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let nc = r.run(w, SystemVariant::NetCrafter);
-        let (b, n) = (base.inter_read_latency(), nc.inter_read_latency());
-        let norm = if b > 0.0 { n / b } else { 1.0 };
-        if b > 0.0 {
-            ratios.push(norm);
-        }
-        t.row(vec![
-            w.abbrev().into(),
-            format!("{b:.0}"),
-            format!("{n:.0}"),
-            f2(norm),
-        ]);
-    }
-    t.row(vec![
-        "AVG".into(),
-        "-".into(),
-        "-".into(),
-        f2(mean(&ratios)),
-    ]);
-    t
+        res,
+    )
 }
 
 /// Figure 16: L1 MPKI under NetCrafter's selective Trimming vs the
 /// 16 B sector cache that trims everywhere.
-pub fn fig16(r: &Runner) -> Table {
+fn fig16(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 16: L1 MPKI — baseline vs Trimming vs 16 B sector cache",
         vec![
@@ -568,23 +500,32 @@ pub fn fig16(r: &Runner) -> Table {
             "SectorCache(16B)",
         ],
     );
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let trim = r.run(w, SystemVariant::TrimOnly);
-        let sector = r.run(w, SystemVariant::SectorCache);
-        t.row(vec![
-            w.abbrev().into(),
-            f2(base.l1_mpki()),
-            f2(trim.l1_mpki()),
-            f2(sector.l1_mpki()),
-        ]);
+    for (w, rs) in by_workload(res) {
+        let mut cells = vec![w.abbrev().to_owned()];
+        cells.extend(rs.iter().map(|run| f2(run.l1_mpki())));
+        t.row(cells);
     }
     t
 }
 
+/// The trimming / sector granularities of Figure 17, in bytes.
+const FIG17_GRANULARITIES: [u32; 3] = [4, 8, 16];
+
+fn fig17_jobs(r: &Runner) -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for g in FIG17_GRANULARITIES {
+        let mut cfg = r.base_cfg;
+        cfg.trim_granularity = g;
+        for v in [SystemVariant::TrimOnly, SystemVariant::SectorCache] {
+            jobs.push(r.job_with(Workload::LargeGemm, v, cfg, &format!("gran{g}")));
+        }
+    }
+    jobs
+}
+
 /// Figure 17: large-GEMM L1 MPKI as a function of trimming / sector
 /// granularity (4, 8, 16 B), selective Trimming vs all-trimming.
-pub fn fig17(r: &Runner) -> Table {
+fn fig17(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 17: large GEMM L1 MPKI vs granularity",
         vec![
@@ -593,26 +534,17 @@ pub fn fig17(r: &Runner) -> Table {
             "All-trimming (sector cache)",
         ],
     );
-    for g in [4u32, 8, 16] {
-        let mut cells = vec![format!("{g}B")];
-        for v in [SystemVariant::TrimOnly, SystemVariant::SectorCache] {
-            let mut cfg = v.apply(r.base_cfg);
-            cfg.trim_granularity = g;
-            let kernel = netcrafter_workloads::gen::large_gemm(&r.scale, cfg.total_gpus(), r.seed);
-            let mut sys = System::build(cfg, &kernel);
-            let exec = sys.run(300_000_000);
-            let m = sys.harvest();
-            let mpki = 1000.0 * m.counter("total.l1.misses") as f64
-                / m.counter("total.cu.instructions").max(1) as f64;
-            let _ = exec;
-            cells.push(f2(mpki));
-        }
-        t.row(cells);
+    for (g, rs) in FIG17_GRANULARITIES.iter().zip(res.chunks_exact(2)) {
+        t.row(vec![
+            format!("{g}B"),
+            f2(rs[0].l1_mpki()),
+            f2(rs[1].l1_mpki()),
+        ]);
     }
     t
 }
 
-fn pooling_sweep(r: &Runner, selective: bool, title: &str) -> Table {
+fn pooling_table(title: &str, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         title,
         vec![
@@ -624,52 +556,28 @@ fn pooling_sweep(r: &Runner, selective: bool, title: &str) -> Table {
             "Pool128",
         ],
     );
-    let windows = [0u32, 32, 64, 96, 128];
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let mut cells = vec![w.abbrev().to_owned()];
-        for (i, &window) in windows.iter().enumerate() {
-            let v = if window == 0 {
-                SystemVariant::StitchOnly
-            } else {
-                SystemVariant::StitchPool { window, selective }
-            };
-            let res = r.run(w, v);
-            let s = base.exec_cycles as f64 / res.exec_cycles as f64;
-            cols[i].push(s);
-            cells.push(f2(s));
-        }
-        t.row(cells);
-    }
-    let mut gm = vec!["GEOMEAN".to_owned()];
-    for col in &cols {
-        gm.push(f2(geomean(col)));
-    }
-    t.row(gm);
+    speedup_columns(&mut t, res);
     t
 }
 
 /// Figure 18: Stitching with plain Flit Pooling, 32–128-cycle windows.
-pub fn fig18(r: &Runner) -> Table {
-    pooling_sweep(
-        r,
-        false,
+fn fig18(_: &Runner, res: &[Arc<RunResult>]) -> Table {
+    pooling_table(
         "Figure 18: speedup, Stitching + Flit Pooling (window sweep)",
+        res,
     )
 }
 
 /// Figure 19: Stitching with *Selective* Flit Pooling, 32–128 cycles.
-pub fn fig19(r: &Runner) -> Table {
-    pooling_sweep(
-        r,
-        true,
+fn fig19(_: &Runner, res: &[Arc<RunResult>]) -> Table {
+    pooling_table(
         "Figure 19: speedup, Stitching + Selective Flit Pooling (window sweep)",
+        res,
     )
 }
 
 /// Figure 20: reduction in inter-cluster network bytes vs baseline.
-pub fn fig20(r: &Runner) -> Table {
+fn fig20(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 20: inter-cluster byte reduction vs baseline",
         vec![
@@ -681,57 +589,49 @@ pub fn fig20(r: &Runner) -> Table {
             "SelPool128",
         ],
     );
-    let windows = [0u32, 32, 64, 96, 128];
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); windows.len()];
-    for w in Workload::ALL {
-        let base = r.run(w, SystemVariant::Baseline);
-        let base_bytes = base.inter_link_bytes().max(1);
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); t.header.len() - 1];
+    for (w, rs) in by_workload(res) {
+        let base_bytes = rs[0].inter_link_bytes().max(1);
         let mut cells = vec![w.abbrev().to_owned()];
-        for (i, &window) in windows.iter().enumerate() {
-            let v = if window == 0 {
-                SystemVariant::StitchOnly
-            } else {
-                SystemVariant::StitchPool {
-                    window,
-                    selective: true,
-                }
-            };
-            let res = r.run(w, v);
-            let reduction = 1.0 - res.inter_link_bytes() as f64 / base_bytes as f64;
-            cols[i].push(reduction);
+        for (col, run) in cols.iter_mut().zip(&rs[1..]) {
+            let reduction = 1.0 - run.inter_link_bytes() as f64 / base_bytes as f64;
+            col.push(reduction);
             cells.push(pct(reduction));
         }
         t.row(cells);
     }
     let mut avg = vec!["AVG".to_owned()];
-    for col in &cols {
-        avg.push(pct(mean(col)));
-    }
+    avg.extend(cols.iter().map(|col| pct(mean(col))));
     t.row(avg);
     t
 }
 
+/// Per workload: baseline and Stitch+SelPool32, each at 16 B and then at
+/// 8 B flits.
+fn fig21_jobs(r: &Runner) -> Vec<JobSpec> {
+    let mut cfg8 = r.base_cfg;
+    cfg8.flit_bytes = 8;
+    let mut jobs = Vec::new();
+    for w in Workload::ALL {
+        for v in [SystemVariant::Baseline, SELPOOL32] {
+            jobs.push(r.job(w, v));
+            jobs.push(r.job_with(w, v, cfg8, "flit8"));
+        }
+    }
+    jobs
+}
+
 /// Figure 21: Stitching + Selective Pooling speedup at 8 B vs 16 B flits
 /// (each normalized to the baseline at its own flit size).
-pub fn fig21(r: &Runner) -> Table {
+fn fig21(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Figure 21: stitching benefit at 8 B vs 16 B flit size",
         vec!["Workload", "16B flits", "8B flits"],
     );
-    let mut cfg8 = r.base_cfg;
-    cfg8.flit_bytes = 8;
     let (mut s16_all, mut s8_all) = (Vec::new(), Vec::new());
-    let stitch = SystemVariant::StitchPool {
-        window: 32,
-        selective: true,
-    };
-    for w in Workload::ALL {
-        let b16 = r.run(w, SystemVariant::Baseline);
-        let s16 = r.run(w, stitch);
-        let b8 = r.run_with(w, SystemVariant::Baseline, cfg8, "flit8");
-        let s8 = r.run_with(w, stitch, cfg8, "flit8");
-        let sp16 = b16.exec_cycles as f64 / s16.exec_cycles as f64;
-        let sp8 = b8.exec_cycles as f64 / s8.exec_cycles as f64;
+    for (w, rs) in by_workload(res) {
+        let sp16 = speedup(&rs[0], &rs[2]);
+        let sp8 = speedup(&rs[1], &rs[3]);
         s16_all.push(sp16);
         s8_all.push(sp8);
         t.row(vec![w.abbrev().into(), f2(sp16), f2(sp8)]);
@@ -744,8 +644,8 @@ pub fn fig21(r: &Runner) -> Table {
     t
 }
 
-/// The `(intra, inter, label)` bandwidth points of Figure 22, shared with
-/// [`sweep_jobs`] (the labels double as memo tags).
+/// The `(intra, inter, label)` bandwidth points of Figure 22 (the labels
+/// double as memo tags).
 const FIG22_CONFIGS: [(f64, f64, &str); 6] = [
     (128.0, 16.0, "128:16 (8:1)"),
     (256.0, 32.0, "256:32 (8:1)"),
@@ -755,49 +655,72 @@ const FIG22_CONFIGS: [(f64, f64, &str); 6] = [
     (32.0, 32.0, "32:32 (homog.)"),
 ];
 
+fn fig22_jobs(r: &Runner) -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for w in Workload::ALL {
+        for (intra, inter, label) in FIG22_CONFIGS {
+            let mut cfg = r.base_cfg;
+            cfg.topology.intra_gbps = intra;
+            cfg.topology.inter_gbps = inter;
+            for v in BASE_NC {
+                jobs.push(r.job_with(w, v, cfg, label));
+            }
+        }
+    }
+    jobs
+}
+
 /// Figure 22: NetCrafter speedup across bandwidth ratios/values,
 /// including a homogeneous configuration.
-pub fn fig22(r: &Runner) -> Table {
-    let configs = FIG22_CONFIGS;
+fn fig22(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut header = vec!["Workload"];
-    for (_, _, label) in &configs {
-        header.push(label);
-    }
+    header.extend(FIG22_CONFIGS.iter().map(|&(_, _, label)| label));
     let mut t = Table::new(
         "Figure 22: NetCrafter speedup across bandwidth configurations",
         header,
     );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for w in Workload::ALL {
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); FIG22_CONFIGS.len()];
+    for (w, rs) in by_workload(res) {
         let mut cells = vec![w.abbrev().to_owned()];
-        for (i, (intra, inter, label)) in configs.iter().enumerate() {
-            let mut cfg = r.base_cfg;
-            cfg.topology.intra_gbps = *intra;
-            cfg.topology.inter_gbps = *inter;
-            let base = r.run_with(w, SystemVariant::Baseline, cfg, label);
-            let nc = r.run_with(w, SystemVariant::NetCrafter, cfg, label);
-            let s = base.exec_cycles as f64 / nc.exec_cycles as f64;
-            cols[i].push(s);
+        for (col, pair) in cols.iter_mut().zip(rs.chunks_exact(2)) {
+            let s = speedup(&pair[0], &pair[1]);
+            col.push(s);
             cells.push(f2(s));
         }
         t.row(cells);
     }
     let mut gm = vec!["GEOMEAN".to_owned()];
-    for col in &cols {
-        gm.push(f2(geomean(col)));
-    }
+    gm.extend(cols.iter().map(|col| f2(geomean(col))));
     t.row(gm);
     t
+}
+
+/// The stitch-friendly workloads and the per-partition search depths the
+/// ablation sweeps.
+const ABLATION_WORKLOADS: [Workload; 3] = [Workload::Gups, Workload::Spmv, Workload::Mt];
+const ABLATION_DEPTHS: [u32; 4] = [1, 4, 16, 64];
+
+/// Per workload: the baseline, then Stitching alone at every depth.
+fn ablation_jobs(r: &Runner) -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for w in ABLATION_WORKLOADS {
+        jobs.push(r.job(w, SystemVariant::Baseline));
+        for d in ABLATION_DEPTHS {
+            let mut cfg = r.base_cfg;
+            cfg.netcrafter.stitch_search_depth = d;
+            jobs.push(r.job_with(w, SystemVariant::StitchOnly, cfg, &format!("depth{d}")));
+        }
+    }
+    jobs
 }
 
 /// Design-space ablation (not in the paper): how wide must the Stitching
 /// Engine's candidate search be? Sweeps the per-partition search depth
 /// and reports the stitched-away flit fraction and speedup for three
 /// stitch-friendly workloads.
-pub fn ablation_search_depth(r: &Runner) -> Table {
-    let depths = [1u32, 4, 16, 64];
+fn ablation(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut header = vec!["Workload".to_owned()];
-    for d in depths {
+    for d in ABLATION_DEPTHS {
         header.push(format!("stitch%@{d}"));
         header.push(format!("speedup@{d}"));
     }
@@ -805,40 +728,48 @@ pub fn ablation_search_depth(r: &Runner) -> Table {
         "Ablation: stitch candidate search depth (Stitching only)",
         header.iter().map(String::as_str).collect(),
     );
-    for w in [Workload::Gups, Workload::Spmv, Workload::Mt] {
-        let base = r.run(w, SystemVariant::Baseline);
+    let per_workload = 1 + ABLATION_DEPTHS.len();
+    for (w, rs) in ABLATION_WORKLOADS
+        .iter()
+        .zip(res.chunks_exact(per_workload))
+    {
         let mut cells = vec![w.abbrev().to_owned()];
-        for d in depths {
-            // Built directly: SystemVariant would overwrite the depth.
-            let mut cfg = r.base_cfg;
-            cfg.netcrafter = netcrafter_proto::NetCrafterConfig {
-                stitching: true,
-                stitch_search_depth: d,
-                ..netcrafter_proto::NetCrafterConfig::disabled()
-            };
-            let kernel = w.generate(&r.scale, cfg.total_gpus(), r.seed);
-            let mut sys = System::build(cfg, &kernel);
-            let exec = sys.run(300_000_000);
-            let m = sys.harvest();
-            let absorbed = m.counter("net.inter.cq.absorbed");
-            let popped = m.counter("net.inter.cq.popped");
-            let frac = if absorbed + popped == 0 {
-                0.0
-            } else {
-                absorbed as f64 / (absorbed + popped) as f64
-            };
-            cells.push(pct(frac));
-            cells.push(f2(base.exec_cycles as f64 / exec as f64));
+        for run in &rs[1..] {
+            cells.push(pct(run.stitched_fraction()));
+            cells.push(f2(speedup(&rs[0], run)));
         }
         t.row(cells);
     }
     t
 }
 
+const SCALING_WORKLOADS: [Workload; 4] = [
+    Workload::Gups,
+    Workload::Spmv,
+    Workload::Pr,
+    Workload::Vgg16,
+];
+
+/// Per workload and cluster count (1–4): baseline, then NetCrafter.
+fn scaling_jobs(r: &Runner) -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for w in SCALING_WORKLOADS {
+        for clusters in 1u16..=4 {
+            let mut cfg = r.base_cfg;
+            cfg.topology.clusters = clusters;
+            let tag = format!("clusters{clusters}");
+            for v in BASE_NC {
+                jobs.push(r.job_with(w, v, cfg, &tag));
+            }
+        }
+    }
+    jobs
+}
+
 /// Extension study (not in the paper): does NetCrafter keep helping as
 /// the node grows? Sweeps the cluster count at 2 GPUs per cluster — more
 /// clusters mean more inter-cluster traffic crossing more slow links.
-pub fn extension_cluster_scaling(r: &Runner) -> Table {
+fn scaling(_: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Extension: NetCrafter speedup vs cluster count (2 GPUs/cluster)",
         vec![
@@ -849,21 +780,12 @@ pub fn extension_cluster_scaling(r: &Runner) -> Table {
             "4 clusters",
         ],
     );
-    for w in [
-        Workload::Gups,
-        Workload::Spmv,
-        Workload::Pr,
-        Workload::Vgg16,
-    ] {
+    for (w, rs) in SCALING_WORKLOADS.iter().zip(res.chunks_exact(8)) {
         let mut cells = vec![w.abbrev().to_owned()];
-        for clusters in 1u16..=4 {
-            let mut cfg = r.base_cfg;
-            cfg.topology.clusters = clusters;
-            let tag = format!("clusters{clusters}");
-            let base = r.run_with(w, SystemVariant::Baseline, cfg, &tag);
-            let nc = r.run_with(w, SystemVariant::NetCrafter, cfg, &tag);
-            cells.push(f2(base.exec_cycles as f64 / nc.exec_cycles as f64));
-        }
+        cells.extend(
+            rs.chunks_exact(2)
+                .map(|pair| f2(speedup(&pair[0], &pair[1]))),
+        );
         t.row(cells);
     }
     t
@@ -912,26 +834,47 @@ pub fn topology_job(
     job
 }
 
+/// Per fabric point and topology workload: baseline, then NetCrafter.
+fn topology_jobs(r: &Runner) -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for (tag, cfg) in topology_sweep_points(r) {
+        for w in TOPOLOGY_WORKLOADS {
+            for v in BASE_NC {
+                jobs.push(topology_job(r, w, v, cfg, &tag));
+            }
+        }
+    }
+    jobs
+}
+
 /// Extension study (not in the paper): how much of the NetCrafter win
 /// survives scale-out fabrics? Each row is one fabric with its geometry
 /// (mean cross-cluster hop count, edge-switch oversubscription ratio)
 /// next to the per-workload baseline→NetCrafter speedups and their
 /// geomean, so the benefit can be read against hop count and
 /// oversubscription directly.
-pub fn extension_topology_sweep(r: &Runner) -> Table {
+fn topology(r: &Runner, res: &[Arc<RunResult>]) -> Table {
     let mut t = Table::new(
         "Extension: NetCrafter speedup vs fabric topology",
         vec![
             "Fabric", "GPUs", "Switches", "Hops", "Oversub", "GUPS", "SPMV", "PR", "Geomean",
         ],
     );
-    for (tag, cfg) in topology_sweep_points(r) {
+    let per_point = 2 * TOPOLOGY_WORKLOADS.len();
+    for ((tag, cfg), rs) in topology_sweep_points(r)
+        .into_iter()
+        .zip(res.chunks_exact(per_point))
+    {
         let topo = Topology::new(&cfg.topology);
         let label = if tag.is_empty() {
             "mesh".to_owned()
         } else {
             tag.trim_start_matches("topo-").to_owned()
         };
+        let speedups: Vec<f64> = rs
+            .chunks_exact(2)
+            .map(|pair| speedup(&pair[0], &pair[1]))
+            .collect();
         let mut cells = vec![
             label,
             cfg.topology.total_gpus().to_string(),
@@ -939,14 +882,7 @@ pub fn extension_topology_sweep(r: &Runner) -> Table {
             f2(topo.mean_cross_hops()),
             f2(cfg.topology.oversubscription()),
         ];
-        let mut speedups = Vec::new();
-        for w in TOPOLOGY_WORKLOADS {
-            let base = r.run_job(&topology_job(r, w, SystemVariant::Baseline, cfg, &tag));
-            let nc = r.run_job(&topology_job(r, w, SystemVariant::NetCrafter, cfg, &tag));
-            let s = base.exec_cycles as f64 / nc.exec_cycles as f64;
-            speedups.push(s);
-            cells.push(f2(s));
-        }
+        cells.extend(speedups.iter().map(|&s| f2(s)));
         cells.push(f2(geomean(&speedups)));
         t.row(cells);
     }
@@ -994,6 +930,7 @@ mod tests {
             let t = generate(id, &r);
             assert!(!t.rows.is_empty());
         }
+        assert_eq!(r.runs_completed(), 0);
         assert_eq!(all_ids().len(), 22);
     }
 
@@ -1003,39 +940,71 @@ mod tests {
         for id in all_ids() {
             let jobs = sweep_jobs(id, &r);
             match id {
-                "table1" | "table3" | "fig17" => assert!(jobs.is_empty(), "{id}"),
+                "table1" | "table3" => assert!(jobs.is_empty(), "{id}"),
                 _ => assert!(!jobs.is_empty(), "{id} should have sweep jobs"),
             }
         }
-        assert_eq!(sweep_jobs("fig14", &r).len(), 15 * 5);
+        assert_eq!(sweep_jobs("fig17", &r).len(), 3 * 2);
         assert_eq!(sweep_jobs("fig22", &r).len(), 15 * 6 * 2);
     }
 
+    /// The benchmark's `fig14_paper` job list: workload-major, the
+    /// baseline first and then the four bars, on the base config.
     #[test]
-    fn prewarm_covers_generator_runs() {
-        let r = Runner::quick().with_jobs(2);
-        let jobs = sweep_jobs("fig3", &r);
-        r.sweep(&jobs);
-        let before = r.runs_completed();
-        let t = generate("fig3", &r);
+    fn fig14_jobs_are_pinned() {
+        let r = Runner::quick();
+        let keys: Vec<String> = sweep_jobs("fig14", &r)
+            .iter()
+            .map(JobSpec::memo_key)
+            .collect();
+        assert_eq!(keys.len(), 15 * 5);
         assert_eq!(
-            r.runs_completed(),
-            before,
-            "sweep covered every run fig3 makes"
+            keys[..5],
+            [
+                "GUPS|Baseline|",
+                "GUPS|Stitch+SelPool32|",
+                "GUPS|Stitch+Trim|",
+                "GUPS|NetCrafter|",
+                "GUPS|SectorCache(16B)|",
+            ]
         );
-        assert_eq!(t.rows.len(), 15 + 2);
+        for (w, five) in Workload::ALL.iter().zip(keys.chunks_exact(5)) {
+            let expect: Vec<String> = keys[..5]
+                .iter()
+                .map(|k| k.replacen("GUPS", w.abbrev(), 1))
+                .collect();
+            assert_eq!(five, expect);
+        }
     }
 
-    /// One real end-to-end figure at quick scale: Figure 3 on a reduced
-    /// workload set would still take seconds; instead verify fig3 shape
-    /// properties using the quick runner on two workloads by calling the
-    /// underlying pieces.
+    /// Every ablation cell is a runner job on the base config, so a sweep
+    /// warmup reaches all of them, and each depth survives the variant.
+    #[test]
+    fn ablation_jobs_keep_the_base_warmup() {
+        let mut r = Runner::quick();
+        r.base_cfg.netcrafter.warmup_cycles = 500;
+        let jobs = sweep_jobs("ablation", &r);
+        assert_eq!(jobs.len(), 3 * (1 + 4));
+        for job in &jobs {
+            assert_eq!(job.warmup_cycles(), 500, "{}", job.memo_key());
+        }
+        let depths: Vec<u32> = jobs
+            .iter()
+            .filter(|j| j.variant == SystemVariant::StitchOnly)
+            .map(|j| j.variant.apply(j.base_cfg).netcrafter.stitch_search_depth)
+            .collect();
+        assert_eq!(depths, [1, 4, 16, 64].repeat(3));
+    }
+
+    /// Figure 3's shape on one workload at quick scale.
     #[test]
     fn quick_fig_pipeline_works() {
         let r = Runner::quick();
-        let base = r.run(Workload::Gups, SystemVariant::Baseline);
-        let ideal = r.run(Workload::Gups, SystemVariant::Ideal);
-        assert!(ideal.exec_cycles <= base.exec_cycles);
-        assert!(base.inter_utilization() > 0.0);
+        let res = r.sweep(&[
+            r.job(Workload::Gups, SystemVariant::Baseline),
+            r.job(Workload::Gups, SystemVariant::Ideal),
+        ]);
+        assert!(res[1].exec_cycles <= res[0].exec_cycles);
+        assert!(res[0].inter_utilization() > 0.0);
     }
 }

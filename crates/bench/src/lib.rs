@@ -4,9 +4,9 @@
 //! * [`Runner`] — memoizing experiment executor (most figures share the
 //!   per-workload baseline runs, so results are cached by configuration).
 //! * [`Table`] — plain-text/markdown table renderer.
-//! * [`figures`] — one generator per paper artifact (`table1`, `fig3` …
-//!   `fig22`, `table3`), each returning a [`Table`] whose rows match the
-//!   series the paper plots.
+//! * [`figures`] — one job list and one renderer per paper artifact
+//!   (`table1`, `fig3` … `fig22`, `table3`), each rendering a [`Table`]
+//!   whose rows match the series the paper plots.
 //!
 //! The `figures` binary drives this library from the command line:
 //!
@@ -332,11 +332,12 @@ impl PrefixStats {
 ///    other jobs of its [`JobSpec::prefix_key`] group (`prefix_share`),
 /// 4. a fresh simulation from cycle 0.
 ///
-/// [`Runner::sweep`] resolves a batch of jobs on `jobs` worker threads.
-/// Because every simulation is deterministic in its spec and results are
-/// retrieved from the memo by key, figure output is bit-identical no
-/// matter how many workers ran the sweep (or whether results came from
-/// disk).
+/// [`Runner::sweep`] is the one entry point: it resolves a batch of jobs
+/// on `jobs` worker threads, and every figure reaches every simulation
+/// through it. Because every simulation is deterministic in its spec and
+/// results are retrieved from the memo by key, figure output is
+/// bit-identical no matter how many workers ran the sweep (or whether
+/// results came from disk).
 pub struct Runner {
     /// Base system configuration (before variant application).
     pub base_cfg: SystemConfig,
@@ -455,37 +456,15 @@ impl Runner {
         }
     }
 
-    /// Runs (or replays) `workload` under `variant` on the base config.
-    pub fn run(&self, workload: Workload, variant: SystemVariant) -> Arc<RunResult> {
-        self.run_job(&self.job(workload, variant))
-    }
-
-    /// Runs with an alternate base configuration; `tag` must uniquely
-    /// name the alteration for the memo cache.
-    pub fn run_with(
-        &self,
-        workload: Workload,
-        variant: SystemVariant,
-        base_cfg: SystemConfig,
-        tag: &str,
-    ) -> Arc<RunResult> {
-        self.run_job(&self.job_with(workload, variant, base_cfg, tag))
-    }
-
-    /// Resolves one job through memo → disk → simulation.
-    pub fn run_job(&self, job: &JobSpec) -> Arc<RunResult> {
-        self.run_job_forked(job, None, None).0
-    }
-
-    /// [`Runner::run_job`] with the sweep tree's two fork roles: when
-    /// `fork` is `Some`, a fresh simulation restores it and resumes from
-    /// the fork's cycle instead of stepping from 0; when `fork_at` is
-    /// `Some` (a group representative), the simulation pauses there,
-    /// captures an in-memory fork for its group mates — returned
-    /// alongside the result — and continues. Memo and disk lookups are
-    /// unchanged: the forks only shortcut the simulations themselves, so
-    /// results stay byte-identical to cold runs.
-    fn run_job_forked(
+    /// Resolves one job of a sweep through memo → disk → simulation, in
+    /// one of the plan tree's two fork roles: when `fork` is `Some`, a
+    /// fresh simulation restores it and resumes from the fork's cycle
+    /// instead of stepping from 0; when `fork_at` is `Some` (a group
+    /// representative), the simulation pauses there, captures an
+    /// in-memory fork for its group mates — returned alongside the
+    /// result — and continues. The forks only shortcut the simulations
+    /// themselves, so results stay byte-identical to cold runs.
+    fn resolve(
         &self,
         job: &JobSpec,
         fork: Option<&ForkSnapshot>,
@@ -730,7 +709,7 @@ impl Runner {
                     // inert: pausing *at* W executes cycle W under the
                     // representative's own policy (`prefix_key` makes W >= 1).
                     let fork_at = rep.warmup_cycles() - 1;
-                    let (_, fork) = self.run_job_forked(rep, None, Some(fork_at));
+                    let (_, fork) = self.resolve(rep, None, Some(fork_at));
                     if fork.is_some() {
                         let mut prefix = self.prefix.lock().unwrap();
                         prefix.prefix_runs += 1;
@@ -745,7 +724,7 @@ impl Runner {
                     ready.notify_all();
                 }
                 Task::Job(idx, fork) => {
-                    self.run_job_forked(pending[idx], fork.as_ref(), None);
+                    self.resolve(pending[idx], fork.as_ref(), None);
                     let mut q = queue.lock().unwrap();
                     q.remaining -= 1;
                     let done = q.remaining == 0;
@@ -833,9 +812,10 @@ mod tests {
     #[test]
     fn runner_memoizes() {
         let r = Runner::quick();
-        let a = r.run(Workload::Gups, SystemVariant::Baseline);
-        let b = r.run(Workload::Gups, SystemVariant::Baseline);
-        assert!(Arc::ptr_eq(&a, &b));
+        let job = [r.job(Workload::Gups, SystemVariant::Baseline)];
+        let a = &r.sweep(&job)[0];
+        let b = &r.sweep(&job)[0];
+        assert!(Arc::ptr_eq(a, b));
         assert_eq!(r.runs_completed(), 1);
         // Only the fresh run is recorded; the memo replay is free.
         let stats = r.job_stats();
@@ -925,11 +905,11 @@ mod tests {
     fn unusable_fork_falls_back_to_a_cold_run() {
         // Prefix sharing is never a correctness dependency: a fork that
         // does not restore costs a warning and a run from cycle 0.
-        let cold = Runner::quick().run(Workload::Gups, SystemVariant::NetCrafter);
         let r = Runner::quick();
         let job = r.job(Workload::Gups, SystemVariant::NetCrafter);
+        let cold = Runner::quick().sweep(std::slice::from_ref(&job)).remove(0);
         let bad = ForkSnapshot::new(400, b"not a snapshot".to_vec(), 0);
-        let (result, _) = r.run_job_forked(&job, Some(&bad), None);
+        let (result, _) = r.resolve(&job, Some(&bad), None);
         assert_eq!(result.to_kv(), cold.to_kv());
         let stats = r.job_stats();
         assert_eq!(stats[0].source, JobSource::Fresh);

@@ -77,12 +77,38 @@ fn a_panicking_job_ends_a_parallel_sweep() {
 fn figure_output_is_identical_across_worker_counts() {
     let seq = Runner::quick();
     let par = Runner::quick().with_jobs(4);
-    // Prewarm the parallel runner the way the figures binary does; the
-    // sequential runner simulates lazily inside the generator.
-    par.sweep(&figures::sweep_jobs("fig12", &par));
-    let a = figures::generate("fig12", &seq).to_string();
-    let b = figures::generate("fig12", &par).to_string();
-    assert_eq!(a, b);
+    for id in ["fig12", "fig17", "ablation"] {
+        // Prewarm the parallel runner the way the figures binary does; the
+        // sequential runner resolves each table's jobs inside `generate`.
+        par.sweep(&figures::sweep_jobs(id, &par));
+        let a = figures::generate(id, &seq).to_string();
+        let b = figures::generate(id, &par).to_string();
+        assert_eq!(a, b, "{id}");
+    }
+}
+
+/// Every run of Figure 17 and the ablation (6 + 15) goes through the
+/// runner, so a second process over the same cache simulates none.
+#[test]
+fn warm_cache_replays_every_figure_run() {
+    let dir = tempdir("figures");
+    let ids = ["fig17", "ablation"];
+    let first = Runner::quick().with_cache_dir(&dir).unwrap();
+    let cold: Vec<String> = ids
+        .map(|id| figures::generate(id, &first).to_string())
+        .into();
+    let second = Runner::quick().with_cache_dir(&dir).unwrap();
+    let warm: Vec<String> = ids
+        .map(|id| figures::generate(id, &second).to_string())
+        .into();
+    assert_eq!(cold, warm);
+    let stats = second.job_stats();
+    assert_eq!(stats.len(), 21);
+    assert!(
+        stats.iter().all(|s| s.source == JobSource::DiskHit),
+        "warm cache must re-simulate nothing: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -121,8 +147,9 @@ fn jobs_sharing_physical_config_share_disk_entries() {
     let r = Runner::quick().with_cache_dir(&dir).unwrap();
     // Same physical simulation under two tags: one fresh run, one disk
     // entry, and the second resolves without simulating.
-    r.run_with(Workload::Gups, SystemVariant::Baseline, r.base_cfg, "tag-a");
-    r.run_with(Workload::Gups, SystemVariant::Baseline, r.base_cfg, "tag-b");
+    for tag in ["tag-a", "tag-b"] {
+        r.sweep(&[r.job_with(Workload::Gups, SystemVariant::Baseline, r.base_cfg, tag)]);
+    }
     let stats = r.job_stats();
     assert_eq!(stats.len(), 2);
     assert_eq!(stats[0].source, JobSource::Fresh);

@@ -176,8 +176,6 @@ impl Wavefront {
 /// A compute unit component.
 pub struct Cu {
     gpu: GpuId,
-    #[allow(dead_code)]
-    cu: CuId,
     cu_raw: u16,
     name: String,
     /// The CU's private L1 vector cache.
@@ -230,7 +228,6 @@ impl Cu {
         let id_base = ((gpu.raw() as u64) << 40) | ((cu.raw() as u64) << 24);
         Self {
             gpu,
-            cu,
             cu_raw: cu.raw(),
             name: format!("{gpu}.{cu}"),
             l1,
@@ -690,7 +687,6 @@ impl Component for Cu {
     snap_fields! {
         fn save_state + load_state {
             gpu: skipped(wiring),
-            cu: skipped(wiring),
             cu_raw: skipped(wiring),
             name: skipped(wiring),
             wiring: skipped(wiring),

@@ -292,11 +292,6 @@ impl L1Cache {
         self.mshr.complete(key)
     }
 
-    /// Misses currently outstanding.
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshr.len()
-    }
-
     /// True while fills are pending.
     pub fn busy(&self) -> bool {
         !self.mshr.is_empty()

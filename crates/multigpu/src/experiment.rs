@@ -46,12 +46,15 @@ pub enum SystemVariant {
 
 impl SystemVariant {
     /// Applies the variant to a base configuration. The base config's
-    /// `netcrafter.warmup_cycles` survives the variant's knob overwrite:
-    /// the warmup window is a sweep-level lever (it makes every variant's
-    /// pre-activation trajectory identical for prefix sharing), not part
-    /// of any variant's identity.
+    /// `netcrafter.warmup_cycles` and `netcrafter.stitch_search_depth`
+    /// survive the variant's knob overwrite: the warmup window is a
+    /// sweep-level lever (it makes every variant's pre-activation
+    /// trajectory identical for prefix sharing) and the search depth a
+    /// study knob (the ablation sweeps it), not part of any variant's
+    /// identity.
     pub fn apply(self, mut cfg: SystemConfig) -> SystemConfig {
         let warmup = cfg.netcrafter.warmup_cycles;
+        let depth = cfg.netcrafter.stitch_search_depth;
         match self {
             SystemVariant::Baseline => {
                 cfg.netcrafter = NetCrafterConfig::disabled();
@@ -115,6 +118,7 @@ impl SystemVariant {
             }
         }
         cfg.netcrafter.warmup_cycles = warmup;
+        cfg.netcrafter.stitch_search_depth = depth;
         cfg
     }
 
@@ -782,6 +786,7 @@ mod tests {
     fn variant_apply_preserves_warmup_cycles() {
         let mut base = SystemConfig::paper_baseline();
         base.netcrafter.warmup_cycles = 1_234;
+        base.netcrafter.stitch_search_depth = 4;
         for v in [
             SystemVariant::Baseline,
             SystemVariant::Ideal,
@@ -795,6 +800,11 @@ mod tests {
                 v.apply(base).netcrafter.warmup_cycles,
                 1_234,
                 "variant {v:?} must not clobber the warmup window"
+            );
+            assert_eq!(
+                v.apply(base).netcrafter.stitch_search_depth,
+                4,
+                "variant {v:?} must not clobber the search depth"
             );
         }
     }

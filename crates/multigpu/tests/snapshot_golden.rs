@@ -119,6 +119,6 @@ fn torus_8_mid_run() {
     assert_pinned("torus-8/Gups/NetCrafter", &mut sys, TORUS_8);
 }
 
-const MESH: Pin = (6, 173_282, 0xcb63_f3a3_d47f_24e1, 0x923d_a0f1_941e_a1ef);
-const FAT_TREE_8: Pin = (6, 362_322, 0xc4f2_e036_9542_3eae, 0xa430_e647_9ebb_33f4);
-const TORUS_8: Pin = (6, 366_669, 0xade0_d61b_ce7c_b548, 0xf3bf_09e3_23f6_81d7);
+const MESH: Pin = (7, 173_282, 0xa32c_d3c9_652c_2f74, 0x4093_c534_09a8_68a2);
+const FAT_TREE_8: Pin = (7, 362_322, 0x40f2_3dc8_bb1b_e4fb, 0x431f_7ea9_39da_cf0d);
+const TORUS_8: Pin = (7, 366_669, 0x9bdf_489e_3645_9c57, 0xcf41_5871_37e8_ddf8);

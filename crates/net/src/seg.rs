@@ -9,7 +9,9 @@
 //! "reunites each extracted flit with the remaining portion of its
 //! original packet" by id.
 
-use netcrafter_proto::{Chunk, Flit, OrderedMap, Packet, PacketId};
+use std::collections::BTreeMap;
+
+use netcrafter_proto::{Chunk, Flit, Packet, PacketId};
 use netcrafter_sim::snap_fields;
 
 /// Segments packets into fixed-size flits.
@@ -76,12 +78,11 @@ struct Partial {
 /// arrival (tails may overtake bodies when stitched).
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    /// Keyed by packet id in first-flit-arrival order. An `OrderedMap`
-    /// (not `std::collections::HashMap`, which `clippy.toml` disallows in
-    /// sim-facing crates) so that any future iteration —
-    /// and the [`Reassembler::pending_ids`] diagnostic today — observes a
-    /// deterministic order.
-    pending: OrderedMap<PacketId, Partial>,
+    /// Keyed by packet id. A `BTreeMap` (not `std::collections::HashMap`,
+    /// which `clippy.toml` disallows in sim-facing crates), so the
+    /// snapshot and the [`Reassembler::pending_ids`] diagnostic observe a
+    /// deterministic order: ascending ids.
+    pending: BTreeMap<PacketId, Partial>,
     completed: u64,
 }
 
@@ -98,9 +99,7 @@ impl Reassembler {
     pub fn accept(&mut self, flit: Flit) -> Vec<Packet> {
         let mut done = Vec::new();
         for chunk in flit.chunks {
-            let entry = self
-                .pending
-                .get_or_insert_with(chunk.packet, Partial::default);
+            let entry = self.pending.entry(chunk.packet).or_default();
             entry.received_bytes += chunk.bytes;
             if let Some(info) = chunk.packet_info {
                 debug_assert!(entry.info.is_none(), "duplicate tail for {}", chunk.packet);
@@ -131,8 +130,8 @@ impl Reassembler {
         self.pending.len()
     }
 
-    /// Ids of the packets still awaiting flits, in first-flit-arrival
-    /// order (deterministic across runs — see the regression test).
+    /// Ids of the packets still awaiting flits, in ascending order
+    /// (deterministic across runs — see the regression test).
     pub fn pending_ids(&self) -> Vec<PacketId> {
         self.pending.keys().copied().collect()
     }
@@ -329,8 +328,7 @@ mod tests {
 
     #[test]
     fn reassembly_is_deterministic_across_identical_seeded_runs() {
-        // Regression test for the HashMap → OrderedMap migration: two
-        // runs of the same seed must produce the same completion order
+        // Two runs of the same seed must produce the same completion order
         // *and* the same pending-set order at every point. With a
         // RandomState-seeded map the pending order differed run to run.
         let a = seeded_reassembly_run(0x5EED);

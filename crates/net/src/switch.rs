@@ -169,13 +169,6 @@ impl Switch {
         self.node
     }
 
-    /// Per-port egress statistics: `(peer_node, is_inter, stats)`.
-    pub fn port_stats(&self) -> impl Iterator<Item = (NodeId, bool, &crate::port::PortStats)> {
-        self.ports
-            .iter()
-            .map(|p| (p.peer_node, p.is_inter, &p.egress.stats))
-    }
-
     /// Turns on windowed time-series sampling on every egress port
     /// (`window` cycles per bucket). See [`PortSeries`].
     pub fn enable_sampling(&mut self, window: u64) {

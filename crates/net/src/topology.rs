@@ -69,19 +69,6 @@ pub struct SwitchSpec {
     pub routes: BTreeMap<NodeId, usize>,
 }
 
-impl SwitchSpec {
-    /// Port index of the link whose peer is `node`, preferring the
-    /// routed port when several parallel links exist (torus VCs).
-    pub fn port_to(&self, node: NodeId) -> Option<usize> {
-        if let Some(&p) = self.routes.get(&node) {
-            if self.links[p].peer == node {
-                return Some(p);
-            }
-        }
-        self.links.iter().position(|l| l.peer == node)
-    }
-}
-
 /// The static shape of the interconnect: which node ids exist, how they
 /// map to GPUs, clusters and switches, and how flits route between them.
 ///

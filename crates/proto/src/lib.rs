@@ -26,7 +26,6 @@
 
 pub mod access;
 pub mod addr;
-pub mod collections;
 pub mod config;
 pub mod flit;
 pub mod ids;
@@ -37,7 +36,6 @@ pub mod stats;
 
 pub use access::{AccessKind, CoalescedAccess, WavefrontOp, WavefrontTrace};
 pub use addr::{LineAddr, LineMask, PAddr, VAddr, LINE_BYTES, PAGE_BYTES, SECTOR_BYTES};
-pub use collections::OrderedMap;
 pub use config::{
     fnv1a64, FabricConfig, NetCrafterConfig, SectorFillPolicy, SystemConfig, TopologyConfig,
 };

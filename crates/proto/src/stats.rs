@@ -174,36 +174,12 @@ impl TimeSeries {
         self.buckets.iter().sum()
     }
 
-    /// Largest bucket value (0 if empty).
-    pub fn peak(&self) -> u64 {
-        self.buckets.iter().copied().max().unwrap_or(0)
-    }
-
     /// Iterates `(window_start_cycle, value)` in time order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .map(move |(i, &v)| (i as u64 * self.window, v))
-    }
-
-    /// Merges another series into this one, bucket by bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window widths differ — merging misaligned series
-    /// would silently smear time.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.window, other.window,
-            "cannot merge TimeSeries with different windows"
-        );
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (dst, &src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
     }
 }
 
@@ -470,7 +446,6 @@ mod tests {
         assert_eq!(ts.bucket(9), 1);
         assert_eq!(ts.bucket(99), 0, "beyond recorded range reads as 0");
         assert_eq!(ts.total(), 18);
-        assert_eq!(ts.peak(), 10);
         let points: Vec<_> = ts.iter().take(3).collect();
         assert_eq!(points, vec![(0, 10), (100, 7), (200, 0)]);
 
@@ -487,28 +462,6 @@ mod tests {
             (first..=last).for_each(|cycle| ticked.add(cycle, per_cycle));
             assert_eq!(settled, ticked, "{first}..={last} x {per_cycle}");
         }
-    }
-
-    #[test]
-    fn time_series_merge_extends_and_adds() {
-        let mut a = TimeSeries::new(10);
-        a.add(0, 1);
-        a.add(15, 2);
-        let mut b = TimeSeries::new(10);
-        b.add(5, 10);
-        b.add(35, 20);
-        a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.bucket(0), 11);
-        assert_eq!(a.bucket(1), 2);
-        assert_eq!(a.bucket(3), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "different windows")]
-    fn time_series_merge_rejects_window_mismatch() {
-        let mut a = TimeSeries::new(10);
-        a.merge(&TimeSeries::new(20));
     }
 
     #[test]

@@ -25,14 +25,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use netcrafter_proto::access::{AccessKind, CoalescedAccess, WavefrontOp, WavefrontTrace};
-use netcrafter_proto::collections::OrderedMap;
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::message::Origin;
 use netcrafter_proto::packet::{PacketPayload, TrimInfo};
 use netcrafter_proto::{
     AccessId, Chunk, ClusterId, CtaId, CuId, Flit, GpuId, Histogram, LatencyStat, LineAddr,
-    LineMask, MemReq, MemRsp, Message, Metrics, NodeId, PAddr, Packet, PacketId, PacketKind,
-    TrafficClass, TransReq, TransRsp, VAddr, WavefrontId,
+    LineMask, MemReq, MemRsp, Message, NodeId, PAddr, Packet, PacketId, PacketKind, TrafficClass,
+    TransReq, TransRsp, VAddr, WavefrontId,
 };
 
 /// First four bytes of every snapshot: `"NCSP"` as a little-endian u32.
@@ -41,7 +40,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5053_434E;
 /// Current snapshot format version. Bump whenever the encoding of any
 /// serialized structure changes; old snapshots then fail loudly with
 /// [`SnapshotError::VersionMismatch`] instead of restoring garbage.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -765,6 +764,9 @@ impl<T: Snap> Snap for Arc<Mutex<T>> {
     }
 }
 
+/// A map is saved in ascending key order, so a key that does not ascend
+/// is corruption: inserting it would overwrite an entry and restore a
+/// smaller map without a word.
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_len(self.len());
@@ -779,6 +781,11 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         for _ in 0..n {
             let k = K::load(r)?;
             let v = V::load(r)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapshotError::Corrupt(
+                    "map keys not in ascending order".to_string(),
+                ));
+            }
             out.insert(k, v);
         }
         Ok(out)
@@ -820,29 +827,6 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
         items
             .try_into()
             .map_err(|_| SnapshotError::Corrupt("array length mismatch".to_string()))
-    }
-}
-
-/// Insertion order is the [`OrderedMap`]'s observable iteration order,
-/// so saving in iteration order and rebuilding by `insert` reproduces
-/// the map exactly.
-impl<K: Snap + std::hash::Hash + Eq, V: Snap> Snap for OrderedMap<K, V> {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_len(self.len());
-        for (k, v) in self.iter() {
-            k.save(w);
-            v.save(w);
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.get_len()?;
-        let mut out = OrderedMap::new();
-        for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
     }
 }
 
@@ -1121,21 +1105,6 @@ impl Snap for Histogram {
     }
 }
 
-/// [`Metrics`] round-trips losslessly through its own `to_kv` text form
-/// (covered by the proto test `kv_round_trip_is_lossless`), so the
-/// snapshot embeds that canonical text instead of duplicating the
-/// registry layout.
-impl Snap for Metrics {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_str(&self.to_kv());
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let text = r.get_str()?;
-        Metrics::from_kv(&text)
-            .ok_or_else(|| SnapshotError::Corrupt("malformed Metrics kv text".to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,19 +1148,26 @@ mod tests {
     }
 
     #[test]
-    fn ordered_map_preserves_insertion_order() {
-        let mut m = OrderedMap::new();
-        for k in [9u64, 2, 7, 4] {
-            m.insert(k, k * 10);
+    fn maps_reject_keys_out_of_ascending_order() {
+        // Inserting the repeated key would overwrite the earlier entry and
+        // restore a one-entry map from a two-entry snapshot.
+        for keys in [[3u64, 3], [5, 2]] {
+            let mut w = SnapshotWriter::new();
+            w.put_len(2);
+            for k in keys {
+                w.put_u64(k);
+                w.put_u64(k * 10);
+            }
+            let bytes = w.into_bytes();
+            let got: Result<BTreeMap<u64, u64>, _> = Snap::load(&mut SnapshotReader::new(&bytes));
+            assert_eq!(
+                got,
+                Err(SnapshotError::Corrupt(
+                    "map keys not in ascending order".to_string()
+                )),
+                "{keys:?}"
+            );
         }
-        let mut w = SnapshotWriter::new();
-        m.save(&mut w);
-        let bytes = w.into_bytes();
-        let back: OrderedMap<u64, u64> =
-            Snap::load(&mut SnapshotReader::new(&bytes)).expect("decodes");
-        let keys: Vec<u64> = back.keys().copied().collect();
-        assert_eq!(keys, [9, 2, 7, 4]);
-        assert_eq!(back.get(&7), Some(&70));
     }
 
     #[test]
@@ -1308,19 +1284,6 @@ mod tests {
         hist.add(64, 1);
         round_trip(&hist);
         round_trip(&Histogram::new());
-    }
-
-    #[test]
-    fn metrics_round_trip() {
-        let mut m = Metrics::new();
-        m.add("net.inter.flits", 15);
-        m.latency_mut("net.read").record(56);
-        m.histogram_mut("net.occupancy").add(16, 2);
-        let mut w = SnapshotWriter::new();
-        m.save(&mut w);
-        let bytes = w.into_bytes();
-        let back: Metrics = Snap::load(&mut SnapshotReader::new(&bytes)).expect("decodes");
-        assert_eq!(back.to_kv(), m.to_kv());
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub use scale::Scale;
 
 use netcrafter_proto::KernelSpec;
 
-/// The evaluated workloads, in Table 3 order.
+/// The evaluated workloads, in Table 3 order, then the kernels of
+/// single-figure studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Workload {
@@ -51,6 +52,9 @@ pub enum Workload {
     Vgg16,
     Lenet,
     Rnet18,
+    /// The large dense GEMM of the Figure 17 granularity study; not one
+    /// of Table 3's workloads, so not in [`Workload::ALL`].
+    LargeGemm,
 }
 
 impl Workload {
@@ -91,6 +95,7 @@ impl Workload {
             Workload::Vgg16 => "VGG16",
             Workload::Lenet => "LENET",
             Workload::Rnet18 => "RNET18",
+            Workload::LargeGemm => "LGEMM",
         }
     }
 
@@ -112,6 +117,7 @@ impl Workload {
             Workload::Vgg16 => "deep CNN for large-scale image recognition",
             Workload::Lenet => "CNN for digit recognition",
             Workload::Rnet18 => "RESNET18 - deep CNN with residual connections",
+            Workload::LargeGemm => "large dense matrix multiplication",
         }
     }
 
@@ -119,7 +125,7 @@ impl Workload {
     pub fn pattern(self) -> &'static str {
         match self {
             Workload::Gups | Workload::Mis | Workload::Spmv | Workload::Pr => "Random",
-            Workload::Mt | Workload::Mm2 | Workload::Sr => "Gather",
+            Workload::Mt | Workload::Mm2 | Workload::Sr | Workload::LargeGemm => "Gather",
             Workload::Im2col | Workload::Syr2k => "Adjacent",
             Workload::Atax => "Scatter",
             Workload::Bs => "Partitioned",
@@ -138,6 +144,7 @@ impl Workload {
             Workload::Atax | Workload::Mm2 | Workload::Mvt | Workload::Syr2k => "Polybench",
             Workload::Spmv | Workload::Sr => "SHOC",
             Workload::Pr => "Hetero-Mark",
+            Workload::LargeGemm => "-",
         }
     }
 
@@ -165,6 +172,7 @@ impl Workload {
             Workload::Vgg16 => dnn::vgg16(scale, total_gpus, seed),
             Workload::Lenet => dnn::lenet(scale, total_gpus, seed),
             Workload::Rnet18 => dnn::rnet18(scale, total_gpus, seed),
+            Workload::LargeGemm => gen::large_gemm(scale, total_gpus, seed),
         }
     }
 }
