@@ -14,7 +14,11 @@
 #
 # Every equivalence gate is a Rust test run by build-test: scheduler
 # equivalence (EventDriven vs Legacy vs PDES, uninterrupted vs pause +
-# resume, mesh/fat-tree/torus) in crates/multigpu/tests/, the gated
+# resume, mesh/fat-tree/torus) in crates/multigpu/tests/; the lazy
+# egress-port and sleeping-source checks in crates/net/src/
+# (switch.rs's lazy_ports_agree_across_schedulers, port.rs's
+# sampled_port_pushed_after_sleeping_matches_per_cycle_ticks,
+# synthetic.rs's sources_sleep_between_tokens_and_schedulers_agree); the gated
 # cycle/tick counts (ci/BENCH_*.baseline.json), --jobs, the disk cache,
 # prefix-shared sweeps and the checkpoint files of the `simulate` binary
 # in crates/bench/tests/. Figure coverage is held there too: every table

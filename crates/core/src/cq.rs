@@ -233,7 +233,7 @@ impl ClusterQueue {
                 break;
             }
             let mut best: Option<(usize, usize, u32)> = None;
-            for qi in 0..6 {
+            'scan: for qi in 0..6 {
                 for (pos, cand) in self.queues[qi]
                     .iter()
                     .enumerate()
@@ -242,6 +242,11 @@ impl ClusterQueue {
                     if let Some(cost) = parent.stitch_cost_in(room, cand) {
                         if best.is_none_or(|(_, _, c)| cost > c) {
                             best = Some((qi, pos, cost));
+                            // No cost exceeds `room`, and a later perfect
+                            // fit only ties: this is the choice.
+                            if cost == room {
+                                break 'scan;
+                            }
                         }
                     }
                 }
@@ -609,6 +614,22 @@ mod tests {
         let leftover = q.pop(1).unwrap();
         assert_eq!(leftover.chunks[0].packet, PacketId(1));
         assert!(!leftover.is_stitched());
+    }
+
+    /// The first perfect fit in scan order wins over a smaller fit
+    /// scanned before it and a second perfect fit scanned after it.
+    #[test]
+    fn first_perfect_fit_is_chosen() {
+        let mut q = cq(NetCrafterConfig::stitching_only());
+        q.push(rsp_tail(1), 0); // the parent: 12 B empty
+        q.push(write_rsp(2), 0); // fits, cost 4
+        q.push(pt_rsp(3), 0); // perfect fit, cost 12
+        q.push(pt_rsp(4), 0); // perfect fit, cost 12
+        let parent = q.pop(1).unwrap();
+        let packets: Vec<_> = parent.chunks.iter().map(|c| c.packet).collect();
+        assert_eq!(packets, [PacketId(1), PacketId(3)]);
+        assert_eq!(parent.empty_bytes(), 0);
+        assert_eq!(q.occupancy(), 2);
     }
 
     #[test]

@@ -259,9 +259,6 @@ impl Rdma {
 impl Component for Rdma {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
-        // Replay skipped cycles on the egress rate limiter before any
-        // credit message can change the balance.
-        self.egress.catch_up(now);
         while let Some(msg) = ctx.recv() {
             match msg {
                 Message::MemReq(req) => self.send_request(req, now, ctx.tracer()),
@@ -281,7 +278,7 @@ impl Component for Rdma {
                         self.deliver(packet, ctx);
                     }
                 }
-                Message::Credit { count, .. } => self.egress.on_credit(count),
+                Message::Credit { count, .. } => self.egress.on_credit(count, now),
                 other => panic!("{}: unexpected {}", self.name, other.label()),
             }
         }

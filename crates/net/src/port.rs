@@ -397,6 +397,7 @@ impl EgressPort {
             "egress buffer overflow at {}",
             self.self_node
         );
+        self.catch_up(now);
         #[cfg(debug_assertions)]
         {
             self.dbg_pushed_chunks += flit.chunks.len() as u64;
@@ -405,8 +406,10 @@ impl EgressPort {
         self.debug_assert_conserved();
     }
 
-    /// Handles a returned credit from the downstream buffer.
-    pub fn on_credit(&mut self, count: u32) {
+    /// Handles a returned credit from the downstream buffer, arriving at
+    /// cycle `now`.
+    pub fn on_credit(&mut self, count: u32, now: Cycle) {
+        self.catch_up(now);
         self.credits += count;
     }
 
@@ -434,72 +437,27 @@ impl EgressPort {
     /// Link sampling's occupancy and pooling integrals are settled for
     /// the same span, so sampling never needs a tick of its own.
     ///
-    /// Must run before any credit message is applied for the current
-    /// cycle: the replay assumes the credit balance was constant across
-    /// the slept span. The owning component calls this at the top of its
-    /// tick, before draining its mailbox. Skipping a cycle is only legal
-    /// when the queue could not transmit on it (empty, or pooling with a
-    /// future release), which is exactly when the replayed ticks are
-    /// pop-free — so the token level here is the only divergent state,
-    /// and replaying it restores bit-identity.
+    /// Contract: every state change catches up first. [`EgressPort::push`],
+    /// [`EgressPort::on_credit`] and [`EgressPort::tick`] call this before
+    /// they touch the queue, the credit balance or the bucket, so the
+    /// replay always spans cycles through which credits and queue length
+    /// were constant. An owner may therefore leave a port unticked for as
+    /// long as its tick could not transmit (empty queue, no credits, or
+    /// pooling with a future release): those ticks are pop-free, the
+    /// token level is the only state they touch, and replaying it here
+    /// restores bit-identity.
     pub fn catch_up(&mut self, now: Cycle) {
         let first = self.last_tick + 1;
         if now <= first {
             return;
         }
         self.settle_series(first, now - 1);
-        let mut left = now - first; // cycles last_tick+1 ..= now-1
-        if self.credits == 0 {
-            // The transmit loop's guard fails before any consume: pure
-            // accrual, which is a no-op once the bucket is full.
-            while left > 0 && !self.rate.is_saturated() {
-                self.rate.accrue();
-                left -= 1;
-            }
-        } else {
-            // accrue + one burnt token per cycle. The token level follows
-            // a short periodic orbit (it is a deterministic map on one
-            // f64); detect the period from exact bit patterns and jump.
-            // The history lives on the stack: catch_up runs before every
-            // pop under the event-driven schedulers, and a heap buffer
-            // here was the last per-call allocation on the transmit path.
-            let mut seen = [0u64; 64];
-            let mut n = 0usize;
-            while left > 0 {
-                let bits = self.rate.tokens_bits();
-                if let Some(pos) = seen[..n].iter().position(|&b| b == bits) {
-                    let period = (n - pos) as u64;
-                    left %= period;
-                    n = 0;
-                    if left == 0 {
-                        break;
-                    }
-                } else if n < seen.len() {
-                    seen[n] = bits;
-                    n += 1;
-                } else {
-                    // The orbit is longer than the history window (e.g. a
-                    // very slow fractional rate whose residue drifts for
-                    // hundreds of steps). Period detection cannot help;
-                    // replay the remaining span cycle by cycle instead of
-                    // scanning a full-but-useless window every iteration.
-                    while left > 0 {
-                        self.rate.accrue();
-                        self.rate.try_consume(1.0);
-                        left -= 1;
-                    }
-                    break;
-                }
-                self.rate.accrue();
-                self.rate.try_consume(1.0);
-                left -= 1;
-            }
-        }
+        replay_idle(&mut self.rate, self.credits, now - first);
         self.last_tick = now - 1;
     }
 
-    /// When this port next needs its owner to tick it (used by the
-    /// owner's own `next_wake`). Skipped cycles are made bit-identical by
+    /// When this port next needs its owner to tick it (folded into the
+    /// owner's own wake). Skipped cycles are made bit-identical by
     /// [`EgressPort::catch_up`].
     pub fn next_wake(&self, now: Cycle) -> Wake {
         match self.queue.next_event(now) {
@@ -590,6 +548,107 @@ impl EgressPort {
             dbg_popped_chunks,
         }
     }
+
+    /// The rate limiter's exact token level (for tests).
+    #[cfg(test)]
+    pub(crate) fn tokens_bits(&self) -> u64 {
+        self.rate.tokens_bits()
+    }
+
+    /// Cycle of the last executed (or replayed) tick.
+    pub fn last_tick(&self) -> Cycle {
+        self.last_tick
+    }
+
+    /// Writes what [`EgressPort::save`] would after a [`EgressPort::catch_up`]
+    /// through `through` (`catch_up(through + 1)`), without changing the
+    /// port: the rate limiter is replayed on a copy. An owner that leaves
+    /// idle ports unticked saves them through its own last tick, so the
+    /// bytes equal those of a port ticked on every one of its owner's
+    /// ticks.
+    pub fn save_through(&self, w: &mut SnapshotWriter, through: Cycle) {
+        use netcrafter_sim::snapshot::Snap as _;
+        let Self {
+            peer: _,
+            self_node: _,
+            peer_port: _,
+            capacity: _,
+            wire_latency: _,
+            queue,
+            rate,
+            credits,
+            stats,
+            series: _,
+            last_tick,
+            dbg_pushed_chunks,
+            dbg_popped_chunks,
+        } = self;
+        let mut rate = rate.clone();
+        let last_tick = if through > *last_tick {
+            replay_idle(&mut rate, *credits, through - last_tick);
+            through
+        } else {
+            *last_tick
+        };
+        queue.save(w);
+        rate.save(w);
+        credits.save(w);
+        stats.save(w);
+        last_tick.save(w);
+        dbg_pushed_chunks.save(w);
+        dbg_popped_chunks.save(w);
+    }
+}
+
+/// Advances `rate` through `left` pop-free egress ticks with a constant
+/// `credits` balance: `accrue()` each cycle, plus one burnt
+/// `try_consume(1.0)` per cycle when credits are available.
+fn replay_idle(rate: &mut RateLimiter, credits: u32, mut left: u64) {
+    if credits == 0 {
+        // The transmit loop's guard fails before any consume: pure
+        // accrual, which is a no-op once the bucket is full.
+        while left > 0 && !rate.is_saturated() {
+            rate.accrue();
+            left -= 1;
+        }
+        return;
+    }
+    // accrue + one burnt token per cycle. The token level follows a short
+    // periodic orbit (it is a deterministic map on one f64); detect the
+    // period from exact bit patterns and jump. The history lives on the
+    // stack: a replay runs before every push, credit and tick, and a heap
+    // buffer here was the last per-call allocation on the transmit path.
+    let mut seen = [0u64; 64];
+    let mut n = 0usize;
+    while left > 0 {
+        let bits = rate.tokens_bits();
+        if let Some(pos) = seen[..n].iter().position(|&b| b == bits) {
+            let period = (n - pos) as u64;
+            left %= period;
+            n = 0;
+            if left == 0 {
+                break;
+            }
+        } else if n < seen.len() {
+            seen[n] = bits;
+            n += 1;
+        } else {
+            // The orbit is longer than the history window (e.g. a very
+            // slow fractional rate whose residue drifts for hundreds of
+            // steps). Period detection cannot help; replay the remaining
+            // span cycle by cycle instead of scanning a full-but-useless
+            // window every iteration.
+            while left > 0 {
+                rate.accrue();
+                rate.try_consume(1.0);
+                left -= 1;
+            }
+            break;
+        }
+        rate.accrue();
+        rate.try_consume(1.0);
+        left -= 1;
+    }
 }
 
 #[cfg(test)]
@@ -632,7 +691,7 @@ mod tests {
     impl Component for Tx {
         fn tick(&mut self, ctx: &mut Ctx<'_>) {
             while let Some(Message::Credit { count, .. }) = ctx.recv() {
-                self.port.on_credit(count);
+                self.port.on_credit(count, ctx.cycle());
             }
             while self.to_send > 0 && self.port.can_accept() {
                 self.to_send -= 1;
@@ -800,6 +859,85 @@ mod tests {
         port.catch_up(500);
         assert_eq!(port.rate.tokens_bits(), reference.tokens_bits());
         assert_eq!(port.last_tick, 499);
+    }
+
+    /// Pushes a flit at each listed cycle. A lazy pusher ticks its port
+    /// only while the queue holds flits, so the port sleeps through idle
+    /// stretches and is woken by a push or a credit.
+    struct Pusher {
+        port: EgressPort,
+        pushes: VecDeque<Cycle>,
+        lazy: bool,
+    }
+    impl Component for Pusher {
+        fn tick(&mut self, ctx: &mut Ctx<'_>) {
+            let now = ctx.cycle();
+            while let Some(Message::Credit { count, .. }) = ctx.recv() {
+                self.port.on_credit(count, now);
+            }
+            while self.pushes.front() == Some(&now) {
+                self.pushes.pop_front();
+                self.port.push(flit(12, false), now);
+            }
+            if !self.lazy || self.port.busy() {
+                self.port.tick(ctx);
+            }
+        }
+        fn busy(&self) -> bool {
+            !self.pushes.is_empty() || self.port.busy()
+        }
+        fn name(&self) -> &str {
+            "pusher"
+        }
+    }
+
+    /// The sampled series, credits and token bits of a 0.5 flits/cycle,
+    /// 2-credit port fed in bursts, settled through the run's end.
+    fn sampled_bursts(lazy: bool) -> (PortSeries, u32, u64) {
+        let mut b = EngineBuilder::new();
+        let tx_id = b.reserve();
+        let rx_id = b.reserve();
+        // A 5-cycle wire returns each credit to an idle, credit-starved
+        // port several cycles after its queue drained.
+        let wire = EgressWire {
+            wire_latency: 5,
+            ..wire_to(rx_id)
+        };
+        let mut port = EgressPort::new(wire, Box::new(FifoQueue::new()), 16, 0.5, 2);
+        port.enable_sampling(4);
+        // The last pair spends both credits and leaves the queue empty.
+        let pushes = [3, 3, 3, 3, 21, 40, 41, 41, 63, 90, 90].into();
+        b.install(tx_id, Box::new(Pusher { port, pushes, lazy }));
+        b.install(
+            rx_id,
+            Box::new(Rx {
+                got: 0,
+                peer: tx_id,
+                arrival_cycles: vec![],
+            }),
+        );
+        let mut e = b.build();
+        let end = e.run_to_quiescence(500);
+        let port = &mut e.get_mut::<Pusher>(tx_id).expect("pusher").port;
+        port.catch_up(end + 1);
+        let series = port.take_series(end).expect("sampling on");
+        (series, port.credits(), port.rate.tokens_bits())
+    }
+
+    /// A port left unticked while idle and then pushed into integrates
+    /// the slept span at the occupancy it had — zero — not at the pushed
+    /// length: its series, credits and token level equal those of a
+    /// port ticked on every cycle.
+    #[test]
+    fn sampled_port_pushed_after_sleeping_matches_per_cycle_ticks() {
+        let (every, credits, tokens) = sampled_bursts(false);
+        let (lazy, lazy_credits, lazy_tokens) = sampled_bursts(true);
+        assert!(every.occupancy.total() > 0, "the bursts must queue");
+        assert_eq!(lazy.occupancy, every.occupancy);
+        assert_eq!(lazy.pooled, every.pooled);
+        assert_eq!(lazy.bytes, every.bytes);
+        assert_eq!(lazy.flits, every.flits);
+        assert_eq!((lazy_credits, lazy_tokens), (credits, tokens));
     }
 
     #[test]

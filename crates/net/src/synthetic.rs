@@ -7,13 +7,18 @@
 //! inter-cluster link must saturate at exactly its configured
 //! flits/cycle, back-pressure must keep buffers bounded, and latency
 //! under light load must equal the sum of pipeline and wire delays.
+//!
+//! A source does not tick on cycles where it cannot inject: it sleeps
+//! until the first cycle its rate limiter pays for a flit, or until a
+//! credit arrives, and replays the skipped accrual on its next tick.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use netcrafter_proto::{Chunk, Flit, Message, NodeId, PacketId, PacketKind, TrafficClass};
 use netcrafter_sim::{
-    snap_fields, Component, ComponentId, Ctx, Cycle, EngineBuilder, RateLimiter, Wake,
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder,
+    RateLimiter, Wake,
 };
 
 use crate::port::FifoQueue;
@@ -47,6 +52,9 @@ struct Source {
     credits: u32,
     rng_state: u64,
     flit_bytes: u32,
+    /// Cycle of the last tick; the cycles slept since are replayed as
+    /// pure accrual on the next one.
+    last_tick: Cycle,
 }
 
 impl Source {
@@ -64,6 +72,15 @@ impl Source {
 
 impl Component for Source {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
+        // Each slept cycle would only have accrued: it lacked a credit, or
+        // its `try_consume` failed, which leaves the tokens alone.
+        let now = ctx.cycle();
+        let mut slept = now.saturating_sub(self.last_tick + 1);
+        while slept > 0 && !self.rate.is_saturated() {
+            self.rate.accrue();
+            slept -= 1;
+        }
+        self.last_tick = now;
         while let Some(msg) = ctx.recv() {
             if let Message::Credit { count, .. } = msg {
                 self.credits += count;
@@ -106,14 +123,31 @@ impl Component for Source {
     fn name(&self) -> &str {
         "traffic-source"
     }
-    fn next_wake(&self, _now: Cycle) -> Wake {
-        // Injecting: the rate limiter accrues and spends every cycle.
-        // Drained: the leftover token accrual is never consumed again, so
-        // skipping it is unobservable.
-        if self.remaining > 0 {
-            Wake::EveryCycle
-        } else {
-            Wake::OnMessage
+
+    /// Drained or out of credits, only a message changes anything.
+    /// Otherwise the source sleeps until the first cycle whose accrual
+    /// lets a flit go, found on a copy of the rate limiter.
+    fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
+        self.tick(ctx);
+        let busy = self.remaining > 0;
+        if !busy || self.credits == 0 {
+            return BurstOutcome {
+                busy,
+                wake: Wake::OnMessage,
+            };
+        }
+        let mut rate = self.rate.clone();
+        let mut at = ctx.cycle();
+        loop {
+            at += 1;
+            rate.accrue();
+            if rate.try_consume(1.0) {
+                break;
+            }
+        }
+        BurstOutcome {
+            busy,
+            wake: Wake::At(at),
         }
     }
 
@@ -128,6 +162,7 @@ impl Component for Source {
             remaining,
             credits,
             rng_state,
+            last_tick,
         }
     }
 }
@@ -248,131 +283,157 @@ impl Default for SyntheticConfig {
 /// Runs uniform-random traffic at `offered` flits/cycle/source through a
 /// two-cluster fabric and measures delivered throughput and latency.
 pub fn run_load_point(cfg: &SyntheticConfig, offered: f64) -> LoadPoint {
-    assert!(offered > 0.0);
-    let n = cfg.endpoints_per_cluster;
-    let total_eps = (2 * n) as usize;
-    let mut b = EngineBuilder::new();
-    let ep_ids: Vec<ComponentId> = (0..total_eps * 2).map(|_| b.reserve()).collect();
-    // Layout: endpoint i has a Source component ep_ids[2i] and a Sink
-    // ep_ids[2i+1]; both share node id i (source sends, sink receives).
-    // Nodes total_eps and total_eps+1 are the two cluster switches.
-    let sw0 = b.reserve();
-    let sw1 = b.reserve();
-    let stats = Arc::new(Mutex::new(SinkStats::default()));
-    let total_eps_u16 = u16::try_from(total_eps).expect("endpoint count fits in u16 node ids");
-    let all_nodes: Vec<NodeId> = (0..total_eps_u16).map(NodeId).collect();
+    let mut fabric = Fabric::build(cfg, offered);
+    let end = fabric.engine.run_to_quiescence(100_000_000);
+    fabric.load_point(cfg, offered, end)
+}
 
-    for i in 0..total_eps {
-        let my_switch = if i < n as usize { sw0 } else { sw1 };
-        // Each switch's local endpoints occupy ports 0..n in node order.
-        let switch_port = u16::try_from(i % n as usize).expect("port fits in u16");
+/// One load point's fabric, built and not yet run.
+struct Fabric {
+    engine: Engine,
+    /// The shared totals of every sink.
+    stats: Arc<Mutex<SinkStats>>,
+}
+
+impl Fabric {
+    /// Wires the two-cluster fabric with every source injecting at
+    /// `offered` flits/cycle.
+    fn build(cfg: &SyntheticConfig, offered: f64) -> Fabric {
+        assert!(offered > 0.0);
+        let n = cfg.endpoints_per_cluster;
+        let total_eps = (2 * n) as usize;
+        let mut b = EngineBuilder::new();
+        let ep_ids: Vec<ComponentId> = (0..total_eps * 2).map(|_| b.reserve()).collect();
+        // Layout: endpoint i has a Source component ep_ids[2i] and a Sink
+        // ep_ids[2i+1]; both share node id i (source sends, sink receives).
+        // Nodes total_eps and total_eps+1 are the two cluster switches.
+        let sw0 = b.reserve();
+        let sw1 = b.reserve();
+        let stats = Arc::new(Mutex::new(SinkStats::default()));
+        let total_eps_u16 = u16::try_from(total_eps).expect("endpoint count fits in u16 node ids");
+        let all_nodes: Vec<NodeId> = (0..total_eps_u16).map(NodeId).collect();
+
+        for i in 0..total_eps {
+            let my_switch = if i < n as usize { sw0 } else { sw1 };
+            // Each switch's local endpoints occupy ports 0..n in node order.
+            let switch_port = u16::try_from(i % n as usize).expect("port fits in u16");
+            b.install(
+                ep_ids[2 * i],
+                Box::new(Source {
+                    node: all_nodes[i],
+                    switch: my_switch,
+                    switch_port,
+                    // Burst of rate+1 so fractional accrual is never clipped
+                    // before a whole-flit consume opportunity.
+                    rate: RateLimiter::new(offered, offered + 1.0),
+                    dsts: all_nodes
+                        .iter()
+                        .copied()
+                        .filter(|&d| d != all_nodes[i])
+                        .collect(),
+                    remaining: cfg.flits_per_source,
+                    credits: cfg.buffer_entries,
+                    rng_state: 0x9E3779B97F4A7C15 ^ (i as u64 + 1),
+                    flit_bytes: 16,
+                    last_tick: 0,
+                }),
+            );
+            b.install(
+                ep_ids[2 * i + 1],
+                Box::new(Sink {
+                    node: all_nodes[i],
+                    switch: my_switch,
+                    switch_port,
+                    source: ep_ids[2 * i],
+                    stats: Arc::clone(&stats),
+                }),
+            );
+        }
+
+        // Switches: the flit arrives from node i (the source), but the switch
+        // must deliver flits *to* node i at the sink component. Use the sink
+        // as the port peer; credits from the source arrive tagged with the
+        // same node id, which is all the switch keys on.
+        let mk_switch =
+            |node: NodeId, locals: std::ops::Range<usize>, other: (ComponentId, NodeId)| {
+                let mut specs = Vec::new();
+                let mut route = BTreeMap::new();
+                for i in locals.clone() {
+                    route.insert(all_nodes[i], specs.len());
+                    specs.push(SwitchPortSpec {
+                        peer: ep_ids[2 * i + 1], // deliver to the sink
+                        peer_node: all_nodes[i],
+                        peer_port: 0,
+                        flits_per_cycle: cfg.intra_fpc,
+                        initial_credits: cfg.buffer_entries,
+                        input_capacity: cfg.buffer_entries as usize,
+                        output_capacity: cfg.buffer_entries as usize,
+                        queue: Box::new(FifoQueue::new()),
+                        wire_latency: crate::topology::WIRE_LATENCY,
+                        is_inter: false,
+                    });
+                }
+                let port = specs.len();
+                route.insert(other.1, port);
+                for (i, &node) in all_nodes.iter().enumerate() {
+                    if !locals.contains(&i) {
+                        route.insert(node, port);
+                    }
+                }
+                specs.push(SwitchPortSpec {
+                    peer: other.0,
+                    peer_node: other.1,
+                    // Both switches have n local ports, so the inter port sits at
+                    // the same index n on each side.
+                    peer_port: n,
+                    flits_per_cycle: cfg.inter_fpc,
+                    initial_credits: cfg.buffer_entries,
+                    input_capacity: cfg.buffer_entries as usize,
+                    output_capacity: cfg.buffer_entries as usize,
+                    queue: Box::new(FifoQueue::new()),
+                    wire_latency: crate::topology::WIRE_LATENCY,
+                    is_inter: true,
+                });
+                Switch::new(
+                    node,
+                    format!("{node}.switch"),
+                    cfg.pipeline_cycles,
+                    specs,
+                    route,
+                )
+            };
+        let sw0_node = NodeId(total_eps_u16);
+        let sw1_node = NodeId(total_eps_u16 + 1);
         b.install(
-            ep_ids[2 * i],
-            Box::new(Source {
-                node: all_nodes[i],
-                switch: my_switch,
-                switch_port,
-                // Burst of rate+1 so fractional accrual is never clipped
-                // before a whole-flit consume opportunity.
-                rate: RateLimiter::new(offered, offered + 1.0),
-                dsts: all_nodes
-                    .iter()
-                    .copied()
-                    .filter(|&d| d != all_nodes[i])
-                    .collect(),
-                remaining: cfg.flits_per_source,
-                credits: cfg.buffer_entries,
-                rng_state: 0x9E3779B97F4A7C15 ^ (i as u64 + 1),
-                flit_bytes: 16,
-            }),
+            sw0,
+            Box::new(mk_switch(sw0_node, 0..n as usize, (sw1, sw1_node))),
         );
         b.install(
-            ep_ids[2 * i + 1],
-            Box::new(Sink {
-                node: all_nodes[i],
-                switch: my_switch,
-                switch_port,
-                source: ep_ids[2 * i],
-                stats: Arc::clone(&stats),
-            }),
+            sw1,
+            Box::new(mk_switch(sw1_node, n as usize..total_eps, (sw0, sw0_node))),
         );
+
+        Fabric {
+            engine: b.build(),
+            stats,
+        }
     }
 
-    // Switches: the flit arrives from node i (the source), but the switch
-    // must deliver flits *to* node i at the sink component. Use the sink
-    // as the port peer; credits from the source arrive tagged with the
-    // same node id, which is all the switch keys on.
-    let mk_switch = |node: NodeId, locals: std::ops::Range<usize>, other: (ComponentId, NodeId)| {
-        let mut specs = Vec::new();
-        let mut route = BTreeMap::new();
-        for i in locals.clone() {
-            route.insert(all_nodes[i], specs.len());
-            specs.push(SwitchPortSpec {
-                peer: ep_ids[2 * i + 1], // deliver to the sink
-                peer_node: all_nodes[i],
-                peer_port: 0,
-                flits_per_cycle: cfg.intra_fpc,
-                initial_credits: cfg.buffer_entries,
-                input_capacity: cfg.buffer_entries as usize,
-                output_capacity: cfg.buffer_entries as usize,
-                queue: Box::new(FifoQueue::new()),
-                wire_latency: crate::topology::WIRE_LATENCY,
-                is_inter: false,
-            });
+    /// The load point measured by a run that ended at cycle `end`.
+    fn load_point(&self, cfg: &SyntheticConfig, offered: f64, end: Cycle) -> LoadPoint {
+        let s = self.stats.lock().expect("sink stats lock");
+        let total_eps = 2 * u64::from(cfg.endpoints_per_cluster);
+        assert_eq!(
+            s.received,
+            cfg.flits_per_source * total_eps,
+            "flit conservation"
+        );
+        LoadPoint {
+            offered,
+            throughput: s.received as f64 / end as f64,
+            avg_latency: s.latency_sum as f64 / s.received.max(1) as f64,
+            max_latency: s.latency_max,
         }
-        let port = specs.len();
-        route.insert(other.1, port);
-        for (i, &node) in all_nodes.iter().enumerate() {
-            if !locals.contains(&i) {
-                route.insert(node, port);
-            }
-        }
-        specs.push(SwitchPortSpec {
-            peer: other.0,
-            peer_node: other.1,
-            // Both switches have n local ports, so the inter port sits at
-            // the same index n on each side.
-            peer_port: n,
-            flits_per_cycle: cfg.inter_fpc,
-            initial_credits: cfg.buffer_entries,
-            input_capacity: cfg.buffer_entries as usize,
-            output_capacity: cfg.buffer_entries as usize,
-            queue: Box::new(FifoQueue::new()),
-            wire_latency: crate::topology::WIRE_LATENCY,
-            is_inter: true,
-        });
-        Switch::new(
-            node,
-            format!("{node}.switch"),
-            cfg.pipeline_cycles,
-            specs,
-            route,
-        )
-    };
-    let sw0_node = NodeId(total_eps_u16);
-    let sw1_node = NodeId(total_eps_u16 + 1);
-    b.install(
-        sw0,
-        Box::new(mk_switch(sw0_node, 0..n as usize, (sw1, sw1_node))),
-    );
-    b.install(
-        sw1,
-        Box::new(mk_switch(sw1_node, n as usize..total_eps, (sw0, sw0_node))),
-    );
-
-    let mut engine = b.build();
-    let end: Cycle = engine.run_to_quiescence(100_000_000);
-    let s = stats.lock().expect("sink stats lock");
-    assert_eq!(
-        s.received,
-        cfg.flits_per_source * total_eps as u64,
-        "flit conservation"
-    );
-    LoadPoint {
-        offered,
-        throughput: s.received as f64 / end as f64,
-        avg_latency: s.latency_sum as f64 / s.received.max(1) as f64,
-        max_latency: s.latency_max,
     }
 }
 
@@ -384,11 +445,51 @@ pub fn load_latency_sweep(cfg: &SyntheticConfig, rates: &[f64]) -> Vec<LoadPoint
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netcrafter_sim::SchedulerMode;
 
     fn small() -> SyntheticConfig {
         SyntheticConfig {
             flits_per_source: 400,
             ..SyntheticConfig::default()
+        }
+    }
+
+    /// Runs one load point under `mode`, counting the sources' ticks.
+    fn run_counting(cfg: &SyntheticConfig, offered: f64, mode: SchedulerMode) -> (LoadPoint, u64) {
+        let mut fabric = Fabric::build(cfg, offered);
+        fabric.engine.set_scheduler(mode);
+        let mut source_ticks = 0;
+        let end = fabric.engine.run_while(100_000_000, |e| {
+            let ticked = |id| {
+                e.get::<Source>(ComponentId(id))
+                    .is_some_and(|s| s.last_tick == e.cycle() && e.cycle() > 0)
+            };
+            source_ticks += (0..e.len()).filter(|&id| ticked(id)).count() as u64;
+            true
+        });
+        (fabric.load_point(cfg, offered, end), source_ticks)
+    }
+
+    /// The benchmark's 8-endpoint fabric at a hundredth of its flits: a
+    /// source that ticked every cycle while injecting ticked 16 M times
+    /// over a 0.05 load point at full size.
+    #[test]
+    fn sources_sleep_between_tokens_and_schedulers_agree() {
+        let cfg = SyntheticConfig {
+            endpoints_per_cluster: 4,
+            flits_per_source: 1000,
+            ..SyntheticConfig::default()
+        };
+        for offered in [0.05, 1.0] {
+            let (legacy, every_cycle) = run_counting(&cfg, offered, SchedulerMode::Legacy);
+            let (event, source_ticks) = run_counting(&cfg, offered, SchedulerMode::EventDriven);
+            assert_eq!(legacy, event, "load point at {offered}");
+            if offered == 0.05 {
+                // 8 sources x ~20 k cycles; one tick per flit sent plus
+                // one per credit returned, against 16 M -> 2 M at scale.
+                assert!(every_cycle >= 160_000, "{every_cycle}");
+                assert!(source_ticks <= 20_000, "{source_ticks} source ticks");
+            }
         }
     }
 

@@ -14,6 +14,13 @@
 //! component index maps to the global component id. The sequential
 //! instantiation uses the zero-sized key `()`, so it carries no sort, no
 //! key bytes and no routing branch.
+//!
+//! Wakes come from three places. A component that returned
+//! [`Wake::EveryCycle`] sits in the sorted always-on list. One that
+//! returned [`Wake::At`] has an entry in the lazy wake heap. A message
+//! delivery wakes its receiver in the same step without touching the
+//! heap: `armed` deduplicates the burst and the receiver goes straight
+//! onto the cycle's woken list, which is sorted once before the ticks.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -97,8 +104,9 @@ pub(crate) struct Core<R: Route> {
     /// Next cycle each component must tick (`NEVER` = waiting on a
     /// message).
     armed: Vec<Cycle>,
-    /// Lazy min-heap over `(wake cycle, index)`; entries that no longer
-    /// match `armed` are stale and skipped on pop.
+    /// Lazy min-heap over `(wake cycle, index)` of timed wakes; entries
+    /// that no longer match `armed` are stale and skipped on pop.
+    /// Message wakes never enter it.
     wake_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
     /// Components whose last wake was [`Wake::EveryCycle`]: ticked every
     /// cycle from this sorted list with zero heap traffic. `every`
@@ -341,23 +349,33 @@ impl<R: Route> Core<R> {
         let delivered_now = due.len();
         self.in_flight -= delivered_now;
         self.delivered += delivered_now as u64;
-        for (_, l, h) in due.drain(..) {
-            if !tick_all {
-                self.arm(l, c);
-            }
-            self.inboxes[l].push_back(h);
-        }
-        self.slot_scratch = due;
-
         if tick_all {
+            for (_, l, h) in due.drain(..) {
+                self.inboxes[l].push_back(h);
+            }
+            self.slot_scratch = due;
             for l in 0..self.comps.len() {
                 self.tick_one(l);
             }
             return delivered_now;
         }
 
+        // A receiver wakes this cycle without a heap round trip: `armed`
+        // marks it woken (deduplicating a burst of deliveries), and a wake
+        // already armed for `c` is left to the heap drain below.
         let mut woken = std::mem::take(&mut self.woken);
         woken.clear();
+        for (_, l, h) in due.drain(..) {
+            if self.armed[l] > c {
+                self.armed[l] = c;
+                woken.push(l);
+            }
+            self.inboxes[l].push_back(h);
+        }
+        self.slot_scratch = due;
+        for &l in &woken {
+            self.armed[l] = NEVER;
+        }
         while let Some(&Reverse((when, l))) = self.wake_heap.peek() {
             if when > c {
                 break;
