@@ -53,18 +53,6 @@ pub struct CoalescerStats {
     pub requests: u64,
 }
 
-impl CoalescerStats {
-    /// Average requests per instruction — 1.0 is perfectly coalesced,
-    /// 64.0 is fully divergent.
-    pub fn requests_per_instruction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.instructions as f64
-        }
-    }
-}
-
 /// The coalescing unit.
 #[derive(Debug, Default)]
 pub struct Coalescer {
@@ -125,7 +113,7 @@ mod tests {
             assert_eq!(r.mask, LineMask::FULL);
             assert_eq!(r.bytes_required(), 64);
         }
-        assert_eq!(c.stats.requests_per_instruction(), 4.0);
+        assert_eq!((c.stats.instructions, c.stats.requests), (1, 4));
     }
 
     /// Random-gather lanes produce one small request per distinct line —

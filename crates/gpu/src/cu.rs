@@ -19,7 +19,7 @@ use netcrafter_proto::{
     AccessId, CuId, GpuId, LatencyStat, LineAddr, MemReq, Message, Metrics, Origin, PAddr,
     TrafficClass, TransReq, PAGE_BYTES,
 };
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{
     snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Wake,
 };
@@ -107,41 +107,14 @@ enum WfState {
     Done,
 }
 
-impl Snap for WfState {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            WfState::Ready => 0u8.save(w),
-            WfState::BusyUntil(t) => {
-                1u8.save(w);
-                t.save(w);
-            }
-            WfState::WaitTranslation(acc) => {
-                2u8.save(w);
-                acc.save(w);
-            }
-            WfState::WaitMem => 3u8.save(w),
-            WfState::RetryAccess(acc, pfn) => {
-                4u8.save(w);
-                acc.save(w);
-                pfn.save(w);
-            }
-            WfState::Done => 5u8.save(w),
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match u8::load(r)? {
-            0 => WfState::Ready,
-            1 => WfState::BusyUntil(Snap::load(r)?),
-            2 => WfState::WaitTranslation(Snap::load(r)?),
-            3 => WfState::WaitMem,
-            4 => WfState::RetryAccess(Snap::load(r)?, Snap::load(r)?),
-            5 => WfState::Done,
-            tag => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown wavefront state tag {tag}"
-                )))
-            }
-        })
+snap_fields! {
+    enum WfState {
+        0 => Ready,
+        1 => BusyUntil(until),
+        2 => WaitTranslation(access),
+        3 => WaitMem,
+        4 => RetryAccess(access, pfn),
+        5 => Done,
     }
 }
 
@@ -427,13 +400,13 @@ impl Cu {
                     Message::MemReq(req),
                     (self.l1.lookup_cycles() + self.hop_cycles) as u64,
                 );
-                self.note_load_issued(wf_ix, now);
+                self.note_load_issued(wf_ix);
             }
             L1Access::MergedMiss => {
                 self.read_waiters.insert(id, wf_ix);
                 self.issue_times.insert(id, (now, crosses));
                 ctx.tracer().begin(EventClass::Cache, "l1.miss", id.0);
-                self.note_load_issued(wf_ix, now);
+                self.note_load_issued(wf_ix);
             }
             L1Access::Stall => {
                 self.resident[wf_ix].state = WfState::RetryAccess(acc, pfn);
@@ -468,7 +441,7 @@ impl Cu {
     /// Books an issued (in-flight) load on `wf_ix`: the wavefront keeps
     /// issuing until it exhausts its non-blocking-load budget, then waits
     /// for data (the first "use").
-    fn note_load_issued(&mut self, wf_ix: usize, _now: Cycle) {
+    fn note_load_issued(&mut self, wf_ix: usize) {
         let wf = &mut self.resident[wf_ix];
         wf.loads_in_flight += 1;
         wf.state = if wf.loads_in_flight >= self.max_loads_per_wave {
@@ -745,9 +718,19 @@ mod tests {
     use netcrafter_proto::access::AccessKind;
     use netcrafter_proto::LineMask;
     use netcrafter_proto::{CtaId, MemRsp, SystemConfig, VAddr, WavefrontId};
+    use netcrafter_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
     use netcrafter_sim::EngineBuilder;
     use std::sync::Arc;
     use std::sync::Mutex;
+
+    #[test]
+    fn unknown_wavefront_state_tags_are_rejected() {
+        let got = WfState::load(&mut SnapshotReader::new(&[9]));
+        assert_eq!(
+            got.unwrap_err(),
+            SnapshotError::Corrupt("WfState tag 9".to_string())
+        );
+    }
 
     /// Answers translations (identity: pfn = vpn + base) and memory
     /// requests (full-line fills) after fixed delays.

@@ -9,18 +9,14 @@
 //! (step 4e), forwards request packets into the local L2, and routes
 //! response packets back to the CU or GMMU that asked.
 
-use std::collections::VecDeque;
-
 use netcrafter_core::TrimEngine;
 use netcrafter_net::{EgressPort, EgressWire, FifoQueue, Reassembler, Segmenter};
 use netcrafter_proto::config::SystemConfig;
 use netcrafter_proto::{
-    Flit, GpuId, MemRsp, Message, Metrics, NodeId, Packet, PacketId, PacketKind, PacketPayload,
+    GpuId, MemRsp, Message, Metrics, NodeId, Packet, PacketId, PacketKind, PacketPayload,
     TrafficClass, TrimInfo,
 };
-use netcrafter_sim::{
-    snap_fields, BurstOutcome, Component, ComponentId, Ctx, EventClass, Tracer, Wake,
-};
+use netcrafter_sim::{snap_fields, BurstOutcome, Component, ComponentId, Ctx, EventClass, Tracer};
 
 /// Where the RDMA engine's traffic goes.
 #[derive(Debug, Clone)]
@@ -88,7 +84,6 @@ pub struct Rdma {
     /// sector mask, which the requesting L1 set per its fill policy).
     pub trim: TrimEngine,
     egress: EgressPort,
-    staging: VecDeque<Flit>,
     next_packet: u64,
     /// Statistics.
     pub stats: RdmaStats,
@@ -106,7 +101,9 @@ impl Rdma {
                 wire_latency: 1,
             },
             Box::new(FifoQueue::new()),
-            cfg.switch.buffer_entries as usize,
+            // Unbounded: every segmented flit queues here in order, and
+            // the switch's credits bound what is in flight.
+            usize::MAX,
             flits_per_cycle,
             wiring.switch_credits,
         );
@@ -122,7 +119,6 @@ impl Rdma {
             reasm: Reassembler::new(),
             trim: TrimEngine::new(cfg.netcrafter.trimming, cfg.trim_granularity),
             egress,
-            staging: VecDeque::new(),
             next_packet: (gpu.raw() as u64) << 48,
             wiring,
             stats: RdmaStats::default(),
@@ -143,14 +139,6 @@ impl Rdma {
         self.stats.packets_out[packet.kind.index()] += 1;
         self.stats.wire_bytes_out += packet.wire_bytes() as u64;
         for flit in self.seg.segment(packet) {
-            self.staging.push_back(flit);
-        }
-        self.drain_staging(now);
-    }
-
-    fn drain_staging(&mut self, now: netcrafter_sim::Cycle) {
-        while !self.staging.is_empty() && self.egress.can_accept() {
-            let flit = self.staging.pop_front().expect("front checked non-empty");
             self.egress.push(flit, now);
         }
     }
@@ -282,22 +270,14 @@ impl Component for Rdma {
                 other => panic!("{}: unexpected {}", self.name, other.label()),
             }
         }
-        self.drain_staging(now);
         self.egress.tick(ctx);
     }
 
-    /// Burst dispatch: the mailbox drains inside one `tick`, then one
-    /// fused status check — the staging test — answers both busy-ness
-    /// and the wake (the RDMA engine's only wake answer).
+    /// Burst dispatch: the mailbox drains inside one `tick`, then the
+    /// egress port answers both busy-ness and the wake (the RDMA
+    /// engine's only wake answer).
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
-        if !self.staging.is_empty() {
-            // Staged flits drain into the egress buffer as space frees.
-            return BurstOutcome {
-                busy: true,
-                wake: Wake::EveryCycle,
-            };
-        }
         BurstOutcome {
             busy: self.egress.busy(),
             wake: self.egress.next_wake(ctx.cycle()),
@@ -305,7 +285,7 @@ impl Component for Rdma {
     }
 
     fn busy(&self) -> bool {
-        !self.staging.is_empty() || self.egress.busy()
+        self.egress.busy()
     }
 
     fn name(&self) -> &str {
@@ -326,7 +306,6 @@ impl Component for Rdma {
             reasm,
             trim,
             egress,
-            staging,
             next_packet,
             stats,
         }
@@ -336,7 +315,7 @@ impl Component for Rdma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcrafter_proto::{AccessId, LineAddr, LineMask, MemReq, Origin};
+    use netcrafter_proto::{AccessId, Flit, LineAddr, LineMask, MemReq, Origin};
     use netcrafter_sim::EngineBuilder;
     use std::sync::Arc;
     use std::sync::Mutex;

@@ -234,25 +234,7 @@ impl L2Cache {
             } else {
                 // Partial write miss: write-allocate (fetch then merge).
                 self.stats.write_misses += 1;
-                match self.banks[bank_ix]
-                    .mshr
-                    .register(line_key, self.full_sector_mask, req)
-                {
-                    MshrOutcome::Allocated => {
-                        ctx.tracer().begin(EventClass::Cache, "l2.miss", line_key);
-                        self.send_dram_fill(ctx, &req);
-                    }
-                    MshrOutcome::Merged => {
-                        ctx.tracer()
-                            .instant(EventClass::Mshr, "mshr.merge", line_key, 0);
-                    }
-                    MshrOutcome::Stalled => {
-                        self.stats.mshr_retries += 1;
-                        ctx.tracer()
-                            .instant(EventClass::Mshr, "mshr.stall", line_key, 0);
-                        self.banks[bank_ix].input.push_back(req);
-                    }
-                }
+                self.register_miss(ctx, bank_ix, line_key, req);
             }
         } else {
             self.stats.reads += 1;
@@ -265,25 +247,32 @@ impl L2Cache {
                 self.respond(ctx, &req);
             } else {
                 self.stats.read_misses += 1;
-                match self.banks[bank_ix]
-                    .mshr
-                    .register(line_key, self.full_sector_mask, req)
-                {
-                    MshrOutcome::Allocated => {
-                        ctx.tracer().begin(EventClass::Cache, "l2.miss", line_key);
-                        self.send_dram_fill(ctx, &req);
-                    }
-                    MshrOutcome::Merged => {
-                        ctx.tracer()
-                            .instant(EventClass::Mshr, "mshr.merge", line_key, 0);
-                    }
-                    MshrOutcome::Stalled => {
-                        self.stats.mshr_retries += 1;
-                        ctx.tracer()
-                            .instant(EventClass::Mshr, "mshr.stall", line_key, 0);
-                        self.banks[bank_ix].input.push_back(req);
-                    }
-                }
+                self.register_miss(ctx, bank_ix, line_key, req);
+            }
+        }
+    }
+
+    /// Books a miss on `line_key` in its bank's MSHR: the first miss on
+    /// a line opens an `l2.miss` span and fetches it from DRAM, a later
+    /// one merges into it, and a full MSHR re-queues the request.
+    fn register_miss(&mut self, ctx: &mut Ctx<'_>, bank_ix: usize, line_key: u64, req: MemReq) {
+        match self.banks[bank_ix]
+            .mshr
+            .register(line_key, self.full_sector_mask, req)
+        {
+            MshrOutcome::Allocated => {
+                ctx.tracer().begin(EventClass::Cache, "l2.miss", line_key);
+                self.send_dram_fill(ctx, &req);
+            }
+            MshrOutcome::Merged => {
+                ctx.tracer()
+                    .instant(EventClass::Mshr, "mshr.merge", line_key, 0);
+            }
+            MshrOutcome::Stalled => {
+                self.stats.mshr_retries += 1;
+                ctx.tracer()
+                    .instant(EventClass::Mshr, "mshr.stall", line_key, 0);
+                self.banks[bank_ix].input.push_back(req);
             }
         }
     }

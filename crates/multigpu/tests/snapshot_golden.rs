@@ -7,10 +7,6 @@
 //! decode: bump `SNAPSHOT_VERSION` in `crates/sim/src/snapshot.rs` and
 //! re-pin (the failure message prints the new tuple). A refactor of the
 //! save/load code that is meant to be byte-neutral must pass unmodified.
-//!
-//! Debug builds carry the egress ports' chunk-conservation ledger in
-//! the bytes where release builds write zeros, so each system pins one
-//! hash per profile; the length is the same in both.
 
 use netcrafter_multigpu::{Experiment, System, SystemVariant};
 use netcrafter_proto::{fnv1a64, SystemConfig};
@@ -19,8 +15,8 @@ use netcrafter_sim::TraceConfig;
 use netcrafter_vm::TranslationUnit;
 use netcrafter_workloads::{Scale, Workload};
 
-/// `(version, length, fnv1a64 in a debug build, fnv1a64 in a release build)`.
-type Pin = (u32, usize, u64, u64);
+/// `(version, length, fnv1a64)`.
+type Pin = (u32, usize, u64);
 
 fn build(exp: &Experiment) -> System {
     let cfg = exp.variant.apply(exp.base_cfg);
@@ -56,23 +52,11 @@ fn parked_requests(sys: &System) -> usize {
 fn assert_pinned(name: &str, sys: &mut System, pin: Pin) {
     let bytes = sys.save_snapshot();
     let hash = fnv1a64(&bytes);
-    let (version, len, debug_hash, release_hash) = pin;
-    let want = if cfg!(debug_assertions) {
-        debug_hash
-    } else {
-        release_hash
-    };
     assert!(
-        (SNAPSHOT_VERSION, bytes.len(), hash) == (version, len, want),
+        (SNAPSHOT_VERSION, bytes.len(), hash) == pin,
         "{name}: snapshot bytes changed: bump SNAPSHOT_VERSION and re-pin \
-         (now version {SNAPSHOT_VERSION}, {} bytes, fnv1a64 {hash:#018x} in this \
-         {} build; pinned version {version}, {len} bytes, {want:#018x})",
-        bytes.len(),
-        if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        },
+         (now ({SNAPSHOT_VERSION}, {}, {hash:#018x}), pinned {pin:?})",
+        bytes.len()
     );
 }
 
@@ -119,6 +103,6 @@ fn torus_8_mid_run() {
     assert_pinned("torus-8/Gups/NetCrafter", &mut sys, TORUS_8);
 }
 
-const MESH: Pin = (7, 173_282, 0xa32c_d3c9_652c_2f74, 0x4093_c534_09a8_68a2);
-const FAT_TREE_8: Pin = (7, 362_322, 0x40f2_3dc8_bb1b_e4fb, 0x431f_7ea9_39da_cf0d);
-const TORUS_8: Pin = (7, 366_669, 0x9bdf_489e_3645_9c57, 0xcf41_5871_37e8_ddf8);
+const MESH: Pin = (8, 173_090, 0xd57b_29a2_f2ab_0226);
+const FAT_TREE_8: Pin = (8, 361_746, 0x63c8_9f9f_dc7f_72e0);
+const TORUS_8: Pin = (8, 365_965, 0x89c7_c5bd_18be_4bf8);

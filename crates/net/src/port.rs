@@ -275,8 +275,8 @@ pub struct EgressPort {
     /// Debug-build flit-conservation ledger: chunks that entered the
     /// output buffer. Chunks (not flits) are the conserved unit because
     /// stitching merges flits without creating or destroying chunks.
-    /// Release builds never count, so the snapshot bytes are zeros there
-    /// and the layout is the same in both profiles.
+    /// Release builds never count. Not snapshotted: a restore restarts
+    /// the ledger from the queue it restored.
     dbg_pushed_chunks: u64,
     /// Debug-build flit-conservation ledger: chunks transmitted.
     dbg_popped_chunks: u64,
@@ -413,11 +413,6 @@ impl EgressPort {
         self.credits += count;
     }
 
-    /// Flits waiting in the output buffer.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// True while flits wait for transmission.
     pub fn busy(&self) -> bool {
         !self.queue.is_empty()
@@ -543,10 +538,26 @@ impl EgressPort {
             credits,
             stats,
             series: skipped(observer),
+            // The port's own catch-up anchor: a restored port finishes
+            // replaying the cycles it slept through on its next push,
+            // credit or tick, as it would have without the pause.
             last_tick,
-            dbg_pushed_chunks,
-            dbg_popped_chunks,
+            dbg_pushed_chunks: skipped(derived),
+            dbg_popped_chunks: skipped(derived),
         }
+        validate Self::restart_ledger
+    }
+
+    /// Restarts the debug-build chunk ledger from the restored queue: the
+    /// chunks it holds count as pushed, none as popped.
+    fn restart_ledger(&mut self) -> Result<(), SnapshotError> {
+        self.dbg_pushed_chunks = if cfg!(debug_assertions) {
+            self.queue.held_chunks() as u64
+        } else {
+            0
+        };
+        self.dbg_popped_chunks = 0;
+        Ok(())
     }
 
     /// The rate limiter's exact token level (for tests).
@@ -555,48 +566,10 @@ impl EgressPort {
         self.rate.tokens_bits()
     }
 
-    /// Cycle of the last executed (or replayed) tick.
-    pub fn last_tick(&self) -> Cycle {
+    /// Cycle of the last executed (or replayed) tick (for tests).
+    #[cfg(test)]
+    pub(crate) fn last_tick(&self) -> Cycle {
         self.last_tick
-    }
-
-    /// Writes what [`EgressPort::save`] would after a [`EgressPort::catch_up`]
-    /// through `through` (`catch_up(through + 1)`), without changing the
-    /// port: the rate limiter is replayed on a copy. An owner that leaves
-    /// idle ports unticked saves them through its own last tick, so the
-    /// bytes equal those of a port ticked on every one of its owner's
-    /// ticks.
-    pub fn save_through(&self, w: &mut SnapshotWriter, through: Cycle) {
-        use netcrafter_sim::snapshot::Snap as _;
-        let Self {
-            peer: _,
-            self_node: _,
-            peer_port: _,
-            capacity: _,
-            wire_latency: _,
-            queue,
-            rate,
-            credits,
-            stats,
-            series: _,
-            last_tick,
-            dbg_pushed_chunks,
-            dbg_popped_chunks,
-        } = self;
-        let mut rate = rate.clone();
-        let last_tick = if through > *last_tick {
-            replay_idle(&mut rate, *credits, through - last_tick);
-            through
-        } else {
-            *last_tick
-        };
-        queue.save(w);
-        rate.save(w);
-        credits.save(w);
-        stats.save(w);
-        last_tick.save(w);
-        dbg_pushed_chunks.save(w);
-        dbg_popped_chunks.save(w);
     }
 }
 

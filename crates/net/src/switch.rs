@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use netcrafter_proto::{Flit, Message, Metrics, NodeId};
-use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{
     snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Tracer,
     Wake,
@@ -70,41 +70,18 @@ impl Port {
         !self.in_pipe.is_empty() || self.stalled.is_some()
     }
 
-    /// The snapshot pair is written out rather than generated by
-    /// `snap_fields!`: the egress port is saved as if caught up through
-    /// `through`, the switch's last tick (see [`EgressPort::save_through`]).
-    fn save_through(&self, w: &mut SnapshotWriter, through: Cycle) {
-        let Self {
-            peer: _,
-            peer_node: _,
-            peer_port: _,
-            wire_latency: _,
-            in_capacity: _,
-            is_inter: _,
+    snap_fields! {
+        fn save + load_into {
+            peer: skipped(wiring),
+            peer_node: skipped(wiring),
+            peer_port: skipped(wiring),
+            wire_latency: skipped(config),
             in_pipe,
+            in_capacity: skipped(config),
             stalled,
             egress,
-        } = self;
-        in_pipe.save(w);
-        stalled.save(w);
-        egress.save_through(w, through);
-    }
-
-    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let Self {
-            peer: _,
-            peer_node: _,
-            peer_port: _,
-            wire_latency: _,
-            in_capacity: _,
-            is_inter: _,
-            in_pipe,
-            stalled,
-            egress,
-        } = self;
-        in_pipe.load_into(r)?;
-        stalled.load_into(r)?;
-        egress.load_into(r)
+            is_inter: skipped(wiring),
+        }
     }
 }
 
@@ -163,9 +140,6 @@ pub struct Switch {
     rx_active: u64,
     /// Ports with a non-empty egress queue.
     tx_active: u64,
-    /// Cycle of the last tick: the cycle a snapshot writes every egress
-    /// port caught up to.
-    last_tick: Cycle,
     /// Per-port chunk counters reused by the un-stitching admission check
     /// in [`Switch::try_route`]; always all-zero between calls. A scratch
     /// field (not a local) so the routing hot path allocates nothing.
@@ -232,15 +206,9 @@ impl Switch {
             route: table,
             rx_active: 0,
             tx_active: 0,
-            last_tick: 0,
             unstitch_needed,
             stats: SwitchStats::default(),
         }
-    }
-
-    /// This switch's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Turns on windowed time-series sampling on every egress port
@@ -299,6 +267,12 @@ impl Switch {
             Some(&port) if port != NO_ROUTE => usize::from(port),
             _ => panic!("{}: no route to {dst}", self.name),
         }
+    }
+
+    /// Rebuilds the derived active-port masks after a restore.
+    fn rebuild_masks(&mut self) -> Result<(), SnapshotError> {
+        (self.rx_active, self.tx_active) = self.port_masks();
+        Ok(())
     }
 
     /// `(rx_active, tx_active)` recomputed from the ports.
@@ -412,7 +386,6 @@ impl Switch {
 impl Component for Switch {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
-        self.last_tick = now;
 
         // 1. Accept arrivals and credits.
         while let Some(msg) = ctx.recv() {
@@ -521,50 +494,19 @@ impl Component for Switch {
         &self.name
     }
 
-    /// Written out rather than generated by `snap_fields!`: an idle port
-    /// lags the switch, so each is saved as if caught up through the
-    /// switch's last tick — the bytes a switch that ticked every port
-    /// would write. `last_tick` and the masks are derived on load.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let Self {
-            node: _,
-            name: _,
-            pipeline_cycles: _,
-            route: _,
-            rx_active: _,
-            tx_active: _,
-            last_tick,
-            unstitch_needed: _,
-            ports,
+    snap_fields! {
+        fn save_state + load_state {
+            node: skipped(wiring),
+            name: skipped(wiring),
+            pipeline_cycles: skipped(config),
+            ports: fixed,
+            route: skipped(config),
+            rx_active: skipped(derived),
+            tx_active: skipped(derived),
+            unstitch_needed: skipped(scratch),
             stats,
-        } = self;
-        w.put_len(ports.len());
-        for port in ports {
-            port.save_through(w, *last_tick);
         }
-        stats.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_len()?;
-        if n != self.ports.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {n} ports, the restore target has {}",
-                self.ports.len()
-            )));
-        }
-        for port in &mut self.ports {
-            port.load_into(r)?;
-        }
-        self.stats.load_into(r)?;
-        (self.rx_active, self.tx_active) = self.port_masks();
-        self.last_tick = self
-            .ports
-            .iter()
-            .map(|p| p.egress.last_tick())
-            .max()
-            .unwrap_or(0);
-        Ok(())
+        validate Self::rebuild_masks
     }
 }
 
@@ -577,9 +519,12 @@ mod tests {
         AccessId, GpuId, LineAddr, LineMask, MemReq, Packet, PacketId, PacketKind, PacketPayload,
         TrafficClass,
     };
-    use netcrafter_sim::EngineBuilder;
+    use netcrafter_sim::{Engine, EngineBuilder};
     use std::sync::Arc;
     use std::sync::Mutex;
+
+    /// The flits an endpoint received, in arrival order.
+    type FlitLog = Arc<Mutex<Vec<Flit>>>;
 
     /// Endpoint that sends a burst of flits into the switch at startup and
     /// records everything it receives.
@@ -589,7 +534,7 @@ mod tests {
         /// This endpoint's port index at the switch (stamped as `link`).
         switch_port: u16,
         outbound: Vec<Flit>,
-        received: Arc<Mutex<Vec<Flit>>>,
+        received: FlitLog,
         sent: bool,
         switch_credits: u32,
     }
@@ -635,6 +580,17 @@ mod tests {
         }
         fn name(&self) -> &str {
             "endpoint"
+        }
+        snap_fields! {
+            fn save_state + load_state {
+                node: skipped(wiring),
+                switch: skipped(wiring),
+                switch_port: skipped(wiring),
+                outbound,
+                received,
+                sent,
+                switch_credits,
+            }
         }
     }
 
@@ -891,10 +847,10 @@ mod tests {
     );
 
     /// A radix-4 switch under back-pressure: two senders and a local
-    /// receiver share it with a 0.25 flits/cycle, 4-credit link to a
-    /// second switch. Every egress port is settled to the end cycle
-    /// before it is observed.
-    fn radix4_backpressure(mode: netcrafter_sim::SchedulerMode) -> Observed {
+    /// receiver share `sw0` with a 0.25 flits/cycle, 4-credit link to a
+    /// second switch `sw1`. Returns the engine, `[sw0, sw1]` and the two
+    /// receivers' flit logs.
+    fn radix4_engine() -> (Engine, [ComponentId; 2], Vec<FlitLog>) {
         let mut b = EngineBuilder::new();
         let [e0, e1, e2, e3, sw0, sw1] = [(); 6].map(|()| b.reserve());
         let seg = Segmenter::new(16);
@@ -955,7 +911,13 @@ mod tests {
                 BTreeMap::from([(NodeId(4), 0), (NodeId(3), 1)]),
             )),
         );
-        let mut e = b.build();
+        (b.build(), [sw0, sw1], received)
+    }
+
+    /// Runs [`radix4_engine`] to quiescence under `mode`. Every egress
+    /// port is settled to the end cycle before it is observed.
+    fn radix4_backpressure(mode: netcrafter_sim::SchedulerMode) -> Observed {
+        let (mut e, [sw0, sw1], received) = radix4_engine();
         e.set_scheduler(mode);
         let end = e.run_to_quiescence(20_000);
         let switches = [sw0, sw1]
@@ -997,6 +959,62 @@ mod tests {
             legacy.2[0].0
         );
         assert_eq!(legacy, event);
+    }
+
+    /// Per switch: its statistics and every egress port's `(last_tick,
+    /// credits, token bits)`.
+    type PortState = Vec<(String, Vec<(Cycle, u32, u64)>)>;
+
+    fn port_state(e: &Engine, switches: [ComponentId; 2]) -> PortState {
+        let port = |p: &Port| {
+            (
+                p.egress.last_tick(),
+                p.egress.credits(),
+                p.egress.tokens_bits(),
+            )
+        };
+        let switch = |id| e.get::<Switch>(id).expect("switch");
+        switches
+            .map(|id| {
+                (
+                    format!("{:?}", switch(id).stats),
+                    switch(id).ports.iter().map(port).collect(),
+                )
+            })
+            .to_vec()
+    }
+
+    /// A switch paused while an egress port sleeps saves that port as it
+    /// is — its own catch-up anchor and token level, not the switch's
+    /// cycle — and a twin restored from the bytes finishes the replay
+    /// itself: run on, it delivers what the original delivers.
+    #[test]
+    fn paused_switch_restores_sleeping_ports_as_they_are() {
+        let (mut original, switches, received) = radix4_engine();
+        let sleeping_while_stalled = |e: &Engine| {
+            let sw = e.get::<Switch>(switches[0]).expect("switch");
+            let newest = sw.ports.iter().map(|p| p.egress.last_tick()).max();
+            sw.stats.output_stalls > 0
+                && sw.ports.iter().any(|p| Some(p.egress.last_tick()) < newest)
+        };
+        while !sleeping_while_stalled(&original) {
+            assert!(!original.quiescent(), "the tight link must back-pressure");
+            original.step();
+        }
+        let (mut twin, _, twin_received) = radix4_engine();
+        twin.restore(&original.save_snapshot())
+            .expect("same build restores");
+        assert_eq!(port_state(&twin, switches), port_state(&original, switches));
+
+        let end = original.run_to_quiescence(20_000);
+        assert_eq!(twin.run_to_quiescence(20_000), end);
+        let logs = |rx: &[FlitLog]| {
+            rx.iter()
+                .map(|r| r.lock().unwrap().clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(logs(&twin_received), logs(&received));
+        assert_eq!(port_state(&twin, switches), port_state(&original, switches));
     }
 
     /// Stitched flit addressed to the switch gets un-stitched and each

@@ -224,11 +224,6 @@ impl Topology {
         (0..self.total_gpus()).map(GpuId)
     }
 
-    /// All clusters, in id order.
-    pub fn all_clusters(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        (0..self.clusters).map(ClusterId)
-    }
-
     /// Minimum cycle latency over every link in the graph — the
     /// conservative global lower bound. The parallel partition prefers
     /// the per-domain-pair latencies (see
@@ -677,7 +672,6 @@ mod tests {
         assert_eq!(t.switch_node(ClusterId(3)), NodeId(11));
         assert_eq!(t.node_cluster(NodeId(7)), ClusterId(3));
         assert_eq!(t.all_gpus().count(), 8);
-        assert_eq!(t.all_clusters().count(), 4);
     }
 
     #[test]

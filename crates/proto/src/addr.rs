@@ -138,12 +138,6 @@ impl LineAddr {
     }
 }
 
-/// Composes a physical address from a page frame number and an offset.
-#[inline]
-pub const fn pa_from_parts(pfn: u64, page_offset: u64) -> PAddr {
-    PAddr(pfn * PAGE_BYTES + page_offset)
-}
-
 /// A byte-range mask over one 64 B cache line, recording exactly which bytes
 /// a coalesced wavefront access touches.
 ///

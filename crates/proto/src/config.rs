@@ -670,12 +670,6 @@ impl SystemConfig {
         GpuId((pa >> PA_GPU_REGION_BITS) as u16)
     }
 
-    /// First physical frame number of `gpu`'s memory partition.
-    #[inline]
-    pub fn gpu_frame_base(&self, gpu: GpuId) -> u64 {
-        (gpu.raw() as u64) << (PA_GPU_REGION_BITS - 12)
-    }
-
     /// Sectors per 64 B line at the configured trim granularity.
     #[inline]
     pub fn sectors_per_line(&self) -> u32 {
@@ -923,7 +917,6 @@ mod tests {
         assert_eq!(c.pa_owner(0), GpuId(0));
         assert_eq!(c.pa_owner(1 << PA_GPU_REGION_BITS), GpuId(1));
         assert_eq!(c.pa_owner((3 << PA_GPU_REGION_BITS) + 0x123456), GpuId(3));
-        assert_eq!(c.gpu_frame_base(GpuId(1)) * 4096, 1 << PA_GPU_REGION_BITS);
     }
 
     #[test]

@@ -136,7 +136,9 @@ impl Flit {
     /// first chunk lacks a header. Returns `None` if the candidate cannot
     /// fit (also when the candidate itself is already stitched — the
     /// engine only stitches single-chunk candidates, though an already-
-    /// stitched *parent* may absorb more chunks, §4.4 step 4h).
+    /// stitched *parent* may absorb more chunks, §4.4 step 4h). Routes are
+    /// not compared: the Cluster Queue only offers candidates from the
+    /// parent's destination-cluster partition.
     pub fn stitch_cost(&self, candidate: &Flit) -> Option<u32> {
         self.stitch_cost_in(self.empty_bytes(), candidate)
     }
@@ -156,14 +158,7 @@ impl Flit {
         } else {
             c.bytes + STITCH_META_BYTES
         };
-        (cost <= room && self.dst_cluster_compatible(candidate)).then_some(cost)
-    }
-
-    /// Stitching requires a shared route; the caller (the Cluster Queue)
-    /// only offers candidates from the same destination-cluster partition,
-    /// so here we only check capacity-independent invariants.
-    fn dst_cluster_compatible(&self, _candidate: &Flit) -> bool {
-        true
+        (cost <= room).then_some(cost)
     }
 
     /// Absorbs `candidate`'s chunk into this flit, applying stitching

@@ -136,14 +136,6 @@ pub struct TrimInfo {
     pub sector: u8,
 }
 
-impl TrimInfo {
-    /// Payload bytes of a response trimmed to this request: one sector.
-    #[inline]
-    pub const fn trimmed_payload_bytes(self) -> u32 {
-        self.granularity
-    }
-}
-
 /// The protocol-level message a packet delivers to its destination RDMA
 /// engine once reassembled from flits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -306,14 +298,5 @@ mod tests {
         for (i, k) in ALL_PACKET_KINDS.iter().enumerate() {
             assert_eq!(k.index(), i);
         }
-    }
-
-    #[test]
-    fn trim_info_payload() {
-        let t = TrimInfo {
-            granularity: 16,
-            sector: 2,
-        };
-        assert_eq!(t.trimmed_payload_bytes(), 16);
     }
 }

@@ -17,9 +17,9 @@
 //! here for primitives, standard containers and the `proto` data types)
 //! plus the [`crate::Component::save_state`]/
 //! [`crate::Component::load_state`] pair that every snapshottable
-//! component implements. Struct-shaped types do not write those pairs by
-//! hand: [`snap_fields!`](crate::snap_fields) takes the field list once
-//! and generates every direction from it.
+//! component implements. Structs and enums do not write those pairs by
+//! hand: [`snap_fields!`](crate::snap_fields) takes the field or tag list
+//! once and generates every direction from it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -40,7 +40,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5053_434E;
 /// Current snapshot format version. Bump whenever the encoding of any
 /// serialized structure changes; old snapshots then fail loudly with
 /// [`SnapshotError::VersionMismatch`] instead of restoring garbage.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -480,6 +480,36 @@ pub trait Snap: Sized {
 /// assert_eq!((fresh.ticks, fresh.sum), (3, 12));
 /// ```
 ///
+/// # Enums
+///
+/// `enum T { TAG => Variant, .. }` implements [`Snap`] for an enum from
+/// one tag list: a `u8` tag, then the variant's fields in the order
+/// named — `Unit`, `Tuple(a, b)` (binding names for the positional
+/// fields) or `Struct { x, y }`. Loading an unlisted tag fails
+/// `Corrupt("T tag N")`. A variant left out of the list does not compile
+/// (the generated `save` match is not exhaustive). `enum T<U>` takes one
+/// type parameter, bounded by [`Snap`].
+///
+/// ```
+/// use netcrafter_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Step {
+///     Idle,
+///     Move(u32, u32),
+///     Wait { until: u64 },
+/// }
+///
+/// netcrafter_sim::snap_fields! {
+///     enum Step { 0 => Idle, 1 => Move(dx, dy), 2 => Wait { until } }
+/// }
+///
+/// let mut w = SnapshotWriter::new();
+/// Step::Wait { until: 9 }.save(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(Step::load(&mut SnapshotReader::new(&bytes)).unwrap(), Step::Wait { until: 9 });
+/// ```
+///
 /// The same struct with `sum` left out of the list is rejected by the
 /// compiler, at the invocation: E0027 "pattern does not mention field
 /// `sum`", or — for a private field seen from another crate's macro, as
@@ -539,6 +569,46 @@ macro_rules! snap_fields {
                 Ok(())
             }
         }
+    };
+    (
+        $(#[$attr:meta])*
+        enum $ty:ident $(<$g:ident>)? {
+            $($tag:literal => $variant:ident
+                $(($($tf:ident),* $(,)?))?
+                $({$($sf:ident),* $(,)?})?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        impl $(<$g: $crate::snapshot::Snap>)? $crate::snapshot::Snap for $ty $(<$g>)? {
+            fn save(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                match self {
+                    $(Self::$variant $(($($tf),*))? $({$($sf),*})? => {
+                        w.put_u8($tag);
+                        $($($crate::snapshot::Snap::save($tf, w);)*)?
+                        $($($crate::snapshot::Snap::save($sf, w);)*)?
+                    })*
+                }
+            }
+
+            fn load(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                match r.get_u8()? {
+                    $($tag => Ok(Self::$variant
+                        $(($($crate::snap_fields!(@field r $tf)),*))?
+                        $({$($sf: $crate::snapshot::Snap::load(r)?),*})?
+                    ),)*
+                    tag => Err($crate::snapshot::SnapshotError::Corrupt(format!(
+                        "{} tag {tag}",
+                        stringify!($ty)
+                    ))),
+                }
+            }
+        }
+    };
+    (@field $r:ident $f:ident) => {
+        $crate::snapshot::Snap::load($r)?
     };
     (
         $vis:vis fn $save:ident + $load:ident {
@@ -719,24 +789,7 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
 }
 
-impl<T: Snap> Snap for Option<T> {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::load(r)?)),
-            tag => Err(SnapshotError::Corrupt(format!("Option tag {tag}"))),
-        }
-    }
-}
+snap_fields! { enum Option<T> { 0 => None, 1 => Some(value) } }
 
 impl<T: Snap> Snap for Box<T> {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -871,21 +924,7 @@ impl<T: From<u64>> Snap for IdAlloc<T> {
 
 // ---- proto protocol types ----
 
-impl Snap for TrafficClass {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            TrafficClass::Data => 0,
-            TrafficClass::Ptw => 1,
-        });
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(TrafficClass::Data),
-            1 => Ok(TrafficClass::Ptw),
-            tag => Err(SnapshotError::Corrupt(format!("TrafficClass tag {tag}"))),
-        }
-    }
-}
+snap_fields! { enum TrafficClass { 0 => Data, 1 => Ptw } }
 
 impl Snap for PacketKind {
     fn save(&self, w: &mut SnapshotWriter) {
@@ -900,28 +939,7 @@ impl Snap for PacketKind {
     }
 }
 
-impl Snap for Origin {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            Origin::Cu(cu) => {
-                w.put_u8(0);
-                w.put_u16(*cu);
-            }
-            Origin::Gmmu => w.put_u8(1),
-            Origin::Rdma => w.put_u8(2),
-            Origin::L2 => w.put_u8(3),
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(Origin::Cu(r.get_u16()?)),
-            1 => Ok(Origin::Gmmu),
-            2 => Ok(Origin::Rdma),
-            3 => Ok(Origin::L2),
-            tag => Err(SnapshotError::Corrupt(format!("Origin tag {tag}"))),
-        }
-    }
-}
+snap_fields! { enum Origin { 0 => Cu(cu), 1 => Gmmu, 2 => Rdma, 3 => L2 } }
 
 snap_fields! {
     impl Snap for MemReq {
@@ -941,27 +959,7 @@ snap_fields! { impl Snap for TransRsp { access, vpn, pfn, cu } }
 
 snap_fields! { impl Snap for TrimInfo { granularity, sector } }
 
-impl Snap for PacketPayload {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            PacketPayload::Req(req) => {
-                w.put_u8(0);
-                req.save(w);
-            }
-            PacketPayload::Rsp(rsp) => {
-                w.put_u8(1);
-                rsp.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(PacketPayload::Req(Snap::load(r)?)),
-            1 => Ok(PacketPayload::Rsp(Snap::load(r)?)),
-            tag => Err(SnapshotError::Corrupt(format!("PacketPayload tag {tag}"))),
-        }
-    }
-}
+snap_fields! { enum PacketPayload { 0 => Req(req), 1 => Rsp(rsp) } }
 
 snap_fields! { impl Snap for Packet { id, kind, src, dst, payload_bytes, trim, inner } }
 
@@ -973,77 +971,20 @@ snap_fields! {
 
 snap_fields! { impl Snap for Flit { capacity, chunks, dst } }
 
-impl Snap for Message {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            Message::MemReq(req) => {
-                w.put_u8(0);
-                req.save(w);
-            }
-            Message::MemRsp(rsp) => {
-                w.put_u8(1);
-                rsp.save(w);
-            }
-            Message::TransReq(req) => {
-                w.put_u8(2);
-                req.save(w);
-            }
-            Message::TransRsp(rsp) => {
-                w.put_u8(3);
-                rsp.save(w);
-            }
-            Message::Flit { flit, from, link } => {
-                w.put_u8(4);
-                flit.save(w);
-                from.save(w);
-                link.save(w);
-            }
-            Message::Credit { from, count, link } => {
-                w.put_u8(5);
-                from.save(w);
-                count.save(w);
-                link.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(Message::MemReq(Snap::load(r)?)),
-            1 => Ok(Message::MemRsp(Snap::load(r)?)),
-            2 => Ok(Message::TransReq(Snap::load(r)?)),
-            3 => Ok(Message::TransRsp(Snap::load(r)?)),
-            4 => Ok(Message::Flit {
-                flit: Snap::load(r)?,
-                from: Snap::load(r)?,
-                link: Snap::load(r)?,
-            }),
-            5 => Ok(Message::Credit {
-                from: Snap::load(r)?,
-                count: Snap::load(r)?,
-                link: Snap::load(r)?,
-            }),
-            tag => Err(SnapshotError::Corrupt(format!("Message tag {tag}"))),
-        }
+snap_fields! {
+    enum Message {
+        0 => MemReq(req),
+        1 => MemRsp(rsp),
+        2 => TransReq(req),
+        3 => TransRsp(rsp),
+        4 => Flit { flit, from, link },
+        5 => Credit { from, count, link },
     }
 }
 
 // ---- proto workload types ----
 
-impl Snap for AccessKind {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        });
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(AccessKind::Read),
-            1 => Ok(AccessKind::Write),
-            tag => Err(SnapshotError::Corrupt(format!("AccessKind tag {tag}"))),
-        }
-    }
-}
+snap_fields! { enum AccessKind { 0 => Read, 1 => Write } }
 
 snap_fields! {
     impl Snap for CoalescedAccess { vaddr, kind, mask }
@@ -1057,27 +998,7 @@ fn nonempty_mask(access: &CoalescedAccess) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-impl Snap for WavefrontOp {
-    fn save(&self, w: &mut SnapshotWriter) {
-        match self {
-            WavefrontOp::Mem(access) => {
-                w.put_u8(0);
-                access.save(w);
-            }
-            WavefrontOp::Compute(cycles) => {
-                w.put_u8(1);
-                cycles.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(WavefrontOp::Mem(Snap::load(r)?)),
-            1 => Ok(WavefrontOp::Compute(Snap::load(r)?)),
-            tag => Err(SnapshotError::Corrupt(format!("WavefrontOp tag {tag}"))),
-        }
-    }
-}
+snap_fields! { enum WavefrontOp { 0 => Mem(access), 1 => Compute(cycles) } }
 
 snap_fields! { impl Snap for WavefrontTrace { id, cta, ops } }
 
@@ -1199,6 +1120,10 @@ mod tests {
 
     #[test]
     fn messages_round_trip() {
+        // Generated codecs: unit variants here, tuple and struct variants
+        // (`MemReq`, `Credit`, `Flit`) below.
+        round_trip(&Origin::Gmmu);
+        round_trip(&TrafficClass::Ptw);
         round_trip(&Message::MemReq(sample_req()));
         round_trip(&Message::MemRsp(MemRsp::for_req(&sample_req(), 0b0001)));
         round_trip(&Message::TransReq(TransReq {
@@ -1401,13 +1326,18 @@ mod tests {
 
     #[test]
     fn bad_enum_tags_are_rejected() {
-        let bytes = [9u8];
-        let got: Result<TrafficClass, _> = Snap::load(&mut SnapshotReader::new(&bytes));
-        assert!(matches!(got, Err(SnapshotError::Corrupt(_))));
-        let got: Result<Message, _> = Snap::load(&mut SnapshotReader::new(&bytes));
-        assert!(matches!(got, Err(SnapshotError::Corrupt(_))));
-        let got: Result<Option<u8>, _> = Snap::load(&mut SnapshotReader::new(&bytes));
-        assert!(matches!(got, Err(SnapshotError::Corrupt(_))));
+        fn tag_9<T: Snap + std::fmt::Debug>() -> SnapshotError {
+            T::load(&mut SnapshotReader::new(&[9u8])).expect_err("tag 9 is unknown")
+        }
+        let corrupt = |what: &str| SnapshotError::Corrupt(format!("{what} tag 9"));
+        assert_eq!(tag_9::<TrafficClass>(), corrupt("TrafficClass"));
+        assert_eq!(tag_9::<Origin>(), corrupt("Origin"));
+        assert_eq!(tag_9::<PacketPayload>(), corrupt("PacketPayload"));
+        assert_eq!(tag_9::<Message>(), corrupt("Message"));
+        assert_eq!(tag_9::<AccessKind>(), corrupt("AccessKind"));
+        assert_eq!(tag_9::<WavefrontOp>(), corrupt("WavefrontOp"));
+        assert_eq!(tag_9::<PacketKind>(), corrupt("PacketKind"));
+        assert_eq!(tag_9::<Option<u8>>(), corrupt("Option"));
     }
 
     #[test]

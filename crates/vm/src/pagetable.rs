@@ -160,11 +160,6 @@ impl PageTable {
             })
             .collect()
     }
-
-    /// Iterates all mappings (diagnostics, placement audits).
-    pub fn mappings(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.mapping.iter().map(|(&v, &p)| (v, p))
-    }
 }
 
 #[cfg(test)]
