@@ -90,7 +90,7 @@ impl L1Stats {
 /// use netcrafter_proto::{AccessId, LineAddr, LineMask};
 ///
 /// let cfg = CacheConfig {
-///     size_bytes: 64 * 1024, ways: 4, lookup_cycles: 20, mshr_entries: 32, banks: 1,
+///     size_bytes: 64 * 1024, ways: 4, lookup_cycles: 20, mshr_entries: 32,
 /// };
 /// let mut l1 = L1Cache::new(&cfg, SectorFillPolicy::OnTrim, 16);
 /// // An 8-byte cross-cluster read requests a single trimmed sector…
@@ -326,7 +326,6 @@ mod tests {
                 ways: 4,
                 lookup_cycles: 20,
                 mshr_entries: 4,
-                banks: 1,
             },
             policy,
             16,

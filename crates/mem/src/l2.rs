@@ -104,15 +104,17 @@ pub struct L2Cache {
 }
 
 impl L2Cache {
-    /// Builds the L2 of `gpu` from its configuration and reply wiring.
+    /// Builds the L2 of `gpu` from its configuration, split over `banks`
+    /// banks, and its reply wiring.
     pub fn new(
         gpu: GpuId,
         cfg: &CacheConfig,
+        banks: u32,
         full_sector_mask: u16,
         hop_cycles: u32,
         wiring: L2Wiring,
     ) -> Self {
-        let banks = cfg.banks.max(1) as usize;
+        let banks = banks.max(1) as usize;
         let lines_per_bank = (cfg.size_bytes / LINE_BYTES) as usize / banks;
         let mshr_per_bank = (cfg.mshr_entries as usize / banks).max(1);
         Self {
@@ -469,13 +471,13 @@ mod tests {
             ways: 4,
             lookup_cycles: 100,
             mshr_entries: 16,
-            banks: 4,
         };
         b.install(
             l2,
             Box::new(L2Cache::new(
                 GpuId(0),
                 &cfg,
+                4,
                 0b1111,
                 2,
                 L2Wiring {

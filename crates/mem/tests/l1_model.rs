@@ -64,7 +64,6 @@ fn check_case(ops: &[Op], policy: SectorFillPolicy, case: usize) {
         ways: 4,
         lookup_cycles: 20,
         mshr_entries: 8,
-        banks: 1,
     };
     let mut l1 = L1Cache::new(&cfg, policy, 16);
 

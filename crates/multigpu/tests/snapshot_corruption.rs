@@ -8,20 +8,95 @@
 //! truncation at every Nth offset, single-bit flips and `0xFF` stomps
 //! over short runs of bytes, all over a real quick-scale snapshot taken
 //! while flits, fills and page walks are in flight.
+//!
+//! Well-formed bytes of another run are refused as a whole: a snapshot
+//! carries its run id, and `restore` returns `SnapshotError::WrongRun`
+//! before it assigns anything.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use netcrafter_core::SplitMix64;
-use netcrafter_multigpu::{Experiment, System, SystemVariant};
+use netcrafter_multigpu::{CheckpointPlan, Experiment, System, SystemVariant};
+use netcrafter_proto::SystemConfig;
+use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_workloads::Workload;
 
-fn build() -> System {
-    let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-    let cfg = exp.variant.apply(exp.base_cfg);
+fn quick() -> Experiment {
+    Experiment::quick(Workload::Gups, SystemVariant::NetCrafter)
+}
+
+/// The node `exp` runs on, with `tweak` applied to its variant-applied
+/// configuration.
+fn build_with(exp: &Experiment, tweak: impl FnOnce(&mut SystemConfig)) -> System {
+    let mut cfg = exp.variant.apply(exp.base_cfg);
+    tweak(&mut cfg);
     let kernel = exp
         .workload
         .generate(&exp.scale, cfg.total_gpus(), exp.seed);
     System::build(cfg, &kernel)
+}
+
+fn build_of(exp: &Experiment) -> System {
+    build_with(exp, |_| {})
+}
+
+fn build() -> System {
+    build_of(&quick())
+}
+
+/// `exp` run up to `cycle` and saved there.
+fn paused_at(exp: &Experiment, cycle: u64) -> Vec<u8> {
+    let mut sys = build_of(exp);
+    sys.run_until(cycle);
+    assert!(!sys.engine.quiescent(), "paused mid-run");
+    sys.save_snapshot()
+}
+
+#[track_caller]
+fn assert_wrong_run(what: &str, restored: Result<(), SnapshotError>) {
+    match restored {
+        Err(SnapshotError::WrongRun { found, expected }) => assert_ne!(found, expected),
+        other => panic!("{what}: expected WrongRun, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_snapshot_restores_into_its_own_run_only() {
+    let good = paused_at(&quick(), 1_500);
+    build().restore(&good).expect("its own run");
+    assert_wrong_run("seed", build_of(&quick().with_seed(7)).restore(&good));
+    let spmv = Experiment {
+        workload: Workload::Spmv,
+        ..quick()
+    };
+    assert_wrong_run("workload", build_of(&spmv).restore(&good));
+    // With no warmup window every knob is live from cycle 0.
+    let wide = |cfg: &mut SystemConfig| cfg.netcrafter.pooling_window = 64;
+    assert_wrong_run("pooling window", build_with(&quick(), wide).restore(&good));
+}
+
+#[test]
+fn warmup_siblings_share_the_state_before_the_warmup_cycle_only() {
+    let mut exp = quick();
+    exp.base_cfg.netcrafter.warmup_cycles = 400;
+    let mut sibling = exp.clone();
+    sibling.variant = SystemVariant::StitchTrim;
+
+    // Paused at W − 1 no knob has acted yet: the sibling resumes the
+    // fork and finishes exactly as its own cold run.
+    let fork = paused_at(&exp, 399);
+    let plan = CheckpointPlan {
+        resume_from: Some(&fork),
+        pause_at: None,
+    };
+    let warm = (sibling.run_planned(plan, None)).expect("a sibling's fork at W - 1 restores");
+    assert_eq!(warm.result.to_kv(), sibling.run().to_kv());
+
+    // Pausing *at* W executes cycle W under the policy: only that run
+    // may continue from there.
+    let at_w = paused_at(&exp, 400);
+    build_of(&exp).restore(&at_w).expect("its own run");
+    assert_wrong_run("sibling at W", build_of(&sibling).restore(&at_w));
 }
 
 /// Restores `bytes` onto a fresh system; `Err(what)` if that panicked.
