@@ -6,7 +6,8 @@
 # The pipeline is split into two groups so the GitHub workflow can run
 # them as parallel jobs; with no argument both run in order:
 #
-#   ./ci.sh lint        # fmt, clippy (with the root clippy.toml's disallowed types)
+#   ./ci.sh lint        # fmt, clippy (with the root clippy.toml's disallowed types),
+#                       # rustdoc with -D warnings (stale intra-doc links)
 #   ./ci.sh build-test  # release build, workspace tests (the gated
 #                       # simulated counts among them), the frozen
 #                       # benchmark/ consumer's build + tests
@@ -96,6 +97,12 @@ step_clippy() {
         -D clippy::cloned_instead_of_copied
 }
 
+# Every doc comment builds: an intra-doc link to a deleted item or field,
+# or a redundant explicit link target, fails here.
+step_doc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+}
+
 step_build_release() {
     cargo build --release --offline
 }
@@ -120,6 +127,7 @@ step_test_benchmark_consumer() {
 if [[ "$mode" == lint || "$mode" == all ]]; then
     run_step "cargo fmt --check" step_fmt
     run_step "cargo clippy --workspace --all-targets -- -D warnings + curated pedantic subset" step_clippy
+    run_step "RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps" step_doc
 fi
 
 if [[ "$mode" == build-test || "$mode" == all ]]; then

@@ -12,7 +12,7 @@
 //! collision or a stale file from an older simulator revision is detected
 //! by string comparison and treated as a miss. The body is the
 //! line-oriented `key = value` rendering of
-//! [`RunResult`](netcrafter_multigpu::RunResult) — no serde, greppable,
+//! [`RunResult`] — no serde, greppable,
 //! and stable across platforms.
 //!
 //! Writes go through [`write_atomic`] — a uniquely named temp file

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use netcrafter_mem::{L1Access, L1Cache};
 use netcrafter_proto::access::{CoalescedAccess, WavefrontOp, WavefrontTrace};
-use netcrafter_proto::config::SystemConfig;
+use netcrafter_proto::config::{SystemConfig, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::{
     AccessId, CuId, GpuId, LatencyStat, LineAddr, MemReq, Message, Metrics, Origin, PAddr,
@@ -158,7 +158,6 @@ pub struct Cu {
     wiring: CuWiring,
     gpus_per_cluster: u16,
     frames_per_gpu: u64,
-    hop_cycles: u32,
     max_waves: usize,
     max_outstanding: u32,
     max_loads_per_wave: u16,
@@ -208,10 +207,9 @@ impl Cu {
             wiring,
             gpus_per_cluster: cfg.topology.gpus_per_cluster,
             frames_per_gpu: 1u64 << (netcrafter_proto::config::PA_GPU_REGION_BITS - 12),
-            hop_cycles: cfg.on_chip_hop_cycles,
             max_waves: cfg.max_waves_per_cu as usize,
             max_outstanding: cfg.max_outstanding_per_cu,
-            max_loads_per_wave: cfg.max_loads_per_wave.max(1),
+            max_loads_per_wave: cfg.max_loads_per_wave,
             full_sector_mask: cfg.full_sector_mask(),
             resident: Vec::new(),
             pending: waves.into(),
@@ -360,7 +358,7 @@ impl Cu {
                 origin: Origin::Cu(self.cu_raw),
             };
             self.outstanding += 1;
-            ctx.send(target, Message::MemReq(req), self.hop_cycles as u64);
+            ctx.send(target, Message::MemReq(req), ON_CHIP_HOP_CYCLES);
             // Posted write: the wavefront moves on after the issue cycle.
             self.resident[wf_ix].state = WfState::BusyUntil(now + 1);
             return;
@@ -398,7 +396,7 @@ impl Cu {
                 ctx.send(
                     target,
                     Message::MemReq(req),
-                    (self.l1.lookup_cycles() + self.hop_cycles) as u64,
+                    u64::from(self.l1.lookup_cycles()) + ON_CHIP_HOP_CYCLES,
                 );
                 self.note_load_issued(wf_ix);
             }
@@ -429,11 +427,7 @@ impl Cu {
                 vpn,
                 cu: self.cu_raw,
             };
-            ctx.send(
-                self.wiring.gmmu,
-                Message::TransReq(req),
-                self.hop_cycles as u64,
-            );
+            ctx.send(self.wiring.gmmu, Message::TransReq(req), ON_CHIP_HOP_CYCLES);
             self.resident[wf_ix].state = WfState::WaitTranslation(acc);
         }
     }
@@ -665,7 +659,6 @@ impl Component for Cu {
             wiring: skipped(wiring),
             gpus_per_cluster: skipped(config),
             frames_per_gpu: skipped(config),
-            hop_cycles: skipped(config),
             max_waves: skipped(config),
             max_outstanding: skipped(config),
             max_loads_per_wave: skipped(config),

@@ -10,8 +10,8 @@
 //! response packets back to the CU or GMMU that asked.
 
 use netcrafter_core::TrimEngine;
-use netcrafter_net::{EgressPort, EgressWire, FifoQueue, Reassembler, Segmenter};
-use netcrafter_proto::config::SystemConfig;
+use netcrafter_net::{EgressPort, EgressWire, FifoQueue, Reassembler, Segmenter, WIRE_LATENCY};
+use netcrafter_proto::config::{SystemConfig, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::{
     GpuId, MemRsp, Message, Metrics, NodeId, Packet, PacketId, PacketKind, PacketPayload,
     TrafficClass, TrimInfo,
@@ -75,7 +75,6 @@ pub struct Rdma {
     name: String,
     wiring: RdmaWiring,
     gpus_per_cluster: u16,
-    hop_cycles: u32,
     granularity: u32,
     full_sector_mask: u16,
     seg: Segmenter,
@@ -98,7 +97,7 @@ impl Rdma {
                 peer: wiring.switch,
                 self_node: node,
                 peer_port: wiring.switch_port,
-                wire_latency: 1,
+                wire_latency: WIRE_LATENCY,
             },
             Box::new(FifoQueue::new()),
             // Unbounded: every segmented flit queues here in order, and
@@ -112,12 +111,11 @@ impl Rdma {
             node,
             name: format!("{gpu}.rdma"),
             gpus_per_cluster: cfg.topology.gpus_per_cluster,
-            hop_cycles: cfg.on_chip_hop_cycles,
             granularity: cfg.trim_granularity,
             full_sector_mask: cfg.full_sector_mask(),
             seg: Segmenter::new(cfg.flit_bytes),
             reasm: Reassembler::new(),
-            trim: TrimEngine::new(cfg.netcrafter.trimming, cfg.trim_granularity),
+            trim: TrimEngine::new(cfg.trimming(), cfg.trim_granularity),
             egress,
             next_packet: (gpu.raw() as u64) << 48,
             wiring,
@@ -229,7 +227,7 @@ impl Rdma {
             PacketPayload::Req(req) => {
                 debug_assert_eq!(req.owner, self.gpu, "{}: misrouted request", self.name);
                 self.stats.requests_served += 1;
-                ctx.send(self.wiring.l2, Message::MemReq(req), self.hop_cycles as u64);
+                ctx.send(self.wiring.l2, Message::MemReq(req), ON_CHIP_HOP_CYCLES);
             }
             PacketPayload::Rsp(rsp) => {
                 debug_assert_eq!(rsp.requester, self.gpu, "{}: misrouted response", self.name);
@@ -238,7 +236,7 @@ impl Rdma {
                     netcrafter_proto::Origin::Gmmu => self.wiring.gmmu,
                     other => panic!("{}: response to {other:?}", self.name),
                 };
-                ctx.send(target, Message::MemRsp(rsp), self.hop_cycles as u64);
+                ctx.send(target, Message::MemRsp(rsp), ON_CHIP_HOP_CYCLES);
             }
         }
     }
@@ -299,7 +297,6 @@ impl Component for Rdma {
             name: skipped(wiring),
             wiring: skipped(wiring),
             gpus_per_cluster: skipped(config),
-            hop_cycles: skipped(config),
             granularity: skipped(config),
             full_sector_mask: skipped(config),
             seg: skipped(config),

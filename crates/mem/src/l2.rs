@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use netcrafter_proto::config::CacheConfig;
+use netcrafter_proto::config::{CacheConfig, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::{GpuId, MemReq, MemRsp, Message, Metrics, Origin, LINE_BYTES};
 use netcrafter_sim::{
     snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake,
@@ -97,7 +97,6 @@ pub struct L2Cache {
     banks: Vec<Bank>,
     wiring: L2Wiring,
     lookup_cycles: u32,
-    hop_cycles: u32,
     full_sector_mask: u16,
     /// Statistics.
     pub stats: L2Stats,
@@ -111,7 +110,6 @@ impl L2Cache {
         cfg: &CacheConfig,
         banks: u32,
         full_sector_mask: u16,
-        hop_cycles: u32,
         wiring: L2Wiring,
     ) -> Self {
         let banks = banks.max(1) as usize;
@@ -130,7 +128,6 @@ impl L2Cache {
                 .collect(),
             wiring,
             lookup_cycles: cfg.lookup_cycles,
-            hop_cycles,
             full_sector_mask,
             stats: L2Stats::default(),
         }
@@ -159,7 +156,7 @@ impl L2Cache {
         }
         let target = self.reply_target(req);
         let rsp = MemRsp::for_req(req, req.sectors);
-        ctx.send(target, Message::MemRsp(rsp), self.hop_cycles as u64);
+        ctx.send(target, Message::MemRsp(rsp), ON_CHIP_HOP_CYCLES);
     }
 
     fn send_dram_fill(&mut self, ctx: &mut Ctx<'_>, req: &MemReq) {
@@ -169,11 +166,7 @@ impl L2Cache {
             origin: Origin::L2,
             ..*req
         };
-        ctx.send(
-            self.wiring.dram,
-            Message::MemReq(fill),
-            self.hop_cycles as u64,
-        );
+        ctx.send(self.wiring.dram, Message::MemReq(fill), ON_CHIP_HOP_CYCLES);
     }
 
     fn send_dram_writeback(&mut self, ctx: &mut Ctx<'_>, line_key: u64) {
@@ -189,11 +182,7 @@ impl L2Cache {
             owner: self.gpu,
             origin: Origin::L2,
         };
-        ctx.send(
-            self.wiring.dram,
-            Message::MemReq(wb),
-            self.hop_cycles as u64,
-        );
+        ctx.send(self.wiring.dram, Message::MemReq(wb), ON_CHIP_HOP_CYCLES);
     }
 
     /// Installs `line_key` (evicting if needed) and returns whether a
@@ -377,7 +366,6 @@ impl Component for L2Cache {
             name: skipped(wiring),
             wiring: skipped(wiring),
             lookup_cycles: skipped(config),
-            hop_cycles: skipped(config),
             full_sector_mask: skipped(config),
             banks: fixed,
             stats,
@@ -479,7 +467,6 @@ mod tests {
                 &cfg,
                 4,
                 0b1111,
-                2,
                 L2Wiring {
                     cus: vec![cu],
                     gmmu,

@@ -45,81 +45,72 @@ pub enum SystemVariant {
 }
 
 impl SystemVariant {
-    /// Applies the variant to a base configuration. The base config's
-    /// `netcrafter.warmup_cycles` and `netcrafter.stitch_search_depth`
-    /// survive the variant's knob overwrite: the warmup window is a
+    /// Applies the variant to a base configuration: the variant sets the
+    /// Cluster Queue knobs and the L1 fill policy (Trimming is
+    /// [`SectorFillPolicy::OnTrim`]), and Ideal also the inter-cluster
+    /// bandwidth. The base config's `netcrafter.warmup_cycles` and
+    /// `netcrafter.stitch_search_depth` survive: the warmup window is a
     /// sweep-level lever (it makes every variant's pre-activation
     /// trajectory identical for prefix sharing) and the search depth a
     /// study knob (the ablation sweeps it), not part of any variant's
     /// identity.
-    pub fn apply(self, mut cfg: SystemConfig) -> SystemConfig {
-        let warmup = cfg.netcrafter.warmup_cycles;
-        let depth = cfg.netcrafter.stitch_search_depth;
-        match self {
-            SystemVariant::Baseline => {
-                cfg.netcrafter = NetCrafterConfig::disabled();
-                cfg.sector_fill = SectorFillPolicy::FullLine;
-            }
-            SystemVariant::Ideal => {
-                cfg = cfg.idealized();
-                cfg.netcrafter = NetCrafterConfig::disabled();
-                cfg.sector_fill = SectorFillPolicy::FullLine;
-            }
-            SystemVariant::NetCrafter => {
-                cfg = cfg.with_netcrafter();
-            }
-            SystemVariant::StitchOnly => {
-                cfg.netcrafter = NetCrafterConfig::stitching_only();
-                cfg.sector_fill = SectorFillPolicy::FullLine;
-            }
-            SystemVariant::StitchPool { window, selective } => {
-                cfg.netcrafter = NetCrafterConfig {
+    pub fn apply(self, cfg: SystemConfig) -> SystemConfig {
+        use SectorFillPolicy::{Always, FullLine, OnTrim};
+        let off = NetCrafterConfig::disabled();
+        let (netcrafter, sector_fill) = match self {
+            SystemVariant::Baseline | SystemVariant::Ideal => (off, FullLine),
+            SystemVariant::NetCrafter => (NetCrafterConfig::full(), OnTrim),
+            SystemVariant::StitchOnly => (NetCrafterConfig::stitching_only(), FullLine),
+            SystemVariant::StitchPool { window, selective } => (
+                NetCrafterConfig {
                     stitching: true,
                     pooling_window: window,
                     selective_pooling: selective,
-                    ..NetCrafterConfig::disabled()
-                };
-                cfg.sector_fill = SectorFillPolicy::FullLine;
-            }
-            SystemVariant::StitchTrim => {
-                cfg.netcrafter = NetCrafterConfig {
+                    ..off
+                },
+                FullLine,
+            ),
+            SystemVariant::StitchTrim => (
+                NetCrafterConfig {
                     stitching: true,
                     pooling_window: 32,
                     selective_pooling: true,
-                    trimming: true,
-                    ..NetCrafterConfig::disabled()
-                };
-                cfg.sector_fill = SectorFillPolicy::OnTrim;
-            }
-            SystemVariant::TrimOnly => {
-                cfg.netcrafter = NetCrafterConfig {
-                    trimming: true,
-                    ..NetCrafterConfig::disabled()
-                };
-                cfg.sector_fill = SectorFillPolicy::OnTrim;
-            }
-            SystemVariant::SeqOnly => {
-                cfg.netcrafter = NetCrafterConfig {
+                    ..off
+                },
+                OnTrim,
+            ),
+            SystemVariant::TrimOnly => (off, OnTrim),
+            SystemVariant::SeqOnly => (
+                NetCrafterConfig {
                     sequencing: true,
-                    ..NetCrafterConfig::disabled()
-                };
-                cfg.sector_fill = SectorFillPolicy::FullLine;
-            }
-            SystemVariant::DataPrio => {
-                cfg.netcrafter = NetCrafterConfig {
+                    ..off
+                },
+                FullLine,
+            ),
+            SystemVariant::DataPrio => (
+                NetCrafterConfig {
                     sequencing: true,
                     prioritize_data_instead: true,
-                    ..NetCrafterConfig::disabled()
-                };
-                cfg.sector_fill = SectorFillPolicy::FullLine;
-            }
-            SystemVariant::SectorCache => {
-                cfg = cfg.with_sector_cache();
-            }
+                    ..off
+                },
+                FullLine,
+            ),
+            SystemVariant::SectorCache => (off, Always),
+        };
+        let base = if self == SystemVariant::Ideal {
+            cfg.idealized()
+        } else {
+            cfg
+        };
+        SystemConfig {
+            netcrafter: NetCrafterConfig {
+                warmup_cycles: cfg.netcrafter.warmup_cycles,
+                stitch_search_depth: cfg.netcrafter.stitch_search_depth,
+                ..netcrafter
+            },
+            sector_fill,
+            ..base
         }
-        cfg.netcrafter.warmup_cycles = warmup;
-        cfg.netcrafter.stitch_search_depth = depth;
-        cfg
     }
 
     /// Display label for tables.
@@ -645,7 +636,7 @@ impl JobSpec {
     pub fn prefix_key(&self) -> Option<String> {
         let applied = self.variant.apply(self.base_cfg);
         let warmup = applied.netcrafter.warmup_cycles;
-        if warmup == 0 || !applied.netcrafter.any_enabled() || warmup >= self.max_cycles {
+        if warmup == 0 || !applied.any_enabled() || warmup >= self.max_cycles {
             return None;
         }
         Some(self.key("p1", &applied.warmup_repr()))
@@ -663,14 +654,56 @@ impl JobSpec {
 mod tests {
     use super::*;
 
+    /// One of each variant.
+    const VARIANTS: [SystemVariant; 10] = [
+        SystemVariant::Baseline,
+        SystemVariant::Ideal,
+        SystemVariant::NetCrafter,
+        SystemVariant::StitchOnly,
+        SystemVariant::StitchPool {
+            window: 64,
+            selective: true,
+        },
+        SystemVariant::StitchTrim,
+        SystemVariant::TrimOnly,
+        SystemVariant::SeqOnly,
+        SystemVariant::DataPrio,
+        SystemVariant::SectorCache,
+    ];
+
     #[test]
     fn variants_produce_expected_configs() {
-        let base = SystemConfig::paper_baseline();
+        let mut base = SystemConfig::paper_baseline();
+        base.netcrafter.warmup_cycles = 1_234;
+        base.netcrafter.stitch_search_depth = 4;
+        let mut reprs = std::collections::BTreeSet::new();
+        for v in VARIANTS {
+            let c = v.apply(base);
+            assert!(c.validate().is_ok(), "{v:?}");
+            assert_eq!(
+                c.trimming(),
+                matches!(
+                    v,
+                    SystemVariant::NetCrafter | SystemVariant::StitchTrim | SystemVariant::TrimOnly
+                ),
+                "{v:?}"
+            );
+            assert_eq!(
+                c.netcrafter.warmup_cycles, 1_234,
+                "variant {v:?} must not clobber the warmup window"
+            );
+            assert_eq!(
+                c.netcrafter.stitch_search_depth, 4,
+                "variant {v:?} must not clobber the search depth"
+            );
+            assert!(reprs.insert(c.stable_repr()), "{v:?} repeats a run");
+        }
+
         let ideal = SystemVariant::Ideal.apply(base);
         assert_eq!(ideal.topology.inter_gbps, ideal.topology.intra_gbps);
 
         let nc = SystemVariant::NetCrafter.apply(base);
-        assert!(nc.netcrafter.stitching && nc.netcrafter.trimming && nc.netcrafter.sequencing);
+        assert!(nc.netcrafter.stitching && nc.netcrafter.sequencing);
         assert_eq!(nc.sector_fill, SectorFillPolicy::OnTrim);
 
         let so = SystemVariant::StitchOnly.apply(base);
@@ -687,11 +720,34 @@ mod tests {
 
         let sc = SystemVariant::SectorCache.apply(base);
         assert_eq!(sc.sector_fill, SectorFillPolicy::Always);
-        assert!(!sc.netcrafter.any_enabled());
+        assert!(!sc.any_enabled());
 
         let seq = SystemVariant::SeqOnly.apply(base);
         assert!(seq.netcrafter.sequencing && !seq.netcrafter.stitching);
-        assert!(seq.validate().is_ok());
+
+        let dp = SystemVariant::DataPrio.apply(base);
+        assert!(dp.netcrafter.sequencing && dp.netcrafter.prioritize_data_instead);
+    }
+
+    #[test]
+    fn every_variant_but_the_plain_ones_builds_cluster_queues() {
+        for v in VARIANTS {
+            let r = Experiment::quick(Workload::Gups, v).run();
+            let fifo = matches!(
+                v,
+                SystemVariant::Baseline | SystemVariant::Ideal | SystemVariant::SectorCache
+            );
+            assert_eq!(
+                r.metrics.counter("net.inter.cq.pushed") > 0,
+                !fifo,
+                "{v:?}: a Cluster Queue exactly when a mechanism is on"
+            );
+            assert_eq!(
+                v.apply(SystemConfig::small(2)).any_enabled(),
+                !fifo,
+                "{v:?}"
+            );
+        }
     }
 
     #[test]
@@ -770,33 +826,6 @@ mod tests {
         let mut longer = JobSpec::new(exp, "");
         longer.max_cycles += 1;
         assert_ne!(a.cache_key(), longer.cache_key());
-    }
-
-    #[test]
-    fn variant_apply_preserves_warmup_cycles() {
-        let mut base = SystemConfig::paper_baseline();
-        base.netcrafter.warmup_cycles = 1_234;
-        base.netcrafter.stitch_search_depth = 4;
-        for v in [
-            SystemVariant::Baseline,
-            SystemVariant::Ideal,
-            SystemVariant::NetCrafter,
-            SystemVariant::StitchOnly,
-            SystemVariant::StitchTrim,
-            SystemVariant::SeqOnly,
-            SystemVariant::SectorCache,
-        ] {
-            assert_eq!(
-                v.apply(base).netcrafter.warmup_cycles,
-                1_234,
-                "variant {v:?} must not clobber the warmup window"
-            );
-            assert_eq!(
-                v.apply(base).netcrafter.stitch_search_depth,
-                4,
-                "variant {v:?} must not clobber the search depth"
-            );
-        }
     }
 
     #[test]
@@ -945,27 +974,14 @@ mod tests {
 
     #[test]
     fn variant_labels_are_unique() {
-        let labels: Vec<String> = [
-            SystemVariant::Baseline,
-            SystemVariant::Ideal,
-            SystemVariant::NetCrafter,
-            SystemVariant::StitchOnly,
-            SystemVariant::StitchPool {
-                window: 32,
+        let labels: Vec<String> = VARIANTS
+            .iter()
+            .chain(&[SystemVariant::StitchPool {
+                window: 64,
                 selective: false,
-            },
-            SystemVariant::StitchPool {
-                window: 32,
-                selective: true,
-            },
-            SystemVariant::StitchTrim,
-            SystemVariant::TrimOnly,
-            SystemVariant::SeqOnly,
-            SystemVariant::SectorCache,
-        ]
-        .iter()
-        .map(|v| v.label())
-        .collect();
+            }])
+            .map(|v| v.label())
+            .collect();
         let unique: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(unique.len(), labels.len());
     }

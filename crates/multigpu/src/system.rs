@@ -209,7 +209,6 @@ impl System {
                     gpu,
                     &cfg.l2_tlb,
                     &cfg.gmmu,
-                    cfg.on_chip_hop_cycles,
                     Arc::clone(&page_table),
                     TranslationWiring {
                         cus: ids.cus[gix].clone(),
@@ -225,7 +224,6 @@ impl System {
                     &cfg.l2,
                     L2_BANKS,
                     cfg.full_sector_mask(),
-                    cfg.on_chip_hop_cycles,
                     L2Wiring {
                         cus: ids.cus[gix].clone(),
                         gmmu: ids.gmmus[gix],
@@ -268,12 +266,11 @@ impl System {
             for link in &spec.links {
                 let (peer, fpc, queue): (ComponentId, f64, Box<dyn netcrafter_net::EgressQueue>) =
                     if link.is_inter {
-                        let queue: Box<dyn netcrafter_net::EgressQueue> =
-                            if cfg.netcrafter.any_enabled() {
-                                Box::new(ClusterQueue::new(cfg.netcrafter, link.peer))
-                            } else {
-                                Box::new(FifoQueue::new())
-                            };
+                        let queue: Box<dyn netcrafter_net::EgressQueue> = if cfg.any_enabled() {
+                            Box::new(ClusterQueue::new(cfg.netcrafter, link.peer))
+                        } else {
+                            Box::new(FifoQueue::new())
+                        };
                         (
                             ids.switches[topo.switch_index(link.peer)],
                             inter_fpc * link.rate_scale,

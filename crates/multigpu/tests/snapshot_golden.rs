@@ -103,6 +103,6 @@ fn torus_8_mid_run() {
     assert_pinned("torus-8/Gups/NetCrafter", &mut sys, TORUS_8);
 }
 
-const MESH: Pin = (9, 173_098, 0xa995_5f71_a91d_54bb);
-const FAT_TREE_8: Pin = (9, 361_754, 0x5ddc_fe08_5e0c_0cad);
-const TORUS_8: Pin = (9, 365_973, 0x95dc_32b2_75ce_5428);
+const MESH: Pin = (9, 173_098, 0xd401_3890_4580_6e60);
+const FAT_TREE_8: Pin = (9, 361_754, 0xd866_8094_bb75_ae50);
+const TORUS_8: Pin = (9, 365_973, 0x02d0_4484_82a1_e3fb);

@@ -15,7 +15,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use netcrafter_proto::{Chunk, Flit, Message, NodeId, PacketId, PacketKind, TrafficClass};
+use netcrafter_proto::{
+    Chunk, Flit, Message, NodeId, PacketId, PacketKind, SystemConfig, TrafficClass,
+};
 use netcrafter_sim::{
     snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder,
     RateLimiter, Wake,
@@ -268,13 +270,16 @@ pub struct SyntheticConfig {
 }
 
 impl Default for SyntheticConfig {
+    /// The paper's Table 2 node: its link rates in its flits, its switch.
     fn default() -> Self {
+        let paper = SystemConfig::paper_baseline();
+        let flit = f64::from(paper.flit_bytes);
         Self {
-            endpoints_per_cluster: 2,
-            intra_fpc: 8.0,
-            inter_fpc: 1.0,
-            pipeline_cycles: 30,
-            buffer_entries: 1024,
+            endpoints_per_cluster: paper.topology.gpus_per_cluster,
+            intra_fpc: paper.topology.intra_bytes_per_cycle() / flit,
+            inter_fpc: paper.topology.inter_bytes_per_cycle() / flit,
+            pipeline_cycles: paper.switch.pipeline_cycles,
+            buffer_entries: paper.switch.buffer_entries,
             flits_per_source: 2000,
         }
     }

@@ -22,8 +22,8 @@ use netcrafter_sim::Cycle;
 
 /// Cycle latency of every GPU↔switch wire (bandwidth differences are
 /// modelled by the port rate limiters, not by latency). Switch↔switch
-/// fabric wires use [`TopologyConfig::fabric_link_cycles`] instead, which
-/// the paper-baseline mesh pins to the same single cycle.
+/// fabric wires take their kind's [`FabricConfig::link_cycles`] instead,
+/// which is the same single cycle on the paper-baseline mesh.
 pub const WIRE_LATENCY: Cycle = 1;
 
 /// Checked narrowing for switch/port index arithmetic, which is bounded
@@ -80,7 +80,6 @@ pub struct Topology {
     clusters: u16,
     gpus_per_cluster: u16,
     fabric: FabricConfig,
-    fabric_latency: Cycle,
     switches: Vec<SwitchSpec>,
 }
 
@@ -88,12 +87,10 @@ impl Topology {
     /// Builds the switch graph and routing tables from a configuration.
     pub fn new(cfg: &TopologyConfig) -> Self {
         assert!(cfg.clusters > 0 && cfg.gpus_per_cluster > 0);
-        assert!(cfg.fabric_link_cycles > 0);
         let mut t = Self {
             clusters: cfg.clusters,
             gpus_per_cluster: cfg.gpus_per_cluster,
             fabric: cfg.fabric,
-            fabric_latency: cfg.fabric_link_cycles as Cycle,
             switches: Vec::new(),
         };
         match cfg.fabric {
@@ -131,11 +128,6 @@ impl Topology {
     /// The fabric wiring the switches together.
     pub fn fabric(&self) -> FabricConfig {
         self.fabric
-    }
-
-    /// Wire latency of every switch↔switch fabric link.
-    pub fn fabric_latency(&self) -> Cycle {
-        self.fabric_latency
     }
 
     /// Total switches: one edge switch per cluster plus any core tier.
@@ -334,7 +326,7 @@ impl Topology {
         FabricLink {
             peer: NodeId(self.total_gpus() + narrow16(peer_idx)),
             peer_port: narrow16(peer_port),
-            latency: self.fabric_latency,
+            latency: Cycle::from(self.fabric.link_cycles()),
             is_inter: true,
             rate_scale,
         }
@@ -617,7 +609,6 @@ mod tests {
             intra_gbps: 128.0,
             inter_gbps: 16.0,
             fabric,
-            fabric_link_cycles: if fabric == FabricConfig::Mesh { 1 } else { 4 },
         }
     }
 
@@ -849,7 +840,7 @@ mod tests {
     #[test]
     fn per_pair_latencies_are_heterogeneous() {
         let t = Topology::new(&cfg(4, 2, FabricConfig::FatTree { cores: 2 }));
-        assert_eq!(t.fabric_latency(), 4);
+        assert_eq!(t.fabric().link_cycles(), 4);
         assert_eq!(t.min_cross_link_latency(), 1); // GPU wires
         assert_eq!(t.min_latency_between_switches(0, 4), Some(4));
         assert_eq!(t.min_latency_between_switches(0, 1), None); // not adjacent

@@ -22,6 +22,10 @@ pub const PA_GPU_REGION_BITS: u32 = 36;
 /// Independent banks of each GPU's L2; capacity and MSHRs split evenly.
 pub const L2_BANKS: u32 = 16;
 
+/// Latency in cycles of every message between two components of one GPU
+/// (CU, L2, DRAM, GMMU, RDMA engine).
+pub const ON_CHIP_HOP_CYCLES: u64 = 2;
+
 /// How the L1 vector cache fills lines from remote responses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectorFillPolicy {
@@ -121,6 +125,18 @@ pub enum FabricConfig {
     },
 }
 
+impl FabricConfig {
+    /// Wire latency in cycles of every switch↔switch link of this kind:
+    /// the paper-baseline mesh uses 1, the scale-out fabrics 4, so the
+    /// per-link lookahead heterogeneity is real.
+    pub const fn link_cycles(self) -> u32 {
+        match self {
+            FabricConfig::Mesh => 1,
+            FabricConfig::FatTree { .. } | FabricConfig::Torus { .. } => 4,
+        }
+    }
+}
+
 /// Shape and bandwidths of the hierarchical interconnect.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologyConfig {
@@ -134,12 +150,9 @@ pub struct TopologyConfig {
     pub intra_gbps: f64,
     /// Inter-cluster (lower-bandwidth) link rate in GB/s. Baseline: 16.
     pub inter_gbps: f64,
-    /// How the cluster switches are wired together.
+    /// How the cluster switches are wired together (its kind also sets
+    /// the fabric link latency, [`FabricConfig::link_cycles`]).
     pub fabric: FabricConfig,
-    /// Wire latency in cycles of every switch↔switch fabric link. The
-    /// paper-baseline mesh uses 1; the scale-out presets use 4 so the
-    /// per-link lookahead heterogeneity is real.
-    pub fabric_link_cycles: u32,
 }
 
 impl TopologyConfig {
@@ -235,20 +248,12 @@ impl TopologyConfig {
     ///
     /// Grammar (case-sensitive, `:`-separated options):
     /// * `mesh` or `mesh:CxG` — full mesh of `C` clusters × `G` GPUs
-    ///   (default 2×2, fabric latency 1 — the paper baseline).
+    ///   (default 2×2 — the paper baseline).
     /// * `fat-tree:k=K[:g=G][:cores=N]` — `K` edge switches × `G` GPUs
-    ///   (default 2) with `N` cores (default `K/2`), fabric latency 4.
-    /// * `torus:XxYxZ[:g=G]` — `X·Y·Z` switches × `G` GPUs (default 1),
-    ///   fabric latency 4.
+    ///   (default 2) with `N` cores (default `K/2`).
+    /// * `torus:XxYxZ[:g=G]` — `X·Y·Z` switches × `G` GPUs (default 1).
     pub fn parse_spec(spec: &str) -> Result<Self, String> {
-        let baseline = TopologyConfig {
-            clusters: 2,
-            gpus_per_cluster: 2,
-            intra_gbps: 128.0,
-            inter_gbps: 16.0,
-            fabric: FabricConfig::Mesh,
-            fabric_link_cycles: 1,
-        };
+        let baseline = SystemConfig::paper_baseline().topology;
         let mut parts = spec.split(':');
         let kind = parts.next().unwrap_or("");
         let opts: Vec<&str> = parts.collect();
@@ -305,7 +310,6 @@ impl TopologyConfig {
                     fabric: FabricConfig::FatTree {
                         cores: cores.unwrap_or_else(|| (k / 2).max(1)),
                     },
-                    fabric_link_cycles: 4,
                     ..baseline
                 }
             }
@@ -332,7 +336,6 @@ impl TopologyConfig {
                     clusters,
                     gpus_per_cluster: g,
                     fabric: FabricConfig::Torus { x, y, z },
-                    fabric_link_cycles: 4,
                     ..baseline
                 }
             }
@@ -360,8 +363,6 @@ pub struct NetCrafterConfig {
     /// Selective Flit Pooling: exempt latency-critical (PTW) flits from
     /// the pooling delay (§4.2, Optimization II).
     pub selective_pooling: bool,
-    /// Enable Trimming of inter-cluster read responses (§4.3).
-    pub trimming: bool,
     /// Enable Sequencing: prioritize PTW flits at the Cluster Queue (§4.3).
     pub sequencing: bool,
     /// Figure 8 characterization support: when set (with `sequencing`),
@@ -384,10 +385,10 @@ pub struct NetCrafterConfig {
     /// This is the lever behind prefix-sharing sweeps: jobs whose
     /// [`SystemConfig::warmup_repr`] match can execute the shared
     /// `[0, warmup_cycles)` prefix once and fork the snapshot into each
-    /// divergent suffix. Note the knobs that act through *construction*
-    /// (`trimming`'s coupling with [`SystemConfig::sector_fill`], the
-    /// trim granularity) are NOT gated and therefore stay part of the
-    /// prefix identity.
+    /// divergent suffix. Trimming is not a knob here: it is the L1's
+    /// [`SystemConfig::sector_fill`], which acts through construction
+    /// and from cycle 0, like the trim granularity, so both stay part
+    /// of the prefix identity.
     pub warmup_cycles: u64,
 }
 
@@ -398,7 +399,6 @@ impl NetCrafterConfig {
             stitching: false,
             pooling_window: 0,
             selective_pooling: false,
-            trimming: false,
             sequencing: false,
             prioritize_data_instead: false,
             stitch_search_depth: 16,
@@ -406,14 +406,15 @@ impl NetCrafterConfig {
         }
     }
 
-    /// The full NetCrafter design evaluated in Figure 14: Stitching with
-    /// 32-cycle Selective Flit Pooling, Trimming, and Sequencing.
+    /// The Cluster Queue knobs of the full NetCrafter design evaluated in
+    /// Figure 14: Stitching with 32-cycle Selective Flit Pooling, and
+    /// Sequencing (its Trimming is the L1's
+    /// [`SectorFillPolicy::OnTrim`]).
     pub const fn full() -> Self {
         Self {
             stitching: true,
             pooling_window: 32,
             selective_pooling: true,
-            trimming: true,
             sequencing: true,
             prioritize_data_instead: false,
             stitch_search_depth: 16,
@@ -430,13 +431,6 @@ impl NetCrafterConfig {
         }
     }
 
-    /// True if any mechanism is active (a controller must be instantiated).
-    /// `warmup_cycles` deliberately does not count: it delays mechanisms,
-    /// it is not one, and the component roster must not depend on it.
-    pub const fn any_enabled(&self) -> bool {
-        self.stitching || self.trimming || self.sequencing
-    }
-
     /// True once the policy knobs have activated at `now`. Warmup-gated
     /// components (the Cluster Queue) consult this at every knob decision
     /// point; before activation they behave exactly like a disabled
@@ -450,19 +444,11 @@ impl NetCrafterConfig {
     /// inert value. Two configurations with equal `inert()` (and equal
     /// `warmup_cycles`, which is preserved) are byte-identical through
     /// the warmup window — the property the prefix-sharing planner keys
-    /// on. `trimming` is NOT masked: its effect flows through the
-    /// construction-time L1 sector-fill policy, not a cycle-gated
-    /// decision point.
+    /// on. Every knob here is warmup-gated.
     pub const fn inert(&self) -> Self {
         Self {
-            stitching: false,
-            pooling_window: 0,
-            selective_pooling: false,
-            trimming: self.trimming,
-            sequencing: false,
-            prioritize_data_instead: false,
-            stitch_search_depth: 16,
             warmup_cycles: self.warmup_cycles,
+            ..Self::disabled()
         }
     }
 }
@@ -503,13 +489,12 @@ pub struct SystemConfig {
     pub flit_bytes: u32,
     /// NetCrafter mechanisms.
     pub netcrafter: NetCrafterConfig,
-    /// L1 fill policy (baseline / Trimming / sector-cache comparison).
+    /// L1 fill policy (baseline / Trimming / sector-cache comparison);
+    /// [`SectorFillPolicy::OnTrim`] is what turns Trimming on.
     pub sector_fill: SectorFillPolicy,
     /// Trimming / sector granularity in bytes (16 default; 4 and 8 in
     /// Figure 17).
     pub trim_granularity: u32,
-    /// Fixed intra-GPU latencies: CU↔L1↔L2 hop latency in cycles.
-    pub on_chip_hop_cycles: u32,
 }
 
 impl SystemConfig {
@@ -523,7 +508,6 @@ impl SystemConfig {
                 intra_gbps: 128.0,
                 inter_gbps: 16.0,
                 fabric: FabricConfig::Mesh,
-                fabric_link_cycles: 1,
             },
             cus_per_gpu: 64,
             max_waves_per_cu: 40,
@@ -570,7 +554,6 @@ impl SystemConfig {
             netcrafter: NetCrafterConfig::disabled(),
             sector_fill: SectorFillPolicy::FullLine,
             trim_granularity: SECTOR_BYTES as u32,
-            on_chip_hop_cycles: 2,
         }
     }
 
@@ -590,7 +573,6 @@ impl SystemConfig {
         self.topology.clusters = clusters;
         self.topology.gpus_per_cluster = gpus_per_cluster;
         self.topology.fabric = fabric;
-        self.topology.fabric_link_cycles = 4;
         self
     }
 
@@ -647,6 +629,20 @@ impl SystemConfig {
         self
     }
 
+    /// True if the L1 trims: a cross-cluster read that fits one sector
+    /// asks for that sector alone, and the RDMA engine counts it (§4.3).
+    pub const fn trimming(&self) -> bool {
+        matches!(self.sector_fill, SectorFillPolicy::OnTrim)
+    }
+
+    /// True if any NetCrafter mechanism is on, so every inter-cluster
+    /// egress port gets a Cluster Queue instead of a plain FIFO.
+    /// `warmup_cycles` deliberately does not count: it delays mechanisms,
+    /// it is not one, and the component roster must not depend on it.
+    pub const fn any_enabled(&self) -> bool {
+        self.netcrafter.stitching || self.netcrafter.sequencing || self.trimming()
+    }
+
     /// Total GPUs in the node.
     #[inline]
     pub fn total_gpus(&self) -> u16 {
@@ -698,10 +694,7 @@ impl SystemConfig {
         // The roster differs between "some mechanism on" (ClusterQueue)
         // and "all off" (FifoQueue) even though the masked knobs agree,
         // so it must be part of the key.
-        format!(
-            "roster={};{masked:?}",
-            u8::from(self.netcrafter.any_enabled())
-        )
+        format!("roster={};{masked:?}", u8::from(self.any_enabled()))
     }
 
     /// Validates internal consistency; called by the system builder.
@@ -722,9 +715,6 @@ impl SystemConfig {
             return Err("topology must contain at least one GPU".into());
         }
         self.topology.check_size()?;
-        if self.topology.fabric_link_cycles == 0 {
-            return Err("fabric link latency must be at least one cycle".into());
-        }
         for (which, gbps) in [
             ("intra", self.topology.intra_gbps),
             ("inter", self.topology.inter_gbps),
@@ -757,8 +747,14 @@ impl SystemConfig {
         if self.cus_per_gpu == 0 {
             return Err("need at least one CU per GPU".into());
         }
-        if self.netcrafter.trimming && self.sector_fill == SectorFillPolicy::FullLine {
-            return Err("Trimming requires a sectored L1 fill policy (OnTrim or Always)".into());
+        for (field, limit) in [
+            ("max_waves_per_cu", u32::from(self.max_waves_per_cu)),
+            ("max_outstanding_per_cu", self.max_outstanding_per_cu),
+            ("max_loads_per_wave", u32::from(self.max_loads_per_wave)),
+        ] {
+            if limit == 0 {
+                return Err(format!("{field} must be at least 1, got 0"));
+            }
         }
         Ok(())
     }
@@ -846,14 +842,21 @@ mod tests {
 
     #[test]
     fn netcrafter_presets() {
-        assert!(!NetCrafterConfig::disabled().any_enabled());
+        let base = SystemConfig::paper_baseline();
+        assert!(!base.any_enabled() && !base.trimming());
         let full = NetCrafterConfig::full();
-        assert!(full.stitching && full.trimming && full.sequencing);
+        assert!(full.stitching && full.sequencing);
         assert_eq!(full.pooling_window, 32);
         assert!(full.selective_pooling);
+        let nc = base.with_netcrafter();
+        assert!(nc.any_enabled() && nc.trimming());
         let s = NetCrafterConfig::stitching_only();
-        assert!(s.stitching && !s.trimming && !s.sequencing);
+        assert!(s.stitching && !s.sequencing);
         assert_eq!(s.pooling_window, 0);
+        // The sectored fill alone is Trimming, and builds the roster.
+        let mut trim = base;
+        trim.sector_fill = SectorFillPolicy::OnTrim;
+        assert!(trim.trimming() && trim.any_enabled());
     }
 
     #[test]
@@ -883,9 +886,18 @@ mod tests {
             assert!(c.validate().is_err(), "inter {gbps}");
         }
 
-        let mut c = SystemConfig::paper_baseline();
-        c.netcrafter.trimming = true; // without sectored fill policy
-        assert!(c.validate().is_err());
+        // A CU that may hold no wave, no access or no load never runs.
+        for zero in [
+            |c: &mut SystemConfig| c.max_waves_per_cu = 0,
+            |c: &mut SystemConfig| c.max_outstanding_per_cu = 0,
+            |c: &mut SystemConfig| c.max_loads_per_wave = 0,
+        ] {
+            let mut c = SystemConfig::paper_baseline();
+            zero(&mut c);
+            let err = c.validate().expect_err("zero CU limit");
+            assert!(err.ends_with("got 0") && !err.contains('\n'), "{err}");
+        }
+
         assert!(SystemConfig::paper_baseline()
             .with_netcrafter()
             .validate()
@@ -919,9 +931,6 @@ mod tests {
         variants.push(c);
         let mut c = base;
         c.topology.fabric = FabricConfig::FatTree { cores: 1 };
-        variants.push(c);
-        let mut c = base;
-        c.topology.fabric_link_cycles = 4;
         variants.push(c);
         variants.push(SystemConfig::fat_tree_8());
         variants.push(SystemConfig::fat_tree_16());
@@ -971,10 +980,10 @@ mod tests {
         baseline.netcrafter.warmup_cycles = 2_000;
         assert_ne!(baseline.warmup_repr(), full.warmup_repr());
 
-        // Trimming changes construction-time L1 fill behaviour, so it is NOT
+        // Trimming is the construction-time L1 fill policy, so it is NOT
         // masked out of the prefix key.
         let mut no_trim = full;
-        no_trim.netcrafter.trimming = false;
+        no_trim.sector_fill = SectorFillPolicy::FullLine;
         assert_ne!(no_trim.warmup_repr(), full.warmup_repr());
 
         // Different warmup horizons simulate different prefixes.
@@ -996,11 +1005,10 @@ mod tests {
         assert!(!nc.active_at(0));
         assert!(!nc.active_at(99));
         assert!(nc.active_at(100));
-        // `inert()` keeps trimming and the warmup horizon, drops the rest.
+        // `inert()` keeps the warmup horizon, drops the rest.
         let inert = nc.inert();
         assert!(!inert.stitching && !inert.sequencing && !inert.selective_pooling);
         assert_eq!(inert.pooling_window, 0);
-        assert_eq!(inert.trimming, nc.trimming);
         assert_eq!(inert.warmup_cycles, nc.warmup_cycles);
     }
 
@@ -1030,6 +1038,10 @@ mod tests {
         // torus_8 (2x2x2): 3 distinct neighbors per switch.
         assert_eq!(SystemConfig::torus_8().topology.fabric_links_per_edge(), 3);
         assert_eq!(SystemConfig::torus_64().topology.fabric_links_per_edge(), 6);
+        // The mesh keeps the paper's one-cycle fabric wire.
+        assert_eq!(FabricConfig::Mesh.link_cycles(), 1);
+        assert_eq!(SystemConfig::fat_tree_8().topology.fabric.link_cycles(), 4);
+        assert_eq!(SystemConfig::torus_8().topology.fabric.link_cycles(), 4);
     }
 
     #[test]
@@ -1090,10 +1102,6 @@ mod tests {
         c.topology.fabric = FabricConfig::FatTree { cores: 0 };
         assert!(c.validate().is_err());
 
-        let mut c = SystemConfig::paper_baseline();
-        c.topology.fabric_link_cycles = 0;
-        assert!(c.validate().is_err());
-
         // Node ids are u16: 300 x 300 GPUs do not fit, whichever way the
         // counts were set.
         let mut c = SystemConfig::paper_baseline();
@@ -1107,6 +1115,6 @@ mod tests {
     fn sector_cache_preset() {
         let c = SystemConfig::paper_baseline().with_sector_cache();
         assert_eq!(c.sector_fill, SectorFillPolicy::Always);
-        assert!(!c.netcrafter.any_enabled());
+        assert!(!c.any_enabled() && !c.trimming());
     }
 }

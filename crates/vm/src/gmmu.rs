@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use netcrafter_proto::config::{GmmuConfig, TlbConfig};
+use netcrafter_proto::config::{GmmuConfig, TlbConfig, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::{
     AccessId, GpuId, LatencyStat, LineMask, MemReq, Message, Metrics, Origin, TrafficClass,
@@ -125,7 +125,6 @@ pub struct TranslationUnit {
     pwc: netcrafter_mem::TagStore<()>,
     pwc_cycles: u32,
     max_walkers: usize,
-    hop_cycles: u32,
     page_table: Arc<PageTable>,
     wiring: TranslationWiring,
 
@@ -161,7 +160,6 @@ impl TranslationUnit {
         gpu: GpuId,
         l2_tlb_cfg: &TlbConfig,
         gmmu_cfg: &GmmuConfig,
-        hop_cycles: u32,
         page_table: Arc<PageTable>,
         wiring: TranslationWiring,
     ) -> Self {
@@ -179,7 +177,6 @@ impl TranslationUnit {
             ),
             pwc_cycles: gmmu_cfg.pwc_lookup_cycles,
             max_walkers: gmmu_cfg.walkers as usize,
-            hop_cycles,
             page_table,
             wiring,
             tlb_pipe: DelayQueue::new(),
@@ -235,7 +232,7 @@ impl TranslationUnit {
         ctx.send(
             self.wiring.cus[req.cu as usize],
             Message::TransRsp(rsp),
-            self.hop_cycles as u64,
+            ON_CHIP_HOP_CYCLES,
         );
     }
 
@@ -262,7 +259,7 @@ impl TranslationUnit {
             self.stats.remote_pt_reads += 1;
             self.wiring.rdma
         };
-        ctx.send(target, Message::MemReq(req), self.hop_cycles as u64);
+        ctx.send(target, Message::MemReq(req), ON_CHIP_HOP_CYCLES);
     }
 
     fn start_walk(
@@ -491,7 +488,6 @@ impl Component for TranslationUnit {
             name: skipped(wiring),
             pwc_cycles: skipped(config),
             max_walkers: skipped(config),
-            hop_cycles: skipped(config),
             page_table: skipped(wiring),
             wiring: skipped(wiring),
             waiter_cap: skipped(config),
@@ -620,7 +616,6 @@ mod tests {
                     pwc_lookup_cycles: 10,
                     walkers,
                 },
-                2,
                 Arc::new(pt),
                 TranslationWiring {
                     cus: vec![cu],

@@ -116,7 +116,6 @@ fn cluster_queue_conserves_chunks() {
             stitching: rng.flip(),
             pooling_window: *rng.pick(&[0u32, 16, 32]),
             selective_pooling: rng.flip(),
-            trimming: false,
             sequencing: rng.flip(),
             prioritize_data_instead: false,
             stitch_search_depth: 16,
