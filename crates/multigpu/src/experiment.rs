@@ -673,9 +673,7 @@ mod tests {
 
     #[test]
     fn variants_produce_expected_configs() {
-        let mut base = SystemConfig::paper_baseline();
-        base.netcrafter.warmup_cycles = 1_234;
-        base.netcrafter.stitch_search_depth = 4;
+        let base = SystemConfig::paper_baseline();
         let mut reprs = std::collections::BTreeSet::new();
         for v in VARIANTS {
             let c = v.apply(base);
@@ -687,14 +685,6 @@ mod tests {
                     SystemVariant::NetCrafter | SystemVariant::StitchTrim | SystemVariant::TrimOnly
                 ),
                 "{v:?}"
-            );
-            assert_eq!(
-                c.netcrafter.warmup_cycles, 1_234,
-                "variant {v:?} must not clobber the warmup window"
-            );
-            assert_eq!(
-                c.netcrafter.stitch_search_depth, 4,
-                "variant {v:?} must not clobber the search depth"
             );
             assert!(reprs.insert(c.stable_repr()), "{v:?} repeats a run");
         }
@@ -727,6 +717,24 @@ mod tests {
 
         let dp = SystemVariant::DataPrio.apply(base);
         assert!(dp.netcrafter.sequencing && dp.netcrafter.prioritize_data_instead);
+    }
+
+    #[test]
+    fn variant_apply_preserves_warmup_cycles() {
+        let mut base = SystemConfig::paper_baseline();
+        base.netcrafter.warmup_cycles = 1_234;
+        base.netcrafter.stitch_search_depth = 4;
+        for v in VARIANTS {
+            let c = v.apply(base);
+            assert_eq!(
+                c.netcrafter.warmup_cycles, 1_234,
+                "variant {v:?} must not clobber the warmup window"
+            );
+            assert_eq!(
+                c.netcrafter.stitch_search_depth, 4,
+                "variant {v:?} must not clobber the search depth"
+            );
+        }
     }
 
     #[test]
