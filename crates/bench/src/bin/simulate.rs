@@ -260,16 +260,13 @@ fn main() {
             });
         }
         let job = runner.job(workload, variant);
-        let run = job
-            .to_experiment()
-            .run_planned(plan, opts.as_ref())
-            .unwrap_or_else(|e| {
-                eprintln!(
-                    "error: cannot restore {}: {e}",
-                    restore_path.unwrap_or_default()
-                );
-                std::process::exit(2);
-            });
+        let run = job.run_planned(plan, opts.as_ref()).unwrap_or_else(|e| {
+            eprintln!(
+                "error: cannot restore {}: {e}",
+                restore_path.unwrap_or_default()
+            );
+            std::process::exit(2);
+        });
         if run.resumed_at > 0 {
             eprintln!(
                 "restored snapshot: simulated from cycle {} instead of 0",

@@ -2,7 +2,7 @@
 //!
 //! Each completed simulation is stored as one small text file under the
 //! cache directory, named by the FNV-1a hash of the job's physical
-//! [`cache key`](netcrafter_multigpu::JobSpec::cache_key):
+//! [`cache key`](netcrafter_multigpu::Experiment::cache_key):
 //!
 //! ```text
 //! <cache-dir>/<fnv64 hex>.run
@@ -13,7 +13,9 @@
 //! by string comparison and treated as a miss. The body is the
 //! line-oriented `key = value` rendering of
 //! [`RunResult`] — no serde, greppable,
-//! and stable across platforms.
+//! and stable across platforms. The last line, `end = <fnv64 hex>`, is
+//! the FNV-1a hash of everything before it: a truncated or damaged file
+//! fails that check and is a miss, never a wrong result.
 //!
 //! Writes go through [`write_atomic`] — a uniquely named temp file
 //! followed by an atomic rename — so concurrent sweep workers (or two
@@ -30,7 +32,7 @@ use netcrafter_proto::fnv1a64;
 
 /// Magic first line of every cache file; bump the version to invalidate
 /// all prior entries after a format change.
-const HEADER: &str = "netcrafter-run-cache v1";
+const HEADER: &str = "netcrafter-run-cache v2";
 
 /// Monotonic suffix so concurrent writers in one process get distinct
 /// temp files.
@@ -47,6 +49,11 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     ));
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)
+}
+
+/// The closing line of a cache file whose preceding text is `body`.
+fn end_line(body: &str) -> String {
+    format!("end = {:016x}\n", fnv1a64(body.as_bytes()))
 }
 
 /// A directory of cached [`RunResult`]s keyed by physical job identity.
@@ -87,7 +94,11 @@ impl DiskCache {
     /// mismatch or any corruption (all of which just mean re-simulate).
     pub fn load(&self, cache_key: &str) -> Option<RunResult> {
         let text = fs::read_to_string(self.path_for(cache_key)).ok()?;
-        let mut lines = text.splitn(3, '\n');
+        let (body, end) = text.split_at(text.strip_suffix('\n')?.rfind('\n')? + 1);
+        if end != end_line(body) {
+            return None;
+        }
+        let mut lines = body.splitn(3, '\n');
         if lines.next()? != HEADER {
             return None;
         }
@@ -100,7 +111,8 @@ impl DiskCache {
     /// Persists `result` under `cache_key` (atomically, via rename).
     pub fn store(&self, cache_key: &str, result: &RunResult) -> io::Result<()> {
         let body = format!("{HEADER}\nkey = {cache_key}\n{}", result.to_kv());
-        write_atomic(&self.path_for(cache_key), body.as_bytes())
+        let end = end_line(&body);
+        write_atomic(&self.path_for(cache_key), (body + &end).as_bytes())
     }
 
     /// Number of cached results on disk.

@@ -1,7 +1,7 @@
 //! One job list and one renderer per paper table/figure.
 //!
 //! Every id pairs a `jobs` function, which lists the simulations the
-//! table reads as [`JobSpec`]s, with a `render` function, which turns
+//! table reads as [`Experiment`]s, with a `render` function, which turns
 //! their results (in list order) into a [`Table`] whose rows correspond
 //! to the series the paper plots. [`generate`] resolves the list through
 //! [`Runner::sweep`] and renders it; [`sweep_jobs`] hands the same list to
@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use netcrafter_multigpu::{JobSpec, RunResult, SystemVariant};
+use netcrafter_multigpu::{Experiment, RunResult, SystemVariant};
 use netcrafter_net::Topology;
 use netcrafter_proto::{
     AccessId, GpuId, LineAddr, LineMask, MemReq, NodeId, Origin, Packet, PacketId, PacketKind,
@@ -33,7 +33,7 @@ pub fn all_ids() -> Vec<&'static str> {
 }
 
 /// The simulations one table reads.
-type Jobs = fn(&Runner) -> Vec<JobSpec>;
+type Jobs = fn(&Runner) -> Vec<Experiment>;
 
 /// Renders a table from the results of its [`Jobs`], in list order.
 type Render = fn(&Runner, &[Arc<RunResult>]) -> Table;
@@ -90,7 +90,7 @@ pub fn generate(id: &str, r: &Runner) -> Table {
 /// # Panics
 ///
 /// Panics on an unknown id.
-pub fn sweep_jobs(id: &str, r: &Runner) -> Vec<JobSpec> {
+pub fn sweep_jobs(id: &str, r: &Runner) -> Vec<Experiment> {
     let (jobs, _) = figure(id);
     jobs(r)
 }
@@ -143,7 +143,7 @@ fn pool_sweep(selective: bool) -> [SystemVariant; 6] {
 
 /// `variants` on the base configuration for every Table 3 workload,
 /// workload-major.
-fn for_all(r: &Runner, variants: &[SystemVariant]) -> Vec<JobSpec> {
+fn for_all(r: &Runner, variants: &[SystemVariant]) -> Vec<Experiment> {
     Workload::ALL
         .into_iter()
         .flat_map(|w| variants.iter().map(move |&v| r.job(w, v)))
@@ -511,7 +511,7 @@ fn fig16(_: &Runner, res: &[Arc<RunResult>]) -> Table {
 /// The trimming / sector granularities of Figure 17, in bytes.
 const FIG17_GRANULARITIES: [u32; 3] = [4, 8, 16];
 
-fn fig17_jobs(r: &Runner) -> Vec<JobSpec> {
+fn fig17_jobs(r: &Runner) -> Vec<Experiment> {
     let mut jobs = Vec::new();
     for g in FIG17_GRANULARITIES {
         let mut cfg = r.base_cfg;
@@ -608,7 +608,7 @@ fn fig20(_: &Runner, res: &[Arc<RunResult>]) -> Table {
 
 /// Per workload: baseline and Stitch+SelPool32, each at 16 B and then at
 /// 8 B flits.
-fn fig21_jobs(r: &Runner) -> Vec<JobSpec> {
+fn fig21_jobs(r: &Runner) -> Vec<Experiment> {
     let mut cfg8 = r.base_cfg;
     cfg8.flit_bytes = 8;
     let mut jobs = Vec::new();
@@ -645,7 +645,7 @@ fn fig21(_: &Runner, res: &[Arc<RunResult>]) -> Table {
 }
 
 /// The `(intra, inter, label)` bandwidth points of Figure 22 (the labels
-/// double as memo tags).
+/// double as display tags).
 const FIG22_CONFIGS: [(f64, f64, &str); 6] = [
     (128.0, 16.0, "128:16 (8:1)"),
     (256.0, 32.0, "256:32 (8:1)"),
@@ -655,7 +655,7 @@ const FIG22_CONFIGS: [(f64, f64, &str); 6] = [
     (32.0, 32.0, "32:32 (homog.)"),
 ];
 
-fn fig22_jobs(r: &Runner) -> Vec<JobSpec> {
+fn fig22_jobs(r: &Runner) -> Vec<Experiment> {
     let mut jobs = Vec::new();
     for w in Workload::ALL {
         for (intra, inter, label) in FIG22_CONFIGS {
@@ -701,7 +701,7 @@ const ABLATION_WORKLOADS: [Workload; 3] = [Workload::Gups, Workload::Spmv, Workl
 const ABLATION_DEPTHS: [u32; 4] = [1, 4, 16, 64];
 
 /// Per workload: the baseline, then Stitching alone at every depth.
-fn ablation_jobs(r: &Runner) -> Vec<JobSpec> {
+fn ablation_jobs(r: &Runner) -> Vec<Experiment> {
     let mut jobs = Vec::new();
     for w in ABLATION_WORKLOADS {
         jobs.push(r.job(w, SystemVariant::Baseline));
@@ -751,7 +751,7 @@ const SCALING_WORKLOADS: [Workload; 4] = [
 ];
 
 /// Per workload and cluster count (1–4): baseline, then NetCrafter.
-fn scaling_jobs(r: &Runner) -> Vec<JobSpec> {
+fn scaling_jobs(r: &Runner) -> Vec<Experiment> {
     let mut jobs = Vec::new();
     for w in SCALING_WORKLOADS {
         for clusters in 1u16..=4 {
@@ -797,12 +797,12 @@ fn scaling(_: &Runner, res: &[Arc<RunResult>]) -> Table {
 /// traffic shape without sweeping the full 15-workload matrix per fabric.
 pub const TOPOLOGY_WORKLOADS: [Workload; 3] = [Workload::Gups, Workload::Spmv, Workload::Pr];
 
-/// The fabric points of the `topology` figure: `(memo tag, config)` for
-/// the mesh baseline plus each scale-out preset. Presets contribute only
-/// their topology; every compute parameter (CUs, caches, scale) comes
-/// from the runner's base config so `--quick` stays quick. The mesh
-/// point keeps the empty tag and therefore shares its runs with the
-/// other figures' memo entries.
+/// The fabric points of the `topology` figure: `(display tag, config)`
+/// for the mesh baseline plus each scale-out preset. Presets contribute
+/// only their topology; every compute parameter (CUs, caches, scale)
+/// comes from the runner's base config so `--quick` stays quick. The mesh
+/// point is the base config and therefore shares its runs with the other
+/// figures' memo entries.
 pub fn topology_sweep_points(r: &Runner) -> Vec<(String, SystemConfig)> {
     let mut points = vec![(String::new(), r.base_cfg)];
     for (name, preset) in [
@@ -828,14 +828,14 @@ pub fn topology_job(
     v: SystemVariant,
     cfg: SystemConfig,
     tag: &str,
-) -> JobSpec {
+) -> Experiment {
     let mut job = r.job_with(w, v, cfg, tag);
     job.scale = job.scale.for_gpus(cfg.topology.total_gpus());
     job
 }
 
 /// Per fabric point and topology workload: baseline, then NetCrafter.
-fn topology_jobs(r: &Runner) -> Vec<JobSpec> {
+fn topology_jobs(r: &Runner) -> Vec<Experiment> {
     let mut jobs = Vec::new();
     for (tag, cfg) in topology_sweep_points(r) {
         for w in TOPOLOGY_WORKLOADS {
@@ -955,7 +955,7 @@ mod tests {
         let r = Runner::quick();
         let keys: Vec<String> = sweep_jobs("fig14", &r)
             .iter()
-            .map(JobSpec::memo_key)
+            .map(Experiment::memo_key)
             .collect();
         assert_eq!(keys.len(), 15 * 5);
         assert_eq!(

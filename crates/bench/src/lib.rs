@@ -34,9 +34,9 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use netcrafter_multigpu::{CheckpointPlan, JobSpec, RunResult, SystemVariant};
+use netcrafter_multigpu::{CheckpointPlan, Experiment, RunResult, SystemVariant};
 use netcrafter_proto::SystemConfig;
-use netcrafter_sim::ForkSnapshot;
+use netcrafter_sim::{ForkSnapshot, SchedulerMode};
 use netcrafter_workloads::{Scale, Workload};
 
 pub use cache::DiskCache;
@@ -138,16 +138,19 @@ pub enum JobSource {
     Forked,
     /// Replayed from the persistent on-disk cache.
     DiskHit,
-    /// Aliased to another job of the same sweep batch with an identical
-    /// physical identity ([`JobSpec::cache_key`]); no execution at all.
+    /// Answered by a result another display name produced, in this sweep
+    /// or an earlier one: the two jobs have one
+    /// [`Experiment::cache_key`]. No execution at all.
     Shared,
 }
 
-/// Wall-clock/throughput record for one resolved job (memo replays are
-/// free and not recorded).
+/// Wall-clock/throughput record for one resolved job. Each display name
+/// is recorded once; a memo replay under a name already recorded is free
+/// and not recorded again.
 #[derive(Debug, Clone)]
 pub struct JobStat {
-    /// The job's memo key (`workload|variant|tag`).
+    /// The job's display name, [`Experiment::memo_key`]
+    /// (`workload|variant|tag`).
     pub memo_key: String,
     /// Where the result came from.
     pub source: JobSource,
@@ -167,6 +170,20 @@ pub struct JobStat {
 }
 
 impl JobStat {
+    /// The record of a job that simulated nothing: a disk replay or a
+    /// shared result.
+    fn replay(memo_key: String, source: JobSource, wall: Duration, result: &RunResult) -> Self {
+        Self {
+            memo_key,
+            source,
+            wall,
+            exec_cycles: result.exec_cycles,
+            resumed_at: 0,
+            ticks: 0,
+            messages: 0,
+        }
+    }
+
     /// Simulation throughput in cycles per wall-clock second (0.0 for an
     /// instantaneous replay).
     pub fn cycles_per_sec(&self) -> f64 {
@@ -271,7 +288,8 @@ pub struct PrefixStats {
     pub prefix_wall: Duration,
     /// Jobs that resumed from an in-memory fork instead of cycle 0.
     pub forked_jobs: usize,
-    /// Duplicate jobs (identical cache key) aliased to one execution.
+    /// Display names answered by a result another name produced
+    /// (identical cache key): the [`JobSource::Shared`] stats.
     pub shared_jobs: usize,
     /// Fresh simulations executed (cold and forked alike).
     pub simulated_jobs: usize,
@@ -322,21 +340,24 @@ impl PrefixStats {
 
 /// Memoizing experiment executor shared by all figure generators.
 ///
-/// A result comes from the first of four sources that has it:
+/// A job is an [`Experiment`], and the runner knows it by one key, what
+/// it runs: [`Experiment::cache_key`]. A result comes from the first of
+/// four sources that has it:
 ///
-/// 1. the in-process memo (thread-safe; keyed by `workload|variant|tag`),
-/// 2. an optional persistent [`DiskCache`] keyed by the *physical* job
-///    identity ([`JobSpec::cache_key`]), so re-running `figures` only
-///    simulates configurations it has never seen,
+/// 1. the in-process memo (thread-safe; `cache_key` → result),
+/// 2. an optional persistent [`DiskCache`] under the same key, so
+///    re-running `figures` only simulates configurations it has never
+///    seen,
 /// 3. a simulation resumed from an in-memory prefix fork shared with the
-///    other jobs of its [`JobSpec::prefix_key`] group (`prefix_share`),
+///    other jobs of its [`Experiment::prefix_key`] group (`prefix_share`),
 /// 4. a fresh simulation from cycle 0.
 ///
-/// [`Runner::sweep`] is the one entry point: it resolves a batch of jobs
-/// on `jobs` worker threads, and every figure reaches every simulation
-/// through it. Because every simulation is deterministic in its spec and
-/// results are retrieved from the memo by key, figure output is
-/// bit-identical no matter how many workers ran the sweep (or whether
+/// The display name [`Experiment::memo_key`] only labels the job's
+/// [`JobStat`]. [`Runner::sweep`] is the one entry point: it resolves a
+/// batch of jobs on `jobs` worker threads, and every figure reaches every
+/// simulation through it. Because every simulation is deterministic in
+/// its key and results are retrieved from the memo by key, figure output
+/// is bit-identical no matter how many workers ran the sweep (or whether
 /// results came from disk).
 pub struct Runner {
     /// Base system configuration (before variant application).
@@ -356,7 +377,7 @@ pub struct Runner {
     /// which parallelizes across simulations. Excluded from cache keys:
     /// results are bit-identical at any thread count.
     pub threads: usize,
-    /// Group sweep jobs by [`JobSpec::prefix_key`] and execute each
+    /// Group sweep jobs by [`Experiment::prefix_key`] and execute each
     /// group's warmup window once, forking the paused state in memory to
     /// every member (the default). `false` runs every job from cycle 0 —
     /// results are byte-identical either way, so this is host-side
@@ -430,21 +451,21 @@ impl Runner {
         self.disk.as_ref()
     }
 
-    /// The job spec for `workload` × `variant` on the base config.
-    pub fn job(&self, workload: Workload, variant: SystemVariant) -> JobSpec {
+    /// The job for `workload` × `variant` on the base config.
+    pub fn job(&self, workload: Workload, variant: SystemVariant) -> Experiment {
         self.job_with(workload, variant, self.base_cfg, "")
     }
 
-    /// The job spec for an alternate base configuration; `tag` must
-    /// uniquely name the alteration for the memo cache.
+    /// The job for an alternate base configuration; `tag` names the
+    /// alteration in reports (results are keyed by what the job runs).
     pub fn job_with(
         &self,
         workload: Workload,
         variant: SystemVariant,
         base_cfg: SystemConfig,
         tag: &str,
-    ) -> JobSpec {
-        JobSpec {
+    ) -> Experiment {
+        Experiment {
             workload,
             variant,
             base_cfg,
@@ -452,11 +473,13 @@ impl Runner {
             seed: self.seed,
             max_cycles: self.max_cycles,
             threads: self.threads,
+            scheduler: SchedulerMode::EventDriven,
             tag: tag.to_owned(),
         }
     }
 
-    /// Resolves one job of a sweep through memo → disk → simulation, in
+    /// Resolves one job of a sweep, known by its `key`
+    /// ([`Experiment::cache_key`]), through memo → disk → simulation, in
     /// one of the plan tree's two fork roles: when `fork` is `Some`, a
     /// fresh simulation restores it and resumes from the fork's cycle
     /// instead of stepping from 0; when `fork_at` is `Some` (a group
@@ -466,56 +489,52 @@ impl Runner {
     /// themselves, so results stay byte-identical to cold runs.
     fn resolve(
         &self,
-        job: &JobSpec,
+        job: &Experiment,
+        key: &str,
         fork: Option<&ForkSnapshot>,
         fork_at: Option<u64>,
     ) -> (Arc<RunResult>, Option<ForkSnapshot>) {
-        let memo_key = job.memo_key();
-        if let Some(hit) = self.memo.lock().unwrap().get(&memo_key) {
+        if let Some(hit) = self.memo.lock().unwrap().get(key) {
             return (Arc::clone(hit), None);
         }
+        let name = job.memo_key();
         let t0 = Instant::now();
-        if let Some(disk) = &self.disk {
-            if let Some(result) = disk.load(&job.cache_key()) {
-                let result = Arc::new(result);
-                self.finish(memo_key, JobSource::DiskHit, t0.elapsed(), &result);
-                return (result, None);
-            }
+        if let Some(result) = self.disk.as_ref().and_then(|disk| disk.load(key)) {
+            let stat = JobStat::replay(name, JobSource::DiskHit, t0.elapsed(), &result);
+            return (self.record(key, stat, result), None);
         }
         if self.verbose {
-            eprintln!("  running {memo_key} …");
+            eprintln!("  running {name} …");
         }
-        let exp = job.to_experiment();
         let plan = CheckpointPlan {
             resume_from: fork.map(ForkSnapshot::bytes),
             pause_at: fork_at,
         };
-        let run = exp.run_planned(plan, None).unwrap_or_else(|e| {
+        let run = job.run_planned(plan, None).unwrap_or_else(|e| {
             // Prefix sharing is an optimization, never a correctness
             // dependency: a fork that does not restore costs a cold run.
-            eprintln!("warning: unusable prefix fork for {memo_key} ({e}); simulating cold");
+            eprintln!("warning: unusable prefix fork for {name} ({e}); simulating cold");
             let cold = CheckpointPlan {
                 resume_from: None,
                 ..plan
             };
-            exp.run_planned(cold, None)
+            job.run_planned(cold, None)
                 .expect("a cold run restores nothing")
         });
         let forked = run.resumed_at > 0;
         if forked && self.verbose {
             eprintln!(
-                "  forked {memo_key}: simulated from cycle {} instead of 0",
+                "  forked {name}: simulated from cycle {} instead of 0",
                 run.resumed_at
             );
         }
         let result = run.result;
         let wall = t0.elapsed();
         if let Some(disk) = &self.disk {
-            if let Err(e) = disk.store(&job.cache_key(), &result) {
-                eprintln!("warning: cannot persist {memo_key}: {e}");
+            if let Err(e) = disk.store(key, &result) {
+                eprintln!("warning: cannot persist {name}: {e}");
             }
         }
-        let result = Arc::new(result);
         {
             let mut prefix = self.prefix.lock().unwrap();
             prefix.simulated_jobs += 1;
@@ -523,55 +542,43 @@ impl Runner {
                 prefix.forked_jobs += 1;
             }
         }
-        let source = if forked {
-            JobSource::Forked
-        } else {
-            JobSource::Fresh
-        };
-        let work = (run.ticks, run.messages);
-        self.finish_at(memo_key, source, wall, &result, run.resumed_at, work);
-        (result, run.snapshot)
-    }
-
-    fn finish(&self, memo_key: String, source: JobSource, wall: Duration, result: &Arc<RunResult>) {
-        self.finish_at(memo_key, source, wall, result, 0, (0, 0));
-    }
-
-    fn finish_at(
-        &self,
-        memo_key: String,
-        source: JobSource,
-        wall: Duration,
-        result: &Arc<RunResult>,
-        resumed_at: u64,
-        (ticks, messages): (u64, u64),
-    ) {
-        self.stats.lock().unwrap().push(JobStat {
-            memo_key: memo_key.clone(),
-            source,
+        let stat = JobStat {
+            memo_key: name,
+            source: if forked {
+                JobSource::Forked
+            } else {
+                JobSource::Fresh
+            },
             wall,
             exec_cycles: result.exec_cycles,
-            resumed_at,
-            ticks,
-            messages,
-        });
+            resumed_at: run.resumed_at,
+            ticks: run.ticks,
+            messages: run.messages,
+        };
+        (self.record(key, stat, result), run.snapshot)
+    }
+
+    /// Records `stat` and memoizes `result` under `key`.
+    fn record(&self, key: &str, stat: JobStat, result: RunResult) -> Arc<RunResult> {
+        let result = Arc::new(result);
+        self.stats.lock().unwrap().push(stat);
         self.memo
             .lock()
             .unwrap()
-            .insert(memo_key, Arc::clone(result));
+            .insert(key.to_owned(), Arc::clone(&result));
+        result
     }
 
     /// Resolves a batch of jobs and returns the results in input order.
     ///
-    /// The batch is planned as a *prefix-sharing tree* before anything
-    /// runs (DESIGN.md §3.7):
+    /// Each job's [`Experiment::cache_key`] is computed once and is the
+    /// only key the sweep uses. The batch is planned as a
+    /// *prefix-sharing tree* before anything runs (DESIGN.md §3.7):
     ///
-    /// 1. Memo hits are dropped; duplicate memo keys collapse to one
-    ///    entry; jobs whose memo keys differ but whose physical identity
-    ///    ([`JobSpec::cache_key`]) is identical collapse to one
-    ///    *execution* — the extras are aliased afterwards.
-    /// 2. Jobs that will not replay from disk are grouped by
-    ///    [`JobSpec::prefix_key`]; each group of two or more becomes an
+    /// 1. Jobs whose key is memoized are answered; of the rest, the first
+    ///    job of each key is *pending* and the others wait for its result.
+    /// 2. Pending jobs that will not replay from disk are grouped by
+    ///    [`Experiment::prefix_key`]; each group of two or more becomes an
     ///    internal tree node whose *representative* (the group's first
     ///    job in canonical order) runs from cycle 0, pauses one cycle
     ///    before the warmup cycle to capture an in-memory
@@ -584,49 +591,37 @@ impl Runner {
     ///    their prefix unblocks them, with no barrier between tree
     ///    levels.
     ///
-    /// Results are byte-identical to cold execution no matter how the
-    /// tree was shaped or how many workers drained it; retrieval from the
-    /// memo by key keeps output in canonical input order.
-    pub fn sweep(&self, jobs: &[JobSpec]) -> Vec<Arc<RunResult>> {
+    /// Every job then reads its result from the memo by key, which keeps
+    /// output in input order. A display name ([`Experiment::memo_key`])
+    /// with no [`JobStat`] yet — its result was produced under another
+    /// name, in this sweep or an earlier one — gets one
+    /// [`JobSource::Shared`] stat. Results are byte-identical to cold
+    /// execution no matter how the tree was shaped or how many workers
+    /// drained it.
+    pub fn sweep(&self, jobs: &[Experiment]) -> Vec<Arc<RunResult>> {
         let t0 = Instant::now();
-        // -- plan: dedupe, then group shareable jobs by prefix key --
-        let mut pending: Vec<&JobSpec> = Vec::new();
-        let mut aliases: Vec<(String, usize)> = Vec::new();
-        {
+        // -- plan: one job per new key, then group shareable jobs by prefix key --
+        let keys: Vec<String> = jobs.iter().map(Experiment::cache_key).collect();
+        let pending: Vec<(&Experiment, &str)> = {
             let memo = self.memo.lock().unwrap();
             let mut queued = HashSet::new();
-            let mut physical: HashMap<String, usize> = HashMap::new();
-            for job in jobs {
-                let key = job.memo_key();
-                if memo.contains_key(&key) || !queued.insert(key.clone()) {
-                    continue;
-                }
-                match physical.entry(job.cache_key()) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        aliases.push((key, *e.get()));
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(pending.len());
-                        pending.push(job);
-                    }
-                }
-            }
-        }
+            jobs.iter()
+                .zip(&keys)
+                .filter(|(_, key)| !memo.contains_key(*key) && queued.insert(key.as_str()))
+                .map(|(job, key)| (job, key.as_str()))
+                .collect()
+        };
         let mut groups: Vec<Vec<usize>> = Vec::new();
         if self.prefix_share {
             let mut by_key: HashMap<String, Vec<usize>> = HashMap::new();
-            for (i, job) in pending.iter().enumerate() {
+            for (i, (job, key)) in pending.iter().enumerate() {
                 // A disk replay never simulates, so its prefix is not
                 // worth paying for.
-                if self
-                    .disk
-                    .as_ref()
-                    .is_some_and(|d| d.contains(&job.cache_key()))
-                {
+                if self.disk.as_ref().is_some_and(|d| d.contains(key)) {
                     continue;
                 }
-                if let Some(key) = job.prefix_key() {
-                    by_key.entry(key).or_default().push(i);
+                if let Some(prefix) = job.prefix_key() {
+                    by_key.entry(prefix).or_default().push(i);
                 }
             }
             groups = by_key.into_values().filter(|g| g.len() >= 2).collect();
@@ -638,7 +633,6 @@ impl Runner {
             let mut prefix = self.prefix.lock().unwrap();
             prefix.groups += groups.len();
             prefix.swept_jobs += jobs.len();
-            prefix.shared_jobs += aliases.len();
         }
 
         // -- execute: work-stealing deque over tree nodes --
@@ -703,13 +697,13 @@ impl Runner {
             };
             match task {
                 Task::Rep(g) => {
-                    let rep = pending[groups[g][0]];
+                    let (rep, key) = pending[groups[g][0]];
                     let t0 = Instant::now();
                     // Fork at W - 1, the last cycle every policy knob is
                     // inert: pausing *at* W executes cycle W under the
                     // representative's own policy (`prefix_key` makes W >= 1).
                     let fork_at = rep.warmup_cycles() - 1;
-                    let (_, fork) = self.resolve(rep, None, Some(fork_at));
+                    let (_, fork) = self.resolve(rep, key, None, Some(fork_at));
                     if fork.is_some() {
                         let mut prefix = self.prefix.lock().unwrap();
                         prefix.prefix_runs += 1;
@@ -724,7 +718,8 @@ impl Runner {
                     ready.notify_all();
                 }
                 Task::Job(idx, fork) => {
-                    self.resolve(pending[idx], fork.as_ref(), None);
+                    let (job, key) = pending[idx];
+                    self.resolve(job, key, fork.as_ref(), None);
                     let mut q = queue.lock().unwrap();
                     q.remaining -= 1;
                     let done = q.remaining == 0;
@@ -748,19 +743,32 @@ impl Runner {
             });
         }
 
-        // -- alias duplicates to their primary's result --
-        for (alias_key, idx) in aliases {
-            let result = {
-                let memo = self.memo.lock().unwrap();
-                Arc::clone(&memo[&pending[idx].memo_key()])
-            };
-            self.finish(alias_key, JobSource::Shared, Duration::ZERO, &result);
-        }
-        self.prefix.lock().unwrap().sweep_wall += t0.elapsed();
+        // -- answer every job by key; name the shared results --
         let memo = self.memo.lock().unwrap();
-        jobs.iter()
-            .map(|job| Arc::clone(&memo[&job.memo_key()]))
-            .collect()
+        let mut stats = self.stats.lock().unwrap();
+        let mut shared = 0;
+        let results = jobs
+            .iter()
+            .zip(&keys)
+            .map(|(job, key)| {
+                let result = Arc::clone(&memo[key]);
+                let name = job.memo_key();
+                if !stats.iter().any(|s| s.memo_key == name) {
+                    stats.push(JobStat::replay(
+                        name,
+                        JobSource::Shared,
+                        Duration::ZERO,
+                        &result,
+                    ));
+                    shared += 1;
+                }
+                result
+            })
+            .collect();
+        let mut prefix = self.prefix.lock().unwrap();
+        prefix.shared_jobs += shared;
+        prefix.sweep_wall += t0.elapsed();
+        results
     }
 
     /// Accumulated prefix-sharing counters (see [`PrefixStats`]).
@@ -768,7 +776,7 @@ impl Runner {
         *self.prefix.lock().unwrap()
     }
 
-    /// Number of completed (cached) runs.
+    /// Number of distinct results held (memoized cache keys).
     pub fn runs_completed(&self) -> usize {
         self.memo.lock().unwrap().len()
     }
@@ -861,7 +869,7 @@ mod tests {
         let mut cold = Runner::quick().with_prefix_share(false);
         cold.base_cfg.netcrafter.warmup_cycles = 400;
 
-        let jobs = |r: &Runner| -> Vec<JobSpec> {
+        let jobs = |r: &Runner| -> Vec<Experiment> {
             variants.iter().map(|&v| r.job(Workload::Gups, v)).collect()
         };
         let a = shared.sweep(&jobs(&shared));
@@ -909,7 +917,7 @@ mod tests {
         let job = r.job(Workload::Gups, SystemVariant::NetCrafter);
         let cold = Runner::quick().sweep(std::slice::from_ref(&job)).remove(0);
         let bad = ForkSnapshot::new(400, b"not a snapshot".to_vec(), 0);
-        let (result, _) = r.resolve(&job, Some(&bad), None);
+        let (result, _) = r.resolve(&job, &job.cache_key(), Some(&bad), None);
         assert_eq!(result.to_kv(), cold.to_kv());
         let stats = r.job_stats();
         assert_eq!(stats[0].source, JobSource::Fresh);
@@ -919,31 +927,55 @@ mod tests {
 
     #[test]
     fn sweep_aliases_identical_physical_jobs() {
-        // Two specs with different memo keys but one physical identity
-        // (tag is display-only) share a single execution.
-        let r = Runner::quick().with_jobs(2);
-        let mut tagged = r.job(Workload::Gups, SystemVariant::Baseline);
-        tagged.tag = "alias".into();
-        let jobs = vec![r.job(Workload::Gups, SystemVariant::Baseline), tagged];
-        let results = r.sweep(&jobs);
-        assert!(Arc::ptr_eq(&results[0], &results[1]));
-        assert_eq!(r.prefix_stats().shared_jobs, 1);
-        let stats = r.job_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(
-            stats
-                .iter()
-                .filter(|s| s.source == JobSource::Shared)
-                .count(),
-            1
-        );
-        assert_eq!(
-            stats
-                .iter()
-                .filter(|s| s.source == JobSource::Fresh)
-                .count(),
-            1
-        );
+        // Two jobs with different display names but one physical identity
+        // (tag is display-only) share a single execution, whether they
+        // come in one sweep or in two. The name that did not run is
+        // recorded once, as Shared.
+        let plain = Runner::quick().job(Workload::Gups, SystemVariant::Baseline);
+        let tagged = Experiment {
+            tag: "alias".into(),
+            ..plain.clone()
+        };
+        let both = [plain.clone(), tagged.clone()];
+        let apart = [plain, tagged.clone()];
+        for batches in [vec![&both[..]], vec![&apart[..1], &apart[1..]]] {
+            let r = Runner::quick().with_jobs(2);
+            let results: Vec<_> = batches.iter().flat_map(|b| r.sweep(b)).collect();
+            assert!(Arc::ptr_eq(&results[0], &results[1]));
+            r.sweep(std::slice::from_ref(&tagged));
+            assert_eq!(r.runs_completed(), 1);
+            let ps = r.prefix_stats();
+            assert_eq!((ps.simulated_jobs, ps.shared_jobs), (1, 1), "{ps:?}");
+            let stats: Vec<_> = r
+                .job_stats()
+                .into_iter()
+                .map(|s| (s.memo_key, s.source))
+                .collect();
+            assert_eq!(
+                stats,
+                [
+                    ("GUPS|Baseline|".to_owned(), JobSource::Fresh),
+                    ("GUPS|Baseline|alias".to_owned(), JobSource::Shared),
+                ],
+                "{} sweep(s)",
+                batches.len()
+            );
+        }
+    }
+
+    #[test]
+    fn sweep_keeps_jobs_that_differ_only_in_seed_apart() {
+        // One display name, two seeds: two simulations, and each result is
+        // the one its job gets when swept alone.
+        let r = Runner::quick();
+        let default_seed = r.job(Workload::Gups, SystemVariant::NetCrafter);
+        let seed1 = default_seed.clone().with_seed(1);
+        assert_eq!(default_seed.memo_key(), seed1.memo_key());
+        let results = r.sweep(&[default_seed, seed1.clone()]);
+        let alone = Runner::quick().sweep(&[seed1]).remove(0);
+        assert_eq!(results[1].to_kv(), alone.to_kv());
+        assert_ne!(results[0].exec_cycles, results[1].exec_cycles);
+        assert_eq!(r.prefix_stats().simulated_jobs, 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use netcrafter_bench::{figures, geomean, Runner};
-use netcrafter_multigpu::{JobSpec, SystemVariant};
+use netcrafter_multigpu::{Experiment, SystemVariant};
 use netcrafter_sim::trace::{json, json_string};
 use netcrafter_workloads::Workload;
 
@@ -27,7 +27,7 @@ use netcrafter_workloads::Workload;
 /// `Baseline` run of the same workload key — scale-out runs are keyed
 /// `WORKLOAD@FABRIC` — the geomeans in first-seen variant order, and,
 /// when the sweep planned prefix groups, the plan tree's hit ratio.
-fn report(r: &Runner, jobs: &[JobSpec]) -> String {
+fn report(r: &Runner, jobs: &[Experiment]) -> String {
     let results = r.sweep(jobs);
     let stats = r.job_stats();
     let (mut runs, mut speedups) = (Vec::new(), Vec::new());
@@ -162,7 +162,7 @@ fn compare(base: &Gated, cur: &Gated) -> Result<String, Vec<String>> {
 /// Runs one matrix, leaves its report in the target tmpdir and fails on
 /// any drift from `ci/BENCH_<name>.baseline.json`, which holds `numbers`
 /// exact numbers.
-fn gate(name: &str, numbers: usize, r: &Runner, jobs: &[JobSpec]) {
+fn gate(name: &str, numbers: usize, r: &Runner, jobs: &[Experiment]) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
     let root = root.expect("crates/bench sits two levels below the workspace root");
     let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("BENCH_{name}.json"));

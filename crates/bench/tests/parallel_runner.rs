@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use netcrafter_bench::{figures, geomean, JobSource, Runner, Table};
-use netcrafter_multigpu::{JobSpec, RunResult, SystemVariant};
+use netcrafter_multigpu::{Experiment, RunResult, SystemVariant};
 use netcrafter_workloads::Workload;
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -21,7 +21,7 @@ fn tempdir(tag: &str) -> PathBuf {
 
 /// A representative job mix: three workloads, several variants, plus a
 /// tagged alternate-config job and a duplicate.
-fn job_mix(r: &Runner) -> Vec<JobSpec> {
+fn job_mix(r: &Runner) -> Vec<Experiment> {
     let mut jobs = Vec::new();
     for w in [Workload::Gups, Workload::Mt, Workload::Spmv] {
         jobs.push(r.job(w, SystemVariant::Baseline));
@@ -120,12 +120,10 @@ fn disk_cache_survives_restart() {
     let before = first.sweep(&job_mix(&first));
     let stats = first.job_stats();
     assert!(stats.iter().all(|s| s.source == JobSource::Fresh));
-    let unique = first.runs_completed();
-    // The duplicate and the tagged job share one physical config with the
-    // plain GUPS baseline job, so disk may hold fewer entries than the
-    // memo — but never zero or more than the memo.
-    let on_disk = first.disk_cache().unwrap().len();
-    assert!(on_disk > 0 && on_disk <= unique, "{on_disk} vs {unique}");
+    // The memo and the disk hold one entry per cache key; the duplicate
+    // adds none.
+    assert_eq!(first.runs_completed(), job_mix(&first).len() - 1);
+    assert_eq!(first.disk_cache().unwrap().len(), first.runs_completed());
 
     // Second "process": same directory, fresh memo. Zero simulations.
     let second = Runner::quick().with_jobs(2).with_cache_dir(&dir).unwrap();
@@ -146,14 +144,15 @@ fn jobs_sharing_physical_config_share_disk_entries() {
     let dir = tempdir("shared-key");
     let r = Runner::quick().with_cache_dir(&dir).unwrap();
     // Same physical simulation under two tags: one fresh run, one disk
-    // entry, and the second resolves without simulating.
+    // entry, and the second resolves without simulating — from the memo,
+    // which knows the job by the same key as the disk.
     for tag in ["tag-a", "tag-b"] {
         r.sweep(&[r.job_with(Workload::Gups, SystemVariant::Baseline, r.base_cfg, tag)]);
     }
     let stats = r.job_stats();
     assert_eq!(stats.len(), 2);
     assert_eq!(stats[0].source, JobSource::Fresh);
-    assert_eq!(stats[1].source, JobSource::DiskHit);
+    assert_eq!(stats[1].source, JobSource::Shared);
     assert_eq!(r.disk_cache().unwrap().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

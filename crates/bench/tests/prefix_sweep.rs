@@ -3,7 +3,7 @@
 //! cycle itself.
 
 use netcrafter_bench::Runner;
-use netcrafter_multigpu::{CheckpointPlan, JobSpec, SystemVariant};
+use netcrafter_multigpu::{CheckpointPlan, Experiment, SystemVariant};
 use netcrafter_workloads::Workload;
 
 const WARMUP: u64 = 400;
@@ -16,7 +16,7 @@ fn sweep_variants() -> [SystemVariant; 3] {
     ]
 }
 
-fn jobs_for(r: &Runner) -> Vec<JobSpec> {
+fn jobs_for(r: &Runner) -> Vec<Experiment> {
     sweep_variants()
         .iter()
         .map(|&v| r.job(Workload::Gups, v))
@@ -68,7 +68,7 @@ fn forks_are_taken_before_any_policy_acts() {
         r
     };
     let (shared, cold) = (runner(true), runner(false));
-    let jobs: Vec<JobSpec> = variants
+    let jobs: Vec<Experiment> = variants
         .iter()
         .map(|&v| shared.job(Workload::Gups, v))
         .collect();
@@ -97,7 +97,7 @@ fn forks_are_taken_before_any_policy_acts() {
                 resume_from: None,
                 pause_at: Some(job.warmup_cycles() - 1),
             };
-            let run = job.to_experiment().run_planned(plan, None);
+            let run = job.run_planned(plan, None);
             let fork = run.expect("a cold run restores nothing").snapshot;
             fork.expect("the run outlives its warmup").state_hash()
         })

@@ -958,7 +958,8 @@ mod tests {
     /// cycle, X is stamped 1575 when Z arrives and Y is the victim; with
     /// X left at 1568 the tie would evict X, the lower way.
     fn blocked_behind_a_long_fill(mode: netcrafter_sim::SchedulerMode) -> H {
-        let mut cfg = SystemConfig::small(1).with_sector_cache();
+        let mut cfg = SystemConfig::small(1);
+        cfg.sector_fill = netcrafter_proto::SectorFillPolicy::Always;
         cfg.max_waves_per_cu = 4;
         cfg.max_loads_per_wave = 1;
         cfg.l1.size_bytes = 128; // one set of two lines

@@ -364,7 +364,8 @@ mod tests {
     fn harness(trimming: bool) -> H {
         let mut cfg = SystemConfig::small(1);
         if trimming {
-            cfg = cfg.with_netcrafter();
+            cfg.netcrafter = netcrafter_proto::NetCrafterConfig::full();
+            cfg.sector_fill = netcrafter_proto::SectorFillPolicy::OnTrim;
         }
         let mut b = EngineBuilder::new();
         let sw = b.reserve();

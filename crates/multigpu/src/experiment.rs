@@ -247,7 +247,20 @@ impl RunResult {
     }
 }
 
-/// One configured run: workload × variant × scale × base config.
+/// One configured run, which is also one sweep job: workload × variant ×
+/// scale × base config.
+///
+/// It is `Send` (all fields are owned plain data), so a sweep runner can
+/// hand jobs to `std::thread` workers. A run is named twice, for two
+/// readers:
+///
+/// * [`Experiment::cache_key`] — what it runs: the variant-applied
+///   configuration, workload, scale, seed and watchdog limit. Equal keys
+///   give equal results, so the runner's memo, its duplicate aliasing and
+///   the disk cache all key on it.
+/// * [`Experiment::memo_key`] — what a table calls it,
+///   `workload|variant|tag`: a display name for reports, never used to
+///   find a result.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// Workload to run.
@@ -265,12 +278,16 @@ pub struct Experiment {
     pub max_cycles: u64,
     /// Worker threads for the conservative parallel scheduler; 1 runs
     /// sequentially. Results are bit-identical either way, so this is
-    /// host-side tuning, not a simulation input.
+    /// host-side tuning, not a simulation input, and in no key.
     pub threads: usize,
     /// Scheduler a single-threaded run uses. Results are bit-identical
     /// under every mode; tests select [`SchedulerMode::Legacy`] here to
     /// compare against the tick-everything reference.
     pub scheduler: SchedulerMode,
+    /// Display tag distinguishing sweep points of one variant in reports
+    /// (e.g. `"clusters4"`); empty for plain runs. It is in
+    /// [`Experiment::memo_key`] only.
+    pub tag: String,
 }
 
 impl Experiment {
@@ -285,6 +302,7 @@ impl Experiment {
             max_cycles: 80_000_000,
             threads: 1,
             scheduler: SchedulerMode::EventDriven,
+            tag: String::new(),
         }
     }
 
@@ -300,6 +318,7 @@ impl Experiment {
             max_cycles: 20_000_000,
             threads: 1,
             scheduler: SchedulerMode::EventDriven,
+            tag: String::new(),
         }
     }
 
@@ -333,6 +352,63 @@ impl Experiment {
         self
     }
 
+    /// Display name: `workload|variant-label|tag`. Reports and
+    /// `benchmark/golden.json` use it; no result is found by it.
+    pub fn memo_key(&self) -> String {
+        format!("{}|{}|{}", self.workload, self.variant.label(), self.tag)
+    }
+
+    /// Stable cross-process key covering every input that affects the
+    /// simulation outcome. Deliberately excludes `tag` (display-only),
+    /// `threads` and `scheduler` (bit-identical results).
+    pub fn cache_key(&self) -> String {
+        let applied = self.variant.apply(self.base_cfg);
+        let key = self.key("v1", &applied.stable_repr());
+        format!("{key};max={}", self.max_cycles)
+    }
+
+    /// The identity both keys share: `kind`, the workload, the given
+    /// configuration string, the scale and the workload seed.
+    fn key(&self, kind: &str, cfg: &str) -> String {
+        let (wl, scale, seed) = (self.workload, self.scale, self.seed);
+        format!("{kind};wl={wl:?};{cfg};scale={scale:?};wlseed={seed:016x}")
+    }
+
+    /// Prefix-sharing group key: jobs with equal keys evolve
+    /// byte-identically over `[0, W)`, `W` their NetCrafter warmup cycle,
+    /// so one simulated prefix (an in-memory [`ForkSnapshot`] paused at
+    /// `W - 1`) serves them all.
+    ///
+    /// The key is the variant-applied configuration's
+    /// [`SystemConfig::warmup_repr`] — the stable representation with the
+    /// warmup-inert policy knobs masked, plus the component-roster token —
+    /// combined with the workload identity. `max_cycles` is deliberately
+    /// excluded: a prefix paused before the warmup cycle is valid for any
+    /// watchdog deeper than it (the planner enforces that per job).
+    ///
+    /// `None` means this job cannot share a prefix:
+    /// * no warmup window (`warmup_cycles == 0`) — knobs act from cycle 0;
+    /// * no NetCrafter knob enabled — the build uses the plain FIFO
+    ///   egress roster, whose snapshot layout differs from the
+    ///   ClusterQueue roster (and an all-off run has nothing to share a
+    ///   warmup *with*);
+    /// * the watchdog is not strictly deeper than the warmup window.
+    pub fn prefix_key(&self) -> Option<String> {
+        let applied = self.variant.apply(self.base_cfg);
+        let warmup = applied.netcrafter.warmup_cycles;
+        if warmup == 0 || !applied.any_enabled() || warmup >= self.max_cycles {
+            return None;
+        }
+        Some(self.key("p1", &applied.warmup_repr()))
+    }
+
+    /// The variant-applied warmup cycle `W`, the first one the policy
+    /// knobs act on; when [`Experiment::prefix_key`] is `Some` the job's
+    /// shared prefix is `[0, W)` and its fork is paused at `W - 1`.
+    pub fn warmup_cycles(&self) -> u64 {
+        self.variant.apply(self.base_cfg).netcrafter.warmup_cycles
+    }
+
     /// Builds the system, runs the workload to completion and harvests.
     pub fn run(&self) -> RunResult {
         self.run_planned(CheckpointPlan::default(), None)
@@ -357,7 +433,7 @@ impl Experiment {
     /// Pause → resume → continue is byte-identical to the uninterrupted
     /// run, and a snapshot taken before the warmup cycle `W` (pausing at
     /// `W` executes cycle `W`, which the knobs already steer) resumes
-    /// under every job with the same [`JobSpec::prefix_key`].
+    /// under every job with the same [`Experiment::prefix_key`].
     ///
     /// Observation is not state: a snapshot is the same bytes whatever
     /// `trace` asks for, and a resumed run records what it simulates —
@@ -526,129 +602,10 @@ impl TraceData {
     }
 }
 
-/// A plain-data description of one sweep job: an [`Experiment`] plus the
-/// display tag the figure generators use to retrieve its result.
-///
-/// `JobSpec` is `Send` by construction (all fields are owned plain data),
-/// so a sweep runner can hand specs to `std::thread` workers. Two key
-/// derivations matter:
-///
-/// * [`JobSpec::memo_key`] — the in-process memo identity. It mirrors the
-///   key the sequential runner always used (`workload|variant|tag`), so
-///   figure generators keep retrieving results the same way.
-/// * [`JobSpec::cache_key`] — the *physical* identity of the simulation:
-///   the variant-applied configuration (via its stable representation),
-///   workload, scale, seed and watchdog limit. Jobs that differ only in
-///   display tag share one persistent cache entry.
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    /// Workload to run.
-    pub workload: Workload,
-    /// System variant.
-    pub variant: SystemVariant,
-    /// Base configuration the variant is applied on top of.
-    pub base_cfg: SystemConfig,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Workload seed.
-    pub seed: u64,
-    /// Watchdog limit.
-    pub max_cycles: u64,
-    /// Worker threads for the parallel scheduler. Deliberately excluded
-    /// from both [`JobSpec::memo_key`] and [`JobSpec::cache_key`]:
-    /// parallel execution is bit-identical to sequential, so results are
-    /// interchangeable across thread counts.
-    pub threads: usize,
-    /// Display tag distinguishing sweep points of one variant (e.g.
-    /// `"clusters4"`); empty for plain runs.
-    pub tag: String,
-}
-
-impl JobSpec {
-    /// Wraps an [`Experiment`] with its retrieval tag.
-    pub fn new(exp: Experiment, tag: impl Into<String>) -> Self {
-        Self {
-            workload: exp.workload,
-            variant: exp.variant,
-            base_cfg: exp.base_cfg,
-            scale: exp.scale,
-            seed: exp.seed,
-            max_cycles: exp.max_cycles,
-            threads: exp.threads,
-            tag: tag.into(),
-        }
-    }
-
-    /// The runnable experiment this spec describes.
-    pub fn to_experiment(&self) -> Experiment {
-        Experiment {
-            workload: self.workload,
-            variant: self.variant,
-            base_cfg: self.base_cfg,
-            scale: self.scale,
-            seed: self.seed,
-            max_cycles: self.max_cycles,
-            threads: self.threads,
-            scheduler: SchedulerMode::EventDriven,
-        }
-    }
-
-    /// In-process memo key: `workload|variant-label|tag`. This is the key
-    /// format the sequential bench runner has always used.
-    pub fn memo_key(&self) -> String {
-        format!("{}|{}|{}", self.workload, self.variant.label(), self.tag)
-    }
-
-    /// Stable cross-process cache key covering every input that affects
-    /// the simulation outcome. Deliberately excludes `tag` (display-only).
-    pub fn cache_key(&self) -> String {
-        let applied = self.variant.apply(self.base_cfg);
-        let key = self.key("v1", &applied.stable_repr());
-        format!("{key};max={}", self.max_cycles)
-    }
-
-    /// The identity both keys share: `kind`, the workload, the given
-    /// configuration string, the scale and the workload seed.
-    fn key(&self, kind: &str, cfg: &str) -> String {
-        let (wl, scale, seed) = (self.workload, self.scale, self.seed);
-        format!("{kind};wl={wl:?};{cfg};scale={scale:?};wlseed={seed:016x}")
-    }
-
-    /// Prefix-sharing group key: jobs with equal keys evolve
-    /// byte-identically over `[0, W)`, `W` their NetCrafter warmup cycle,
-    /// so one simulated prefix (an in-memory [`ForkSnapshot`] paused at
-    /// `W - 1`) serves them all.
-    ///
-    /// The key is the variant-applied configuration's
-    /// [`SystemConfig::warmup_repr`] — the stable representation with the
-    /// warmup-inert policy knobs masked, plus the component-roster token —
-    /// combined with the workload identity. `max_cycles` is deliberately
-    /// excluded: a prefix paused before the warmup cycle is valid for any
-    /// watchdog deeper than it (the planner enforces that per job).
-    ///
-    /// `None` means this job cannot share a prefix:
-    /// * no warmup window (`warmup_cycles == 0`) — knobs act from cycle 0;
-    /// * no NetCrafter knob enabled — the build uses the plain FIFO
-    ///   egress roster, whose snapshot layout differs from the
-    ///   ClusterQueue roster (and an all-off run has nothing to share a
-    ///   warmup *with*);
-    /// * the watchdog is not strictly deeper than the warmup window.
-    pub fn prefix_key(&self) -> Option<String> {
-        let applied = self.variant.apply(self.base_cfg);
-        let warmup = applied.netcrafter.warmup_cycles;
-        if warmup == 0 || !applied.any_enabled() || warmup >= self.max_cycles {
-            return None;
-        }
-        Some(self.key("p1", &applied.warmup_repr()))
-    }
-
-    /// The variant-applied warmup cycle `W`, the first one the policy
-    /// knobs act on; when [`JobSpec::prefix_key`] is `Some` the job's
-    /// shared prefix is `[0, W)` and its fork is paused at `W - 1`.
-    pub fn warmup_cycles(&self) -> u64 {
-        self.variant.apply(self.base_cfg).netcrafter.warmup_cycles
-    }
-}
+/// The name [`Experiment`] had as a sweep job, kept for callers outside
+/// the workspace.
+#[deprecated(note = "a sweep job is an `Experiment`")]
+pub type JobSpec = Experiment;
 
 #[cfg(test)]
 mod tests {
@@ -791,47 +748,50 @@ mod tests {
     }
 
     #[test]
-    fn job_spec_is_send_and_round_trips() {
+    fn experiment_is_send_and_keeps_the_memo_key_format() {
         fn assert_send<T: Send + 'static>() {}
-        assert_send::<JobSpec>();
+        assert_send::<Experiment>();
 
-        let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-        let job = JobSpec::new(exp.clone(), "flit8");
-        assert_eq!(job.memo_key(), "GUPS|NetCrafter|flit8");
-        let back = job.to_experiment();
-        assert_eq!(back.workload, exp.workload);
-        assert_eq!(back.base_cfg, exp.base_cfg);
-        assert_eq!(back.seed, exp.seed);
-        assert_eq!(back.max_cycles, exp.max_cycles);
+        let exp = Experiment {
+            tag: "flit8".into(),
+            ..Experiment::quick(Workload::Gups, SystemVariant::NetCrafter)
+        };
+        assert_eq!(exp.memo_key(), "GUPS|NetCrafter|flit8");
+        assert_eq!(
+            Experiment::quick(Workload::Gups, SystemVariant::Baseline).tag,
+            ""
+        );
     }
 
     #[test]
     fn cache_key_tracks_physical_inputs_only() {
-        let exp = Experiment::quick(Workload::Gups, SystemVariant::Baseline);
-        let a = JobSpec::new(exp.clone(), "");
-        let b = JobSpec::new(exp.clone(), "some-tag");
+        let a = Experiment::quick(Workload::Gups, SystemVariant::Baseline);
+        let b = Experiment {
+            tag: "some-tag".into(),
+            ..a.clone()
+        };
         assert_eq!(a.cache_key(), b.cache_key(), "tag is display-only");
         assert_ne!(a.memo_key(), b.memo_key());
 
-        let other_variant = JobSpec::new(
-            Experiment::quick(Workload::Gups, SystemVariant::NetCrafter),
-            "",
-        );
+        let other_variant = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         assert_ne!(a.cache_key(), other_variant.cache_key());
 
-        let other_seed = JobSpec::new(exp.clone().with_seed(7), "");
+        let other_seed = a.clone().with_seed(7);
         assert_ne!(a.cache_key(), other_seed.cache_key());
+        assert_eq!(a.memo_key(), other_seed.memo_key(), "the seed is not named");
 
-        let other_scale = JobSpec::new(exp.clone().with_scale(Scale::small()), "");
+        let other_scale = a.clone().with_scale(Scale::small());
         assert_ne!(a.cache_key(), other_scale.cache_key());
 
-        // PDES results are bit-identical, so a cache filled sequentially
-        // serves a threaded run.
-        let threaded = JobSpec::new(exp.clone().with_threads(4), "");
+        // PDES and every scheduler give bit-identical results, so a cache
+        // filled sequentially serves a threaded or Legacy run.
+        let threaded = a.clone().with_threads(4);
         assert_eq!(a.cache_key(), threaded.cache_key(), "threads are host-side");
         assert_eq!(a.memo_key(), threaded.memo_key());
+        let legacy = a.clone().with_scheduler(SchedulerMode::Legacy);
+        assert_eq!(a.cache_key(), legacy.cache_key(), "so is the scheduler");
 
-        let mut longer = JobSpec::new(exp, "");
+        let mut longer = a.clone();
         longer.max_cycles += 1;
         assert_ne!(a.cache_key(), longer.cache_key());
     }
@@ -840,57 +800,54 @@ mod tests {
     fn prefix_key_groups_warmup_equivalent_jobs() {
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         // No warmup window: nothing to share.
-        assert!(JobSpec::new(exp.clone(), "").prefix_key().is_none());
+        assert!(exp.prefix_key().is_none());
 
         exp.base_cfg.netcrafter.warmup_cycles = 500;
-        let nc = JobSpec::new(exp.clone(), "");
-        let key = nc.prefix_key().expect("warmup window set");
-        assert_eq!(nc.warmup_cycles(), 500);
+        let key = exp.prefix_key().expect("warmup window set");
+        assert_eq!(exp.warmup_cycles(), 500);
+        let with = |variant| Experiment {
+            variant,
+            ..exp.clone()
+        };
 
         // Policy variants on the same ClusterQueue roster + fill policy
         // share the prefix with full NetCrafter.
-        let mut st = exp.clone();
-        st.variant = SystemVariant::StitchTrim;
-        assert_eq!(JobSpec::new(st, "").prefix_key().as_ref(), Some(&key));
+        assert_eq!(
+            with(SystemVariant::StitchTrim).prefix_key(),
+            Some(key.clone())
+        );
 
         // Different display tag never splits a group.
-        assert_eq!(
-            JobSpec::new(exp.clone(), "other-tag").prefix_key().as_ref(),
-            Some(&key)
-        );
+        let tagged = Experiment {
+            tag: "other-tag".into(),
+            ..exp.clone()
+        };
+        assert_eq!(tagged.prefix_key(), Some(key.clone()));
 
         // Different max_cycles does not split the group either (the
         // prefix is valid under any deeper watchdog).
         let mut deeper = exp.clone();
         deeper.max_cycles *= 2;
-        assert_eq!(JobSpec::new(deeper, "").prefix_key().as_ref(), Some(&key));
+        assert_eq!(deeper.prefix_key(), Some(key.clone()));
 
         // FullLine-fill variants share a *different* prefix: trimming's
         // sectored fills change warmup state.
-        let mut so = exp.clone();
-        so.variant = SystemVariant::StitchOnly;
-        let so_key = JobSpec::new(so.clone(), "")
+        let so_key = with(SystemVariant::StitchOnly)
             .prefix_key()
             .expect("shareable");
         assert_ne!(so_key, key);
-        let mut seq = exp.clone();
-        seq.variant = SystemVariant::SeqOnly;
-        assert_eq!(JobSpec::new(seq, "").prefix_key().as_ref(), Some(&so_key));
+        assert_eq!(with(SystemVariant::SeqOnly).prefix_key(), Some(so_key));
 
         // Baseline runs the FIFO roster: no sharing.
-        let mut baseline = exp.clone();
-        baseline.variant = SystemVariant::Baseline;
-        assert!(JobSpec::new(baseline, "").prefix_key().is_none());
+        assert!(with(SystemVariant::Baseline).prefix_key().is_none());
 
         // A watchdog at or below the warmup window disables sharing.
         let mut shallow = exp.clone();
         shallow.max_cycles = 500;
-        assert!(JobSpec::new(shallow, "").prefix_key().is_none());
+        assert!(shallow.prefix_key().is_none());
 
         // Physical divergence splits the group.
-        let mut reseeded = exp;
-        reseeded.seed = 7;
-        assert_ne!(JobSpec::new(reseeded, "").prefix_key().unwrap(), key);
+        assert_ne!(exp.with_seed(7).prefix_key().unwrap(), key);
     }
 
     /// `exp` paused once at `at`: the finished run, which carries the

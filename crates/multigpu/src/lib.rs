@@ -24,8 +24,9 @@
 pub mod experiment;
 pub mod system;
 
+#[allow(deprecated)]
+pub use experiment::JobSpec;
 pub use experiment::{
-    CheckpointPlan, CheckpointedRun, Experiment, JobSpec, RunResult, SystemVariant, TraceData,
-    TraceOptions,
+    CheckpointPlan, CheckpointedRun, Experiment, RunResult, SystemVariant, TraceData, TraceOptions,
 };
 pub use system::{LinkSeries, System};

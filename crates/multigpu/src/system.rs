@@ -730,7 +730,7 @@ mod tests {
 
     #[test]
     fn netcrafter_system_runs_and_stitches_or_trims() {
-        let cfg = SystemConfig::small(2).with_netcrafter();
+        let cfg = crate::SystemVariant::NetCrafter.apply(SystemConfig::small(2));
         let mut sys = System::build(cfg, &tiny_kernel());
         sys.run(1_000_000);
         let m = sys.harvest();

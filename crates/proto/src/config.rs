@@ -613,22 +613,6 @@ impl SystemConfig {
         self
     }
 
-    /// Enables the full NetCrafter design (§5.2) with the paper's chosen
-    /// parameters and the Trimming-aware L1 fill policy.
-    pub fn with_netcrafter(mut self) -> Self {
-        self.netcrafter = NetCrafterConfig::full();
-        self.sector_fill = SectorFillPolicy::OnTrim;
-        self
-    }
-
-    /// The sector-cache comparison baseline of §5.3: 16 B sectored L1
-    /// fills everywhere, NetCrafter itself disabled.
-    pub fn with_sector_cache(mut self) -> Self {
-        self.netcrafter = NetCrafterConfig::disabled();
-        self.sector_fill = SectorFillPolicy::Always;
-        self
-    }
-
     /// True if the L1 trims: a cross-cluster read that fits one sector
     /// asks for that sector alone, and the RDMA engine counts it (§4.3).
     pub const fn trimming(&self) -> bool {
@@ -848,7 +832,11 @@ mod tests {
         assert!(full.stitching && full.sequencing);
         assert_eq!(full.pooling_window, 32);
         assert!(full.selective_pooling);
-        let nc = base.with_netcrafter();
+        let nc = SystemConfig {
+            netcrafter: full,
+            sector_fill: SectorFillPolicy::OnTrim,
+            ..base
+        };
         assert!(nc.any_enabled() && nc.trimming());
         let s = NetCrafterConfig::stitching_only();
         assert!(s.stitching && !s.sequencing);
@@ -898,10 +886,12 @@ mod tests {
             assert!(err.ends_with("got 0") && !err.contains('\n'), "{err}");
         }
 
-        assert!(SystemConfig::paper_baseline()
-            .with_netcrafter()
-            .validate()
-            .is_ok());
+        let nc = SystemConfig {
+            netcrafter: NetCrafterConfig::full(),
+            sector_fill: SectorFillPolicy::OnTrim,
+            ..SystemConfig::paper_baseline()
+        };
+        assert!(nc.validate().is_ok());
     }
 
     #[test]
@@ -915,8 +905,14 @@ mod tests {
         // A representative field from each sub-struct must perturb the key.
         let mut variants: Vec<SystemConfig> = Vec::new();
         variants.push(base.idealized());
-        variants.push(base.with_netcrafter());
-        variants.push(base.with_sector_cache());
+        variants.push(SystemConfig {
+            netcrafter: NetCrafterConfig::full(),
+            ..base
+        });
+        variants.push(SystemConfig {
+            sector_fill: SectorFillPolicy::Always,
+            ..base
+        });
         let mut c = base;
         c.cus_per_gpu = 8;
         variants.push(c);
@@ -963,7 +959,11 @@ mod tests {
         // Two configs that differ only in warmup-inert policy knobs must share
         // a prefix key: both run the full ClusterQueue roster with every knob
         // gated off until `warmup_cycles`.
-        let mut full = SystemConfig::paper_baseline().with_netcrafter();
+        let mut full = SystemConfig {
+            netcrafter: NetCrafterConfig::full(),
+            sector_fill: SectorFillPolicy::OnTrim,
+            ..SystemConfig::paper_baseline()
+        };
         full.netcrafter.warmup_cycles = 2_000;
         let mut variant = full;
         variant.netcrafter.sequencing = false;
@@ -1113,7 +1113,10 @@ mod tests {
 
     #[test]
     fn sector_cache_preset() {
-        let c = SystemConfig::paper_baseline().with_sector_cache();
+        let c = SystemConfig {
+            sector_fill: SectorFillPolicy::Always,
+            ..SystemConfig::paper_baseline()
+        };
         assert_eq!(c.sector_fill, SectorFillPolicy::Always);
         assert!(!c.any_enabled() && !c.trimming());
     }
