@@ -22,9 +22,12 @@
 //! (see [`netcrafter_net::Switch`]).
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 use netcrafter_net::EgressQueue;
-use netcrafter_proto::{Flit, Metrics, NetCrafterConfig, NodeId, PacketKind, ALL_PACKET_KINDS};
+use netcrafter_proto::{
+    Flit, Metrics, NetCrafterConfig, NodeId, PacketKind, Pooling, ALL_PACKET_KINDS,
+};
 use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{snap_fields, Cycle, EventClass, Tracer};
 
@@ -181,39 +184,32 @@ impl ClusterQueue {
         flit.chunks[0].kind.index()
     }
 
-    /// Service order for this pop: PTW partitions first under Sequencing,
-    /// then data partitions in round-robin order. `active` is false while
-    /// the controller is still inside its warmup window (see
-    /// [`NetCrafterConfig::active_at`]): every policy falls back to plain
-    /// round-robin so warmup behaviour is knob-independent.
+    /// The partitions Sequencing serves first at this pop: none when it
+    /// is off, or while the controller is still inside its warmup window
+    /// (`active` false, see [`NetCrafterConfig::active_at`]), so warmup
+    /// behaviour is knob-independent.
+    fn prioritized(&self, active: bool) -> Option<[usize; 2]> {
+        match self.cfg.sequencing {
+            Some(priority) if active => Some(priority.kinds().map(PacketKind::index)),
+            _ => None,
+        }
+    }
+
+    /// Service order for this pop: the prioritized partitions first
+    /// (PTW, or data reads in Figure 8's counterfactual), then the rest
+    /// in round-robin order.
     fn service_order(&self, active: bool) -> [usize; 6] {
+        let priority = self.prioritized(active);
         let mut order = [0usize; 6];
         let mut n = 0;
-        if self.cfg.sequencing && active {
-            // Figure 8's counterfactual prioritizes data reads instead of
-            // PTW traffic; the real design prioritizes PTW (§4.3).
-            let priority: [usize; 2] = if self.cfg.prioritize_data_instead {
-                [PacketKind::ReadRsp.index(), PacketKind::ReadReq.index()]
-            } else {
-                [
-                    PacketKind::PageTableRsp.index(),
-                    PacketKind::PageTableReq.index(),
-                ]
-            };
-            for qi in priority {
+        for qi in priority.into_iter().flatten() {
+            order[n] = qi;
+            n += 1;
+        }
+        for step in 0..6 {
+            let qi = (self.rr + step) % 6;
+            if !priority.is_some_and(|p| p.contains(&qi)) {
                 order[n] = qi;
-                n += 1;
-            }
-            for step in 0..6 {
-                let qi = (self.rr + step) % 6;
-                if !priority.contains(&qi) {
-                    order[n] = qi;
-                    n += 1;
-                }
-            }
-        } else {
-            for step in 0..6 {
-                order[n] = (self.rr + step) % 6;
                 n += 1;
             }
         }
@@ -260,14 +256,17 @@ impl ClusterQueue {
         absorbed
     }
 
-    /// True if partition `qi` may be pooled: pooling is on, and the
-    /// partition is not exempt (PTW partitions are exempt under Selective
-    /// Flit Pooling, and the Sequencing design never sets their timer —
-    /// §4.4 step 4e).
-    fn poolable(&self, qi: usize) -> bool {
-        self.cfg.stitching
-            && self.cfg.pooling_window > 0
-            && !(Self::is_ptw_partition(qi) && (self.cfg.selective_pooling || self.cfg.sequencing))
+    /// The window partition `qi` pools for, if it may pool: pooling is
+    /// on, and the partition is not exempt (PTW partitions are exempt
+    /// under Selective Flit Pooling, and the Sequencing design never sets
+    /// their timer — §4.4 step 4e).
+    fn pool_window(&self, qi: usize) -> Option<NonZeroU32> {
+        let ptw = Self::is_ptw_partition(qi);
+        match self.cfg.stitching? {
+            Pooling::All { window } if !(ptw && self.cfg.sequencing.is_some()) => Some(window),
+            Pooling::Selective { window } if !ptw => Some(window),
+            _ => None,
+        }
     }
 
     /// Final bookkeeping for an ejecting flit: statistics, re-addressing
@@ -285,12 +284,7 @@ impl ClusterQueue {
             );
         }
         self.stats.popped += 1;
-        let prioritized = if self.cfg.prioritize_data_instead {
-            qi == PacketKind::ReadRsp.index() || qi == PacketKind::ReadReq.index()
-        } else {
-            Self::is_ptw_partition(qi)
-        };
-        if self.cfg.sequencing && active && prioritized {
+        if self.prioritized(active).is_some_and(|p| p.contains(&qi)) {
             self.stats.ptw_priority_pops += 1;
             tracer.instant(
                 EventClass::Seq,
@@ -333,7 +327,7 @@ impl EgressQueue for ClusterQueue {
         // and make the parent ready to eject — the wait ends the moment
         // its purpose is served, rather than at timer expiry when
         // transient candidates have long drained.
-        if self.cfg.stitching && self.cfg.active_at(now) {
+        if self.cfg.stitching.is_some() && self.cfg.active_at(now) {
             for qi in 0..6 {
                 if let Some((parent, until)) = self.pooled[qi].as_mut() {
                     if parent.stitch_cost(&flit).is_some() {
@@ -367,7 +361,7 @@ impl EgressQueue for ClusterQueue {
             {
                 let (mut parent, _) = self.pooled[qi].take().expect("checked above");
                 self.len -= 1;
-                let absorbed = if self.cfg.stitching && active {
+                let absorbed = if self.cfg.stitching.is_some() && active {
                     self.stitch_into(&mut parent)
                 } else {
                     0
@@ -384,27 +378,28 @@ impl EgressQueue for ClusterQueue {
             //    considered in the same turn — pooling never stalls the
             //    partition, only the pooled flit.
             while let Some(mut parent) = self.queues[qi].pop_front() {
-                let absorbed = if self.cfg.stitching && active {
+                let absorbed = if self.cfg.stitching.is_some() && active {
                     self.stitch_into(&mut parent)
                 } else {
                     0
                 };
                 if absorbed == 0
                     && active
-                    && self.poolable(qi)
                     && parent.empty_bytes() >= MIN_POOL_BYTES
                     && self.pooled[qi].is_none()
                 {
-                    // Pool into the side slot; try the next flit.
-                    self.stats.pool_events += 1;
-                    tracer.instant(
-                        EventClass::Pool,
-                        "pool.park",
-                        Self::flit_id(&parent),
-                        parent.empty_bytes() as u64,
-                    );
-                    self.pooled[qi] = Some((parent, now + self.cfg.pooling_window as Cycle));
-                    continue;
+                    if let Some(window) = self.pool_window(qi) {
+                        // Pool into the side slot; try the next flit.
+                        self.stats.pool_events += 1;
+                        tracer.instant(
+                            EventClass::Pool,
+                            "pool.park",
+                            Self::flit_id(&parent),
+                            parent.empty_bytes() as u64,
+                        );
+                        self.pooled[qi] = Some((parent, now + Cycle::from(window.get())));
+                        continue;
+                    }
                 }
                 self.len -= 1;
                 self.stats.absorbed_candidates += absorbed;
@@ -489,7 +484,7 @@ impl ClusterQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netcrafter_proto::{Chunk, PacketId, TrafficClass};
+    use netcrafter_proto::{Chunk, PacketId, Priority, TrafficClass};
 
     fn chunk(packet: u64, kind: PacketKind, bytes: u32, has_header: bool, is_tail: bool) -> Chunk {
         Chunk {
@@ -648,7 +643,7 @@ mod tests {
     #[test]
     fn pooling_delays_lonely_parent_until_candidate_arrives() {
         let mut cfg = NetCrafterConfig::stitching_only();
-        cfg.pooling_window = 32;
+        cfg.stitching = Some(Pooling::new(32, false));
         let mut q = cq(cfg);
         q.push(rsp_tail(1), 0);
         // No candidate: the parent moves to the pooling side slot.
@@ -668,7 +663,7 @@ mod tests {
     #[test]
     fn pooling_does_not_block_the_partition_behind() {
         let mut cfg = NetCrafterConfig::stitching_only();
-        cfg.pooling_window = 32;
+        cfg.stitching = Some(Pooling::new(32, false));
         let mut q = cq(cfg);
         q.push(rsp_tail(1), 0);
         // A full body flit queued behind the tail.
@@ -692,7 +687,7 @@ mod tests {
     #[test]
     fn pool_expiry_ejects_unstitched() {
         let mut cfg = NetCrafterConfig::stitching_only();
-        cfg.pooling_window = 32;
+        cfg.stitching = Some(Pooling::new(32, false));
         let mut q = cq(cfg);
         q.push(rsp_tail(1), 0);
         assert!(q.pop(5).is_none()); // pooled at 5, until 37
@@ -705,8 +700,7 @@ mod tests {
     #[test]
     fn selective_pooling_exempts_ptw_flits() {
         let mut cfg = NetCrafterConfig::stitching_only();
-        cfg.pooling_window = 32;
-        cfg.selective_pooling = true;
+        cfg.stitching = Some(Pooling::new(32, true));
         let mut q = cq(cfg);
         q.push(pt_rsp(1), 0); // 12 B used, 4 empty: could pool, but exempt
         let f = q.pop(1).unwrap();
@@ -721,7 +715,7 @@ mod tests {
     #[test]
     fn sequencing_serves_ptw_first() {
         let mut cfg = NetCrafterConfig::disabled();
-        cfg.sequencing = true;
+        cfg.sequencing = Some(Priority::Ptw);
         let mut q = cq(cfg);
         q.push(rsp_tail(1), 0);
         q.push(read_req(2), 0);
@@ -738,13 +732,31 @@ mod tests {
     #[test]
     fn sequencing_does_not_starve_data() {
         let mut cfg = NetCrafterConfig::disabled();
-        cfg.sequencing = true;
+        cfg.sequencing = Some(Priority::Ptw);
         let mut q = cq(cfg);
         q.push(pt_rsp(1), 0);
         q.push(rsp_tail(2), 0);
         assert_eq!(q.pop(1).unwrap().chunks[0].packet, PacketId(1));
         assert_eq!(q.pop(1).unwrap().chunks[0].packet, PacketId(2));
         assert!(q.pop(1).is_none());
+    }
+
+    /// Figure 8's counterfactual serves data reads where the design
+    /// serves PTW flits.
+    #[test]
+    fn data_priority_serves_reads_first() {
+        let mut cfg = NetCrafterConfig::disabled();
+        cfg.sequencing = Some(Priority::Data);
+        let mut q = cq(cfg);
+        // After a write response, round-robin alone would serve the PTW
+        // response partition before the read partitions.
+        q.push(write_rsp(1), 0);
+        q.pop(1).unwrap();
+        q.push(pt_rsp(2), 1);
+        q.push(rsp_tail(3), 1);
+        assert_eq!(q.pop(2).unwrap().chunks[0].packet, PacketId(3));
+        assert_eq!(q.stats.ptw_priority_pops, 1);
+        assert_eq!(q.pop(2).unwrap().chunks[0].packet, PacketId(2));
     }
 
     #[test]
@@ -799,7 +811,7 @@ mod tests {
         let mut a_cfg = NetCrafterConfig::full();
         a_cfg.warmup_cycles = 1_000;
         let mut b_cfg = NetCrafterConfig::stitching_only();
-        b_cfg.sequencing = true;
+        b_cfg.sequencing = Some(Priority::Ptw);
         b_cfg.warmup_cycles = 1_000;
         let mut a = cq(a_cfg);
         let mut b = cq(b_cfg);
@@ -878,7 +890,7 @@ mod tests {
     #[test]
     fn occupancy_accounting_is_exact() {
         let mut cfg = NetCrafterConfig::stitching_only();
-        cfg.pooling_window = 16;
+        cfg.stitching = Some(Pooling::new(16, false));
         let mut q = cq(cfg);
         for i in 0..5 {
             q.push(write_rsp(i), 0);

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use netcrafter_mem::{L1Access, L1Cache};
 use netcrafter_proto::access::{CoalescedAccess, WavefrontOp, WavefrontTrace};
-use netcrafter_proto::config::{SystemConfig, ON_CHIP_HOP_CYCLES};
+use netcrafter_proto::config::{SystemConfig, L1_TLB, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::{
     AccessId, CuId, GpuId, LatencyStat, LineAddr, MemReq, Message, Metrics, Origin, PAddr,
@@ -195,7 +195,7 @@ impl Cu {
         wiring: CuWiring,
     ) -> Self {
         let l1 = L1Cache::new(&cfg.l1, cfg.sector_fill, cfg.trim_granularity);
-        let l1_tlb = Tlb::new(&cfg.l1_tlb);
+        let l1_tlb = Tlb::new(&L1_TLB);
         // Globally unique access ids: gpu and cu in the high bits.
         let id_base = ((gpu.raw() as u64) << 40) | ((cu.raw() as u64) << 24);
         Self {

@@ -1,7 +1,9 @@
 //! Experiment configurations and derived measures — the vocabulary of
 //! the paper's evaluation section (§5).
 
-use netcrafter_proto::{Metrics, NetCrafterConfig, SectorFillPolicy, SystemConfig};
+use netcrafter_proto::{
+    Metrics, NetCrafterConfig, Pooling, Priority, SectorFillPolicy, SystemConfig,
+};
 use netcrafter_sim::snapshot::{ForkSnapshot, SnapshotError};
 use netcrafter_sim::{SchedulerMode, Trace, TraceConfig};
 use netcrafter_workloads::{Scale, Workload};
@@ -22,7 +24,7 @@ pub enum SystemVariant {
     /// Stitching alone, no pooling (Figures 12/18/19 leftmost).
     StitchOnly,
     /// Stitching with (optionally selective) Flit Pooling of the given
-    /// window (Figures 18/19 sweeps).
+    /// window (Figures 18/19 sweeps); window 0 is [`SystemVariant::StitchOnly`].
     StitchPool {
         /// Pooling window in cycles.
         window: u32,
@@ -46,7 +48,7 @@ pub enum SystemVariant {
 
 impl SystemVariant {
     /// Applies the variant to a base configuration: the variant sets the
-    /// Cluster Queue knobs and the L1 fill policy (Trimming is
+    /// two Cluster Queue mechanisms and the L1 fill policy (Trimming is
     /// [`SectorFillPolicy::OnTrim`]), and Ideal also the inter-cluster
     /// bandwidth. The base config's `netcrafter.warmup_cycles` and
     /// `netcrafter.stitch_search_depth` survive: the warmup window is a
@@ -56,61 +58,29 @@ impl SystemVariant {
     /// identity.
     pub fn apply(self, cfg: SystemConfig) -> SystemConfig {
         use SectorFillPolicy::{Always, FullLine, OnTrim};
-        let off = NetCrafterConfig::disabled();
-        let (netcrafter, sector_fill) = match self {
-            SystemVariant::Baseline | SystemVariant::Ideal => (off, FullLine),
-            SystemVariant::NetCrafter => (NetCrafterConfig::full(), OnTrim),
-            SystemVariant::StitchOnly => (NetCrafterConfig::stitching_only(), FullLine),
-            SystemVariant::StitchPool { window, selective } => (
-                NetCrafterConfig {
-                    stitching: true,
-                    pooling_window: window,
-                    selective_pooling: selective,
-                    ..off
-                },
-                FullLine,
-            ),
-            SystemVariant::StitchTrim => (
-                NetCrafterConfig {
-                    stitching: true,
-                    pooling_window: 32,
-                    selective_pooling: true,
-                    ..off
-                },
-                OnTrim,
-            ),
-            SystemVariant::TrimOnly => (off, OnTrim),
-            SystemVariant::SeqOnly => (
-                NetCrafterConfig {
-                    sequencing: true,
-                    ..off
-                },
-                FullLine,
-            ),
-            SystemVariant::DataPrio => (
-                NetCrafterConfig {
-                    sequencing: true,
-                    prioritize_data_instead: true,
-                    ..off
-                },
-                FullLine,
-            ),
-            SystemVariant::SectorCache => (off, Always),
+        let full = NetCrafterConfig::full();
+        let (stitching, sequencing, sector_fill) = match self {
+            SystemVariant::Baseline | SystemVariant::Ideal => (None, None, FullLine),
+            SystemVariant::NetCrafter => (full.stitching, full.sequencing, OnTrim),
+            SystemVariant::StitchOnly => (Some(Pooling::Off), None, FullLine),
+            SystemVariant::StitchPool { window, selective } => {
+                (Some(Pooling::new(window, selective)), None, FullLine)
+            }
+            SystemVariant::StitchTrim => (full.stitching, None, OnTrim),
+            SystemVariant::TrimOnly => (None, None, OnTrim),
+            SystemVariant::SeqOnly => (None, Some(Priority::Ptw), FullLine),
+            SystemVariant::DataPrio => (None, Some(Priority::Data), FullLine),
+            SystemVariant::SectorCache => (None, None, Always),
         };
-        let base = if self == SystemVariant::Ideal {
+        let mut out = if self == SystemVariant::Ideal {
             cfg.idealized()
         } else {
             cfg
         };
-        SystemConfig {
-            netcrafter: NetCrafterConfig {
-                warmup_cycles: cfg.netcrafter.warmup_cycles,
-                stitch_search_depth: cfg.netcrafter.stitch_search_depth,
-                ..netcrafter
-            },
-            sector_fill,
-            ..base
-        }
+        out.netcrafter.stitching = stitching;
+        out.netcrafter.sequencing = sequencing;
+        out.sector_fill = sector_fill;
+        out
     }
 
     /// Display label for tables.
@@ -650,30 +620,37 @@ mod tests {
         assert_eq!(ideal.topology.inter_gbps, ideal.topology.intra_gbps);
 
         let nc = SystemVariant::NetCrafter.apply(base);
-        assert!(nc.netcrafter.stitching && nc.netcrafter.sequencing);
+        assert_eq!(nc.netcrafter, NetCrafterConfig::full());
         assert_eq!(nc.sector_fill, SectorFillPolicy::OnTrim);
 
         let so = SystemVariant::StitchOnly.apply(base);
-        assert!(so.netcrafter.stitching);
-        assert_eq!(so.netcrafter.pooling_window, 0);
+        assert_eq!(so.netcrafter, NetCrafterConfig::stitching_only());
+        // A zero window is stitching without pooling, selective or not.
+        for selective in [false, true] {
+            let sp0 = SystemVariant::StitchPool {
+                window: 0,
+                selective,
+            };
+            assert_eq!(sp0.apply(base), so);
+        }
 
         let sp = SystemVariant::StitchPool {
             window: 64,
             selective: true,
         }
         .apply(base);
-        assert_eq!(sp.netcrafter.pooling_window, 64);
-        assert!(sp.netcrafter.selective_pooling);
+        assert_eq!(sp.netcrafter.stitching, Some(Pooling::new(64, true)));
 
         let sc = SystemVariant::SectorCache.apply(base);
         assert_eq!(sc.sector_fill, SectorFillPolicy::Always);
         assert!(!sc.any_enabled());
 
         let seq = SystemVariant::SeqOnly.apply(base);
-        assert!(seq.netcrafter.sequencing && !seq.netcrafter.stitching);
+        assert_eq!(seq.netcrafter.stitching, None);
+        assert_eq!(seq.netcrafter.sequencing, Some(Priority::Ptw));
 
         let dp = SystemVariant::DataPrio.apply(base);
-        assert!(dp.netcrafter.sequencing && dp.netcrafter.prioritize_data_instead);
+        assert_eq!(dp.netcrafter.sequencing, Some(Priority::Data));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use netcrafter_mem::l2::{L2Cache, L2Wiring};
 use netcrafter_mem::Dram;
 use netcrafter_net::PortSeries;
 use netcrafter_net::{FifoQueue, Switch, SwitchPortSpec, Topology};
-use netcrafter_proto::config::{L2_BANKS, PA_GPU_REGION_BITS};
+use netcrafter_proto::config::{DRAM, GMMU, L2, L2_BANKS, PA_GPU_REGION_BITS, SWITCH};
 use netcrafter_proto::WavefrontTrace;
 use netcrafter_proto::{fnv1a64, GpuId, KernelSpec, Metrics, SystemConfig};
 use netcrafter_sim::snapshot::{
@@ -176,7 +176,7 @@ impl System {
         let flit = cfg.flit_bytes as f64;
         let intra_fpc = cfg.topology.intra_bytes_per_cycle() / flit;
         let inter_fpc = cfg.topology.inter_bytes_per_cycle() / flit;
-        let buf = cfg.switch.buffer_entries;
+        let buf = SWITCH.buffer_entries;
 
         // Install per-GPU components.
         for g in 0..total_gpus {
@@ -208,7 +208,7 @@ impl System {
                 Box::new(TranslationUnit::new(
                     gpu,
                     &cfg.l2_tlb,
-                    &cfg.gmmu,
+                    &GMMU,
                     Arc::clone(&page_table),
                     TranslationWiring {
                         cus: ids.cus[gix].clone(),
@@ -221,7 +221,7 @@ impl System {
                 ids.l2s[gix],
                 Box::new(L2Cache::new(
                     gpu,
-                    &cfg.l2,
+                    &L2,
                     L2_BANKS,
                     cfg.full_sector_mask(),
                     L2Wiring {
@@ -234,7 +234,7 @@ impl System {
             );
             b.install(
                 ids.drams[gix],
-                Box::new(Dram::new(gpu, &cfg.dram, ids.l2s[gix])),
+                Box::new(Dram::new(gpu, &DRAM, ids.l2s[gix])),
             );
             b.install(
                 ids.rdmas[gix],
@@ -302,7 +302,7 @@ impl System {
                 Box::new(Switch::new(
                     spec.node,
                     switch_name(&topo, s),
-                    cfg.switch.pipeline_cycles,
+                    SWITCH.pipeline_cycles,
                     ports,
                     spec.routes.clone(),
                 )),

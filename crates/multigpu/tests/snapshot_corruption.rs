@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use netcrafter_core::SplitMix64;
 use netcrafter_multigpu::{CheckpointPlan, Experiment, System, SystemVariant};
-use netcrafter_proto::SystemConfig;
+use netcrafter_proto::{Pooling, SystemConfig};
 use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_workloads::Workload;
 
@@ -71,7 +71,7 @@ fn a_snapshot_restores_into_its_own_run_only() {
     };
     assert_wrong_run("workload", build_of(&spmv).restore(&good));
     // With no warmup window every knob is live from cycle 0.
-    let wide = |cfg: &mut SystemConfig| cfg.netcrafter.pooling_window = 64;
+    let wide = |cfg: &mut SystemConfig| cfg.netcrafter.stitching = Some(Pooling::new(64, true));
     assert_wrong_run("pooling window", build_with(&quick(), wide).restore(&good));
 }
 

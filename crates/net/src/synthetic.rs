@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use netcrafter_proto::config::SWITCH;
 use netcrafter_proto::{
     Chunk, Flit, Message, NodeId, PacketId, PacketKind, SystemConfig, TrafficClass,
 };
@@ -278,8 +279,8 @@ impl Default for SyntheticConfig {
             endpoints_per_cluster: paper.topology.gpus_per_cluster,
             intra_fpc: paper.topology.intra_bytes_per_cycle() / flit,
             inter_fpc: paper.topology.inter_bytes_per_cycle() / flit,
-            pipeline_cycles: paper.switch.pipeline_cycles,
-            buffer_entries: paper.switch.buffer_entries,
+            pipeline_cycles: SWITCH.pipeline_cycles,
+            buffer_entries: SWITCH.buffer_entries,
             flits_per_source: 2000,
         }
     }

@@ -174,19 +174,6 @@ impl Topology {
         (node.raw() < self.total_gpus()).then(|| GpuId(node.raw()))
     }
 
-    /// Cluster a node belongs to: a GPU's cluster or an edge switch's
-    /// own. Panics for fat-tree core switches, which front no cluster.
-    pub fn node_cluster(&self, node: NodeId) -> ClusterId {
-        if let Some(gpu) = self.node_gpu(node) {
-            gpu.cluster(self.gpus_per_cluster)
-        } else {
-            assert!(self.is_switch(node), "unknown {node}");
-            self.switches[self.switch_index(node)]
-                .cluster
-                .unwrap_or_else(|| panic!("{node} is a core switch with no cluster"))
-        }
-    }
-
     /// Cluster of a GPU.
     pub fn gpu_cluster(&self, gpu: GpuId) -> ClusterId {
         gpu.cluster(self.gpus_per_cluster)
@@ -205,41 +192,9 @@ impl Topology {
         self.gpu_cluster(a) != self.gpu_cluster(b)
     }
 
-    /// GPUs belonging to `cluster`, in id order.
-    pub fn cluster_gpus(&self, cluster: ClusterId) -> impl Iterator<Item = GpuId> + '_ {
-        let base = cluster.raw() * self.gpus_per_cluster;
-        (base..base + self.gpus_per_cluster).map(GpuId)
-    }
-
     /// All GPUs in the node, in id order.
     pub fn all_gpus(&self) -> impl Iterator<Item = GpuId> + '_ {
         (0..self.total_gpus()).map(GpuId)
-    }
-
-    /// Minimum cycle latency over every link in the graph — the
-    /// conservative global lower bound. The parallel partition prefers
-    /// the per-domain-pair latencies (see
-    /// [`Self::min_latency_between_switches`]); this remains as the
-    /// floor for anything that needs a single scalar.
-    pub fn min_cross_link_latency(&self) -> Cycle {
-        self.switches
-            .iter()
-            .flat_map(|s| s.links.iter().map(|l| l.latency))
-            .min()
-            .unwrap_or(WIRE_LATENCY)
-            .min(WIRE_LATENCY)
-    }
-
-    /// Minimum latency of any direct link between two switches, if they
-    /// are adjacent.
-    pub fn min_latency_between_switches(&self, a: usize, b: usize) -> Option<Cycle> {
-        let bn = self.switches[b].node;
-        self.switches[a]
-            .links
-            .iter()
-            .filter(|l| l.peer == bn)
-            .map(|l| l.latency)
-            .min()
     }
 
     /// The sequence of switch nodes a flit from `src` to `dst` traverses,
@@ -640,18 +595,15 @@ mod tests {
         let t = frontier();
         assert_eq!(t.node_gpu(NodeId(2)), Some(GpuId(2)));
         assert_eq!(t.node_gpu(NodeId(4)), None);
-        assert_eq!(t.node_cluster(NodeId(1)), ClusterId(0));
-        assert_eq!(t.node_cluster(NodeId(2)), ClusterId(1));
-        assert_eq!(t.node_cluster(NodeId(5)), ClusterId(1));
+        assert_eq!(t.gpu_cluster(GpuId(1)), ClusterId(0));
+        assert_eq!(t.gpu_cluster(GpuId(2)), ClusterId(1));
     }
 
     #[test]
     fn cluster_membership() {
         let t = frontier();
-        let c0: Vec<_> = t.cluster_gpus(ClusterId(0)).collect();
-        assert_eq!(c0, vec![GpuId(0), GpuId(1)]);
-        let c1: Vec<_> = t.cluster_gpus(ClusterId(1)).collect();
-        assert_eq!(c1, vec![GpuId(2), GpuId(3)]);
+        let clusters: Vec<_> = t.all_gpus().map(|g| t.gpu_cluster(g).raw()).collect();
+        assert_eq!(clusters, [0, 0, 1, 1]);
         assert!(t.crosses_clusters(GpuId(0), GpuId(2)));
         assert!(!t.crosses_clusters(GpuId(2), GpuId(3)));
     }
@@ -661,7 +613,7 @@ mod tests {
         let t = Topology::new(&cfg(4, 2, FabricConfig::Mesh));
         assert_eq!(t.total_gpus(), 8);
         assert_eq!(t.switch_node(ClusterId(3)), NodeId(11));
-        assert_eq!(t.node_cluster(NodeId(7)), ClusterId(3));
+        assert_eq!(t.gpu_cluster(GpuId(7)), ClusterId(3));
         assert_eq!(t.all_gpus().count(), 8);
     }
 
@@ -837,14 +789,18 @@ mod tests {
         }
     }
 
+    /// GPU wires take [`WIRE_LATENCY`] and fabric links their fabric's
+    /// latency: the per-pair lookahead `System::partition` is built from.
     #[test]
     fn per_pair_latencies_are_heterogeneous() {
-        let t = Topology::new(&cfg(4, 2, FabricConfig::FatTree { cores: 2 }));
-        assert_eq!(t.fabric().link_cycles(), 4);
-        assert_eq!(t.min_cross_link_latency(), 1); // GPU wires
-        assert_eq!(t.min_latency_between_switches(0, 4), Some(4));
-        assert_eq!(t.min_latency_between_switches(0, 1), None); // not adjacent
-        let mesh = frontier();
-        assert_eq!(mesh.min_latency_between_switches(0, 1), Some(1));
+        let fat_tree = Topology::new(&cfg(4, 2, FabricConfig::FatTree { cores: 2 }));
+        assert_eq!(fat_tree.fabric().link_cycles(), 4);
+        for t in [fat_tree, frontier()] {
+            let fabric = Cycle::from(t.fabric().link_cycles());
+            for link in t.switch_specs().flat_map(|s| &s.links) {
+                let want = if link.is_inter { fabric } else { WIRE_LATENCY };
+                assert_eq!(link.latency, want, "{link:?}");
+            }
+        }
     }
 }

@@ -82,14 +82,6 @@ impl VAddr {
         let shift = 12 + PT_LEVEL_BITS * (PT_LEVELS - level) as u32;
         (self.0 >> shift) & ((1 << PT_LEVEL_BITS) - 1)
     }
-
-    /// The 2 MiB-aligned region this address falls in. One leaf page-table
-    /// page maps exactly one such region; the paper places that PTE page on
-    /// the GPU holding the region's first data page (§2.3).
-    #[inline]
-    pub const fn region_2mb(self) -> u64 {
-        self.0 >> 21
-    }
 }
 
 impl PAddr {
@@ -263,13 +255,6 @@ mod tests {
         assert_eq!(va.pt_index(3), 3);
         assert_eq!(va.pt_index(4), 4);
         assert_eq!(va.page_offset(), 0xabc);
-    }
-
-    #[test]
-    fn region_2mb_is_leaf_table_granularity() {
-        // One leaf table maps 512 pages * 4 KiB = 2 MiB.
-        assert_eq!(VAddr(0).region_2mb(), VAddr((1 << 21) - 1).region_2mb());
-        assert_ne!(VAddr(0).region_2mb(), VAddr(1 << 21).region_2mb());
     }
 
     #[test]

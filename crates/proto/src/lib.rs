@@ -37,7 +37,8 @@ pub mod stats;
 pub use access::{AccessKind, CoalescedAccess, WavefrontOp, WavefrontTrace};
 pub use addr::{LineAddr, LineMask, PAddr, VAddr, LINE_BYTES, PAGE_BYTES, SECTOR_BYTES};
 pub use config::{
-    fnv1a64, FabricConfig, NetCrafterConfig, SectorFillPolicy, SystemConfig, TopologyConfig,
+    fnv1a64, FabricConfig, NetCrafterConfig, Pooling, Priority, SectorFillPolicy, SystemConfig,
+    TopologyConfig,
 };
 pub use flit::{Chunk, Flit, STITCH_META_BYTES};
 pub use ids::{AccessId, ClusterId, CtaId, CuId, GpuId, NodeId, PacketId, WavefrontId};

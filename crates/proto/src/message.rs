@@ -55,14 +55,6 @@ pub struct MemReq {
     pub origin: Origin,
 }
 
-impl MemReq {
-    /// True if the request must leave its issuing GPU.
-    #[inline]
-    pub fn is_remote(&self) -> bool {
-        self.requester != self.owner
-    }
-}
-
 /// A memory response for one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRsp {
@@ -194,14 +186,6 @@ mod tests {
             owner: GpuId(1),
             origin: Origin::Cu(0),
         }
-    }
-
-    #[test]
-    fn remote_detection() {
-        assert!(req().is_remote());
-        let mut local = req();
-        local.owner = GpuId(3);
-        assert!(!local.is_remote());
     }
 
     #[test]

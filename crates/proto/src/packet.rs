@@ -72,15 +72,6 @@ impl PacketKind {
         matches!(self, PacketKind::PageTableReq | PacketKind::PageTableRsp)
     }
 
-    /// True for response kinds (travel from data owner back to requester).
-    #[inline]
-    pub const fn is_response(self) -> bool {
-        matches!(
-            self,
-            PacketKind::ReadRsp | PacketKind::WriteRsp | PacketKind::PageTableRsp
-        )
-    }
-
     /// Index into Table-1-ordered arrays.
     #[inline]
     pub const fn index(self) -> usize {
@@ -283,14 +274,6 @@ mod tests {
             TrafficClass::Ptw
         );
         assert_eq!(packet(PacketKind::ReadReq, 0).class(), TrafficClass::Data);
-    }
-
-    #[test]
-    fn response_classification() {
-        assert!(PacketKind::ReadRsp.is_response());
-        assert!(PacketKind::WriteRsp.is_response());
-        assert!(PacketKind::PageTableRsp.is_response());
-        assert!(!PacketKind::ReadReq.is_response());
     }
 
     #[test]

@@ -22,16 +22,6 @@ pub struct TlbStats {
 snap_fields! { impl Snap for TlbStats { hits, misses, evictions } }
 
 impl TlbStats {
-    /// Hit rate in [0, 1]; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Dumps counters under `prefix`.
     pub fn report(&self, metrics: &mut Metrics, prefix: &str) {
         metrics.add(&format!("{prefix}.hits"), self.hits);
@@ -135,7 +125,6 @@ mod tests {
         assert_eq!(tlb.lookup(7, 1), Some(0x70));
         assert_eq!(tlb.stats.hits, 1);
         assert_eq!(tlb.stats.misses, 1);
-        assert_eq!(tlb.stats.hit_rate(), 0.5);
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl Workload {
         }
     }
 
-    /// True for the three data-parallel DNN training workloads.
-    pub fn is_dnn(self) -> bool {
-        matches!(self, Workload::Vgg16 | Workload::Lenet | Workload::Rnet18)
-    }
-
     /// Generates the workload's kernel for `total_gpus` GPUs at `scale`,
     /// deterministically in `seed`.
     pub fn generate(self, scale: &Scale, total_gpus: u16, seed: u64) -> KernelSpec {
@@ -199,8 +194,6 @@ mod tests {
         assert_eq!(Workload::Gups.pattern(), "Random");
         assert_eq!(Workload::Bs.pattern(), "Partitioned");
         assert_eq!(Workload::Mvt.pattern(), "Scatter,Gather");
-        assert!(Workload::Vgg16.is_dnn());
-        assert!(!Workload::Gups.is_dnn());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use netcrafter::net::{EgressQueue, Reassembler, Segmenter};
 use netcrafter::proto::AccessKind;
 use netcrafter::proto::{
     AccessId, GpuId, LineAddr, LineMask, MemReq, NetCrafterConfig, NodeId, Origin, Packet,
-    PacketId, PacketKind, PacketPayload, TrafficClass, VAddr, ALL_PACKET_KINDS,
+    PacketId, PacketKind, PacketPayload, Pooling, Priority, TrafficClass, VAddr, ALL_PACKET_KINDS,
 };
 use netcrafter::vm::PageTable;
 
@@ -106,20 +106,27 @@ fn segment_reassemble_round_trips() {
 
 /// The Cluster Queue conserves every packet byte through any mix of
 /// stitching, pooling and sequencing: total chunk bytes out equals total
-/// chunk bytes in, and every packet id reappears.
+/// chunk bytes in, and every packet id reappears. Every value of each
+/// mechanism is sampled, in every combination.
 #[test]
 fn cluster_queue_conserves_chunks() {
     let mut rng = SplitMix64::new(0xc1a5);
+    let mut seen = [[false; 3]; 4];
     for _ in 0..CASES {
         let kinds = rand_kinds(&mut rng, 1, 29);
+        let window = *rng.pick(&[16u32, 32]);
+        let stitching = rng.below_usize(4);
+        let sequencing = rng.below_usize(3);
+        seen[stitching][sequencing] = true;
         let cfg = NetCrafterConfig {
-            stitching: rng.flip(),
-            pooling_window: *rng.pick(&[0u32, 16, 32]),
-            selective_pooling: rng.flip(),
-            sequencing: rng.flip(),
-            prioritize_data_instead: false,
-            stitch_search_depth: 16,
-            warmup_cycles: 0,
+            stitching: [
+                None,
+                Some(Pooling::Off),
+                Some(Pooling::new(window, false)),
+                Some(Pooling::new(window, true)),
+            ][stitching],
+            sequencing: [None, Some(Priority::Ptw), Some(Priority::Data)][sequencing],
+            ..NetCrafterConfig::disabled()
         };
         let push_gap = rng.below(4);
 
@@ -158,6 +165,10 @@ fn cluster_queue_conserves_chunks() {
         assert_eq!(popped_chunks, pushed_chunks);
         assert_eq!(ids.len(), kinds.len());
     }
+    assert!(
+        seen.iter().flatten().all(|&s| s),
+        "a mechanism pair was never fuzzed"
+    );
 }
 
 /// LineMask sector math is self-consistent for every span and
