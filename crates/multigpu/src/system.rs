@@ -9,7 +9,7 @@ use netcrafter_gpu::{lasp, Cu, CuWiring, Rdma, RdmaWiring};
 use netcrafter_mem::l2::{L2Cache, L2Wiring};
 use netcrafter_mem::Dram;
 use netcrafter_net::PortSeries;
-use netcrafter_net::{FifoQueue, Switch, SwitchPortSpec, Topology};
+use netcrafter_net::{FifoQueue, Switch, Topology};
 use netcrafter_proto::config::{DRAM, GMMU, L2, L2_BANKS, PA_GPU_REGION_BITS, SWITCH};
 use netcrafter_proto::WavefrontTrace;
 use netcrafter_proto::{fnv1a64, GpuId, KernelSpec, Metrics, SystemConfig};
@@ -48,15 +48,6 @@ pub struct SystemIds {
     pub switches: Vec<ComponentId>,
 }
 
-/// Human-readable name of switch `idx`: `"cluster<N>.switch"` for edge
-/// switches, `"core<K>.switch"` for fat-tree cores.
-fn switch_name(topo: &Topology, idx: usize) -> String {
-    match topo.switch_spec(idx).cluster {
-        Some(c) => format!("{c}.switch"),
-        None => format!("core{}.switch", idx - topo.clusters() as usize),
-    }
-}
-
 /// Per-CU wavefront batches for one kernel: `[gpu][cu] -> waves`.
 type Dispatch = Vec<Vec<Vec<WavefrontTrace>>>;
 
@@ -67,6 +58,8 @@ pub struct System {
     /// Component directory.
     pub ids: SystemIds,
     cfg: SystemConfig,
+    /// The switch graph `cfg.topology` describes, built once.
+    topo: Topology,
     /// Run ids of this node's snapshots (see `save_header`).
     warm_id: u64,
     full_id: u64,
@@ -176,7 +169,6 @@ impl System {
         let flit = cfg.flit_bytes as f64;
         let intra_fpc = cfg.topology.intra_bytes_per_cycle() / flit;
         let inter_fpc = cfg.topology.inter_bytes_per_cycle() / flit;
-        let buf = SWITCH.buffer_entries;
 
         // Install per-GPU components.
         for g in 0..total_gpus {
@@ -246,7 +238,7 @@ impl System {
                         switch: switch_comp,
                         switch_node,
                         switch_port: topo.gpu_port_at_switch(gpu),
-                        switch_credits: buf,
+                        switch_credits: SWITCH.buffer_entries,
                         l2: ids.l2s[gix],
                         gmmu: ids.gmmus[gix],
                         cus: ids.cus[gix].clone(),
@@ -255,58 +247,30 @@ impl System {
             );
         }
 
-        // Install switches straight from the topology's static specs:
-        // GPU ports first (edge switches only), then fabric links, with
-        // the deterministic multi-hop route tables. Each inter-cluster
-        // egress port carries its *own* NetCrafter controller instance
-        // (a ClusterQueue keyed to the adjacent switch), so pooling,
-        // stitching and sequencing state is per switch, not global.
+        // Install switches straight from the topology's static specs. Each
+        // inter-cluster egress port carries its *own* NetCrafter controller
+        // instance (a ClusterQueue keyed to the adjacent switch), so
+        // pooling, stitching and sequencing state is per switch, not global.
         for (s, spec) in topo.switch_specs().enumerate() {
-            let mut ports = Vec::with_capacity(spec.links.len());
-            for link in &spec.links {
-                let (peer, fpc, queue): (ComponentId, f64, Box<dyn netcrafter_net::EgressQueue>) =
-                    if link.is_inter {
-                        let queue: Box<dyn netcrafter_net::EgressQueue> = if cfg.any_enabled() {
-                            Box::new(ClusterQueue::new(cfg.netcrafter, link.peer))
-                        } else {
-                            Box::new(FifoQueue::new())
-                        };
-                        (
-                            ids.switches[topo.switch_index(link.peer)],
-                            inter_fpc * link.rate_scale,
-                            queue,
-                        )
+            let switch = Switch::from_spec(
+                spec,
+                topo.switch_name(s),
+                &SWITCH,
+                intra_fpc,
+                inter_fpc,
+                |link| match topo.node_gpu(link.peer) {
+                    Some(gpu) => ids.rdmas[gpu.index()],
+                    None => ids.switches[topo.switch_index(link.peer)],
+                },
+                |link| {
+                    if cfg.any_enabled() {
+                        Box::new(ClusterQueue::new(cfg.netcrafter, link.peer))
                     } else {
-                        let gpu = topo.node_gpu(link.peer).expect("GPU link peers a GPU");
-                        (
-                            ids.rdmas[gpu.index()],
-                            intra_fpc,
-                            Box::new(FifoQueue::new()),
-                        )
-                    };
-                ports.push(SwitchPortSpec {
-                    peer,
-                    peer_node: link.peer,
-                    peer_port: link.peer_port,
-                    flits_per_cycle: fpc,
-                    initial_credits: buf,
-                    input_capacity: buf as usize,
-                    output_capacity: buf as usize,
-                    queue,
-                    wire_latency: link.latency,
-                    is_inter: link.is_inter,
-                });
-            }
-            b.install(
-                ids.switches[s],
-                Box::new(Switch::new(
-                    spec.node,
-                    switch_name(&topo, s),
-                    SWITCH.pipeline_cycles,
-                    ports,
-                    spec.routes.clone(),
-                )),
+                        Box::new(FifoQueue::new())
+                    }
+                },
             );
+            b.install(ids.switches[s], Box::new(switch));
         }
 
         Self {
@@ -315,6 +279,7 @@ impl System {
             warm_id: run_id(cfg.warmup_repr()),
             full_id: run_id(cfg.stable_repr()),
             cfg,
+            topo,
             kernel_name,
             pages_per_gpu,
             pending_kernels: dispatches,
@@ -367,7 +332,7 @@ impl System {
     /// fabric (4-cycle switch↔switch hops over 1-cycle GPU wires) keeps
     /// its per-link bounds instead of collapsing to the global minimum.
     pub fn partition(&self) -> netcrafter_sim::Partition {
-        let topo = Topology::new(&self.cfg.topology);
+        let topo = &self.topo;
         let clusters = topo.clusters() as usize;
         let domains = clusters + topo.num_switches() as usize;
         let total = self.ids.switches.last().expect("at least one switch").0 + 1;
@@ -456,11 +421,10 @@ impl System {
     /// [`System::enable_link_sampling`], labelled `switch->peer`, with
     /// every cycle up to the current one accounted.
     pub fn take_link_series(&mut self) -> Vec<LinkSeries> {
-        let topo = Topology::new(&self.cfg.topology);
         let end = self.engine.cycle();
         let mut out = Vec::new();
         for (s, &sw_id) in self.ids.switches.iter().enumerate() {
-            let name = switch_name(&topo, s);
+            let name = self.topo.switch_name(s);
             let sw = self
                 .engine
                 .get_mut::<Switch>(sw_id)
@@ -623,7 +587,6 @@ impl System {
             rdma.trim.stats.report(&mut m, "total.trim");
         }
 
-        let topo = Topology::new(&self.cfg.topology);
         for (c, &sw_id) in self.ids.switches.iter().enumerate() {
             let sw: &Switch = self.engine.get(sw_id).expect("switch installed");
             sw.report(&mut m, &format!("switch{c}"));
@@ -633,7 +596,8 @@ impl System {
         // sum the actual fabric egress ports' rate shares (a full mesh
         // has clusters*(clusters-1) full-rate ports; torus VC pairs split
         // one physical channel, so each counts its rate_scale).
-        let inter_weight: f64 = topo
+        let inter_weight: f64 = self
+            .topo
             .switch_specs()
             .flat_map(|s| s.links.iter())
             .filter(|l| l.is_inter)

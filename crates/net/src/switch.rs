@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use netcrafter_proto::config::SwitchConfig;
 use netcrafter_proto::{Flit, Message, Metrics, NodeId};
 use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{
@@ -17,7 +18,8 @@ use netcrafter_sim::{
     Wake,
 };
 
-use crate::port::{EgressPort, EgressQueue, EgressWire, PortSeries};
+use crate::port::{EgressPort, EgressQueue, EgressWire, FifoQueue, PortSeries};
+use crate::topology::{FabricLink, SwitchSpec};
 
 /// Everything needed to wire one bidirectional switch port.
 pub struct SwitchPortSpec {
@@ -32,12 +34,10 @@ pub struct SwitchPortSpec {
     pub peer_port: u16,
     /// Link bandwidth in flits per cycle.
     pub flits_per_cycle: f64,
-    /// Credits granted by the downstream input buffer.
-    pub initial_credits: u32,
-    /// This port's input buffer capacity in flits.
-    pub input_capacity: usize,
-    /// Output buffer capacity in flits.
-    pub output_capacity: usize,
+    /// Buffer size in flits: this port's input and output buffers hold
+    /// this many, and its egress starts with as many credits (the peer's
+    /// input buffer on this link is the same size).
+    pub buffer: u32,
     /// The egress queue implementation (FIFO, or NetCrafter's Cluster
     /// Queue on inter-cluster ports).
     pub queue: Box<dyn EgressQueue>,
@@ -171,7 +171,7 @@ impl Switch {
                 peer_port: spec.peer_port,
                 wire_latency: spec.wire_latency,
                 in_pipe: DelayQueue::new(),
-                in_capacity: spec.input_capacity,
+                in_capacity: spec.buffer as usize,
                 stalled: None,
                 egress: EgressPort::new(
                     EgressWire {
@@ -181,9 +181,9 @@ impl Switch {
                         wire_latency: spec.wire_latency,
                     },
                     spec.queue,
-                    spec.output_capacity,
+                    spec.buffer as usize,
                     spec.flits_per_cycle,
-                    spec.initial_credits,
+                    spec.buffer,
                 ),
                 is_inter: spec.is_inter,
             });
@@ -209,6 +209,51 @@ impl Switch {
             unstitch_needed,
             stats: SwitchStats::default(),
         }
+    }
+
+    /// Builds the switch `spec` describes: `config`'s pipeline, and
+    /// `config.buffer_entries`-flit buffers on every port. GPU ports run
+    /// at `intra_fpc` flits/cycle behind a FIFO; fabric ports run at
+    /// `inter_fpc` scaled by their [`FabricLink::rate_scale`] behind the
+    /// queue `inter_queue` returns for them. `peer` names the component
+    /// on the far end of each link.
+    pub fn from_spec(
+        spec: &SwitchSpec,
+        name: impl Into<String>,
+        config: &SwitchConfig,
+        intra_fpc: f64,
+        inter_fpc: f64,
+        peer: impl Fn(&FabricLink) -> ComponentId,
+        mut inter_queue: impl FnMut(&FabricLink) -> Box<dyn EgressQueue>,
+    ) -> Self {
+        let ports = spec
+            .links
+            .iter()
+            .map(|link| {
+                let (flits_per_cycle, queue): (f64, Box<dyn EgressQueue>) = if link.is_inter {
+                    (inter_fpc * link.rate_scale, inter_queue(link))
+                } else {
+                    (intra_fpc, Box::new(FifoQueue::new()))
+                };
+                SwitchPortSpec {
+                    peer: peer(link),
+                    peer_node: link.peer,
+                    peer_port: link.peer_port,
+                    flits_per_cycle,
+                    buffer: config.buffer_entries,
+                    queue,
+                    wire_latency: link.latency,
+                    is_inter: link.is_inter,
+                }
+            })
+            .collect();
+        Self::new(
+            spec.node,
+            name,
+            config.pipeline_cycles,
+            ports,
+            spec.routes.clone(),
+        )
     }
 
     /// Turns on windowed time-series sampling on every egress port
@@ -622,9 +667,7 @@ mod tests {
             peer_node,
             peer_port,
             flits_per_cycle: rate,
-            initial_credits: 1024,
-            input_capacity: 1024,
-            output_capacity: 1024,
+            buffer: 1024,
             queue: Box::new(FifoQueue::new()),
             wire_latency: 1,
             is_inter: false,
@@ -802,9 +845,7 @@ mod tests {
             peer_node,
             peer_port,
             flits_per_cycle: rate,
-            initial_credits: 4,
-            input_capacity: 4,
-            output_capacity: 4,
+            buffer: 4,
             queue: Box::new(FifoQueue::new()),
             wire_latency: 1,
             is_inter: false,
@@ -881,9 +922,7 @@ mod tests {
             );
         }
         let tight = |peer, peer_node, peer_port| SwitchPortSpec {
-            initial_credits: 4,
-            input_capacity: 4,
-            output_capacity: 4,
+            buffer: 4,
             ..spec(peer, peer_node, peer_port, 0.25)
         };
         b.install(

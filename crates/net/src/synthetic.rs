@@ -12,12 +12,11 @@
 //! until the first cycle its rate limiter pays for a flit, or until a
 //! credit arrives, and replays the skipped accrual on its next tick.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use netcrafter_proto::config::SWITCH;
 use netcrafter_proto::{
-    Chunk, Flit, Message, NodeId, PacketId, PacketKind, SystemConfig, TrafficClass,
+    Chunk, Flit, Message, NodeId, PacketId, PacketKind, SystemConfig, TopologyConfig, TrafficClass,
 };
 use netcrafter_sim::{
     snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder,
@@ -25,7 +24,8 @@ use netcrafter_sim::{
 };
 
 use crate::port::FifoQueue;
-use crate::switch::{Switch, SwitchPortSpec};
+use crate::switch::Switch;
+use crate::topology::Topology;
 
 /// Results of one synthetic-load run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,35 +252,22 @@ impl Component for Sink {
     }
 }
 
-/// Parameters of the synthetic fabric: the Figure 2 shape with
-/// source/sink endpoints instead of GPUs.
+/// Parameters of a synthetic run: the paper's two-cluster mesh (its
+/// link rates in its flits, the [`SWITCH`] switch) with source/sink
+/// endpoints in place of GPUs.
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticConfig {
     /// Endpoints per cluster.
     pub endpoints_per_cluster: u16,
-    /// Intra-cluster link rate in flits/cycle.
-    pub intra_fpc: f64,
-    /// Inter-cluster link rate in flits/cycle.
-    pub inter_fpc: f64,
-    /// Switch pipeline depth in cycles.
-    pub pipeline_cycles: u32,
-    /// Switch buffer capacity in flits.
-    pub buffer_entries: u32,
     /// Flits injected per source.
     pub flits_per_source: u64,
 }
 
 impl Default for SyntheticConfig {
-    /// The paper's Table 2 node: its link rates in its flits, its switch.
+    /// The paper's Table 2 node: two endpoints per cluster.
     fn default() -> Self {
-        let paper = SystemConfig::paper_baseline();
-        let flit = f64::from(paper.flit_bytes);
         Self {
-            endpoints_per_cluster: paper.topology.gpus_per_cluster,
-            intra_fpc: paper.topology.intra_bytes_per_cycle() / flit,
-            inter_fpc: paper.topology.inter_bytes_per_cycle() / flit,
-            pipeline_cycles: SWITCH.pipeline_cycles,
-            buffer_entries: SWITCH.buffer_entries,
+            endpoints_per_cluster: SystemConfig::paper_baseline().topology.gpus_per_cluster,
             flits_per_source: 2000,
         }
     }
@@ -302,53 +289,56 @@ struct Fabric {
 }
 
 impl Fabric {
-    /// Wires the two-cluster fabric with every source injecting at
-    /// `offered` flits/cycle.
+    /// Wires the paper's two-cluster mesh with every source injecting at
+    /// `offered` flits/cycle. Endpoint `i` stands where GPU `i` would:
+    /// its switch sees the sink (which forwards returned credits to the
+    /// source) as the port's peer.
     fn build(cfg: &SyntheticConfig, offered: f64) -> Fabric {
         assert!(offered > 0.0);
-        let n = cfg.endpoints_per_cluster;
-        let total_eps = (2 * n) as usize;
+        let paper = SystemConfig::paper_baseline();
+        let topo = Topology::new(&TopologyConfig {
+            clusters: 2,
+            gpus_per_cluster: cfg.endpoints_per_cluster,
+            ..paper.topology
+        });
         let mut b = EngineBuilder::new();
-        let ep_ids: Vec<ComponentId> = (0..total_eps * 2).map(|_| b.reserve()).collect();
-        // Layout: endpoint i has a Source component ep_ids[2i] and a Sink
+        // Endpoint i has a Source component ep_ids[2i] and a Sink
         // ep_ids[2i+1]; both share node id i (source sends, sink receives).
-        // Nodes total_eps and total_eps+1 are the two cluster switches.
-        let sw0 = b.reserve();
-        let sw1 = b.reserve();
+        let ep_ids: Vec<ComponentId> = (0..2 * topo.total_gpus()).map(|_| b.reserve()).collect();
+        let sink = |i: usize| ep_ids[2 * i + 1];
+        let switches: Vec<ComponentId> = (0..topo.num_switches()).map(|_| b.reserve()).collect();
         let stats = Arc::new(Mutex::new(SinkStats::default()));
-        let total_eps_u16 = u16::try_from(total_eps).expect("endpoint count fits in u16 node ids");
-        let all_nodes: Vec<NodeId> = (0..total_eps_u16).map(NodeId).collect();
 
-        for i in 0..total_eps {
-            let my_switch = if i < n as usize { sw0 } else { sw1 };
-            // Each switch's local endpoints occupy ports 0..n in node order.
-            let switch_port = u16::try_from(i % n as usize).expect("port fits in u16");
+        for gpu in topo.all_gpus() {
+            let (i, node) = (gpu.index(), topo.gpu_node(gpu));
+            let switch = switches[topo.gpu_cluster(gpu).index()];
+            let switch_port = topo.gpu_port_at_switch(gpu);
             b.install(
                 ep_ids[2 * i],
                 Box::new(Source {
-                    node: all_nodes[i],
-                    switch: my_switch,
+                    node,
+                    switch,
                     switch_port,
                     // Burst of rate+1 so fractional accrual is never clipped
                     // before a whole-flit consume opportunity.
                     rate: RateLimiter::new(offered, offered + 1.0),
-                    dsts: all_nodes
-                        .iter()
-                        .copied()
-                        .filter(|&d| d != all_nodes[i])
+                    dsts: topo
+                        .all_gpus()
+                        .filter(|&d| d != gpu)
+                        .map(|d| topo.gpu_node(d))
                         .collect(),
                     remaining: cfg.flits_per_source,
-                    credits: cfg.buffer_entries,
+                    credits: SWITCH.buffer_entries,
                     rng_state: 0x9E3779B97F4A7C15 ^ (i as u64 + 1),
-                    flit_bytes: 16,
+                    flit_bytes: paper.flit_bytes,
                     last_tick: 0,
                 }),
             );
             b.install(
-                ep_ids[2 * i + 1],
+                sink(i),
                 Box::new(Sink {
-                    node: all_nodes[i],
-                    switch: my_switch,
+                    node,
+                    switch,
                     switch_port,
                     source: ep_ids[2 * i],
                     stats: Arc::clone(&stats),
@@ -356,68 +346,22 @@ impl Fabric {
             );
         }
 
-        // Switches: the flit arrives from node i (the source), but the switch
-        // must deliver flits *to* node i at the sink component. Use the sink
-        // as the port peer; credits from the source arrive tagged with the
-        // same node id, which is all the switch keys on.
-        let mk_switch =
-            |node: NodeId, locals: std::ops::Range<usize>, other: (ComponentId, NodeId)| {
-                let mut specs = Vec::new();
-                let mut route = BTreeMap::new();
-                for i in locals.clone() {
-                    route.insert(all_nodes[i], specs.len());
-                    specs.push(SwitchPortSpec {
-                        peer: ep_ids[2 * i + 1], // deliver to the sink
-                        peer_node: all_nodes[i],
-                        peer_port: 0,
-                        flits_per_cycle: cfg.intra_fpc,
-                        initial_credits: cfg.buffer_entries,
-                        input_capacity: cfg.buffer_entries as usize,
-                        output_capacity: cfg.buffer_entries as usize,
-                        queue: Box::new(FifoQueue::new()),
-                        wire_latency: crate::topology::WIRE_LATENCY,
-                        is_inter: false,
-                    });
-                }
-                let port = specs.len();
-                route.insert(other.1, port);
-                for (i, &node) in all_nodes.iter().enumerate() {
-                    if !locals.contains(&i) {
-                        route.insert(node, port);
-                    }
-                }
-                specs.push(SwitchPortSpec {
-                    peer: other.0,
-                    peer_node: other.1,
-                    // Both switches have n local ports, so the inter port sits at
-                    // the same index n on each side.
-                    peer_port: n,
-                    flits_per_cycle: cfg.inter_fpc,
-                    initial_credits: cfg.buffer_entries,
-                    input_capacity: cfg.buffer_entries as usize,
-                    output_capacity: cfg.buffer_entries as usize,
-                    queue: Box::new(FifoQueue::new()),
-                    wire_latency: crate::topology::WIRE_LATENCY,
-                    is_inter: true,
-                });
-                Switch::new(
-                    node,
-                    format!("{node}.switch"),
-                    cfg.pipeline_cycles,
-                    specs,
-                    route,
-                )
-            };
-        let sw0_node = NodeId(total_eps_u16);
-        let sw1_node = NodeId(total_eps_u16 + 1);
-        b.install(
-            sw0,
-            Box::new(mk_switch(sw0_node, 0..n as usize, (sw1, sw1_node))),
-        );
-        b.install(
-            sw1,
-            Box::new(mk_switch(sw1_node, n as usize..total_eps, (sw0, sw0_node))),
-        );
+        let flit = f64::from(paper.flit_bytes);
+        for (s, spec) in topo.switch_specs().enumerate() {
+            let switch = Switch::from_spec(
+                spec,
+                topo.switch_name(s),
+                &SWITCH,
+                paper.topology.intra_bytes_per_cycle() / flit,
+                paper.topology.inter_bytes_per_cycle() / flit,
+                |link| match topo.node_gpu(link.peer) {
+                    Some(gpu) => sink(gpu.index()),
+                    None => switches[topo.switch_index(link.peer)],
+                },
+                |_| Box::new(FifoQueue::new()),
+            );
+            b.install(switches[s], Box::new(switch));
+        }
 
         Fabric {
             engine: b.build(),
@@ -484,7 +428,6 @@ mod tests {
         let cfg = SyntheticConfig {
             endpoints_per_cluster: 4,
             flits_per_source: 1000,
-            ..SyntheticConfig::default()
         };
         for offered in [0.05, 1.0] {
             let (legacy, every_cycle) = run_counting(&cfg, offered, SchedulerMode::Legacy);
@@ -518,27 +461,40 @@ mod tests {
 
     #[test]
     fn saturation_is_capped_by_inter_link() {
-        // 2 endpoints/cluster, uniform random: 2/3 of each source's
-        // traffic crosses the inter link (2 of 3 destinations), so the
-        // 1 flit/cycle inter links (one each way) cap aggregate delivered
-        // throughput near 2 * 1 / (2/3 * 1/2) … simpler: offered far above
-        // capacity ⇒ latency explodes and throughput plateaus well below
-        // offered.
+        // With n endpoints per cluster, a source picks each of its 2n-1
+        // destinations uniformly, so a fraction n/(2n-1) of its flits
+        // crosses the 1 flit/cycle inter link leaving its cluster. The n
+        // sources sharing that link sustain at most (2n-1)/n^2 flits/cycle
+        // each, and all 2n together deliver at most 2(2n-1)/n: 3.0 for the
+        // default n = 2, 3.5 for the benchmark's n = 4.
         let light = run_load_point(&small(), 0.05);
-        // A longer run lets the queue build to steady state.
-        let heavy = run_load_point(&SyntheticConfig::default(), 1.0);
-        assert!(
-            heavy.avg_latency > 3.0 * light.avg_latency,
-            "saturation queues: {} vs {}",
-            heavy.avg_latency,
-            light.avg_latency
-        );
-        let total_offered = 1.0 * 4.0;
-        assert!(
-            heavy.throughput < total_offered * 0.9,
-            "inter link caps throughput: {}",
-            heavy.throughput
-        );
+        for n in [2, 4] {
+            // A longer run lets the queue build to steady state.
+            let cfg = SyntheticConfig {
+                endpoints_per_cluster: n,
+                ..SyntheticConfig::default()
+            };
+            let heavy = run_load_point(&cfg, 1.0);
+            assert!(
+                heavy.avg_latency > 3.0 * light.avg_latency,
+                "saturation queues: {} vs {}",
+                heavy.avg_latency,
+                light.avg_latency
+            );
+            let n = f64::from(n);
+            let total_offered = 1.0 * 2.0 * n;
+            assert!(
+                heavy.throughput < total_offered * 0.9,
+                "inter link caps throughput: {}",
+                heavy.throughput
+            );
+            let cap = 2.0 * (2.0 * n - 1.0) / n;
+            assert!(
+                heavy.throughput <= cap * 1.01,
+                "throughput {} above the inter-link bound {cap}",
+                heavy.throughput
+            );
+        }
     }
 
     #[test]
@@ -548,6 +504,37 @@ mod tests {
         assert!(pts[2].throughput > pts[1].throughput * 1.2);
         // Latency is monotone non-decreasing with load.
         assert!(pts[2].avg_latency >= pts[0].avg_latency);
+    }
+
+    /// Exact load points of the paper fabric: the benchmark's 8-endpoint
+    /// shape from light load to saturation, and the default 4-endpoint
+    /// one. `(throughput bits, average latency bits, max latency)`.
+    #[test]
+    fn load_points_are_pinned() {
+        let pin = |p: LoadPoint| {
+            (
+                p.throughput.to_bits(),
+                p.avg_latency.to_bits(),
+                p.max_latency,
+            )
+        };
+        let eight = SyntheticConfig {
+            endpoints_per_cluster: 4,
+            flits_per_source: 2000,
+        };
+        let expected = [
+            (0.05, (0x3fd9_8ecd_eb5f_f4f6, 0x4049_2d7c_ed91_6873, 66)),
+            (0.2, (0x3ff9_6ea1_3d64_a913, 0x4049_2d7c_ed91_6873, 66)),
+            (0.5, (0x400b_2442_e084_0458, 0x406c_036d_9168_72b0, 716)),
+            (1.0, (0x400b_25bc_21a9_abd8, 0x408e_2020_8312_6e98, 3232)),
+        ];
+        for (offered, want) in expected {
+            assert_eq!(pin(run_load_point(&eight, offered)), want, "at {offered}");
+        }
+        assert_eq!(
+            pin(run_load_point(&SyntheticConfig::default(), 0.3)),
+            (0x3ff3_037f_9ea6_6859, 0x404a_65c2_8f5c_28f6, 64)
+        );
     }
 
     #[test]

@@ -141,6 +141,15 @@ impl Topology {
         &self.switches[idx]
     }
 
+    /// Human-readable name of switch `idx`: `"cluster<N>.switch"` for
+    /// edge switches, `"core<K>.switch"` for fat-tree cores.
+    pub fn switch_name(&self, idx: usize) -> String {
+        match self.switches[idx].cluster {
+            Some(c) => format!("{c}.switch"),
+            None => format!("core{}.switch", idx - self.clusters as usize),
+        }
+    }
+
     /// All switch descriptions in node-id order.
     pub fn switch_specs(&self) -> impl Iterator<Item = &SwitchSpec> + '_ {
         self.switches.iter()
@@ -342,21 +351,8 @@ impl Topology {
             self.push_switch(Some(ClusterId(narrow16(cluster))));
         }
         let g = self.gpus_per_cluster as usize;
-        // Deterministic port layout after the GPU ports: for each
-        // dimension (with size > 1), either one port (size 2) or four
-        // ports (+vc0, +vc1, -vc0, -vc1).
-        let port_base = |dim: usize| {
-            g + dims[..dim]
-                .iter()
-                .map(|&d| match d {
-                    0 | 1 => 0usize,
-                    2 => 1,
-                    _ => 4,
-                })
-                .sum::<usize>()
-        };
         let port_of = |dim: usize, positive: bool, vc: usize| {
-            port_base(dim)
+            Self::torus_port_base(g, dims, dim)
                 + if dims[dim] == 2 {
                     0
                 } else {
@@ -407,6 +403,19 @@ impl Topology {
         ]
     }
 
+    /// First port of dimension `dim` at every torus switch. The layout
+    /// after the `g` GPU ports is deterministic: each earlier dimension
+    /// contributes no port (size 1), one (size 2) or four (+vc0, +vc1,
+    /// -vc0, -vc1).
+    fn torus_port_base(g: usize, dims: [u16; 3], dim: usize) -> usize {
+        let ports = |d: u16| match d {
+            0 | 1 => 0,
+            2 => 1,
+            _ => 4,
+        };
+        g + dims[..dim].iter().map(|&d| ports(d)).sum::<usize>()
+    }
+
     /// Inverse of [`Self::torus_coords`].
     fn torus_index(c: [u16; 3], dims: [u16; 3]) -> usize {
         c[0] as usize + dims[0] as usize * (c[1] as usize + dims[1] as usize * c[2] as usize)
@@ -449,14 +458,7 @@ impl Topology {
                 // Dimension-order: correct the first differing dimension.
                 let dim = (0..3).find(|&d| a[d] != b[d]).expect("here != dst");
                 let n = dims[dim] as usize;
-                let port_base = g + dims[..dim]
-                    .iter()
-                    .map(|&d| match d {
-                        0 | 1 => 0usize,
-                        2 => 1,
-                        _ => 4,
-                    })
-                    .sum::<usize>();
+                let port_base = Self::torus_port_base(g, dims, dim);
                 if n == 2 {
                     return port_base;
                 }
@@ -605,6 +607,8 @@ mod tests {
         let clusters: Vec<_> = t.all_gpus().map(|g| t.gpu_cluster(g).raw()).collect();
         assert_eq!(clusters, [0, 0, 1, 1]);
         assert!(t.crosses_clusters(GpuId(0), GpuId(2)));
+        assert!(t.crosses_clusters(GpuId(1), GpuId(2)));
+        assert!(t.crosses_clusters(GpuId(0), GpuId(3)));
         assert!(!t.crosses_clusters(GpuId(2), GpuId(3)));
     }
 

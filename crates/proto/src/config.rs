@@ -15,7 +15,7 @@
 use std::num::NonZeroU32;
 
 use crate::addr::SECTOR_BYTES;
-use crate::ids::{ClusterId, GpuId};
+use crate::ids::GpuId;
 use crate::packet::PacketKind;
 
 /// Simulated core clock: 1 GHz (Table 2), so 1 GB/s of link bandwidth is
@@ -209,19 +209,6 @@ impl TopologyConfig {
     #[inline]
     pub fn total_gpus(&self) -> u16 {
         self.clusters * self.gpus_per_cluster
-    }
-
-    /// Cluster of a GPU.
-    #[inline]
-    pub fn cluster_of(&self, gpu: GpuId) -> ClusterId {
-        gpu.cluster(self.gpus_per_cluster)
-    }
-
-    /// True if `a` and `b` are in different clusters, i.e. traffic between
-    /// them crosses the lower-bandwidth inter-cluster network.
-    #[inline]
-    pub fn crosses_clusters(&self, a: GpuId, b: GpuId) -> bool {
-        self.cluster_of(a) != self.cluster_of(b)
     }
 
     /// Intra-cluster link bandwidth in bytes per cycle.
@@ -872,9 +859,6 @@ mod tests {
     fn cluster_crossing() {
         let t = SystemConfig::paper_baseline().topology;
         assert_eq!(t.total_gpus(), 4);
-        assert!(!t.crosses_clusters(GpuId(0), GpuId(1)));
-        assert!(t.crosses_clusters(GpuId(1), GpuId(2)));
-        assert!(t.crosses_clusters(GpuId(0), GpuId(3)));
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! ```
 
 use netcrafter::net::{load_latency_sweep, SyntheticConfig};
+use netcrafter::proto::config::SWITCH;
+use netcrafter::proto::SystemConfig;
 
 fn main() {
     let cfg = SyntheticConfig::default();
+    let paper = SystemConfig::paper_baseline();
+    let flit = f64::from(paper.flit_bytes);
     println!(
         "synthetic uniform-random traffic, 2 clusters x {} endpoints,\n\
          intra {} flits/cycle, inter {} flits/cycle, {}-cycle switch pipeline\n",
-        cfg.endpoints_per_cluster, cfg.intra_fpc, cfg.inter_fpc, cfg.pipeline_cycles
+        cfg.endpoints_per_cluster,
+        paper.topology.intra_bytes_per_cycle() / flit,
+        paper.topology.inter_bytes_per_cycle() / flit,
+        SWITCH.pipeline_cycles
     );
     println!(
         "{:>18} {:>22} {:>14} {:>12}",

@@ -53,7 +53,7 @@ impl Component for Blaster {
     }
 }
 
-fn switch_with_input_capacity(peer: ComponentId, cap: usize) -> Switch {
+fn switch_with_buffer(peer: ComponentId, buffer: u32) -> Switch {
     Switch::new(
         NodeId(2),
         "sw",
@@ -63,9 +63,7 @@ fn switch_with_input_capacity(peer: ComponentId, cap: usize) -> Switch {
             peer_node: NodeId(0),
             peer_port: 0,
             flits_per_cycle: 8.0,
-            initial_credits: 1024,
-            input_capacity: cap,
-            output_capacity: 1024,
+            buffer,
             queue: Box::new(FifoQueue::new()),
             wire_latency: 1,
             is_inter: false,
@@ -91,7 +89,7 @@ fn credit_violation_is_detected() {
             dst: 0,
         }),
     );
-    b.install(sw, Box::new(switch_with_input_capacity(blaster, 2)));
+    b.install(sw, Box::new(switch_with_buffer(blaster, 2)));
     let mut e = b.build();
     for _ in 0..40 {
         e.step();
@@ -114,7 +112,7 @@ fn unroutable_flit_is_detected() {
             dst: 77,
         }),
     );
-    b.install(sw, Box::new(switch_with_input_capacity(blaster, 1024)));
+    b.install(sw, Box::new(switch_with_buffer(blaster, 1024)));
     let mut e = b.build();
     for _ in 0..40 {
         e.step();
