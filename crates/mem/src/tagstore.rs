@@ -1,24 +1,18 @@
 //! A generic set-associative tag array with LRU replacement, shared by
 //! the caches and (via `netcrafter-vm`) the TLBs.
 
-use netcrafter_sim::snap_fields;
 use netcrafter_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-
-/// One resident entry: the caller's payload plus replacement state.
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    tag: u64,
-    last_used: u64,
-    data: T,
-}
-
-snap_fields! { impl<T: Snap> Snap for Slot<T> { tag, last_used, data } }
 
 /// A set-associative lookup structure keyed by an integer (line address,
 /// VPN, …) with least-recently-used replacement.
 ///
 /// `n_sets == 1` gives a fully associative structure (the L1 TLB and the
 /// page-walk cache); larger `n_sets` give classic set-indexed caches.
+///
+/// The array is flat: tags, LRU stamps and payloads each live in one
+/// allocation indexed `set * ways + way`, and `fill[set]` counts the
+/// resident ways, which are always the set's first `fill[set]` slots.
+/// Slots past the fill count hold stale values and are never read.
 ///
 /// # Examples
 ///
@@ -34,16 +28,23 @@ snap_fields! { impl<T: Snap> Snap for Slot<T> { tag, last_used, data } }
 /// ```
 #[derive(Debug, Clone)]
 pub struct TagStore<T> {
-    sets: Vec<Vec<Slot<T>>>,
+    tags: Vec<u64>,
+    last_used: Vec<u64>,
+    data: Vec<T>,
+    fill: Vec<usize>,
     ways: usize,
 }
 
-impl<T> TagStore<T> {
+impl<T: Clone + Default> TagStore<T> {
     /// Creates a store with `n_sets` sets of `ways` ways.
     pub fn new(n_sets: usize, ways: usize) -> Self {
         assert!(n_sets > 0 && ways > 0, "geometry must be non-zero");
+        let slots = n_sets.checked_mul(ways).expect("geometry overflows usize");
         Self {
-            sets: (0..n_sets).map(|_| Vec::with_capacity(ways)).collect(),
+            tags: vec![0; slots],
+            last_used: vec![0; slots],
+            data: vec![T::default(); slots],
+            fill: vec![0; n_sets],
             ways,
         }
     }
@@ -58,7 +59,7 @@ impl<T> TagStore<T> {
 
     /// Number of sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.fill.len()
     }
 
     /// Ways per set.
@@ -68,164 +69,185 @@ impl<T> TagStore<T> {
 
     /// Total resident entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().sum()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.fill.iter().all(|&n| n == 0)
     }
 
     #[inline]
     fn set_and_tag(&self, key: u64) -> (usize, u64) {
-        let n = self.sets.len() as u64;
+        let n = self.n_sets() as u64;
         ((key % n) as usize, key / n)
+    }
+
+    /// The slot range of `set`'s resident ways.
+    #[inline]
+    fn resident(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.ways;
+        base..base + self.fill[set]
+    }
+
+    /// Slot index of the resident way of `set` holding `tag`.
+    #[inline]
+    fn position(&self, set: usize, tag: u64) -> Option<usize> {
+        let slots = self.resident(set);
+        let base = slots.start;
+        self.tags[slots]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|way| base + way)
+    }
+
+    /// Slot index of `key`, if resident.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let (set, tag) = self.set_and_tag(key);
+        self.position(set, tag)
     }
 
     /// Looks up `key`, updating its LRU stamp to `now` on a hit.
     pub fn lookup(&mut self, key: u64, now: u64) -> Option<&mut T> {
-        let (set, tag) = self.set_and_tag(key);
-        self.sets[set]
-            .iter_mut()
-            .find(|s| s.tag == tag)
-            .map(|slot| {
-                slot.last_used = now;
-                &mut slot.data
-            })
+        let slot = self.find(key)?;
+        self.last_used[slot] = now;
+        Some(&mut self.data[slot])
     }
 
     /// Looks up `key` without touching replacement state.
     pub fn peek(&self, key: u64) -> Option<&T> {
-        let (set, tag) = self.set_and_tag(key);
-        self.sets[set]
-            .iter()
-            .find(|s| s.tag == tag)
-            .map(|s| &s.data)
+        self.find(key).map(|slot| &self.data[slot])
     }
 
     /// Inserts `key → data`, evicting the set's LRU entry if the set is
     /// full. Returns the evicted `(key, data)` pair, if any. Inserting an
     /// already-resident key replaces its payload (no eviction).
     pub fn insert(&mut self, key: u64, data: T, now: u64) -> Option<(u64, T)> {
-        let (set_ix, tag) = self.set_and_tag(key);
-        let n_sets = self.sets.len() as u64;
-        let set = &mut self.sets[set_ix];
-        if let Some(slot) = set.iter_mut().find(|s| s.tag == tag) {
-            slot.data = data;
-            slot.last_used = now;
+        let (set, tag) = self.set_and_tag(key);
+        if let Some(slot) = self.position(set, tag) {
+            self.data[slot] = data;
+            self.last_used[slot] = now;
             return None;
         }
-        if set.len() < self.ways {
-            set.push(Slot {
-                tag,
-                last_used: now,
-                data,
-            });
+        let slots = self.resident(set);
+        if slots.len() < self.ways {
+            self.fill[set] += 1;
+            self.tags[slots.end] = tag;
+            self.last_used[slots.end] = now;
+            self.data[slots.end] = data;
             return None;
         }
         // Evict LRU (ties broken by lowest way index for determinism).
-        let victim_ix = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, s)| (s.last_used, *i))
-            .map(|(i, _)| i)
-            .expect("set is full, so non-empty");
-        let victim = std::mem::replace(
-            &mut set[victim_ix],
-            Slot {
-                tag,
-                last_used: now,
-                data,
-            },
-        );
-        Some((victim.tag * n_sets + set_ix as u64, victim.data))
-    }
-
-    /// Removes `key`, returning its payload.
-    pub fn invalidate(&mut self, key: u64) -> Option<T> {
-        let (set, tag) = self.set_and_tag(key);
-        let pos = self.sets[set].iter().position(|s| s.tag == tag)?;
-        Some(self.sets[set].swap_remove(pos).data)
+        let base = slots.start;
+        let victim = base
+            + self.last_used[slots]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(way, &stamp)| (stamp, way))
+                .map(|(way, _)| way)
+                .expect("set is full, so non-empty");
+        let victim_tag = std::mem::replace(&mut self.tags[victim], tag);
+        self.last_used[victim] = now;
+        let victim_data = std::mem::replace(&mut self.data[victim], data);
+        Some((victim_tag * self.n_sets() as u64 + set as u64, victim_data))
     }
 
     /// Iterates over all resident `(key, &data)` pairs (diagnostics only;
     /// order is unspecified).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
-        let n_sets = self.sets.len() as u64;
-        self.sets.iter().enumerate().flat_map(move |(set_ix, set)| {
-            set.iter()
-                .map(move |s| (s.tag * n_sets + set_ix as u64, &s.data))
+        let n_sets = self.n_sets() as u64;
+        (0..self.n_sets()).flat_map(move |set| {
+            self.resident(set)
+                .map(move |slot| (self.tags[slot] * n_sets + set as u64, &self.data[slot]))
         })
     }
-}
 
-/// Decodes one set into `set`, reusing its allocation.
-fn load_set<T: Snap>(
-    set: &mut Vec<Slot<T>>,
-    ways: usize,
-    r: &mut SnapshotReader<'_>,
-) -> Result<(), SnapshotError> {
-    let len = r.get_len()?;
-    if len > ways {
-        return Err(SnapshotError::Corrupt(format!(
-            "TagStore set holds {len} slots but has only {ways} ways"
-        )));
+    /// Removes `key`, returning its payload. The set's last resident way
+    /// moves into the freed slot (`Vec::swap_remove` order).
+    pub fn invalidate(&mut self, key: u64) -> Option<T> {
+        let (set, tag) = self.set_and_tag(key);
+        let slot = self.position(set, tag)?;
+        let last = self.resident(set).end - 1;
+        self.fill[set] -= 1;
+        self.tags.swap(slot, last);
+        self.last_used.swap(slot, last);
+        self.data.swap(slot, last);
+        Some(std::mem::take(&mut self.data[last]))
     }
-    set.clear();
-    for _ in 0..len {
-        set.push(Slot::load(r)?);
-    }
-    Ok(())
 }
 
 /// The sets are serialized verbatim — within-set slot order and the LRU
-/// stamps are observable through victim selection (`invalidate` uses
-/// `swap_remove`, so slot order is not derivable from insertion history).
-impl<T: Snap> Snap for TagStore<T> {
+/// stamps are observable through victim selection (`invalidate` moves the
+/// last way into the freed slot, so slot order is not derivable from
+/// insertion history). Each set is its resident length followed by one
+/// `(tag, last_used, data)` triple per way, the encoding of a
+/// `Vec<(u64, u64, T)>`.
+impl<T: Snap + Clone + Default> Snap for TagStore<T> {
     fn save(&self, w: &mut SnapshotWriter) {
         w.put_len(self.ways);
-        w.put_len(self.sets.len());
-        for set in &self.sets {
-            set.save(w);
+        w.put_len(self.n_sets());
+        for set in 0..self.n_sets() {
+            let slots = self.resident(set);
+            w.put_len(slots.len());
+            for slot in slots {
+                self.tags[slot].save(w);
+                self.last_used[slot].save(w);
+                self.data[slot].save(w);
+            }
         }
     }
 
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let ways = r.get_len()?;
         let n_sets = r.get_len()?;
-        if ways == 0 || n_sets == 0 {
+        if ways == 0 || n_sets == 0 || n_sets.checked_mul(ways).is_none() {
             return Err(SnapshotError::Corrupt(format!(
                 "TagStore geometry {n_sets} sets x {ways} ways"
             )));
         }
-        let mut sets = Vec::with_capacity(n_sets);
-        for _ in 0..n_sets {
-            let mut set = Vec::with_capacity(ways);
-            load_set(&mut set, ways, r)?;
-            sets.push(set);
-        }
-        Ok(Self { sets, ways })
+        let mut store = Self::new(n_sets, ways);
+        store.load_sets(r)?;
+        Ok(store)
     }
 
-    /// Reuses every set's existing allocation. This is the
-    /// snapshot-restore hot path — a store holds one `Vec` per set, so
-    /// `load` pays thousands of small allocations per cache while this
-    /// pays none. The snapshot's geometry must match `self` (restore
-    /// targets are built from the same configuration).
+    /// Decodes into the existing arrays: a restore allocates nothing. The
+    /// snapshot's geometry must match `self` (restore targets are built
+    /// from the same configuration).
     fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let ways = r.get_len()?;
         let n_sets = r.get_len()?;
-        if ways != self.ways || n_sets != self.sets.len() {
+        if ways != self.ways || n_sets != self.n_sets() {
             return Err(SnapshotError::Corrupt(format!(
                 "TagStore geometry mismatch: snapshot {n_sets} sets x {ways} ways, \
                  target {} x {}",
-                self.sets.len(),
+                self.n_sets(),
                 self.ways
             )));
         }
-        self.sets
-            .iter_mut()
-            .try_for_each(|set| load_set(set, ways, r))
+        self.load_sets(r)
+    }
+}
+
+impl<T: Snap + Clone + Default> TagStore<T> {
+    /// Decodes every set's resident ways over the current contents.
+    fn load_sets(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        for set in 0..self.n_sets() {
+            let len = r.get_len()?;
+            if len > self.ways {
+                return Err(SnapshotError::Corrupt(format!(
+                    "TagStore set holds {len} slots but has only {} ways",
+                    self.ways
+                )));
+            }
+            self.fill[set] = len;
+            for slot in self.resident(set) {
+                self.tags[slot] = u64::load(r)?;
+                self.last_used[slot] = u64::load(r)?;
+                self.data[slot] = T::load(r)?;
+            }
+        }
+        Ok(())
     }
 }
 

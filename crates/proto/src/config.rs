@@ -14,7 +14,7 @@
 
 use std::num::NonZeroU32;
 
-use crate::addr::SECTOR_BYTES;
+use crate::addr::{LINE_BYTES, SECTOR_BYTES};
 use crate::ids::GpuId;
 use crate::packet::PacketKind;
 
@@ -783,13 +783,37 @@ impl SystemConfig {
             ("max_waves_per_cu", u32::from(self.max_waves_per_cu)),
             ("max_outstanding_per_cu", self.max_outstanding_per_cu),
             ("max_loads_per_wave", u32::from(self.max_loads_per_wave)),
+            ("l1.mshr_entries", self.l1.mshr_entries),
+            ("l2_tlb.mshr_entries", self.l2_tlb.mshr_entries),
         ] {
             if limit == 0 {
                 return Err(format!("{field} must be at least 1, got 0"));
             }
         }
-        Ok(())
+        if !self.l1.size_bytes.is_multiple_of(LINE_BYTES) {
+            return Err(format!(
+                "l1.size_bytes must be a whole number of {LINE_BYTES} B lines, got {}",
+                self.l1.size_bytes
+            ));
+        }
+        check_sets("l1", self.l1.size_bytes / LINE_BYTES, self.l1.ways)?;
+        let tlb_ways = match self.l2_tlb.ways {
+            u32::MAX => self.l2_tlb.entries,
+            ways => ways,
+        };
+        check_sets("l2_tlb", u64::from(self.l2_tlb.entries), tlb_ways)
     }
+}
+
+/// Checks that `entries` fill whole sets of `ways` ways: anything else
+/// panics when the tag array is built or silently drops entries.
+fn check_sets(what: &str, entries: u64, ways: u32) -> Result<(), String> {
+    if entries == 0 || ways == 0 || !entries.is_multiple_of(u64::from(ways)) {
+        return Err(format!(
+            "{what} must hold a whole, non-zero number of {ways}-way sets, got {entries} entries"
+        ));
+    }
+    Ok(())
 }
 
 impl Default for SystemConfig {
@@ -921,16 +945,58 @@ mod tests {
             assert!(c.validate().is_err(), "inter {gbps}");
         }
 
-        // A CU that may hold no wave, no access or no load never runs.
+        // A CU that may hold no wave, no access or no load never runs,
+        // and an MSHR-less L1 or L2 TLB cannot be built.
         for zero in [
             |c: &mut SystemConfig| c.max_waves_per_cu = 0,
             |c: &mut SystemConfig| c.max_outstanding_per_cu = 0,
             |c: &mut SystemConfig| c.max_loads_per_wave = 0,
+            |c: &mut SystemConfig| c.l1.mshr_entries = 0,
+            |c: &mut SystemConfig| c.l2_tlb.mshr_entries = 0,
         ] {
             let mut c = SystemConfig::paper_baseline();
             zero(&mut c);
-            let err = c.validate().expect_err("zero CU limit");
+            let err = c.validate().expect_err("zero limit");
             assert!(err.ends_with("got 0") && !err.contains('\n'), "{err}");
+        }
+
+        // A cache or TLB geometry that would panic in the builder or give
+        // a smaller array than configured.
+        for bad in [
+            |c: &mut SystemConfig| c.l1.size_bytes = 0,
+            |c: &mut SystemConfig| c.l1.size_bytes = 64 * 1024 + 8,
+            |c: &mut SystemConfig| c.l1.ways = 0,
+            |c: &mut SystemConfig| c.l1.ways = 3,
+            |c: &mut SystemConfig| {
+                c.l1.size_bytes = 128;
+                c.l1.ways = 4;
+            },
+            |c: &mut SystemConfig| c.l2_tlb.entries = 0,
+            |c: &mut SystemConfig| {
+                c.l2_tlb.entries = 0;
+                c.l2_tlb.ways = u32::MAX;
+            },
+            |c: &mut SystemConfig| c.l2_tlb.ways = 0,
+            |c: &mut SystemConfig| c.l2_tlb.entries = 500,
+        ] {
+            let mut c = SystemConfig::paper_baseline();
+            bad(&mut c);
+            let err = c.validate().expect_err("unbuildable geometry");
+            assert!(!err.contains('\n'), "{err}");
+        }
+        // Fully associative TLBs and one-set caches are fine.
+        for good in [
+            |c: &mut SystemConfig| c.l2_tlb.ways = u32::MAX,
+            |c: &mut SystemConfig| c.l2_tlb.entries = 8,
+            |c: &mut SystemConfig| {
+                c.l1.size_bytes = 128;
+                c.l1.ways = 2;
+                c.l1.mshr_entries = 1;
+            },
+        ] {
+            let mut c = SystemConfig::paper_baseline();
+            good(&mut c);
+            assert_eq!(c.validate(), Ok(()));
         }
 
         let nc = SystemConfig {

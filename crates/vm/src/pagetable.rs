@@ -31,11 +31,22 @@ struct PtNode {
     pfn: u64,
 }
 
+/// Entries of a leaf (level-4) node: one per page of its 2 MiB region.
+const LEAF_ENTRIES: usize = 1 << PT_LEVEL_BITS;
+
+/// A leaf entry that maps nothing. `map` refuses it as a frame number.
+const UNMAPPED: u64 = u64::MAX;
+
 /// The functional page table plus the placement of its nodes.
 ///
 /// Built once at "kernel launch" by the LASP placement pass; immutable
 /// during simulation (the paper's workloads run with pre-faulted,
 /// statically placed pages).
+///
+/// The mappings are stored the way the radix tree holds them: one
+/// 512-entry frame array per leaf node (one 2 MiB region), all of them in
+/// one flat allocation. A translation is one probe of the small
+/// leaf-index map plus an array index.
 ///
 /// # Examples
 ///
@@ -54,11 +65,16 @@ struct PtNode {
 /// ```
 #[derive(Debug, Default)]
 pub struct PageTable {
-    /// vpn → pfn.
-    mapping: BTreeMap<u64, u64>,
-    /// (level, prefix) → node placement. The prefix of a node at level ℓ
-    /// is `vpn >> (9 * (4 - ℓ))`.
-    nodes: BTreeMap<(u8, u64), PtNode>,
+    /// Leaf prefix (`vpn >> 9`) → index into `leaves`.
+    leaf_ix: BTreeMap<u64, usize>,
+    /// Placement of each leaf node, in creation order.
+    leaves: Vec<PtNode>,
+    /// The leaves' entries: leaf `i` maps page `j` of its region to
+    /// `frames[i * 512 + j]`, or holds [`UNMAPPED`].
+    frames: Vec<u64>,
+    /// (level, prefix) → placement of the level 1–3 nodes. The prefix of
+    /// a node at level ℓ is `vpn >> (9 * (4 - ℓ))`.
+    upper: BTreeMap<(u8, u64), PtNode>,
     /// Next free page-table frame per GPU (above `PT_FRAME_BASE`).
     next_pt_frame: BTreeMap<GpuId, u64>,
     /// Frame-number base per GPU (from the physical partition size).
@@ -88,52 +104,92 @@ impl PageTable {
     /// owning the first data page of the node's region, so the first
     /// mapping beneath a node decides its home (the paper's policy).
     pub fn map(&mut self, vpn: u64, pfn: u64, pte_owner: GpuId) {
-        let prev = self.mapping.insert(vpn, pfn);
-        assert!(prev.is_none() || prev == Some(pfn), "vpn {vpn:#x} remapped");
-        for level in 1..=PT_LEVELS {
+        assert_ne!(pfn, UNMAPPED, "vpn {vpn:#x}: frame {pfn:#x} is reserved");
+        let leaf = match self.leaf(vpn) {
+            Some(leaf) => leaf,
+            None => self.add_leaf(vpn, pte_owner),
+        };
+        let entry = &mut self.frames[leaf * LEAF_ENTRIES + Self::leaf_slot(vpn)];
+        assert!(*entry == UNMAPPED || *entry == pfn, "vpn {vpn:#x} remapped");
+        *entry = pfn;
+    }
+
+    /// Creates `vpn`'s leaf and whichever nodes above it are missing, in
+    /// walk order, all placed on `owner`; returns the leaf's index. Nodes
+    /// above an existing leaf exist: they were created with it.
+    fn add_leaf(&mut self, vpn: u64, owner: GpuId) -> usize {
+        for level in 1..PT_LEVELS {
             let key = (level, Self::prefix(vpn, level));
-            if !self.nodes.contains_key(&key) {
-                let next = self.next_pt_frame.entry(pte_owner).or_insert(PT_FRAME_BASE);
-                let pfn = *next;
-                *next += 1;
-                self.nodes.insert(
-                    key,
-                    PtNode {
-                        owner: pte_owner,
-                        pfn,
-                    },
-                );
+            if !self.upper.contains_key(&key) {
+                let node = self.place_node(owner);
+                self.upper.insert(key, node);
             }
+        }
+        let node = self.place_node(owner);
+        let leaf = self.leaves.len();
+        self.leaves.push(node);
+        self.frames
+            .resize(self.frames.len() + LEAF_ENTRIES, UNMAPPED);
+        self.leaf_ix.insert(Self::prefix(vpn, PT_LEVELS), leaf);
+        leaf
+    }
+
+    /// Allocates the next page-table frame on `owner` for a new node.
+    fn place_node(&mut self, owner: GpuId) -> PtNode {
+        let next = self.next_pt_frame.entry(owner).or_insert(PT_FRAME_BASE);
+        let pfn = *next;
+        *next += 1;
+        PtNode { owner, pfn }
+    }
+
+    /// Index of `vpn`'s entry within its leaf node.
+    #[inline]
+    fn leaf_slot(vpn: u64) -> usize {
+        (vpn % LEAF_ENTRIES as u64) as usize
+    }
+
+    /// The leaf node on `vpn`'s path, if one exists.
+    #[inline]
+    fn leaf(&self, vpn: u64) -> Option<usize> {
+        self.leaf_ix.get(&Self::prefix(vpn, PT_LEVELS)).copied()
+    }
+
+    /// The node read at `level` of a walk of `vpn`.
+    fn node(&self, vpn: u64, level: u8) -> Option<PtNode> {
+        if level == PT_LEVELS {
+            self.leaf(vpn).map(|leaf| self.leaves[leaf])
+        } else {
+            self.upper.get(&(level, Self::prefix(vpn, level))).copied()
         }
     }
 
     /// Functional translation.
     pub fn translate(&self, vpn: u64) -> Option<u64> {
-        self.mapping.get(&vpn).copied()
+        let leaf = self.leaf(vpn)?;
+        let pfn = self.frames[leaf * LEAF_ENTRIES + Self::leaf_slot(vpn)];
+        (pfn != UNMAPPED).then_some(pfn)
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.mapping.len()
+        self.frames.iter().filter(|&&pfn| pfn != UNMAPPED).count()
     }
 
     /// Number of allocated page-table nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.upper.len() + self.leaves.len()
     }
 
     /// The GPU holding the page-table node at `level` on `vpn`'s path.
     pub fn node_owner(&self, vpn: u64, level: u8) -> Option<GpuId> {
-        self.nodes
-            .get(&(level, Self::prefix(vpn, level)))
-            .map(|n| n.owner)
+        self.node(vpn, level).map(|n| n.owner)
     }
 
     /// Physical line holding the entry consulted at `level` of a walk of
     /// `vpn`, with its owner GPU. The entry index within the node selects
     /// the 8-byte slot, hence the line.
     pub fn entry_line(&self, vpn: u64, level: u8) -> Option<(GpuId, LineAddr)> {
-        let node = self.nodes.get(&(level, Self::prefix(vpn, level)))?;
+        let node = self.node(vpn, level)?;
         let entry_ix = VAddr(vpn * PAGE_BYTES).pt_index(level);
         let gpu_base = (node.owner.raw() as u64) * self.frames_per_gpu * PAGE_BYTES;
         let node_base = gpu_base + node.pfn * PAGE_BYTES;
@@ -150,7 +206,7 @@ impl PageTable {
     /// pages, so an unmapped walk is a harness bug.
     pub fn walk_reads(&self, vpn: u64, start_level: u8) -> PtLevelAddrs {
         assert!(
-            self.mapping.contains_key(&vpn),
+            self.translate(vpn).is_some(),
             "page fault: vpn {vpn:#x} is unmapped (workload touched unplaced memory)"
         );
         (start_level..=PT_LEVELS)
