@@ -165,6 +165,10 @@ pub struct JobStat {
     /// replay): the deterministic measure of host work that the
     /// `gated_counts` test holds per run.
     pub ticks: u64,
+    /// Cycles the engine executed over the same span (0 for a replay):
+    /// the event-driven scheduler's skipped cycles are not among them,
+    /// and `gated_counts` holds this per run too.
+    pub steps: u64,
     /// Messages delivered over the same cycles.
     pub messages: u64,
 }
@@ -180,6 +184,7 @@ impl JobStat {
             exec_cycles: result.exec_cycles,
             resumed_at: 0,
             ticks: 0,
+            steps: 0,
             messages: 0,
         }
     }
@@ -553,6 +558,7 @@ impl Runner {
             exec_cycles: result.exec_cycles,
             resumed_at: run.resumed_at,
             ticks: run.ticks,
+            steps: run.steps,
             messages: run.messages,
         };
         (self.record(key, stat, result), run.snapshot)
@@ -1023,6 +1029,7 @@ mod tests {
                 exec_cycles: 1_000_000,
                 resumed_at: 0,
                 ticks: 3_000,
+                steps: 900,
                 messages: 2_000,
             },
             JobStat {
@@ -1032,6 +1039,7 @@ mod tests {
                 exec_cycles: 900_000,
                 resumed_at: 0,
                 ticks: 0,
+                steps: 0,
                 messages: 0,
             },
             JobStat {
@@ -1041,6 +1049,7 @@ mod tests {
                 exec_cycles: 800_000,
                 resumed_at: 250_000,
                 ticks: 1_500,
+                steps: 400,
                 messages: 1_000,
             },
         ];

@@ -4,9 +4,10 @@
 //! sequential [`Runner::quick`] and are compared with the committed
 //! `ci/BENCH_{fig14,topology,sweep}.baseline.json`: every `exec_cycles`,
 //! `speedup`, `geomean` and `prefix_hit_ratio` must be equal, a run's
-//! engine `ticks` may fall but never rise (a component that starts
-//! spinning again fails here on any host, however noisy), and a key on
-//! one side only fails. The simulator is deterministic, so debug and
+//! engine `ticks` and executed cycles (`steps`) may fall but never rise
+//! (a component that starts spinning again, or a scheduler that executes
+//! a cycle with nothing due, fails here on any host, however noisy), and
+//! a key on one side only fails. The simulator is deterministic, so debug and
 //! release builds on any machine agree to the digit. Host time is not
 //! measured here: `benchmark/` owns the stopwatch.
 //!
@@ -22,8 +23,8 @@ use netcrafter_multigpu::{Experiment, SystemVariant};
 use netcrafter_sim::trace::{json, json_string};
 use netcrafter_workloads::Workload;
 
-/// Sweeps `jobs` and renders the report: per-run cycles and engine ticks
-/// (a forked job counts its suffix only), each variant's speedup over the
+/// Sweeps `jobs` and renders the report: per-run cycles, engine ticks and
+/// executed cycles (a forked job counts its suffix only), each variant's speedup over the
 /// `Baseline` run of the same workload key — scale-out runs are keyed
 /// `WORKLOAD@FABRIC` — the geomeans in first-seen variant order, and,
 /// when the sweep planned prefix groups, the plan tree's hit ratio.
@@ -41,10 +42,10 @@ fn report(r: &Runner, jobs: &[Experiment]) -> String {
         let variant = json_string(&job.variant.label());
         let memo_key = job.memo_key();
         let stat = stats.iter().find(|s| s.memo_key == memo_key);
-        let ticks = stat.expect("a sweep records one stat per job").ticks;
-        let cycles = res.exec_cycles;
+        let stat = stat.expect("a sweep records one stat per job");
+        let (cycles, ticks, steps) = (res.exec_cycles, stat.ticks, stat.steps);
         runs.push(format!(
-            "{{\"workload\":{workload},\"variant\":{variant},\"exec_cycles\":{cycles},\"ticks\":{ticks}}}"
+            "{{\"workload\":{workload},\"variant\":{variant},\"exec_cycles\":{cycles},\"ticks\":{ticks},\"steps\":{steps}}}"
         ));
         if job.variant == SystemVariant::Baseline {
             base_cycles.insert(workload, cycles);
@@ -78,12 +79,15 @@ fn report(r: &Runner, jobs: &[Experiment]) -> String {
     )
 }
 
+/// The per-run host-work counts, which may only fall.
+const FALLING: [&str; 2] = ["ticks", "steps"];
+
 /// A report's gated numbers by key: `exact` must equal the baseline's,
-/// `ticks` (one per run) may only fall.
+/// `falling` (each of `FALLING` once per run) may only fall.
 #[derive(Clone, Debug, Default)]
 struct Gated {
     exact: BTreeMap<String, f64>,
-    ticks: BTreeMap<String, f64>,
+    falling: BTreeMap<String, f64>,
 }
 
 /// `entry[key]` as a number; `at` names the entry in the error.
@@ -115,8 +119,10 @@ fn read_report(text: &str) -> Result<Gated, String> {
             let number = num_of(entry, &at, value)?;
             gated.exact.insert(format!("{section}:{key}"), number);
             if section == "runs" {
-                let ticks = num_of(entry, &at, "ticks")?;
-                gated.ticks.insert(format!("ticks:{key}"), ticks);
+                for count in FALLING {
+                    let n = num_of(entry, &at, count)?;
+                    gated.falling.insert(format!("{count}:{key}"), n);
+                }
             }
         }
     }
@@ -142,20 +148,28 @@ fn compare(base: &Gated, cur: &Gated) -> Result<String, Vec<String>> {
         drifted.push(format!("{key}: in this run, missing from the baseline"));
     }
     // A run on one side only is already listed under its `runs:` key.
-    for (key, want) in &base.ticks {
-        if let Some(got) = cur.ticks.get(key).filter(|got| *got > want) {
+    for (key, want) in &base.falling {
+        if let Some(got) = cur.falling.get(key).filter(|got| *got > want) {
             drifted.push(format!("{key}: rose from {want} to {got}"));
         }
     }
     if !drifted.is_empty() {
         return Err(drifted);
     }
+    let total = |g: &Gated, count: &str| -> f64 {
+        let prefix = format!("{count}:");
+        let of_count = g.falling.iter().filter(|(k, _)| k.starts_with(&prefix));
+        of_count.map(|(_, n)| n).sum()
+    };
+    let runs = cur.falling.len() / FALLING.len();
+    let totals: Vec<String> = FALLING
+        .iter()
+        .map(|c| format!("{} {c} vs baseline {}", total(cur, c), total(base, c)))
+        .collect();
     Ok(format!(
-        "{} compared (cycles, speedups, geomeans, hit ratio), {} ticks over {} runs vs baseline {}",
+        "{} compared (cycles, speedups, geomeans, hit ratio); over {runs} runs {}",
         base.exact.len(),
-        cur.ticks.values().sum::<f64>(),
-        cur.ticks.len(),
-        base.ticks.values().sum::<f64>(),
+        totals.join(", "),
     ))
 }
 
@@ -186,7 +200,7 @@ fn gate(name: &str, numbers: usize, r: &Runner, jobs: &[Experiment]) {
         Err(drifted) => panic!(
             "{} of {} gated numbers drifted from {baseline}:\n  {}\n{recommit}",
             drifted.len(),
-            base.exact.len() + base.ticks.len(),
+            base.exact.len() + base.falling.len(),
             drifted.join("\n  ")
         ),
     }
@@ -243,11 +257,11 @@ fn sweep_counts_and_hit_ratio_match_the_baseline() {
 }
 
 const MT_RUN: &str = r#",
-    {"workload":"MT","variant":"Baseline","exec_cycles":2423,"ticks":2860}"#;
+    {"workload":"MT","variant":"Baseline","exec_cycles":2423,"ticks":2860,"steps":2423}"#;
 const SYNTHETIC: &str = r#"{"runs": [
-    {"workload":"GUPS","variant":"Baseline","exec_cycles":3224,"ticks":7047},
-    {"workload":"GUPS","variant":"NetCrafter","exec_cycles":3210,"ticks":6393},
-    {"workload":"MT","variant":"Baseline","exec_cycles":2423,"ticks":2860}],
+    {"workload":"GUPS","variant":"Baseline","exec_cycles":3224,"ticks":7047,"steps":3224},
+    {"workload":"GUPS","variant":"NetCrafter","exec_cycles":3210,"ticks":6393,"steps":3190},
+    {"workload":"MT","variant":"Baseline","exec_cycles":2423,"ticks":2860,"steps":2423}],
   "speedups": [{"workload":"GUPS","variant":"NetCrafter","speedup":1.004361}],
   "geomean": [{"variant":"NetCrafter","speedup":1.004361}],
   "prefix": {"prefix_hit_ratio": 0.700000}}"#;
@@ -261,6 +275,7 @@ fn the_gate_can_fail() {
     for (from, to, key) in [
         ("cycles\":3210", "cycles\":3211", "runs:GUPS|NetCrafter: "),
         ("ticks\":7047", "ticks\":7048", "ticks:GUPS|Baseline: "),
+        ("steps\":3190", "steps\":3191", "steps:GUPS|NetCrafter: "),
         ("0.700000", "0.690000", "prefix:hit_ratio: "),
         (MT_RUN, "", "runs:MT|Baseline: in the baseline, "),
     ] {
@@ -268,6 +283,7 @@ fn the_gate_can_fail() {
         assert!(lines.len() == 1 && lines[0].starts_with(key), "{lines:?}");
     }
     assert!(edit("ticks\":7047", "ticks\":7046").is_empty());
+    assert!(edit("steps\":3190", "steps\":3189").is_empty());
     let lines = drift(&SYNTHETIC.replace(MT_RUN, ""), SYNTHETIC);
     assert!(
         lines.len() == 1 && lines[0].starts_with("runs:MT|Baseline: in this run, "),
@@ -281,5 +297,7 @@ fn a_bad_baseline_is_diagnosed_in_one_line() {
     assert!(truncated.starts_with("invalid JSON: "), "{truncated}");
     let no_cycles = read_report(&SYNTHETIC.replace("\"exec_cycles\":3210,", "")).unwrap_err();
     assert_eq!(no_cycles, "`runs[1]` lacks the number `exec_cycles`");
+    let no_steps = read_report(&SYNTHETIC.replace(",\"steps\":3224", "")).unwrap_err();
+    assert_eq!(no_steps, "`runs[0]` lacks the number `steps`");
     assert_eq!(read_report("{}").unwrap_err(), "no `runs` array");
 }

@@ -458,6 +458,7 @@ impl Experiment {
             snapshot,
             resumed_at,
             ticks: sys.engine.ticks_executed(),
+            steps: sys.engine.steps_executed(),
             messages: sys.engine.messages_delivered() - messages_at_resume,
             recorded: trace.map(|_| TraceData {
                 trace: sys.take_trace(),
@@ -497,6 +498,9 @@ pub struct CheckpointedRun {
     /// `resumed_at` on): host work, which depends on the scheduler and
     /// is deliberately not part of [`RunResult`] or its metrics.
     pub ticks: u64,
+    /// Cycles the engine executed over the same span (the event-driven
+    /// scheduler skips the ones with nothing due): host work as well.
+    pub steps: u64,
     /// Messages delivered over the same cycles (`sys.messages` counts
     /// from cycle 0 even after a resume).
     pub messages: u64,

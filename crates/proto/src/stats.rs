@@ -340,7 +340,11 @@ impl Metrics {
                     let mut h = Histogram::new();
                     for pair in value.split_whitespace() {
                         let (b, c) = pair.split_once(':')?;
-                        h.add(b.parse().ok()?, c.parse().ok()?);
+                        // `to_kv` writes each bucket once; a repeat is
+                        // damage (and adding it could overflow).
+                        if h.buckets.insert(b.parse().ok()?, c.parse().ok()?).is_some() {
+                            return None;
+                        }
                     }
                     m.histograms.insert(key.to_owned(), h);
                 }

@@ -387,6 +387,16 @@ impl Engine {
         self.core.ticks
     }
 
+    /// Cycles this engine object has executed so far, under whichever
+    /// schedulers it ran: every cycle under Legacy, only the cycles with
+    /// a delivery or a wake under the event-driven modes (summed over
+    /// the domains of a parallel run). Host work like
+    /// [`Engine::ticks_executed`], and likewise never snapshotted.
+    #[inline]
+    pub fn steps_executed(&self) -> u64 {
+        self.core.steps
+    }
+
     /// Number of components.
     pub fn len(&self) -> usize {
         self.core.comps.len()
@@ -599,7 +609,7 @@ impl Engine {
     /// Appends the engine's full dynamic state — clock, every component's
     /// saved state, mailboxes and in-flight messages — to `w`, in the
     /// canonical order described in DESIGN.md §3.4. Scheduler-derived
-    /// state (wake heap, armed table, busy cache) is intentionally
+    /// state (timed-wake lists, armed table, busy cache) is intentionally
     /// excluded: it is reconstructed bit-exactly on load, which also makes
     /// snapshots portable across scheduler modes. So is the tracer: it
     /// observes the run and is not part of its state.
@@ -719,7 +729,7 @@ impl Engine {
         }
         core.tracer.set_now(cycle);
         // Rebuild every piece of scheduler-derived state (armed table,
-        // wake heap, always-on set, busy cache, dirty list) for the
+        // timed-wake lists, always-on set, busy cache, dirty list) for the
         // current mode — bit-exact by the `next_wake` contract.
         self.set_scheduler(self.mode);
         Ok(())

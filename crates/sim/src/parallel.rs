@@ -731,6 +731,7 @@ pub(crate) fn run_parallel(engine: &mut Engine, cfg: &ParallelConfig, max_cycles
         );
         core.delivered += dom.delivered;
         core.ticks += dom.ticks;
+        core.steps += dom.steps;
         let ids = std::mem::take(&mut dom.route.ids);
         for ((g, comp), inbox) in ids.into_iter().zip(dom.comps).zip(dom.inboxes) {
             let moved = inbox.into_iter().map(|h| dom.arena.take(h));

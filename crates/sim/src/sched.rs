@@ -1,11 +1,11 @@
 //! The scheduler core: the one step loop behind every execution mode.
 //!
 //! A [`Core`] owns a set of components with their mailboxes, the message
-//! arena, the delay wheel with its overflow list, the wake heap, the
-//! always-on set and the busy cache, and advances them one executed
-//! cycle at a time. The sequential [`Engine`](crate::Engine) is one core
-//! over every component; each domain of the conservative parallel
-//! scheduler is one core over its slice (see `parallel.rs`).
+//! arena, the wheel of deliveries and timed wakes with its two overflow
+//! lists, the always-on set and the busy cache, and advances them one
+//! executed cycle at a time. The sequential [`Engine`](crate::Engine) is
+//! one core over every component; each domain of the conservative
+//! parallel scheduler is one core over its slice (see `parallel.rs`).
 //!
 //! What differs between the two is the [`Route`] type parameter, fixed
 //! at compile time: the ordering key stored with each in-flight delivery
@@ -15,15 +15,20 @@
 //! instantiation uses the zero-sized key `()`, so it carries no sort, no
 //! key bytes and no routing branch.
 //!
-//! Wakes come from three places. A component that returned
-//! [`Wake::EveryCycle`] sits in the sorted always-on list. One that
-//! returned [`Wake::At`] has an entry in the lazy wake heap. A message
-//! delivery wakes its receiver in the same step without touching the
-//! heap: `armed` deduplicates the burst and the receiver goes straight
-//! onto the cycle's woken list, which is sorted once before the ticks.
+//! One wheel holds every future event. Its 512 slots each carry the
+//! deliveries due at one cycle and a list of the components whose timed
+//! wake ([`Wake::At`]) falls on that cycle; deliveries further out wait
+//! in the overflow list, wakes further out on the far list, and both move
+//! into the wheel as their cycle comes into range. A component is on at
+//! most one list, the one `armed` names, and is unlinked the moment its
+//! wake is replaced or a message wakes it first, so no list ever holds a
+//! stale entry. Components that returned [`Wake::EveryCycle`] are a
+//! bitset. A cycle's woken set is a second bitset: the due slot's wakes
+//! and delivery receivers are OR-ed into it, and the ticks walk it
+//! together with the always-on bits in ascending index order, so no
+//! woken list is sorted or deduplicated.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use netcrafter_proto::Message;
 
@@ -39,11 +44,48 @@ pub(crate) const NEVER: Cycle = Cycle::MAX;
 /// (rare) overflow path.
 pub(crate) const WHEEL_SLOTS: usize = 512;
 
-/// The wheel slot holding the deliveries due at `cycle`.
+/// The wheel slot holding the deliveries and wakes due at `cycle`.
 #[inline]
 #[allow(clippy::cast_possible_truncation)] // the remainder is below WHEEL_SLOTS
 fn wheel_slot(cycle: Cycle) -> usize {
     (cycle % WHEEL_SLOTS as u64) as usize
+}
+
+/// Wake-list node of the far list (wakes `WHEEL_SLOTS` or more cycles
+/// out); nodes `0..WHEEL_SLOTS` head the wheel slots' lists.
+const FAR: usize = WHEEL_SLOTS;
+
+/// Number of list heads: component `l`'s node is `HEADS + l`.
+const HEADS: usize = WHEEL_SLOTS + 1;
+
+/// A node of the circular, doubly linked wake lists (`Core::links`).
+#[derive(Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+impl Link {
+    /// An empty list's head (or an unlinked node), pointing at itself.
+    #[allow(clippy::cast_possible_truncation)] // `Core::push` bounds every node below 2^32
+    fn alone(node: usize) -> Link {
+        Link {
+            prev: node as u32,
+            next: node as u32,
+        }
+    }
+}
+
+/// Sets bit `i` of a bitset.
+#[inline]
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears bit `i` of a bitset.
+#[inline]
+fn clear_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] &= !(1 << (i % 64));
 }
 
 /// How a [`Core`] orders its deliveries and places its components' sends.
@@ -83,8 +125,13 @@ pub(crate) struct Core<R: Route> {
     /// the wheel, inboxes and outbox move 8-byte handles instead.
     pub(crate) arena: Arena<Message>,
     /// Ring buffer of future deliveries indexed by `cycle % WHEEL_SLOTS`;
-    /// a slot only ever holds one cycle's deliveries.
+    /// a slot only ever holds one cycle's deliveries. Its timed wakes are
+    /// the list headed by node `slot` of `links`.
     wheel: Vec<Vec<(R::Key, usize, Handle)>>,
+    /// Wheel slots that may hold a delivery or a wake, one bit each: set
+    /// whenever one is filed, cleared when the slot is drained or found
+    /// empty by [`Core::next_event_cycle`].
+    occupied: [u64; WHEEL_SLOTS / 64],
     /// Deliveries further than `WHEEL_SLOTS` cycles out (rare).
     overflow: Vec<(Cycle, R::Key, usize, Handle)>,
     /// Earliest delivery cycle in `overflow` (`NEVER` when empty).
@@ -99,25 +146,35 @@ pub(crate) struct Core<R: Route> {
     /// Component ticks executed by this core — host work, not simulation
     /// state: it depends on the scheduler and is never snapshotted.
     pub(crate) ticks: u64,
+    /// Cycles executed by this core ([`Core::step_at`] calls) — host
+    /// work as well, never snapshotted.
+    pub(crate) steps: u64,
     /// Sends staged by the component being ticked.
     outbox: Vec<(Cycle, ComponentId, Handle)>,
     /// Next cycle each component must tick (`NEVER` = waiting on a
-    /// message).
+    /// message). The one rule for a timed wake: component `l` is on a
+    /// wake list exactly when `armed[l]` is not `NEVER` — the list of
+    /// slot `armed[l] % WHEEL_SLOTS`, or the far list while that cycle
+    /// is out of the wheel's range.
     armed: Vec<Cycle>,
-    /// Lazy min-heap over `(wake cycle, index)` of timed wakes; entries
-    /// that no longer match `armed` are stale and skipped on pop.
-    /// Message wakes never enter it.
-    wake_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
-    /// Components whose last wake was [`Wake::EveryCycle`]: ticked every
-    /// cycle from this sorted list with zero heap traffic. `every`
-    /// mirrors membership; entries whose flag has been cleared are
-    /// compacted out lazily during the per-cycle sweep.
-    active: Vec<usize>,
-    every: Vec<bool>,
-    /// Number of `true` entries in `every` (live `active` members).
+    /// Circular doubly linked wake lists: the `HEADS` list heads, then
+    /// one node per component, so a wake is filed, moved or cancelled in
+    /// O(1) and a due slot is drained by walking its list.
+    links: Vec<Link>,
+    /// Earliest wake on the far list (`NEVER` when empty); below the true
+    /// minimum while `far_stale`.
+    far_min: Cycle,
+    /// A wake at `far_min` may have been cancelled since `far_min` was
+    /// last computed.
+    far_stale: bool,
+    /// Components whose last wake was [`Wake::EveryCycle`], one bit each:
+    /// ticked every cycle with no wake-list traffic.
+    every: Vec<u64>,
+    /// Number of set bits in `every`.
     every_count: usize,
-    /// Scratch buffer for the indices woken this cycle.
-    woken: Vec<usize>,
+    /// The components woken by this cycle's deliveries and due wakes, one
+    /// bit each; cleared as the step ticks them.
+    woken: Vec<u64>,
     /// Cached `busy()` per component, maintained after each tick so
     /// quiescence needs no O(n) rescan.
     pub(crate) busy_flags: Vec<bool>,
@@ -135,6 +192,7 @@ impl<R: Route> Core<R> {
             inboxes: Vec::new(),
             arena: Arena::new(),
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; WHEEL_SLOTS / 64],
             overflow: Vec::new(),
             overflow_min: NEVER,
             slot_scratch: Vec::new(),
@@ -143,10 +201,12 @@ impl<R: Route> Core<R> {
             in_flight: 0,
             delivered: 0,
             ticks: 0,
+            steps: 0,
             outbox: Vec::new(),
             armed: Vec::new(),
-            wake_heap: BinaryHeap::new(),
-            active: Vec::new(),
+            links: (0..HEADS).map(Link::alone).collect(),
+            far_min: NEVER,
+            far_stale: false,
             every: Vec::new(),
             every_count: 0,
             woken: Vec::new(),
@@ -161,10 +221,16 @@ impl<R: Route> Core<R> {
     /// scheduled; the caller arms it.
     pub(crate) fn push(&mut self, comp: Box<dyn Component>, inbox: VecDeque<Handle>) {
         let busy = comp.busy();
+        let l = self.comps.len();
+        assert!(HEADS + l < u32::MAX as usize, "too many components");
         self.comps.push(comp);
         self.inboxes.push(inbox);
         self.armed.push(NEVER);
-        self.every.push(false);
+        self.links.push(Link::alone(HEADS + l));
+        if l.is_multiple_of(64) {
+            self.every.push(0);
+            self.woken.push(0);
+        }
         self.busy_flags.push(busy);
         self.busy_count += busy as usize;
     }
@@ -174,17 +240,65 @@ impl<R: Route> Core<R> {
     #[inline]
     pub(crate) fn arm(&mut self, l: usize, when: Cycle) {
         if when < self.armed[l] {
+            if self.armed[l] != NEVER {
+                self.cancel_wake(l);
+            }
             self.armed[l] = when;
-            self.wake_heap.push(Reverse((when, l)));
+            debug_assert!(when > self.cycle);
+            if when - self.cycle < WHEEL_SLOTS as u64 {
+                self.file_in_slot(l, when);
+            } else {
+                self.far_min = self.far_min.min(when);
+                self.link(FAR, HEADS + l);
+            }
         }
     }
 
-    /// Drops `l` from the always-on set (its stale `active` entry is
-    /// compacted on the next per-cycle sweep).
+    /// Links component `l` into the wake list of the wheel slot of cycle
+    /// `when`, which must be in the wheel's range.
+    #[inline]
+    fn file_in_slot(&mut self, l: usize, when: Cycle) {
+        let slot = wheel_slot(when);
+        self.link(slot, HEADS + l);
+        set_bit(&mut self.occupied, slot);
+    }
+
+    /// Takes component `l`'s timed wake off its list and disarms it.
+    #[inline]
+    fn cancel_wake(&mut self, l: usize) {
+        if self.armed[l] == self.far_min {
+            self.far_stale = true;
+        }
+        self.unlink(HEADS + l);
+        self.armed[l] = NEVER;
+    }
+
+    /// Appends `node` to the list headed by `head`.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)] // `Core::push` bounds every node below 2^32
+    fn link(&mut self, head: usize, node: usize) {
+        let tail = self.links[head].prev;
+        self.links[node] = Link {
+            prev: tail,
+            next: head as u32,
+        };
+        self.links[tail as usize].next = node as u32;
+        self.links[head].prev = node as u32;
+    }
+
+    /// Removes `node` from whichever list holds it.
+    #[inline]
+    fn unlink(&mut self, node: usize) {
+        let Link { prev, next } = self.links[node];
+        self.links[prev as usize].next = next;
+        self.links[next as usize].prev = prev;
+    }
+
+    /// Drops `l` from the always-on set.
     #[inline]
     fn unevery(&mut self, l: usize) {
-        if self.every[l] {
-            self.every[l] = false;
+        if self.every[l / 64] & (1 << (l % 64)) != 0 {
+            clear_bit(&mut self.every, l);
             self.every_count -= 1;
         }
     }
@@ -195,10 +309,13 @@ impl<R: Route> Core<R> {
     /// contract (the Legacy reference ticks everything every cycle and
     /// must agree).
     pub(crate) fn rearm_all_at(&mut self, next: Cycle) {
-        self.wake_heap.clear();
-        self.active.clear();
+        for (head, link) in self.links[..HEADS].iter_mut().enumerate() {
+            *link = Link::alone(head);
+        }
+        self.far_min = NEVER;
+        self.far_stale = false;
         self.every_count = 0;
-        self.every.fill(false);
+        self.every.fill(0);
         self.armed.fill(NEVER);
         for l in 0..self.comps.len() {
             self.arm(l, next);
@@ -232,7 +349,9 @@ impl<R: Route> Core<R> {
         debug_assert!(when > self.cycle);
         self.in_flight += 1;
         if (when - self.cycle) < WHEEL_SLOTS as u64 {
-            self.wheel[wheel_slot(when)].push((key, l, h));
+            let slot = wheel_slot(when);
+            self.wheel[slot].push((key, l, h));
+            set_bit(&mut self.occupied, slot);
         } else {
             self.overflow_min = self.overflow_min.min(when);
             self.overflow.push((when, key, l, h));
@@ -270,33 +389,40 @@ impl<R: Route> Core<R> {
         if self.every_count > 0 {
             return self.cycle + 1;
         }
-        // Pop stale heap entries until the top is live.
-        let mut wake = NEVER;
-        while let Some(&Reverse((when, l))) = self.wake_heap.peek() {
-            if self.armed[l] == when {
-                wake = when;
+        if self.far_stale {
+            self.far_min = NEVER;
+            let mut node = self.links[FAR].next as usize;
+            while node != FAR {
+                self.far_min = self.far_min.min(self.armed[node - HEADS]);
+                node = self.links[node].next as usize;
+            }
+            self.far_stale = false;
+        }
+        // The first occupied wheel slot ahead, if it comes before both
+        // out-of-range lists. A slot whose bit outlived its contents is
+        // cleared on the way.
+        let bound = self.overflow_min.min(self.far_min);
+        let span = (bound - self.cycle).min(WHEEL_SLOTS as u64);
+        let mut d = 1;
+        while d < span {
+            let slot = wheel_slot(self.cycle + d);
+            let ahead = self.occupied[slot / 64] >> (slot % 64);
+            if ahead == 0 {
+                d += (64 - slot % 64) as u64;
+                continue;
+            }
+            d += u64::from(ahead.trailing_zeros());
+            if d >= span {
                 break;
             }
-            self.wake_heap.pop();
-        }
-        if wake <= self.cycle + 1 {
-            return wake;
-        }
-        let mut next = wake.min(self.overflow_min);
-        let in_wheel = self.in_flight - self.overflow.len();
-        if in_wheel > 0 {
-            for d in 1..=WHEEL_SLOTS as u64 {
-                let c = self.cycle + d;
-                if c >= next {
-                    break;
-                }
-                if !self.wheel[wheel_slot(c)].is_empty() {
-                    next = c;
-                    break;
-                }
+            let slot = wheel_slot(self.cycle + d);
+            if !self.wheel[slot].is_empty() || self.links[slot].next as usize != slot {
+                return self.cycle + d;
             }
+            clear_bit(&mut self.occupied, slot);
+            d += 1;
         }
-        next
+        bound
     }
 
     /// Executes cycle `c` (any cycle after the current one up to
@@ -308,6 +434,7 @@ impl<R: Route> Core<R> {
     pub(crate) fn step_at(&mut self, c: Cycle, tick_all: bool) -> usize {
         debug_assert!(c > self.cycle);
         self.cycle = c;
+        self.steps += 1;
         self.tracer.set_now(c);
 
         // Refill the wheel from the overflow list when anything has come
@@ -328,7 +455,9 @@ impl<R: Route> Core<R> {
             let mut min_left = NEVER;
             for (when, key, l, h) in pending.drain(..) {
                 if when < horizon {
-                    self.wheel[wheel_slot(when)].push((key, l, h));
+                    let slot = wheel_slot(when);
+                    self.wheel[slot].push((key, l, h));
+                    set_bit(&mut self.occupied, slot);
                 } else {
                     min_left = min_left.min(when);
                     self.overflow.push((when, key, l, h));
@@ -337,10 +466,43 @@ impl<R: Route> Core<R> {
             self.overflow_min = min_left;
             self.overflow_scratch = pending;
         }
+        // Likewise move far wakes that have come into range.
+        if self.far_min < horizon {
+            let mut min_left = NEVER;
+            let mut node = self.links[FAR].next as usize;
+            while node != FAR {
+                let next = self.links[node].next as usize;
+                let when = self.armed[node - HEADS];
+                debug_assert!(when >= c, "a far wake at {when} was overrun by cycle {c}");
+                if when < horizon {
+                    self.unlink(node);
+                    self.file_in_slot(node - HEADS, when);
+                } else {
+                    min_left = min_left.min(when);
+                }
+                node = next;
+            }
+            self.far_min = min_left;
+            self.far_stale = false;
+        }
+
+        // The wakes due at `c`: all of the slot's list, which then
+        // empties in one step.
+        let slot = wheel_slot(c);
+        let mut node = self.links[slot].next as usize;
+        while node != slot {
+            let l = node - HEADS;
+            debug_assert_eq!(self.armed[l], c);
+            self.armed[l] = NEVER;
+            set_bit(&mut self.woken, l);
+            node = self.links[node].next as usize;
+        }
+        self.links[slot] = Link::alone(slot);
+        clear_bit(&mut self.occupied, slot);
 
         // Deliver the slot due this cycle. The slot vector and the
-        // persistent scratch buffer trade places (and capacities).
-        let slot = wheel_slot(c);
+        // persistent scratch buffer trade places (and capacities). A
+        // receiver wakes now, so any later timed wake it had is moot.
         let mut due = std::mem::replace(
             &mut self.wheel[slot],
             std::mem::take(&mut self.slot_scratch),
@@ -349,86 +511,53 @@ impl<R: Route> Core<R> {
         let delivered_now = due.len();
         self.in_flight -= delivered_now;
         self.delivered += delivered_now as u64;
-        if tick_all {
-            for (_, l, h) in due.drain(..) {
-                self.inboxes[l].push_back(h);
+        for (_, l, h) in due.drain(..) {
+            if self.armed[l] != NEVER {
+                self.cancel_wake(l);
             }
-            self.slot_scratch = due;
+            set_bit(&mut self.woken, l);
+            self.inboxes[l].push_back(h);
+        }
+        self.slot_scratch = due;
+        if tick_all {
+            self.woken.fill(0);
             for l in 0..self.comps.len() {
                 self.tick_one(l);
             }
             return delivered_now;
         }
 
-        // A receiver wakes this cycle without a heap round trip: `armed`
-        // marks it woken (deduplicating a burst of deliveries), and a wake
-        // already armed for `c` is left to the heap drain below.
-        let mut woken = std::mem::take(&mut self.woken);
-        woken.clear();
-        for (_, l, h) in due.drain(..) {
-            if self.armed[l] > c {
-                self.armed[l] = c;
-                woken.push(l);
+        // Tick the woken and always-on components in ascending index
+        // order — the reference tick order restricted to the woken set
+        // (skipped components' ticks are no-ops by the `next_wake`
+        // contract, so the interleaving is equivalent). A tick only
+        // files wakes and deliveries for later cycles, so the set is
+        // fixed before the first tick.
+        for word in 0..self.woken.len() {
+            let mut bits = self.woken[word] | self.every[word];
+            if bits == 0 {
+                continue;
             }
-            self.inboxes[l].push_back(h);
-        }
-        self.slot_scratch = due;
-        for &l in &woken {
-            self.armed[l] = NEVER;
-        }
-        while let Some(&Reverse((when, l))) = self.wake_heap.peek() {
-            if when > c {
-                break;
-            }
-            self.wake_heap.pop();
-            if self.armed[l] <= c {
-                self.armed[l] = NEVER;
-                woken.push(l);
-            }
-        }
-        // Sweep the always-on set: every live member ticks this cycle;
-        // members that re-armed away since last cycle are compacted out
-        // in place (order-preserving, so `active` stays sorted).
-        let heap_woken = woken.len();
-        if !self.active.is_empty() {
-            let mut keep = 0;
-            for k in 0..self.active.len() {
-                let l = self.active[k];
-                if self.every[l] {
-                    self.active[keep] = l;
-                    keep += 1;
-                    woken.push(l);
-                }
-            }
-            self.active.truncate(keep);
-        }
-        // Ascending index order — the reference tick order restricted to
-        // the woken set (skipped components' ticks are no-ops by the
-        // `next_wake` contract, so the interleaving is equivalent). When
-        // only the (sorted, duplicate-free) always-on sweep contributed,
-        // the order is already right.
-        if heap_woken > 0 {
-            woken.sort_unstable();
-            woken.dedup();
-        }
-        for &l in &woken {
-            match self.tick_one(l) {
-                Wake::EveryCycle => {
-                    if !self.every[l] {
-                        self.every[l] = true;
-                        self.every_count += 1;
-                        let pos = self.active.partition_point(|&x| x < l);
-                        self.active.insert(pos, l);
+            self.woken[word] = 0;
+            while bits != 0 {
+                let l = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                match self.tick_one(l) {
+                    Wake::EveryCycle => {
+                        let bit = 1 << (l % 64);
+                        if self.every[word] & bit == 0 {
+                            self.every[word] |= bit;
+                            self.every_count += 1;
+                        }
                     }
+                    Wake::At(t) => {
+                        self.unevery(l);
+                        self.arm(l, t.max(c + 1));
+                    }
+                    Wake::OnMessage => self.unevery(l),
                 }
-                Wake::At(t) => {
-                    self.unevery(l);
-                    self.arm(l, t.max(c + 1));
-                }
-                Wake::OnMessage => self.unevery(l),
             }
         }
-        self.woken = woken;
         delivered_now
     }
 

@@ -558,16 +558,22 @@ pub mod json {
         }
     }
 
+    /// Deepest nesting of arrays and objects [`parse`] accepts. The
+    /// parser recurses once per level, so without a cap a long run of
+    /// `[` would overflow the stack instead of failing.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses a complete JSON document.
     ///
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax error,
-    /// including trailing garbage after the document.
+    /// including trailing garbage after the document and an array or
+    /// object nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -590,12 +596,16 @@ pub mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    /// Parses the value at `pos`, inside `depth` open arrays and objects.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             None => Err("unexpected end of input".to_string()),
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+            )),
+            Some(b'{') => parse_object(bytes, pos, depth + 1),
+            Some(b'[') => parse_array(bytes, pos, depth + 1),
             Some(b'"') => parse_string(bytes, pos).map(Value::Str),
             Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
             Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -687,7 +697,7 @@ pub mod json {
         }
     }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(bytes, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(bytes, pos);
@@ -696,7 +706,7 @@ pub mod json {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(parse_value(bytes, pos)?);
+            items.push(parse_value(bytes, pos, depth)?);
             skip_ws(bytes, pos);
             match bytes.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -709,7 +719,7 @@ pub mod json {
         }
     }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(bytes, pos, b'{')?;
         let mut members = Vec::new();
         skip_ws(bytes, pos);
@@ -722,7 +732,7 @@ pub mod json {
             let key = parse_string(bytes, pos)?;
             skip_ws(bytes, pos);
             expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
+            let value = parse_value(bytes, pos, depth)?;
             members.push((key, value));
             skip_ws(bytes, pos);
             match bytes.get(*pos) {

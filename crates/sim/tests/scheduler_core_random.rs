@@ -9,6 +9,11 @@
 //! third seed) a never-busy every-cycle sampler, wired with delays on
 //! both sides of the delay wheel's 512-slot range, under a random dense
 //! partition whose lookahead is the minimum cross-domain edge delay.
+//!
+//! A second family adds movers, whose `At` target a message arrival
+//! moves later or earlier, so stale timed wakes are left behind inside
+//! and beyond the wheel's range. There the event-driven driver must tick
+//! no node that has nothing due and execute no cycle that ticks nothing.
 
 use netcrafter_proto::{Message, NodeId};
 use netcrafter_sim::{
@@ -41,6 +46,11 @@ const DELAYS: [u64; 12] = [1, 2, 3, 5, 17, 37, 100, 511, 512, 513, 700, 1500];
 /// Log payload of a timer firing (receipts log the message payload).
 const TIMER: u32 = u32::MAX;
 
+/// How far ahead a `Mover` sets its timer, taken in turn on every move:
+/// later and earlier than the previous target, inside and beyond the
+/// 512-slot wheel.
+const MOVES: [u64; 6] = [600, 20, 3000, 5, 480, 1500];
+
 #[derive(Clone, Copy)]
 enum Kind {
     /// Sleeps until a message arrives; forwards it while hops remain.
@@ -54,6 +64,14 @@ enum Kind {
     Busy { left: u32 },
     /// Never busy, ticks every cycle: its tick count is the end cycle.
     Sampler,
+    /// Sleeps until an `At` target that every message arrival moves to
+    /// the next `MOVES` offset from now; fires (logs and sends) `left`
+    /// times.
+    Mover {
+        target: Cycle,
+        left: u32,
+        moves: usize,
+    },
 }
 
 #[derive(Clone)]
@@ -64,6 +82,9 @@ struct Node {
     edges: Vec<(usize, u64)>,
     sent: usize,
     ticks: u64,
+    /// Ticks after cycle 1 that found no message, no due timer and no
+    /// every-cycle work.
+    idle: u64,
     log: Vec<(Cycle, u32)>,
 }
 
@@ -87,18 +108,35 @@ impl Component for Node {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         self.ticks += 1;
         let now = ctx.cycle();
+        let mut due = now == 1
+            || match self.kind {
+                Kind::Pulse { next, left, .. } | Kind::Recorder { next, left, .. } => {
+                    left > 0 && now >= next
+                }
+                Kind::Mover { target, left, .. } => left > 0 && now >= target,
+                Kind::Busy { left } => left > 0,
+                Kind::Sampler => true,
+                Kind::Relay { .. } => false,
+            };
         while let Some(msg) = ctx.recv() {
+            due = true;
             let Message::Credit { count, .. } = msg else {
                 unreachable!("only credits circulate");
             };
             self.log.push((now, count));
-            if let Kind::Relay { hops } = &mut self.kind {
-                if *hops > 0 {
+            match &mut self.kind {
+                Kind::Relay { hops } if *hops > 0 => {
                     *hops -= 1;
                     self.send(ctx, count);
                 }
+                Kind::Mover { target, moves, .. } => {
+                    *moves += 1;
+                    *target = now + MOVES[*moves % MOVES.len()];
+                }
+                _ => {}
             }
         }
+        self.idle += u64::from(!due);
         match self.kind {
             Kind::Pulse { period, next, left } if left > 0 && now >= next => {
                 self.kind = Kind::Pulse {
@@ -122,15 +160,29 @@ impl Component for Node {
                     self.send(ctx, self.id * 1000 + left);
                 }
             }
+            Kind::Mover {
+                target,
+                left,
+                moves,
+            } if left > 0 && now >= target => {
+                self.kind = Kind::Mover {
+                    target: now + MOVES[(moves + 1) % MOVES.len()],
+                    left: left - 1,
+                    moves: moves + 1,
+                };
+                self.log.push((now, TIMER));
+                self.send(ctx, self.id * 1000 + left);
+            }
             _ => {}
         }
     }
 
     fn busy(&self) -> bool {
         match self.kind {
-            Kind::Pulse { left, .. } | Kind::Recorder { left, .. } | Kind::Busy { left } => {
-                left > 0
-            }
+            Kind::Pulse { left, .. }
+            | Kind::Recorder { left, .. }
+            | Kind::Busy { left }
+            | Kind::Mover { left, .. } => left > 0,
             Kind::Relay { .. } | Kind::Sampler => false,
         }
     }
@@ -141,15 +193,21 @@ impl Component for Node {
 
     fn next_wake(&self, _now: Cycle) -> Wake {
         match self.kind {
-            Kind::Pulse { next, left, .. } | Kind::Recorder { next, left, .. } if left > 0 => {
-                Wake::At(next)
-            }
+            Kind::Pulse { next, left, .. }
+            | Kind::Recorder { next, left, .. }
+            | Kind::Mover {
+                target: next, left, ..
+            } if left > 0 => Wake::At(next),
             Kind::Busy { left } if left > 0 => Wake::EveryCycle,
             Kind::Sampler => Wake::EveryCycle,
             _ => Wake::OnMessage,
         }
     }
 }
+
+/// What two drivers must agree on: the end cycle, the delivery count and
+/// every node's receipt log.
+type Observed = (Cycle, u64, Vec<Vec<(Cycle, u32)>>);
 
 /// One random scenario: the nodes, the external injections, and a dense
 /// partition per domain count.
@@ -191,6 +249,7 @@ impl Scenario {
                     edges,
                     sent: 0,
                     ticks: 0,
+                    idle: 0,
                     log: Vec::new(),
                 }
             })
@@ -205,6 +264,23 @@ impl Scenario {
             })
             .collect();
         Scenario { nodes, injections }
+    }
+
+    /// `draw(seed)` with node 0 and about a third of the rest turned
+    /// into movers.
+    fn with_movers(seed: u64) -> Scenario {
+        let mut scenario = Scenario::draw(seed);
+        let mut rng = SplitMix64(seed ^ 0x5EED_3057);
+        for (i, node) in scenario.nodes.iter_mut().enumerate() {
+            if i == 0 || rng.below(3) == 0 {
+                node.kind = Kind::Mover {
+                    target: 1 + rng.below(700),
+                    left: 1 + rng.below(5) as u32,
+                    moves: rng.below(MOVES.len() as u64) as usize,
+                };
+            }
+        }
+        scenario
     }
 
     /// A random dense assignment to `domains` domains with the tightest
@@ -253,13 +329,18 @@ impl Scenario {
     }
 
     /// Runs `engine` to quiescence and returns everything compared.
-    fn observe(&self, mut engine: Engine) -> (Cycle, u64, Vec<Vec<(Cycle, u32)>>) {
+    fn observe(&self, mut engine: Engine) -> Observed {
         for &(dst, payload, delay) in &self.injections {
             engine.inject(ComponentId(dst), credit(payload), delay);
         }
         let end = engine.run_to_quiescence(10_000_000);
+        Self::harvest(&engine, end)
+    }
+
+    /// What `observe` compares, read from an engine that ran to `end`.
+    fn harvest(engine: &Engine, end: Cycle) -> Observed {
         let mut logs = Vec::new();
-        for i in 0..self.nodes.len() {
+        for i in 0..engine.len() {
             let node = engine.get::<Node>(ComponentId(i)).expect("node installed");
             if matches!(node.kind, Kind::Sampler) {
                 assert_eq!(node.ticks, end, "the sampler ticks on every cycle run");
@@ -300,21 +381,105 @@ fn legacy_event_driven_and_pdes_agree_on_random_graphs() {
     }
 }
 
+/// Runs `engine` to quiescence under its current scheduler, counting the
+/// cycles it executes through `run_while`'s condition (evaluated once
+/// before each executed cycle). Fails on an executed cycle that ticked
+/// no component. Returns what `observe` compares and the executed-cycle
+/// count.
+fn run_counting_steps(
+    mut engine: Engine,
+    injections: &[(usize, u32, u64)],
+) -> (Observed, u64, Engine) {
+    for &(dst, payload, delay) in injections {
+        engine.inject(ComponentId(dst), credit(payload), delay);
+    }
+    let mut last = (engine.cycle(), engine.ticks_executed());
+    let mut steps = 0u64;
+    let mut empty = Vec::new();
+    let end = engine.run_while(10_000_000, |e| {
+        let now = (e.cycle(), e.ticks_executed());
+        if now.0 != last.0 {
+            steps += 1;
+            if now.1 == last.1 {
+                empty.push(now.0);
+            }
+        }
+        last = now;
+        true
+    });
+    assert!(engine.quiescent(), "the run stopped at the cycle limit");
+    assert!(empty.is_empty(), "cycles executed with no tick: {empty:?}");
+    (Scenario::harvest(&engine, end), steps, engine)
+}
+
+#[test]
+fn stale_wakes_cost_no_tick_and_no_executed_cycle() {
+    for seed in 1..=32u64 {
+        let scenario = Scenario::with_movers(seed);
+        let mut legacy = scenario.build();
+        legacy.set_scheduler(SchedulerMode::Legacy);
+        let reference = scenario.observe(legacy);
+
+        let (observed, _, engine) = run_counting_steps(scenario.build(), &scenario.injections);
+        assert!(
+            observed == reference,
+            "seed {seed}: event-driven diverges from Legacy"
+        );
+        for i in 0..engine.len() {
+            let node = engine.get::<Node>(ComponentId(i)).expect("node installed");
+            assert_eq!(
+                node.idle, 0,
+                "seed {seed}: node {i} ticked {} time(s) with nothing due",
+                node.idle
+            );
+        }
+    }
+}
+
+#[test]
+fn a_far_sleeper_and_one_far_delivery_execute_three_cycles() {
+    let node = |kind, edges| Node {
+        id: 0,
+        kind,
+        edges,
+        sent: 0,
+        ticks: 0,
+        idle: 0,
+        log: Vec::new(),
+    };
+    let mut b = EngineBuilder::new();
+    // Cycle 1 ticks everything; the sleeper's timer is 100 000 cycles
+    // out, and the relay forwards nothing.
+    let sleeper = Kind::Recorder {
+        period: 1,
+        next: 100_001,
+        left: 1,
+    };
+    b.add(Box::new(node(sleeper, vec![(0, 1)])));
+    b.add(Box::new(node(Kind::Relay { hops: 0 }, vec![(0, 1)])));
+    let (observed, steps, _) = run_counting_steps(b.build(), &[(1, 7, 700)]);
+    assert_eq!(steps, 3, "cycles 1, 700 and 100 001");
+    assert_eq!(observed.0, 100_001);
+    assert_eq!(observed.2, [vec![(100_001, TIMER)], vec![(700, 7)]]);
+}
+
 #[test]
 fn scenarios_cover_the_overflow_path_and_every_component_kind() {
-    let mut seen = [false; 5];
+    let mut seen = [false; 6];
     let mut long_delay = false;
     for seed in 1..=32u64 {
-        let scenario = Scenario::draw(seed);
-        for node in &scenario.nodes {
-            seen[match node.kind {
-                Kind::Relay { .. } => 0,
-                Kind::Pulse { .. } => 1,
-                Kind::Recorder { .. } => 2,
-                Kind::Busy { .. } => 3,
-                Kind::Sampler => 4,
-            }] = true;
-            long_delay |= node.edges.iter().any(|&(_, d)| d >= 512);
+        for scenario in [Scenario::draw(seed), Scenario::with_movers(seed)] {
+            for node in &scenario.nodes {
+                seen[match node.kind {
+                    Kind::Relay { .. } => 0,
+                    Kind::Pulse { .. } => 1,
+                    Kind::Recorder { .. } => 2,
+                    Kind::Busy { .. } => 3,
+                    Kind::Sampler => 4,
+                    Kind::Mover { .. } => 5,
+                }] = true;
+                long_delay |= node.edges.iter().any(|&(_, d)| d >= 512);
+            }
         }
     }
     assert!(seen.iter().all(|&s| s), "a component kind never occurs");

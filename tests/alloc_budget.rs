@@ -42,12 +42,12 @@ static GLOBAL: Counting = Counting;
 /// `(workload, variant, build, run)`: what `System::build` and
 /// `System::run` allocated.
 const BUDGET: [(Workload, SystemVariant, u64, u64); 6] = [
-    (Workload::Gups, SystemVariant::Baseline, 548, 5_682),
-    (Workload::Gups, SystemVariant::NetCrafter, 548, 5_594),
-    (Workload::Mt, SystemVariant::Baseline, 549, 2_295),
-    (Workload::Mt, SystemVariant::NetCrafter, 549, 2_123),
-    (Workload::Spmv, SystemVariant::Baseline, 550, 3_970),
-    (Workload::Spmv, SystemVariant::NetCrafter, 550, 3_711),
+    (Workload::Gups, SystemVariant::Baseline, 545, 5_675),
+    (Workload::Gups, SystemVariant::NetCrafter, 545, 5_587),
+    (Workload::Mt, SystemVariant::Baseline, 546, 2_288),
+    (Workload::Mt, SystemVariant::NetCrafter, 546, 2_116),
+    (Workload::Spmv, SystemVariant::Baseline, 547, 3_963),
+    (Workload::Spmv, SystemVariant::NetCrafter, 547, 3_704),
 ];
 
 #[test]
