@@ -21,7 +21,11 @@
 # sampled_port_pushed_after_sleeping_matches_per_cycle_ticks,
 # synthetic.rs's sources_sleep_between_tokens_and_schedulers_agree); the gated
 # cycle/tick counts (ci/BENCH_*.baseline.json), --jobs, the disk cache,
-# prefix-shared sweeps and the checkpoint files of the `simulate` binary
+# prefix-shared sweeps (parallel_runner.rs's two panicking-sweep tests
+# referee the runner's task channel: a job or a representative that
+# panics ends a two-worker sweep; prefix_sweep.rs's
+# prefix_counts_are_the_job_stat_tallies holds the derived prefix
+# counts to the job stats) and the checkpoint files of the `simulate` binary
 # (one restores into its own run only; another seed, workload, link
 # bandwidth or CU count exits 2) in crates/bench/tests/; the snapshot run
 # id (snapshot_corruption.rs: another run's snapshot fails WrongRun, a

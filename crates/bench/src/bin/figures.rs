@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use netcrafter_bench::{figures, stats_report, Cli, Runner};
+use netcrafter_bench::{figures, Cli, Runner};
 
 const USAGE: &str = "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--threads N] \
      [--cache-dir DIR] [--warmup CYCLES] <id>... | all";
@@ -122,6 +122,5 @@ fn main() {
         );
     }
     eprintln!("[total {:.1?}]", t0.elapsed());
-    eprint!("{}", stats_report(&runner.job_stats()));
-    eprint!("{}", runner.prefix_stats().report());
+    eprint!("{}", runner.report());
 }

@@ -26,13 +26,14 @@
 //! `chrome://tracing` or Perfetto), optionally filtered by
 //! `--trace-filter "comp=...;class=...;cycles=a..b"`. `--timeseries FILE`
 //! records per-link bandwidth/occupancy curves as JSONL with
-//! `--sample-window`-cycle buckets. Both force a fresh (uncached) run and
-//! are ignored by `--variant all`.
+//! `--sample-window`-cycle buckets. Both force a fresh (uncached) run;
+//! a filter without `--trace` or a window without `--timeseries` is
+//! refused.
 //!
 //! `--checkpoint-at CYCLE --checkpoint-dir DIR` pauses the simulation at
-//! the first epoch barrier at or after CYCLE, writes the full engine
-//! state to `DIR/ckpt-<config hash>-<cycle>.bin` and runs on to
-//! completion; the two flags only go together. `--restore-from FILE`
+//! CYCLE (at least 1), or earlier if the run quiesces first, writes the
+//! full engine state to `DIR/ckpt-<config hash>-<cycle>.bin` and runs on
+//! to completion; the two flags only go together. `--restore-from FILE`
 //! resumes from such a file instead of simulating from cycle 0; a file
 //! of another run (configuration, workload, scale or seed) fails with
 //! exit code 2 before anything is simulated.
@@ -40,14 +41,14 @@
 //! uninterrupted run. A snapshot holds simulated state only, so the
 //! file is the same with or without `--trace`/`--timeseries`, and a
 //! restored run takes any of them: it records the cycles it simulates,
-//! from the resume cycle on. All three flags pause and resume *one*
-//! run, so `--variant all` refuses them.
+//! from the resume cycle on. The checkpoint and observability flags all
+//! act on *one* run, so `--variant all` refuses them.
 
 use netcrafter_bench::cache::write_atomic;
-use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
-use netcrafter_bench::{f2, pct, stats_report, ticks_line, Cli, Runner, Table, TraceArgs};
-use netcrafter_multigpu::{CheckpointPlan, SystemVariant};
+use netcrafter_bench::{f2, pct, ticks_line, Cli, Runner, Table};
+use netcrafter_multigpu::{CheckpointPlan, SystemVariant, TraceData, TraceOptions};
 use netcrafter_proto::{fnv1a64, SystemConfig, TopologyConfig};
+use netcrafter_sim::TraceConfig;
 use netcrafter_workloads::{Scale, Workload};
 
 fn parse_variant(s: &str) -> Option<SystemVariant> {
@@ -86,7 +87,7 @@ const USAGE: &str = "usage: simulate [--workload NAME] [--variant V|all] [--cus 
      [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N]\n\
      variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all";
 
-const VALUE_FLAGS: [&str; 17] = [
+const VALUE_FLAGS: [&str; 21] = [
     "--workload",
     "--variant",
     "--cus",
@@ -104,12 +105,75 @@ const VALUE_FLAGS: [&str; 17] = [
     "--checkpoint-dir",
     "--restore-from",
     "--csv",
+    "--trace",
+    "--timeseries",
+    "--trace-filter",
+    "--sample-window",
 ];
 
+/// The flags that pause, resume or observe one run (`--checkpoint-dir`
+/// only comes with `--checkpoint-at`).
+const ONE_RUN_FLAGS: [&str; 6] = [
+    "--checkpoint-at",
+    "--restore-from",
+    "--trace",
+    "--timeseries",
+    "--trace-filter",
+    "--sample-window",
+];
+
+/// Time-series bucket width when `--sample-window` is absent.
+const DEFAULT_SAMPLE_WINDOW: u64 = 1000;
+
+/// What `--trace FILE` (filtered by `--trace-filter SPEC`) and
+/// `--timeseries FILE` (in `--sample-window N`-cycle buckets) ask a run
+/// to record; `None` when neither output was asked for.
+///
+/// # Errors
+///
+/// The usage error of a window of 0 cycles, a filter without `--trace`,
+/// a window without `--timeseries` or a filter [`TraceConfig::parse`]
+/// rejects.
+fn trace_options(cli: &Cli) -> Result<Option<TraceOptions>, String> {
+    let (trace, series) = (cli.value("--trace"), cli.value("--timeseries"));
+    let (filter, window) = (cli.value("--trace-filter"), cli.parsed("--sample-window"));
+    if window == Some(0) {
+        return Err("--sample-window expects a positive cycle count".into());
+    }
+    if filter.is_some() && trace.is_none() {
+        return Err("--trace-filter needs --trace FILE".into());
+    }
+    if window.is_some() && series.is_none() {
+        return Err("--sample-window needs --timeseries FILE".into());
+    }
+    if trace.is_none() && series.is_none() {
+        return Ok(None);
+    }
+    let filter = filter.map(TraceConfig::parse).transpose();
+    let filter = filter.map_err(|e| format!("--trace-filter: {e}"))?;
+    Ok(Some(TraceOptions {
+        config: trace.map(|_| filter.unwrap_or_default()),
+        sample_window: series.map(|_| window.unwrap_or(DEFAULT_SAMPLE_WINDOW)),
+    }))
+}
+
+/// Writes what a traced run recorded to the `--trace` and `--timeseries`
+/// paths, reporting each file on stderr.
+fn write_recorded(cli: &Cli, data: &TraceData) -> std::io::Result<()> {
+    if let Some(path) = cli.value("--trace") {
+        std::fs::write(path, data.trace.to_chrome_json())?;
+        let (events, tracks) = (data.trace.events.len(), data.trace.tracks.len());
+        eprintln!("trace: {events} events on {tracks} tracks written to {path}");
+    }
+    if let Some(path) = cli.value("--timeseries") {
+        std::fs::write(path, data.links_to_jsonl())?;
+        eprintln!("timeseries: {} links written to {path}", data.links.len());
+    }
+    Ok(())
+}
+
 fn main() {
-    let mut value_flags = VALUE_FLAGS.to_vec();
-    value_flags.extend(TRACE_VALUE_FLAGS);
-    let cli = Cli::from_env(USAGE, &value_flags, &["--dump-metrics"]);
+    let cli = Cli::from_env(USAGE, &VALUE_FLAGS, &["--dump-metrics"]);
     if let Some(stray) = cli.positionals().first() {
         cli.fail(&format!("unexpected argument {stray:?}"));
     }
@@ -138,11 +202,15 @@ fn main() {
     match (checkpoint_at, checkpoint_dir) {
         (Some(_), None) => cli.fail("--checkpoint-at needs --checkpoint-dir DIR to write to"),
         (None, Some(_)) => cli.fail("--checkpoint-dir needs --checkpoint-at CYCLE"),
+        (Some(0), _) => cli.fail("--checkpoint-at expects a positive cycle: a run starts at 0"),
         _ => {}
     }
-    if sweep_all && (checkpoint_at.is_some() || restore_path.is_some()) {
-        cli.fail("--checkpoint-at and --restore-from pause and resume one run, not --variant all");
+    if sweep_all {
+        if let Some(flag) = ONE_RUN_FLAGS.iter().find(|f| cli.value(f).is_some()) {
+            cli.fail(&format!("{flag} acts on one run, not --variant all"));
+        }
     }
+    let trace = trace_options(&cli).unwrap_or_else(|e| cli.fail(&e));
 
     let mut cfg = SystemConfig::small(cli.parsed("--cus").unwrap_or(8));
     // --topology is the fabric's shape; the bandwidth knobs below
@@ -221,11 +289,9 @@ fn main() {
             ]);
         }
         println!("{t}");
-        eprint!("{}", stats_report(&runner.job_stats()));
+        eprint!("{}", runner.report());
         return;
     }
-
-    let trace_args = TraceArgs::parse(&cli);
 
     eprintln!(
         "simulating {workload} / {} on {} clusters x {} GPUs x {} CUs …",
@@ -234,7 +300,7 @@ fn main() {
         runner.base_cfg.topology.gpus_per_cluster,
         runner.base_cfg.cus_per_gpu,
     );
-    let (r, footer) = if trace_args.active() || checkpoint_at.is_some() || restore_path.is_some() {
+    let (r, footer) = if trace.is_some() || checkpoint_at.is_some() || restore_path.is_some() {
         // Paused, resumed and traced runs drive the experiment directly:
         // all three must actually simulate, not replay the result cache.
         let snapshot = restore_path.map(|path| {
@@ -247,12 +313,6 @@ fn main() {
             resume_from: snapshot.as_deref(),
             pause_at: checkpoint_at,
         };
-        let opts = trace_args.active().then(|| {
-            trace_args.options().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        });
         if let Some(dir) = checkpoint_dir {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| {
                 eprintln!("cannot open checkpoint dir {dir}: {e}");
@@ -260,7 +320,7 @@ fn main() {
             });
         }
         let job = runner.job(workload, variant);
-        let run = job.run_planned(plan, opts.as_ref()).unwrap_or_else(|e| {
+        let run = job.run_planned(plan, trace.as_ref()).unwrap_or_else(|e| {
             eprintln!(
                 "error: cannot restore {}: {e}",
                 restore_path.unwrap_or_default()
@@ -273,7 +333,7 @@ fn main() {
                 run.resumed_at
             );
         }
-        if let Some(dir) = checkpoint_dir {
+        if let (Some(dir), Some(at)) = (checkpoint_dir, checkpoint_at) {
             match &run.snapshot {
                 Some(taken) => {
                     let path = std::path::Path::new(dir).join(format!(
@@ -291,11 +351,17 @@ fn main() {
                         path.display()
                     );
                 }
-                None => eprintln!("no checkpoint taken: the restored snapshot is past that cycle"),
+                // A cold run always pauses at a positive cycle: only a
+                // restore can start at or past it.
+                None => eprintln!(
+                    "no checkpoint taken: {} resumes at cycle {}, not before {at}",
+                    restore_path.unwrap_or_default(),
+                    run.resumed_at
+                ),
             }
         }
         if let Some(data) = &run.recorded {
-            trace_args.write(data).unwrap_or_else(|e| {
+            write_recorded(&cli, data).unwrap_or_else(|e| {
                 eprintln!("cannot write trace output: {e}");
                 std::process::exit(1);
             });
@@ -304,7 +370,7 @@ fn main() {
         (std::sync::Arc::new(run.result), footer)
     } else {
         let r = runner.sweep(&[runner.job(workload, variant)]).remove(0);
-        (r, stats_report(&runner.job_stats()))
+        (r, runner.report())
     };
 
     println!(
@@ -358,5 +424,55 @@ fn main() {
             std::process::exit(1);
         });
         eprintln!("metrics written to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn options(s: &[&str]) -> Result<Option<TraceOptions>, String> {
+        let args: Vec<String> = s.iter().map(ToString::to_string).collect();
+        let cli = Cli::parse(&args, "usage", &VALUE_FLAGS, &["--dump-metrics"]).expect("valid");
+        trace_options(&cli)
+    }
+
+    #[test]
+    fn parses_all_flags() {
+        let opts = options(&[
+            "--trace",
+            "t.json",
+            "--timeseries",
+            "ts.jsonl",
+            "--trace-filter",
+            "class=flit",
+            "--sample-window",
+            "500",
+        ]);
+        let opts = opts.unwrap().expect("outputs asked for");
+        assert!(opts.config.is_some_and(|c| c != TraceConfig::default()));
+        assert_eq!(opts.sample_window, Some(500));
+    }
+
+    #[test]
+    fn absent_flags_mean_inactive() {
+        assert!(options(&["--workload", "GUPS", "--dump-metrics"])
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn timeseries_without_window_uses_default() {
+        let opts = options(&["--timeseries", "ts.jsonl"])
+            .unwrap()
+            .expect("sampled");
+        assert_eq!(opts.sample_window, Some(DEFAULT_SAMPLE_WINDOW));
+        assert!(opts.config.is_none(), "no --trace, no event tracing");
+    }
+
+    #[test]
+    fn bad_filter_surfaces_parse_error() {
+        let e = options(&["--trace", "t.json", "--trace-filter", "class=nope"]).unwrap_err();
+        assert!(e.starts_with("--trace-filter: unknown event class"), "{e}");
     }
 }

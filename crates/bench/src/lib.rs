@@ -27,11 +27,10 @@
 pub mod cache;
 pub mod cli;
 pub mod figures;
-pub mod traceio;
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use netcrafter_multigpu::{CheckpointPlan, Experiment, RunResult, SystemVariant};
@@ -41,7 +40,6 @@ use netcrafter_workloads::{Scale, Workload};
 
 pub use cache::DiskCache;
 pub use cli::Cli;
-pub use traceio::TraceArgs;
 
 /// Geometric mean of strictly positive values (0.0 for an empty slice).
 pub fn geomean(values: &[f64]) -> f64 {
@@ -188,83 +186,15 @@ impl JobStat {
             messages: 0,
         }
     }
-
-    /// Simulation throughput in cycles per wall-clock second (0.0 for an
-    /// instantaneous replay).
-    pub fn cycles_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.exec_cycles as f64 / secs
-        }
-    }
 }
 
-/// Renders job stats as a human-readable report: one line per resolved
-/// job plus a totals line (fresh vs disk-replayed, aggregate throughput).
-pub fn stats_report(stats: &[JobStat]) -> String {
-    let mut out = String::new();
-    let mut fresh = 0usize;
-    let mut forked = 0usize;
-    let mut replayed = 0usize;
-    let mut shared = 0usize;
-    let mut total_wall = Duration::ZERO;
-    let mut total_cycles = 0u64;
-    let (mut total_ticks, mut total_messages) = (0u64, 0u64);
-    for s in stats {
-        let src = match s.source {
-            JobSource::Fresh => "sim",
-            JobSource::Forked => "fork",
-            JobSource::DiskHit => "disk",
-            JobSource::Shared => "dup",
-        };
-        let resumed = if s.resumed_at > 0 {
-            format!("  resumed from cycle {}", s.resumed_at)
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  {:<40} {src:>4}  {:>9.1?}  {:>12} cyc  {:>7.1} Mcyc/s{resumed}\n",
-            s.memo_key,
-            s.wall,
-            s.exec_cycles,
-            s.cycles_per_sec() / 1e6,
-        ));
-        match s.source {
-            JobSource::Fresh | JobSource::Forked => {
-                fresh += 1;
-                if s.source == JobSource::Forked {
-                    forked += 1;
-                }
-                total_wall += s.wall;
-                total_cycles += s.exec_cycles;
-                total_ticks += s.ticks;
-                total_messages += s.messages;
-            }
-            JobSource::DiskHit => replayed += 1,
-            JobSource::Shared => shared += 1,
-        }
-    }
-    let rate = if total_wall.is_zero() {
+/// `n` per second of `over` (0.0 over no time at all: a replay).
+fn per_sec(n: u64, over: Duration) -> f64 {
+    if over.is_zero() {
         0.0
     } else {
-        total_cycles as f64 / total_wall.as_secs_f64() / 1e6
-    };
-    out.push_str(&format!(
-        "  {fresh} simulated ({total_cycles} cycles in {total_wall:.1?} cpu-time, \
-         {rate:.1} Mcyc/s), {replayed} replayed from disk\n",
-    ));
-    if total_ticks > 0 {
-        out.push_str(&ticks_line(total_ticks, total_messages));
+        n as f64 / over.as_secs_f64()
     }
-    if forked + shared > 0 {
-        out.push_str(&format!(
-            "  {forked} of the simulations resumed from an in-memory prefix fork, \
-             {shared} duplicate job(s) shared one execution\n",
-        ));
-    }
-    out
 }
 
 /// The footer line on engine work: component ticks executed and ticks
@@ -279,7 +209,7 @@ pub fn ticks_line(ticks: u64, messages: u64) -> String {
 /// prefix groups, in-memory forks, duplicate aliasing, and the wall-clock
 /// the sweeps took end to end. Retrieved via [`Runner::prefix_stats`];
 /// all counters accumulate across every [`Runner::sweep`] call on the
-/// runner.
+/// runner, and the three job counts are tallies of [`Runner::job_stats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrefixStats {
     /// Prefix groups planned (two or more jobs sharing a warmup window).
@@ -291,12 +221,14 @@ pub struct PrefixStats {
     /// Wall-clock of the fork-capturing representative runs (full runs,
     /// not just their warmup windows).
     pub prefix_wall: Duration,
-    /// Jobs that resumed from an in-memory fork instead of cycle 0.
+    /// Jobs that resumed from an in-memory fork instead of cycle 0: the
+    /// [`JobSource::Forked`] stats.
     pub forked_jobs: usize,
     /// Display names answered by a result another name produced
     /// (identical cache key): the [`JobSource::Shared`] stats.
     pub shared_jobs: usize,
-    /// Fresh simulations executed (cold and forked alike).
+    /// Fresh simulations executed (cold and forked alike): the
+    /// [`JobSource::Fresh`] and [`JobSource::Forked`] stats.
     pub simulated_jobs: usize,
     /// Jobs requested across all sweeps (memo hits included).
     pub swept_jobs: usize,
@@ -314,33 +246,20 @@ impl PrefixStats {
             self.forked_jobs as f64 / self.simulated_jobs as f64
         }
     }
+}
 
-    /// Jobs resolved per wall-clock second of sweeping.
-    pub fn jobs_per_sec(&self) -> f64 {
-        let secs = self.sweep_wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.swept_jobs as f64 / secs
-        }
-    }
-
-    /// One-line footer for the `figures` stats report.
-    pub fn report(&self) -> String {
-        format!(
-            "  sweep wall-clock {:.1?} ({:.1} jobs/s): {} prefix group(s), \
-             {} fork-capturing representative(s) in {:.1?}, {} forked, {} deduped \
-             (prefix-hit ratio {:.2})\n",
-            self.sweep_wall,
-            self.jobs_per_sec(),
-            self.groups,
-            self.prefix_runs,
-            self.prefix_wall,
-            self.forked_jobs,
-            self.shared_jobs,
-            self.hit_ratio(),
-        )
-    }
+/// Everything a [`Runner`] has resolved, behind its one lock: the memo,
+/// the job stats and the counters only a sweep knows.
+#[derive(Default)]
+struct Record {
+    /// [`Experiment::cache_key`] → result.
+    memo: HashMap<String, Arc<RunResult>>,
+    /// One stat per resolved display name, in completion order.
+    stats: Vec<JobStat>,
+    /// `groups`, `prefix_runs`, `prefix_wall`, `swept_jobs` and
+    /// `sweep_wall`; the job counts stay 0 here, since
+    /// [`Runner::prefix_stats`] reads them off `stats`.
+    sweeps: PrefixStats,
 }
 
 /// Memoizing experiment executor shared by all figure generators.
@@ -388,10 +307,8 @@ pub struct Runner {
     /// results are byte-identical either way, so this is host-side
     /// tuning, not a simulation input.
     pub prefix_share: bool,
-    memo: Mutex<HashMap<String, Arc<RunResult>>>,
     disk: Option<DiskCache>,
-    stats: Mutex<Vec<JobStat>>,
-    prefix: Mutex<PrefixStats>,
+    state: Mutex<Record>,
 }
 
 impl Runner {
@@ -418,10 +335,8 @@ impl Runner {
             jobs: 1,
             threads: 1,
             prefix_share: true,
-            memo: Mutex::new(HashMap::new()),
             disk: None,
-            stats: Mutex::new(Vec::new()),
-            prefix: Mutex::new(PrefixStats::default()),
+            state: Mutex::default(),
         }
     }
 
@@ -483,12 +398,19 @@ impl Runner {
         }
     }
 
+    /// The runner's one lock. No simulation runs while it is held, so a
+    /// panicking job cannot poison it.
+    fn lock(&self) -> MutexGuard<'_, Record> {
+        self.state
+            .lock()
+            .expect("no simulation runs under the runner's lock")
+    }
+
     /// Resolves one job of a sweep, known by its `key`
-    /// ([`Experiment::cache_key`]), through memo → disk → simulation, in
-    /// one of the plan tree's two fork roles: when `fork` is `Some`, a
-    /// fresh simulation restores it and resumes from the fork's cycle
-    /// instead of stepping from 0; when `fork_at` is `Some` (a group
-    /// representative), the simulation pauses there, captures an
+    /// ([`Experiment::cache_key`]), through memo → disk → simulation
+    /// under `plan`, in one of the plan tree's two fork roles: a group
+    /// member's plan resumes from its group's fork instead of stepping
+    /// from 0; a representative's plan pauses at `pause_at`, captures an
     /// in-memory fork for its group mates — returned alongside the
     /// result — and continues. The forks only shortcut the simulations
     /// themselves, so results stay byte-identical to cold runs.
@@ -496,10 +418,9 @@ impl Runner {
         &self,
         job: &Experiment,
         key: &str,
-        fork: Option<&ForkSnapshot>,
-        fork_at: Option<u64>,
+        plan: CheckpointPlan<'_>,
     ) -> (Arc<RunResult>, Option<ForkSnapshot>) {
-        if let Some(hit) = self.memo.lock().unwrap().get(key) {
+        if let Some(hit) = self.lock().memo.get(key) {
             return (Arc::clone(hit), None);
         }
         let name = job.memo_key();
@@ -511,10 +432,6 @@ impl Runner {
         if self.verbose {
             eprintln!("  running {name} …");
         }
-        let plan = CheckpointPlan {
-            resume_from: fork.map(ForkSnapshot::bytes),
-            pause_at: fork_at,
-        };
         let run = job.run_planned(plan, None).unwrap_or_else(|e| {
             // Prefix sharing is an optimization, never a correctness
             // dependency: a fork that does not restore costs a cold run.
@@ -540,13 +457,6 @@ impl Runner {
                 eprintln!("warning: cannot persist {name}: {e}");
             }
         }
-        {
-            let mut prefix = self.prefix.lock().unwrap();
-            prefix.simulated_jobs += 1;
-            if forked {
-                prefix.forked_jobs += 1;
-            }
-        }
         let stat = JobStat {
             memo_key: name,
             source: if forked {
@@ -564,14 +474,13 @@ impl Runner {
         (self.record(key, stat, result), run.snapshot)
     }
 
-    /// Records `stat` and memoizes `result` under `key`.
+    /// Records `stat` and memoizes `result` under `key`, in one critical
+    /// section.
     fn record(&self, key: &str, stat: JobStat, result: RunResult) -> Arc<RunResult> {
         let result = Arc::new(result);
-        self.stats.lock().unwrap().push(stat);
-        self.memo
-            .lock()
-            .unwrap()
-            .insert(key.to_owned(), Arc::clone(&result));
+        let mut record = self.lock();
+        record.stats.push(stat);
+        record.memo.insert(key.to_owned(), Arc::clone(&result));
         result
     }
 
@@ -591,11 +500,14 @@ impl Runner {
     ///    [`ForkSnapshot`], and continues to completion. The other
     ///    members restore the fork — no cycle of the shared warmup window
     ///    is ever simulated twice.
-    /// 3. A deque of ready tasks is drained by [`Runner::jobs`] workers;
-    ///    a completing representative pushes its group mates along with
-    ///    the fork it captured, so divergent suffixes start the moment
-    ///    their prefix unblocks them, with no barrier between tree
-    ///    levels.
+    /// 3. A task channel is drained by [`Runner::jobs`] workers. It is
+    ///    seeded with the representatives, each carrying a sender, and
+    ///    the ungrouped jobs; a completing representative sends its group
+    ///    mates along with the fork it captured, so divergent suffixes
+    ///    start the moment their prefix unblocks them, with no barrier
+    ///    between tree levels. The channel closes, and the workers go
+    ///    home, once no task that could still send one is left — a
+    ///    panicking representative drops its sender as it unwinds.
     ///
     /// Every job then reads its result from the memo by key, which keeps
     /// output in input order. A display name ([`Experiment::memo_key`])
@@ -609,11 +521,11 @@ impl Runner {
         // -- plan: one job per new key, then group shareable jobs by prefix key --
         let keys: Vec<String> = jobs.iter().map(Experiment::cache_key).collect();
         let pending: Vec<(&Experiment, &str)> = {
-            let memo = self.memo.lock().unwrap();
+            let record = self.lock();
             let mut queued = HashSet::new();
             jobs.iter()
                 .zip(&keys)
-                .filter(|(_, key)| !memo.contains_key(*key) && queued.insert(key.as_str()))
+                .filter(|(_, key)| !record.memo.contains_key(*key) && queued.insert(key.as_str()))
                 .map(|(job, key)| (job, key.as_str()))
                 .collect()
         };
@@ -635,106 +547,62 @@ impl Runner {
             groups.sort_by_key(|g| g[0]);
         }
         let grouped: HashSet<usize> = groups.iter().flatten().copied().collect();
-        {
-            let mut prefix = self.prefix.lock().unwrap();
-            prefix.groups += groups.len();
-            prefix.swept_jobs += jobs.len();
-        }
 
-        // -- execute: work-stealing deque over tree nodes --
+        // -- execute: a task channel that closes when no task can add one --
         enum Task {
             /// Run group `g`'s representative from cycle 0, capturing a
-            /// fork of its paused warmup state in flight, then release
-            /// the remaining members.
-            Rep(usize),
+            /// fork of its paused warmup state in flight, then send the
+            /// remaining members on the sender it carries.
+            Rep(usize, mpsc::Sender<Task>),
             /// Resolve `pending[idx]`, restoring `fork` when present.
             Job(usize, Option<ForkSnapshot>),
         }
-        struct Queue {
-            tasks: std::collections::VecDeque<Task>,
-            /// Unresolved leaf jobs, *including* members still deferred
-            /// behind an unfinished representative — workers wait (rather
-            /// than exit) while this is nonzero and the deque is empty.
-            remaining: usize,
-            /// A worker panicked: the jobs it held will never resolve.
-            failed: bool,
-        }
-        /// Sends the waiting workers home when a simulation panics, so the
-        /// sweep ends with that panic instead of waiting on its jobs.
-        struct FailOnPanic<'a>(&'a Mutex<Queue>, &'a Condvar);
-        impl Drop for FailOnPanic<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    if let Ok(mut q) = self.0.lock() {
-                        q.failed = true;
-                    }
-                    self.1.notify_all();
-                }
-            }
-        }
-        let mut tasks = std::collections::VecDeque::new();
+        const OPEN: &str = "the sweep holds the receiver until every sender is gone";
+        let (tx, rx) = mpsc::channel();
         for g in 0..groups.len() {
-            tasks.push_back(Task::Rep(g));
+            tx.send(Task::Rep(g, tx.clone())).expect(OPEN);
         }
-        for i in 0..pending.len() {
-            if !grouped.contains(&i) {
-                tasks.push_back(Task::Job(i, None));
-            }
+        for i in (0..pending.len()).filter(|i| !grouped.contains(i)) {
+            tx.send(Task::Job(i, None)).expect(OPEN);
         }
-        let queue = Mutex::new(Queue {
-            tasks,
-            remaining: pending.len(),
-            failed: false,
-        });
-        let ready = Condvar::new();
+        drop(tx);
+        let rx = Mutex::new(rx);
         let worker = || loop {
-            let _fail_on_panic = FailOnPanic(&queue, &ready);
-            let task = {
-                let mut q = queue.lock().unwrap();
-                loop {
-                    if q.remaining == 0 || q.failed {
-                        return;
-                    }
-                    if let Some(t) = q.tasks.pop_front() {
-                        break t;
-                    }
-                    q = ready.wait(q).unwrap();
-                }
-            };
+            // The guard is dropped at the end of this statement, so a task
+            // runs without it.
+            let next = rx
+                .lock()
+                .expect("no task runs under the receiver's lock")
+                .recv();
+            let Ok(task) = next else { return };
             match task {
-                Task::Rep(g) => {
+                Task::Rep(g, mates) => {
                     let (rep, key) = pending[groups[g][0]];
                     let t0 = Instant::now();
                     // Fork at W - 1, the last cycle every policy knob is
                     // inert: pausing *at* W executes cycle W under the
                     // representative's own policy (`prefix_key` makes W >= 1).
-                    let fork_at = rep.warmup_cycles() - 1;
-                    let (_, fork) = self.resolve(rep, key, None, Some(fork_at));
+                    let plan = CheckpointPlan {
+                        resume_from: None,
+                        pause_at: Some(rep.warmup_cycles() - 1),
+                    };
+                    let (_, fork) = self.resolve(rep, key, plan);
                     if fork.is_some() {
-                        let mut prefix = self.prefix.lock().unwrap();
-                        prefix.prefix_runs += 1;
-                        prefix.prefix_wall += t0.elapsed();
+                        let mut record = self.lock();
+                        record.sweeps.prefix_runs += 1;
+                        record.sweeps.prefix_wall += t0.elapsed();
                     }
-                    let mut q = queue.lock().unwrap();
                     for &idx in &groups[g][1..] {
-                        q.tasks.push_back(Task::Job(idx, fork.clone()));
+                        mates.send(Task::Job(idx, fork.clone())).expect(OPEN);
                     }
-                    q.remaining -= 1;
-                    drop(q);
-                    ready.notify_all();
                 }
                 Task::Job(idx, fork) => {
                     let (job, key) = pending[idx];
-                    self.resolve(job, key, fork.as_ref(), None);
-                    let mut q = queue.lock().unwrap();
-                    q.remaining -= 1;
-                    let done = q.remaining == 0;
-                    drop(q);
-                    if done {
-                        ready.notify_all();
-                    } else {
-                        ready.notify_one();
-                    }
+                    let plan = CheckpointPlan {
+                        resume_from: fork.as_ref().map(ForkSnapshot::bytes),
+                        pause_at: None,
+                    };
+                    self.resolve(job, key, plan);
                 }
             }
         };
@@ -750,47 +618,111 @@ impl Runner {
         }
 
         // -- answer every job by key; name the shared results --
-        let memo = self.memo.lock().unwrap();
-        let mut stats = self.stats.lock().unwrap();
-        let mut shared = 0;
-        let results = jobs
+        let mut record = self.lock();
+        let results: Vec<_> = keys
             .iter()
-            .zip(&keys)
-            .map(|(job, key)| {
-                let result = Arc::clone(&memo[key]);
-                let name = job.memo_key();
-                if !stats.iter().any(|s| s.memo_key == name) {
-                    stats.push(JobStat::replay(
-                        name,
-                        JobSource::Shared,
-                        Duration::ZERO,
-                        &result,
-                    ));
-                    shared += 1;
-                }
-                result
-            })
+            .map(|key| Arc::clone(&record.memo[key]))
             .collect();
-        let mut prefix = self.prefix.lock().unwrap();
-        prefix.shared_jobs += shared;
-        prefix.sweep_wall += t0.elapsed();
+        for (job, result) in jobs.iter().zip(&results) {
+            let name = job.memo_key();
+            if !record.stats.iter().any(|s| s.memo_key == name) {
+                let stat = JobStat::replay(name, JobSource::Shared, Duration::ZERO, result);
+                record.stats.push(stat);
+            }
+        }
+        record.sweeps.groups += groups.len();
+        record.sweeps.swept_jobs += jobs.len();
+        record.sweeps.sweep_wall += t0.elapsed();
         results
     }
 
     /// Accumulated prefix-sharing counters (see [`PrefixStats`]).
     pub fn prefix_stats(&self) -> PrefixStats {
-        *self.prefix.lock().unwrap()
+        let record = self.lock();
+        let count = |of: &[JobSource]| {
+            let stats = record.stats.iter();
+            stats.filter(|s| of.contains(&s.source)).count()
+        };
+        PrefixStats {
+            forked_jobs: count(&[JobSource::Forked]),
+            shared_jobs: count(&[JobSource::Shared]),
+            simulated_jobs: count(&[JobSource::Fresh, JobSource::Forked]),
+            ..record.sweeps
+        }
     }
 
     /// Number of distinct results held (memoized cache keys).
     pub fn runs_completed(&self) -> usize {
-        self.memo.lock().unwrap().len()
+        self.lock().memo.len()
     }
 
     /// Per-job stats for every job resolved so far (simulated or replayed
     /// from disk), in completion order.
     pub fn job_stats(&self) -> Vec<JobStat> {
-        self.stats.lock().unwrap().clone()
+        self.lock().stats.clone()
+    }
+
+    /// The stats footer both binaries print: one line per resolved job,
+    /// the totals (simulated vs replayed from disk, aggregate throughput,
+    /// engine ticks) and what the sweeps shared.
+    pub fn report(&self) -> String {
+        let ps = self.prefix_stats();
+        let mut out = String::new();
+        let (mut wall, mut cycles, mut ticks, mut messages) = (Duration::ZERO, 0, 0, 0);
+        let mut replayed = 0usize;
+        for s in &self.job_stats() {
+            let src = match s.source {
+                JobSource::Fresh => "sim",
+                JobSource::Forked => "fork",
+                JobSource::DiskHit => "disk",
+                JobSource::Shared => "dup",
+            };
+            let resumed = if s.resumed_at > 0 {
+                format!("  resumed from cycle {}", s.resumed_at)
+            } else {
+                String::new()
+            };
+            out.push_str(&format!(
+                "  {:<40} {src:>4}  {:>9.1?}  {:>12} cyc  {:>7.1} Mcyc/s{resumed}\n",
+                s.memo_key,
+                s.wall,
+                s.exec_cycles,
+                per_sec(s.exec_cycles, s.wall) / 1e6,
+            ));
+            match s.source {
+                JobSource::Fresh | JobSource::Forked => {
+                    wall += s.wall;
+                    cycles += s.exec_cycles;
+                    ticks += s.ticks;
+                    messages += s.messages;
+                }
+                JobSource::DiskHit => replayed += 1,
+                JobSource::Shared => {}
+            }
+        }
+        out.push_str(&format!(
+            "  {} simulated ({cycles} cycles in {wall:.1?} cpu-time, {:.1} Mcyc/s), \
+             {replayed} replayed from disk\n",
+            ps.simulated_jobs,
+            per_sec(cycles, wall) / 1e6,
+        ));
+        if ticks > 0 {
+            out.push_str(&ticks_line(ticks, messages));
+        }
+        out.push_str(&format!(
+            "  sweep wall-clock {:.1?} ({:.1} jobs/s): {} prefix group(s), \
+             {} fork-capturing representative(s) in {:.1?}, {} forked, {} deduped \
+             (prefix-hit ratio {:.2})\n",
+            ps.sweep_wall,
+            per_sec(ps.swept_jobs as u64, ps.sweep_wall),
+            ps.groups,
+            ps.prefix_runs,
+            ps.prefix_wall,
+            ps.forked_jobs,
+            ps.shared_jobs,
+            ps.hit_ratio(),
+        ));
+        out
     }
 }
 
@@ -923,7 +855,11 @@ mod tests {
         let job = r.job(Workload::Gups, SystemVariant::NetCrafter);
         let cold = Runner::quick().sweep(std::slice::from_ref(&job)).remove(0);
         let bad = ForkSnapshot::new(400, b"not a snapshot".to_vec(), 0);
-        let (result, _) = r.resolve(&job, &job.cache_key(), Some(&bad), None);
+        let plan = CheckpointPlan {
+            resume_from: Some(bad.bytes()),
+            pause_at: None,
+        };
+        let (result, _) = r.resolve(&job, &job.cache_key(), plan);
         assert_eq!(result.to_kv(), cold.to_kv());
         let stats = r.job_stats();
         assert_eq!(stats[0].source, JobSource::Fresh);
@@ -1002,21 +938,36 @@ mod tests {
 
     #[test]
     fn prefix_stats_reports_render() {
-        let mut ps = PrefixStats::default();
-        assert_eq!(ps.hit_ratio(), 0.0);
-        assert_eq!(ps.jobs_per_sec(), 0.0);
-        ps.groups = 2;
-        ps.prefix_runs = 2;
-        ps.forked_jobs = 9;
-        ps.simulated_jobs = 10;
-        ps.shared_jobs = 1;
-        ps.swept_jobs = 12;
-        ps.sweep_wall = Duration::from_secs(2);
+        let r = Runner::quick();
+        assert_eq!(r.prefix_stats().hit_ratio(), 0.0);
+        assert!(r.report().contains("(0.0 jobs/s)"), "{}", r.report());
+        let nothing = RunResult {
+            exec_cycles: 0,
+            metrics: Default::default(),
+        };
+        let stat = |source| JobStat::replay(String::new(), source, Duration::ZERO, &nothing);
+        {
+            let mut record = r.lock();
+            record.stats = [JobSource::Fresh, JobSource::Shared]
+                .into_iter()
+                .chain([JobSource::Forked; 9])
+                .map(stat)
+                .collect();
+            record.sweeps.groups = 2;
+            record.sweeps.prefix_runs = 2;
+            record.sweeps.swept_jobs = 12;
+            record.sweeps.sweep_wall = Duration::from_secs(2);
+        }
+        let ps = r.prefix_stats();
+        assert_eq!(
+            (ps.forked_jobs, ps.shared_jobs, ps.simulated_jobs),
+            (9, 1, 10)
+        );
         assert!((ps.hit_ratio() - 0.9).abs() < 1e-9);
-        assert!((ps.jobs_per_sec() - 6.0).abs() < 1e-9);
-        let line = ps.report();
-        assert!(line.contains("prefix-hit ratio 0.90"), "{line}");
-        assert!(line.contains("2 prefix group(s)"), "{line}");
+        let report = r.report();
+        assert!(report.contains("prefix-hit ratio 0.90"), "{report}");
+        assert!(report.contains("2 prefix group(s)"), "{report}");
+        assert!(report.contains("(6.0 jobs/s)"), "{report}");
     }
 
     #[test]
@@ -1053,7 +1004,9 @@ mod tests {
                 messages: 1_000,
             },
         ];
-        let report = stats_report(&stats);
+        let r = Runner::quick();
+        r.lock().stats = stats;
+        let report = r.report();
         assert!(report.contains("GUPS|Baseline|"));
         assert!(report.contains("2 simulated"));
         assert!(report.contains("1 replayed from disk"));
@@ -1062,6 +1015,6 @@ mod tests {
             report.contains("4500 ticks, 1.50 ticks/message"),
             "{report}"
         );
-        assert!((stats[0].cycles_per_sec() - 1e8).abs() < 1e3);
+        assert!(report.contains("100.0 Mcyc/s"), "{report}");
     }
 }

@@ -54,6 +54,17 @@ const CASES: &[Case] = &[
     // Pause and resume belong to one run, not to a sweep.
     (SIMULATE, &["--variant", "all", "--checkpoint-at", "100", "--checkpoint-dir", "d"], 2, "not --variant all"),
     (SIMULATE, &["--variant", "all", "--restore-from", "f"], 2, "not --variant all"),
+    // So do observers: a sweep used to take these and drop them.
+    (SIMULATE, &["--variant", "all", "--trace", "t.json"], 2, "--trace acts on one run, not --variant all"),
+    (SIMULATE, &["--variant", "all", "--timeseries", "ts"], 2, "--timeseries acts on one run, not --variant all"),
+    (SIMULATE, &["--variant", "all", "--trace-filter", "class=flit"], 2, "--trace-filter acts on one run, not --variant all"),
+    (SIMULATE, &["--variant", "all", "--sample-window", "0"], 2, "--sample-window acts on one run, not --variant all"),
+    // A modifier without the output it shapes used to be dropped unparsed.
+    (SIMULATE, &["--trace-filter", "class=nope"], 2, "--trace-filter needs --trace"),
+    (SIMULATE, &["--sample-window", "500"], 2, "--sample-window needs --timeseries"),
+    (SIMULATE, &["--trace", "t.json", "--trace-filter", "class=nope"], 2, "--trace-filter: unknown event class `nope`"),
+    // Cycle 0 used to simulate the whole run, write nothing and blame a restore.
+    (SIMULATE, &["--checkpoint-at", "0", "--checkpoint-dir", "d"], 2, "--checkpoint-at expects a positive cycle"),
     // `figures --help` used to start a paper-scale `all` pass.
     (FIGURES, &["--help"], 0, "usage: figures"),
     (FIGURES, &["--quick", "fig14", "-h"], 0, "usage: figures"),
@@ -163,13 +174,22 @@ fn checkpoint_files_hold_no_observer_and_restore_under_any() {
     let bytes = |f| std::fs::read(f).expect("checkpoint readable");
     assert!(bytes(&taken[0]) == bytes(&taken[1]), "tracing moved it");
 
-    // Restored under tracing and sampling the run that took it had neither of.
+    // Restored under tracing and sampling the run that took it had neither
+    // of, and asked for a checkpoint the restore has already passed.
     let (snapshot, trace, series) = (taken[0].to_string_lossy(), path("trace.json"), path("ts"));
     let restore = ["--restore-from", &snapshot, "--trace", &trace];
     let sample = ["--timeseries", &series, "--dump-metrics"];
-    let (warm, stderr) = simulate_quick(&[&restore[..], &sample].concat());
+    let passed = [
+        "--checkpoint-at",
+        "1",
+        "--checkpoint-dir",
+        &dir.to_string_lossy(),
+    ];
+    let (warm, stderr) = simulate_quick(&[&restore[..], &sample, &passed].concat());
     let resumed = format!("simulated from cycle {mid} ");
     assert!(stderr.contains(&resumed), "{stderr}");
+    let none = format!("no checkpoint taken: {snapshot} resumes at cycle {mid}, not before 1");
+    assert!(stderr.contains(&none), "{stderr}");
     assert!(warm == cold, "restored stdout differs");
     let doc = json::parse(&std::fs::read_to_string(&trace).expect("trace")).expect("valid JSON");
     let events = doc.get("traceEvents").and_then(json::Value::as_arr);

@@ -73,6 +73,23 @@ fn a_panicking_job_ends_a_parallel_sweep() {
     ]);
 }
 
+/// A representative that panics after capturing its fork still owes its
+/// group mates that fork: the sweep ends with the panic all the same,
+/// with the other worker waiting on the task channel, not hanging on it.
+#[test]
+#[should_panic]
+fn a_panicking_representative_ends_a_parallel_sweep() {
+    let mut r = Runner::quick().with_jobs(2);
+    r.base_cfg.netcrafter.warmup_cycles = 400;
+    // The group's first job is its representative; its watchdog fires
+    // two cycles after the fork is taken at 399.
+    let mut rep = r.job(Workload::Gups, SystemVariant::NetCrafter);
+    rep.max_cycles = 401;
+    let mate = r.job(Workload::Gups, SystemVariant::StitchTrim);
+    assert_eq!(rep.prefix_key(), mate.prefix_key(), "one prefix group");
+    r.sweep(&[rep, mate]);
+}
+
 #[test]
 fn figure_output_is_identical_across_worker_counts() {
     let seq = Runner::quick();

@@ -1,8 +1,10 @@
 //! Integration tests for prefix-sharing sweeps: the in-memory fork path
-//! composed with `--threads` parallelism inside each job, and the fork
-//! cycle itself.
+//! composed with `--threads` parallelism inside each job, the fork
+//! cycle itself, and the counts a sweep reports.
 
-use netcrafter_bench::Runner;
+use std::collections::BTreeMap;
+
+use netcrafter_bench::{JobSource, Runner};
 use netcrafter_multigpu::{CheckpointPlan, Experiment, SystemVariant};
 use netcrafter_workloads::Workload;
 
@@ -103,4 +105,43 @@ fn forks_are_taken_before_any_policy_acts() {
         })
         .collect();
     assert!(hashes.iter().all(|&h| h == hashes[0]), "{hashes:x?}");
+}
+
+/// `PrefixStats`' job counts are the tallies of the job stats, across
+/// sweeps and whatever answered each job, and every job finds its stat
+/// by display name, as the benchmark's runner pass looks it up.
+#[test]
+fn prefix_counts_are_the_job_stat_tallies() {
+    let mut r = Runner::quick();
+    r.base_cfg.netcrafter.warmup_cycles = WARMUP;
+    let mut sweeps = [jobs_for(&r), jobs_for(&r)];
+    // The first sweep lists Baseline twice; the second repeats StitchTrim
+    // (a memo hit), renames NetCrafter and Baseline (one result, two
+    // names each) and adds Ideal.
+    sweeps[0].push(r.job(Workload::Gups, SystemVariant::Baseline));
+    sweeps[1][0].tag = "alias".into();
+    sweeps[1][2].tag = "alias".into();
+    sweeps[1].push(r.job(Workload::Gups, SystemVariant::Ideal));
+    for jobs in &sweeps {
+        r.sweep(jobs);
+    }
+
+    let all = r.job_stats();
+    let stats: BTreeMap<&str, JobSource> = (all.iter())
+        .map(|s| (s.memo_key.as_str(), s.source))
+        .collect();
+    assert_eq!(stats.len(), all.len(), "one stat per display name");
+    for job in sweeps.iter().flatten() {
+        assert!(stats.contains_key(&*job.memo_key()), "{}", job.memo_key());
+    }
+    use JobSource::{Forked, Fresh, Shared};
+    let tally = |of: &[JobSource]| stats.values().filter(|s| of.contains(s)).count();
+    let ps = r.prefix_stats();
+    let counts = (ps.forked_jobs, ps.shared_jobs, ps.simulated_jobs);
+    let tallies = (tally(&[Forked]), tally(&[Shared]), tally(&[Fresh, Forked]));
+    assert_eq!(counts, tallies, "{ps:?}");
+    // NetCrafter forks for StitchTrim; Baseline and Ideal run cold; the
+    // two aliases are answered by the first sweep's results.
+    assert_eq!(counts, (1, 2, 4), "{ps:?}");
+    assert_eq!((ps.groups, ps.prefix_runs, ps.swept_jobs), (1, 1, 8));
 }
