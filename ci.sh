@@ -29,7 +29,7 @@
 # (one restores into its own run only; another seed, workload, link
 # bandwidth or CU count exits 2) in crates/bench/tests/; the snapshot run
 # id (snapshot_corruption.rs: another run's snapshot fails WrongRun, a
-# sibling's fork at warmup - 1 restores) and the version-9 golden bytes
+# sibling's fork at warmup - 1 restores) and the version-10 golden bytes
 # in crates/multigpu/tests/. Figure coverage is held there too: every table
 # resolves its jobs through Runner::sweep, so parallel_runner.rs's
 # figure_output_is_identical_across_worker_counts and

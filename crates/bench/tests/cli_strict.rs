@@ -110,27 +110,22 @@ fn misunderstood_command_lines_exit_with_the_usage_line() {
 
 #[test]
 fn a_well_formed_command_line_still_runs() {
-    let out = Command::new(SIMULATE)
-        .args([
-            "--workload",
-            "GUPS",
-            "--variant",
-            "netcrafter",
-            "--cus",
-            "2",
-            "--scale",
-            "tiny",
-            "--seed",
-            "7",
-        ])
-        .output()
-        .expect("simulate runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(
-        stdout.contains("variant              : NetCrafter"),
-        "{stdout}"
-    );
+    for (args, says) in [
+        (
+            "--workload GUPS --variant netcrafter --cus 2 --scale tiny --seed 7",
+            "variant              : NetCrafter",
+        ),
+        // 64 waves per CU for its 40 slots: the run used to spin forever.
+        ("--cus 1 --dump-metrics", "total.cu.waves_done = 256"),
+    ] {
+        let out = Command::new(SIMULATE)
+            .args(args.split(' '))
+            .output()
+            .expect("simulate runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args}: {stdout}");
+        assert!(stdout.contains(says), "{args}: {stdout}");
+    }
 }
 
 /// Runs `simulate` on quick GUPS/NetCrafter with `extra` flags, which

@@ -8,8 +8,12 @@
 //! latency tolerance GPUs (and Flit Pooling) rely on. Stores are posted:
 //! they propagate write-through toward the owning L2 and only bound the
 //! CU by the outstanding-access cap.
+//!
+//! The traces are the CU's program, fixed when it is built. A wave slot
+//! holds a wave's index and pc, the waves without a slot are a cursor,
+//! and a retired wave with no load in flight hands its slot on.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use netcrafter_mem::{L1Access, L1Cache};
 use netcrafter_proto::access::{CoalescedAccess, WavefrontOp, WavefrontTrace};
@@ -91,18 +95,21 @@ impl CuStats {
     }
 }
 
+/// Where a slot's wave stands. A waiting or retrying wave resumes the
+/// memory op it issued last, `ops[pc - 1]` of its trace.
 #[derive(Debug)]
 enum WfState {
     /// Can issue its next op.
     Ready,
     /// Computing or absorbing L1 hit latency until the given cycle.
     BusyUntil(Cycle),
-    /// Waiting for a translation (the pending access resumes on reply).
-    WaitTranslation(CoalescedAccess),
+    /// Waiting for a translation (the access resumes on reply).
+    WaitTranslation,
     /// Waiting for a read fill.
     WaitMem,
-    /// L1/MSHR or outstanding-cap stall: retry the translated access.
-    RetryAccess(CoalescedAccess, u64),
+    /// L1/MSHR or outstanding-cap stall: retry the access, translated to
+    /// the given frame.
+    RetryAccess(u64),
     /// Trace exhausted.
     Done,
 }
@@ -111,16 +118,18 @@ snap_fields! {
     enum WfState {
         0 => Ready,
         1 => BusyUntil(until),
-        2 => WaitTranslation(access),
+        2 => WaitTranslation,
         3 => WaitMem,
-        4 => RetryAccess(access, pfn),
+        4 => RetryAccess(pfn),
         5 => Done,
     }
 }
 
+/// A wave slot: which of the running kernel's waves it holds, and how
+/// far that wave got.
 #[derive(Debug)]
-struct Wavefront {
-    trace: WavefrontTrace,
+struct Slot {
+    wave: usize,
     pc: usize,
     state: WfState,
     /// Loads in flight for this wavefront (non-blocking up to the CU's
@@ -128,21 +137,16 @@ struct Wavefront {
     loads_in_flight: u16,
 }
 
-snap_fields! {
-    impl Snap for Wavefront { trace, pc, state, loads_in_flight }
-    validate Self::check_restored
-}
+snap_fields! { impl Snap for Slot { wave, pc, state, loads_in_flight } }
 
-impl Wavefront {
-    fn check_restored(&self) -> Result<(), SnapshotError> {
-        if self.pc > self.trace.ops.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "wavefront pc {} past {} trace ops",
-                self.pc,
-                self.trace.ops.len()
-            )));
+impl Slot {
+    fn new(wave: usize) -> Self {
+        Self {
+            wave,
+            pc: 0,
+            state: WfState::Ready,
+            loads_in_flight: 0,
         }
-        Ok(())
     }
 }
 
@@ -163,14 +167,19 @@ pub struct Cu {
     max_loads_per_wave: u16,
     full_sector_mask: u16,
 
-    resident: Vec<Wavefront>,
-    pending: VecDeque<WavefrontTrace>,
+    /// The waves dispatched to this CU, one list per kernel.
+    program: Vec<Vec<WavefrontTrace>>,
+    /// The running kernel: an index into `program`.
+    kernel: usize,
+    /// The first of the running kernel's waves not yet given a slot.
+    next_wave: usize,
+    slots: Vec<Slot>,
     rr: usize,
     ids: IdAlloc<AccessId>,
     id_base: u64,
     trans_waiters: BTreeMap<AccessId, usize>,
-    read_waiters: BTreeMap<AccessId, usize>,
-    issue_times: BTreeMap<AccessId, (Cycle, bool)>, // (issued, inter_cluster)
+    /// Reads in flight: (slot, issue cycle, inter-cluster).
+    reads: BTreeMap<AccessId, (usize, Cycle, bool)>,
     outstanding: u32,
     /// Cycle of the last tick, the anchor for the arithmetic catch-up
     /// (`idle_cycles`, failed access retries) after an event-driven
@@ -178,27 +187,28 @@ pub struct Cu {
     last_tick: Cycle,
     /// Whether the CU was busy at the end of the last tick. State is
     /// frozen between ticks, so this is the busy value for every cycle
-    /// the scheduler skipped since (`load_waves` can flip it, but only
-    /// at a kernel barrier, which re-ticks the CU immediately).
+    /// the scheduler skipped since (`launch` can flip it, but only at a
+    /// kernel barrier, which re-ticks the CU immediately).
     was_busy: bool,
     /// Statistics.
     pub stats: CuStats,
 }
 
 impl Cu {
-    /// Builds a CU of `gpu` with GPU-local index `cu`, executing `waves`.
+    /// Builds a CU of `gpu` with GPU-local index `cu` that runs
+    /// `program[k]` as kernel `k`, starting with kernel 0.
     pub fn new(
         gpu: GpuId,
         cu: CuId,
         cfg: &SystemConfig,
-        waves: Vec<WavefrontTrace>,
+        program: Vec<Vec<WavefrontTrace>>,
         wiring: CuWiring,
     ) -> Self {
         let l1 = L1Cache::new(&cfg.l1, cfg.sector_fill, cfg.trim_granularity);
         let l1_tlb = Tlb::new(&L1_TLB);
         // Globally unique access ids: gpu and cu in the high bits.
         let id_base = ((gpu.raw() as u64) << 40) | ((cu.raw() as u64) << 24);
-        Self {
+        let mut cu = Self {
             gpu,
             cu_raw: cu.raw(),
             name: format!("{gpu}.{cu}"),
@@ -211,19 +221,22 @@ impl Cu {
             max_outstanding: cfg.max_outstanding_per_cu,
             max_loads_per_wave: cfg.max_loads_per_wave,
             full_sector_mask: cfg.full_sector_mask(),
-            resident: Vec::new(),
-            pending: waves.into(),
+            program,
+            kernel: 0,
+            next_wave: 0,
+            slots: Vec::new(),
             rr: 0,
             ids: IdAlloc::new(),
             id_base,
             trans_waiters: BTreeMap::new(),
-            read_waiters: BTreeMap::new(),
-            issue_times: BTreeMap::new(),
+            reads: BTreeMap::new(),
             outstanding: 0,
             last_tick: 0,
             was_busy: false,
             stats: CuStats::default(),
-        }
+        };
+        cu.fill_slots();
+        cu
     }
 
     fn next_id(&mut self) -> AccessId {
@@ -238,39 +251,52 @@ impl Cu {
         owner.cluster(self.gpus_per_cluster) != self.gpu.cluster(self.gpus_per_cluster)
     }
 
-    fn activate_pending(&mut self) {
-        while self.resident.len() < self.max_waves {
-            let Some(trace) = self.pending.pop_front() else {
-                break;
-            };
-            self.resident.push(Wavefront {
-                trace,
-                pc: 0,
-                state: WfState::Ready,
-                loads_in_flight: 0,
-            });
+    /// Gives the running kernel's first waves a slot each, as many as
+    /// fit, and points the cursor past them.
+    fn fill_slots(&mut self) {
+        let waves = self.program[self.kernel].len().min(self.max_waves);
+        self.slots = (0..waves).map(Slot::new).collect();
+        self.next_wave = waves;
+    }
+
+    /// Hands the slot of a retired wave with no load in flight to the
+    /// next wave, if the running kernel has one left.
+    fn retire(&mut self, slot: usize) {
+        if self.next_wave < self.program[self.kernel].len() {
+            self.slots[slot] = Slot::new(self.next_wave);
+            self.next_wave += 1;
         }
     }
 
-    /// Loads another batch of wavefronts onto the CU — the dispatch path
-    /// for a subsequent kernel after a global kernel barrier. Only legal
-    /// while the CU is idle (the harness runs each kernel to quiescence
-    /// before launching the next).
-    pub fn load_waves(&mut self, waves: Vec<WavefrontTrace>) {
+    /// Starts the program's next kernel — the dispatch path after a
+    /// global kernel barrier. Only legal while the CU is idle (the
+    /// harness runs each kernel to quiescence before launching the
+    /// next).
+    pub fn launch(&mut self) {
         assert!(
             !self.busy(),
-            "{}: kernel barrier violated — waves loaded onto a busy CU",
+            "{}: kernel barrier violated — a kernel launched on a busy CU",
             self.name
         );
-        self.resident.clear();
-        self.pending.extend(waves);
+        self.kernel += 1;
+        self.fill_slots();
+    }
+
+    /// The memory op slot `slot` issued last, which a waiting or retrying
+    /// wave resumes.
+    fn access(&self, slot: usize) -> CoalescedAccess {
+        let s = &self.slots[slot];
+        match self.program[self.kernel][s.wave].ops[s.pc - 1] {
+            WavefrontOp::Mem(acc) => acc,
+            WavefrontOp::Compute(_) => unreachable!("{}: slot {slot} waits on compute", self.name),
+        }
     }
 
     /// Waves whose translated access found the outstanding cap reached
     /// or the L1 stalling, and is retried until it goes through.
     pub fn retrying_waves(&self) -> usize {
-        let retrying = |w: &&Wavefront| matches!(w.state, WfState::RetryAccess(..));
-        self.resident.iter().filter(retrying).count()
+        let retrying = |s: &&Slot| matches!(s.state, WfState::RetryAccess(_));
+        self.slots.iter().filter(retrying).count()
     }
 
     /// Physical line of the translated access `acc`, the GPU owning it,
@@ -308,10 +334,11 @@ impl Cu {
     /// before `l1.read`), counted an MSHR stall and stamped its line.
     fn settle_parked_retries(&mut self, skipped: u64, last: Cycle) {
         let capped = self.outstanding >= self.max_outstanding;
-        for wf_ix in 0..self.resident.len() {
-            let WfState::RetryAccess(acc, pfn) = self.resident[wf_ix].state else {
+        for wf_ix in 0..self.slots.len() {
+            let WfState::RetryAccess(pfn) = self.slots[wf_ix].state else {
                 continue;
             };
+            let acc = self.access(wf_ix);
             // Debug-build referee: the CU slept on a retry that is still
             // blocked in the frozen, pre-mailbox state.
             debug_assert!(
@@ -331,7 +358,7 @@ impl Cu {
     fn do_mem_access(&mut self, ctx: &mut Ctx<'_>, wf_ix: usize, acc: CoalescedAccess, pfn: u64) {
         let now = ctx.cycle();
         if self.outstanding >= self.max_outstanding {
-            self.resident[wf_ix].state = WfState::RetryAccess(acc, pfn);
+            self.slots[wf_ix].state = WfState::RetryAccess(pfn);
             return;
         }
         let (line, owner, crosses) = self.locate(&acc, pfn);
@@ -360,14 +387,14 @@ impl Cu {
             self.outstanding += 1;
             ctx.send(target, Message::MemReq(req), ON_CHIP_HOP_CYCLES);
             // Posted write: the wavefront moves on after the issue cycle.
-            self.resident[wf_ix].state = WfState::BusyUntil(now + 1);
+            self.slots[wf_ix].state = WfState::BusyUntil(now + 1);
             return;
         }
 
         let id = self.next_id();
         match self.l1.read(line, acc.mask, id, now, crosses) {
             L1Access::Hit => {
-                self.resident[wf_ix].state =
+                self.slots[wf_ix].state =
                     WfState::BusyUntil(now + self.l1.lookup_cycles() as Cycle);
             }
             L1Access::Miss { sectors } => {
@@ -390,8 +417,7 @@ impl Cu {
                     origin: Origin::Cu(self.cu_raw),
                 };
                 self.outstanding += 1;
-                self.read_waiters.insert(id, wf_ix);
-                self.issue_times.insert(id, (now, crosses));
+                self.reads.insert(id, (wf_ix, now, crosses));
                 ctx.tracer().begin(EventClass::Cache, "l1.miss", id.0);
                 ctx.send(
                     target,
@@ -401,13 +427,12 @@ impl Cu {
                 self.note_load_issued(wf_ix);
             }
             L1Access::MergedMiss => {
-                self.read_waiters.insert(id, wf_ix);
-                self.issue_times.insert(id, (now, crosses));
+                self.reads.insert(id, (wf_ix, now, crosses));
                 ctx.tracer().begin(EventClass::Cache, "l1.miss", id.0);
                 self.note_load_issued(wf_ix);
             }
             L1Access::Stall => {
-                self.resident[wf_ix].state = WfState::RetryAccess(acc, pfn);
+                self.slots[wf_ix].state = WfState::RetryAccess(pfn);
             }
         }
     }
@@ -428,7 +453,7 @@ impl Cu {
                 cu: self.cu_raw,
             };
             ctx.send(self.wiring.gmmu, Message::TransReq(req), ON_CHIP_HOP_CYCLES);
-            self.resident[wf_ix].state = WfState::WaitTranslation(acc);
+            self.slots[wf_ix].state = WfState::WaitTranslation;
         }
     }
 
@@ -436,7 +461,7 @@ impl Cu {
     /// issuing until it exhausts its non-blocking-load budget, then waits
     /// for data (the first "use").
     fn note_load_issued(&mut self, wf_ix: usize) {
-        let wf = &mut self.resident[wf_ix];
+        let wf = &mut self.slots[wf_ix];
         wf.loads_in_flight += 1;
         wf.state = if wf.loads_in_flight >= self.max_loads_per_wave {
             WfState::WaitMem
@@ -453,62 +478,54 @@ impl Cu {
     /// phase sleeps until its deadline; memory- and translation-blocked
     /// waves and blocked retries sleep until a response message arrives
     /// (a reached outstanding cap and a stalling L1 MSHR both have a
-    /// response on the way, and only a response changes either). A
-    /// non-empty pending queue only matters while a resident slot is
-    /// free — except in the degenerate all-retired-but-queue-nonempty
-    /// state, where the legacy scheduler spins, so we must spin too. A
-    /// drained CU changes state only on a message or a new kernel's
-    /// `load_waves`, which re-ticks it via the engine's external-mutation
-    /// tracking. This is the CU's only wake answer (`tick_burst` returns
-    /// it).
+    /// response on the way, and only a response changes either). A wave
+    /// waiting for a slot needs nothing: a slot is handed on the moment
+    /// its wave retires with no load in flight, and a load's return is a
+    /// message. A drained CU changes state only on a message or the next
+    /// kernel's `launch`, which re-ticks it via the engine's
+    /// external-mutation tracking. This is the CU's only wake answer
+    /// (`tick_burst` returns it).
     fn blocked_wake(&self, now: Cycle) -> Wake {
         let mut wake = Wake::OnMessage;
-        let mut active = false;
-        for w in &self.resident {
-            match &w.state {
+        for (ix, s) in self.slots.iter().enumerate() {
+            match s.state {
                 WfState::Ready => return Wake::EveryCycle,
-                WfState::RetryAccess(acc, pfn) => {
-                    if !self.retry_blocked(acc, *pfn) {
+                WfState::RetryAccess(pfn) => {
+                    if !self.retry_blocked(&self.access(ix), pfn) {
                         return Wake::EveryCycle;
                     }
-                    active = true;
                 }
                 WfState::BusyUntil(t) => {
-                    if *t <= now {
+                    if t <= now {
                         return Wake::EveryCycle;
                     }
-                    wake = wake.earliest(Wake::At(*t));
-                    active = true;
+                    wake = wake.earliest(Wake::At(t));
                 }
-                WfState::WaitTranslation(_) | WfState::WaitMem => active = true,
-                WfState::Done => {}
+                WfState::WaitTranslation | WfState::WaitMem | WfState::Done => {}
             }
-        }
-        if !self.pending.is_empty() && (self.resident.len() < self.max_waves || !active) {
-            return Wake::EveryCycle;
         }
         wake
     }
 
     fn wake_read(&mut self, ctx: &mut Ctx<'_>, id: AccessId) {
         let now = ctx.cycle();
-        let wf_ix = self
-            .read_waiters
+        let (wf_ix, issued, crosses) = self
+            .reads
             .remove(&id)
             .unwrap_or_else(|| panic!("{}: stray read completion {id}", self.name));
-        if let Some((issued, crosses)) = self.issue_times.remove(&id) {
-            let lat = now - issued;
-            self.stats.read_latency.record(lat);
-            if crosses {
-                self.stats.inter_cluster_read_latency.record(lat);
-            }
+        let lat = now - issued;
+        self.stats.read_latency.record(lat);
+        if crosses {
+            self.stats.inter_cluster_read_latency.record(lat);
         }
         ctx.tracer().end(EventClass::Cache, "l1.miss", id.0);
-        let wf = &mut self.resident[wf_ix];
+        let wf = &mut self.slots[wf_ix];
         debug_assert!(wf.loads_in_flight > 0);
         wf.loads_in_flight -= 1;
-        if matches!(wf.state, WfState::WaitMem) {
-            wf.state = WfState::BusyUntil(now + 1);
+        match wf.state {
+            WfState::WaitMem => wf.state = WfState::BusyUntil(now + 1),
+            WfState::Done if wf.loads_in_flight == 0 => self.retire(wf_ix),
+            _ => {}
         }
     }
 }
@@ -528,7 +545,6 @@ impl Component for Cu {
             self.stats.idle_cycles += skipped;
             self.settle_parked_retries(skipped, now - 1);
         }
-        self.activate_pending();
 
         while let Some(msg) = ctx.recv() {
             match msg {
@@ -538,10 +554,10 @@ impl Component for Cu {
                         .remove(&rsp.access)
                         .unwrap_or_else(|| panic!("{}: stray translation", self.name));
                     self.l1_tlb.insert(rsp.vpn, rsp.pfn, now);
-                    let WfState::WaitTranslation(acc) = self.resident[wf_ix].state else {
+                    let WfState::WaitTranslation = self.slots[wf_ix].state else {
                         panic!("{}: wavefront not awaiting translation", self.name);
                     };
-                    self.do_mem_access(ctx, wf_ix, acc, rsp.pfn);
+                    self.do_mem_access(ctx, wf_ix, self.access(wf_ix), rsp.pfn);
                 }
                 Message::MemRsp(rsp) => {
                     self.outstanding -= 1;
@@ -557,19 +573,19 @@ impl Component for Cu {
             }
         }
 
-        // Retry stalled accesses before issuing new work (age order).
-        for wf_ix in 0..self.resident.len() {
-            if let WfState::RetryAccess(acc, pfn) = self.resident[wf_ix].state {
-                self.do_mem_access(ctx, wf_ix, acc, pfn);
+        // Retry stalled accesses before issuing new work (slot order).
+        for wf_ix in 0..self.slots.len() {
+            if let WfState::RetryAccess(pfn) = self.slots[wf_ix].state {
+                self.do_mem_access(ctx, wf_ix, self.access(wf_ix), pfn);
             }
         }
 
         // Issue one op from a ready wavefront (round-robin).
-        let n = self.resident.len();
+        let n = self.slots.len();
         let mut issued = false;
         for step in 0..n {
             let wf_ix = (self.rr + step) % n.max(1);
-            let ready = match self.resident[wf_ix].state {
+            let ready = match self.slots[wf_ix].state {
                 WfState::Ready => true,
                 WfState::BusyUntil(t) => t <= now,
                 _ => false,
@@ -577,14 +593,15 @@ impl Component for Cu {
             if !ready {
                 continue;
             }
-            let wf = &mut self.resident[wf_ix];
-            if wf.pc >= wf.trace.ops.len() {
+            let wf = &mut self.slots[wf_ix];
+            let Some(&op) = self.program[self.kernel][wf.wave].ops.get(wf.pc) else {
                 wf.state = WfState::Done;
                 self.stats.waves_done += 1;
-                self.activate_pending();
+                if wf.loads_in_flight == 0 {
+                    self.retire(wf_ix);
+                }
                 continue;
-            }
-            let op = wf.trace.ops[wf.pc];
+            };
             wf.pc += 1;
             match op {
                 WavefrontOp::Compute(cycles) => {
@@ -607,32 +624,12 @@ impl Component for Cu {
         if !issued && busy {
             self.stats.idle_cycles += 1;
         }
-
-        // Reap finished wavefronts so `busy` can settle — but only once
-        // every in-flight load has returned (a Done wavefront may still
-        // have non-blocking loads outstanding). Reaping only removes
-        // `Done` waves, which never contribute to `busy`, so the value
-        // computed above stays valid as the end-of-tick anchor.
-        if self
-            .resident
-            .iter()
-            .all(|w| matches!(w.state, WfState::Done))
-            && !self.resident.is_empty()
-            && self.pending.is_empty()
-            && self.read_waiters.is_empty()
-        {
-            self.resident.clear();
-        }
         self.last_tick = now;
         self.was_busy = busy;
     }
 
     fn busy(&self) -> bool {
-        !self.pending.is_empty()
-            || self
-                .resident
-                .iter()
-                .any(|w| !matches!(w.state, WfState::Done))
+        self.slots.iter().any(|s| !matches!(s.state, WfState::Done))
             || self.outstanding > 0
             || self.l1.busy()
     }
@@ -664,15 +661,16 @@ impl Component for Cu {
             max_loads_per_wave: skipped(config),
             full_sector_mask: skipped(config),
             id_base: skipped(wiring),
+            program: skipped(config),
             l1,
             l1_tlb,
-            resident,
-            pending,
+            kernel,
+            next_wave,
+            slots,
             rr,
             ids,
             trans_waiters,
-            read_waiters,
-            issue_times,
+            reads,
             outstanding,
             // The catch-up anchor is part of the dynamic state: an
             // event-driven snapshot may be taken mid-sleep, with the skipped
@@ -683,23 +681,41 @@ impl Component for Cu {
             was_busy,
             stats,
         }
-        validate Self::check_waiters
+        validate Self::check_restored
     }
 }
 
 impl Cu {
-    /// Every parked access must point at a resident wavefront.
-    fn check_waiters(&self) -> Result<(), SnapshotError> {
-        let waves = self.resident.len();
-        for (which, waiters) in [
-            ("translation", &self.trans_waiters),
-            ("read", &self.read_waiters),
-        ] {
-            if let Some((id, wf_ix)) = waiters.iter().find(|&(_, &wf_ix)| wf_ix >= waves) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{which} waiter {id} points at wavefront {wf_ix} of {waves}"
-                )));
+    /// The restored state indexes the program: the kernel, the cursor
+    /// and every slot's wave exist, no pc is past its trace, a waiting or
+    /// retrying wave last issued a memory op, and every parked access
+    /// points at a slot.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        let waves = self.program.get(self.kernel);
+        let Some(waves) = waves.filter(|w| self.next_wave <= w.len()) else {
+            return corrupt(format!(
+                "kernel {}, wave cursor {}",
+                self.kernel, self.next_wave
+            ));
+        };
+        for (ix, s) in self.slots.iter().enumerate() {
+            let ops = waves.get(s.wave).map_or(&[][..], |w| &w.ops);
+            let last = s.pc.checked_sub(1).and_then(|pc| ops.get(pc));
+            let resumes = matches!(s.state, WfState::WaitTranslation | WfState::RetryAccess(_));
+            let resumable = !resumes || matches!(last, Some(WavefrontOp::Mem(_)));
+            if s.wave >= waves.len() || s.pc > ops.len() || !resumable {
+                return corrupt(format!(
+                    "slot {ix}: wave {}, pc {}, {:?}",
+                    s.wave, s.pc, s.state
+                ));
             }
+        }
+        let slots = self.slots.len();
+        let trans = self.trans_waiters.iter().map(|(id, &ix)| (id, ix));
+        let reads = self.reads.iter().map(|(id, &(ix, ..))| (id, ix));
+        if let Some((id, ix)) = trans.chain(reads).find(|&(_, ix)| ix >= slots) {
+            return corrupt(format!("access {id} waits on slot {ix} of {slots}"));
         }
         Ok(())
     }
@@ -820,7 +836,7 @@ mod tests {
                 GpuId(0),
                 netcrafter_proto::CuId(0),
                 cfg,
-                waves,
+                vec![waves],
                 CuWiring {
                     gmmu: be,
                     l2: be,
@@ -929,6 +945,26 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_wave_hands_its_slot_on() {
+        // Seven waves for four slots: the four reads retire with their
+        // load in flight and free their slots when it returns; the
+        // compute waves then retire with none and free theirs at once.
+        let read = |i: u64| WavefrontOp::Mem(CoalescedAccess::read(VAddr(0x1000 * (i + 1)), 8));
+        let waves = (0..7u32)
+            .map(|i| match i {
+                0..4 => wave(i, vec![read(u64::from(i))]),
+                _ => wave(i, vec![WavefrontOp::Compute(3)]),
+            })
+            .collect();
+        let mut h = harness(waves, 0);
+        h.engine.run_to_quiescence(10_000);
+        let cu: &Cu = h.engine.get(h.cu).expect("cu");
+        assert_eq!(cu.stats.waves_done, 7);
+        assert_eq!(cu.slots.len(), 4);
+        assert_eq!(h.reqs.lock().unwrap().len(), 4);
+    }
+
+    #[test]
     fn trace_with_mixed_ops_completes() {
         let mut ops = Vec::new();
         for i in 0..10u64 {
@@ -1005,7 +1041,7 @@ mod tests {
         h.engine.run_until(1_250);
         let cu: &Cu = h.engine.get(h.cu).expect("cu");
         assert!(
-            matches!(cu.resident[1].state, WfState::RetryAccess(..)),
+            matches!(cu.slots[1].state, WfState::RetryAccess(_)),
             "wave 1 is retrying at 1250"
         );
         // One issue per cycle: wave 2 started its compute phase at cycle 3.

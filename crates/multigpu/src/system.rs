@@ -48,8 +48,8 @@ pub struct SystemIds {
     pub switches: Vec<ComponentId>,
 }
 
-/// Per-CU wavefront batches for one kernel: `[gpu][cu] -> waves`.
-type Dispatch = Vec<Vec<Vec<WavefrontTrace>>>;
+/// Every CU's program: `[gpu][cu][kernel] -> waves`.
+type Programs = Vec<Vec<Vec<Vec<WavefrontTrace>>>>;
 
 /// The assembled multi-GPU node.
 pub struct System {
@@ -63,11 +63,11 @@ pub struct System {
     /// Run ids of this node's snapshots (see `save_header`).
     warm_id: u64,
     full_id: u64,
-    kernel_name: String,
+    /// The kernels' names, in launch order.
+    kernel_names: Vec<String>,
     pages_per_gpu: Vec<u64>,
-    /// Kernels awaiting their global barrier (name, dispatch).
-    pending_kernels: std::collections::VecDeque<(String, Dispatch)>,
-    /// Per-kernel execution times recorded by [`System::run_all`].
+    /// Per-kernel execution times recorded by [`System::run_all`]; the
+    /// running kernel is the next one, `kernel_cycles.len()`.
     pub kernel_cycles: Vec<(String, Cycle)>,
 }
 
@@ -84,25 +84,25 @@ impl System {
         Self::build_multi(cfg, std::slice::from_ref(kernel))
     }
 
-    /// Dispatch for one kernel: a CTA runs entirely on one CU; a GPU's
-    /// CTAs round-robin over its CUs.
+    /// Dispatches one kernel as every CU's next kernel: a CTA runs
+    /// entirely on one CU; a GPU's CTAs round-robin over its CUs.
     fn dispatch(
         kernel: &KernelSpec,
         cta_gpu: &BTreeMap<netcrafter_proto::CtaId, GpuId>,
-        total_gpus: u16,
-        cus_per_gpu: u16,
-    ) -> Dispatch {
-        let mut cu_waves: Dispatch = (0..total_gpus)
-            .map(|_| (0..cus_per_gpu).map(|_| Vec::new()).collect())
-            .collect();
-        let mut next_cu = vec![0usize; total_gpus as usize];
-        for cta in &kernel.ctas {
-            let gpu = cta_gpu[&cta.id];
-            let cu = next_cu[gpu.index()] % cus_per_gpu as usize;
-            next_cu[gpu.index()] += 1;
-            cu_waves[gpu.index()][cu].extend(cta.waves.iter().cloned());
+        programs: &mut Programs,
+    ) {
+        for program in programs.iter_mut().flatten() {
+            program.push(Vec::new());
         }
-        cu_waves
+        let mut next_cu = vec![0usize; programs.len()];
+        for cta in &kernel.ctas {
+            let gpu = cta_gpu[&cta.id].index();
+            let cus = &mut programs[gpu];
+            let cu = next_cu[gpu] % cus.len();
+            next_cu[gpu] += 1;
+            let waves = cus[cu].last_mut().expect("kernel pushed");
+            waves.extend(cta.waves.iter().cloned());
+        }
     }
 
     /// Builds the node and loads a *sequence* of kernels separated by
@@ -130,19 +130,14 @@ impl System {
 
         // LASP: CTA schedules + data/PTE placement across all kernels.
         let mut placer = lasp::Placer::new(total_gpus, frames_per_gpu);
-        let mut dispatches: std::collections::VecDeque<(String, Dispatch)> = kernels
-            .iter()
-            .map(|k| {
-                let cta_gpu = placer.place_kernel(k);
-                (
-                    k.name.clone(),
-                    Self::dispatch(k, &cta_gpu, total_gpus, cfg.cus_per_gpu),
-                )
-            })
-            .collect();
+        let mut programs: Programs =
+            vec![vec![Vec::new(); cfg.cus_per_gpu as usize]; total_gpus as usize];
+        for k in kernels {
+            let cta_gpu = placer.place_kernel(k);
+            Self::dispatch(k, &cta_gpu, &mut programs);
+        }
         let (page_table, pages_per_gpu) = placer.finish();
         let page_table = Arc::new(page_table);
-        let (kernel_name, mut cu_waves) = dispatches.pop_front().expect("non-empty");
 
         // Reserve ids: per GPU (cus…, gmmu, l2, dram, rdma), then switches.
         let mut b = EngineBuilder::new();
@@ -179,14 +174,14 @@ impl System {
             let switch_node = topo.switch_node(cluster);
 
             for (c, &cu_id) in ids.cus[gix].iter().enumerate() {
-                let waves = std::mem::take(&mut cu_waves[gix][c]);
+                let program = std::mem::take(&mut programs[gix][c]);
                 b.install(
                     cu_id,
                     Box::new(Cu::new(
                         gpu,
                         netcrafter_proto::CuId(c as u16),
                         &cfg,
-                        waves,
+                        program,
                         CuWiring {
                             gmmu: ids.gmmus[gix],
                             l2: ids.l2s[gix],
@@ -280,9 +275,8 @@ impl System {
             full_id: run_id(cfg.stable_repr()),
             cfg,
             topo,
-            kernel_name,
+            kernel_names: kernels.iter().map(|k| k.name.clone()).collect(),
             pages_per_gpu,
-            pending_kernels: dispatches,
             kernel_cycles: Vec::new(),
         }
     }
@@ -290,32 +284,32 @@ impl System {
     /// Runs every loaded kernel to completion, honouring global kernel
     /// barriers: the next kernel launches only when the node is fully
     /// drained. Returns the total execution time; per-kernel times are in
-    /// [`System::kernel_cycles`].
+    /// [`System::kernel_cycles`], each timed from its launch — also for a
+    /// node restored in the middle of a kernel.
     pub fn run_all(&mut self, max_cycles_per_kernel: Cycle) -> Cycle {
-        let mut started = self.engine.cycle();
-        let mut end = self.engine.run_to_quiescence(max_cycles_per_kernel);
-        self.kernel_cycles
-            .push((self.kernel_name.clone(), end - started));
-        while let Some((name, dispatch)) = self.pending_kernels.pop_front() {
-            self.kernel_name = name;
-            for (g, per_cu) in dispatch.into_iter().enumerate() {
-                for (c, waves) in per_cu.into_iter().enumerate() {
-                    if waves.is_empty() {
-                        continue;
-                    }
-                    let cu_id = self.ids.cus[g][c];
-                    self.engine
-                        .get_mut::<Cu>(cu_id)
-                        .expect("cu installed")
-                        .load_waves(waves);
-                }
-            }
-            started = end;
+        let mut end = self.engine.cycle();
+        while self.kernel_cycles.len() < self.kernel_names.len() {
             end = self.engine.run_to_quiescence(max_cycles_per_kernel);
-            self.kernel_cycles
-                .push((self.kernel_name.clone(), end - started));
+            self.end_kernel(end);
         }
         end
+    }
+
+    /// Records the running kernel's time, drained at cycle `end`, and
+    /// launches the next kernel on every CU if there is one. Kernel 0
+    /// launched at cycle 0 and each later one when the one before it
+    /// drained, so the running kernel launched at the sum of the
+    /// recorded times.
+    fn end_kernel(&mut self, end: Cycle) {
+        let launched: Cycle = self.kernel_cycles.iter().map(|&(_, c)| c).sum();
+        let name = self.kernel_names[self.kernel_cycles.len()].clone();
+        self.kernel_cycles.push((name, end - launched));
+        if self.kernel_cycles.len() < self.kernel_names.len() {
+            for &cu in self.ids.cus.iter().flatten() {
+                let cu = self.engine.get_mut::<Cu>(cu).expect("cu installed");
+                cu.launch();
+            }
+        }
     }
 
     /// The configuration the node was built with.
@@ -440,11 +434,6 @@ impl System {
         out
     }
 
-    /// Kernel loaded on the node.
-    pub fn kernel_name(&self) -> &str {
-        &self.kernel_name
-    }
-
     /// Runs the loaded kernel to completion (quiescence). Returns the
     /// execution time in cycles.
     ///
@@ -464,11 +453,10 @@ impl System {
     }
 
     /// The canonical state encoding behind every snapshot flavour: the
-    /// kernel-barrier bookkeeping, then the engine body (every component,
-    /// mailboxes, in-flight messages).
+    /// finished kernels' times, then the engine body (every component,
+    /// mailboxes, in-flight messages). The kernels themselves are not in
+    /// it: they are the program, which the run id pins.
     fn save_body(&mut self, w: &mut SnapshotWriter) {
-        self.kernel_name.save(w);
-        self.pending_kernels.save(w);
         self.kernel_cycles.save(w);
         self.engine.save_state_into(w);
     }
@@ -510,8 +498,6 @@ impl System {
                 expected: self.full_id,
             });
         }
-        self.kernel_name.load_into(&mut r)?;
-        self.pending_kernels.load_into(&mut r)?;
         self.kernel_cycles.load_into(&mut r)?;
         self.engine.load_state_from(&mut r)?;
         if r.remaining() != 0 {
@@ -524,7 +510,7 @@ impl System {
     }
 
     /// FNV-1a fingerprint of the node's canonical state encoding (kernel
-    /// bookkeeping + engine body, no header or run id).
+    /// times + engine body, no header or run id).
     pub fn state_hash(&mut self) -> u64 {
         let mut w = SnapshotWriter::new();
         self.save_body(&mut w);
@@ -771,6 +757,27 @@ mod tests {
             "warm second launch: {:?}",
             sys.kernel_cycles
         );
+    }
+
+    #[test]
+    fn a_node_restored_inside_a_later_kernel_times_it_from_its_launch() {
+        let build = || {
+            let mut k2 = tiny_kernel();
+            k2.name = "tiny-2".into();
+            System::build_multi(SystemConfig::small(2), &[tiny_kernel(), k2])
+        };
+        let mut straight = build();
+        straight.run_all(1_000_000);
+
+        let mut paused = build();
+        let drained = paused.run(1_000_000);
+        paused.end_kernel(drained);
+        paused.run_until(drained + straight.kernel_cycles[1].1 / 2);
+        assert!(!paused.engine.quiescent(), "paused inside kernel 1");
+        let mut restored = build();
+        restored.restore(&paused.save_snapshot()).expect("restores");
+        restored.run_all(1_000_000);
+        assert_eq!(restored.kernel_cycles, straight.kernel_cycles);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! Snapshots exclude observers too, so a resumed cell records only what
 //! it simulates: its metrics are compared in full, its trace from the
 //! first cycle after the pause and its time series from the first window
-//! that starts after it.
+//! that starts after it. A CU given more waves than slots is held to the
+//! same results under every scheduler, and to byte-identical restores
+//! of a pause taken after a retired wave handed its slot on.
 //!
 //! Every row dispatches the same `tick_burst`; Legacy ticks every
 //! component every cycle and ignores the returned wakes, so its rows
@@ -417,6 +419,39 @@ fn pausing_while_cu_retries_are_parked() {
         check_column_pausing(&column, &exp, |_| pause);
         check_states_pausing(&exp, pause, |sys| retrying_waves(sys) > 0);
     }
+}
+
+/// `Scale::small()` GUPS with one CU per GPU: 64 waves per CU for its
+/// 40 slots, so waves wait for a retired wave to hand its slot on.
+fn more_waves_than_slots() -> Experiment {
+    Experiment::quick(Workload::Gups, SystemVariant::NetCrafter)
+        .with_base_cfg(SystemConfig::small(1))
+        .with_scale(Scale::small())
+}
+
+/// Some CU has retired more waves than it has slots, so at least one of
+/// its slots was handed to a waiting wave.
+fn a_slot_was_refilled(sys: &System) -> bool {
+    let slots = u64::from(sys.config().max_waves_per_cu);
+    let metrics = sys.harvest();
+    (0..sys.ids.cus.len()).any(|g| metrics.counter(&format!("gpu{g}.cu.waves_done")) > slots)
+}
+
+#[test]
+fn waves_beyond_the_slots_run_when_a_slot_frees() {
+    let exp = more_waves_than_slots();
+    let mut sys = build(&exp);
+    while !a_slot_was_refilled(&sys) {
+        assert!(!sys.engine.quiescent(), "a CU must run out of slots");
+        sys.run_until(sys.engine.cycle() + 500);
+    }
+    let pause = sys.engine.cycle();
+    sys.run(exp.max_cycles);
+    let done = sys.harvest().counter("total.cu.waves_done");
+    assert_eq!(done, 256, "every wave retires");
+    // Every scheduler runs to the same cycle count and metrics, and a
+    // snapshot taken after a slot was refilled restores byte for byte.
+    check_states_pausing(&exp, pause, a_slot_was_refilled);
 }
 
 #[test]

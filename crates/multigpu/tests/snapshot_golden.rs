@@ -103,6 +103,6 @@ fn torus_8_mid_run() {
     assert_pinned("torus-8/Gups/NetCrafter", &mut sys, TORUS_8);
 }
 
-const MESH: Pin = (9, 173_098, 0xc5e3_5235_a73e_c174);
-const FAT_TREE_8: Pin = (9, 361_754, 0x0d0b_4b85_1dca_c871);
-const TORUS_8: Pin = (9, 365_973, 0x7230_3bce_652e_73c7);
+const MESH: Pin = (10, 167_366, 0xd465_b302_cd10_a82e);
+const FAT_TREE_8: Pin = (10, 350_083, 0xcc1d_421f_e224_5d2e);
+const TORUS_8: Pin = (10, 354_307, 0x7f67_d63e_0b7a_6c48);

@@ -7,7 +7,7 @@
 //! scheduling and page placement. Workload generators know their own
 //! access patterns exactly, so they play the role of the compiler pass.
 
-use crate::access::{WavefrontOp, WavefrontTrace};
+use crate::access::{AccessKind, CoalescedAccess, WavefrontOp, WavefrontTrace};
 use crate::ids::{CtaId, GpuId};
 use crate::VAddr;
 
@@ -109,9 +109,9 @@ impl KernelSpec {
     /// A stable fingerprint of everything the kernel hands the system
     /// (name, buffers, CTA ids, home hints, every op), folded a `u64` at a
     /// time FNV-1a style. Each step is a bijection of the running value,
-    /// so changing any one word changes the result. A field added to the
-    /// wave types must be folded in here too; a `netcrafter-sim` snapshot
-    /// test checks this list against their `snap_fields!` declarations.
+    /// so changing any one word changes the result. The wave types are
+    /// taken apart field by field with no `..`, so a field added to one
+    /// of them does not compile until it is folded in here too.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::fnv1a64(self.name.as_bytes());
         let mut fold = |words: &[u64]| {
@@ -125,18 +125,21 @@ impl KernelSpec {
             fold(&[name, b.base.0, b.bytes, b.pattern as u64]);
         }
         fold(&[self.ctas.len() as u64]);
-        for cta in &self.ctas {
-            let hint = cta.home_hint.map_or(u64::MAX, |g| u64::from(g.0));
-            fold(&[u64::from(cta.id.0), hint, cta.waves.len() as u64]);
-            for wave in &cta.waves {
-                let ids = u64::from(wave.id.0) << 32 | u64::from(wave.cta.0);
-                fold(&[ids, wave.ops.len() as u64]);
-                for op in &wave.ops {
-                    match op {
-                        WavefrontOp::Compute(cycles) => fold(&[u64::from(*cycles) << 2]),
-                        WavefrontOp::Mem(a) => {
-                            let kind = 1 + u64::from(a.kind.is_write());
-                            fold(&[kind, a.vaddr.0, a.mask.0]);
+        for spec in &self.ctas {
+            let hint = spec.home_hint.map_or(u64::MAX, |g| u64::from(g.0));
+            fold(&[u64::from(spec.id.0), hint, spec.waves.len() as u64]);
+            for WavefrontTrace { id, cta, ops } in &spec.waves {
+                let ids = u64::from(id.0) << 32 | u64::from(cta.0);
+                fold(&[ids, ops.len() as u64]);
+                for op in ops {
+                    match *op {
+                        WavefrontOp::Compute(cycles) => fold(&[u64::from(cycles) << 2]),
+                        WavefrontOp::Mem(CoalescedAccess { vaddr, kind, mask }) => {
+                            let kind = match kind {
+                                AccessKind::Read => 1,
+                                AccessKind::Write => 2,
+                            };
+                            fold(&[kind, vaddr.0, mask.0]);
                         }
                     }
                 }
@@ -149,7 +152,6 @@ impl KernelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{AccessKind, CoalescedAccess};
     use crate::ids::WavefrontId;
 
     #[test]
@@ -200,39 +202,66 @@ mod tests {
         assert_eq!(k.total_mem_ops(), 2);
     }
 
+    /// Changing any one field of a wave — its ids, a compute phase's
+    /// cycles, an access's kind, address or mask — moves the fingerprint.
     #[test]
-    fn fingerprint_changes_with_one_op() {
-        let kernel = |ops: Vec<WavefrontOp>| KernelSpec {
+    fn fingerprint_moves_with_every_wave_field() {
+        let kernel = |wave: WavefrontTrace| KernelSpec {
             name: "k".into(),
             ctas: vec![CtaSpec {
                 id: CtaId(0),
-                waves: vec![WavefrontTrace {
-                    id: WavefrontId(0),
-                    cta: CtaId(0),
-                    ops,
-                }],
+                waves: vec![wave],
                 home_hint: None,
             }],
             buffers: vec![],
         };
         let read = CoalescedAccess::read(VAddr(0x40), 8);
-        let ops = vec![WavefrontOp::Compute(5), WavefrontOp::Mem(read)];
-        let base = kernel(ops.clone()).fingerprint();
-        assert_eq!(base, kernel(ops.clone()).fingerprint(), "stable");
-
-        let moved = CoalescedAccess::read(VAddr(0x80), 8);
-        let narrower = CoalescedAccess::read(VAddr(0x40), 4);
-        let write = CoalescedAccess {
-            kind: AccessKind::Write,
-            ..read
+        let wave = WavefrontTrace {
+            id: WavefrontId(0),
+            cta: CtaId(0),
+            ops: vec![WavefrontOp::Compute(5), WavefrontOp::Mem(read)],
         };
-        for (what, op) in [("address", moved), ("mask", narrower), ("kind", write)] {
-            let mut changed = ops.clone();
-            changed[1] = WavefrontOp::Mem(op);
-            assert_ne!(kernel(changed).fingerprint(), base, "{what}");
+        let base = kernel(wave.clone()).fingerprint();
+        assert_eq!(base, kernel(wave.clone()).fingerprint(), "stable");
+
+        let with_access = |access: CoalescedAccess| WavefrontTrace {
+            ops: vec![WavefrontOp::Compute(5), WavefrontOp::Mem(access)],
+            ..wave.clone()
+        };
+        let changed = [
+            (
+                "id",
+                WavefrontTrace {
+                    id: WavefrontId(1),
+                    ..wave.clone()
+                },
+            ),
+            (
+                "cta",
+                WavefrontTrace {
+                    cta: CtaId(1),
+                    ..wave.clone()
+                },
+            ),
+            (
+                "compute cycles",
+                WavefrontTrace {
+                    ops: vec![WavefrontOp::Compute(6), WavefrontOp::Mem(read)],
+                    ..wave.clone()
+                },
+            ),
+            (
+                "kind",
+                with_access(CoalescedAccess {
+                    kind: AccessKind::Write,
+                    ..read
+                }),
+            ),
+            ("vaddr", with_access(CoalescedAccess::read(VAddr(0x80), 8))),
+            ("mask", with_access(CoalescedAccess::read(VAddr(0x40), 4))),
+        ];
+        for (field, wave) in changed {
+            assert_ne!(kernel(wave).fingerprint(), base, "{field}");
         }
-        let mut longer = ops;
-        longer[0] = WavefrontOp::Compute(6);
-        assert_ne!(kernel(longer).fingerprint(), base, "compute cycles");
     }
 }

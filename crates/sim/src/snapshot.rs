@@ -24,14 +24,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use netcrafter_proto::access::{AccessKind, CoalescedAccess, WavefrontOp, WavefrontTrace};
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::message::Origin;
 use netcrafter_proto::packet::{PacketPayload, TrimInfo};
 use netcrafter_proto::{
-    AccessId, Chunk, ClusterId, CtaId, CuId, Flit, GpuId, Histogram, LatencyStat, LineAddr,
-    LineMask, MemReq, MemRsp, Message, NodeId, PAddr, Packet, PacketId, PacketKind, TrafficClass,
-    TransReq, TransRsp, VAddr, WavefrontId,
+    AccessId, Chunk, ClusterId, CuId, Flit, GpuId, Histogram, LatencyStat, LineAddr, LineMask,
+    MemReq, MemRsp, Message, NodeId, PAddr, Packet, PacketId, PacketKind, TrafficClass, TransReq,
+    TransRsp,
 };
 
 /// First four bytes of every snapshot: `"NCSP"` as a little-endian u32.
@@ -40,7 +39,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5053_434E;
 /// Current snapshot format version. Bump whenever the encoding of any
 /// serialized structure changes; old snapshots then fail loudly with
 /// [`SnapshotError::VersionMismatch`] instead of restoring garbage.
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -914,12 +913,9 @@ snap_newtype!(
     GpuId => u16,
     ClusterId => u16,
     CuId => u16,
-    CtaId => u32,
-    WavefrontId => u32,
     NodeId => u16,
     AccessId => u64,
     PacketId => u64,
-    VAddr => u64,
     PAddr => u64,
     LineAddr => u64,
     LineMask => u64,
@@ -993,26 +989,6 @@ snap_fields! {
         5 => Credit { from, count, link },
     }
 }
-
-// ---- proto workload types ----
-
-snap_fields! { enum AccessKind { 0 => Read, 1 => Write } }
-
-snap_fields! {
-    impl Snap for CoalescedAccess { vaddr, kind, mask }
-    validate nonempty_mask
-}
-
-fn nonempty_mask(access: &CoalescedAccess) -> Result<(), SnapshotError> {
-    if access.mask.is_empty() {
-        return Err(SnapshotError::Corrupt("empty access mask".to_string()));
-    }
-    Ok(())
-}
-
-snap_fields! { enum WavefrontOp { 0 => Mem(access), 1 => Compute(cycles) } }
-
-snap_fields! { impl Snap for WavefrontTrace { id, cta, ops } }
 
 // ---- proto statistics types ----
 
@@ -1190,83 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_traces_round_trip() {
-        let trace = WavefrontTrace {
-            id: WavefrontId(3),
-            cta: CtaId(1),
-            ops: vec![
-                WavefrontOp::Compute(10),
-                WavefrontOp::Mem(CoalescedAccess::read(VAddr(0x100), 8)),
-                WavefrontOp::Mem(CoalescedAccess::write(VAddr(0x140), 64)),
-            ],
-        };
-        let mut w = SnapshotWriter::new();
-        trace.save(&mut w);
-        let bytes = w.into_bytes();
-        let back: WavefrontTrace = Snap::load(&mut SnapshotReader::new(&bytes)).expect("decodes");
-        assert_eq!(back.id, trace.id);
-        assert_eq!(back.cta, trace.cta);
-        assert_eq!(back.ops, trace.ops);
-    }
-
-    /// `KernelSpec::fingerprint` folds the wave fields by hand; this pins
-    /// that list to the `snap_fields!` declarations above. Every one-bit
-    /// change of a wave's encoding that still decodes names another wave,
-    /// and that wave must fingerprint differently, so a field declared
-    /// here but not folded there fails.
-    #[test]
-    fn kernel_fingerprint_covers_every_encoded_wave_field() {
-        use netcrafter_proto::kernel::{CtaSpec, KernelSpec};
-        let fingerprint = |wave: WavefrontTrace| {
-            KernelSpec {
-                name: "k".into(),
-                ctas: vec![CtaSpec {
-                    id: CtaId(1),
-                    waves: vec![wave],
-                    home_hint: None,
-                }],
-                buffers: vec![],
-            }
-            .fingerprint()
-        };
-        let trace = WavefrontTrace {
-            id: WavefrontId(3),
-            cta: CtaId(1),
-            ops: vec![
-                WavefrontOp::Compute(10),
-                WavefrontOp::Mem(CoalescedAccess::read(VAddr(0x100), 8)),
-                WavefrontOp::Mem(CoalescedAccess::write(VAddr(0x140), 64)),
-            ],
-        };
-        let mut w = SnapshotWriter::new();
-        trace.save(&mut w);
-        let bytes = w.into_bytes();
-        let base = fingerprint(trace);
-
-        let mut other_waves = 0;
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut flipped = bytes.clone();
-                flipped[i] ^= 1 << bit;
-                let mut r = SnapshotReader::new(&flipped);
-                let Ok(wave) = WavefrontTrace::load(&mut r) else {
-                    continue;
-                };
-                if r.remaining() != 0 {
-                    continue;
-                }
-                other_waves += 1;
-                assert_ne!(fingerprint(wave), base, "byte {i} bit {bit}");
-            }
-        }
-        assert!(
-            other_waves > bytes.len(),
-            "{other_waves} of {} bytes",
-            bytes.len()
-        );
-    }
-
-    #[test]
     fn stats_round_trip() {
         let mut lat = LatencyStat::default();
         lat.record(10);
@@ -1403,8 +1302,6 @@ mod tests {
         assert_eq!(tag_9::<Origin>(), corrupt("Origin"));
         assert_eq!(tag_9::<PacketPayload>(), corrupt("PacketPayload"));
         assert_eq!(tag_9::<Message>(), corrupt("Message"));
-        assert_eq!(tag_9::<AccessKind>(), corrupt("AccessKind"));
-        assert_eq!(tag_9::<WavefrontOp>(), corrupt("WavefrontOp"));
         assert_eq!(tag_9::<PacketKind>(), corrupt("PacketKind"));
         assert_eq!(tag_9::<Option<u8>>(), corrupt("Option"));
     }
