@@ -19,7 +19,11 @@
 # egress-port and sleeping-source checks in crates/net/src/
 # (switch.rs's lazy_ports_agree_across_schedulers, port.rs's
 # sampled_port_pushed_after_sleeping_matches_per_cycle_ticks,
-# synthetic.rs's sources_sleep_between_tokens_and_schedulers_agree); the gated
+# synthetic.rs's sources_sleep_between_tokens_and_schedulers_agree); the
+# FlatMap <-> BTreeMap codec check in crates/sim/src/flatmap.rs
+# (flat_map_matches_a_btree_map_and_its_bytes: seeded insert, replace and
+# remove runs hold the same entries and save the same bytes at every step,
+# and either map's blob loads into the other); the gated
 # cycle/tick counts (ci/BENCH_*.baseline.json), --jobs, the disk cache,
 # prefix-shared sweeps (parallel_runner.rs's two panicking-sweep tests
 # referee the runner's task channel: a job or a representative that

@@ -13,8 +13,6 @@
 //! holds a wave's index and pc, the waves without a slot are a cursor,
 //! and a retired wave with no load in flight hands its slot on.
 
-use std::collections::BTreeMap;
-
 use netcrafter_mem::{L1Access, L1Cache};
 use netcrafter_proto::access::{CoalescedAccess, WavefrontOp, WavefrontTrace};
 use netcrafter_proto::config::{SystemConfig, L1_TLB, ON_CHIP_HOP_CYCLES};
@@ -25,7 +23,7 @@ use netcrafter_proto::{
 };
 use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{
-    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, Wake,
+    snap_fields, BurstOutcome, Component, ComponentId, Ctx, Cycle, EventClass, FlatMap, Wake,
 };
 use netcrafter_vm::Tlb;
 
@@ -177,9 +175,11 @@ pub struct Cu {
     rr: usize,
     ids: IdAlloc<AccessId>,
     id_base: u64,
-    trans_waiters: BTreeMap<AccessId, usize>,
-    /// Reads in flight: (slot, issue cycle, inter-cluster).
-    reads: BTreeMap<AccessId, (usize, Cycle, bool)>,
+    /// Accesses waiting for a translation: at most one per slot.
+    trans_waiters: FlatMap<AccessId, usize>,
+    /// Reads in flight: (slot, issue cycle, inter-cluster). At most
+    /// `max_loads_per_wave` per slot.
+    reads: FlatMap<AccessId, (usize, Cycle, bool)>,
     outstanding: u32,
     /// Cycle of the last tick, the anchor for the arithmetic catch-up
     /// (`idle_cycles`, failed access retries) after an event-driven
@@ -208,6 +208,7 @@ impl Cu {
         let l1_tlb = Tlb::new(&L1_TLB);
         // Globally unique access ids: gpu and cu in the high bits.
         let id_base = ((gpu.raw() as u64) << 40) | ((cu.raw() as u64) << 24);
+        let max_waves = usize::from(cfg.max_waves_per_cu);
         let mut cu = Self {
             gpu,
             cu_raw: cu.raw(),
@@ -217,7 +218,7 @@ impl Cu {
             wiring,
             gpus_per_cluster: cfg.topology.gpus_per_cluster,
             frames_per_gpu: 1u64 << (netcrafter_proto::config::PA_GPU_REGION_BITS - 12),
-            max_waves: cfg.max_waves_per_cu as usize,
+            max_waves,
             max_outstanding: cfg.max_outstanding_per_cu,
             max_loads_per_wave: cfg.max_loads_per_wave,
             full_sector_mask: cfg.full_sector_mask(),
@@ -228,8 +229,8 @@ impl Cu {
             rr: 0,
             ids: IdAlloc::new(),
             id_base,
-            trans_waiters: BTreeMap::new(),
-            reads: BTreeMap::new(),
+            trans_waiters: FlatMap::with_bound(max_waves),
+            reads: FlatMap::with_bound(max_waves * usize::from(cfg.max_loads_per_wave)),
             outstanding: 0,
             last_tick: 0,
             was_busy: false,
@@ -688,10 +689,19 @@ impl Component for Cu {
 impl Cu {
     /// The restored state indexes the program: the kernel, the cursor
     /// and every slot's wave exist, no pc is past its trace, a waiting or
-    /// retrying wave last issued a memory op, and every parked access
-    /// points at a slot.
+    /// retrying wave last issued a memory op, every parked access points
+    /// at a slot, and neither parked table exceeds its hardware bound.
     fn check_restored(&self) -> Result<(), SnapshotError> {
         let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        let read_bound = self.max_waves * usize::from(self.max_loads_per_wave);
+        if self.trans_waiters.len() > self.max_waves || self.reads.len() > read_bound {
+            return corrupt(format!(
+                "{} translations and {} reads in flight, bounds {} and {read_bound}",
+                self.trans_waiters.len(),
+                self.reads.len(),
+                self.max_waves
+            ));
+        }
         let waves = self.program.get(self.kernel);
         let Some(waves) = waves.filter(|w| self.next_wave <= w.len()) else {
             return corrupt(format!(
@@ -962,6 +972,47 @@ mod tests {
         assert_eq!(cu.stats.waves_done, 7);
         assert_eq!(cu.slots.len(), 4);
         assert_eq!(h.reqs.lock().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn restored_access_tables_must_fit_their_bounds() {
+        // Two slots of two loads each: at most two translations and four
+        // reads can be in flight.
+        let mut cfg = SystemConfig::small(1);
+        cfg.max_waves_per_cu = 2;
+        cfg.max_loads_per_wave = 2;
+        let build = || {
+            let be = ComponentId(1);
+            let wiring = CuWiring {
+                gmmu: be,
+                l2: be,
+                rdma: be,
+            };
+            let program = vec![vec![wave(0, vec![WavefrontOp::Compute(1)])]];
+            Cu::new(GpuId(0), netcrafter_proto::CuId(0), &cfg, program, wiring)
+        };
+        let restore = |trans: u64, reads: u64| {
+            let mut cu = build();
+            for id in 0..trans {
+                cu.trans_waiters.insert(AccessId(id), 0);
+            }
+            for id in 0..reads {
+                cu.reads.insert(AccessId(100 + id), (0, 1, false));
+            }
+            let mut w = SnapshotWriter::new();
+            cu.save_state(&mut w);
+            let bytes = w.into_bytes();
+            build().load_state(&mut SnapshotReader::new(&bytes))
+        };
+        assert_eq!(restore(2, 4), Ok(()));
+        let over = "in flight, bounds 2 and 4";
+        for (trans, reads) in [(3, 0), (0, 5)] {
+            let got = restore(trans, reads);
+            assert!(
+                matches!(&got, Err(SnapshotError::Corrupt(why)) if why.contains(over)),
+                "{trans} translations, {reads} reads: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! same-line requests, with a hard entry limit that stalls the requester
 //! when exhausted (Table 2: 32 entries at L1, 64 at L2, 8/64 at the TLBs).
 
-use std::collections::BTreeMap;
-
 use netcrafter_sim::snap_fields;
 use netcrafter_sim::snapshot::{Snap, SnapshotError};
+use netcrafter_sim::FlatMap;
 
 /// Result of trying to register a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +27,7 @@ pub enum MshrOutcome {
 /// fills may carry a single sector).
 #[derive(Debug, Clone)]
 pub struct Mshr<W> {
-    entries: BTreeMap<u64, Entry<W>>,
+    entries: FlatMap<u64, Entry<W>>,
     capacity: usize,
     /// Peak simultaneous occupancy, for reporting.
     pub peak: usize,
@@ -49,7 +48,7 @@ impl<W> Mshr<W> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR needs at least one entry");
         Self {
-            entries: BTreeMap::new(),
+            entries: FlatMap::with_bound(capacity),
             capacity,
             peak: 0,
             full_stalls: 0,

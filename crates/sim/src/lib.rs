@@ -21,9 +21,10 @@
 //! its slice, with delivery keys and cross-domain routing selected at
 //! compile time.
 //!
-//! The crate also provides the small timing utilities every hardware model
-//! needs: [`DelayQueue`] (fixed-latency pipelines) and [`RateLimiter`]
-//! (bandwidth modelling with fractional bytes/cycle).
+//! The crate also provides the small utilities every hardware model
+//! needs: [`DelayQueue`] (fixed-latency pipelines), [`RateLimiter`]
+//! (bandwidth modelling with fractional bytes/cycle) and [`FlatMap`]
+//! (a bound-sized table of in-flight requests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,7 @@
 
 pub mod arena;
 pub mod engine;
+pub mod flatmap;
 pub mod parallel;
 mod sched;
 pub mod snapshot;
@@ -43,6 +45,7 @@ pub use arena::{Arena, Handle};
 pub use engine::{
     BurstOutcome, Component, ComponentId, Ctx, Engine, EngineBuilder, SchedulerMode, Wake,
 };
+pub use flatmap::FlatMap;
 pub use parallel::Partition;
 pub use snapshot::{
     read_header, write_header, ForkSnapshot, Snap, SnapshotError, SnapshotReader, SnapshotWriter,

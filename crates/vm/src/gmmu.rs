@@ -9,7 +9,7 @@
 //! the Page Table Req/Rsp packets whose latency the paper's Sequencing
 //! mechanism protects.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use netcrafter_proto::config::{GmmuConfig, TlbConfig, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::ids::IdAlloc;
@@ -19,7 +19,7 @@ use netcrafter_proto::{
 };
 use netcrafter_sim::snapshot::SnapshotError;
 use netcrafter_sim::{
-    snap_fields, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, Wake,
+    snap_fields, Component, ComponentId, Ctx, Cycle, DelayQueue, EventClass, FlatMap, Wake,
 };
 
 use crate::pagetable::PageTable;
@@ -144,11 +144,14 @@ pub struct TranslationUnit {
     /// Pages that took an MSHR in the current [`Self::replay_retries`]
     /// scan; scratch, meaningless between scans.
     replay_claimed: Vec<u64>,
-    waiters: BTreeMap<u64, Vec<TransReq>>,
+    /// Requests per page being translated: one entry per L2-TLB MSHR.
+    waiters: FlatMap<u64, Vec<TransReq>>,
     waiter_cap: usize,
-    active: BTreeMap<u64, Walk>,
+    /// Walks holding a walker, by page.
+    active: FlatMap<u64, Walk>,
     pending_walks: VecDeque<PendingWalk>,
-    inflight_reads: BTreeMap<AccessId, u64>,
+    /// The page of each active walk's page-table read in flight.
+    inflight_reads: FlatMap<AccessId, u64>,
     read_ids: IdAlloc<AccessId>,
     /// Statistics.
     pub stats: GmmuStats,
@@ -167,6 +170,8 @@ impl TranslationUnit {
             l2_tlb_cfg.mshr_entries > 0,
             "{gpu}.gmmu: the L2 TLB needs at least one MSHR"
         );
+        let waiter_cap = l2_tlb_cfg.mshr_entries as usize;
+        let walkers = gmmu_cfg.walkers as usize;
         Self {
             gpu,
             name: format!("{gpu}.gmmu"),
@@ -176,7 +181,7 @@ impl TranslationUnit {
                 gmmu_cfg.pwc_entries as usize,
             ),
             pwc_cycles: gmmu_cfg.pwc_lookup_cycles,
-            max_walkers: gmmu_cfg.walkers as usize,
+            max_walkers: walkers,
             page_table,
             wiring,
             tlb_pipe: DelayQueue::new(),
@@ -184,11 +189,11 @@ impl TranslationUnit {
             retry: VecDeque::new(),
             retry_settled: 0,
             replay_claimed: Vec::new(),
-            waiters: BTreeMap::new(),
-            waiter_cap: l2_tlb_cfg.mshr_entries as usize,
-            active: BTreeMap::new(),
+            waiters: FlatMap::with_bound(waiter_cap),
+            waiter_cap,
+            active: FlatMap::with_bound(walkers),
             pending_walks: VecDeque::new(),
-            inflight_reads: BTreeMap::new(),
+            inflight_reads: FlatMap::with_bound(walkers),
             read_ids: IdAlloc::new(),
             stats: GmmuStats::default(),
         }
@@ -505,6 +510,38 @@ impl Component for TranslationUnit {
             read_ids,
             stats,
         }
+        validate Self::check_restored
+    }
+}
+
+impl TranslationUnit {
+    /// The restored walks fit the hardware: no more than `walkers`
+    /// active walks and `waiter_cap` translating pages, and every
+    /// page-table read in flight belongs to an active walk.
+    fn check_restored(&self) -> Result<(), SnapshotError> {
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(format!("{}: {what}", self.name)));
+        if self.active.len() > self.max_walkers {
+            return corrupt(format!(
+                "{} active walks for {} walkers",
+                self.active.len(),
+                self.max_walkers
+            ));
+        }
+        if self.waiters.len() > self.waiter_cap {
+            return corrupt(format!(
+                "{} pages translating for {} MSHRs",
+                self.waiters.len(),
+                self.waiter_cap
+            ));
+        }
+        if let Some((id, vpn)) = self
+            .inflight_reads
+            .iter()
+            .find(|(_, vpn)| !self.active.contains_key(vpn))
+        {
+            return corrupt(format!("read {id} of vpn {vpn:#x}, which has no walk"));
+        }
+        Ok(())
     }
 }
 
@@ -950,6 +987,88 @@ mod tests {
             h.rsp.lock().unwrap().len(),
             2,
             "both walks complete eventually"
+        );
+    }
+
+    /// A unit with two walkers and four L2-TLB MSHRs, outside an engine.
+    fn bare_unit() -> TranslationUnit {
+        TranslationUnit::new(
+            GpuId(0),
+            &TlbConfig {
+                entries: 512,
+                ways: 8,
+                lookup_cycles: 10,
+                mshr_entries: 4,
+            },
+            &GmmuConfig {
+                pwc_entries: 32,
+                pwc_lookup_cycles: 10,
+                walkers: 2,
+            },
+            Arc::new(PageTable::new(1 << 24)),
+            TranslationWiring {
+                cus: vec![ComponentId(0)],
+                l2: ComponentId(1),
+                rdma: ComponentId(2),
+            },
+        )
+    }
+
+    fn walk(vpn: u64) -> Walk {
+        Walk {
+            vpn,
+            reads: vec![(GpuId(0), netcrafter_proto::LineAddr(vpn))],
+            next_read: 0,
+            started: 1,
+        }
+    }
+
+    /// Saves `edit`ed state and restores it into a fresh unit.
+    fn restore_edited(edit: impl FnOnce(&mut TranslationUnit)) -> Result<(), SnapshotError> {
+        let mut tu = bare_unit();
+        edit(&mut tu);
+        let mut w = netcrafter_sim::SnapshotWriter::new();
+        tu.save_state(&mut w);
+        let bytes = w.into_bytes();
+        bare_unit().load_state(&mut netcrafter_sim::SnapshotReader::new(&bytes))
+    }
+
+    #[test]
+    fn restored_walks_must_fit_the_walkers_and_own_their_reads() {
+        // A walk with its read in flight restores.
+        assert_eq!(
+            restore_edited(|tu| {
+                tu.waiters.insert(0x42, Vec::new());
+                tu.active.insert(0x42, walk(0x42));
+                tu.inflight_reads.insert(AccessId(0), 0x42);
+            }),
+            Ok(())
+        );
+        // A read of a page with no walk would panic at its response.
+        let got = restore_edited(|tu| {
+            tu.inflight_reads.insert(AccessId(7), 0x42);
+        });
+        let Err(SnapshotError::Corrupt(why)) = got else {
+            panic!("orphan read restored: {got:?}");
+        };
+        assert!(why.contains("no walk"), "{why}");
+        let got = restore_edited(|tu| {
+            for vpn in 1..=3 {
+                tu.active.insert(vpn, walk(vpn));
+            }
+        });
+        assert!(
+            matches!(&got, Err(SnapshotError::Corrupt(why)) if why.contains("3 active walks for 2 walkers")),
+            "{got:?}"
+        );
+        let got = restore_edited(|tu| {
+            for vpn in 1..=5 {
+                tu.waiters.insert(vpn, Vec::new());
+            }
+        });
+        assert!(
+            matches!(&got, Err(SnapshotError::Corrupt(why)) if why.contains("5 pages translating for 4 MSHRs")),
+            "{got:?}"
         );
     }
 }
