@@ -15,7 +15,11 @@
 #
 # Every equivalence gate is a Rust test run by build-test: scheduler
 # equivalence (EventDriven vs Legacy vs PDES, uninterrupted vs pause +
-# resume, mesh/fat-tree/torus) in crates/multigpu/tests/; the lazy
+# resume; columns: mesh/fat-tree/torus, a pause among L2-TLB requests
+# parked behind two MSHRs, and three pauses among CU retries parked at
+# Table 2's CU limits and L1, each asserting its regime at the pause:
+# cap-blocked, L1-stalled behind a trimmed fill, and stalled on a
+# resident line under sectored fills) in crates/multigpu/tests/; the lazy
 # egress-port and sleeping-source checks in crates/net/src/
 # (switch.rs's lazy_ports_agree_across_schedulers, port.rs's
 # sampled_port_pushed_after_sleeping_matches_per_cycle_ticks,

@@ -1,20 +1,21 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] [--big] [--verbose] [--jobs N] [--threads N]
-//!         [--cache-dir DIR] [--warmup CYCLES] <id>... | all
+//! figures [--quick] [--verbose] [--jobs N] [--cache-dir DIR]
+//!         [--warmup CYCLES] <id>... | all
 //! ```
 //!
 //! Ids: table1, table3, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig12,
 //! fig14, fig15, fig16, fig17, fig18, fig19, fig20, fig21, fig22,
 //! ablation, scaling, topology.
 //!
+//! The figures run at paper scale (`Runner::paper`) or, with `--quick`,
+//! at smoke scale (`Runner::quick`, seconds).
+//!
 //! `--jobs N` resolves every figure's simulations on N worker threads;
-//! `--threads N` runs each simulation's cluster domains on N worker
-//! threads (the conservative parallel scheduler); `--cache-dir DIR`
-//! persists every result so a re-run only simulates configurations it
-//! has never seen. All three leave the printed tables byte-identical to
-//! a sequential, uncached run.
+//! `--cache-dir DIR` persists every result so a re-run only simulates
+//! configurations it has never seen. Both leave the printed tables
+//! byte-identical to a sequential, uncached run.
 //!
 //! Tracing is the `simulate` binary's job: its `--trace` /
 //! `--timeseries` flags observe any single run, including any one of the
@@ -32,17 +33,15 @@ use std::time::Instant;
 
 use netcrafter_bench::{figures, Cli, Runner};
 
-const USAGE: &str = "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--threads N] \
-     [--cache-dir DIR] [--warmup CYCLES] <id>... | all";
+const USAGE: &str = "usage: figures [--quick] [--verbose] [--jobs N] [--cache-dir DIR] \
+     [--warmup CYCLES] <id>... | all";
 
-const VALUE_FLAGS: [&str; 4] = ["--jobs", "--threads", "--cache-dir", "--warmup"];
+const VALUE_FLAGS: [&str; 3] = ["--jobs", "--cache-dir", "--warmup"];
 
 fn main() {
-    let cli = Cli::from_env(USAGE, &VALUE_FLAGS, &["--quick", "--big", "--verbose"]);
+    let cli = Cli::from_env(USAGE, &VALUE_FLAGS, &["--quick", "--verbose"]);
     let quick = cli.has("--quick");
-    let big = cli.has("--big");
     let jobs: usize = cli.parsed("--jobs").unwrap_or(1);
-    let threads: usize = cli.parsed("--threads").unwrap_or(1);
     let warmup: Option<u64> = cli.parsed("--warmup");
 
     // Everything that is not a flag (or a flag's value) is a figure id.
@@ -64,15 +63,8 @@ fn main() {
     } else {
         Runner::paper()
     };
-    if big {
-        // Closer to the paper's 64-CU GPUs: 16 CUs with doubled inputs.
-        // Expect a full `all` pass to take tens of minutes.
-        runner.base_cfg.cus_per_gpu = 16;
-        runner.scale.ctas *= 2;
-        runner.scale.mem_ops_per_wave *= 2;
-    }
     runner.verbose = cli.has("--verbose");
-    runner = runner.with_jobs(jobs).with_threads(threads);
+    runner = runner.with_jobs(jobs);
     if let Some(w) = warmup {
         runner.base_cfg.netcrafter.warmup_cycles = w;
     }
@@ -85,13 +77,7 @@ fn main() {
 
     println!(
         "# NetCrafter figure regeneration ({} scale)\n",
-        if quick {
-            "quick"
-        } else if big {
-            "big"
-        } else {
-            "paper"
-        }
+        if quick { "quick" } else { "paper" }
     );
     let t0 = Instant::now();
 

@@ -7,7 +7,7 @@
 //!          [--intra 128] [--inter 16] [--flit 16]
 //!          [--scale tiny|small|paper] [--seed N]
 //!          [--trim-granularity 4|8|16]
-//!          [--jobs N] [--threads N] [--cache-dir DIR]
+//!          [--jobs N] [--cache-dir DIR]
 //!          [--checkpoint-at CYCLE] [--checkpoint-dir DIR]
 //!          [--restore-from FILE]
 //!          [--dump-metrics] [--csv FILE]
@@ -16,11 +16,9 @@
 //! ```
 //!
 //! `--variant all` sweeps every variant of the workload (in parallel
-//! with `--jobs N`) and prints a comparison table. `--threads N` runs
-//! each simulation's cluster domains on N worker threads under the
-//! conservative parallel scheduler — output stays byte-identical.
-//! `--cache-dir DIR` replays identical configurations from the
-//! persistent result cache instead of re-simulating.
+//! with `--jobs N`) and prints a comparison table. `--cache-dir DIR`
+//! replays identical configurations from the persistent result cache
+//! instead of re-simulating.
 //!
 //! `--trace FILE` records a Chrome-trace JSON event trace (load it in
 //! `chrome://tracing` or Perfetto), optionally filtered by
@@ -81,13 +79,13 @@ const USAGE: &str = "usage: simulate [--workload NAME] [--variant V|all] [--cus 
      [--topology mesh:CxG|fat-tree:k=K[:g=G][:cores=N]|torus:XxYxZ[:g=G]] \
      [--intra GBPS] [--inter GBPS] [--flit BYTES] \
      [--scale tiny|small|paper] [--seed N] \
-     [--trim-granularity N] [--jobs N] [--threads N] [--cache-dir DIR] \
+     [--trim-granularity N] [--jobs N] [--cache-dir DIR] \
      [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
      [--dump-metrics] [--csv FILE] \
      [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N]\n\
      variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all";
 
-const VALUE_FLAGS: [&str; 21] = [
+const VALUE_FLAGS: [&str; 20] = [
     "--workload",
     "--variant",
     "--cus",
@@ -99,7 +97,6 @@ const VALUE_FLAGS: [&str; 21] = [
     "--seed",
     "--trim-granularity",
     "--jobs",
-    "--threads",
     "--cache-dir",
     "--checkpoint-at",
     "--checkpoint-dir",
@@ -247,7 +244,6 @@ fn main() {
     runner.seed = cli.parsed("--seed").unwrap_or(0xC0FFEE);
     runner.max_cycles = 1_000_000_000;
     runner = runner.with_jobs(cli.parsed("--jobs").unwrap_or(1));
-    runner = runner.with_threads(cli.parsed("--threads").unwrap_or(1));
     if let Some(dir) = cli.value("--cache-dir") {
         runner = runner.with_cache_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open cache dir {dir}: {e}");

@@ -296,11 +296,6 @@ pub struct Runner {
     pub verbose: bool,
     /// Worker threads used by [`Runner::sweep`].
     pub jobs: usize,
-    /// Worker threads *inside* each simulation (the engine's conservative
-    /// parallel scheduler); 1 runs sequentially. Orthogonal to `jobs`,
-    /// which parallelizes across simulations. Excluded from cache keys:
-    /// results are bit-identical at any thread count.
-    pub threads: usize,
     /// Group sweep jobs by [`Experiment::prefix_key`] and execute each
     /// group's warmup window once, forking the paused state in memory to
     /// every member (the default). `false` runs every job from cycle 0 —
@@ -333,7 +328,6 @@ impl Runner {
             max_cycles: 300_000_000,
             verbose: false,
             jobs: 1,
-            threads: 1,
             prefix_share: true,
             disk: None,
             state: Mutex::default(),
@@ -351,12 +345,6 @@ impl Runner {
     /// as 1).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets the per-simulation worker-thread count (0 is treated as 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -392,7 +380,7 @@ impl Runner {
             scale: self.scale,
             seed: self.seed,
             max_cycles: self.max_cycles,
-            threads: self.threads,
+            threads: 1,
             scheduler: SchedulerMode::EventDriven,
             tag: tag.to_owned(),
         }

@@ -27,7 +27,6 @@ const CASES: &[Case] = &[
     (SIMULATE, &["--seed", "x"], 2, "--seed: cannot parse \"x\""),
     (SIMULATE, &["--cus", "x"], 2, "--cus: cannot parse \"x\""),
     (SIMULATE, &["--jobs", "x"], 2, "--jobs: cannot parse \"x\""),
-    (SIMULATE, &["--threads", "x"], 2, "--threads: cannot parse \"x\""),
     (SIMULATE, &["--flit", "-3"], 2, "--flit: cannot parse \"-3\""),
     // A value flag at the end of the line used to run GUPS.
     (SIMULATE, &["--workload"], 2, "--workload expects a value"),
@@ -46,6 +45,11 @@ const CASES: &[Case] = &[
     (SIMULATE, &["--intra", "0"], 2, "intra-cluster link bandwidth must be positive"),
     (SIMULATE, &["--inter", "0"], 2, "inter-cluster link bandwidth must be positive"),
     (SIMULATE, &["--topology", "mesh:300x300"], 2, "exceed the 65535 nodes"),
+    // Parallelism is across runs (`--jobs`); no binary runs one simulation on threads.
+    (SIMULATE, &["--threads", "2"], 2, "unknown flag --threads"),
+    (FIGURES, &["--quick", "fig14", "--threads", "2"], 2, "unknown flag --threads"),
+    // The paper and quick scales are the figures' two; `--big` scaled by hand.
+    (FIGURES, &["--big", "fig14"], 2, "unknown flag --big"),
     // `--topology` names the fabric; its shape has no second spelling.
     (SIMULATE, &["--clusters", "4"], 2, "unknown flag --clusters"),
     // A checkpoint with nowhere to go used to be simulated, serialised and discarded.

@@ -1,6 +1,5 @@
-//! Integration tests for prefix-sharing sweeps: the in-memory fork path
-//! composed with `--threads` parallelism inside each job, the fork
-//! cycle itself, and the counts a sweep reports.
+//! Integration tests for prefix-sharing sweeps: the fork cycle itself
+//! and the counts a sweep reports.
 
 use std::collections::BTreeMap;
 
@@ -23,26 +22,6 @@ fn jobs_for(r: &Runner) -> Vec<Experiment> {
         .iter()
         .map(|&v| r.job(Workload::Gups, v))
         .collect()
-}
-
-fn cold_reference() -> Vec<String> {
-    let mut r = Runner::quick().with_prefix_share(false);
-    r.base_cfg.netcrafter.warmup_cycles = WARMUP;
-    r.sweep(&jobs_for(&r)).iter().map(|x| x.to_kv()).collect()
-}
-
-#[test]
-fn prefix_sharing_composes_with_pdes_threads() {
-    // `--threads` parallelism inside each job must not perturb forked
-    // results (snapshots are scheduler-portable and PDES is bit-exact).
-    let reference = cold_reference();
-    let mut r = Runner::quick().with_jobs(2).with_threads(2);
-    r.base_cfg.netcrafter.warmup_cycles = WARMUP;
-    let results = r.sweep(&jobs_for(&r));
-    for (got, want) in results.iter().zip(&reference) {
-        assert_eq!(&got.to_kv(), want, "threaded forked run must match cold");
-    }
-    assert!(r.prefix_stats().forked_jobs >= 1);
 }
 
 /// Quick GUPS at warmup 500 is a point where a fork taken *at* the

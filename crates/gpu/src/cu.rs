@@ -2,7 +2,7 @@
 //! latency hiding, owns a private L1 TLB and L1 vector cache, and feeds
 //! the memory hierarchy (§2.1).
 //!
-//! A CU keeps up to `max_waves_per_cu` wavefronts resident and issues one
+//! A CU keeps up to `max_waves` wavefronts resident and issues one
 //! operation per cycle from a ready wavefront (round-robin). A wavefront
 //! blocks on its own loads — other wavefronts keep issuing, which is the
 //! latency tolerance GPUs (and Flit Pooling) rely on. Stores are posted:
@@ -15,7 +15,7 @@
 
 use netcrafter_mem::{L1Access, L1Cache};
 use netcrafter_proto::access::{CoalescedAccess, WavefrontOp, WavefrontTrace};
-use netcrafter_proto::config::{SystemConfig, L1_TLB, ON_CHIP_HOP_CYCLES};
+use netcrafter_proto::config::{CacheConfig, CuConfig, SystemConfig, L1_TLB, ON_CHIP_HOP_CYCLES};
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::{
     AccessId, CuId, GpuId, LatencyStat, LineAddr, MemReq, Message, Metrics, Origin, PAddr,
@@ -148,6 +148,21 @@ impl Slot {
     }
 }
 
+/// A CU's waves in `RetryAccess` and what refuses them (see
+/// [`Cu::retry_park`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPark {
+    /// Waves retrying an access.
+    pub waves: usize,
+    /// The outstanding cap is reached, so every retry returns before it
+    /// touches anything. Below the cap, a retry is a read the L1 stalls.
+    pub capped: bool,
+    /// Reads the L1 stalls on a resident line (a needed sector is
+    /// missing): each attempt re-stamps the line, which can decide a
+    /// later eviction.
+    pub resident_stalls: usize,
+}
+
 /// A compute unit component.
 pub struct Cu {
     gpu: GpuId,
@@ -195,20 +210,23 @@ pub struct Cu {
 }
 
 impl Cu {
-    /// Builds a CU of `gpu` with GPU-local index `cu` that runs
-    /// `program[k]` as kernel `k`, starting with kernel 0.
+    /// Builds a CU of `gpu` with GPU-local index `cu`, the given limits
+    /// and L1, that runs `program[k]` as kernel `k`, starting with
+    /// kernel 0.
     pub fn new(
         gpu: GpuId,
         cu: CuId,
         cfg: &SystemConfig,
+        limits: &CuConfig,
+        l1_cfg: &CacheConfig,
         program: Vec<Vec<WavefrontTrace>>,
         wiring: CuWiring,
     ) -> Self {
-        let l1 = L1Cache::new(&cfg.l1, cfg.sector_fill, cfg.trim_granularity);
+        let l1 = L1Cache::new(l1_cfg, cfg.sector_fill, cfg.trim_granularity);
         let l1_tlb = Tlb::new(&L1_TLB);
         // Globally unique access ids: gpu and cu in the high bits.
         let id_base = ((gpu.raw() as u64) << 40) | ((cu.raw() as u64) << 24);
-        let max_waves = usize::from(cfg.max_waves_per_cu);
+        let max_waves = usize::from(limits.max_waves);
         let mut cu = Self {
             gpu,
             cu_raw: cu.raw(),
@@ -219,8 +237,8 @@ impl Cu {
             gpus_per_cluster: cfg.topology.gpus_per_cluster,
             frames_per_gpu: 1u64 << (netcrafter_proto::config::PA_GPU_REGION_BITS - 12),
             max_waves,
-            max_outstanding: cfg.max_outstanding_per_cu,
-            max_loads_per_wave: cfg.max_loads_per_wave,
+            max_outstanding: limits.max_outstanding,
+            max_loads_per_wave: limits.max_loads_per_wave,
             full_sector_mask: cfg.full_sector_mask(),
             program,
             kernel: 0,
@@ -230,7 +248,7 @@ impl Cu {
             ids: IdAlloc::new(),
             id_base,
             trans_waiters: FlatMap::with_bound(max_waves),
-            reads: FlatMap::with_bound(max_waves * usize::from(cfg.max_loads_per_wave)),
+            reads: FlatMap::with_bound(max_waves * usize::from(limits.max_loads_per_wave)),
             outstanding: 0,
             last_tick: 0,
             was_busy: false,
@@ -293,11 +311,27 @@ impl Cu {
         }
     }
 
-    /// Waves whose translated access found the outstanding cap reached
-    /// or the L1 stalling, and is retried until it goes through.
-    pub fn retrying_waves(&self) -> usize {
-        let retrying = |s: &&Slot| matches!(s.state, WfState::RetryAccess(_));
-        self.slots.iter().filter(retrying).count()
+    /// The waves whose translated access found the outstanding cap
+    /// reached or the L1 stalling, and is retried until it goes through.
+    pub fn retry_park(&self) -> RetryPark {
+        let capped = self.outstanding >= self.max_outstanding;
+        let mut park = RetryPark {
+            waves: 0,
+            capped,
+            resident_stalls: 0,
+        };
+        for (ix, s) in self.slots.iter().enumerate() {
+            let WfState::RetryAccess(pfn) = s.state else {
+                continue;
+            };
+            park.waves += 1;
+            let acc = self.access(ix);
+            let (line, ..) = self.locate(&acc, pfn);
+            if !capped && !acc.kind.is_write() && self.l1.is_resident(line) {
+                park.resident_stalls += 1;
+            }
+        }
+        park
     }
 
     /// Physical line of the translated access `acc`, the GPU owning it,
@@ -735,6 +769,7 @@ impl Cu {
 mod tests {
     use super::*;
     use netcrafter_proto::access::AccessKind;
+    use netcrafter_proto::config::{CU, L1};
     use netcrafter_proto::LineMask;
     use netcrafter_proto::{CtaId, MemRsp, SystemConfig, VAddr, WavefrontId};
     use netcrafter_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
@@ -815,13 +850,14 @@ mod tests {
     }
 
     fn harness(waves: Vec<WavefrontTrace>, pfn_base: u64) -> H {
-        let mut cfg = SystemConfig::small(1);
-        cfg.max_waves_per_cu = 4;
-        harness_with(&cfg, waves, pfn_base, 50)
+        let limits = CuConfig { max_waves: 4, ..CU };
+        harness_with(&SystemConfig::small(1), &limits, &L1, waves, pfn_base, 50)
     }
 
     fn harness_with(
         cfg: &SystemConfig,
+        limits: &CuConfig,
+        l1: &CacheConfig,
         waves: Vec<WavefrontTrace>,
         pfn_base: u64,
         mem_latency: u64,
@@ -846,6 +882,8 @@ mod tests {
                 GpuId(0),
                 netcrafter_proto::CuId(0),
                 cfg,
+                limits,
+                l1,
                 vec![waves],
                 CuWiring {
                     gmmu: be,
@@ -978,9 +1016,12 @@ mod tests {
     fn restored_access_tables_must_fit_their_bounds() {
         // Two slots of two loads each: at most two translations and four
         // reads can be in flight.
-        let mut cfg = SystemConfig::small(1);
-        cfg.max_waves_per_cu = 2;
-        cfg.max_loads_per_wave = 2;
+        let cfg = SystemConfig::small(1);
+        let limits = CuConfig {
+            max_waves: 2,
+            max_loads_per_wave: 2,
+            ..CU
+        };
         let build = || {
             let be = ComponentId(1);
             let wiring = CuWiring {
@@ -989,7 +1030,8 @@ mod tests {
                 rdma: be,
             };
             let program = vec![vec![wave(0, vec![WavefrontOp::Compute(1)])]];
-            Cu::new(GpuId(0), netcrafter_proto::CuId(0), &cfg, program, wiring)
+            let cu = netcrafter_proto::CuId(0);
+            Cu::new(GpuId(0), cu, &cfg, &limits, &L1, program, wiring)
         };
         let restore = |trans: u64, reads: u64| {
             let mut cu = build();
@@ -1047,11 +1089,17 @@ mod tests {
     fn blocked_behind_a_long_fill(mode: netcrafter_sim::SchedulerMode) -> H {
         let mut cfg = SystemConfig::small(1);
         cfg.sector_fill = netcrafter_proto::SectorFillPolicy::Always;
-        cfg.max_waves_per_cu = 4;
-        cfg.max_loads_per_wave = 1;
-        cfg.l1.size_bytes = 128; // one set of two lines
-        cfg.l1.ways = 2;
-        cfg.l1.mshr_entries = 1;
+        let limits = CuConfig {
+            max_waves: 4,
+            max_loads_per_wave: 1,
+            ..CU
+        };
+        let l1 = CacheConfig {
+            size_bytes: 128, // one set of two lines
+            ways: 2,
+            mshr_entries: 1,
+            ..L1
+        };
         let read = |va: u64| WavefrontOp::Mem(CoalescedAccess::read(VAddr(va), 8));
         let (x, y, z) = (0x1000, 0x1040, 0x1080);
         let waves = vec![
@@ -1061,7 +1109,7 @@ mod tests {
             wave(1, vec![WavefrontOp::Compute(1200), read(x + 48)]),
             wave(2, vec![WavefrontOp::Compute(1565), read(y)]),
         ];
-        let mut h = harness_with(&cfg, waves, 0, 500);
+        let mut h = harness_with(&cfg, &limits, &l1, waves, 0, 500);
         h.engine.set_scheduler(mode);
         h
     }

@@ -3,8 +3,8 @@
 //! and LASP CTA scheduling / page placement (§2.1–§2.2).
 //!
 //! * [`Cu`] — a compute unit with its private L1 TLB and sectored L1
-//!   vector cache. It interleaves up to `max_waves_per_cu` resident
-//!   wavefronts for latency hiding, translates through the L1 TLB (misses
+//!   vector cache. It interleaves up to `CU.max_waves` (Table 2: 40)
+//!   resident wavefronts for latency hiding, translates through the L1 TLB (misses
 //!   go to the GPU's shared translation unit), and issues misses to the
 //!   owning L2 — directly if local, through the RDMA engine if remote.
 //! * [`Rdma`] — packetizes remote memory traffic into the six Table 1
@@ -26,6 +26,6 @@ pub mod lasp;
 pub mod rdma;
 
 pub use coalescer::{Coalescer, CoalescerStats, LaneAccess, WAVEFRONT_LANES};
-pub use cu::{Cu, CuStats, CuWiring};
+pub use cu::{Cu, CuStats, CuWiring, RetryPark};
 pub use lasp::{place, Placement, Placer};
 pub use rdma::{Rdma, RdmaStats, RdmaWiring};

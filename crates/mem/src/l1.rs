@@ -259,6 +259,11 @@ impl L1Cache {
         self.plan_read(key, mask, resident, crosses_clusters).access == L1Access::Stall
     }
 
+    /// True when some sector of `line` is resident. Changes nothing.
+    pub fn is_resident(&self, line: LineAddr) -> bool {
+        self.tags.peek(line.0 / LINE_BYTES).is_some()
+    }
+
     /// Books `attempts` consecutive stalled reads of `line`, one per
     /// cycle and the last at cycle `last`, without executing them: what
     /// [`L1Cache::read`] changes when it returns [`L1Access::Stall`] is

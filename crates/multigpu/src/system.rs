@@ -10,7 +10,7 @@ use netcrafter_mem::l2::{L2Cache, L2Wiring};
 use netcrafter_mem::Dram;
 use netcrafter_net::PortSeries;
 use netcrafter_net::{FifoQueue, Switch, Topology};
-use netcrafter_proto::config::{DRAM, GMMU, L2, L2_BANKS, PA_GPU_REGION_BITS, SWITCH};
+use netcrafter_proto::config::{CU, DRAM, GMMU, L1, L2, L2_BANKS, PA_GPU_REGION_BITS, SWITCH};
 use netcrafter_proto::WavefrontTrace;
 use netcrafter_proto::{fnv1a64, GpuId, KernelSpec, Metrics, SystemConfig};
 use netcrafter_sim::snapshot::{
@@ -181,6 +181,8 @@ impl System {
                         gpu,
                         netcrafter_proto::CuId(c as u16),
                         &cfg,
+                        &CU,
+                        &L1,
                         program,
                         CuWiring {
                             gmmu: ids.gmmus[gix],

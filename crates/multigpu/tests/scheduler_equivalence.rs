@@ -6,9 +6,10 @@
 //! matrix on the 2×2 mesh plus the fat-tree-8 and torus fabrics, one
 //! column paused while translation requests are parked behind full
 //! L2-TLB MSHRs (their replay misses only partly settled), and three
-//! paused while CUs sleep on access retries that cannot succeed (the
-//! burnt access ids, MSHR stalls and LRU stamps of the skipped attempts
-//! not yet booked). Each cell compares `exec_cycles`, `Metrics::to_kv`,
+//! paused while CUs with Table 2's limits and L1 sleep on access retries
+//! that cannot succeed — held by the outstanding cap, stalled by the L1,
+//! and stalled on a resident line — with the burnt access ids, MSHR
+//! stalls and LRU stamps of the skipped attempts not yet booked. Each cell compares `exec_cycles`, `Metrics::to_kv`,
 //! the chrome-trace JSON and the per-link time-series JSONL against the
 //! EventDriven/uninterrupted cell of its column. A pause row checks the
 //! run that paused and went on, then resumes both the snapshot it took
@@ -29,11 +30,12 @@
 //! refereed separately, per tick, by the debug assertion in the engine's
 //! `tick_one`.
 
-use netcrafter_gpu::Cu;
+use netcrafter_gpu::{Cu, RetryPark};
 use netcrafter_multigpu::{
     CheckpointPlan, CheckpointedRun, Experiment, LinkSeries, System, SystemVariant, TraceData,
     TraceOptions,
 };
+use netcrafter_proto::config::CU;
 use netcrafter_proto::{SystemConfig, TimeSeries, TopologyConfig};
 use netcrafter_sim::snapshot::{ForkSnapshot, SnapshotError, SnapshotWriter};
 use netcrafter_sim::{Component, SchedulerMode, Trace, TraceConfig};
@@ -351,51 +353,87 @@ fn check_states_pausing(exp: &Experiment, pause: u64, mid_park: impl Fn(&System)
     }
 }
 
-/// Quick GUPS on the 2×2 mesh with two L1 MSHRs per CU, so translated
-/// accesses wait in `RetryAccess`. With `max_outstanding` at 3 what they
-/// find is the outstanding cap reached (the updates' posted writes count
-/// against it), and a blocked attempt touches nothing; at 8 the cap is
-/// out of reach and every blocked attempt is a read the L1 stalls.
-fn l1_starved(variant: SystemVariant, max_outstanding: u32) -> Experiment {
-    let mut exp = Experiment::quick(Workload::Gups, variant);
-    exp.base_cfg.l1.mshr_entries = 2;
-    exp.base_cfg.max_outstanding_per_cu = max_outstanding;
-    exp
+/// What holds back the parked CU retries a column pauses among.
+#[derive(Debug, Clone, Copy)]
+enum Regime {
+    /// The outstanding cap is reached: a blocked attempt returns before
+    /// it touches anything.
+    Capped,
+    /// Below the cap, the L1 stalls a read behind an in-flight fill of
+    /// its line that does not cover it: every blocked attempt burns an
+    /// access id and counts an MSHR stall.
+    L1Stalled,
+    /// An L1-stalled read of a resident line, missing a sector: every
+    /// blocked attempt also re-stamps the line, and the stamp decides a
+    /// later eviction.
+    ResidentStall,
 }
 
-/// Waves waiting in `RetryAccess`, summed over every CU.
-fn retrying_waves(sys: &System) -> usize {
-    let cus = sys.ids.cus.iter().flatten();
-    cus.map(|&id| {
+impl Regime {
+    fn holds(self, park: RetryPark) -> bool {
+        park.waves > 0
+            && match self {
+                Regime::Capped => park.capped,
+                Regime::L1Stalled => !park.capped,
+                Regime::ResidentStall => park.resident_stalls > 0,
+            }
+    }
+}
+
+/// Quick-scale runs at Table 2's CU limits and L1 whose CUs park
+/// retries in `regime`. The cap of 32 accesses needs more waves per CU
+/// than the quick scale gives: GUPS on one CU per GPU with eight waves
+/// per CTA. Below the cap, 32 MSHRs never fill, so an L1 stall is a read
+/// behind a partial fill of its line: trimmed single-sector fills across
+/// clusters (maximal independent set, MIS), and sectored fills everywhere
+/// (page rank, PR), which leave lines resident with sectors missing.
+fn retry_park_column(regime: Regime) -> Experiment {
+    match regime {
+        Regime::Capped => Experiment::quick(Workload::Gups, SystemVariant::Baseline)
+            .with_base_cfg(SystemConfig::small(1))
+            .with_scale(Scale {
+                ctas: 4,
+                waves_per_cta: 8,
+                mem_ops_per_wave: 8,
+                ..Scale::tiny()
+            }),
+        Regime::L1Stalled => Experiment::quick(Workload::Mis, SystemVariant::NetCrafter),
+        Regime::ResidentStall => Experiment::quick(Workload::Pr, SystemVariant::SectorCache),
+    }
+}
+
+/// The retry parks of every CU.
+fn retry_parks(sys: &System) -> impl Iterator<Item = RetryPark> + '_ {
+    sys.ids.cus.iter().flatten().map(|&id| {
         let cu: &Cu = sys.engine.get(id).expect("cu installed");
-        cu.retrying_waves()
+        cu.retry_park()
     })
-    .sum()
 }
 
 /// A cycle of `exp`'s run at which some CU has slept on blocked retries
-/// for four cycles: it has waves in `RetryAccess`, and its saved state —
-/// which holds its last-tick anchor — did not move, so the event-driven
-/// engine did not tick it.
-fn cycle_inside_a_retry_park(exp: &Experiment) -> u64 {
+/// in `regime` for four cycles: its retries are held back as `regime`
+/// says, and its saved state — which holds its last-tick anchor — did
+/// not move, so the event-driven engine did not tick it.
+fn cycle_inside_a_retry_park(exp: &Experiment, regime: Regime) -> u64 {
     let mut sys = build(exp);
     let cus: Vec<_> = sys.ids.cus.iter().flatten().copied().collect();
     let mut seen: Vec<(Vec<u8>, u32)> = vec![(Vec::new(), 0); cus.len()];
     loop {
-        assert!(!sys.engine.quiescent(), "a starved L1 must park retries");
+        assert!(!sys.engine.quiescent(), "{regime:?}: no CU parked so");
         sys.engine.step();
         for (&id, (bytes, unchanged)) in cus.iter().zip(&mut seen) {
             let cu: &Cu = sys.engine.get(id).expect("cu installed");
             let mut w = SnapshotWriter::new();
             cu.save_state(&mut w);
             let now = w.into_bytes();
-            *unchanged = if cu.retrying_waves() > 0 && now == *bytes {
+            let park = cu.retry_park();
+            *unchanged = if park.waves > 0 && now == *bytes {
                 *unchanged + 1
             } else {
                 0
             };
             *bytes = now;
-            if *unchanged == 4 {
+            if *unchanged >= 4 && regime.holds(park) {
                 return sys.engine.cycle();
             }
         }
@@ -404,20 +442,14 @@ fn cycle_inside_a_retry_park(exp: &Experiment) -> u64 {
 
 #[test]
 fn pausing_while_cu_retries_are_parked() {
-    // Cap-blocked retries under full-line fills; L1-stalled retries under
-    // trimmed single-sector fills across clusters and under sectored
-    // fills everywhere, where a stalled retry re-stamps a resident line
-    // and the stamp decides a later eviction.
-    for (variant, max_outstanding) in [
-        (SystemVariant::Baseline, 3),
-        (SystemVariant::NetCrafter, 8),
-        (SystemVariant::SectorCache, 8),
-    ] {
-        let exp = l1_starved(variant, max_outstanding);
-        let pause = cycle_inside_a_retry_park(&exp);
-        let column = format!("mesh/Gups/{variant:?}/2-l1-mshr/cap-{max_outstanding}");
+    for regime in [Regime::Capped, Regime::L1Stalled, Regime::ResidentStall] {
+        let exp = retry_park_column(regime);
+        let pause = cycle_inside_a_retry_park(&exp, regime);
+        let column = format!("mesh/{:?}/{:?}/{regime:?}", exp.workload, exp.variant);
         check_column_pausing(&column, &exp, |_| pause);
-        check_states_pausing(&exp, pause, |sys| retrying_waves(sys) > 0);
+        check_states_pausing(&exp, pause, |sys| {
+            retry_parks(sys).any(|park| regime.holds(park))
+        });
     }
 }
 
@@ -432,7 +464,7 @@ fn more_waves_than_slots() -> Experiment {
 /// Some CU has retired more waves than it has slots, so at least one of
 /// its slots was handed to a waiting wave.
 fn a_slot_was_refilled(sys: &System) -> bool {
-    let slots = u64::from(sys.config().max_waves_per_cu);
+    let slots = u64::from(CU.max_waves);
     let metrics = sys.harvest();
     (0..sys.ids.cus.len()).any(|g| metrics.counter(&format!("gpu{g}.cu.waves_done")) > slots)
 }

@@ -1,12 +1,12 @@
 //! System configuration: the paper's Table 2 node plus the NetCrafter
 //! mechanism knobs and every sensitivity-study parameter.
 //!
-//! [`SystemConfig`] holds only what a run varies: the interconnect, the
-//! CU count and limits, the L1 and L2 TLB, the flit size, the trim
-//! granularity, the L1 fill policy and the three mechanisms. The blocks
-//! of Table 2 that no study varies are constants here ([`L2`],
-//! [`L1_TLB`], [`GMMU`], [`DRAM`], [`SWITCH`]), as are the L2 bank count
-//! and the on-chip hop ([`L2_BANKS`], [`ON_CHIP_HOP_CYCLES`]). The
+//! [`SystemConfig`] holds only what a study varies: the interconnect,
+//! the CU count, the L2 TLB, the flit size, the trim granularity, the L1
+//! fill policy and the three mechanisms. The blocks of Table 2 that no
+//! study varies are constants here ([`CU`], [`L1`], [`L2`], [`L1_TLB`],
+//! [`GMMU`], [`DRAM`], [`SWITCH`]), as are the L2 bank count and the
+//! on-chip hop ([`L2_BANKS`], [`ON_CHIP_HOP_CYCLES`]). The
 //! experiment harness builds variants of the paper's baseline
 //! ([`SystemConfig::paper_baseline`]) by setting fields, exactly as the
 //! evaluation section varies them (flit size, pooling window, bandwidth
@@ -101,6 +101,37 @@ pub struct GmmuConfig {
     /// Number of parallel page-table walkers.
     pub walkers: u32,
 }
+
+/// Limits of one compute unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CuConfig {
+    /// Wavefronts resident at once (latency hiding depth).
+    pub max_waves: u16,
+    /// Memory accesses outstanding at once.
+    pub max_outstanding: u32,
+    /// Loads outstanding per *wavefront* before it stalls waiting for
+    /// data — models non-blocking loads up to the first use (GPU ISAs
+    /// issue several independent loads back to back). 1 reproduces a
+    /// strictly blocking wavefront.
+    pub max_loads_per_wave: u16,
+}
+
+/// Every compute unit (Table 2): 40 resident wavefronts, 32 outstanding
+/// accesses, 4 loads in flight per wavefront.
+pub const CU: CuConfig = CuConfig {
+    max_waves: 40,
+    max_outstanding: 32,
+    max_loads_per_wave: 4,
+};
+
+/// L1 vector cache of each CU (Table 2): 64 KB, 4-way, 20-cycle lookup,
+/// 32 MSHRs.
+pub const L1: CacheConfig = CacheConfig {
+    size_bytes: 64 * 1024,
+    ways: 4,
+    lookup_cycles: 20,
+    mshr_entries: 32,
+};
 
 /// Shared L2 of each GPU (Table 2): 4 MB, 16-way, 100-cycle lookup,
 /// 64 MSHRs, split evenly over [`L2_BANKS`] banks.
@@ -532,10 +563,10 @@ impl NetCrafterConfig {
     }
 }
 
-/// What a run varies: the Table 2 values a study or test sets, the
-/// NetCrafter mechanisms and the study knobs. The fixed rest of Table 2
-/// is the constants [`L2`], [`L1_TLB`], [`GMMU`], [`DRAM`] and
-/// [`SWITCH`].
+/// What a study varies: the Table 2 values a figure or sensitivity study
+/// sets, the NetCrafter mechanisms and the study knobs. The fixed rest of
+/// Table 2 is the constants [`CU`], [`L1`], [`L2`], [`L1_TLB`], [`GMMU`],
+/// [`DRAM`] and [`SWITCH`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Interconnect shape and bandwidths.
@@ -543,17 +574,6 @@ pub struct SystemConfig {
     /// Compute units per GPU (Table 2: 64; tests and fast experiments use
     /// scaled-down counts with proportionally scaled workloads).
     pub cus_per_gpu: u16,
-    /// Maximum wavefronts resident per CU (latency hiding depth).
-    pub max_waves_per_cu: u16,
-    /// Maximum outstanding memory accesses per CU.
-    pub max_outstanding_per_cu: u32,
-    /// Maximum outstanding loads per *wavefront* before it stalls waiting
-    /// for data — models non-blocking loads up to the first use (GPU ISAs
-    /// issue several independent loads back to back). 1 reproduces a
-    /// strictly blocking wavefront.
-    pub max_loads_per_wave: u16,
-    /// L1 vector cache (per CU): 64 KB, 20-cycle lookup, 32-entry MSHR.
-    pub l1: CacheConfig,
     /// L2 TLB (per GPU): 512-entry, 8-way, 10-cycle, 64-entry MSHR.
     pub l2_tlb: TlbConfig,
     /// Flit size in bytes (16 baseline, 8 in Figure 21).
@@ -582,15 +602,6 @@ impl SystemConfig {
                 fabric: FabricConfig::Mesh,
             },
             cus_per_gpu: 64,
-            max_waves_per_cu: 40,
-            max_outstanding_per_cu: 32,
-            max_loads_per_wave: 4,
-            l1: CacheConfig {
-                size_bytes: 64 * 1024,
-                ways: 4,
-                lookup_cycles: 20,
-                mshr_entries: 32,
-            },
             l2_tlb: TlbConfig {
                 entries: 512,
                 ways: 8,
@@ -690,7 +701,7 @@ impl SystemConfig {
     /// Sectors per 64 B line at the configured trim granularity.
     #[inline]
     pub fn sectors_per_line(&self) -> u32 {
-        (crate::addr::LINE_BYTES as u32) / self.trim_granularity
+        (LINE_BYTES as u32) / self.trim_granularity
     }
 
     /// All-sectors mask for the configured granularity.
@@ -779,30 +790,21 @@ impl SystemConfig {
         if self.cus_per_gpu == 0 {
             return Err("need at least one CU per GPU".into());
         }
-        for (field, limit) in [
-            ("max_waves_per_cu", u32::from(self.max_waves_per_cu)),
-            ("max_outstanding_per_cu", self.max_outstanding_per_cu),
-            ("max_loads_per_wave", u32::from(self.max_loads_per_wave)),
-            ("l1.mshr_entries", self.l1.mshr_entries),
-            ("l2_tlb.mshr_entries", self.l2_tlb.mshr_entries),
-        ] {
-            if limit == 0 {
-                return Err(format!("{field} must be at least 1, got 0"));
-            }
+        if self.l2_tlb.mshr_entries == 0 {
+            return Err("l2_tlb.mshr_entries must be at least 1, got 0".into());
         }
-        if !self.l1.size_bytes.is_multiple_of(LINE_BYTES) {
-            return Err(format!(
-                "l1.size_bytes must be a whole number of {LINE_BYTES} B lines, got {}",
-                self.l1.size_bytes
-            ));
-        }
-        check_sets("l1", self.l1.size_bytes / LINE_BYTES, self.l1.ways)?;
-        let tlb_ways = match self.l2_tlb.ways {
-            u32::MAX => self.l2_tlb.entries,
-            ways => ways,
-        };
-        check_sets("l2_tlb", u64::from(self.l2_tlb.entries), tlb_ways)
+        check_tlb_sets("l2_tlb", &self.l2_tlb)
     }
+}
+
+/// Checks that a TLB's entries fill whole sets (`u32::MAX` ways is one
+/// fully associative set).
+fn check_tlb_sets(what: &str, tlb: &TlbConfig) -> Result<(), String> {
+    let ways = match tlb.ways {
+        u32::MAX => tlb.entries,
+        ways => ways,
+    };
+    check_sets(what, u64::from(tlb.entries), ways)
 }
 
 /// Checks that `entries` fill whole sets of `ways` ways: anything else
@@ -842,9 +844,13 @@ mod tests {
     fn baseline_matches_table2() {
         let c = SystemConfig::paper_baseline();
         assert_eq!(c.cus_per_gpu, 64);
-        assert_eq!(c.l1.size_bytes, 64 * 1024);
-        assert_eq!(c.l1.lookup_cycles, 20);
-        assert_eq!(c.l1.mshr_entries, 32);
+        assert_eq!(CU.max_waves, 40);
+        assert_eq!(CU.max_outstanding, 32);
+        assert_eq!(CU.max_loads_per_wave, 4);
+        assert_eq!(L1.size_bytes, 64 * 1024);
+        assert_eq!(L1.ways, 4);
+        assert_eq!(L1.lookup_cycles, 20);
+        assert_eq!(L1.mshr_entries, 32);
         assert_eq!(L1_TLB.entries, 32);
         assert_eq!(L1_TLB.lookup_cycles, 1);
         assert_eq!(c.l2_tlb.entries, 512);
@@ -863,6 +869,38 @@ mod tests {
         assert_eq!(c.topology.intra_gbps, 128.0);
         assert_eq!(c.flit_bytes, 16);
         assert!(c.validate().is_ok());
+    }
+
+    /// Every fixed Table 2 block can be built: its limits are non-zero and
+    /// its entries fill whole sets, so a bad edit to a constant fails here
+    /// and not in a builder's panic or a silently smaller array.
+    #[test]
+    fn table2_constants_are_buildable() {
+        for (what, limit) in [
+            ("CU.max_waves", u32::from(CU.max_waves)),
+            ("CU.max_outstanding", CU.max_outstanding),
+            ("CU.max_loads_per_wave", u32::from(CU.max_loads_per_wave)),
+            ("L1.mshr_entries", L1.mshr_entries),
+            ("L2.mshr_entries per bank", L2.mshr_entries / L2_BANKS),
+            ("GMMU.pwc_entries", GMMU.pwc_entries),
+            ("GMMU.walkers", GMMU.walkers),
+            ("DRAM.bytes_per_cycle", DRAM.bytes_per_cycle),
+            ("SWITCH.buffer_entries", SWITCH.buffer_entries),
+        ] {
+            assert!(limit > 0, "{what} is 0");
+        }
+        assert_eq!(L2.mshr_entries % L2_BANKS, 0, "L2 MSHRs split evenly");
+        let l2_bank = L2.size_bytes / u64::from(L2_BANKS);
+        for (what, bytes, ways) in [
+            ("L1", L1.size_bytes, L1.ways),
+            ("L2 bank", l2_bank, L2.ways),
+        ] {
+            assert!(bytes.is_multiple_of(LINE_BYTES), "{what}: {bytes} B");
+            assert_eq!(check_sets(what, bytes / LINE_BYTES, ways), Ok(()));
+        }
+        assert_eq!(check_tlb_sets("L1_TLB", &L1_TLB), Ok(()));
+        let pwc = GMMU.pwc_entries;
+        assert_eq!(check_sets("GMMU page-walk cache", pwc.into(), pwc), Ok(()));
     }
 
     #[test]
@@ -945,32 +983,15 @@ mod tests {
             assert!(c.validate().is_err(), "inter {gbps}");
         }
 
-        // A CU that may hold no wave, no access or no load never runs,
-        // and an MSHR-less L1 or L2 TLB cannot be built.
-        for zero in [
-            |c: &mut SystemConfig| c.max_waves_per_cu = 0,
-            |c: &mut SystemConfig| c.max_outstanding_per_cu = 0,
-            |c: &mut SystemConfig| c.max_loads_per_wave = 0,
-            |c: &mut SystemConfig| c.l1.mshr_entries = 0,
-            |c: &mut SystemConfig| c.l2_tlb.mshr_entries = 0,
-        ] {
-            let mut c = SystemConfig::paper_baseline();
-            zero(&mut c);
-            let err = c.validate().expect_err("zero limit");
-            assert!(err.ends_with("got 0") && !err.contains('\n'), "{err}");
-        }
+        // An MSHR-less L2 TLB cannot be built.
+        let mut c = SystemConfig::paper_baseline();
+        c.l2_tlb.mshr_entries = 0;
+        let err = c.validate().expect_err("zero limit");
+        assert!(err.ends_with("got 0") && !err.contains('\n'), "{err}");
 
-        // A cache or TLB geometry that would panic in the builder or give
-        // a smaller array than configured.
+        // A TLB geometry that would panic in the builder or give a smaller
+        // array than configured.
         for bad in [
-            |c: &mut SystemConfig| c.l1.size_bytes = 0,
-            |c: &mut SystemConfig| c.l1.size_bytes = 64 * 1024 + 8,
-            |c: &mut SystemConfig| c.l1.ways = 0,
-            |c: &mut SystemConfig| c.l1.ways = 3,
-            |c: &mut SystemConfig| {
-                c.l1.size_bytes = 128;
-                c.l1.ways = 4;
-            },
             |c: &mut SystemConfig| c.l2_tlb.entries = 0,
             |c: &mut SystemConfig| {
                 c.l2_tlb.entries = 0;
@@ -984,15 +1005,10 @@ mod tests {
             let err = c.validate().expect_err("unbuildable geometry");
             assert!(!err.contains('\n'), "{err}");
         }
-        // Fully associative TLBs and one-set caches are fine.
+        // Fully associative and one-set TLBs are fine.
         for good in [
             |c: &mut SystemConfig| c.l2_tlb.ways = u32::MAX,
             |c: &mut SystemConfig| c.l2_tlb.entries = 8,
-            |c: &mut SystemConfig| {
-                c.l1.size_bytes = 128;
-                c.l1.ways = 2;
-                c.l1.mshr_entries = 1;
-            },
         ] {
             let mut c = SystemConfig::paper_baseline();
             good(&mut c);
@@ -1053,7 +1069,7 @@ mod tests {
         c.netcrafter.warmup_cycles = 5_000;
         variants.push(c);
         let mut c = base;
-        c.l1.mshr_entries = 16;
+        c.l2_tlb.mshr_entries = 16;
         variants.push(c);
 
         let mut reprs = std::collections::BTreeSet::new();
