@@ -24,10 +24,13 @@
 # (switch.rs's lazy_ports_agree_across_schedulers, port.rs's
 # sampled_port_pushed_after_sleeping_matches_per_cycle_ticks,
 # synthetic.rs's sources_sleep_between_tokens_and_schedulers_agree); the
-# FlatMap <-> BTreeMap codec check in crates/sim/src/flatmap.rs
+# closed-form idle spans of the integer token bucket against its per-cycle
+# loop in crates/sim/src/timing.rs (idle_spans_settle_to_the_per_cycle_level);
+# the FlatMap <-> BTreeMap codec check in crates/sim/src/flatmap.rs
 # (flat_map_matches_a_btree_map_and_its_bytes: seeded insert, replace and
-# remove runs hold the same entries and save the same bytes at every step,
-# and either map's blob loads into the other); the gated
+# remove runs hold the same entries in the same ascending order and save
+# the same bytes at every step, and either map's blob loads into the
+# other); the gated
 # cycle/tick counts (ci/BENCH_*.baseline.json), --jobs, the disk cache,
 # prefix-shared sweeps (parallel_runner.rs's two panicking-sweep tests
 # referee the runner's task channel: a job or a representative that
@@ -37,7 +40,7 @@
 # (one restores into its own run only; another seed, workload, link
 # bandwidth or CU count exits 2) in crates/bench/tests/; the snapshot run
 # id (snapshot_corruption.rs: another run's snapshot fails WrongRun, a
-# sibling's fork at warmup - 1 restores) and the version-10 golden bytes
+# sibling's fork at warmup - 1 restores) and the version-11 golden bytes
 # in crates/multigpu/tests/. Figure coverage is held there too: every table
 # resolves its jobs through Runner::sweep, so parallel_runner.rs's
 # figure_output_is_identical_across_worker_counts and

@@ -44,6 +44,8 @@ const CASES: &[Case] = &[
     (SIMULATE, &["--topology", "mesh:0x2"], 2, "topology must contain at least one GPU"),
     (SIMULATE, &["--intra", "0"], 2, "intra-cluster link bandwidth must be positive"),
     (SIMULATE, &["--inter", "0"], 2, "inter-cluster link bandwidth must be positive"),
+    // A rate no bucket holds used to build a link that could not send a flit in 10^30 cycles.
+    (SIMULATE, &["--inter", "1e-30"], 2, "inter-cluster link rate in flits 6.25e-32 per cycle is refused"),
     (SIMULATE, &["--topology", "mesh:300x300"], 2, "exceed the 65535 nodes"),
     // Parallelism is across runs (`--jobs`); no binary runs one simulation on threads.
     (SIMULATE, &["--threads", "2"], 2, "unknown flag --threads"),

@@ -46,7 +46,7 @@ pub struct Dram {
     rate: RateLimiter,
     latency: u32,
     /// Cycle of the last executed tick; idle cycles skipped by the
-    /// event-driven scheduler are replayed as pure token accrual.
+    /// event-driven scheduler are settled as pure token accrual.
     last_tick: Cycle,
     /// Statistics.
     pub stats: DramStats,
@@ -59,9 +59,10 @@ impl Dram {
             name: format!("{gpu}.dram"),
             l2,
             queue: VecDeque::new(),
+            // A burst of four cycles' bandwidth.
             rate: RateLimiter::new(
-                cfg.bytes_per_cycle as f64,
-                (cfg.bytes_per_cycle as f64) * 4.0,
+                f64::from(cfg.bytes_per_cycle),
+                3 * u64::from(cfg.bytes_per_cycle),
             ),
             latency: cfg.latency_cycles,
             last_tick: 0,
@@ -74,13 +75,9 @@ impl Component for Dram {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
         // Skipped cycles had an empty queue (the wake contract), so each
-        // one would only have accrued tokens — a no-op once the bucket is
-        // full. Replay the accruals to keep the token level bit-identical.
-        let mut skipped = (now - self.last_tick).saturating_sub(1);
-        while skipped > 0 && !self.rate.is_saturated() {
-            self.rate.accrue();
-            skipped -= 1;
-        }
+        // one would only have accrued tokens.
+        self.rate
+            .accrue_idle((now - self.last_tick).saturating_sub(1));
         self.last_tick = now;
         while let Some(msg) = ctx.recv() {
             match msg {
@@ -90,7 +87,7 @@ impl Component for Dram {
         }
         self.rate.accrue();
         while let Some((arrived, _)) = self.queue.front() {
-            if !self.rate.try_consume(LINE_BYTES as f64) {
+            if !self.rate.try_consume(LINE_BYTES) {
                 break;
             }
             let (arrived, req) = (*arrived, self.queue.pop_front().expect("front").1);
@@ -273,7 +270,7 @@ mod tests {
             },
             sink,
         );
-        d.rate = RateLimiter::new(32.0, 64.0); // half a line per cycle
+        d.rate = RateLimiter::new(32.0, 32); // half a line per cycle
         b.install(dram, Box::new(d));
         let mut e = b.build();
         for i in 0..4 {

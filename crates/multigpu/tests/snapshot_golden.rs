@@ -109,6 +109,6 @@ fn torus_8_mid_run() {
     assert_pinned("torus-8/Gups/NetCrafter", &mut sys, TORUS_8);
 }
 
-const MESH: Pin = (10, 167_366, 0x735d_ca2f_4d09_b8bd);
-const FAT_TREE_8: Pin = (10, 350_083, 0xc581_b0c4_0217_d0ee);
-const TORUS_8: Pin = (10, 354_307, 0xdbab_f6d6_aa2f_7fbf);
+const MESH: Pin = (11, 167_254, 0x161f_0e68_1415_8eca);
+const FAT_TREE_8: Pin = (11, 349_763, 0x508c_e4ba_be89_d947);
+const TORUS_8: Pin = (11, 353_923, 0xdd62_af83_ce8c_46d2);

@@ -269,8 +269,8 @@ pub struct EgressPort {
     /// run and is not snapshotted.
     series: Option<Box<PortSeries>>,
     /// Cycle of the last executed tick; skipped cycles in between are
-    /// replayed by [`EgressPort::catch_up`] so the rate limiter's token
-    /// level stays bit-identical to ticking every cycle.
+    /// settled by [`EgressPort::catch_up`] so the rate limiter's token
+    /// level equals that of ticking every cycle.
     last_tick: Cycle,
     /// Debug-build flit-conservation ledger: chunks that entered the
     /// output buffer. Chunks (not flits) are the conserved unit because
@@ -316,7 +316,7 @@ impl EgressPort {
             // Burst of rate+1 flit: fractional accrual is never clipped
             // before reaching a whole-flit consume opportunity, so e.g. a
             // 3.125 flits/cycle link really sustains 3.125, not 3.
-            rate: RateLimiter::new(flits_per_cycle, flits_per_cycle + 1.0),
+            rate: RateLimiter::new(flits_per_cycle, 1),
             credits: initial_credits,
             wire_latency: wire.wire_latency,
             stats: PortStats::default(),
@@ -423,36 +423,42 @@ impl EgressPort {
         self.credits
     }
 
-    /// Replays the token-bucket effects of every cycle skipped since the
+    /// Settles the token-bucket effects of every cycle skipped since the
     /// last tick, exactly as the per-cycle ticks would have run them:
-    /// `accrue()` each cycle, plus one `try_consume(1.0)` whenever credits
+    /// `accrue()` each cycle, plus one `try_consume(1)` whenever credits
     /// were available (the tick loop burns one token probing an unwilling
-    /// queue — see the `else break` in [`EgressPort::tick`]).
+    /// queue — see the `else break` in [`EgressPort::tick`]). Both are
+    /// closed forms ([`RateLimiter::accrue_idle`],
+    /// [`RateLimiter::probe_idle`]): a span of any length costs one step.
     ///
     /// Link sampling's occupancy and pooling integrals are settled for
     /// the same span, so sampling never needs a tick of its own.
     ///
     /// Contract: every state change catches up first. [`EgressPort::push`],
     /// [`EgressPort::on_credit`] and [`EgressPort::tick`] call this before
-    /// they touch the queue, the credit balance or the bucket, so the
-    /// replay always spans cycles through which credits and queue length
-    /// were constant. An owner may therefore leave a port unticked for as
+    /// they touch the queue, the credit balance or the bucket, so a
+    /// settled span only covers cycles through which credits and queue
+    /// length were constant. An owner may therefore leave a port unticked for as
     /// long as its tick could not transmit (empty queue, no credits, or
-    /// pooling with a future release): those ticks are pop-free, the
-    /// token level is the only state they touch, and replaying it here
-    /// restores bit-identity.
+    /// pooling with a future release): those ticks are pop-free, and the
+    /// token level is the only state they touch.
     pub fn catch_up(&mut self, now: Cycle) {
         let first = self.last_tick + 1;
         if now <= first {
             return;
         }
         self.settle_series(first, now - 1);
-        replay_idle(&mut self.rate, self.credits, now - first);
+        if self.credits == 0 {
+            // The transmit loop's guard fails before any consume.
+            self.rate.accrue_idle(now - first);
+        } else {
+            self.rate.probe_idle(now - first);
+        }
         self.last_tick = now - 1;
     }
 
     /// When this port next needs its owner to tick it (folded into the
-    /// owner's own wake). Skipped cycles are made bit-identical by
+    /// owner's own wake). Skipped cycles are settled by
     /// [`EgressPort::catch_up`].
     pub fn next_wake(&self, now: Cycle) -> Wake {
         match self.queue.next_event(now) {
@@ -480,10 +486,10 @@ impl EgressPort {
         self.settle_series(now, now);
         self.rate.accrue();
         let mut sent_any = false;
-        while self.credits > 0 && self.rate.try_consume(1.0) {
+        while self.credits > 0 && self.rate.try_consume(1) {
             let Some(flit) = self.queue.pop(now, ctx.tracer()) else {
                 // Nothing was willing to go (the queue may be pooling);
-                // the consumed token stays burnt, and `catch_up` replays
+                // the consumed token stays burnt, and `catch_up` settles
                 // the same burn for skipped cycles.
                 break;
             };
@@ -538,9 +544,9 @@ impl EgressPort {
             credits,
             stats,
             series: skipped(observer),
-            // The port's own catch-up anchor: a restored port finishes
-            // replaying the cycles it slept through on its next push,
-            // credit or tick, as it would have without the pause.
+            // The port's own catch-up anchor: a restored port settles
+            // the cycles it slept through on its next push, credit or
+            // tick, as it would have without the pause.
             last_tick,
             dbg_pushed_chunks: skipped(derived),
             dbg_popped_chunks: skipped(derived),
@@ -560,67 +566,16 @@ impl EgressPort {
         Ok(())
     }
 
-    /// The rate limiter's exact token level (for tests).
+    /// The rate limiter's token level (for tests).
     #[cfg(test)]
-    pub(crate) fn tokens_bits(&self) -> u64 {
-        self.rate.tokens_bits()
+    pub(crate) fn tokens(&self) -> u128 {
+        self.rate.tokens()
     }
 
-    /// Cycle of the last executed (or replayed) tick (for tests).
+    /// Cycle of the last executed (or settled) tick (for tests).
     #[cfg(test)]
     pub(crate) fn last_tick(&self) -> Cycle {
         self.last_tick
-    }
-}
-
-/// Advances `rate` through `left` pop-free egress ticks with a constant
-/// `credits` balance: `accrue()` each cycle, plus one burnt
-/// `try_consume(1.0)` per cycle when credits are available.
-fn replay_idle(rate: &mut RateLimiter, credits: u32, mut left: u64) {
-    if credits == 0 {
-        // The transmit loop's guard fails before any consume: pure
-        // accrual, which is a no-op once the bucket is full.
-        while left > 0 && !rate.is_saturated() {
-            rate.accrue();
-            left -= 1;
-        }
-        return;
-    }
-    // accrue + one burnt token per cycle. The token level follows a short
-    // periodic orbit (it is a deterministic map on one f64); detect the
-    // period from exact bit patterns and jump. The history lives on the
-    // stack: a replay runs before every push, credit and tick, and a heap
-    // buffer here was the last per-call allocation on the transmit path.
-    let mut seen = [0u64; 64];
-    let mut n = 0usize;
-    while left > 0 {
-        let bits = rate.tokens_bits();
-        if let Some(pos) = seen[..n].iter().position(|&b| b == bits) {
-            let period = (n - pos) as u64;
-            left %= period;
-            n = 0;
-            if left == 0 {
-                break;
-            }
-        } else if n < seen.len() {
-            seen[n] = bits;
-            n += 1;
-        } else {
-            // The orbit is longer than the history window (e.g. a very
-            // slow fractional rate whose residue drifts for hundreds of
-            // steps). Period detection cannot help; replay the remaining
-            // span cycle by cycle instead of scanning a full-but-useless
-            // window every iteration.
-            while left > 0 {
-                rate.accrue();
-                rate.try_consume(1.0);
-                left -= 1;
-            }
-            break;
-        }
-        rate.accrue();
-        rate.try_consume(1.0);
-        left -= 1;
     }
 }
 
@@ -779,11 +734,11 @@ mod tests {
 
     #[test]
     fn fractional_rate_sends_every_other_cycle() {
-        let mut r = RateLimiter::new(0.5, 1.0);
+        let mut r = RateLimiter::new(0.5, 1);
         let mut sent = 0;
         for _ in 0..10 {
             r.accrue();
-            if r.try_consume(1.0) {
+            if r.try_consume(1) {
                 sent += 1;
             }
         }
@@ -814,23 +769,22 @@ mod tests {
         assert_eq!(m.counter("p.ptw_flits"), 2);
     }
 
-    /// A 0.01 flits/cycle link walks ~100 distinct token residues before
-    /// the orbit closes — longer than the 64-entry period-detection
-    /// window — so `catch_up` must take the explicit per-cycle fallback
-    /// and still land on the exact token bits of a cycle-by-cycle replay.
+    /// A 0.01 flits/cycle link walks 100 distinct token levels before
+    /// its orbit closes; `catch_up` settles 499 credited idle cycles in
+    /// one step and lands on the level of a cycle-by-cycle replay.
     #[test]
     fn catch_up_handles_orbits_longer_than_history() {
         let mut b = EngineBuilder::new();
         let rx_id = b.reserve();
         drop(b);
         let mut port = EgressPort::new(wire_to(rx_id), Box::new(FifoQueue::new()), 4, 0.01, 3);
-        let mut reference = RateLimiter::new(0.01, 1.01);
+        let mut reference = RateLimiter::new(0.01, 1);
         for _ in 1..500u64 {
             reference.accrue();
-            reference.try_consume(1.0);
+            reference.try_consume(1);
         }
         port.catch_up(500);
-        assert_eq!(port.rate.tokens_bits(), reference.tokens_bits());
+        assert_eq!(port.tokens(), reference.tokens());
         assert_eq!(port.last_tick, 499);
     }
 
@@ -864,9 +818,9 @@ mod tests {
         }
     }
 
-    /// The sampled series, credits and token bits of a 0.5 flits/cycle,
+    /// The sampled series, credits and token level of a 0.5 flits/cycle,
     /// 2-credit port fed in bursts, settled through the run's end.
-    fn sampled_bursts(lazy: bool) -> (PortSeries, u32, u64) {
+    fn sampled_bursts(lazy: bool) -> (PortSeries, u32, u128) {
         let mut b = EngineBuilder::new();
         let tx_id = b.reserve();
         let rx_id = b.reserve();
@@ -894,7 +848,7 @@ mod tests {
         let port = &mut e.get_mut::<Pusher>(tx_id).expect("pusher").port;
         port.catch_up(end + 1);
         let series = port.take_series(end).expect("sampling on");
-        (series, port.credits(), port.rate.tokens_bits())
+        (series, port.credits(), port.tokens())
     }
 
     /// A port left unticked while idle and then pushed into integrates

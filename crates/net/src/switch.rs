@@ -565,11 +565,6 @@ mod tests {
         TrafficClass,
     };
     use netcrafter_sim::{Engine, EngineBuilder};
-    use std::sync::Arc;
-    use std::sync::Mutex;
-
-    /// The flits an endpoint received, in arrival order.
-    type FlitLog = Arc<Mutex<Vec<Flit>>>;
 
     /// Endpoint that sends a burst of flits into the switch at startup and
     /// records everything it receives.
@@ -579,7 +574,8 @@ mod tests {
         /// This endpoint's port index at the switch (stamped as `link`).
         switch_port: u16,
         outbound: Vec<Flit>,
-        received: FlitLog,
+        /// The flits received, in arrival order.
+        received: Vec<Flit>,
         sent: bool,
         switch_credits: u32,
     }
@@ -589,7 +585,7 @@ mod tests {
             while let Some(msg) = ctx.recv() {
                 match msg {
                     Message::Flit { flit, from, .. } => {
-                        self.received.lock().unwrap().push(flit);
+                        self.received.push(flit);
                         ctx.send(
                             self.switch,
                             Message::Credit {
@@ -639,6 +635,11 @@ mod tests {
         }
     }
 
+    /// The flits endpoint `id` received, in arrival order.
+    fn received(e: &Engine, id: ComponentId) -> &[Flit] {
+        &e.get::<Endpoint>(id).expect("endpoint").received
+    }
+
     fn packet(id: u64, dst: NodeId) -> Packet {
         Packet {
             id: PacketId(id),
@@ -681,7 +682,6 @@ mod tests {
         let e0 = b.reserve();
         let e1 = b.reserve();
         let sw = b.reserve();
-        let received = Arc::new(Mutex::new(Vec::new()));
 
         let seg = Segmenter::new(16);
         let flits = seg.segment(packet(1, NodeId(1)));
@@ -692,7 +692,7 @@ mod tests {
                 switch: sw,
                 switch_port: 0,
                 outbound: flits,
-                received: Arc::new(Mutex::new(Vec::new())),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
@@ -704,7 +704,7 @@ mod tests {
                 switch: sw,
                 switch_port: 1,
                 outbound: vec![],
-                received: Arc::clone(&received),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
@@ -722,7 +722,7 @@ mod tests {
         );
         let mut e = b.build();
         let end = e.run_to_quiescence(500);
-        assert_eq!(received.lock().unwrap().len(), 1);
+        assert_eq!(received(&e, e1).len(), 1);
         // Path: send (1) + pipeline (30) + wire (1) and change.
         assert!(
             end >= 32,
@@ -738,7 +738,6 @@ mod tests {
         let e1 = b.reserve();
         let sw0 = b.reserve();
         let sw1 = b.reserve();
-        let received = Arc::new(Mutex::new(Vec::new()));
 
         let seg = Segmenter::new(16);
         let mut outbound = Vec::new();
@@ -753,7 +752,7 @@ mod tests {
                 switch: sw0,
                 switch_port: 0,
                 outbound,
-                received: Arc::new(Mutex::new(Vec::new())),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
@@ -765,7 +764,7 @@ mod tests {
                 switch: sw1,
                 switch_port: 1,
                 outbound: vec![],
-                received: Arc::clone(&received),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
@@ -794,7 +793,7 @@ mod tests {
         );
         let mut e = b.build();
         let end = e.run_to_quiescence(1000);
-        assert_eq!(received.lock().unwrap().len(), n_flits);
+        assert_eq!(received(&e, e1).len(), n_flits);
         assert!(end > 60, "two switch pipelines, got {end}");
     }
 
@@ -807,7 +806,6 @@ mod tests {
         let e1 = b.reserve();
         let sw0 = b.reserve();
         let sw1 = b.reserve();
-        let received = Arc::new(Mutex::new(Vec::new()));
 
         let seg = Segmenter::new(16);
         let mut outbound = Vec::new();
@@ -822,7 +820,7 @@ mod tests {
                 switch: sw0,
                 switch_port: 0,
                 outbound,
-                received: Arc::new(Mutex::new(Vec::new())),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
@@ -834,7 +832,7 @@ mod tests {
                 switch: sw1,
                 switch_port: 1,
                 outbound: vec![],
-                received: Arc::clone(&received),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
@@ -875,7 +873,7 @@ mod tests {
         // flits/cycle inter link with 4-credit windows.
         let mut e = b.build();
         e.run_to_quiescence(5000);
-        assert_eq!(received.lock().unwrap().len(), n);
+        assert_eq!(received(&e, e1).len(), n);
     }
 
     /// What one run of [`radix4_backpressure`] leaves behind: every
@@ -884,14 +882,14 @@ mod tests {
     type Observed = (
         Vec<Vec<Flit>>,
         Cycle,
-        Vec<(String, Vec<u32>, Vec<u64>, Vec<u8>)>,
+        Vec<(String, Vec<u32>, Vec<u128>, Vec<u8>)>,
     );
 
     /// A radix-4 switch under back-pressure: two senders and a local
     /// receiver share `sw0` with a 0.25 flits/cycle, 4-credit link to a
     /// second switch `sw1`. Returns the engine, `[sw0, sw1]` and the two
-    /// receivers' flit logs.
-    fn radix4_engine() -> (Engine, [ComponentId; 2], Vec<FlitLog>) {
+    /// receivers.
+    fn radix4_engine() -> (Engine, [ComponentId; 2], [ComponentId; 2]) {
         let mut b = EngineBuilder::new();
         let [e0, e1, e2, e3, sw0, sw1] = [(); 6].map(|()| b.reserve());
         let seg = Segmenter::new(16);
@@ -900,13 +898,12 @@ mod tests {
             let dst = NodeId(if id % 3 == 0 { 2 } else { 3 });
             outbound[(id % 2) as usize].extend(seg.segment(packet(id, dst)));
         }
-        let received: Vec<_> = (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
         let [out0, out1] = outbound;
-        for (id, node, switch, switch_port, outbound, rx) in [
-            (e0, 0, sw0, 0, out0, None),
-            (e1, 1, sw0, 1, out1, None),
-            (e2, 2, sw0, 2, vec![], Some(&received[0])),
-            (e3, 3, sw1, 1, vec![], Some(&received[1])),
+        for (id, node, switch, switch_port, outbound) in [
+            (e0, 0, sw0, 0, out0),
+            (e1, 1, sw0, 1, out1),
+            (e2, 2, sw0, 2, vec![]),
+            (e3, 3, sw1, 1, vec![]),
         ] {
             b.install(
                 id,
@@ -915,7 +912,7 @@ mod tests {
                     switch,
                     switch_port,
                     outbound,
-                    received: rx.map_or_else(|| Arc::new(Mutex::new(Vec::new())), Arc::clone),
+                    received: Vec::new(),
                     sent: false,
                     switch_credits: 0,
                 }),
@@ -950,13 +947,13 @@ mod tests {
                 BTreeMap::from([(NodeId(4), 0), (NodeId(3), 1)]),
             )),
         );
-        (b.build(), [sw0, sw1], received)
+        (b.build(), [sw0, sw1], [e2, e3])
     }
 
     /// Runs [`radix4_engine`] to quiescence under `mode`. Every egress
     /// port is settled to the end cycle before it is observed.
     fn radix4_backpressure(mode: netcrafter_sim::SchedulerMode) -> Observed {
-        let (mut e, [sw0, sw1], received) = radix4_engine();
+        let (mut e, [sw0, sw1], receivers) = radix4_engine();
         e.set_scheduler(mode);
         let end = e.run_to_quiescence(20_000);
         let switches = [sw0, sw1]
@@ -970,15 +967,12 @@ mod tests {
                 (
                     format!("{:?}", sw.stats),
                     sw.ports.iter().map(|p| p.egress.credits()).collect(),
-                    sw.ports.iter().map(|p| p.egress.tokens_bits()).collect(),
+                    sw.ports.iter().map(|p| p.egress.tokens()).collect(),
                     w.into_bytes(),
                 )
             })
             .to_vec();
-        let received = received
-            .iter()
-            .map(|rx| rx.lock().unwrap().clone())
-            .collect();
+        let received = receivers.map(|id| received(&e, id).to_vec()).to_vec();
         (received, end, switches)
     }
 
@@ -1001,17 +995,11 @@ mod tests {
     }
 
     /// Per switch: its statistics and every egress port's `(last_tick,
-    /// credits, token bits)`.
-    type PortState = Vec<(String, Vec<(Cycle, u32, u64)>)>;
+    /// credits, token level)`.
+    type PortState = Vec<(String, Vec<(Cycle, u32, u128)>)>;
 
     fn port_state(e: &Engine, switches: [ComponentId; 2]) -> PortState {
-        let port = |p: &Port| {
-            (
-                p.egress.last_tick(),
-                p.egress.credits(),
-                p.egress.tokens_bits(),
-            )
-        };
+        let port = |p: &Port| (p.egress.last_tick(), p.egress.credits(), p.egress.tokens());
         let switch = |id| e.get::<Switch>(id).expect("switch");
         switches
             .map(|id| {
@@ -1029,7 +1017,7 @@ mod tests {
     /// itself: run on, it delivers what the original delivers.
     #[test]
     fn paused_switch_restores_sleeping_ports_as_they_are() {
-        let (mut original, switches, received) = radix4_engine();
+        let (mut original, switches, receivers) = radix4_engine();
         let sleeping_while_stalled = |e: &Engine| {
             let sw = e.get::<Switch>(switches[0]).expect("switch");
             let newest = sw.ports.iter().map(|p| p.egress.last_tick()).max();
@@ -1040,19 +1028,16 @@ mod tests {
             assert!(!original.quiescent(), "the tight link must back-pressure");
             original.step();
         }
-        let (mut twin, _, twin_received) = radix4_engine();
+        let (mut twin, _, _) = radix4_engine();
         twin.restore(&original.save_snapshot())
             .expect("same build restores");
         assert_eq!(port_state(&twin, switches), port_state(&original, switches));
 
         let end = original.run_to_quiescence(20_000);
         assert_eq!(twin.run_to_quiescence(20_000), end);
-        let logs = |rx: &[FlitLog]| {
-            rx.iter()
-                .map(|r| r.lock().unwrap().clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(logs(&twin_received), logs(&received));
+        for id in receivers {
+            assert_eq!(received(&twin, id), received(&original, id));
+        }
         assert_eq!(port_state(&twin, switches), port_state(&original, switches));
     }
 
@@ -1065,8 +1050,6 @@ mod tests {
         let e1 = b.reserve();
         let e2 = b.reserve();
         let sw = b.reserve();
-        let r1 = Arc::new(Mutex::new(Vec::new()));
-        let r2 = Arc::new(Mutex::new(Vec::new()));
 
         let seg = Segmenter::new(16);
         let mut parent = seg.segment(packet(1, NodeId(1))).remove(0);
@@ -1082,12 +1065,12 @@ mod tests {
                 switch: sw,
                 switch_port: 0,
                 outbound: vec![parent],
-                received: Arc::new(Mutex::new(Vec::new())),
+                received: Vec::new(),
                 sent: false,
                 switch_credits: 0,
             }),
         );
-        for (id, node, port, rx) in [(e1, NodeId(1), 1, &r1), (e2, NodeId(2), 2, &r2)] {
+        for (id, node, port) in [(e1, NodeId(1), 1), (e2, NodeId(2), 2)] {
             b.install(
                 id,
                 Box::new(Endpoint {
@@ -1095,7 +1078,7 @@ mod tests {
                     switch: sw,
                     switch_port: port,
                     outbound: vec![],
-                    received: Arc::clone(rx),
+                    received: Vec::new(),
                     sent: false,
                     switch_credits: 0,
                 }),
@@ -1116,11 +1099,11 @@ mod tests {
         b.install(sw, Box::new(sw_comp));
         let mut e = b.build();
         e.run_to_quiescence(200);
-        assert_eq!(r1.lock().unwrap().len(), 1, "chunk for node1 delivered");
-        assert_eq!(r2.lock().unwrap().len(), 1, "chunk for node2 delivered");
-        assert!(!r1.lock().unwrap()[0].is_stitched());
-        assert!(!r2.lock().unwrap()[0].is_stitched());
-        assert_eq!(r1.lock().unwrap()[0].chunks[0].packet, PacketId(1));
-        assert_eq!(r2.lock().unwrap()[0].chunks[0].packet, PacketId(2));
+        for (id, packet) in [(e1, PacketId(1)), (e2, PacketId(2))] {
+            let got = received(&e, id);
+            assert_eq!(got.len(), 1, "chunk for {packet:?} delivered");
+            assert!(!got[0].is_stitched());
+            assert_eq!(got[0].chunks[0].packet, packet);
+        }
     }
 }

@@ -10,11 +10,9 @@
 //!
 //! A source does not tick on cycles where it cannot inject: it sleeps
 //! until the first cycle its rate limiter pays for a flit, or until a
-//! credit arrives, and replays the skipped accrual on its next tick.
+//! credit arrives, and settles the skipped accrual on its next tick.
 
-use std::sync::{Arc, Mutex};
-
-use netcrafter_proto::config::SWITCH;
+use netcrafter_proto::config::{rate_tokens, SWITCH};
 use netcrafter_proto::{
     Chunk, Flit, Message, NodeId, PacketId, PacketKind, SystemConfig, TopologyConfig, TrafficClass,
 };
@@ -55,7 +53,7 @@ struct Source {
     credits: u32,
     rng_state: u64,
     flit_bytes: u32,
-    /// Cycle of the last tick; the cycles slept since are replayed as
+    /// Cycle of the last tick; the cycles slept since are settled as
     /// pure accrual on the next one.
     last_tick: Cycle,
 }
@@ -78,11 +76,8 @@ impl Component for Source {
         // Each slept cycle would only have accrued: it lacked a credit, or
         // its `try_consume` failed, which leaves the tokens alone.
         let now = ctx.cycle();
-        let mut slept = now.saturating_sub(self.last_tick + 1);
-        while slept > 0 && !self.rate.is_saturated() {
-            self.rate.accrue();
-            slept -= 1;
-        }
+        self.rate
+            .accrue_idle(now.saturating_sub(self.last_tick + 1));
         self.last_tick = now;
         while let Some(msg) = ctx.recv() {
             if let Message::Credit { count, .. } = msg {
@@ -90,7 +85,7 @@ impl Component for Source {
             }
         }
         self.rate.accrue();
-        while self.remaining > 0 && self.credits > 0 && self.rate.try_consume(1.0) {
+        while self.remaining > 0 && self.credits > 0 && self.rate.try_consume(1) {
             self.remaining -= 1;
             self.credits -= 1;
             let dst = self.next_dst();
@@ -129,7 +124,7 @@ impl Component for Source {
 
     /// Drained or out of credits, only a message changes anything.
     /// Otherwise the source sleeps until the first cycle whose accrual
-    /// lets a flit go, found on a copy of the rate limiter.
+    /// lets a flit go.
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         let busy = self.remaining > 0;
@@ -139,18 +134,11 @@ impl Component for Source {
                 wake: Wake::OnMessage,
             };
         }
-        let mut rate = self.rate.clone();
-        let mut at = ctx.cycle();
-        loop {
-            at += 1;
-            rate.accrue();
-            if rate.try_consume(1.0) {
-                break;
-            }
-        }
+        // The tick's last `try_consume` failed, so the wait is at least
+        // one cycle.
         BurstOutcome {
             busy,
-            wake: Wake::At(at),
+            wake: Wake::At(ctx.cycle() + self.rate.cycles_until(1)),
         }
     }
 
@@ -170,7 +158,7 @@ impl Component for Source {
     }
 }
 
-/// Shared latency accumulator across all sinks.
+/// What one sink received, and the latencies of it.
 #[derive(Debug, Default)]
 struct SinkStats {
     received: u64,
@@ -189,7 +177,7 @@ struct Sink {
     /// traffic (including returned input-buffer credits) to the sink, so
     /// the sink forwards credits to the source that actually needs them.
     source: ComponentId,
-    stats: Arc<Mutex<SinkStats>>,
+    stats: SinkStats,
 }
 
 impl Component for Sink {
@@ -197,7 +185,7 @@ impl Component for Sink {
         while let Some(msg) = ctx.recv() {
             match msg {
                 Message::Flit { flit, .. } => {
-                    let mut s = self.stats.lock().expect("sink stats lock");
+                    let s = &mut self.stats;
                     for chunk in &flit.chunks {
                         let lat = ctx.cycle() - chunk.packet.raw();
                         s.received += 1;
@@ -239,8 +227,6 @@ impl Component for Sink {
         Wake::OnMessage
     }
 
-    // The accumulator is shared by every sink; each saves (and each
-    // restores) the same totals, so the repetition is idempotent.
     snap_fields! {
         fn save_state + load_state {
             node: skipped(wiring),
@@ -284,8 +270,6 @@ pub fn run_load_point(cfg: &SyntheticConfig, offered: f64) -> LoadPoint {
 /// One load point's fabric, built and not yet run.
 struct Fabric {
     engine: Engine,
-    /// The shared totals of every sink.
-    stats: Arc<Mutex<SinkStats>>,
 }
 
 impl Fabric {
@@ -294,7 +278,7 @@ impl Fabric {
     /// its switch sees the sink (which forwards returned credits to the
     /// source) as the port's peer.
     fn build(cfg: &SyntheticConfig, offered: f64) -> Fabric {
-        assert!(offered > 0.0);
+        rate_tokens("offered load in flits", offered).unwrap_or_else(|why| panic!("{why}"));
         let paper = SystemConfig::paper_baseline();
         let topo = Topology::new(&TopologyConfig {
             clusters: 2,
@@ -307,7 +291,6 @@ impl Fabric {
         let ep_ids: Vec<ComponentId> = (0..2 * topo.total_gpus()).map(|_| b.reserve()).collect();
         let sink = |i: usize| ep_ids[2 * i + 1];
         let switches: Vec<ComponentId> = (0..topo.num_switches()).map(|_| b.reserve()).collect();
-        let stats = Arc::new(Mutex::new(SinkStats::default()));
 
         for gpu in topo.all_gpus() {
             let (i, node) = (gpu.index(), topo.gpu_node(gpu));
@@ -321,7 +304,7 @@ impl Fabric {
                     switch_port,
                     // Burst of rate+1 so fractional accrual is never clipped
                     // before a whole-flit consume opportunity.
-                    rate: RateLimiter::new(offered, offered + 1.0),
+                    rate: RateLimiter::new(offered, 1),
                     dsts: topo
                         .all_gpus()
                         .filter(|&d| d != gpu)
@@ -341,7 +324,7 @@ impl Fabric {
                     switch,
                     switch_port,
                     source: ep_ids[2 * i],
-                    stats: Arc::clone(&stats),
+                    stats: SinkStats::default(),
                 }),
             );
         }
@@ -363,15 +346,19 @@ impl Fabric {
             b.install(switches[s], Box::new(switch));
         }
 
-        Fabric {
-            engine: b.build(),
-            stats,
-        }
+        Fabric { engine: b.build() }
     }
 
     /// The load point measured by a run that ended at cycle `end`.
     fn load_point(&self, cfg: &SyntheticConfig, offered: f64, end: Cycle) -> LoadPoint {
-        let s = self.stats.lock().expect("sink stats lock");
+        let mut s = SinkStats::default();
+        let sinks =
+            (0..self.engine.len()).filter_map(|id| self.engine.get::<Sink>(ComponentId(id)));
+        for Sink { stats: sink, .. } in sinks {
+            s.received += sink.received;
+            s.latency_sum += sink.latency_sum;
+            s.latency_max = s.latency_max.max(sink.latency_max);
+        }
         let total_eps = 2 * u64::from(cfg.endpoints_per_cluster);
         assert_eq!(
             s.received,
@@ -535,6 +522,12 @@ mod tests {
             pin(run_load_point(&SyntheticConfig::default(), 0.3)),
             (0x3ff3_037f_9ea6_6859, 0x404a_65c2_8f5c_28f6, 64)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load in flits 1e-30 per cycle is refused")]
+    fn an_offered_load_no_bucket_holds_is_refused() {
+        run_load_point(&small(), 1e-30);
     }
 
     #[test]

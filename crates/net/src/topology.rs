@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use netcrafter_proto::config::TORUS_VC_SHARE;
 use netcrafter_proto::{ClusterId, FabricConfig, GpuId, NodeId, TopologyConfig};
 use netcrafter_sim::Cycle;
 
@@ -47,7 +48,7 @@ pub struct FabricLink {
     pub is_inter: bool,
     /// Fraction of the link class's bandwidth this port gets. Torus
     /// virtual channels split one physical wrap-capable channel in two
-    /// (0.5 each); everything else is 1.0.
+    /// ([`TORUS_VC_SHARE`] each); everything else is 1.0.
     pub rate_scale: f64,
 }
 
@@ -383,7 +384,8 @@ impl Topology {
                         for vc in 0..2 {
                             // My +dir port pairs with the peer's -dir port
                             // on the same VC (and vice versa).
-                            let link = self.fabric_link(peer, port_of(dim, !positive, vc), 0.5);
+                            let link =
+                                self.fabric_link(peer, port_of(dim, !positive, vc), TORUS_VC_SHARE);
                             self.switches[s].links.push(link);
                         }
                     }

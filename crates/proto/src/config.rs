@@ -22,6 +22,41 @@ use crate::packet::PacketKind;
 /// exactly 1 byte per cycle.
 pub const CLOCK_GHZ: f64 = 1.0;
 
+/// Tokens per whole flit (or byte) in a bandwidth bucket: a bucket counts
+/// its rate, burst and level in 10⁻¹⁸ of what it meters, as integers.
+pub const RATE_UNIT: u128 = 1_000_000_000_000_000_000;
+
+/// `per_cycle` as a whole number of [`RATE_UNIT`] tokens, or why a
+/// bucket cannot hold it (naming it `what`). The value taken is that of
+/// the shortest decimal that reads back as `per_cycle`, which a run id
+/// prints: the `f64` nearest 0.3 lies below 3/10, and ten cycles of it
+/// would fall short of three flits.
+pub fn rate_tokens(what: &str, per_cycle: f64) -> Result<u128, String> {
+    use std::io::Write;
+    let exact = || {
+        (per_cycle > 0.0).then_some(())?;
+        let mut text = [0u8; 32];
+        let mut free = &mut text[..];
+        write!(free, "{per_cycle:e}").ok()?;
+        let len = 32 - free.len();
+        let (mantissa, exp) = std::str::from_utf8(&text[..len]).ok()?.split_once('e')?;
+        let fraction = mantissa.split_once('.').map_or(0, |(_, f)| f.len());
+        // digits × 10^(exp − fraction digits), in 10⁻¹⁸ units.
+        let shift = exp.parse::<i32>().ok()? + 18 - i32::try_from(fraction).ok()?;
+        let digits = mantissa
+            .bytes()
+            .filter(u8::is_ascii_digit)
+            .fold(0, |n, d| n * 10 + u128::from(d - b'0'));
+        digits.checked_mul(10u128.checked_pow(u32::try_from(shift).ok()?)?)
+    };
+    exact().ok_or_else(|| {
+        format!(
+            "{what} {per_cycle:?} per cycle is refused: a bandwidth bucket holds \
+             positive whole multiples of 1e-18 per cycle"
+        )
+    })
+}
+
 /// Bits of physical address space owned by each GPU's memory partition
 /// (64 GiB per GPU). The GPU owning a physical address is
 /// `pa >> PA_GPU_REGION_BITS`.
@@ -204,6 +239,9 @@ pub enum FabricConfig {
         z: u16,
     },
 }
+
+/// The bandwidth share of each of a torus channel's two virtual channels.
+pub const TORUS_VC_SHARE: f64 = 0.5;
 
 impl FabricConfig {
     /// Wire latency in cycles of every switch↔switch link of this kind:
@@ -768,6 +806,19 @@ impl SystemConfig {
                 ));
             }
         }
+        let flit = f64::from(self.flit_bytes);
+        let inter = self.topology.inter_bytes_per_cycle() / flit;
+        rate_tokens(
+            "intra-cluster link rate in flits",
+            self.topology.intra_bytes_per_cycle() / flit,
+        )?;
+        rate_tokens("inter-cluster link rate in flits", inter)?;
+        if let FabricConfig::Torus { .. } = self.topology.fabric {
+            rate_tokens(
+                "torus virtual channel rate in flits",
+                inter * TORUS_VC_SHARE,
+            )?;
+        }
         match self.topology.fabric {
             FabricConfig::Mesh => {}
             FabricConfig::FatTree { cores } => {
@@ -982,6 +1033,19 @@ mod tests {
             c.topology.inter_gbps = gbps;
             assert!(c.validate().is_err(), "inter {gbps}");
         }
+        // A rate below a bucket's token is named and refused; so is a
+        // torus rate that its virtual channels would halve below one.
+        let mut c = SystemConfig::paper_baseline();
+        c.topology.inter_gbps = 1e-30;
+        assert_eq!(
+            c.validate().expect_err("too slow to meter"),
+            "inter-cluster link rate in flits 6.25e-32 per cycle is refused: a bandwidth \
+             bucket holds positive whole multiples of 1e-18 per cycle"
+        );
+        let mut c = SystemConfig::torus_8();
+        c.topology.inter_gbps = 16e-18;
+        let err = c.validate().expect_err("half a token");
+        assert!(err.starts_with("torus virtual channel rate"), "{err}");
 
         // An MSHR-less L2 TLB cannot be built.
         let mut c = SystemConfig::paper_baseline();
@@ -1137,6 +1201,28 @@ mod tests {
         let inert = nc.inert();
         assert_eq!((inert.stitching, inert.sequencing), (None, None));
         assert_eq!(inert.warmup_cycles, nc.warmup_cycles);
+    }
+
+    /// A rate is the decimal it prints, in whole tokens.
+    #[test]
+    fn rates_are_their_decimals_in_tokens() {
+        for (rate, tokens) in [
+            (1.0, RATE_UNIT),
+            (8.0, 8 * RATE_UNIT),
+            (0.3, 3 * RATE_UNIT / 10),
+            (0.05 * 1.0137, 50_685_000_000_000_010),
+            (1e-18, 1),
+            (1000.0, 1000 * RATE_UNIT),
+        ] {
+            assert_eq!(rate_tokens("rate", rate), Ok(tokens), "{rate:?}");
+        }
+        for refused in [0.0, -1.0, 1e-19, 1.5e-18, f64::NAN, f64::INFINITY, 1e30] {
+            let err = rate_tokens("rate", refused).expect_err("refused");
+            assert!(
+                err.starts_with(&format!("rate {refused:?} per cycle is refused")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -2,24 +2,25 @@
 //! model (MSHRs, request waiters, page walks), whose size the modelled
 //! hardware bounds.
 //!
-//! A table of a few dozen entries is faster to scan than to search: the
-//! map is one unsorted `Vec` of pairs, looked up by a linear key scan
-//! and shrunk by `swap_remove`. It allocates its bound once, on the
+//! A table of a few dozen entries is faster to search in a flat array
+//! than in a tree: the map is one `Vec` of pairs kept in ascending key
+//! order, looked up by a forward scan that stops at the first key not
+//! below the one sought (at these sizes it measured faster than a
+//! binary search), and grown or shrunk by shifting the entries above the
+//! slot. It allocates its bound once, on the
 //! first insert, and never again while it stays within it, so the
 //! per-access path of a simulation does no allocation and no node
 //! rebalancing.
 //!
-//! The order of the entries depends on the map's history (a removal
-//! moves the last entry into the hole) and a restore rebuilds it in
-//! ascending key order, so no simulated behaviour may read it: the map
-//! offers keyed access only, plus an [`FlatMap::iter`] for restore
-//! validators. Its snapshot encoding is `BTreeMap`'s — the length, then
-//! the pairs in ascending key order — so replacing a `BTreeMap` with it
+//! Its order is its keys', whatever its history, so [`FlatMap::iter`]
+//! ascends as a `BTreeMap`'s does. Its snapshot encoding is
+//! `BTreeMap`'s — the length, then the pairs in ascending key order —
+//! written as the entries stand, so replacing a `BTreeMap` with it
 //! leaves every snapshot byte in place.
 
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// An unsorted vector map sized by a hardware bound.
+/// A vector map in ascending key order, sized by a hardware bound.
 #[derive(Debug, Clone)]
 pub struct FlatMap<K, V> {
     entries: Vec<(K, V)>,
@@ -27,7 +28,7 @@ pub struct FlatMap<K, V> {
     bound: usize,
 }
 
-impl<K: Eq, V> FlatMap<K, V> {
+impl<K: Ord, V> FlatMap<K, V> {
     /// An empty map that reserves `bound` slots on its first insert and
     /// allocates nothing before.
     pub fn with_bound(bound: usize) -> Self {
@@ -47,56 +48,59 @@ impl<K: Eq, V> FlatMap<K, V> {
         self.entries.is_empty()
     }
 
-    fn position(&self, key: &K) -> Option<usize> {
-        self.entries.iter().position(|(k, _)| k == key)
+    /// The slot of `key`, or where it would go.
+    fn search(&self, key: &K) -> Result<usize, usize> {
+        let end = self.entries.len();
+        let i = self
+            .entries
+            .iter()
+            .position(|(k, _)| k >= key)
+            .unwrap_or(end);
+        if self.entries.get(i).is_some_and(|(k, _)| k == key) {
+            Ok(i)
+        } else {
+            Err(i)
+        }
     }
 
     /// True when `key` has an entry.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.position(key).is_some()
+        self.search(key).is_ok()
     }
 
     /// The value of `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        let i = self.search(key).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// The value of `key`, mutably.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        let i = self.search(key).ok()?;
+        Some(&mut self.entries[i].1)
     }
 
     /// Sets `key` to `value`, returning the value it replaced.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.position(&key) {
-            Some(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
-            None => {
-                self.push(key, value);
+        match self.search(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                if self.entries.capacity() == 0 {
+                    self.entries.reserve_exact(self.bound);
+                }
+                self.entries.insert(i, (key, value));
                 None
             }
         }
     }
 
-    /// Appends an entry whose key is not in the map.
-    fn push(&mut self, key: K, value: V) {
-        if self.entries.capacity() == 0 {
-            self.entries.reserve_exact(self.bound);
-        }
-        self.entries.push((key, value));
-    }
-
-    /// Removes `key`, returning its value. The last entry takes its slot.
+    /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.position(key)?;
-        Some(self.entries.swap_remove(i).1)
+        let i = self.search(key).ok()?;
+        Some(self.entries.remove(i).1)
     }
 
-    /// The entries in unspecified order, which depends on the map's
-    /// history: for restore validators only, never for simulated
-    /// behaviour.
+    /// The entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
@@ -107,10 +111,8 @@ impl<K: Eq, V> FlatMap<K, V> {
 /// corruption, with the `BTreeMap` decoder's message.
 impl<K: Snap + Ord, V: Snap> Snap for FlatMap<K, V> {
     fn save(&self, w: &mut SnapshotWriter) {
-        let mut sorted: Vec<&(K, V)> = self.entries.iter().collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        w.put_len(sorted.len());
-        for (k, v) in sorted {
+        w.put_len(self.entries.len());
+        for (k, v) in &self.entries {
             k.save(w);
             v.save(w);
         }
@@ -136,7 +138,7 @@ impl<K: Snap + Ord, V: Snap> Snap for FlatMap<K, V> {
                     "map keys not in ascending order".to_string(),
                 ));
             }
-            self.push(k, v);
+            self.insert(k, v);
         }
         Ok(())
     }
@@ -154,9 +156,7 @@ mod tests {
     }
 
     fn entries(map: &FlatMap<u64, u64>) -> Vec<(u64, u64)> {
-        let mut out: Vec<_> = map.iter().map(|(&k, &v)| (k, v)).collect();
-        out.sort_unstable();
-        out
+        map.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// SplitMix64, enough to drive the seeded operation sequences.
@@ -192,6 +192,7 @@ mod tests {
                         "seed {seed} step {step}"
                     );
                 }
+                // `iter` ascends as the tree's does.
                 let want: Vec<_> = tree.iter().map(|(&k, &v)| (k, v)).collect();
                 assert_eq!(entries(&flat), want, "seed {seed} step {step}");
                 assert_eq!(flat.len(), tree.len());

@@ -22,7 +22,7 @@
 //! once and generates every direction from it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use netcrafter_proto::ids::IdAlloc;
 use netcrafter_proto::message::Origin;
@@ -39,7 +39,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x5053_434E;
 /// Current snapshot format version. Bump whenever the encoding of any
 /// serialized structure changes; old snapshots then fail loudly with
 /// [`SnapshotError::VersionMismatch`] instead of restoring garbage.
-pub const SNAPSHOT_VERSION: u32 = 10;
+pub const SNAPSHOT_VERSION: u32 = 11;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,11 +168,6 @@ impl SnapshotWriter {
         self.put_u8(u8::from(v));
     }
 
-    /// Writes an `f64` by exact bit pattern, so restore is bit-identical.
-    pub fn put_f64_bits(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Writes a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_len(v.len());
@@ -272,11 +267,6 @@ impl<'a> SnapshotReader<'a> {
             1 => Ok(true),
             other => Err(SnapshotError::Corrupt(format!("bool byte {other}"))),
         }
-    }
-
-    /// Reads an `f64` stored by exact bit pattern.
-    pub fn get_f64_bits(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a length-prefixed byte slice.
@@ -751,12 +741,16 @@ impl Snap for () {
     }
 }
 
-impl Snap for f64 {
+/// Two `u64`s, low half first.
+impl Snap for u128 {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.put_f64_bits(*self);
+        #[allow(clippy::cast_possible_truncation)] // the low half, by intent
+        w.put_u64(*self as u64);
+        w.put_u64(u64::try_from(*self >> 64).expect("the high half"));
     }
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        r.get_f64_bits()
+        let low = u128::from(r.get_u64()?);
+        Ok(low | u128::from(r.get_u64()?) << 64)
     }
 }
 
@@ -808,23 +802,6 @@ impl<T: Snap> Snap for Box<T> {
     }
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Box::new(T::load(r)?))
-    }
-}
-
-/// A value shared between components: every holder saves the same
-/// bytes, and restores them into the shared cell (never replacing the
-/// `Arc`, which would split the holders apart).
-impl<T: Snap> Snap for Arc<Mutex<T>> {
-    fn save(&self, w: &mut SnapshotWriter) {
-        self.lock().expect("shared snapshot state lock").save(w);
-    }
-    fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Arc::new(Mutex::new(T::load(r)?)))
-    }
-    fn load_into(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.lock()
-            .expect("shared snapshot state lock")
-            .load_into(r)
     }
 }
 
@@ -1037,7 +1014,7 @@ mod tests {
         round_trip(&u64::MAX);
         round_trip(&true);
         round_trip(&false);
-        round_trip(&3.25f64);
+        round_trip(&(u128::from(u64::MAX) * 1_000_000_000_000_000_007));
         round_trip(&String::from("net.inter.flits"));
         round_trip(&String::new());
     }
@@ -1242,7 +1219,7 @@ mod tests {
     struct Router {
         radix: usize,
         lanes: Vec<Lane>,
-        seen: Arc<Mutex<u64>>,
+        seen: u64,
     }
 
     impl Router {
@@ -1250,7 +1227,7 @@ mod tests {
             Router {
                 radix,
                 lanes: (0..radix).map(|_| Lane { queued: Vec::new() }).collect(),
-                seen: Arc::new(Mutex::new(0)),
+                seen: 0,
             }
         }
 
@@ -1267,19 +1244,17 @@ mod tests {
     fn stateful_restore_is_in_place_and_checks_fixed_lengths() {
         let mut router = Router::new(2);
         router.lanes[1].queued.push(9);
-        *router.seen.lock().unwrap() = 4;
+        router.seen = 4;
         let mut w = SnapshotWriter::new();
         router.save(&mut w);
         let bytes = w.into_bytes();
 
-        // Same shape: lanes restore in place and a co-owner of the shared
-        // cell sees the restored value (the Arc is not replaced).
+        // Same shape: lanes restore in place.
         let mut twin = Router::new(2);
-        let co_owner = Arc::clone(&twin.seen);
         twin.load_into(&mut SnapshotReader::new(&bytes))
             .expect("same shape restores");
         assert_eq!(twin.lanes, router.lanes);
-        assert_eq!(*co_owner.lock().unwrap(), 4);
+        assert_eq!(twin.seen, 4);
         assert_eq!(twin.radix, 2);
 
         // A differently built target is a mismatch, not a resize.
