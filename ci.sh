@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Hermetic CI pipeline: every step runs with --offline against an empty
 # cargo registry (the workspace has no external dependencies by design —
-# see README "Offline builds"). Run locally with ./ci.sh.
+# see README "Offline builds"), and every build and test step with
+# --locked, so neither lock file (Cargo.lock, benchmark/Cargo.lock) is
+# rewritten without notice. Run locally with ./ci.sh.
 #
 # The pipeline is split into two groups so the GitHub workflow can run
 # them as parallel jobs; with no argument both run in order:
@@ -14,12 +16,16 @@
 #   ./ci.sh all         # everything (default)
 #
 # Every equivalence gate is a Rust test run by build-test: scheduler
-# equivalence (EventDriven vs Legacy vs PDES, uninterrupted vs pause +
-# resume; columns: mesh/fat-tree/torus, a pause among L2-TLB requests
+# equivalence (EventDriven vs Legacy, uninterrupted vs pause + resume;
+# columns: mesh/fat-tree/torus, a pause among L2-TLB requests
 # parked behind two MSHRs, and three pauses among CU retries parked at
 # Table 2's CU limits and L1, each asserting its regime at the pause:
 # cap-blocked, L1-stalled behind a trimmed fill, and stalled on a
-# resident line under sectored fills) in crates/multigpu/tests/; the lazy
+# resident line under sectored fills) in crates/multigpu/tests/; the
+# L1's settled stalled retries against per-cycle ones, LRU stamps and the
+# eviction they decide included, in crates/mem/tests/l1_model.rs
+# (settled_retries_match_per_cycle_retries,
+# a_settled_stall_restamps_the_line_the_next_eviction_spares); the lazy
 # egress-port and sleeping-source checks in crates/net/src/
 # (switch.rs's lazy_ports_agree_across_schedulers, port.rs's
 # sampled_port_pushed_after_sleeping_matches_per_cycle_ticks,
@@ -119,7 +125,7 @@ step_doc() {
 }
 
 step_build_release() {
-    cargo build --release --offline
+    cargo build --release --offline --locked
 }
 
 # The gated_counts test writes the counts it measured to target/tmp/
@@ -127,7 +133,7 @@ step_build_release() {
 # red run still uploads what it measured.
 step_test_workspace() {
     local status=0
-    cargo test -q --workspace --offline || status=$?
+    cargo test -q --workspace --offline --locked || status=$?
     cp target/tmp/BENCH_*.json "$artifact_dir"/ 2>/dev/null || true
     return "$status"
 }
@@ -136,7 +142,7 @@ step_test_workspace() {
 # outside the workspace: build it and run its unit tests here, so an API
 # change that breaks it fails in CI rather than in the merge pipeline.
 step_test_benchmark_consumer() {
-    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+    cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 }
 
 if [[ "$mode" == lint || "$mode" == all ]]; then
@@ -146,8 +152,8 @@ if [[ "$mode" == lint || "$mode" == all ]]; then
 fi
 
 if [[ "$mode" == build-test || "$mode" == all ]]; then
-    run_step "cargo build --release --offline" step_build_release
-    run_step "cargo test -q --workspace" step_test_workspace
+    run_step "cargo build --release --offline --locked" step_build_release
+    run_step "cargo test -q --workspace --locked" step_test_workspace
     run_step "benchmark/ consumer: build + unit tests against the current APIs" step_test_benchmark_consumer
 fi
 

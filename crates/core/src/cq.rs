@@ -178,7 +178,7 @@ impl ClusterQueue {
         ALL_PACKET_KINDS[qi].is_ptw()
     }
 
-    /// Partition of a flit: its leading chunk's packet type.
+    /// The partition a flit queues in: its leading chunk's packet type.
     #[inline]
     fn partition_of(flit: &Flit) -> usize {
         flit.chunks[0].kind.index()

@@ -246,11 +246,14 @@ pub struct Experiment {
     pub seed: u64,
     /// Watchdog limit.
     pub max_cycles: u64,
-    /// Worker threads for the conservative parallel scheduler; 1 runs
-    /// sequentially. Results are bit-identical either way, so this is
-    /// host-side tuning, not a simulation input, and in no key.
+    /// Always 1, read by nothing in the workspace and in no key: the
+    /// simulator has one sequential engine. The field exists only because
+    /// the frozen benchmark crate reads it
+    /// (`benchmark/src/workloads.rs:486`, beside the
+    /// [`System::set_threads`] call at `benchmark/src/run.rs:749`);
+    /// ROADMAP item 1 deletes it with those callers.
     pub threads: usize,
-    /// Scheduler a single-threaded run uses. Results are bit-identical
+    /// Scheduler the run uses. Results are bit-identical
     /// under every mode; tests select [`SchedulerMode::Legacy`] here to
     /// compare against the tick-everything reference.
     pub scheduler: SchedulerMode,
@@ -310,13 +313,7 @@ impl Experiment {
         self
     }
 
-    /// Replaces the worker-thread count (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Replaces the scheduler of a single-threaded run.
+    /// Replaces the scheduler.
     pub fn with_scheduler(mut self, mode: SchedulerMode) -> Self {
         self.scheduler = mode;
         self
@@ -330,7 +327,7 @@ impl Experiment {
 
     /// Stable cross-process key covering every input that affects the
     /// simulation outcome. Deliberately excludes `tag` (display-only),
-    /// `threads` and `scheduler` (bit-identical results).
+    /// `threads` (always 1) and `scheduler` (bit-identical results).
     pub fn cache_key(&self) -> String {
         let applied = self.variant.apply(self.base_cfg);
         let key = self.key("v1", &applied.stable_repr());
@@ -434,7 +431,6 @@ impl Experiment {
             }
         }
         sys.engine.set_scheduler(self.scheduler);
-        sys.set_threads(self.threads);
         if let Some(bytes) = plan.resume_from {
             sys.restore(bytes)?;
             debug_assert!(
@@ -764,13 +760,15 @@ mod tests {
         let other_scale = a.clone().with_scale(Scale::small());
         assert_ne!(a.cache_key(), other_scale.cache_key());
 
-        // PDES and every scheduler give bit-identical results, so a cache
-        // filled sequentially serves a threaded or Legacy run.
-        let threaded = a.clone().with_threads(4);
-        assert_eq!(a.cache_key(), threaded.cache_key(), "threads are host-side");
-        assert_eq!(a.memo_key(), threaded.memo_key());
+        // Both schedulers give bit-identical results, so a cache filled
+        // event-driven serves a Legacy run.
         let legacy = a.clone().with_scheduler(SchedulerMode::Legacy);
-        assert_eq!(a.cache_key(), legacy.cache_key(), "so is the scheduler");
+        assert_eq!(
+            a.cache_key(),
+            legacy.cache_key(),
+            "the scheduler is host-side"
+        );
+        assert_eq!(a.memo_key(), legacy.memo_key());
 
         let mut longer = a.clone();
         longer.max_cycles += 1;

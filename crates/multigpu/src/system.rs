@@ -319,72 +319,12 @@ impl System {
         &self.cfg
     }
 
-    /// Derives the conservative-parallel partition of the node from its
-    /// topology: one domain per GPU cluster (that cluster's CUs, GMMUs,
-    /// caches, DRAM stacks and RDMA engines) plus one domain *per
-    /// switch*. Every message crossing a domain boundary rides a
-    /// GPU↔switch or switch↔switch wire, so each domain pair's lookahead
-    /// is the minimum latency of the links joining them — a heterogeneous
-    /// fabric (4-cycle switch↔switch hops over 1-cycle GPU wires) keeps
-    /// its per-link bounds instead of collapsing to the global minimum.
-    pub fn partition(&self) -> netcrafter_sim::Partition {
-        let topo = &self.topo;
-        let clusters = topo.clusters() as usize;
-        let domains = clusters + topo.num_switches() as usize;
-        let total = self.ids.switches.last().expect("at least one switch").0 + 1;
-        let mut domain_of = vec![usize::MAX; total];
-        for (g, cus) in self.ids.cus.iter().enumerate() {
-            let dom = topo.gpu_cluster(GpuId(g as u16)).index();
-            for &cu in cus {
-                domain_of[cu.0] = dom;
-            }
-            domain_of[self.ids.gmmus[g].0] = dom;
-            domain_of[self.ids.l2s[g].0] = dom;
-            domain_of[self.ids.drams[g].0] = dom;
-            domain_of[self.ids.rdmas[g].0] = dom;
-        }
-        for (s, &sw) in self.ids.switches.iter().enumerate() {
-            domain_of[sw.0] = clusters + s;
-        }
-        assert!(
-            domain_of.iter().all(|&d| d != usize::MAX),
-            "every component must belong to a domain"
-        );
-        // Pair matrix: GPU wires bound cluster↔edge-switch pairs, fabric
-        // links bound switch↔switch pairs; pairs with no direct link
-        // never exchange messages.
-        const NO_LINK: u64 = u64::MAX;
-        let mut pairs = vec![NO_LINK; domains * domains];
-        let bound = |pairs: &mut Vec<u64>, a: usize, b: usize, lat: u64| {
-            pairs[a * domains + b] = pairs[a * domains + b].min(lat);
-            pairs[b * domains + a] = pairs[b * domains + a].min(lat);
-        };
-        for (s, spec) in topo.switch_specs().enumerate() {
-            for link in &spec.links {
-                if link.is_inter {
-                    let peer = clusters + topo.switch_index(link.peer);
-                    bound(&mut pairs, clusters + s, peer, link.latency);
-                } else {
-                    let gpu = topo.node_gpu(link.peer).expect("GPU link peers a GPU");
-                    let dom = topo.gpu_cluster(gpu).index();
-                    bound(&mut pairs, clusters + s, dom, link.latency);
-                }
-            }
-        }
-        netcrafter_sim::Partition::with_pair_lookahead(domain_of, pairs)
-    }
-
-    /// Runs subsequent simulation on `threads` worker threads under the
-    /// conservative parallel scheduler (bit-identical results; see
-    /// DESIGN.md §3.3). A single thread — or a single-cluster topology,
-    /// which has only cluster+fabric concurrency to harvest anyway —
-    /// leaves the sequential event-driven scheduler in place.
-    pub fn set_threads(&mut self, threads: usize) {
-        if threads > 1 {
-            let partition = self.partition();
-            self.engine.set_parallel(partition, threads);
-        }
-    }
+    /// Does nothing: the simulator has one sequential engine, so there is
+    /// no thread count to set. The name exists only because the frozen
+    /// benchmark crate calls it (`benchmark/src/workloads.rs:486`,
+    /// `benchmark/src/run.rs:749`); ROADMAP item 1 deletes it with those
+    /// callers.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Turns on structured event tracing for every component, filtered by
     /// `config`. Call before running; harvest with [`System::take_trace`].
@@ -447,9 +387,8 @@ impl System {
         self.engine.run_to_quiescence(max_cycles)
     }
 
-    /// Runs forward to `cycle` without requiring quiescence. Pausing here
-    /// is always a global epoch barrier (sequential stepping under every
-    /// scheduler mode), so the paused state is a valid snapshot point.
+    /// Runs forward to `cycle` without requiring quiescence. Every cycle
+    /// boundary is a valid snapshot point under both scheduler modes.
     pub fn run_until(&mut self, cycle: Cycle) -> Cycle {
         self.engine.run_until(cycle)
     }

@@ -1,8 +1,8 @@
 //! The scheduler equivalence table: every way of executing a simulation
 //! must reproduce the uninterrupted event-driven run byte for byte.
 //!
-//! Rows are {EventDriven, Legacy, PDES on 4 threads} × {uninterrupted,
-//! pause at the midpoint then resume}; columns are a slice of the fig14
+//! Rows are {EventDriven, Legacy} × {uninterrupted, pause at the
+//! midpoint then resume}; columns are a slice of the fig14
 //! matrix on the 2×2 mesh plus the fat-tree-8 and torus fabrics, one
 //! column paused while translation requests are parked behind full
 //! L2-TLB MSHRs (their replay misses only partly settled), and three
@@ -42,22 +42,7 @@ use netcrafter_sim::{Component, SchedulerMode, Trace, TraceConfig};
 use netcrafter_vm::TranslationUnit;
 use netcrafter_workloads::{Scale, Workload};
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Sched {
-    EventDriven,
-    Legacy,
-    Pdes4,
-}
-
-const SCHEDS: [Sched; 3] = [Sched::EventDriven, Sched::Legacy, Sched::Pdes4];
-
-fn under(exp: &Experiment, sched: Sched) -> Experiment {
-    match sched {
-        Sched::EventDriven => exp.clone(),
-        Sched::Legacy => exp.clone().with_scheduler(SchedulerMode::Legacy),
-        Sched::Pdes4 => exp.clone().with_threads(4),
-    }
-}
+const SCHEDS: [SchedulerMode; 2] = [SchedulerMode::EventDriven, SchedulerMode::Legacy];
 
 fn trace_opts() -> TraceOptions {
     TraceOptions {
@@ -159,9 +144,9 @@ fn check_column_pausing(column: &str, exp: &Experiment, pause_at: impl Fn(u64) -
     let mut event_driven_snapshot: Option<ForkSnapshot> = None;
 
     for sched in SCHEDS {
-        let exp = under(exp, sched);
+        let exp = exp.clone().with_scheduler(sched);
         let cell = format!("{column} / {sched:?}");
-        if sched != Sched::EventDriven {
+        if sched != SchedulerMode::EventDriven {
             let (_, seen) = traced(&exp, CheckpointPlan::default());
             seen.assert_matches(&reference, &format!("{cell} / uninterrupted"));
         }
@@ -231,7 +216,7 @@ fn mesh_fig14_slice() {
 
 #[test]
 fn fat_tree_8() {
-    // Multi-hop traffic through six switches, one PDES domain per switch.
+    // Multi-hop traffic through six switches.
     for variant in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
         let exp = scale_out(SystemConfig::fat_tree_8(), variant);
         check_column(&format!("fat-tree-8/{variant:?}"), &exp);
@@ -314,7 +299,7 @@ fn pausing_while_tlb_requests_are_parked() {
 /// restored at `pause` — where `mid_park` must hold — encodes to the
 /// bytes it was restored from and ends in the state its scheduler reaches
 /// uninterrupted (Legacy leaves later last-tick anchors in the CUs than
-/// the event-driven schedulers, so each is its own reference).
+/// the event-driven scheduler, so each is its own reference).
 fn check_states_pausing(exp: &Experiment, pause: u64, mid_park: impl Fn(&System) -> bool) {
     let mut reference = build(exp);
     let exec_cycles = reference.run(exp.max_cycles);
@@ -322,11 +307,7 @@ fn check_states_pausing(exp: &Experiment, pause: u64, mid_park: impl Fn(&System)
     for sched in SCHEDS {
         let configured = || {
             let mut sys = build(exp);
-            match sched {
-                Sched::EventDriven => {}
-                Sched::Legacy => sys.engine.set_scheduler(SchedulerMode::Legacy),
-                Sched::Pdes4 => sys.set_threads(4),
-            }
+            sys.engine.set_scheduler(sched);
             sys
         };
         let mut straight = configured();
@@ -487,12 +468,25 @@ fn waves_beyond_the_slots_run_when_a_slot_frees() {
 }
 
 #[test]
-fn thread_counts_beyond_the_domain_count_are_harmless() {
+fn set_threads_changes_no_byte_of_the_result() {
     let exp = Experiment::quick(Workload::Mt, SystemVariant::NetCrafter);
-    let seq = exp.run();
-    let par = exp.with_threads(64).run();
-    assert_eq!(seq.exec_cycles, par.exec_cycles);
-    assert_eq!(seq.metrics.to_kv(), par.metrics.to_kv());
+    let mut plain = build(&exp);
+    let exec_cycles = plain.run(exp.max_cycles);
+    for threads in [0, 2, 64] {
+        let mut sys = build(&exp);
+        sys.set_threads(threads);
+        assert_eq!(sys.run(exp.max_cycles), exec_cycles, "{threads} threads");
+        assert_eq!(
+            sys.save_snapshot(),
+            plain.save_snapshot(),
+            "{threads} threads"
+        );
+        assert_eq!(
+            sys.harvest().to_kv(),
+            plain.harvest().to_kv(),
+            "{threads} threads"
+        );
+    }
 }
 
 // ---- the snapshot layer under the table ----

@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 
 /// The queue behind an egress port. `pop` may return `None` even when the
 /// queue is non-empty — that is exactly how Flit Pooling delays ejection.
-/// Queues are `Send` because the owning component may run on a domain
-/// worker thread under [`netcrafter_sim::SchedulerMode::ParallelEventDriven`].
+/// Queues are `Send` because the [`netcrafter_sim::Component`] owning
+/// them must be.
 pub trait EgressQueue: Send {
     /// Enqueues a flit at cycle `now`.
     fn push(&mut self, flit: Flit, now: Cycle);

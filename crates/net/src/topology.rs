@@ -796,7 +796,7 @@ mod tests {
     }
 
     /// GPU wires take [`WIRE_LATENCY`] and fabric links their fabric's
-    /// latency: the per-pair lookahead `System::partition` is built from.
+    /// latency, so one fabric's links may differ in latency.
     #[test]
     fn per_pair_latencies_are_heterogeneous() {
         let fat_tree = Topology::new(&cfg(4, 2, FabricConfig::FatTree { cores: 2 }));

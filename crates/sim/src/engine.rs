@@ -1,5 +1,5 @@
 //! The cycle engine: the component interface and the public face of the
-//! scheduler core (`sched.rs`) instantiated over every component.
+//! scheduler core (`sched.rs`).
 //!
 //! * **Event-driven** (default): only components with a scheduled wake
 //!   tick, idle stretches are fast-forwarded to the next scheduled event,
@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use netcrafter_proto::Message;
 
 use crate::arena::{Arena, Handle};
-use crate::sched::{Core, Route};
+use crate::sched::Core;
 use crate::snapshot::{
     read_header, write_header, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -77,11 +77,6 @@ pub enum SchedulerMode {
     Legacy,
     /// Tick only woken components; fast-forward idle cycles.
     EventDriven,
-    /// Event-driven semantics, but [`Engine::run_to_quiescence`] executes
-    /// the partition's domains on worker threads under a conservative
-    /// epoch barrier (see [`Engine::set_parallel`] and DESIGN.md §3.3).
-    /// Identical to [`SchedulerMode::EventDriven`] for single stepping.
-    ParallelEventDriven,
 }
 
 /// What one [`Component::tick_burst`] reports back to the scheduler: the
@@ -109,9 +104,8 @@ pub struct BurstOutcome {
 /// comes due; the default (`EveryCycle`) preserves the tick-always
 /// behaviour.
 ///
-/// Components are `Send` so domains of them can execute on worker threads
-/// under [`SchedulerMode::ParallelEventDriven`]; they are never shared
-/// (each domain owns its components), so `Sync` is not required.
+/// Components are `Send`, so an engine may be handed to another thread;
+/// an engine is never shared, so `Sync` is not required.
 pub trait Component: std::any::Any + Send {
     /// Advances the component by one cycle.
     fn tick(&mut self, ctx: &mut Ctx<'_>);
@@ -127,7 +121,7 @@ pub trait Component: std::any::Any + Send {
 
     /// When this component next needs a tick, asked right after each tick
     /// by the default [`Component::tick_burst`] (the engine never calls it
-    /// directly; only the event-driven modes act on the answer).
+    /// directly; only the event-driven scheduler acts on the answer).
     ///
     /// Contract: every cycle between now and the returned wake on which
     /// the component is *not* ticked must be one where its tick would
@@ -300,10 +294,10 @@ impl EngineBuilder {
     /// Panics if any reserved slot was never installed.
     pub fn build(self) -> Engine {
         let n = self.slots.len();
-        let mut core = Core::new(Whole, 0, Tracer::off());
+        let mut core = Core::new();
         for (i, slot) in self.slots.into_iter().enumerate() {
             let comp = slot.unwrap_or_else(|| panic!("component slot {i} never installed"));
-            core.push(comp, VecDeque::new());
+            core.push(comp);
         }
         // Every component gets a first tick on cycle 1 and re-arms
         // itself from there via `next_wake`.
@@ -313,46 +307,15 @@ impl EngineBuilder {
             mode: SchedulerMode::EventDriven,
             dirty: Vec::new(),
             dirty_flags: vec![false; n],
-            parallel: None,
         }
-    }
-}
-
-/// [`Route`] of the sequential engine: one core owns every component, so
-/// local index = component id, push order is delivery order, and every
-/// send stays here.
-pub(crate) struct Whole;
-
-impl Route for Whole {
-    type Key = ();
-
-    #[inline]
-    fn global(&self, l: usize) -> usize {
-        l
-    }
-
-    #[inline]
-    fn order(_due: &mut [((), usize, Handle)]) {}
-
-    #[inline]
-    fn place(
-        &mut self,
-        _src: usize,
-        _now: Cycle,
-        _when: Cycle,
-        dst: ComponentId,
-        _h: Handle,
-        _arena: &mut Arena<Message>,
-    ) -> Option<((), usize)> {
-        Some(((), dst.0))
     }
 }
 
 /// The simulation engine: owns all components and mailboxes and advances
 /// simulated time.
 pub struct Engine {
-    /// The scheduler core over every component (local index = id).
-    pub(crate) core: Core<Whole>,
+    /// The scheduler core over every component.
+    core: Core,
     mode: SchedulerMode,
     /// Components handed out via `get_mut` since the last step: external
     /// code may have changed their state behind the scheduler's back, so
@@ -360,9 +323,6 @@ pub struct Engine {
     /// next cycle.
     dirty: Vec<usize>,
     dirty_flags: Vec<bool>,
-    /// Domain partition + worker count for
-    /// [`SchedulerMode::ParallelEventDriven`] (see [`Engine::set_parallel`]).
-    pub(crate) parallel: Option<crate::parallel::ParallelConfig>,
 }
 
 impl Engine {
@@ -381,7 +341,7 @@ impl Engine {
     /// Component ticks executed by this engine object so far, under
     /// whichever schedulers it ran. A measure of host work: it is not
     /// part of the simulated state, so a snapshot neither saves nor
-    /// restores it, and the event-driven modes exist to make it small.
+    /// restores it, and the event-driven scheduler exists to make it small.
     #[inline]
     pub fn ticks_executed(&self) -> u64 {
         self.core.ticks
@@ -389,8 +349,7 @@ impl Engine {
 
     /// Cycles this engine object has executed so far, under whichever
     /// schedulers it ran: every cycle under Legacy, only the cycles with
-    /// a delivery or a wake under the event-driven modes (summed over
-    /// the domains of a parallel run). Host work like
+    /// a delivery or a wake event-driven. Host work like
     /// [`Engine::ticks_executed`], and likewise never snapshotted.
     #[inline]
     pub fn steps_executed(&self) -> u64 {
@@ -415,26 +374,6 @@ impl Engine {
         self.flush_dirty();
         self.core.rearm_all_at(self.core.cycle + 1);
         self.core.refresh_busy();
-    }
-
-    /// Installs the domain partition and worker-thread count used by
-    /// [`SchedulerMode::ParallelEventDriven`], and switches to that mode.
-    /// With `threads <= 1` (or a single domain) execution stays on the
-    /// calling thread and is plain event-driven.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition does not cover exactly this engine's
-    /// components (see [`crate::parallel::Partition::new`] for the
-    /// domain-density and lookahead requirements).
-    pub fn set_parallel(&mut self, partition: crate::parallel::Partition, threads: usize) {
-        assert_eq!(
-            partition.domain_of.len(),
-            self.core.comps.len(),
-            "partition must assign a domain to every component"
-        );
-        self.parallel = Some(crate::parallel::ParallelConfig { partition, threads });
-        self.set_scheduler(SchedulerMode::ParallelEventDriven);
     }
 
     /// Turns on structured-event tracing with the given filter. One track
@@ -467,7 +406,7 @@ impl Engine {
     pub fn inject(&mut self, dst: ComponentId, msg: Message, delay: u64) {
         let when = self.core.cycle + delay.max(1);
         let h = self.core.arena.alloc(msg);
-        self.core.schedule(when, (), dst.0, h);
+        self.core.schedule(when, dst.0, h);
     }
 
     /// Marks a component as externally mutated: its cached busy flag is
@@ -485,7 +424,7 @@ impl Engine {
 
     /// Re-syncs the busy cache for externally mutated components (they
     /// were armed for a tick by `mark_dirty`).
-    pub(crate) fn flush_dirty(&mut self) {
+    fn flush_dirty(&mut self) {
         for i in self.dirty.drain(..) {
             self.dirty_flags[i] = false;
             let live = self.core.comps[i].busy();
@@ -508,7 +447,7 @@ impl Engine {
 
     /// Advances one cycle: delivers due messages, then ticks components —
     /// all of them under [`SchedulerMode::Legacy`], only woken ones under
-    /// the event-driven modes.
+    /// [`SchedulerMode::EventDriven`].
     pub fn step(&mut self) {
         self.advance(self.core.cycle + 1);
     }
@@ -537,16 +476,6 @@ impl Engine {
     /// Panics if the cycle limit is hit while work remains — a livelocked
     /// simulation is always a modelling bug and must not pass silently.
     pub fn run_to_quiescence(&mut self, max_cycles: Cycle) -> Cycle {
-        if self.mode == SchedulerMode::ParallelEventDriven {
-            if let Some(cfg) = self.parallel.take() {
-                if cfg.threads > 1 && cfg.partition.domains > 1 {
-                    crate::parallel::run_parallel(self, &cfg, max_cycles);
-                }
-                self.parallel = Some(cfg);
-            }
-        }
-        // Also the whole run when the partition or thread count
-        // degenerates (a finished parallel run is already quiescent).
         let limit = self.core.cycle + max_cycles;
         while !self.quiescent() {
             assert!(
@@ -598,10 +527,9 @@ impl Engine {
 
     // ---- checkpoint / restore ----
 
-    /// Runs (event-driven, sequentially) until the clock reaches `target`
-    /// or the system quiesces, whichever comes first. Every cycle boundary
-    /// reached this way is a global epoch barrier, so the paused state is
-    /// a valid checkpoint under all scheduler modes (DESIGN.md §3.4).
+    /// Runs until the clock reaches `target` or the system quiesces,
+    /// whichever comes first. Every cycle boundary is a valid checkpoint
+    /// under both scheduler modes (DESIGN.md §3.4).
     pub fn run_until(&mut self, target: Cycle) -> Cycle {
         self.run_while(target.saturating_sub(self.core.cycle), |_| true)
     }
@@ -725,7 +653,7 @@ impl Engine {
         core.clear_in_flight();
         for (when, dst, msg) in deliveries {
             let h = core.arena.alloc(msg);
-            core.schedule(when, (), dst, h);
+            core.schedule(when, dst, h);
         }
         core.tracer.set_now(cycle);
         // Rebuild every piece of scheduler-derived state (armed table,

@@ -14,12 +14,9 @@
 //!   dead cycles, producing bit-identical results to the tick-everything
 //!   [`SchedulerMode::Legacy`] reference.
 //!
-//! One scheduler core (`sched.rs`) executes every mode, advancing each
-//! component through [`Component::tick_burst`] alone: the sequential
-//! [`Engine`] is the core over all components, and each domain of the
-//! conservative parallel scheduler ([`parallel`]) is the same core over
-//! its slice, with delivery keys and cross-domain routing selected at
-//! compile time.
+//! One scheduler core (`sched.rs`) executes both modes on the calling
+//! thread, advancing each component through [`Component::tick_burst`]
+//! alone; the [`Engine`] is its public face.
 //!
 //! The crate also provides the small utilities every hardware model
 //! needs: [`DelayQueue`] (fixed-latency pipelines), [`RateLimiter`]
@@ -35,7 +32,6 @@
 pub mod arena;
 pub mod engine;
 pub mod flatmap;
-pub mod parallel;
 mod sched;
 pub mod snapshot;
 pub mod timing;
@@ -46,7 +42,6 @@ pub use engine::{
     BurstOutcome, Component, ComponentId, Ctx, Engine, EngineBuilder, SchedulerMode, Wake,
 };
 pub use flatmap::FlatMap;
-pub use parallel::Partition;
 pub use snapshot::{
     read_header, write_header, ForkSnapshot, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -1,19 +1,11 @@
-//! The scheduler core: the one step loop behind every execution mode.
+//! The scheduler core: the one step loop behind both scheduler modes.
 //!
-//! A [`Core`] owns a set of components with their mailboxes, the message
-//! arena, the wheel of deliveries and timed wakes with its two overflow
-//! lists, the always-on set and the busy cache, and advances them one
-//! executed cycle at a time. The sequential [`Engine`](crate::Engine) is
-//! one core over every component; each domain of the conservative
-//! parallel scheduler is one core over its slice (see `parallel.rs`).
-//!
-//! What differs between the two is the [`Route`] type parameter, fixed
-//! at compile time: the ordering key stored with each in-flight delivery
-//! (and whether a due slot is sorted by it), where a staged send goes
-//! (always this core, or possibly another domain), and how a local
-//! component index maps to the global component id. The sequential
-//! instantiation uses the zero-sized key `()`, so it carries no sort, no
-//! key bytes and no routing branch.
+//! A [`Core`] owns every component with its mailbox, the message arena,
+//! the wheel of deliveries and timed wakes with its two overflow lists,
+//! the always-on set and the busy cache, and advances them one executed
+//! cycle at a time; the [`Engine`](crate::Engine) is its public face.
+//! A component's index here is its [`ComponentId`], and push order is
+//! delivery order, so a delivery carries no ordering key.
 //!
 //! One wheel holds every future event. Its 512 slots each carry the
 //! deliveries due at one cycle and a list of the components whose timed
@@ -38,7 +30,7 @@ use crate::trace::Tracer;
 use crate::Cycle;
 
 /// Sentinel for "no scheduled wake / no pending delivery".
-pub(crate) const NEVER: Cycle = Cycle::MAX;
+const NEVER: Cycle = Cycle::MAX;
 
 /// Delay-wheel size: delays below this are O(1); longer delays take the
 /// (rare) overflow path.
@@ -88,37 +80,9 @@ fn clear_bit(bits: &mut [u64], i: usize) {
     bits[i / 64] &= !(1 << (i % 64));
 }
 
-/// How a [`Core`] orders its deliveries and places its components' sends.
-pub(crate) trait Route {
-    /// Ordering key stored next to every in-flight delivery. `()` when
-    /// push order already is delivery order.
-    type Key: Copy + Ord;
-
-    /// Global component id of local index `l` (the tracer track and
-    /// [`Ctx::self_id`]).
-    fn global(&self, l: usize) -> usize;
-
-    /// Puts one due wheel slot into delivery order.
-    fn order(due: &mut [(Self::Key, usize, Handle)]);
-
-    /// Places a send staged by local component `src` at cycle `now`.
-    /// Returns the delivery key and the local destination index when
-    /// this core delivers the message; consumes the payload and returns
-    /// `None` when it leaves for another domain.
-    fn place(
-        &mut self,
-        src: usize,
-        now: Cycle,
-        when: Cycle,
-        dst: ComponentId,
-        h: Handle,
-        arena: &mut Arena<Message>,
-    ) -> Option<(Self::Key, usize)>;
-}
-
 /// Components, mailboxes, in-flight messages and the scheduler state
-/// that drives them. All indices are local to this core.
-pub(crate) struct Core<R: Route> {
+/// that drives them, indexed by component id.
+pub(crate) struct Core {
     pub(crate) comps: Vec<Box<dyn Component>>,
     pub(crate) inboxes: Vec<VecDeque<Handle>>,
     /// Backing store for every in-flight and mailboxed message payload;
@@ -127,26 +91,26 @@ pub(crate) struct Core<R: Route> {
     /// Ring buffer of future deliveries indexed by `cycle % WHEEL_SLOTS`;
     /// a slot only ever holds one cycle's deliveries. Its timed wakes are
     /// the list headed by node `slot` of `links`.
-    wheel: Vec<Vec<(R::Key, usize, Handle)>>,
+    wheel: Vec<Vec<(usize, Handle)>>,
     /// Wheel slots that may hold a delivery or a wake, one bit each: set
     /// whenever one is filed, cleared when the slot is drained or found
     /// empty by [`Core::next_event_cycle`].
     occupied: [u64; WHEEL_SLOTS / 64],
     /// Deliveries further than `WHEEL_SLOTS` cycles out (rare).
-    overflow: Vec<(Cycle, R::Key, usize, Handle)>,
+    overflow: Vec<(Cycle, usize, Handle)>,
     /// Earliest delivery cycle in `overflow` (`NEVER` when empty).
     overflow_min: Cycle,
     /// Persistent buffers swapped with the due wheel slot / the overflow
     /// list during a step, so the steady state allocates nothing.
-    slot_scratch: Vec<(R::Key, usize, Handle)>,
-    overflow_scratch: Vec<(Cycle, R::Key, usize, Handle)>,
+    slot_scratch: Vec<(usize, Handle)>,
+    overflow_scratch: Vec<(Cycle, usize, Handle)>,
     pub(crate) cycle: Cycle,
     pub(crate) in_flight: usize,
     pub(crate) delivered: u64,
-    /// Component ticks executed by this core — host work, not simulation
+    /// Component ticks executed — host work, not simulation
     /// state: it depends on the scheduler and is never snapshotted.
     pub(crate) ticks: u64,
-    /// Cycles executed by this core ([`Core::step_at`] calls) — host
+    /// Cycles executed ([`Core::step_at`] calls) — host
     /// work as well, never snapshotted.
     pub(crate) steps: u64,
     /// Sends staged by the component being ticked.
@@ -181,12 +145,11 @@ pub(crate) struct Core<R: Route> {
     /// Number of `true` entries in `busy_flags`.
     pub(crate) busy_count: usize,
     pub(crate) tracer: Tracer,
-    pub(crate) route: R,
 }
 
-impl<R: Route> Core<R> {
-    /// An empty core paused at `cycle`.
-    pub(crate) fn new(route: R, cycle: Cycle, tracer: Tracer) -> Self {
+impl Core {
+    /// An empty core at cycle 0, tracing off.
+    pub(crate) fn new() -> Self {
         Core {
             comps: Vec::new(),
             inboxes: Vec::new(),
@@ -197,7 +160,7 @@ impl<R: Route> Core<R> {
             overflow_min: NEVER,
             slot_scratch: Vec::new(),
             overflow_scratch: Vec::new(),
-            cycle,
+            cycle: 0,
             in_flight: 0,
             delivered: 0,
             ticks: 0,
@@ -212,19 +175,18 @@ impl<R: Route> Core<R> {
             woken: Vec::new(),
             busy_flags: Vec::new(),
             busy_count: 0,
-            tracer,
-            route,
+            tracer: Tracer::off(),
         }
     }
 
-    /// Appends a component (local index = previous length) with no wake
-    /// scheduled; the caller arms it.
-    pub(crate) fn push(&mut self, comp: Box<dyn Component>, inbox: VecDeque<Handle>) {
+    /// Appends a component (id = previous length) with an empty mailbox
+    /// and no wake scheduled; the caller arms it.
+    pub(crate) fn push(&mut self, comp: Box<dyn Component>) {
         let busy = comp.busy();
         let l = self.comps.len();
         assert!(HEADS + l < u32::MAX as usize, "too many components");
         self.comps.push(comp);
-        self.inboxes.push(inbox);
+        self.inboxes.push(VecDeque::new());
         self.armed.push(NEVER);
         self.links.push(Link::alone(HEADS + l));
         if l.is_multiple_of(64) {
@@ -343,22 +305,22 @@ impl<R: Route> Core<R> {
         }
     }
 
-    /// Queues `h` for delivery to local component `l` at cycle `when`.
+    /// Queues `h` for delivery to component `l` at cycle `when`.
     #[inline]
-    pub(crate) fn schedule(&mut self, when: Cycle, key: R::Key, l: usize, h: Handle) {
+    pub(crate) fn schedule(&mut self, when: Cycle, l: usize, h: Handle) {
         debug_assert!(when > self.cycle);
         self.in_flight += 1;
         if (when - self.cycle) < WHEEL_SLOTS as u64 {
             let slot = wheel_slot(when);
-            self.wheel[slot].push((key, l, h));
+            self.wheel[slot].push((l, h));
             set_bit(&mut self.occupied, slot);
         } else {
             self.overflow_min = self.overflow_min.min(when);
-            self.overflow.push((when, key, l, h));
+            self.overflow.push((when, l, h));
         }
     }
 
-    /// Every in-flight delivery as `(cycle, local dst, handle)`, in
+    /// Every in-flight delivery as `(cycle, dst, handle)`, in
     /// canonical order: ascending delivery cycle through the wheel, push
     /// order within a cycle, then the overflow list.
     pub(crate) fn in_flight(&self) -> impl Iterator<Item = (Cycle, usize, Handle)> + '_ {
@@ -366,9 +328,9 @@ impl<R: Route> Core<R> {
             let when = self.cycle + d;
             self.wheel[wheel_slot(when)]
                 .iter()
-                .map(move |&(_, l, h)| (when, l, h))
+                .map(move |&(l, h)| (when, l, h))
         });
-        wheel.chain(self.overflow.iter().map(|&(when, _, l, h)| (when, l, h)))
+        wheel.chain(self.overflow.iter().copied())
     }
 
     /// Forgets every in-flight delivery (their payloads stay in the
@@ -429,9 +391,8 @@ impl<R: Route> Core<R> {
     /// [`Core::next_event_cycle`]): delivers the messages due at `c`,
     /// then ticks components in ascending index order — every one of
     /// them when `tick_all` (the Legacy reference, which ignores the
-    /// returned wakes), otherwise only the woken ones. Returns the number
-    /// of deliveries.
-    pub(crate) fn step_at(&mut self, c: Cycle, tick_all: bool) -> usize {
+    /// returned wakes), otherwise only the woken ones.
+    pub(crate) fn step_at(&mut self, c: Cycle, tick_all: bool) {
         debug_assert!(c > self.cycle);
         self.cycle = c;
         self.steps += 1;
@@ -453,14 +414,14 @@ impl<R: Route> Core<R> {
                 std::mem::take(&mut self.overflow_scratch),
             );
             let mut min_left = NEVER;
-            for (when, key, l, h) in pending.drain(..) {
+            for (when, l, h) in pending.drain(..) {
                 if when < horizon {
                     let slot = wheel_slot(when);
-                    self.wheel[slot].push((key, l, h));
+                    self.wheel[slot].push((l, h));
                     set_bit(&mut self.occupied, slot);
                 } else {
                     min_left = min_left.min(when);
-                    self.overflow.push((when, key, l, h));
+                    self.overflow.push((when, l, h));
                 }
             }
             self.overflow_min = min_left;
@@ -507,11 +468,9 @@ impl<R: Route> Core<R> {
             &mut self.wheel[slot],
             std::mem::take(&mut self.slot_scratch),
         );
-        R::order(&mut due);
-        let delivered_now = due.len();
-        self.in_flight -= delivered_now;
-        self.delivered += delivered_now as u64;
-        for (_, l, h) in due.drain(..) {
+        self.in_flight -= due.len();
+        self.delivered += due.len() as u64;
+        for (l, h) in due.drain(..) {
             if self.armed[l] != NEVER {
                 self.cancel_wake(l);
             }
@@ -524,7 +483,7 @@ impl<R: Route> Core<R> {
             for l in 0..self.comps.len() {
                 self.tick_one(l);
             }
-            return delivered_now;
+            return;
         }
 
         // Tick the woken and always-on components in ascending index
@@ -558,7 +517,6 @@ impl<R: Route> Core<R> {
                 }
             }
         }
-        delivered_now
     }
 
     /// Ticks component `l` through [`Component::tick_burst`] — the only
@@ -575,17 +533,16 @@ impl<R: Route> Core<R> {
     #[inline(always)]
     fn tick_one(&mut self, l: usize) -> Wake {
         self.ticks += 1;
-        let global = self.route.global(l);
         // Component ids index a Vec of boxed components; 2^32 of them do
         // not fit in memory.
         #[allow(clippy::cast_possible_truncation)]
-        self.tracer.focus(global as u32);
+        self.tracer.focus(l as u32);
         let mut ctx = Ctx {
             cycle: self.cycle,
             inbox: &mut self.inboxes[l],
             outbox: &mut self.outbox,
             arena: &mut self.arena,
-            self_id: ComponentId(global),
+            self_id: ComponentId(l),
             tracer: &mut self.tracer,
         };
         let comp = &mut self.comps[l];
@@ -599,26 +556,24 @@ impl<R: Route> Core<R> {
         );
         self.fold_busy(l, out.busy);
         if !self.outbox.is_empty() {
-            self.commit_sends(l);
+            self.commit_sends();
         }
         out.wake
     }
 
-    /// Commits the sends component `l` staged during its tick. Ticks run
+    /// Commits the sends the ticked component staged. Ticks run
     /// in ascending index order and each tick's sends keep their staging
     /// order, so committing after every tick pushes onto the wheel in
     /// exactly the order one commit at the end of the step would.
     #[inline(never)]
-    fn commit_sends(&mut self, l: usize) {
+    fn commit_sends(&mut self) {
         for i in 0..self.outbox.len() {
             let (when, dst, h) = self.outbox[i];
-            let placed = self
-                .route
-                .place(l, self.cycle, when, dst, h, &mut self.arena);
-            if let Some((key, to)) = placed {
-                assert!(to < self.inboxes.len(), "send to unknown component {dst}");
-                self.schedule(when, key, to, h);
-            }
+            assert!(
+                dst.0 < self.inboxes.len(),
+                "send to unknown component {dst}"
+            );
+            self.schedule(when, dst.0, h);
         }
         self.outbox.clear();
     }

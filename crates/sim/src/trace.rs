@@ -374,36 +374,6 @@ impl Tracer {
             events: std::mem::take(&mut self.events),
         }
     }
-
-    /// A per-domain shard for parallel execution: same filter, same track
-    /// table (so track ids stay global), empty event buffer. Shard events
-    /// are merged back with [`Tracer::absorb_events`] in canonical order
-    /// at epoch barriers.
-    pub(crate) fn shard(&self) -> Tracer {
-        Tracer {
-            on: self.on,
-            class_mask: self.class_mask,
-            first_cycle: self.first_cycle,
-            last_cycle: self.last_cycle,
-            now: self.now,
-            focus: 0,
-            focus_live: false,
-            tracks: self.tracks.clone(),
-            track_enabled: self.track_enabled.clone(),
-            events: Vec::new(),
-            filter: self.filter.clone(),
-        }
-    }
-
-    /// Drains the buffered events (shard side of the epoch merge).
-    pub(crate) fn drain_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Appends already-ordered events (main-tracer side of the merge).
-    pub(crate) fn absorb_events(&mut self, events: impl IntoIterator<Item = Event>) {
-        self.events.extend(events);
-    }
 }
 
 /// A completed trace: named tracks plus the flat event list, ready for

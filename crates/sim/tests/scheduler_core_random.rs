@@ -1,14 +1,12 @@
-//! Randomized equivalence of the one scheduler core's three drivers:
-//! the Legacy tick-everything reference, sequential event-driven
-//! execution, and the conservative parallel scheduler (2 and 3 domains,
-//! 1–4 worker threads) must agree on the end cycle, the delivery count
-//! and every component's `(cycle, payload)` receipt log.
+//! Randomized equivalence of the scheduler core's two modes: the Legacy
+//! tick-everything reference and event-driven execution must agree on
+//! the end cycle, the delivery count and every component's
+//! `(cycle, payload)` receipt log.
 //!
 //! Graphs are drawn from fixed SplitMix64 seeds: relays, `At`-timed
 //! pulses and recorders, bounded always-busy components and (on every
 //! third seed) a never-busy every-cycle sampler, wired with delays on
-//! both sides of the delay wheel's 512-slot range, under a random dense
-//! partition whose lookahead is the minimum cross-domain edge delay.
+//! both sides of the delay wheel's 512-slot range.
 //!
 //! A second family adds movers, whose `At` target a message arrival
 //! moves later or earlier, so stale timed wakes are left behind inside
@@ -17,7 +15,7 @@
 
 use netcrafter_proto::{Message, NodeId};
 use netcrafter_sim::{
-    Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder, Partition, SchedulerMode, Wake,
+    Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder, SchedulerMode, Wake,
 };
 
 struct SplitMix64(u64);
@@ -209,8 +207,7 @@ impl Component for Node {
 /// every node's receipt log.
 type Observed = (Cycle, u64, Vec<Vec<(Cycle, u32)>>);
 
-/// One random scenario: the nodes, the external injections, and a dense
-/// partition per domain count.
+/// One random scenario: the nodes and the external injections.
 struct Scenario {
     nodes: Vec<Node>,
     injections: Vec<(usize, u32, u64)>,
@@ -283,43 +280,6 @@ impl Scenario {
         scenario
     }
 
-    /// A random dense assignment to `domains` domains with the tightest
-    /// valid lookahead, alternating between the uniform bound and the
-    /// per-pair matrix.
-    fn partition(&self, domains: usize, rng: &mut SplitMix64) -> Partition {
-        let n = self.nodes.len();
-        // The first `domains` nodes pin one domain each (dense by
-        // construction); the rest land anywhere.
-        let domain_of: Vec<usize> = (0..n)
-            .map(|i| {
-                if i < domains {
-                    i
-                } else {
-                    rng.below(domains as u64) as usize
-                }
-            })
-            .collect();
-        let mut pairs = vec![u64::MAX; domains * domains];
-        for (src, node) in self.nodes.iter().enumerate() {
-            for &(dst, delay) in &node.edges {
-                let (a, b) = (domain_of[src], domain_of[dst]);
-                if a != b {
-                    let cell = &mut pairs[a * domains + b];
-                    *cell = (*cell).min(delay);
-                }
-            }
-        }
-        let tightest = pairs.iter().copied().min().unwrap_or(u64::MAX);
-        if tightest == u64::MAX {
-            // No cross-domain edge at all: any lookahead is valid.
-            Partition::new(domain_of, 64)
-        } else if rng.below(2) == 0 {
-            Partition::new(domain_of, tightest)
-        } else {
-            Partition::with_pair_lookahead(domain_of, pairs)
-        }
-    }
-
     fn build(&self) -> Engine {
         let mut b = EngineBuilder::new();
         for node in &self.nodes {
@@ -352,7 +312,7 @@ impl Scenario {
 }
 
 #[test]
-fn legacy_event_driven_and_pdes_agree_on_random_graphs() {
+fn legacy_and_event_driven_agree_on_random_graphs() {
     for seed in 1..=32u64 {
         let scenario = Scenario::draw(seed);
         let mut legacy = scenario.build();
@@ -365,19 +325,6 @@ fn legacy_event_driven_and_pdes_agree_on_random_graphs() {
             event_driven == reference,
             "seed {seed}: event-driven diverges from Legacy"
         );
-
-        let mut rng = SplitMix64(seed ^ 0xD0_4A1D);
-        for domains in [2, 3] {
-            for threads in 1..=4 {
-                let mut engine = scenario.build();
-                engine.set_parallel(scenario.partition(domains, &mut rng), threads);
-                let pdes = scenario.observe(engine);
-                assert!(
-                    pdes == reference,
-                    "seed {seed}: {domains} domains on {threads} thread(s) diverge from Legacy"
-                );
-            }
-        }
     }
 }
 
