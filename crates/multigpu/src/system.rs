@@ -308,8 +308,7 @@ impl System {
         self.kernel_cycles.push((name, end - launched));
         if self.kernel_cycles.len() < self.kernel_names.len() {
             for &cu in self.ids.cus.iter().flatten() {
-                let cu = self.engine.get_mut::<Cu>(cu).expect("cu installed");
-                cu.launch();
+                self.engine.with_mut(cu, Cu::launch).expect("cu installed");
             }
         }
     }
@@ -347,9 +346,8 @@ impl System {
     pub fn enable_link_sampling(&mut self, window: Cycle) {
         for &sw_id in &self.ids.switches {
             self.engine
-                .get_mut::<Switch>(sw_id)
-                .expect("switch installed")
-                .enable_sampling(window);
+                .with_mut(sw_id, |sw: &mut Switch| sw.enable_sampling(window))
+                .expect("switch installed");
         }
     }
 
@@ -361,11 +359,11 @@ impl System {
         let mut out = Vec::new();
         for (s, &sw_id) in self.ids.switches.iter().enumerate() {
             let name = self.topo.switch_name(s);
-            let sw = self
+            let series = self
                 .engine
-                .get_mut::<Switch>(sw_id)
+                .with_mut(sw_id, |sw: &mut Switch| sw.take_series(end))
                 .expect("switch installed");
-            for (peer_node, is_inter, series) in sw.take_series(end) {
+            for (peer_node, is_inter, series) in series {
                 out.push(LinkSeries {
                     link: format!("{name}->{peer_node}"),
                     is_inter,
@@ -397,7 +395,7 @@ impl System {
     /// finished kernels' times, then the engine body (every component,
     /// mailboxes, in-flight messages). The kernels themselves are not in
     /// it: they are the program, which the run id pins.
-    fn save_body(&mut self, w: &mut SnapshotWriter) {
+    fn save_body(&self, w: &mut SnapshotWriter) {
         self.kernel_cycles.save(w);
         self.engine.save_state_into(w);
     }
@@ -415,7 +413,7 @@ impl System {
     /// snapshot header and run id. Restore with [`System::restore`] on a
     /// node built from the *same* config and kernels — or, before the
     /// warmup cycle, from one that differs only in warmup-inert knobs.
-    pub fn save_snapshot(&mut self) -> Vec<u8> {
+    pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         self.save_header(&mut w);
         self.save_body(&mut w);
@@ -429,6 +427,12 @@ impl System {
     /// afterwards is byte-identical to the run that produced the snapshot.
     /// Tracing and link sampling are this node's own, not the snapshot's:
     /// they record the cycles simulated after the restore.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a bad header, another run's id, a body that does not
+    /// decode or trailing bytes. Past the run id check the node is then
+    /// partly restored and must be dropped.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::new(bytes);
         read_header(&mut r)?;
@@ -452,7 +456,7 @@ impl System {
 
     /// FNV-1a fingerprint of the node's canonical state encoding (kernel
     /// times + engine body, no header or run id).
-    pub fn state_hash(&mut self) -> u64 {
+    pub fn state_hash(&self) -> u64 {
         let mut w = SnapshotWriter::new();
         self.save_body(&mut w);
         fnv1a64(&w.into_bytes())
@@ -465,7 +469,7 @@ impl System {
     /// bytes and the fingerprint; restoring the fork N times costs N
     /// pointer clones, not N encodes. Restore with [`System::restore`] on
     /// a node built from the same config and kernels.
-    pub fn fork_snapshot(&mut self) -> ForkSnapshot {
+    pub fn fork_snapshot(&self) -> ForkSnapshot {
         let mut w = SnapshotWriter::new();
         self.save_header(&mut w);
         let header_len = w.position();

@@ -845,10 +845,12 @@ mod tests {
         );
         let mut e = b.build();
         let end = e.run_to_quiescence(500);
-        let port = &mut e.get_mut::<Pusher>(tx_id).expect("pusher").port;
-        port.catch_up(end + 1);
-        let series = port.take_series(end).expect("sampling on");
-        (series, port.credits(), port.tokens())
+        e.with_mut(tx_id, |p: &mut Pusher| {
+            p.port.catch_up(end + 1);
+            let series = p.port.take_series(end).expect("sampling on");
+            (series, p.port.credits(), p.port.tokens())
+        })
+        .expect("pusher")
     }
 
     /// A port left unticked while idle and then pushed into integrates

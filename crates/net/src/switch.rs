@@ -958,18 +958,20 @@ mod tests {
         let end = e.run_to_quiescence(20_000);
         let switches = [sw0, sw1]
             .map(|id| {
-                let sw = e.get_mut::<Switch>(id).expect("switch");
-                for port in &mut sw.ports {
-                    port.egress.catch_up(end + 1);
-                }
-                let mut w = netcrafter_sim::snapshot::SnapshotWriter::new();
-                sw.save_state(&mut w);
-                (
-                    format!("{:?}", sw.stats),
-                    sw.ports.iter().map(|p| p.egress.credits()).collect(),
-                    sw.ports.iter().map(|p| p.egress.tokens()).collect(),
-                    w.into_bytes(),
-                )
+                e.with_mut(id, |sw: &mut Switch| {
+                    for port in &mut sw.ports {
+                        port.egress.catch_up(end + 1);
+                    }
+                    let mut w = netcrafter_sim::snapshot::SnapshotWriter::new();
+                    sw.save_state(&mut w);
+                    (
+                        format!("{:?}", sw.stats),
+                        sw.ports.iter().map(|p| p.egress.credits()).collect(),
+                        sw.ports.iter().map(|p| p.egress.tokens()).collect(),
+                        w.into_bytes(),
+                    )
+                })
+                .expect("switch")
             })
             .to_vec();
         let received = receivers.map(|id| received(&e, id).to_vec()).to_vec();

@@ -14,9 +14,9 @@
 //!   dead cycles, producing bit-identical results to the tick-everything
 //!   [`SchedulerMode::Legacy`] reference.
 //!
-//! One scheduler core (`sched.rs`) executes both modes on the calling
-//! thread, advancing each component through [`Component::tick_burst`]
-//! alone; the [`Engine`] is its public face.
+//! One type, the [`Engine`], owns the components and the scheduler state
+//! and executes both modes on the calling thread, advancing each
+//! component through [`Component::tick_burst`] alone.
 //!
 //! The crate also provides the small utilities every hardware model
 //! needs: [`DelayQueue`] (fixed-latency pipelines), [`RateLimiter`]
@@ -32,7 +32,6 @@
 pub mod arena;
 pub mod engine;
 pub mod flatmap;
-mod sched;
 pub mod snapshot;
 pub mod timing;
 pub mod trace;

@@ -74,12 +74,12 @@ static GLOBAL: Counting = Counting;
 /// `(workload, variant, build, run)`: what `System::build` and
 /// `System::run` allocated.
 const BUDGET: [(Workload, SystemVariant, u64, u64); 6] = [
-    (Workload::Gups, SystemVariant::Baseline, 561, 5_659),
-    (Workload::Gups, SystemVariant::NetCrafter, 561, 5_571),
-    (Workload::Mt, SystemVariant::Baseline, 562, 2_272),
-    (Workload::Mt, SystemVariant::NetCrafter, 562, 2_100),
-    (Workload::Spmv, SystemVariant::Baseline, 563, 3_947),
-    (Workload::Spmv, SystemVariant::NetCrafter, 563, 3_688),
+    (Workload::Gups, SystemVariant::Baseline, 547, 5_659),
+    (Workload::Gups, SystemVariant::NetCrafter, 547, 5_571),
+    (Workload::Mt, SystemVariant::Baseline, 548, 2_272),
+    (Workload::Mt, SystemVariant::NetCrafter, 548, 2_100),
+    (Workload::Spmv, SystemVariant::Baseline, 549, 3_947),
+    (Workload::Spmv, SystemVariant::NetCrafter, 549, 3_688),
 ];
 
 #[test]
